@@ -20,81 +20,57 @@ import (
 	"time"
 
 	"melissa"
-	"melissa/internal/chaosflag"
 	"melissa/internal/client"
+	"melissa/internal/cliflags"
 	"melissa/internal/studies"
-	"melissa/internal/transport"
 )
 
 func main() {
 	serverAddr := flag.String("server", "", "address of the server main process (required)")
-	study := flag.String("study", "synthetic", "study: tubebundle, ishigami or synthetic")
-	nx := flag.Int("nx", 96, "tubebundle grid x")
-	ny := flag.Int("ny", 32, "tubebundle grid y")
-	cells := flag.Int("cells", 1024, "synthetic field size")
-	timesteps := flag.Int("timesteps", 10, "synthetic timesteps")
-	groups := flag.Int("groups", 100, "total groups in the design (n)")
-	seed := flag.Uint64("seed", 2017, "design master seed")
 	group := flag.Int("group", 0, "this group's row index i")
-	simRanks := flag.Int("sim-ranks", 1, "parallel ranks per simulation")
-	batchSteps := flag.Int("batch-steps", 1, "timesteps batched per wire message")
-	maxBatchSteps := flag.Int("max-batch-steps", 0,
-		"adaptive batching cap: batch up to this many timesteps when the send path backs up (overrides -batch-steps)")
-	wireCodec := flag.Bool("wire-codec", false,
-		"compress field frames when the server advertises the codec (falls back to raw framing otherwise)")
 	connectTimeout := flag.Duration("connect-timeout", 10*time.Second, "handshake timeout")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live telemetry (/metrics, /status, /debug/pprof) on this address (empty = off)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error, off")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines")
-	chaos := chaosflag.RegisterChaos()
-	retry := chaosflag.RegisterRetry()
+	f := cliflags.Register(flag.CommandLine, "melissa-client")
 	flag.Parse()
 
 	if *serverAddr == "" {
 		log.Fatal("melissa-client: -server is required")
 	}
-	if err := melissa.SetLogging(*logLevel, *logJSON); err != nil {
+	if err := melissa.SetLogging(f.LogLevel, f.LogJSON); err != nil {
 		log.Fatalf("melissa-client: -log-level: %v", err)
 	}
-	if *metricsAddr != "" {
-		ep, err := melissa.ServeTelemetry(*metricsAddr)
+	if f.MetricsAddr != "" {
+		ep, err := melissa.ServeTelemetry(f.MetricsAddr)
 		if err != nil {
 			log.Fatalf("melissa-client: -metrics-addr: %v", err)
 		}
 		defer ep.Close()
 		log.Printf("melissa-client: telemetry at http://%s/metrics", ep.Addr())
 	}
-	st, err := studies.Build(*study, *nx, *ny, *cells, *timesteps)
+	st, err := studies.Build(f.Study, f.NX, f.NY, f.Cells, f.Timesteps)
 	if err != nil {
 		log.Fatalf("melissa-client: %v", err)
 	}
-	design := st.Design(*groups, *seed)
+	design := st.Design(f.Groups, f.Seed)
 	if *group < 0 || *group >= design.N() {
 		log.Fatalf("melissa-client: group %d outside design [0,%d)", *group, design.N())
 	}
 
 	start := time.Now()
-	// Size the per-connection transport buffers from the study shape so a
-	// whole batched data frame fits the kernel and user-space buffers.
-	net := chaos.Wrap(transport.NewTCPNetwork(transport.ForStudyCodec(
-		st.Cells, st.P(), max(*batchSteps, *maxBatchSteps), *wireCodec)))
 	// A standalone client has no launcher feeding it server congestion
 	// hints; MaxBatchSteps without a controller falls back to the local
 	// send-queue signal, which backs up exactly when the server stalls.
-	err = client.RunGroup(net, *serverAddr, client.RunConfig{
-		GroupID:             *group,
-		SimRanks:            *simRanks,
-		Rows:                design.GroupRows(*group),
-		Sim:                 st.Sim,
-		ConnectTimeout:      *connectTimeout,
-		BatchSteps:          *batchSteps,
-		MaxBatchSteps:       *maxBatchSteps,
-		WireCodec:           *wireCodec,
-		Retry:               retry.Policy(),
-		ResendWindow:        retry.ResendWindow(),
-		CheckpointHighWater: retry.CheckpointHighWater(),
-		DurableDrainTimeout: retry.DurableDrainTimeout(),
+	err = client.RunGroup(f.TCPNetwork(st.Cells, st.P()), *serverAddr, client.RunConfig{
+		ConnectOpts: client.ConnectOpts{
+			GroupID:       *group,
+			SimRanks:      f.SimRanks,
+			Timeout:       *connectTimeout,
+			Retry:         f.RetryPolicy(),
+			BatchSteps:    f.BatchSteps,
+			MaxBatchSteps: f.MaxBatchSteps,
+			WireCodec:     f.WireCodec,
+		},
+		Rows: design.GroupRows(*group),
+		Sim:  st.Sim,
 	})
 	if err != nil {
 		log.Fatalf("melissa-client: group %d failed: %v", *group, err)

@@ -18,52 +18,26 @@ import (
 	"time"
 
 	"melissa"
-	"melissa/internal/chaosflag"
+	"melissa/internal/cliflags"
 	"melissa/internal/core"
 	"melissa/internal/harness"
 	"melissa/internal/launcher"
 	"melissa/internal/scheduler"
 	"melissa/internal/studies"
-	"melissa/internal/transport"
 )
 
 func main() {
-	study := flag.String("study", "synthetic", "study: tubebundle, ishigami or synthetic")
-	nx := flag.Int("nx", 96, "tubebundle grid x")
-	ny := flag.Int("ny", 32, "tubebundle grid y")
-	cells := flag.Int("cells", 1024, "synthetic field size")
-	timesteps := flag.Int("timesteps", 10, "synthetic timesteps")
-	groups := flag.Int("groups", 64, "simulation groups (n)")
-	seed := flag.Uint64("seed", 2017, "design master seed")
 	serverProcs := flag.Int("server-procs", 2, "parallel server processes")
-	foldWorkers := flag.Int("fold-workers", 0, "fold workers per server process (0 = GOMAXPROCS-aware)")
-	batchSteps := flag.Int("batch-steps", 1, "timesteps batched per wire message")
-	maxBatchSteps := flag.Int("max-batch-steps", 0,
-		"adaptive batching cap: grow batches towards this when the server reports backpressure (overrides -batch-steps)")
-	wireCodec := flag.Bool("wire-codec", false,
-		"negotiate the compressed field framing between the server and every group (results are bitwise identical)")
-	simRanks := flag.Int("sim-ranks", 2, "parallel ranks per simulation")
 	clusterNodes := flag.Int("cluster-nodes", 0, "virtual cluster size (0 = unbounded)")
 	groupNodes := flag.Int("group-nodes", 1, "nodes per group job")
-	ckptDir := flag.String("checkpoint-dir", "", "server checkpoint directory")
-	ckptEvery := flag.Duration("checkpoint-interval", time.Minute, "checkpoint period")
-	syncCkpt := flag.Bool("sync-checkpoints", false,
-		"use the legacy quiesced checkpoint path (blocks ingest for the whole write) instead of the two-phase snapshot+background-write pipeline")
-	groupTimeout := flag.Duration("group-timeout", time.Minute, "unresponsive-group timeout")
 	convergence := flag.Float64("converge-at", 0, "stop when every 95% CI is narrower than this (0 = off)")
-	out := flag.String("out", "out/launcher", "output directory for result fields")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live telemetry (/metrics, /status, /debug/pprof) on this address for the study's duration (empty = off)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error, off")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines")
-	chaos := chaosflag.RegisterChaos()
-	retry := chaosflag.RegisterRetry()
+	f := cliflags.Register(flag.CommandLine, "melissa-launcher")
 	flag.Parse()
 
-	if err := melissa.SetLogging(*logLevel, *logJSON); err != nil {
+	if err := melissa.SetLogging(f.LogLevel, f.LogJSON); err != nil {
 		log.Fatalf("melissa-launcher: -log-level: %v", err)
 	}
-	st, err := studies.Build(*study, *nx, *ny, *cells, *timesteps)
+	st, err := studies.Build(f.Study, f.NX, f.NY, f.Cells, f.Timesteps)
 	if err != nil {
 		log.Fatalf("melissa-launcher: %v", err)
 	}
@@ -72,37 +46,29 @@ func main() {
 		cluster = scheduler.New(*clusterNodes)
 	}
 	cfg := launcher.Config{
-		Design:    st.Design(*groups, *seed),
-		Sim:       st.Sim,
-		Cells:     st.Cells,
-		Timesteps: st.Timesteps,
-		SimRanks:  *simRanks,
-		Stats:     core.Options{MinMax: true},
-		Network: chaos.Wrap(transport.NewTCPNetwork(transport.ForStudyCodec(
-			st.Cells, st.P(), max(*batchSteps, *maxBatchSteps), *wireCodec))),
-		Cluster:             cluster,
-		ServerProcs:         *serverProcs,
-		FoldWorkers:         *foldWorkers,
-		BatchSteps:          *batchSteps,
-		MaxBatchSteps:       *maxBatchSteps,
-		WireCodec:           *wireCodec,
-		GroupNodes:          *groupNodes,
-		GroupTimeout:        *groupTimeout,
-		ConvergenceTarget:   *convergence,
-		MetricsAddr:         *metricsAddr,
-		Retry:               retry.Policy(),
-		ResendWindow:        retry.ResendWindow(),
-		CheckpointHighWater: retry.CheckpointHighWater(),
-		DurableDrainTimeout: retry.DurableDrainTimeout(),
+		Design:            st.Design(f.Groups, f.Seed),
+		Sim:               st.Sim,
+		Cells:             st.Cells,
+		Timesteps:         st.Timesteps,
+		SimRanks:          f.SimRanks,
+		Stats:             core.Options{MinMax: true},
+		Network:           f.TCPNetwork(st.Cells, st.P()),
+		Cluster:           cluster,
+		ServerProcs:       *serverProcs,
+		FoldWorkers:       f.FoldWorkers,
+		BatchSteps:        f.BatchSteps,
+		MaxBatchSteps:     f.MaxBatchSteps,
+		WireCodec:         f.WireCodec,
+		GroupNodes:        *groupNodes,
+		GroupTimeout:      f.GroupTimeout,
+		ConvergenceTarget: *convergence,
+		MetricsAddr:       f.MetricsAddr,
+		Retry:             f.RetryPolicy(),
 	}
-	if *ckptDir != "" {
-		cfg.CheckpointDir = *ckptDir
-		cfg.CheckpointInterval = *ckptEvery
-		cfg.SyncCheckpoints = *syncCkpt
-	}
+	cfg.CheckpointDir, cfg.CheckpointInterval = f.Checkpoints()
 
 	log.Printf("melissa-launcher: study %q — %d cells x %d timesteps, %d groups x %d simulations, %d server processes, TCP transport",
-		st.Name, st.Cells, st.Timesteps, *groups, st.P()+2, *serverProcs)
+		st.Name, st.Cells, st.Timesteps, f.Groups, st.P()+2, *serverProcs)
 
 	l, err := launcher.New(cfg)
 	if err != nil {
@@ -140,7 +106,7 @@ func main() {
 		for c := 0; c < st.Cells; c++ {
 			rows[c] = []float64{float64(c), first[c], total[c]}
 		}
-		path := filepath.Join(*out, fmt.Sprintf("results.%s_sobol.%d.csv", st.ParamNames[k], last))
+		path := filepath.Join(f.Out, fmt.Sprintf("results.%s_sobol.%d.csv", st.ParamNames[k], last))
 		if err := harness.WriteCSV(path, []string{"cell", "first", "total"}, rows); err != nil {
 			log.Fatalf("melissa-launcher: %v", err)
 		}
@@ -150,9 +116,9 @@ func main() {
 	for c := 0; c < st.Cells; c++ {
 		rows[c] = []float64{float64(c), variance[c]}
 	}
-	if err := harness.WriteCSV(filepath.Join(*out, fmt.Sprintf("results.variance.%d.csv", last)),
+	if err := harness.WriteCSV(filepath.Join(f.Out, fmt.Sprintf("results.variance.%d.csv", last)),
 		[]string{"cell", "variance"}, rows); err != nil {
 		log.Fatalf("melissa-launcher: %v", err)
 	}
-	log.Printf("  statistic fields written under %s", *out)
+	log.Printf("  statistic fields written under %s", f.Out)
 }

@@ -22,135 +22,48 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"melissa"
-	"melissa/internal/chaosflag"
 	"melissa/internal/checkpoint"
+	"melissa/internal/cliflags"
 	"melissa/internal/core"
 	"melissa/internal/des"
 	"melissa/internal/enc"
 	"melissa/internal/harness"
-	"melissa/internal/quantiles"
 	"melissa/internal/sobol"
 )
 
-// statOptions carries the optional ubiquitous statistics selected on the
-// command line into the live study.
-type statOptions struct {
-	minMax        bool
-	threshold     *float64
-	higherMoments bool
-	quantiles     []float64
-	quantileEps   float64
-
-	// Checkpointing for the live study (empty dir = off). syncCkpt selects
-	// the legacy quiesced path over the two-phase pipeline.
-	ckptDir   string
-	ckptEvery time.Duration
-	syncCkpt  bool
-
-	// metricsAddr serves the live telemetry endpoint for the study's
-	// duration (empty = off).
-	metricsAddr string
-
-	// Connection resilience for the live study: an optional injected-fault
-	// plan and the client reconnect policy that must absorb it, plus the
-	// durable-frontier knobs (early-checkpoint high-water, completion drain).
-	chaos        *melissa.ChaosPlan
-	retry        melissa.RetryPolicy
-	resendWindow int
-	ckptHW       int
-	drainTimeout time.Duration
-}
-
 func main() {
-	out := flag.String("out", "out", "output directory")
 	fig6 := flag.Bool("fig6", true, "replay Fig. 6 / Sec. 5.3")
 	sec54 := flag.Bool("sec54", true, "fault-tolerance numbers (Sec. 5.4)")
 	fig7 := flag.Bool("fig7", true, "live tube-bundle study (Fig. 7/8)")
 	conv := flag.Bool("convergence", true, "CI convergence (Sec. 3.4)")
-	nx := flag.Int("nx", 96, "tube-bundle grid x")
-	ny := flag.Int("ny", 32, "tube-bundle grid y")
-	groups := flag.Int("groups", 128, "tube-bundle groups")
-	foldWorkers := flag.Int("fold-workers", 0, "fold workers per server process (0 = GOMAXPROCS-aware)")
-	batchSteps := flag.Int("batch-steps", 1, "timesteps batched per wire message")
-	maxBatchSteps := flag.Int("max-batch-steps", 0,
-		"adaptive batching cap: grow batches towards this when the server reports backpressure (overrides -batch-steps)")
-	wireCodec := flag.Bool("wire-codec", false,
-		"negotiate the compressed field framing for the live study (results are bitwise identical)")
-	minMax := flag.Bool("minmax", false, "track per-cell min/max over the A/B samples")
-	threshold := flag.String("threshold", "", "count per-cell exceedances of this value (empty = off)")
-	higherMoments := flag.Bool("higher-moments", false, "track per-cell skewness/kurtosis")
-	quantileList := flag.String("quantiles", "", "comma-separated quantile probes, e.g. 0.05,0.5,0.95 (empty = off)")
-	quantileEps := flag.Float64("quantile-eps", quantiles.DefaultEpsilon, "quantile sketch rank error ε")
-	quantileBudget := flag.Float64("quantile-memory-budget", 0,
-		"per-cell-per-timestep sketch memory budget in bytes; derives ε (overrides -quantile-eps)")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the live study's server into this directory (empty = off)")
-	ckptEvery := flag.Duration("checkpoint-interval", 2*time.Second, "live-study checkpoint period")
-	syncCkpt := flag.Bool("sync-checkpoints", false,
-		"use the legacy quiesced checkpoint path (blocks ingest for the whole write) instead of the two-phase snapshot+background-write pipeline")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live telemetry (/metrics, /status, /debug/pprof) on this address during the live study (empty = off)")
-	logLevel := flag.String("log-level", "warn", "structured log level: debug, info, warn, error, off")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines")
-	chaosFlags := chaosflag.RegisterChaos()
-	retryFlags := chaosflag.RegisterRetry()
+	f := cliflags.Register(flag.CommandLine, "melissa-study")
 	flag.Parse()
+	out := f.Out
 
-	if err := melissa.SetLogging(*logLevel, *logJSON); err != nil {
+	if err := melissa.SetLogging(f.LogLevel, f.LogJSON); err != nil {
 		log.Fatalf("melissa-study: -log-level: %v", err)
 	}
-
-	eps := *quantileEps
-	if *quantileBudget > 0 {
-		eps = quantiles.EpsForBudget(*quantileBudget)
-		fmt.Printf("quantile budget %.0f B/cell/step -> eps %.4g (~%.0f tuples/cell/step)\n",
-			*quantileBudget, eps, quantiles.TuplesPerCell(eps))
-	}
-	stats := statOptions{
-		minMax:        *minMax,
-		higherMoments: *higherMoments,
-		quantileEps:   eps,
-		ckptDir:       *ckptDir,
-		ckptEvery:     *ckptEvery,
-		syncCkpt:      *syncCkpt,
-		metricsAddr:   *metricsAddr,
-		retry:         retryFlags.Policy(),
-		resendWindow:  retryFlags.ResendWindow(),
-		ckptHW:        retryFlags.CheckpointHighWater(),
-		drainTimeout:  retryFlags.DurableDrainTimeout(),
-	}
-	if plan, ok := chaosFlags.Plan(); ok {
-		stats.chaos = &plan
-	}
-	if *threshold != "" {
-		th, err := strconv.ParseFloat(*threshold, 64)
-		if err != nil {
-			log.Fatalf("melissa-study: -threshold: %v", err)
-		}
-		stats.threshold = &th
-	}
-	probes, err := quantiles.ParseList(*quantileList)
+	stats, err := f.StatsOptions()
 	if err != nil {
-		log.Fatalf("melissa-study: -quantiles: %v", err)
+		log.Fatalf("melissa-study: %v", err)
 	}
-	stats.quantiles = probes
 
 	if *fig6 {
-		runFig6(*out)
+		runFig6(out)
 	}
 	if *sec54 {
-		runSec54(*out)
+		runSec54(out)
 	}
 	if *fig7 {
-		runFig7(*out, *nx, *ny, *groups, *foldWorkers, *batchSteps, *maxBatchSteps, *wireCodec, stats)
+		runFig7(out, f, stats)
 	}
 	if *conv {
-		runConvergence(*out)
+		runConvergence(out)
 	}
-	fmt.Printf("\nall outputs under %s\n", *out)
+	fmt.Printf("\nall outputs under %s\n", out)
 }
 
 func runFig6(out string) {
@@ -279,57 +192,49 @@ func runSec54(out string) {
 	_ = out
 }
 
-func runFig7(out string, nx, ny, groups, foldWorkers, batchSteps, maxBatchSteps int, wireCodec bool, opts statOptions) {
+// runFig7 runs the live tube-bundle study with the pipeline, statistics,
+// checkpoint, telemetry and resilience selections of the command line.
+func runFig7(out string, f *cliflags.Flags, opts core.Options) {
 	fmt.Println("================ Fig. 7/8: tube-bundle Sobol' maps (live) ================")
+	nx, ny, groups := f.NX, f.NY, f.Groups
 	study, grid, err := melissa.TubeBundleStudy(nx, ny, groups, 2017)
 	if err != nil {
 		log.Fatal(err)
 	}
 	study.ServerProcs = 4
 	study.SimRanks = 4
-	study.FoldWorkers = foldWorkers
-	study.BatchSteps = batchSteps
-	study.MaxBatchSteps = maxBatchSteps
-	study.WireCodec = wireCodec
-	study.MinMax = opts.minMax
-	study.Threshold = opts.threshold
-	study.HigherMoments = opts.higherMoments
-	study.Quantiles = opts.quantiles
-	study.QuantileEps = opts.quantileEps
-	if opts.ckptDir != "" {
-		study.CheckpointDir = opts.ckptDir
-		study.CheckpointInterval = opts.ckptEvery
-		study.SyncCheckpoints = opts.syncCkpt
-	}
-	study.MetricsAddr = opts.metricsAddr
-	study.Chaos = opts.chaos
-	study.Retry = opts.retry
-	study.ResendWindow = opts.resendWindow
-	study.CheckpointHighWater = opts.ckptHW
-	study.DurableDrainTimeout = opts.drainTimeout
+	study.FoldWorkers = f.FoldWorkers
+	study.BatchSteps = f.BatchSteps
+	study.MaxBatchSteps = f.MaxBatchSteps
+	study.WireCodec = f.WireCodec
+	study.MinMax = opts.MinMax
+	study.Threshold = opts.Threshold
+	study.HigherMoments = opts.HigherMoments
+	study.Quantiles = opts.Quantiles
+	study.QuantileEps = opts.QuantileEps
+	study.CheckpointDir, study.CheckpointInterval = f.Checkpoints()
+	study.MetricsAddr = f.MetricsAddr
+	study.Chaos = f.ChaosPlan()
+	study.Retry = f.RetryPolicy()
 	start := time.Now()
 	res, stats, err := melissa.RunStudy(study)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if opts.chaos != nil {
+	if study.Chaos != nil {
 		fmt.Printf("chaos plan absorbed: %d reconnects, %d group restarts, %d given up\n",
 			stats.Reconnects, stats.Restarts, stats.GroupsGivenUp)
 	}
 	fmt.Printf("live study: %dx%d cells, %d groups x 8 sims in %v (%d messages, %.1f GB avoided)\n\n",
 		nx, ny, groups, time.Since(start).Round(time.Millisecond),
 		stats.MessagesFolded, float64(stats.DataAvoidedBytes)/1e9)
-	if ws := res.WireStats(); wireCodec && ws.Messages > 0 {
+	if ws := res.WireStats(); study.WireCodec && ws.Messages > 0 {
 		fmt.Printf("field traffic: %.1f MB on the wire vs %.1f MB raw (%.2fx, %.1f MB saved)\n\n",
 			float64(ws.WireBytes)/1e6, float64(ws.RawBytes)/1e6, ws.Ratio(), float64(ws.Saved())/1e6)
 	}
 	if ck := res.Checkpoints(); ck.Writes > 0 {
-		path := "two-phase pipeline"
-		if opts.syncCkpt {
-			path = "legacy quiesced path"
-		}
-		fmt.Printf("checkpoints (%s): %d written (%d skipped), %.1f MB durable; ingest stalled %v of %v total write time\n\n",
-			path, ck.Writes, ck.Skipped, float64(ck.BytesWritten)/1e6,
+		fmt.Printf("checkpoints: %d written (%d skipped), %.1f MB durable; ingest stalled %v of %v total write time\n\n",
+			ck.Writes, ck.Skipped, float64(ck.BytesWritten)/1e6,
 			ck.StallDuration.Round(time.Microsecond), ck.WriteDuration.Round(time.Microsecond))
 	}
 

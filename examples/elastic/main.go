@@ -79,10 +79,9 @@ func main() {
 			go func(g int) {
 				defer wg.Done()
 				err := client.RunGroup(net, srv.MainAddr(), client.RunConfig{
-					GroupID:  g,
-					SimRanks: 2,
-					Rows:     design.GroupRows(g),
-					Sim:      client.SimFunc(sim),
+					ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2},
+					Rows:        design.GroupRows(g),
+					Sim:         client.SimFunc(sim),
 				})
 				if err != nil {
 					log.Printf("group %d: %v", g, err)

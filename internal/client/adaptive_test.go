@@ -113,14 +113,15 @@ func TestConnectionAdaptiveBatching(t *testing.T) {
 		s.Close()
 	}()
 
-	conn, err := Connect(net, mainRecv.Addr(), 0, 1, 5*time.Second)
+	ctl := &BatchController{}
+	conn, err := ConnectWith(net, mainRecv.Addr(), ConnectOpts{
+		GroupID: 0, SimRanks: 1, Timeout: 5 * time.Second,
+		MaxBatchSteps: 4, Congestion: ctl,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	ctl := &BatchController{}
-	conn.MaxBatchSteps = 4
-	conn.Congestion = ctl
 
 	fields := make([][]float64, p+2)
 	for f := range fields {
@@ -177,12 +178,13 @@ func TestConnectionAdaptiveBatching(t *testing.T) {
 func TestConnectionLocalFallbackSignal(t *testing.T) {
 	f := newFakeServer(t, 1, 8, 3, 1)
 	defer f.close()
-	conn, err := Connect(f.net, f.mainRecv.Addr(), 0, 1, 5*time.Second)
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{
+		GroupID: 0, SimRanks: 1, Timeout: 5 * time.Second, MaxBatchSteps: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.MaxBatchSteps = 4
 
 	fields := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
 	for step := 0; step < 3; step++ {

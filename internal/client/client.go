@@ -9,7 +9,7 @@
 // static N×M redistribution).
 //
 // The integration API mirrors the paper's three-function library:
-// Connect (Initialise), SendTimestep (Process), Close (Finalize).
+// ConnectWith (Initialise), SendTimestep (Process), Close (Finalize).
 package client
 
 import (
@@ -42,78 +42,13 @@ func (f SimFunc) Run(row []float64, emit func(step int, field []float64) bool) {
 // dynamic connection handshake, holding one sender per server process this
 // group needs (every one of them, in the block-partitioned layout).
 type Connection struct {
-	GroupID  int
-	SimRanks int
-	Layout   *wire.Welcome
+	// Layout is the server's Welcome: study shape, partitioning, process
+	// addresses and negotiated capabilities.
+	Layout *wire.Welcome
 
-	// BatchSteps, when > 1, buffers that many timesteps per server process
-	// and ships them as a single wire.DataBatch message, amortizing framing
-	// and syscall/channel overhead (set it before the first SendTimestep;
-	// call Flush — or Close — to push a partial final batch). The default 1
-	// sends one Data message per (sim rank, server process, timestep).
-	// Batching stretches the group's inter-message gap by the same factor —
-	// server-side group timeouts must account for it (the launcher scales
-	// its GroupTimeout automatically).
-	BatchSteps int
-
-	// MaxBatchSteps, when > 1, enables adaptive batching: the effective
-	// batch size floats between 1 and MaxBatchSteps, driven by server
-	// congestion — small batches (low latency) while the fold pipeline
-	// keeps up, growing batches (high throughput) when it reports
-	// backpressure. It overrides BatchSteps. Set both knobs before the
-	// first SendTimestep.
-	MaxBatchSteps int
-
-	// Congestion supplies the server congestion signal for adaptive
-	// batching, normally the study-wide controller the launcher feeds from
-	// server reports. When nil (e.g. a standalone melissa-client with no
-	// launcher), the connection falls back to a local signal: the occupancy
-	// of its own transport send queues, which backs up exactly when the
-	// server stops draining.
-	Congestion *BatchController
-
-	// WireCodec, when true, ships field payloads in the compressed framing
-	// (delta-XOR + entropy coding, wire.TypeDataBatchC) — provided the server
-	// negotiated the capability in the Welcome (Hello always advertises it;
-	// a server configured without the codec answers without the bit and the
-	// connection transparently stays on the raw format). Set it before the
-	// first SendTimestep. Payloads are cut on the receiving process's
-	// fold-shard boundaries (Welcome.FoldShards) so each fold worker
-	// decompresses exactly its own block.
-	WireCodec bool
-
-	// Retry is the connection-resilience policy (retry.go): with a non-zero
-	// reconnect budget, failed sends transparently redial the server process,
-	// perform the resume handshake and resend the retained unacked window.
-	// The zero value keeps the legacy fail-fast behavior. Set via
-	// ConnectOpts (the dial path honors it too).
-	Retry RetryPolicy
-
-	// ResendWindow is the per-route retention depth in timesteps backing
-	// reconnect resends (0 = a default deep enough for the transport's
-	// in-flight buffering). Only used when Retry is enabled.
-	ResendWindow int
-
-	// OnReconnect, when non-nil, is called after each consumed reconnect
-	// (serverRank is -1 for handshake-path retries; attempt counts budget
-	// used so far). The launcher uses it to grant in-progress reconnects
-	// grace against group timeouts.
-	OnReconnect func(serverRank, attempt int)
-
-	// CheckpointHighWater caps how many acked-but-not-durable steps a route
-	// may accumulate before the connection asks the server for an early
-	// checkpoint (wire.CheckpointReq — fire-and-forget advice, never an
-	// ingest blocker). 0 picks 3/4 of the retention window. Only meaningful
-	// when the server checkpoints (Welcome.DurableStep != wire.NoDurability)
-	// and Retry is enabled.
-	CheckpointHighWater int
-
-	// DurableDrainTimeout bounds the completion-time durable drain: after the
-	// final Flush, WaitDurable polls each server process until its durable
-	// frontier covers every sent step, so a server crash after this group
-	// finished cannot roll its contribution back. 0 uses a 30 s default;
-	// negative disables the drain.
-	DurableDrainTimeout time.Duration
+	// opts are the options the connection was built with (Retry with its
+	// defaults resolved); they do not change afterwards.
+	opts ConnectOpts
 
 	net      transport.Network
 	senders  []transport.Sender
@@ -142,12 +77,14 @@ type Connection struct {
 	maxStep    int
 	ckptReqAt  []int
 
-	// Compressed-path state: the per-connection compressor, the per-route
-	// shard-aligned sub-range lengths (computed on first use), the one-step
-	// batch shell of the unbatched path, and the raw-vs-wire byte counters.
+	// Framing state (shipSteps): the per-connection compressor, the per-route
+	// shard-aligned sub-range lengths (computed on first use), the message
+	// shells the encoders read from (fields, so handing their address to an
+	// encoder allocates nothing), and the raw-vs-wire byte counters.
 	comp      wire.BatchCompressor
 	rangeLens [][]int
-	oneStep   wire.DataBatch
+	dataMsg   wire.Data
+	batchMsg  wire.DataBatch
 	wireBytes int64
 	rawBytes  int64
 
@@ -157,64 +94,90 @@ type Connection struct {
 	effSteps int
 
 	// pending[r] buffers the not-yet-sent steps of route r when batching;
-	// step and field storage is reused across flushes. cutScratch holds the
-	// per-route sub-slice headers of the unbatched path. A Connection is
-	// not safe for concurrent use.
-	pending    []routeBatch
-	cutScratch [][]float64
+	// step and field storage is reused across flushes. cutStep is the
+	// one-step shell of the current route cut: its Fields hold sub-slice
+	// headers into the caller's fields, never a copy. A Connection is not
+	// safe for concurrent use.
+	pending [][]wire.DataStep
+	cutStep [1]wire.DataStep
 }
 
-// routeBatch accumulates the buffered timesteps of one route.
-type routeBatch struct {
-	steps []wire.DataStep
-}
-
-// ConnectOpts parameterizes ConnectWith beyond the classic handshake
-// arguments: the retry policy covering the dial path, the retention window
-// and the resume flag of restarted attempts.
+// ConnectOpts is the one declaration of a group connection's options: the
+// handshake arguments, the resilience policy covering dials, handshakes and
+// sends, and the framing of the data path. ConnectWith resolves them once;
+// the connection keeps them unchanged for its lifetime.
 type ConnectOpts struct {
+	// GroupID is the design row index i of this group; SimRanks the number
+	// of parallel ranks per simulation (the N of the N×M redistribution).
 	GroupID  int
 	SimRanks int
 	// Timeout bounds each handshake attempt (Welcome wait).
 	Timeout time.Duration
-	// Retry covers dials, handshakes and later sends (see Connection.Retry).
+
+	// Retry is the connection-resilience policy (retry.go): with a non-zero
+	// reconnect budget, failed dials, handshakes and sends transparently
+	// redial the server process, perform the resume handshake and resend the
+	// retained unacked window. The zero value keeps the legacy fail-fast
+	// behavior.
 	Retry RetryPolicy
-	// ResendWindow see Connection.ResendWindow.
-	ResendWindow int
 	// Resume marks a (re)connection of a group whose data may already be
 	// partially folded — a restarted attempt. The handshake then asks every
 	// server process for its fold frontier, and SendTimestep skips the
 	// pieces each process already folded ("session resume without replay
 	// traffic"): the solver still recomputes, the network does not recarry.
 	Resume bool
-	// OnReconnect see Connection.OnReconnect.
+	// OnReconnect, when non-nil, is called after each consumed reconnect
+	// (serverRank is -1 for handshake-path retries; attempt counts budget
+	// used so far). The launcher uses it to grant in-progress reconnects
+	// grace against group timeouts.
 	OnReconnect func(serverRank, attempt int)
-	// CheckpointHighWater see Connection.CheckpointHighWater.
-	CheckpointHighWater int
-	// DurableDrainTimeout see Connection.DurableDrainTimeout.
-	DurableDrainTimeout time.Duration
+
+	// BatchSteps, when > 1, buffers that many timesteps per server process
+	// and ships them as a single wire.DataBatch message, amortizing framing
+	// and syscall/channel overhead (call Flush — or Close — to push a partial
+	// final batch). The default 1 sends one Data message per (sim rank,
+	// server process, timestep). Batching stretches the group's inter-message
+	// gap by the same factor — server-side group timeouts must account for it
+	// (the launcher scales its GroupTimeout automatically).
+	BatchSteps int
+	// MaxBatchSteps, when > 1, enables adaptive batching: the effective
+	// batch size floats between 1 and MaxBatchSteps, driven by server
+	// congestion — small batches (low latency) while the fold pipeline
+	// keeps up, growing batches (high throughput) when it reports
+	// backpressure. It overrides BatchSteps.
+	MaxBatchSteps int
+	// Congestion supplies the server congestion signal for adaptive
+	// batching, normally the study-wide controller the launcher feeds from
+	// server reports. When nil (e.g. a standalone melissa-client with no
+	// launcher), the connection falls back to a local signal: the occupancy
+	// of its own transport send queues, which backs up exactly when the
+	// server stops draining.
+	Congestion *BatchController
+	// WireCodec, when true, ships field payloads in the compressed framing
+	// (delta-XOR + entropy coding, wire.TypeDataBatchC) — provided the server
+	// negotiated the capability in the Welcome (Hello always advertises it;
+	// a server configured without the codec answers without the bit and the
+	// connection transparently stays on the raw format). Payloads are cut on
+	// the receiving process's fold-shard boundaries (Welcome.FoldShards) so
+	// each fold worker decompresses exactly its own block.
+	WireCodec bool
 }
 
-// Connect performs the dynamic-connection handshake of Sec. 4.1.3: it
+// ConnectWith performs the dynamic-connection handshake of Sec. 4.1.3: it
 // contacts the server main process, retrieves the data partitioning and the
 // server process addresses, and opens direct connections to every server
-// process this group's ranks will feed.
-func Connect(net transport.Network, mainAddr string, groupID, simRanks int, timeout time.Duration) (*Connection, error) {
-	return ConnectWith(net, mainAddr, ConnectOpts{GroupID: groupID, SimRanks: simRanks, Timeout: timeout})
-}
-
-// ConnectWith is Connect with the resilience options: the handshake itself
-// is retried under the same backoff/budget policy as mid-study sends, and a
-// resumed attempt learns each server process's fold frontier so it does not
-// resend folded data.
+// process this group's ranks will feed. The handshake itself is retried
+// under the same backoff/budget policy as mid-study sends, and a resumed
+// attempt learns each server process's fold frontier so it does not resend
+// folded data.
 func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connection, error) {
 	if o.SimRanks < 1 {
 		return nil, fmt.Errorf("client: group %d needs at least one rank", o.GroupID)
 	}
-	retry := o.Retry
-	if retry.enabled() {
-		retry = retry.withDefaults()
+	if o.Retry.enabled() {
+		o.Retry = o.Retry.withDefaults()
 	}
+	retry := o.Retry
 	rng := retryRNG(retry, o.GroupID)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -228,7 +191,7 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 				o.OnReconnect(-1, attempt)
 			}
 		}
-		conn, err := connectOnce(net, mainAddr, o, retry, rng, o.Resume || attempt > 0)
+		conn, err := connectOnce(net, mainAddr, o, rng, o.Resume || attempt > 0)
 		if err != nil {
 			lastErr = err
 			if !retry.enabled() {
@@ -243,7 +206,7 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 	}
 }
 
-func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, retry RetryPolicy, rng *rand.Rand, resume bool) (*Connection, error) {
+func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *rand.Rand, resume bool) (*Connection, error) {
 	groupID, simRanks, timeout := o.GroupID, o.SimRanks, o.Timeout
 	reply, err := net.Listen("")
 	if err != nil {
@@ -283,19 +246,13 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, retry Re
 	routes := mesh.Route(simParts, welcome.Partitions)
 
 	conn := &Connection{
-		GroupID:             groupID,
-		SimRanks:            simRanks,
-		Layout:              welcome,
-		Retry:               retry,
-		ResendWindow:        o.ResendWindow,
-		OnReconnect:         o.OnReconnect,
-		CheckpointHighWater: o.CheckpointHighWater,
-		DurableDrainTimeout: o.DurableDrainTimeout,
-		net:                 net,
-		simParts:            simParts,
-		routes:              routes,
-		rng:                 rng,
-		maxStep:             -1,
+		Layout:   welcome,
+		opts:     o,
+		net:      net,
+		simParts: simParts,
+		routes:   routes,
+		rng:      rng,
+		maxStep:  -1,
 	}
 	// The Welcome reveals whether this server checkpoints: a NoDurability
 	// sentinel means nothing ever becomes durable (retention then only
@@ -359,12 +316,12 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, retry Re
 // process) pair.
 func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 	if len(fields) != c.Layout.P+2 {
-		return fmt.Errorf("client: group %d: %d fields, want %d", c.GroupID, len(fields), c.Layout.P+2)
+		return fmt.Errorf("client: group %d: %d fields, want %d", c.opts.GroupID, len(fields), c.Layout.P+2)
 	}
 	for i, f := range fields {
 		if len(f) != c.Layout.Cells {
 			return fmt.Errorf("client: group %d field %d has %d cells, want %d",
-				c.GroupID, i, len(f), c.Layout.Cells)
+				c.opts.GroupID, i, len(f), c.Layout.Cells)
 		}
 	}
 	if step > c.maxStep {
@@ -372,16 +329,11 @@ func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 	}
 	c.effSteps = c.effectiveBatchSteps()
 	cBatchSteps.Observe(float64(c.effSteps))
-	if c.effSteps > 1 || c.MaxBatchSteps > 1 {
-		// Adaptive mode stays on the buffered path even at batch size 1 so
-		// a later growth decision needs no path switch mid-stream.
-		return c.bufferTimestep(step, fields)
+	cut := &c.cutStep[0]
+	cut.Timestep = step
+	if cut.Fields == nil {
+		cut.Fields = make([][]float64, len(fields))
 	}
-	if c.cutScratch == nil {
-		c.cutScratch = make([][]float64, len(fields))
-	}
-	cut := c.cutScratch
-	codecOn := c.codecNegotiated()
 	for ri, tr := range c.routes {
 		if skip, err := c.skipResumed(tr.ServerRank, step); skip || err != nil {
 			if err != nil {
@@ -390,50 +342,78 @@ func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 			continue // the server already folded this piece (resume floor)
 		}
 		for fi, f := range fields {
-			cut[fi] = f[tr.Cells.Lo:tr.Cells.Hi]
+			cut.Fields[fi] = f[tr.Cells.Lo:tr.Cells.Hi]
 		}
-		c.retainStep(ri, step, cut)
-		var w *enc.Writer
-		if codecOn {
-			// A compressed single step is a one-step TypeDataBatchC frame —
-			// the codec framing's degenerate batch, so the server needs no
-			// third bulk path.
-			c.oneStep.GroupID = c.GroupID
-			c.oneStep.CellLo = tr.Cells.Lo
-			c.oneStep.CellHi = tr.Cells.Hi
-			if c.oneStep.Steps == nil {
-				c.oneStep.Steps = make([]wire.DataStep, 1)
-			}
-			c.oneStep.Steps[0].Timestep = step
-			c.oneStep.Steps[0].Fields = cut
-			w = enc.GetWriter(int(wire.DataSizeBytes(len(cut), tr.Cells.Len())))
-			c.comp.EncodeTo(w, &c.oneStep, c.routeRangeLens(ri))
-			c.wireBytes += int64(w.Len())
-			c.rawBytes += wire.DataSizeBytes(len(cut), tr.Cells.Len())
-			cWireBytes.Add(int64(w.Len()))
-			cRawBytes.Add(wire.DataSizeBytes(len(cut), tr.Cells.Len()))
+		var err error
+		if c.batching() {
+			err = c.bufferStep(ri, cut)
 		} else {
-			data := &wire.Data{
-				GroupID:  c.GroupID,
-				Timestep: step,
-				CellLo:   tr.Cells.Lo,
-				CellHi:   tr.Cells.Hi,
-				Fields:   cut,
-			}
-			w = enc.GetWriter(int(wire.DataSizeBytes(len(cut), tr.Cells.Len())))
-			wire.EncodeTo(w, data)
-			c.wireBytes += int64(w.Len())
-			c.rawBytes += int64(w.Len())
-			cWireBytes.Add(int64(w.Len()))
-			cRawBytes.Add(int64(w.Len()))
+			// Unbatched: ship the caller's slices as cut, no copy.
+			err = c.shipSteps(ri, c.cutStep[:], true)
 		}
-		cMessages.Inc()
-		err := c.sendFrame(tr.ServerRank, w.Bytes())
-		enc.PutWriter(w) // Send copied the payload
 		if err != nil {
-			return fmt.Errorf("client: group %d step %d to server %d: %w",
-				c.GroupID, step, tr.ServerRank, err)
+			return err
 		}
+	}
+	return nil
+}
+
+// batching reports whether timesteps go through the per-route batch buffers.
+// Adaptive mode stays on the buffered path even at batch size 1 so a later
+// growth decision needs no path switch mid-stream.
+func (c *Connection) batching() bool {
+	return c.effSteps > 1 || c.opts.MaxBatchSteps > 1
+}
+
+// shipSteps is the one place route ri's steps become a frame on the wire.
+// The framing follows the negotiated format: a codec connection always sends
+// a TypeDataBatchC frame (a single step is its degenerate batch, so the
+// server needs no third bulk path); a raw connection sends one TypeData frame
+// per step when unbatched and a TypeDataBatch otherwise. recover marks a
+// first transmission: the steps enter the retention ring before the send, and
+// a failed send goes through reconnect + windowed resend. A resend passes
+// false and pushes directly — its caller's reconnect loop owns the errors.
+func (c *Connection) shipSteps(ri int, steps []wire.DataStep, recover bool) error {
+	tr := c.routes[ri]
+	single := len(steps) == 1 && !c.batching()
+	rawSize := wire.DataBatchSizeBytes(len(steps), len(steps[0].Fields), tr.Cells.Len())
+	if single {
+		rawSize = wire.DataSizeBytes(len(steps[0].Fields), tr.Cells.Len())
+	}
+	if recover {
+		for i := range steps {
+			c.retainStep(ri, &steps[i])
+		}
+	}
+	w := enc.GetWriter(int(rawSize))
+	codecOn := c.codecNegotiated()
+	if single && !codecOn {
+		c.dataMsg = wire.Data{GroupID: c.opts.GroupID, Timestep: steps[0].Timestep,
+			CellLo: tr.Cells.Lo, CellHi: tr.Cells.Hi, Fields: steps[0].Fields}
+		wire.EncodeTo(w, &c.dataMsg)
+	} else {
+		c.batchMsg = wire.DataBatch{GroupID: c.opts.GroupID, CellLo: tr.Cells.Lo, CellHi: tr.Cells.Hi, Steps: steps}
+		if codecOn {
+			c.comp.EncodeTo(w, &c.batchMsg, c.routeRangeLens(ri))
+		} else {
+			wire.EncodeTo(w, &c.batchMsg)
+		}
+	}
+	c.wireBytes += int64(w.Len())
+	c.rawBytes += rawSize
+	cWireBytes.Add(int64(w.Len()))
+	cRawBytes.Add(rawSize)
+	cMessages.Inc()
+	var err error
+	if recover {
+		err = c.sendFrame(tr.ServerRank, w.Bytes())
+	} else {
+		err = c.senders[tr.ServerRank].Send(w.Bytes())
+	}
+	enc.PutWriter(w) // Send copied the payload
+	if err != nil {
+		return fmt.Errorf("client: group %d steps %d..%d to server %d: %w", c.opts.GroupID,
+			steps[0].Timestep, steps[len(steps)-1].Timestep, tr.ServerRank, err)
 	}
 	return nil
 }
@@ -441,7 +421,7 @@ func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 // codecNegotiated reports whether compressed frames may be sent: the local
 // knob is on and the server granted the capability.
 func (c *Connection) codecNegotiated() bool {
-	return c.WireCodec && c.Layout.Caps&wire.CapWireCodec != 0
+	return c.opts.WireCodec && c.Layout.Caps&wire.CapWireCodec != 0
 }
 
 // routeRangeLens returns route ri's compressed sub-range lengths: the
@@ -492,13 +472,13 @@ func (c *Connection) WireStats() (wireBytes, rawBytes int64) {
 // launcher-fed controller when present and the local send-queue occupancy
 // otherwise.
 func (c *Connection) effectiveBatchSteps() int {
-	if c.MaxBatchSteps <= 1 {
-		if c.BatchSteps > 1 {
-			return c.BatchSteps
+	if c.opts.MaxBatchSteps <= 1 {
+		if c.opts.BatchSteps > 1 {
+			return c.opts.BatchSteps
 		}
 		return 1
 	}
-	ctl := c.Congestion
+	ctl := c.opts.Congestion
 	if ctl == nil {
 		worst := 0.0
 		for _, s := range c.senders {
@@ -512,93 +492,51 @@ func (c *Connection) effectiveBatchSteps() int {
 		c.local.Observe(worst)
 		ctl = &c.local
 	}
-	return ctl.Steps(c.MaxBatchSteps)
+	return ctl.Steps(c.opts.MaxBatchSteps)
 }
 
-// bufferTimestep copies one step's route cuts into the per-route batch
-// buffers and flushes every route that reached the effective batch size.
-func (c *Connection) bufferTimestep(step int, fields [][]float64) error {
+// bufferStep copies one route cut into route ri's batch buffer (reusing the
+// storage of earlier batches) and flushes the route once it holds the
+// effective batch size.
+func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	if c.pending == nil {
-		c.pending = make([]routeBatch, len(c.routes))
+		c.pending = make([][]wire.DataStep, len(c.routes))
 	}
-	for ri, tr := range c.routes {
-		if skip, err := c.skipResumed(tr.ServerRank, step); skip || err != nil {
-			if err != nil {
-				return err
-			}
-			continue // the server already folded this piece (resume floor)
-		}
-		rb := &c.pending[ri]
-		n := len(rb.steps)
-		if cap(rb.steps) > n {
-			rb.steps = rb.steps[:n+1]
-		} else {
-			rb.steps = append(rb.steps, wire.DataStep{})
-		}
-		st := &rb.steps[n]
-		st.Timestep = step
-		if cap(st.Fields) < len(fields) {
-			st.Fields = make([][]float64, len(fields))
-		} else {
-			st.Fields = st.Fields[:len(fields)]
-		}
-		for fi, f := range fields {
-			src := f[tr.Cells.Lo:tr.Cells.Hi]
-			dst := st.Fields[fi]
-			if cap(dst) < len(src) {
-				dst = make([]float64, len(src))
-			} else {
-				dst = dst[:len(src)]
-			}
-			copy(dst, src)
-			st.Fields[fi] = dst
-		}
-		if len(rb.steps) >= c.effSteps {
-			if err := c.flushRoute(ri); err != nil {
-				return err
-			}
-		}
+	steps := c.pending[ri]
+	n := len(steps)
+	if cap(steps) > n {
+		steps = steps[:n+1] // keeps the slot's field storage
+	} else {
+		steps = append(steps, wire.DataStep{})
+	}
+	copyStep(&steps[n], cut)
+	c.pending[ri] = steps
+	if len(steps) >= c.effSteps {
+		return c.flushRoute(ri)
 	}
 	return nil
 }
 
-// flushRoute ships route ri's buffered steps as one DataBatch.
+// copyStep deep-copies src into dst, reusing dst's field storage.
+func copyStep(dst, src *wire.DataStep) {
+	dst.Timestep = src.Timestep
+	if cap(dst.Fields) < len(src.Fields) {
+		dst.Fields = make([][]float64, len(src.Fields))
+	}
+	dst.Fields = dst.Fields[:len(src.Fields)]
+	for i, f := range src.Fields {
+		dst.Fields[i] = append(dst.Fields[i][:0], f...)
+	}
+}
+
+// flushRoute ships route ri's buffered steps as one batch frame.
 func (c *Connection) flushRoute(ri int) error {
-	rb := &c.pending[ri]
-	if len(rb.steps) == 0 {
+	if len(c.pending[ri]) == 0 {
 		return nil
 	}
-	tr := c.routes[ri]
-	batch := &wire.DataBatch{
-		GroupID: c.GroupID,
-		CellLo:  tr.Cells.Lo,
-		CellHi:  tr.Cells.Hi,
-		Steps:   rb.steps,
-	}
-	rawSize := wire.DataBatchSizeBytes(len(rb.steps), len(rb.steps[0].Fields), tr.Cells.Len())
-	w := enc.GetWriter(int(rawSize))
-	if c.codecNegotiated() {
-		c.comp.EncodeTo(w, batch, c.routeRangeLens(ri))
-	} else {
-		wire.EncodeTo(w, batch)
-	}
-	c.wireBytes += int64(w.Len())
-	c.rawBytes += rawSize
-	cWireBytes.Add(int64(w.Len()))
-	cRawBytes.Add(rawSize)
-	cMessages.Inc()
-	if c.Retry.enabled() {
-		for i := range rb.steps {
-			c.retainStep(ri, rb.steps[i].Timestep, rb.steps[i].Fields)
-		}
-	}
-	err := c.sendFrame(tr.ServerRank, w.Bytes())
-	enc.PutWriter(w)
-	rb.steps = rb.steps[:0] // keep field storage for the next batch
-	if err != nil {
-		return fmt.Errorf("client: group %d batch to server %d: %w", c.GroupID, tr.ServerRank, err)
-	}
-	return nil
+	err := c.shipSteps(ri, c.pending[ri], true)
+	c.pending[ri] = c.pending[ri][:0] // keep field storage for the next batch
+	return err
 }
 
 // Flush ships any partially filled batches. It is a no-op when batching is

@@ -93,12 +93,12 @@ func (f *fakeServer) close() {
 func TestConnectHandshake(t *testing.T) {
 	f := newFakeServer(t, 3, 90, 10, 4)
 	defer f.close()
-	conn, err := Connect(f.net, f.mainRecv.Addr(), 5, 2, 2*time.Second)
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 5, SimRanks: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.GroupID != 5 || conn.Layout.Cells != 90 || conn.Layout.P != 4 {
+	if conn.opts.GroupID != 5 || conn.Layout.Cells != 90 || conn.Layout.P != 4 {
 		t.Fatalf("connection %+v", conn.Layout)
 	}
 	// 2 sim ranks × 3 server procs with 90 cells: the block overlap count.
@@ -112,7 +112,7 @@ func TestConnectTimeoutWithoutServer(t *testing.T) {
 	dead, _ := net.Listen("") // nobody answers
 	defer dead.Close()
 	start := time.Now()
-	_, err := Connect(net, dead.Addr(), 1, 1, 100*time.Millisecond)
+	_, err := ConnectWith(net, dead.Addr(), ConnectOpts{GroupID: 1, SimRanks: 1, Timeout: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("connect succeeded without a server")
 	}
@@ -123,7 +123,7 @@ func TestConnectTimeoutWithoutServer(t *testing.T) {
 
 func TestConnectInvalidRanks(t *testing.T) {
 	net := transport.NewMemNetwork(transport.Options{})
-	if _, err := Connect(net, "mem://x", 1, 0, time.Second); err == nil {
+	if _, err := ConnectWith(net, "mem://x", ConnectOpts{GroupID: 1, SimRanks: 0, Timeout: time.Second}); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestConnectInvalidRanks(t *testing.T) {
 func TestSendTimestepValidation(t *testing.T) {
 	f := newFakeServer(t, 2, 40, 5, 2)
 	defer f.close()
-	conn, err := Connect(f.net, f.mainRecv.Addr(), 0, 2, 2*time.Second)
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 0, SimRanks: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSendTimestepCoversAllCellsOnce(t *testing.T) {
 	const procs, cells, p = 3, 70, 2
 	f := newFakeServer(t, procs, cells, 4, p)
 	defer f.close()
-	conn, err := Connect(f.net, f.mainRecv.Addr(), 1, 4, 2*time.Second)
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 1, SimRanks: 4, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRunGroupLockstep(t *testing.T) {
 		rows[i] = []float64{float64(i), 1}
 	}
 	if err := RunGroup(f.net, f.mainRecv.Addr(), RunConfig{
-		GroupID: 3, SimRanks: 2, Rows: rows, Sim: sim,
+		ConnectOpts: ConnectOpts{GroupID: 3, SimRanks: 2}, Rows: rows, Sim: sim,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRunGroupRowMismatchRejected(t *testing.T) {
 	defer f.close()
 	rows := [][]float64{{1}, {2}, {3}} // only 3
 	err := RunGroup(f.net, f.mainRecv.Addr(), RunConfig{
-		GroupID: 0, Rows: rows,
+		ConnectOpts: ConnectOpts{GroupID: 0}, Rows: rows,
 		Sim: SimFunc(func(row []float64, emit func(int, []float64) bool) {}),
 	})
 	if err == nil {
@@ -281,7 +281,7 @@ func TestRunGroupSimulationEndsEarly(t *testing.T) {
 		emit(1, field)
 	})
 	rows := [][]float64{{1}, {2}, {3}}
-	err := RunGroup(f.net, f.mainRecv.Addr(), RunConfig{GroupID: 1, Rows: rows, Sim: sim})
+	err := RunGroup(f.net, f.mainRecv.Addr(), RunConfig{ConnectOpts: ConnectOpts{GroupID: 1}, Rows: rows, Sim: sim})
 	if err == nil {
 		t.Fatal("early-ending simulation not reported")
 	}

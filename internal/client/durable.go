@@ -26,9 +26,14 @@ var errDurableDrain = errors.New("client: durable drain timed out")
 // blocking ingest, and if the ring wraps anyway a post-crash reconnect
 // surfaces errResumeGap and the launcher falls back to a full replay.
 
-// defaultDurableDrainTimeout bounds WaitDurable when the connection has no
-// explicit DurableDrainTimeout.
-const defaultDurableDrainTimeout = 30 * time.Second
+// checkpointHighWater is how many retained-but-not-durable steps a route may
+// accumulate before the connection asks the server for an early checkpoint:
+// three quarters of the retention window, so the durable frontier advances
+// before the ring wraps.
+const checkpointHighWater = resendWindow * 3 / 4
+
+// durableDrainTimeout bounds the completion-time durable drain (WaitDurable).
+const durableDrainTimeout = 30 * time.Second
 
 // durablePollCap caps the exponential poll backoff inside WaitDurable.
 const durablePollCap = 100 * time.Millisecond
@@ -51,23 +56,6 @@ func (c *Connection) noteAck(ack *wire.ResumeAck) {
 	}
 }
 
-// highWater resolves the per-route durable high-water mark in steps:
-// explicit knob, else 3/4 of the retention window.
-func (c *Connection) highWater() int {
-	if c.CheckpointHighWater > 0 {
-		return c.CheckpointHighWater
-	}
-	w := c.ResendWindow
-	if w <= 0 {
-		w = defaultResendWindow
-	}
-	hw := w * 3 / 4
-	if hw < 1 {
-		hw = 1
-	}
-	return hw
-}
-
 // noteRetained runs after a route cut enters the retention ring: when the
 // steps retained beyond rank's durable floor cross the high-water mark, it
 // asks that server process for an early checkpoint so the durable frontier
@@ -77,20 +65,19 @@ func (c *Connection) highWater() int {
 func (c *Connection) noteRetained(rank, step int) {
 	// Without a reconnect budget the retention ring is never replayed, so
 	// there is nothing for the durable frontier to protect — stay silent.
-	if !c.Retry.enabled() || !c.durability || c.durable == nil || rank >= len(c.durable) {
+	if !c.opts.Retry.enabled() || !c.durability || c.durable == nil || rank >= len(c.durable) {
 		return
 	}
-	hw := c.highWater()
-	if step-c.durable[rank] < hw {
+	if step-c.durable[rank] < checkpointHighWater {
 		return
 	}
-	if last := c.ckptReqAt[rank]; last >= 0 && step-last < (hw+1)/2 {
+	if last := c.ckptReqAt[rank]; last >= 0 && step-last < checkpointHighWater/2 {
 		return
 	}
 	c.ckptReqAt[rank] = step
 	if s := c.senders[rank]; s != nil {
 		// Best-effort: a broken connection surfaces on the next data frame.
-		_ = s.Send(wire.Encode(&wire.CheckpointReq{GroupID: c.GroupID}))
+		_ = s.Send(wire.Encode(&wire.CheckpointReq{GroupID: c.opts.GroupID}))
 		cCkptReqs.Inc()
 	}
 }
@@ -104,19 +91,13 @@ func (c *Connection) noteRetained(rank, step int) {
 // immediately when the server does not checkpoint, nothing was sent, or the
 // group runs without a reconnect budget (then a post-crash server restart
 // replays the whole group anyway — the legacy protocol — and the drain would
-// only slow every study down); a timeout returns an error and the caller
-// decides whether to accept the legacy at-risk window.
-func (c *Connection) WaitDurable(timeout time.Duration) error {
-	if !c.Retry.enabled() || !c.durability || c.maxStep < 0 || c.durable == nil {
+// only slow every study down); after durableDrainTimeout it returns an error
+// and the caller decides whether to accept the legacy at-risk window.
+func (c *Connection) WaitDurable() error {
+	if !c.opts.Retry.enabled() || !c.durability || c.maxStep < 0 || c.durable == nil {
 		return nil
 	}
-	if timeout < 0 {
-		return nil
-	}
-	if timeout == 0 {
-		timeout = defaultDurableDrainTimeout
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(durableDrainTimeout)
 	poll := 2 * time.Millisecond
 	for rank := range c.senders {
 		if c.senders[rank] == nil {
@@ -125,9 +106,6 @@ func (c *Connection) WaitDurable(timeout time.Duration) error {
 		for c.durability && c.durable[rank] < c.maxStep {
 			ack, err := c.resumeQueryOn(c.senders[rank], rank)
 			if err != nil {
-				if !c.Retry.enabled() {
-					return err
-				}
 				if rerr := c.recoverRank(rank, err); rerr != nil {
 					return rerr
 				}
@@ -139,9 +117,9 @@ func (c *Connection) WaitDurable(timeout time.Duration) error {
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("%w: group %d server %d durable step %d < last sent %d",
-					errDurableDrain, c.GroupID, rank, c.durable[rank], c.maxStep)
+					errDurableDrain, c.opts.GroupID, rank, c.durable[rank], c.maxStep)
 			}
-			_ = c.senders[rank].Send(wire.Encode(&wire.CheckpointReq{GroupID: c.GroupID}))
+			_ = c.senders[rank].Send(wire.Encode(&wire.CheckpointReq{GroupID: c.opts.GroupID}))
 			cCkptReqs.Inc()
 			time.Sleep(poll)
 			if poll < durablePollCap {
@@ -149,6 +127,6 @@ func (c *Connection) WaitDurable(timeout time.Duration) error {
 			}
 		}
 	}
-	olog.Debugw("client.durable_drain", "group", c.GroupID, "last_step", c.maxStep)
+	olog.Debugw("client.durable_drain", "group", c.opts.GroupID, "last_step", c.maxStep)
 	return nil
 }

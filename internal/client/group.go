@@ -9,33 +9,21 @@ import (
 	"melissa/internal/transport"
 )
 
-// RunConfig describes one simulation-group job.
+// RunConfig describes one simulation-group job: the connection options plus
+// what the group runs over the connection.
 type RunConfig struct {
-	// GroupID is the design row index i of this group.
-	GroupID int
-	// SimRanks is the number of parallel ranks per simulation (the N of the
-	// N×M redistribution; the paper runs 64-core simulations).
-	SimRanks int
+	// ConnectOpts carries the group id, the rank count, the handshake
+	// timeout (default 10 s), the resilience policy and the framing knobs.
+	// With a Retry budget the run ends with a durable drain after the final
+	// Flush; on a drain timeout the group completes anyway (legacy at-risk
+	// window), while connection failures during the drain fail the attempt so
+	// the launcher replays it.
+	ConnectOpts
 	// Rows are the p+2 parameter sets, in intra-group order
 	// (A_i, B_i, C^1_i .. C^p_i), from sampling.Design.GroupRows.
 	Rows [][]float64
 	// Sim is the solver each of the p+2 simulations runs.
 	Sim Simulation
-	// ConnectTimeout bounds the handshake (default 10 s).
-	ConnectTimeout time.Duration
-	// BatchSteps, when > 1, batches that many timesteps per wire message
-	// (see Connection.BatchSteps).
-	BatchSteps int
-	// MaxBatchSteps, when > 1, enables backpressure-adaptive batching up to
-	// that many timesteps per message (see Connection.MaxBatchSteps).
-	MaxBatchSteps int
-	// Congestion is the shared congestion controller for adaptive batching,
-	// fed by the launcher from server reports. nil falls back to the local
-	// send-queue signal (see Connection.Congestion).
-	Congestion *BatchController
-	// WireCodec enables the compressed wire framing when the server
-	// negotiates it (see Connection.WireCodec).
-	WireCodec bool
 	// BeforeStep, when non-nil, is a fault-injection hook called before
 	// each timestep is sent. Returning an error makes the whole group fail
 	// (the paper treats a group as a single failure unit, Sec. 4.2).
@@ -43,24 +31,6 @@ type RunConfig struct {
 	// StepDelay inserts an artificial pause per timestep (straggler
 	// injection for the timeout-detection tests).
 	StepDelay time.Duration
-	// Retry is the connection-resilience policy (see Connection.Retry);
-	// the zero value keeps the legacy fail-the-attempt behavior.
-	Retry RetryPolicy
-	// ResendWindow see Connection.ResendWindow.
-	ResendWindow int
-	// Resume marks a restarted attempt whose earlier data may already be
-	// folded: the handshake queries fold frontiers and the run skips
-	// resending folded pieces (see ConnectOpts.Resume).
-	Resume bool
-	// OnReconnect see Connection.OnReconnect.
-	OnReconnect func(serverRank, attempt int)
-	// CheckpointHighWater see Connection.CheckpointHighWater.
-	CheckpointHighWater int
-	// DurableDrainTimeout see Connection.DurableDrainTimeout. The drain runs
-	// after the final Flush; on timeout the group completes anyway (legacy
-	// at-risk window), while connection failures during the drain fail the
-	// attempt so the launcher replays it.
-	DurableDrainTimeout time.Duration
 }
 
 // stepResult carries one simulation's field for one step across the
@@ -85,31 +55,17 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	if rc.Sim == nil {
 		return fmt.Errorf("client: group %d has no simulation", rc.GroupID)
 	}
-	if rc.ConnectTimeout <= 0 {
-		rc.ConnectTimeout = 10 * time.Second
+	if rc.Timeout <= 0 {
+		rc.Timeout = 10 * time.Second
 	}
 	if rc.SimRanks < 1 {
 		rc.SimRanks = 1
 	}
-	conn, err := ConnectWith(netw, mainAddr, ConnectOpts{
-		GroupID:             rc.GroupID,
-		SimRanks:            rc.SimRanks,
-		Timeout:             rc.ConnectTimeout,
-		Retry:               rc.Retry,
-		ResendWindow:        rc.ResendWindow,
-		Resume:              rc.Resume,
-		OnReconnect:         rc.OnReconnect,
-		CheckpointHighWater: rc.CheckpointHighWater,
-		DurableDrainTimeout: rc.DurableDrainTimeout,
-	})
+	conn, err := ConnectWith(netw, mainAddr, rc.ConnectOpts)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	conn.BatchSteps = rc.BatchSteps
-	conn.MaxBatchSteps = rc.MaxBatchSteps
-	conn.Congestion = rc.Congestion
-	conn.WireCodec = rc.WireCodec
 
 	if got, want := len(rc.Rows), conn.Layout.P+2; got != want {
 		return fmt.Errorf("client: group %d has %d rows but the server expects p+2 = %d", rc.GroupID, got, want)
@@ -170,7 +126,7 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	// so wait (bounded) for the server to checkpoint past its last step. A
 	// timeout keeps the group complete with the legacy at-risk window; a
 	// connection failure fails the attempt so the launcher replays it.
-	if err := conn.WaitDurable(rc.DurableDrainTimeout); err != nil {
+	if err := conn.WaitDurable(); err != nil {
 		if !errors.Is(err, errDurableDrain) {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"melissa/internal/enc"
 	olog "melissa/internal/obs/log"
 	"melissa/internal/transport"
 	"melissa/internal/wire"
@@ -91,11 +90,11 @@ func retryRNG(p RetryPolicy, groupID int) *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed ^ int64(uint64(groupID)*0x9e3779b97f4a7c15)))
 }
 
-// defaultResendWindow is the per-route retention depth in timesteps when
-// Connection.ResendWindow is unset: deep enough to cover the frames a broken
-// connection can have in flight (send queue + receive inbox) at default
-// transport buffering.
-const defaultResendWindow = 128
+// resendWindow is the per-route retention depth in timesteps backing
+// post-reconnect resends: deep enough to cover the frames a broken connection
+// can have in flight (send queue + receive inbox) at default transport
+// buffering.
+const resendWindow = 128
 
 // resumePingEvery is how many skipped pieces a resumed attempt sends per
 // liveness ping: while the solver recomputes steps the server already
@@ -108,26 +107,20 @@ const resumePingEvery = 64
 // cannot be resent and only a full group replay can heal the study.
 var errResumeGap = errors.New("client: resume gap exceeds retention window")
 
-// retainedStep is one timestep's route cut, copied into the retention ring.
-type retainedStep struct {
-	step   int
-	fields [][]float64
-}
-
-// retainRing keeps the most recent sent steps of one route (a fixed-size
-// ring; storage is reused across pushes).
+// retainRing keeps copies of the most recent sent steps of one route (a
+// fixed-size ring; storage is reused across pushes).
 type retainRing struct {
-	buf  []retainedStep
+	buf  []wire.DataStep
 	head int // index of the oldest entry
 	n    int
 }
 
-func (r *retainRing) push(window, step int, fields [][]float64) {
+func (r *retainRing) push(window int, st *wire.DataStep) {
 	if r.buf == nil {
 		if window < 1 {
 			window = 1
 		}
-		r.buf = make([]retainedStep, window)
+		r.buf = make([]wire.DataStep, window)
 	}
 	idx := (r.head + r.n) % len(r.buf)
 	if r.n == len(r.buf) {
@@ -136,43 +129,27 @@ func (r *retainRing) push(window, step int, fields [][]float64) {
 	} else {
 		r.n++
 	}
-	slot := &r.buf[idx]
-	slot.step = step
-	if cap(slot.fields) < len(fields) {
-		slot.fields = make([][]float64, len(fields))
-	} else {
-		slot.fields = slot.fields[:len(fields)]
-	}
-	for i, f := range fields {
-		dst := slot.fields[i]
-		if cap(dst) < len(f) {
-			dst = make([]float64, len(f))
-		} else {
-			dst = dst[:len(f)]
-		}
-		copy(dst, f)
-		slot.fields[i] = dst
-	}
+	copyStep(&r.buf[idx], st)
 }
 
-func (r *retainRing) at(i int) *retainedStep { return &r.buf[(r.head+i)%len(r.buf)] }
+// at returns the i-th oldest retained step as a one-element slice of the ring.
+func (r *retainRing) at(i int) []wire.DataStep {
+	j := (r.head + i) % len(r.buf)
+	return r.buf[j : j+1]
+}
 
 // retainStep copies one route cut into the retention ring; a later reconnect
 // resends the retained steps the server has not folded. No-op when retries
 // are disabled, so the legacy path carries no copy cost.
-func (c *Connection) retainStep(ri, step int, fields [][]float64) {
-	if !c.Retry.enabled() {
+func (c *Connection) retainStep(ri int, st *wire.DataStep) {
+	if !c.opts.Retry.enabled() {
 		return
 	}
 	if c.retain == nil {
 		c.retain = make([]retainRing, len(c.routes))
 	}
-	w := c.ResendWindow
-	if w <= 0 {
-		w = defaultResendWindow
-	}
-	c.retain[ri].push(w, step, fields)
-	c.noteRetained(c.routes[ri].ServerRank, step)
+	c.retain[ri].push(resendWindow, st)
+	c.noteRetained(c.routes[ri].ServerRank, st.Timestep)
 }
 
 // sendFrame sends one encoded frame to a server rank, transparently
@@ -180,15 +157,11 @@ func (c *Connection) retainStep(ri, step int, fields [][]float64) {
 // policy allows.
 func (c *Connection) sendFrame(rank int, payload []byte) error {
 	err := c.senders[rank].Send(payload)
-	if err == nil || !c.Retry.enabled() {
+	if err == nil || !c.opts.Retry.enabled() {
 		return err
 	}
 	return c.recoverRank(rank, err)
 }
-
-// Reconnects returns how much of the retry budget this connection consumed
-// (dial-path and send-path reconnects combined).
-func (c *Connection) Reconnects() int { return c.reconnects }
 
 // recoverRank re-establishes the connection to one server process after a
 // send failure: backoff, redial, resume handshake, then resend of every
@@ -198,23 +171,23 @@ func (c *Connection) Reconnects() int { return c.reconnects }
 // resend.
 func (c *Connection) recoverRank(rank int, cause error) error {
 	for attempt := 0; ; attempt++ {
-		if c.reconnects >= c.Retry.MaxReconnects {
+		if c.reconnects >= c.opts.Retry.MaxReconnects {
 			return fmt.Errorf("client: group %d server %d: retry budget (%d) exhausted: %w",
-				c.GroupID, rank, c.Retry.MaxReconnects, cause)
+				c.opts.GroupID, rank, c.opts.Retry.MaxReconnects, cause)
 		}
 		c.reconnects++
-		time.Sleep(c.Retry.delay(attempt, c.rng))
+		time.Sleep(c.opts.Retry.delay(attempt, c.rng))
 		cReconnects.Inc()
-		if ok, suppressed := reconnLim.Allow(limKey(c.GroupID, rank)); ok {
-			kv := []any{"group", c.GroupID, "server", rank,
-				"used", c.reconnects, "budget", c.Retry.MaxReconnects, "cause", cause}
+		if ok, suppressed := reconnLim.Allow(limKey(c.opts.GroupID, rank)); ok {
+			kv := []any{"group", c.opts.GroupID, "server", rank,
+				"used", c.reconnects, "budget", c.opts.Retry.MaxReconnects, "cause", cause}
 			if suppressed > 0 {
 				kv = append(kv, "suppressed", suppressed)
 			}
 			olog.Infow("client.reconnect", kv...)
 		}
-		if c.OnReconnect != nil {
-			c.OnReconnect(rank, c.reconnects)
+		if c.opts.OnReconnect != nil {
+			c.opts.OnReconnect(rank, c.reconnects)
 		}
 		s, err := c.net.Dial(c.Layout.ServerAddr[rank])
 		if err != nil {
@@ -234,7 +207,7 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 		c.noteAck(ack)
 		err = c.resendRank(rank, ack.LastStep)
 		if err == nil {
-			olog.Debugw("client.reconnected", "group", c.GroupID, "server", rank,
+			olog.Debugw("client.reconnected", "group", c.opts.GroupID, "server", rank,
 				"acked_step", ack.LastStep, "durable_step", ack.DurableStep, "used", c.reconnects)
 			return nil
 		}
@@ -252,28 +225,28 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 func (c *Connection) resumeQueryOn(s transport.Sender, rank int) (*wire.ResumeAck, error) {
 	inbox, err := c.net.Listen("")
 	if err != nil {
-		return nil, fmt.Errorf("client: group %d resume inbox: %w", c.GroupID, err)
+		return nil, fmt.Errorf("client: group %d resume inbox: %w", c.opts.GroupID, err)
 	}
 	defer inbox.Close()
-	if err := s.Send(wire.Encode(&wire.Resume{GroupID: c.GroupID, ReplyAddr: inbox.Addr()})); err != nil {
-		return nil, fmt.Errorf("client: group %d resume query to server %d: %w", c.GroupID, rank, err)
+	if err := s.Send(wire.Encode(&wire.Resume{GroupID: c.opts.GroupID, ReplyAddr: inbox.Addr()})); err != nil {
+		return nil, fmt.Errorf("client: group %d resume query to server %d: %w", c.opts.GroupID, rank, err)
 	}
-	ackTimeout := c.Retry.AckTimeout
+	ackTimeout := c.opts.Retry.AckTimeout
 	if ackTimeout <= 0 {
 		ackTimeout = 5 * time.Second // resume without a retry policy
 	}
 	msg, err := inbox.Recv(ackTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("client: group %d resume ack from server %d: %w", c.GroupID, rank, err)
+		return nil, fmt.Errorf("client: group %d resume ack from server %d: %w", c.opts.GroupID, rank, err)
 	}
 	decoded, err := wire.Decode(msg.Payload)
 	transport.Recycle(msg.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("client: group %d resume ack: %w", c.GroupID, err)
+		return nil, fmt.Errorf("client: group %d resume ack: %w", c.opts.GroupID, err)
 	}
 	ack, ok := decoded.(*wire.ResumeAck)
-	if !ok || ack.GroupID != c.GroupID {
-		return nil, fmt.Errorf("client: group %d: unexpected resume reply %T", c.GroupID, decoded)
+	if !ok || ack.GroupID != c.opts.GroupID {
+		return nil, fmt.Errorf("client: group %d: unexpected resume reply %T", c.opts.GroupID, decoded)
 	}
 	cResumeAcks.Inc()
 	return ack, nil
@@ -295,57 +268,22 @@ func (c *Connection) resendRank(rank, ack int) error {
 		if r.n == 0 {
 			continue
 		}
-		if oldest := r.at(0).step; oldest > ack+1 {
+		if oldest := r.at(0)[0].Timestep; oldest > ack+1 {
 			return fmt.Errorf("%w: server %d acked step %d, oldest retained step %d",
 				errResumeGap, rank, ack, oldest)
 		}
 		for i := 0; i < r.n; i++ {
 			st := r.at(i)
-			if st.step <= ack {
+			if st[0].Timestep <= ack {
 				continue
 			}
-			if err := c.resendPiece(ri, st); err != nil {
+			if err := c.shipSteps(ri, st, false); err != nil {
 				return err
 			}
 			cResentFrames.Inc()
 		}
 	}
 	return nil
-}
-
-// resendPiece re-encodes one retained route cut and pushes it directly (no
-// recursive recovery — the caller's reconnect loop owns error handling).
-func (c *Connection) resendPiece(ri int, st *retainedStep) error {
-	tr := c.routes[ri]
-	rawSize := wire.DataSizeBytes(len(st.fields), tr.Cells.Len())
-	w := enc.GetWriter(int(rawSize))
-	if c.codecNegotiated() {
-		c.oneStep.GroupID = c.GroupID
-		c.oneStep.CellLo = tr.Cells.Lo
-		c.oneStep.CellHi = tr.Cells.Hi
-		if c.oneStep.Steps == nil {
-			c.oneStep.Steps = make([]wire.DataStep, 1)
-		}
-		c.oneStep.Steps[0].Timestep = st.step
-		c.oneStep.Steps[0].Fields = st.fields
-		c.comp.EncodeTo(w, &c.oneStep, c.routeRangeLens(ri))
-	} else {
-		wire.EncodeTo(w, &wire.Data{
-			GroupID:  c.GroupID,
-			Timestep: st.step,
-			CellLo:   tr.Cells.Lo,
-			CellHi:   tr.Cells.Hi,
-			Fields:   st.fields,
-		})
-	}
-	c.wireBytes += int64(w.Len())
-	c.rawBytes += rawSize
-	cWireBytes.Add(int64(w.Len()))
-	cRawBytes.Add(rawSize)
-	cMessages.Inc()
-	err := c.senders[tr.ServerRank].Send(w.Bytes())
-	enc.PutWriter(w)
-	return err
 }
 
 // skipResumed reports whether a resumed attempt should skip sending this
@@ -363,15 +301,15 @@ func (c *Connection) skipResumed(rank, step int) (bool, error) {
 	}
 	c.skipped[rank]++
 	if c.skipped[rank]%resumePingEvery == 1 && c.senders[rank] != nil {
-		if ok, suppressed := pingLim.Allow(limKey(c.GroupID, rank)); ok {
-			kv := []any{"group", c.GroupID, "server", rank, "skipped", c.skipped[rank]}
+		if ok, suppressed := pingLim.Allow(limKey(c.opts.GroupID, rank)); ok {
+			kv := []any{"group", c.opts.GroupID, "server", rank, "skipped", c.skipped[rank]}
 			if suppressed > 0 {
 				kv = append(kv, "suppressed", suppressed)
 			}
 			olog.Debugw("client.resume_ping", kv...)
 		}
-		if err := c.sendFrame(rank, wire.Encode(&wire.Resume{GroupID: c.GroupID})); err != nil {
-			return true, fmt.Errorf("client: group %d liveness ping to server %d: %w", c.GroupID, rank, err)
+		if err := c.sendFrame(rank, wire.Encode(&wire.Resume{GroupID: c.opts.GroupID})); err != nil {
+			return true, fmt.Errorf("client: group %d liveness ping to server %d: %w", c.opts.GroupID, rank, err)
 		}
 	}
 	return true, nil

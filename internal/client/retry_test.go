@@ -75,19 +75,19 @@ func TestRetryDefaults(t *testing.T) {
 func TestRetainRingEvictsOldest(t *testing.T) {
 	var r retainRing
 	for step := 0; step < 7; step++ {
-		r.push(4, step, [][]float64{{float64(step)}})
+		r.push(4, &wire.DataStep{Timestep: step, Fields: [][]float64{{float64(step)}}})
 	}
 	if r.n != 4 {
 		t.Fatalf("ring holds %d, want 4", r.n)
 	}
 	// Steps 3..6 retained, oldest first.
 	for i := 0; i < r.n; i++ {
-		st := r.at(i)
-		if st.step != 3+i {
-			t.Fatalf("slot %d: step %d, want %d", i, st.step, 3+i)
+		st := r.at(i)[0]
+		if st.Timestep != 3+i {
+			t.Fatalf("slot %d: step %d, want %d", i, st.Timestep, 3+i)
 		}
-		if st.fields[0][0] != float64(3+i) {
-			t.Fatalf("slot %d carries stale field %v", i, st.fields[0][0])
+		if st.Fields[0][0] != float64(3+i) {
+			t.Fatalf("slot %d carries stale field %v", i, st.Fields[0][0])
 		}
 	}
 }
@@ -95,9 +95,9 @@ func TestRetainRingEvictsOldest(t *testing.T) {
 func TestRetainRingCopiesFields(t *testing.T) {
 	var r retainRing
 	f := []float64{1, 2, 3}
-	r.push(2, 0, [][]float64{f})
+	r.push(2, &wire.DataStep{Timestep: 0, Fields: [][]float64{f}})
 	f[0] = 99 // caller reuses its buffer
-	if got := r.at(0).fields[0][0]; got != 1 {
+	if got := r.at(0)[0].Fields[0][0]; got != 1 {
 		t.Fatalf("ring aliases the caller's buffer: %v", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestRetainRingCopiesFields(t *testing.T) {
 // attempt recovery: retainStep is a no-op.
 func TestRetryDisabledNoRetention(t *testing.T) {
 	c := &Connection{routes: make([]mesh.Transfer, 1)}
-	c.retainStep(0, 0, [][]float64{{1}})
+	c.retainStep(0, &wire.DataStep{Fields: [][]float64{{1}}})
 	if c.retain != nil {
 		t.Fatal("disabled policy allocated retention state")
 	}
@@ -137,8 +137,8 @@ func TestResendRankResumeGap(t *testing.T) {
 		retain:  make([]retainRing, 1),
 	}
 	// Retained window: steps 5 and 6 (everything older evicted).
-	c.retain[0].push(2, 5, [][]float64{{5}})
-	c.retain[0].push(2, 6, [][]float64{{6}})
+	c.retain[0].push(2, &wire.DataStep{Timestep: 5, Fields: [][]float64{{5}}})
+	c.retain[0].push(2, &wire.DataStep{Timestep: 6, Fields: [][]float64{{6}}})
 
 	// Server rolled back to step 2: steps 3-4 are gone from both sides.
 	err = c.resendRank(0, 2)

@@ -48,7 +48,7 @@ type Config struct {
 	// (0 = GOMAXPROCS-aware default; see server.Config.FoldWorkers).
 	FoldWorkers int
 	// BatchSteps, when > 1, makes every group batch that many timesteps
-	// per wire message (see client.Connection.BatchSteps). The server-side
+	// per wire message (see client.ConnectOpts.BatchSteps). The server-side
 	// GroupTimeout is scaled by BatchSteps to match the stretched
 	// inter-message cadence.
 	BatchSteps int
@@ -62,7 +62,7 @@ type Config struct {
 	// WireCodec opts the whole study into the compressed field framing: the
 	// server advertises the capability in its Welcome and every group
 	// compresses its data frames (see server.Config.WireCodec and
-	// client.Connection.WireCodec). Results are bitwise identical either way.
+	// client.ConnectOpts.WireCodec). Results are bitwise identical either way.
 	WireCodec bool
 	// GroupWalltime bounds one group execution in the scheduler (0 = none).
 	GroupWalltime time.Duration
@@ -77,18 +77,6 @@ type Config struct {
 	// failing the attempt (see client.RetryPolicy). The zero value keeps the
 	// legacy fail-the-attempt behavior exactly.
 	Retry client.RetryPolicy
-	// ResendWindow is the per-route retention depth (in timesteps) backing
-	// reconnect resends (see client.Connection.ResendWindow; 0 = default).
-	ResendWindow int
-	// CheckpointHighWater caps how many retained-but-not-durable steps a
-	// group route accumulates before it asks the server for an early
-	// checkpoint (see client.Connection.CheckpointHighWater; 0 = 3/4 of the
-	// retention window). Only meaningful with CheckpointDir set.
-	CheckpointHighWater int
-	// DurableDrainTimeout bounds each group's completion-time durable drain
-	// (see client.Connection.DurableDrainTimeout; 0 = 30 s default, negative
-	// disables).
-	DurableDrainTimeout time.Duration
 	// MaxInFlight caps submitted-but-unfinished group jobs (the paper was
 	// limited to 500 simultaneous submissions).
 	MaxInFlight int
@@ -103,10 +91,6 @@ type Config struct {
 	// CheckpointInterval/CheckpointDir configure server checkpoints.
 	CheckpointInterval time.Duration
 	CheckpointDir      string
-	// SyncCheckpoints selects the legacy quiesced checkpoint path instead
-	// of the default two-phase snapshot/background-write pipeline (see
-	// server.Config.SyncCheckpoints).
-	SyncCheckpoints bool
 	// ConvergenceTarget, when positive, stops the study early once the
 	// server's widest confidence interval drops below it.
 	ConvergenceTarget float64
@@ -357,7 +341,6 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 		l.checkServer(now)
 		l.submitEligible(now)
 		l.tickCluster(now)
-		l.checkTimeouts(now)
 		l.checkZombies(now)
 
 		if now.Sub(lastSample) >= 10*time.Millisecond {
@@ -427,10 +410,9 @@ func (l *Launcher) startServer(restore bool) error {
 		GroupTimeout:       groupTimeout,
 		CheckpointInterval: l.cfg.CheckpointInterval,
 		CheckpointDir:      l.cfg.CheckpointDir,
-		SyncCheckpoints:    l.cfg.SyncCheckpoints,
 		WireCodec:          l.cfg.WireCodec,
 		LauncherAddr:       l.recv.Addr(),
-		ReportInterval:     maxDuration(l.cfg.TickInterval*4, 20*time.Millisecond),
+		ReportInterval:     max(l.cfg.TickInterval*4, 20*time.Millisecond),
 		ConvergenceReports: l.cfg.ConvergenceTarget > 0,
 	})
 	if err != nil {
@@ -451,13 +433,6 @@ func (l *Launcher) startServer(restore bool) error {
 	l.lastHeartbeat = time.Now()
 	srv.Start()
 	return nil
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sample appends one point to the resource-usage time series.
@@ -569,24 +544,23 @@ func (l *Launcher) launchGroup(g *groupState, job scheduler.JobID, attempt int) 
 	}
 	go func() {
 		err := client.RunGroup(l.cfg.Network, mainAddr, client.RunConfig{
-			GroupID:             id,
-			SimRanks:            l.cfg.SimRanks,
-			Rows:                rows,
-			Sim:                 l.cfg.Sim,
-			ConnectTimeout:      l.cfg.ConnectTimeout,
-			BatchSteps:          l.cfg.BatchSteps,
-			MaxBatchSteps:       l.cfg.MaxBatchSteps,
-			Congestion:          l.batchCtl,
-			WireCodec:           l.cfg.WireCodec,
-			BeforeStep:          hook,
-			Retry:               l.cfg.Retry,
-			ResendWindow:        l.cfg.ResendWindow,
-			CheckpointHighWater: l.cfg.CheckpointHighWater,
-			DurableDrainTimeout: l.cfg.DurableDrainTimeout,
-			// A restarted attempt recomputes steps the server may already
-			// have folded; the resume handshake lets it skip resending them.
-			Resume:      l.cfg.Retry.MaxReconnects > 0 && attempt > 0,
-			OnReconnect: onReconnect,
+			ConnectOpts: client.ConnectOpts{
+				GroupID:  id,
+				SimRanks: l.cfg.SimRanks,
+				Timeout:  l.cfg.ConnectTimeout,
+				Retry:    l.cfg.Retry,
+				// A restarted attempt recomputes steps the server may already
+				// have folded; the resume handshake lets it skip resending them.
+				Resume:        l.cfg.Retry.MaxReconnects > 0 && attempt > 0,
+				OnReconnect:   onReconnect,
+				BatchSteps:    l.cfg.BatchSteps,
+				MaxBatchSteps: l.cfg.MaxBatchSteps,
+				Congestion:    l.batchCtl,
+				WireCodec:     l.cfg.WireCodec,
+			},
+			Rows:       rows,
+			Sim:        l.cfg.Sim,
+			BeforeStep: hook,
 		})
 		l.done <- groupDone{group: id, attempt: attempt, job: job, err: err}
 	}()
@@ -766,10 +740,6 @@ func (l *Launcher) handleTimeout(id int) {
 	l.stats.TimeoutKills++
 	l.retryOrGiveUp(g, now, fmt.Errorf("group %d timed out", id))
 }
-
-// checkTimeouts is a hook point for future launcher-side timeout logic; the
-// primary detection lives in the server (Sec. 4.2.2) and arrives as reports.
-func (l *Launcher) checkTimeouts(time.Time) {}
 
 // checkZombies kills jobs the scheduler sees as running but that never
 // contacted any server process (Sec. 4.2.2, case 2).

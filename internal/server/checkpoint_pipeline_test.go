@@ -11,6 +11,7 @@ import (
 
 	"melissa/internal/checkpoint"
 	"melissa/internal/core"
+	"melissa/internal/enc"
 	"melissa/internal/transport"
 )
 
@@ -47,8 +48,36 @@ func readCheckpointFiles(t *testing.T, dir string, procs int) [][]byte {
 	return out
 }
 
+// quiescedCheckpoint is the byte-identity reference for the checkpoint
+// pipeline: the image of a stopped (hence quiesced) process encoded in one
+// shot — partition header, the dense accumulator with its quantile sketches
+// compacted, the tracker — through checkpoint.Write and Accumulator.Encode,
+// i.e. through neither the snapshot copy nor the streaming section writer the
+// server uses.
+func quiescedCheckpoint(t *testing.T, p *Proc) []byte {
+	t.Helper()
+	dense := p.Accumulator().Dense()
+	dense.CompactQuantiles()
+	path := checkpoint.Filename(t.TempDir(), p.Rank())
+	err := checkpoint.Write(path, func(w *enc.Writer) {
+		w.Int(p.Partition().Lo)
+		w.Int(p.Partition().Hi)
+		w.I64(p.Messages())
+		dense.Encode(w)
+		p.Tracker().Encode(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestPipelinedCheckpointMatchesSync: the two-phase checkpoint pipeline must
-// write files byte-identical to the legacy quiesced path at the same fold
+// write files byte-identical to a quiesced one-shot encode of the same fold
 // state — swept over every Options combination and FoldWorkers {1, 4}. This
 // is the restart-compatibility contract: a checkpoint is a pure function of
 // the fold state, independent of how it reached the disk.
@@ -58,29 +87,23 @@ func TestPipelinedCheckpointMatchesSync(t *testing.T) {
 	for ci, opts := range optionCombos() {
 		for _, workers := range []int{1, 4} {
 			opts, workers := opts, workers
-			syncDir := t.TempDir()
-			pipeDir := t.TempDir()
-			runCheckpointedStudy(t, syncDir, procs, cells, timesteps, p, groups, func(c *Config) {
-				c.Stats = opts
-				c.FoldWorkers = workers
-				c.SyncCheckpoints = true
-			})
-			sPipe := runCheckpointedStudy(t, pipeDir, procs, cells, timesteps, p, groups, func(c *Config) {
+			dir := t.TempDir()
+			s := runCheckpointedStudy(t, dir, procs, cells, timesteps, p, groups, func(c *Config) {
 				c.Stats = opts
 				c.FoldWorkers = workers
 			})
 
-			want := readCheckpointFiles(t, syncDir, procs)
-			got := readCheckpointFiles(t, pipeDir, procs)
-			for rank := range want {
-				if !bytes.Equal(want[rank], got[rank]) {
+			got := readCheckpointFiles(t, dir, procs)
+			for rank, pr := range s.Procs() {
+				want := quiescedCheckpoint(t, pr)
+				if !bytes.Equal(want, got[rank]) {
 					t.Fatalf("combo %d fold%d rank %d: pipelined checkpoint differs from quiesced (%d vs %d bytes)",
-						ci, workers, rank, len(got[rank]), len(want[rank]))
+						ci, workers, rank, len(got[rank]), len(want))
 				}
 			}
 			// The pipelined write recorded its stall separately from (and no
 			// larger than) the total.
-			ck := sPipe.Result().Checkpoints()
+			ck := s.Result().Checkpoints()
 			if ck.Writes != procs {
 				t.Fatalf("combo %d fold%d: %d pipelined writes, want %d", ci, workers, ck.Writes, procs)
 			}

@@ -75,12 +75,9 @@ func benchServerIngestCodec(b *testing.B, codecOn bool, foldWorkers, batchSteps 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID:    i,
-			SimRanks:   2,
-			Rows:       design.GroupRows(i % design.N()),
-			Sim:        sim,
-			BatchSteps: batchSteps,
-			WireCodec:  codecOn,
+			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: 2, BatchSteps: batchSteps, WireCodec: codecOn},
+			Rows:        design.GroupRows(i % design.N()),
+			Sim:         sim,
 		}); err != nil {
 			b.Fatal(err)
 		}

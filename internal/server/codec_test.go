@@ -47,9 +47,8 @@ func TestCodecIngestEquivalenceAllOptions(t *testing.T) {
 				})
 				for _, g := range groups {
 					if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-						GroupID: g, SimRanks: 2, Rows: design.GroupRows(g),
-						Sim: testSim(cells, timesteps), BatchSteps: batch,
-						WireCodec: true,
+						ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: batch, WireCodec: true}, Rows: design.GroupRows(g),
+						Sim: testSim(cells, timesteps),
 					}); err != nil {
 						t.Fatalf("%s: group %d: %v", name, g, err)
 					}
@@ -93,9 +92,8 @@ func TestCodecNegotiationFallback(t *testing.T) {
 			})
 			for _, g := range groups {
 				if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-					GroupID: g, SimRanks: 2, Rows: design.GroupRows(g),
-					Sim: testSim(cells, timesteps), BatchSteps: 2,
-					WireCodec: clientOn,
+					ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: 2, WireCodec: clientOn}, Rows: design.GroupRows(g),
+					Sim: testSim(cells, timesteps),
 				}); err != nil {
 					t.Fatalf("%s: group %d: %v", name, g, err)
 				}
@@ -146,12 +144,13 @@ func TestCodecClientWireStats(t *testing.T) {
 		c.FoldWorkers = 2
 		c.WireCodec = true
 	})
-	conn, err := client.Connect(net, s.MainAddr(), 0, 1, 5*time.Second)
+	conn, err := client.ConnectWith(net, s.MainAddr(), client.ConnectOpts{
+		GroupID: 0, SimRanks: 1, Timeout: 5 * time.Second,
+		WireCodec: true, BatchSteps: timesteps,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.WireCodec = true
-	conn.BatchSteps = timesteps
 	fields := make([][]float64, p+2)
 	for fi := range fields {
 		f := make([]float64, cells)
@@ -340,8 +339,7 @@ func TestCodecCorruptFramesDroppedPoolBalances(t *testing.T) {
 	// fold order — and therefore the accumulator bytes — stay deterministic.
 	for _, g := range groups {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim,
-			BatchSteps: 1 + g%3, WireCodec: true,
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: 1 + g%3, WireCodec: true}, Rows: design.GroupRows(g), Sim: sim,
 		}); err != nil {
 			t.Fatalf("group %d: %v", g, err)
 		}

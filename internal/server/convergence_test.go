@@ -34,7 +34,7 @@ func TestConvergenceReportsWhileFolding(t *testing.T) {
 	sim := testSim(cells, timesteps)
 	for g := 0; g < nGroups; g++ {
 		err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID: g, SimRanks: 1, Rows: design.GroupRows(g), Sim: sim,
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 1}, Rows: design.GroupRows(g), Sim: sim,
 		})
 		if err != nil {
 			t.Fatalf("group %d: %v", g, err)
@@ -116,7 +116,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	sim := testSim(cells, timesteps)
 	for g := 0; g < nGroups-1; g++ {
 		err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID: g, SimRanks: 1, Rows: design.GroupRows(g), Sim: sim,
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 1}, Rows: design.GroupRows(g), Sim: sim,
 		})
 		if err != nil {
 			t.Fatalf("group %d: %v", g, err)
@@ -138,7 +138,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 	s2.Start()
 	err := client.RunGroup(net2, s2.MainAddr(), client.RunConfig{
-		GroupID: nGroups - 1, SimRanks: 1, Rows: design.GroupRows(nGroups - 1), Sim: sim,
+		ConnectOpts: client.ConnectOpts{GroupID: nGroups - 1, SimRanks: 1}, Rows: design.GroupRows(nGroups - 1), Sim: sim,
 	})
 	if err != nil {
 		t.Fatalf("post-restore group: %v", err)

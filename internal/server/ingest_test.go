@@ -97,8 +97,8 @@ func TestIngestEquivalenceAllOptions(t *testing.T) {
 				})
 				for _, g := range groups {
 					if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-						GroupID: g, SimRanks: 2, Rows: design.GroupRows(g),
-						Sim: testSim(cells, timesteps), BatchSteps: batch,
+						ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: batch}, Rows: design.GroupRows(g),
+						Sim: testSim(cells, timesteps),
 					}); err != nil {
 						t.Fatalf("%s: group %d: %v", name, g, err)
 					}
@@ -136,8 +136,8 @@ func TestIngestDirectPathMatchesAssembled(t *testing.T) {
 				})
 				for _, g := range groups {
 					if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-						GroupID: g, SimRanks: simRanks, Rows: design.GroupRows(g),
-						Sim: testSim(cells, timesteps), BatchSteps: batch,
+						ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: simRanks, BatchSteps: batch}, Rows: design.GroupRows(g),
+						Sim: testSim(cells, timesteps),
 					}); err != nil {
 						t.Fatalf("%s: group %d: %v", name, g, err)
 					}
@@ -174,7 +174,7 @@ func TestIngestReplayBatchedWithOptions(t *testing.T) {
 		for g := 0; g < nGroups; g++ {
 			if crashAt, crashes := crashing[g]; crashes {
 				err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-					GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim, BatchSteps: 2,
+					ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: 2}, Rows: design.GroupRows(g), Sim: sim,
 					BeforeStep: func(step int) error {
 						if step >= crashAt {
 							return fmt.Errorf("injected crash")
@@ -191,7 +191,7 @@ func TestIngestReplayBatchedWithOptions(t *testing.T) {
 				waitFolds(t, s, expected, 10*time.Second)
 			}
 			if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim, BatchSteps: 2,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2, BatchSteps: 2}, Rows: design.GroupRows(g), Sim: sim,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -413,8 +413,7 @@ func TestPayloadPoolBalancesUnderStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			errs <- client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID: g, SimRanks: simRanks, Rows: design.GroupRows(g), Sim: sim,
-				BatchSteps: 1 + g%3,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: simRanks, BatchSteps: 1 + g%3}, Rows: design.GroupRows(g), Sim: sim,
 			})
 		}(g)
 	}

@@ -22,10 +22,9 @@ func runStudyWith(t *testing.T, cells, timesteps, p, nGroups, procs, simRanks in
 	folded := int64(0)
 	for g := 0; g < nGroups; g++ {
 		rc := client.RunConfig{
-			GroupID:  g,
-			SimRanks: simRanks,
-			Rows:     design.GroupRows(g),
-			Sim:      sim,
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: simRanks},
+			Rows:        design.GroupRows(g),
+			Sim:         sim,
 		}
 		if rcMutate != nil {
 			rcMutate(&rc)

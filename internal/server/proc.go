@@ -327,8 +327,7 @@ type ckptSnap struct {
 // Sec. 5.4 (2.75 s mean write, 7.24 s mean read in the paper's setup). The
 // two-phase pipeline splits each write into the fold-pipeline stall (the
 // per-shard snapshot copies — the only part the ingest path ever waits for)
-// and the total wall time including the background encode+fsync; with
-// Config.SyncCheckpoints the legacy quiesced path makes the two equal.
+// and the total wall time including the background encode+fsync.
 type CheckpointStats struct {
 	// Writes counts completed (durable) checkpoint writes; Skipped counts
 	// checkpoint intervals dropped because the previous write was still in
@@ -402,11 +401,6 @@ type Proc struct {
 	ckptMade int
 	ckptWG   sync.WaitGroup
 	writerWG sync.WaitGroup
-	// syncSnap is the lazily created snapshot buffer of the quiesced
-	// -sync-checkpoints path, which encodes through a snapshot for the same
-	// reason the pipeline does: checkpoints must not mutate live sketch
-	// state (quantile compaction happens on the snapshot's copy).
-	syncSnap *core.Snapshot
 
 	// Fold pipeline. workCh[i] feeds shard i's worker; every task is
 	// enqueued on every channel in arrival order, which makes the per-cell
@@ -585,7 +579,7 @@ func (p *Proc) run() {
 				// exits: start it (waiting for a job buffer if a periodic
 				// write is still in flight) and block until the background
 				// writer commits it.
-				p.startCheckpoint(true)
+				p.beginCheckpoint(true)
 				p.ckptWG.Wait()
 			}
 			p.sendReport(true) // final status to the launcher
@@ -632,7 +626,7 @@ func (p *Proc) run() {
 			if due {
 				p.ckptReq = false
 				p.lastCkpt = now
-				p.startCheckpoint(false)
+				p.beginCheckpoint(false)
 			}
 		}
 	}
@@ -1367,12 +1361,12 @@ func (p *Proc) sendReport(final bool) {
 			// timesteps dirtied after the last worker scan are rescanned.
 			rep.MaxCIWidth = p.acc.MaxCIWidth(p.cfg.CILevel)
 		} else {
-			// Periodic report: publish the last completed worker scan and
-			// start the next one; the fold pool never stalls. The value
-			// lags the stream by at most one report interval plus queue
-			// depth, which only makes the convergence stop conservative.
+			// Periodic report: publish the last completed worker scan (the
+			// run loop starts the next one right after this report); the
+			// fold pool never stalls. The value lags the stream by at most
+			// one report interval plus queue depth, which only makes the
+			// convergence stop conservative.
 			rep.MaxCIWidth = p.publishedCIWidth()
-			p.enqueueScanIfIdle(p.cfg.CILevel)
 		}
 	}
 	if err := s.Send(wire.Encode(rep)); err != nil {
@@ -1380,32 +1374,19 @@ func (p *Proc) sendReport(final bool) {
 	}
 }
 
-// startCheckpoint begins one checkpoint from the run loop. The default path
-// is the two-phase pipeline: snapshot tasks ride the fold pipeline (the only
-// hot-path cost), and a background goroutine encodes and fsyncs the frozen
-// image overlapped with ongoing ingest. Config.SyncCheckpoints selects the
-// legacy quiesced path instead, which blocks the run loop for the whole
-// serialize+CRC+fsync — the Sec. 5.4 behavior, kept for debugging and as the
-// reference the pipelined path is byte-equivalence-tested against. final
-// makes the pipelined path wait for a free job buffer instead of skipping
-// (the stop path must not drop its checkpoint).
-func (p *Proc) startCheckpoint(final bool) {
-	if p.cfg.SyncCheckpoints {
-		p.writeCheckpointSync()
-		return
-	}
-	p.beginCheckpoint(final)
-}
-
-// beginCheckpoint initiates a pipelined checkpoint: capture the inbox-owned
-// state (partition, message count, tracker) consistent with the fold stream
-// enqueued so far, then fan a snapshot task out to every shard worker. Each
-// worker processes the task after exactly the folds enqueued before it, so
-// the assembled snapshot equals the accumulator state the legacy path would
-// have quiesced into — at the identical fold state. Returns false when both
-// job buffers are still busy (previous write still in flight) and block is
-// false: the interval is skipped and logged, never queued.
-func (p *Proc) beginCheckpoint(block bool) bool {
+// beginCheckpoint initiates a checkpoint from the run loop — the one
+// checkpoint write path. Phase 1: capture the inbox-owned state (partition,
+// message count, tracker) consistent with the fold stream enqueued so far,
+// then fan a snapshot task out to every shard worker (the only hot-path
+// cost). Each worker processes the task after exactly the folds enqueued
+// before it, so the assembled snapshot equals the accumulator state a
+// quiesced process would hold at the identical fold state (the test-side
+// reference encodes exactly that and compares bytes). Phase 2: the background
+// writer encodes and fsyncs the frozen image overlapped with ongoing ingest.
+// When both job buffers are still busy (previous write still in flight) and
+// block is false, the interval is skipped and logged, never queued. The stop
+// path passes block — it must not drop its checkpoint.
+func (p *Proc) beginCheckpoint(block bool) {
 	job := p.takeCkptJob(block)
 	if job == nil {
 		p.ckptMu.Lock()
@@ -1414,7 +1395,7 @@ func (p *Proc) beginCheckpoint(block bool) bool {
 		mCkptSkips.Inc()
 		olog.Warnw("server.checkpoint_skip", "rank", p.cfg.Rank,
 			"reason", "previous write still in flight")
-		return false
+		return
 	}
 	job.start = time.Now()
 	job.stallNs.Store(0)
@@ -1430,7 +1411,6 @@ func (p *Proc) beginCheckpoint(block bool) bool {
 	for _, ch := range p.workCh {
 		ch <- foldTask{ckpt: snap}
 	}
-	return true
 }
 
 // takeCkptJob acquires a free checkpoint job, lazily growing the pool to its
@@ -1468,8 +1448,8 @@ func (p *Proc) checkpointWriter() {
 // writeSnapshot encodes one frozen snapshot into the unchanged dense
 // checkpoint format — section by section through the streaming writer, so
 // the full payload never materializes in memory — computes the CRC, fsyncs
-// and atomically renames. The bytes are identical to the legacy quiesced
-// path at the same fold state.
+// and atomically renames. The bytes are identical to a quiesced one-shot
+// encode of the same fold state.
 func (p *Proc) writeSnapshot(job *ckptJob) {
 	path := checkpoint.Filename(p.cfg.CheckpointDir, p.cfg.Rank)
 	sw, err := checkpoint.NewStreamWriter(path, checkpoint.Version)
@@ -1522,64 +1502,6 @@ func (p *Proc) writeSnapshot(job *ckptJob) {
 	mCkptWriteSeconds.Observe(elapsed.Seconds())
 	olog.Infow("server.checkpoint_commit", "rank", p.cfg.Rank, "bytes", written,
 		"elapsed", elapsed, "stall", time.Duration(job.stallNs.Load()))
-}
-
-// writeCheckpointSync is the legacy quiesced checkpoint: the run loop blocks
-// while the whole state is compacted, serialized, CRC'd and fsynced —
-// incoming messages wait in the transport buffers, exactly the behavior
-// measured in Sec. 5.4. Kept behind Config.SyncCheckpoints as the reference
-// implementation; the stall it charges equals the full write duration,
-// timed from before the quiesce and compaction so the sync-vs-pipelined
-// comparison counts the same work on both sides.
-func (p *Proc) writeCheckpointSync() {
-	start := time.Now()
-	p.quiesce()
-	// Encode through a snapshot rather than the live accumulator: the
-	// snapshot path canonicalizes (compacts) the quantile sketches on its
-	// own copy of the state, so — like the pipelined path — a checkpoint
-	// never mutates live sketch state, and both paths emit byte-identical
-	// files at the same fold state, checkpoint after checkpoint.
-	if p.syncSnap == nil {
-		p.syncSnap = p.acc.NewSnapshot()
-	}
-	for i := 0; i < p.acc.NumShards(); i++ {
-		p.acc.SnapshotShard(i, p.syncSnap)
-	}
-	frontiers := p.tracker.Frontiers()
-	path := checkpoint.Filename(p.cfg.CheckpointDir, p.cfg.Rank)
-	err := checkpoint.Write(path, func(w *enc.Writer) {
-		w.Int(p.cfg.Partition.Lo)
-		w.Int(p.cfg.Partition.Hi)
-		w.I64(atomic.LoadInt64(&p.messages))
-		p.syncSnap.Encode(w)
-		p.tracker.Encode(w)
-	})
-	elapsed := time.Since(start)
-	var size int64
-	p.ckptMu.Lock()
-	// Like the pipelined path, the stall is charged whether or not the file
-	// reached the disk — the run loop was blocked either way.
-	p.ckpt.StallDuration += elapsed
-	if err == nil {
-		p.ckpt.Writes++
-		p.ckpt.WriteDuration += elapsed
-		if size = checkpointSize(path); size > 0 {
-			p.ckpt.LastBytes = size
-			p.ckpt.BytesWritten += size
-		}
-	}
-	p.ckptMu.Unlock()
-	if err != nil {
-		olog.Errorw("server.checkpoint_failed", "rank", p.cfg.Rank, "err", err)
-		return
-	}
-	p.publishDurable(frontiers, time.Now())
-	mCkptWrites.Inc()
-	mCkptBytes.Add(size)
-	mCkptWriteSeconds.Observe(elapsed.Seconds())
-	mCkptSnapshotSeconds.Observe(elapsed.Seconds()) // quiesced path: the stall is the write
-	olog.Infow("server.checkpoint_commit", "rank", p.cfg.Rank, "bytes", size,
-		"elapsed", elapsed, "stall", elapsed)
 }
 
 // restore loads the last checkpoint, if any (Sec. 4.2.3 server restart).
@@ -1644,12 +1566,4 @@ func (p *Proc) restore() error {
 	p.ckpt.Reads++
 	p.ckpt.ReadDuration += time.Since(start)
 	return nil
-}
-
-func checkpointSize(path string) int64 {
-	info, err := statFile(path)
-	if err != nil {
-		return 0
-	}
-	return info
 }

@@ -81,7 +81,7 @@ func TestReconnectHealsCutBitwise(t *testing.T) {
 		sim := testSim(cells, timesteps)
 		for _, g := range groups {
 			cfg := client.RunConfig{
-				GroupID: g, SimRanks: 1, Rows: design.GroupRows(g), Sim: sim,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 1}, Rows: design.GroupRows(g), Sim: sim,
 			}
 			if rc != nil {
 				rc(&cfg)
@@ -159,10 +159,9 @@ func TestRetryBudgetZeroKeepsLegacyFailure(t *testing.T) {
 	defer s.Stop(false)
 
 	err := client.RunGroup(chaosNet, s.MainAddr(), client.RunConfig{
-		GroupID: 0, SimRanks: 1, Rows: design.GroupRows(0), Sim: testSim(cells, timesteps),
-		OnReconnect: func(rank, attempt int) {
+		ConnectOpts: client.ConnectOpts{GroupID: 0, SimRanks: 1, OnReconnect: func(rank, attempt int) {
 			t.Error("zero budget attempted a reconnect")
-		},
+		}}, Rows: design.GroupRows(0), Sim: testSim(cells, timesteps),
 	})
 	if err == nil {
 		t.Fatal("cut connection did not fail the zero-budget attempt")
@@ -209,7 +208,7 @@ func TestCorruptFrameHealsViaResume(t *testing.T) {
 
 	sim := testSim(cells, timesteps)
 	if err := client.RunGroup(chaosNet, s.MainAddr(), client.RunConfig{
-		GroupID: 0, SimRanks: 1, Rows: design.GroupRows(0), Sim: sim,
+		ConnectOpts: client.ConnectOpts{GroupID: 0, SimRanks: 1}, Rows: design.GroupRows(0), Sim: sim,
 	}); err != nil {
 		t.Fatalf("first attempt failed outright: %v", err)
 	}
@@ -243,9 +242,7 @@ func TestCorruptFrameHealsViaResume(t *testing.T) {
 	// 0..1 are skipped, 2..7 are resent; 3..7 are discarded as already
 	// folded, 2 fills the hole and the frontier drains to the end.
 	if err := client.RunGroup(chaosNet, s.MainAddr(), client.RunConfig{
-		GroupID: 0, SimRanks: 1, Rows: design.GroupRows(0), Sim: sim,
-		Retry:  client.RetryPolicy{MaxReconnects: 2, BaseDelay: time.Millisecond},
-		Resume: true,
+		ConnectOpts: client.ConnectOpts{GroupID: 0, SimRanks: 1, Retry: client.RetryPolicy{MaxReconnects: 2, BaseDelay: time.Millisecond}, Resume: true}, Rows: design.GroupRows(0), Sim: sim,
 	}); err != nil {
 		t.Fatalf("resumed attempt failed: %v", err)
 	}

@@ -1,21 +1,11 @@
 package server
 
 import (
-	"os"
 	"sync/atomic"
 
 	"melissa/internal/core"
 	"melissa/internal/mesh"
-	"melissa/internal/transport"
 )
-
-func statFile(path string) (int64, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
-}
 
 // Result is the assembled global view of a finished study: per-timestep,
 // per-cell Sobol' index fields stitched together from every server process's
@@ -157,21 +147,10 @@ func (r *Result) MemoryBytes() int64 {
 	return total
 }
 
-// PayloadPool snapshots the transport payload-pool counters (process-wide):
-// buffer get/put traffic and the reference counts of the retained-payload
-// ingest path. After a clean stop with all clients drained,
-// PayloadPool().RefsActive() is zero — every payload the shard workers
-// shared was released — and Outstanding() counts only buffers still parked
-// in transport queues. The audit hook for the zero-copy ingest path.
-func (r *Result) PayloadPool() transport.PoolStats {
-	return transport.ReadPoolStats()
-}
-
 // Checkpoints sums the checkpoint statistics across processes: writes,
 // skipped intervals, total and stall (fold-pipeline blockage) wall time,
-// and bytes made durable. With the default two-phase pipeline StallDuration
-// is the snapshot-copy cost only — the encode+fsync part of WriteDuration
-// ran overlapped with ingest; with Config.SyncCheckpoints the two are equal.
+// and bytes made durable. StallDuration is the snapshot-copy cost only — the
+// encode+fsync part of WriteDuration ran overlapped with ingest.
 func (r *Result) Checkpoints() CheckpointStats {
 	var total CheckpointStats
 	for _, p := range r.procs {

@@ -35,7 +35,7 @@
 // the piece that completes coverage carries the fold. The last consumer of
 // a payload releases its refcount and the buffer returns to the transport
 // pool (counters + a debug double-recycle panic make the path auditable:
-// transport.ReadPoolStats, Result.PayloadPool).
+// transport.ReadPoolStats).
 //
 // Config.FoldWorkers sets the pool width (0 = GOMAXPROCS-aware). The inbox
 // enqueues every task on every worker's channel in arrival order; each
@@ -101,10 +101,10 @@
 // longest lane's copy bounds the added latency — CheckpointStats splits this
 // stall out of the total write time), and a checkpoint interval that fires
 // while both snapshot buffers are still busy is skipped and logged, never
-// queued. Files are byte-identical to the legacy quiesced path at the same
-// fold state (Config.SyncCheckpoints keeps that path as the equivalence
-// reference), so checkpoints remain interchangeable across versions,
-// FoldWorkers settings and write paths.
+// queued. This is the only write path; a checkpoint is a pure function of the
+// fold state — the tests compare every file byte for byte against a quiesced
+// one-shot encode of the stopped process — so checkpoints remain
+// interchangeable across versions and FoldWorkers settings.
 package server
 
 import (
@@ -149,14 +149,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// CheckpointDir is where checkpoint files live.
 	CheckpointDir string
-	// SyncCheckpoints selects the legacy quiesced checkpoint path: the run
-	// loop blocks for the whole serialize+CRC+fsync (the Sec. 5.4 stall)
-	// instead of the default two-phase pipeline, where fold workers stall
-	// only for a per-shard snapshot copy and a background goroutine writes
-	// the frozen image overlapped with ingest. Both paths produce
-	// byte-identical files at the same fold state; this is a debugging and
-	// benchmarking reference, not a correctness knob.
-	SyncCheckpoints bool
 	// LauncherAddr, when set, receives heartbeats and reports.
 	LauncherAddr string
 	// ReportInterval is the heartbeat/report period (default 1 s).
@@ -332,10 +324,6 @@ func (s *Server) Stop(finalCheckpoint bool) {
 	}
 	s.wg.Wait()
 }
-
-// Wait blocks until every process has exited (e.g. after all groups
-// finished and Stop was requested, or after a walltime-induced stop).
-func (s *Server) Wait() { s.wg.Wait() }
 
 // Procs exposes the per-process state; callers must not use it while the
 // server is running (only before Start or after Stop/Wait).

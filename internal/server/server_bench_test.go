@@ -73,11 +73,9 @@ func benchServerIngest(b *testing.B, foldWorkers, batchSteps int, stats core.Opt
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID:    i,
-			SimRanks:   2,
-			Rows:       design.GroupRows(i % design.N()),
-			Sim:        sim,
-			BatchSteps: batchSteps,
+			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: 2, BatchSteps: batchSteps},
+			Rows:        design.GroupRows(i % design.N()),
+			Sim:         sim,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -132,11 +130,9 @@ func benchServerIngestConcurrent(b *testing.B, foldWorkers, batchSteps int) {
 			var err error
 			for i := lane; i < b.N; i += lanes {
 				if err = client.RunGroup(net, s.MainAddr(), client.RunConfig{
-					GroupID:    i,
-					SimRanks:   2,
-					Rows:       design.GroupRows(i % design.N()),
-					Sim:        sim,
-					BatchSteps: batchSteps,
+					ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: 2, BatchSteps: batchSteps},
+					Rows:        design.GroupRows(i % design.N()),
+					Sim:         sim,
 				}); err != nil {
 					break
 				}

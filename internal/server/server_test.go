@@ -84,10 +84,9 @@ func runGroups(t *testing.T, net transport.Network, s *Server, design *sampling.
 	for _, g := range groups {
 		go func(g int) {
 			errs <- client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID:  g,
-				SimRanks: simRanks,
-				Rows:     design.GroupRows(g),
-				Sim:      sim,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: simRanks},
+				Rows:        design.GroupRows(g),
+				Sim:         sim,
 			})
 		}(g)
 	}
@@ -107,10 +106,9 @@ func runGroupsSequential(t *testing.T, net transport.Network, s *Server, design 
 	folded := s.TotalFolds()
 	for _, g := range groups {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			GroupID:  g,
-			SimRanks: simRanks,
-			Rows:     design.GroupRows(g),
-			Sim:      sim,
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: simRanks},
+			Rows:        design.GroupRows(g),
+			Sim:         sim,
 		}); err != nil {
 			t.Fatalf("group %d failed: %v", g, err)
 		}
@@ -140,7 +138,7 @@ func TestHandshakeDeliversLayout(t *testing.T) {
 	s := startServer(t, net, 4, cells, timesteps, p, nil)
 	defer s.Stop(false)
 
-	conn, err := client.Connect(net, s.MainAddr(), 7, 2, 2*time.Second)
+	conn, err := client.ConnectWith(net, s.MainAddr(), client.ConnectOpts{GroupID: 7, SimRanks: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +240,7 @@ func TestServerDiscardOnReplay(t *testing.T) {
 			if crashes {
 				// First attempt dies after sending steps 0..crashAt-1 ...
 				err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-					GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim,
+					ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2}, Rows: design.GroupRows(g), Sim: sim,
 					BeforeStep: func(step int) error {
 						if step >= crashAt {
 							return fmt.Errorf("injected crash")
@@ -259,7 +257,7 @@ func TestServerDiscardOnReplay(t *testing.T) {
 			// ... then the (re)run goes to completion (replayed steps are
 			// discarded, the rest folded).
 			if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2}, Rows: design.GroupRows(g), Sim: sim,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +314,7 @@ func TestServerGroupTimeoutReported(t *testing.T) {
 
 	// A straggler group: sends a couple of steps then hangs (StepDelay huge).
 	go client.RunGroup(net, s.MainAddr(), client.RunConfig{
-		GroupID: 2, SimRanks: 1, Rows: design.GroupRows(2), Sim: testSim(cells, timesteps),
+		ConnectOpts: client.ConnectOpts{GroupID: 2, SimRanks: 1}, Rows: design.GroupRows(2), Sim: testSim(cells, timesteps),
 		BeforeStep: func(step int) error {
 			if step >= 2 {
 				time.Sleep(10 * time.Second) // hang, do not fail

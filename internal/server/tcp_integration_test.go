@@ -63,7 +63,7 @@ func TestTCPConcurrentGroups(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			errs <- client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID: g, SimRanks: 2, Rows: design.GroupRows(g), Sim: sim,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2}, Rows: design.GroupRows(g), Sim: sim,
 			})
 		}(g)
 	}

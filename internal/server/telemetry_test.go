@@ -116,7 +116,7 @@ func TestTelemetryEndpointLiveIngest(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-				GroupID: g, SimRanks: 1, Rows: design.GroupRows(g), Sim: sim,
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 1}, Rows: design.GroupRows(g), Sim: sim,
 			}); err != nil {
 				t.Errorf("group %d: %v", g, err)
 			}

@@ -137,16 +137,11 @@ type StudyConfig struct {
 	MaxRetries int
 	// GroupTimeout enables server-side straggler detection.
 	GroupTimeout time.Duration
-	// CheckpointDir/CheckpointInterval enable server checkpoints.
+	// CheckpointDir/CheckpointInterval enable server checkpoints (the
+	// two-phase pipeline: per-shard snapshot copy on the fold workers,
+	// encode+fsync on a background writer overlapped with ingest).
 	CheckpointDir      string
 	CheckpointInterval time.Duration
-	// SyncCheckpoints selects the legacy quiesced checkpoint path: the
-	// server blocks its fold pipeline for the whole serialize+fsync instead
-	// of the default two-phase pipeline (per-shard snapshot copy on the fold
-	// workers, encode+fsync on a background writer overlapped with ingest).
-	// Both paths write byte-identical files; this is a debugging and
-	// benchmarking reference.
-	SyncCheckpoints bool
 	// ConvergenceTarget, when positive, stops the study once every Sobol'
 	// index is bracketed by a 95% confidence interval narrower than this
 	// (the loopback control of Sec. 3.4/4.1.5).
@@ -160,27 +155,15 @@ type StudyConfig struct {
 	// Retry enables in-place recovery of broken server connections: each
 	// group may re-establish a dead connection up to Retry.MaxReconnects
 	// times (capped exponential backoff), resume from the server's fold
-	// frontier, and resend only its unacknowledged window. The zero value
-	// keeps the legacy behavior — any connection failure fails the attempt
-	// and the launcher replays the whole group.
+	// frontier, and resend only its unacknowledged window (a fixed 128-step
+	// retention ring per route). With CheckpointDir set, a route that retains
+	// 96 steps beyond the server's durable frontier asks for an early
+	// checkpoint, and every group waits up to 30 s at completion for a
+	// checkpoint to cover its last step — so a server crash resumes out of
+	// the retention rings instead of forcing full group replays. The zero
+	// value keeps the legacy behavior — any connection failure fails the
+	// attempt and the launcher replays the whole group.
 	Retry RetryPolicy
-	// ResendWindow is the per-route retention depth in timesteps backing
-	// post-reconnect resends (0 = a deep default).
-	ResendWindow int
-	// CheckpointHighWater caps how many retained-but-not-durable timesteps a
-	// group route accumulates before it asks the server for an early
-	// checkpoint (fire-and-forget advice, never an ingest stall). 0 picks 3/4
-	// of the retention window. Only meaningful with CheckpointDir set and a
-	// Retry budget — it keeps the durable frontier close enough behind the
-	// stream that a server crash resumes out of the retention rings instead
-	// of forcing full group replays.
-	CheckpointHighWater int
-	// DurableDrainTimeout bounds the completion-time durable drain each group
-	// performs: before exiting, a group waits for the server's checkpoint to
-	// cover its final timestep, so a later server crash cannot roll a
-	// finished group's contribution back. 0 uses a 30 s default; negative
-	// disables the drain.
-	DurableDrainTimeout time.Duration
 	// Chaos, when non-nil, wraps the study's transport in a deterministic
 	// fault-injecting ChaosNetwork — connection refusals, mid-stream cuts
 	// with lost tails, latency, duplicated and corrupted frames, scheduled
@@ -289,32 +272,11 @@ func (r *FieldResult) WireStats() WireStats { return r.res.WireStats() }
 // the writes vs the part that actually stalled the fold pipeline (the
 // per-shard snapshot copies — encode and fsync run on a background writer,
 // overlapped with ingest), read-side restore timing, and bytes made durable.
-type CheckpointStats struct {
-	Writes        int
-	Skipped       int
-	WriteDuration time.Duration
-	StallDuration time.Duration
-	Reads         int
-	ReadDuration  time.Duration
-	LastBytes     int64
-	BytesWritten  int64
-}
+type CheckpointStats = server.CheckpointStats
 
 // Checkpoints returns the aggregated checkpoint statistics across all server
 // processes (all zeros when checkpointing was not enabled).
-func (r *FieldResult) Checkpoints() CheckpointStats {
-	ck := r.res.Checkpoints()
-	return CheckpointStats{
-		Writes:        ck.Writes,
-		Skipped:       ck.Skipped,
-		WriteDuration: ck.WriteDuration,
-		StallDuration: ck.StallDuration,
-		Reads:         ck.Reads,
-		ReadDuration:  ck.ReadDuration,
-		LastBytes:     ck.LastBytes,
-		BytesWritten:  ck.BytesWritten,
-	}
-}
+func (r *FieldResult) Checkpoints() CheckpointStats { return r.res.Checkpoints() }
 
 // TelemetryEndpoint is a live HTTP telemetry server: Prometheus text
 // exposition at /metrics, a JSON study snapshot at /status, and the standard
@@ -394,26 +356,22 @@ func RunStudy(cfg StudyConfig) (*FieldResult, StudyStats, error) {
 			Quantiles:     cfg.Quantiles,
 			QuantileEps:   cfg.QuantileEps,
 		},
-		Network:             studyNetwork(cfg),
-		Cluster:             cluster,
-		ServerProcs:         cfg.ServerProcs,
-		FoldWorkers:         cfg.FoldWorkers,
-		BatchSteps:          cfg.BatchSteps,
-		MaxBatchSteps:       cfg.MaxBatchSteps,
-		WireCodec:           cfg.WireCodec,
-		ServerNodes:         cfg.ServerNodes,
-		GroupNodes:          cfg.GroupNodes,
-		MaxRetries:          cfg.MaxRetries,
-		GroupTimeout:        cfg.GroupTimeout,
-		CheckpointDir:       cfg.CheckpointDir,
-		CheckpointInterval:  cfg.CheckpointInterval,
-		SyncCheckpoints:     cfg.SyncCheckpoints,
-		ConvergenceTarget:   cfg.ConvergenceTarget,
-		MetricsAddr:         cfg.MetricsAddr,
-		Retry:               cfg.Retry,
-		ResendWindow:        cfg.ResendWindow,
-		CheckpointHighWater: cfg.CheckpointHighWater,
-		DurableDrainTimeout: cfg.DurableDrainTimeout,
+		Network:            studyNetwork(cfg),
+		Cluster:            cluster,
+		ServerProcs:        cfg.ServerProcs,
+		FoldWorkers:        cfg.FoldWorkers,
+		BatchSteps:         cfg.BatchSteps,
+		MaxBatchSteps:      cfg.MaxBatchSteps,
+		WireCodec:          cfg.WireCodec,
+		ServerNodes:        cfg.ServerNodes,
+		GroupNodes:         cfg.GroupNodes,
+		MaxRetries:         cfg.MaxRetries,
+		GroupTimeout:       cfg.GroupTimeout,
+		CheckpointDir:      cfg.CheckpointDir,
+		CheckpointInterval: cfg.CheckpointInterval,
+		ConvergenceTarget:  cfg.ConvergenceTarget,
+		MetricsAddr:        cfg.MetricsAddr,
+		Retry:              cfg.Retry,
 	}
 	l, err := launcher.New(lcfg)
 	if err != nil {
