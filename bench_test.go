@@ -11,16 +11,14 @@ package melissa
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"testing"
 
-	"melissa/internal/checkpoint"
-	"melissa/internal/core"
 	"melissa/internal/des"
-	"melissa/internal/enc"
 	"melissa/internal/harness"
+	"melissa/internal/server"
 	"melissa/internal/sobol"
+	"melissa/internal/transport"
 )
 
 // writeSeriesOnce dumps a DES series to CSV the first time a bench runs.
@@ -121,35 +119,41 @@ func BenchmarkSec53StudySummary(b *testing.B) {
 	b.ReportMetric(float64(r32.ServerMemoryBytes)/1e9, "server-memory-GB")
 }
 
-// BenchmarkSec54FaultTolerance measures the live checkpoint path (write,
-// read/restore) at the paper's full per-process state size (9.6M cells over
-// 512 server processes), and reports the cadence-overhead model.
+// BenchmarkSec54FaultTolerance measures the server's one checkpoint path
+// (snapshot barrier, streamed write, restore into a fresh server) at the
+// paper's full per-process state size (9.6M cells over 512 server processes),
+// and reports the cadence-overhead model.
 func BenchmarkSec54FaultTolerance(b *testing.B) {
-	const cells, steps, p = 9603840 / 512, 100, 6
-	acc := core.NewAccumulator(cells, steps, p, core.Options{})
-	dir := b.TempDir()
-	path := checkpoint.Filename(dir, 0)
-	b.ResetTimer()
+	cfg := server.Config{Procs: 1, Cells: 9603840 / 512, Timesteps: 100, P: 6,
+		Network: transport.NewMemNetwork(transport.Options{}), CheckpointDir: b.TempDir()}
+	var ck server.CheckpointStats
 	for i := 0; i < b.N; i++ {
-		if err := checkpoint.Write(path, func(w *enc.Writer) { acc.Encode(w) }); err != nil {
-			b.Fatal(err)
-		}
-		r, _, err := checkpoint.Read(path)
+		writer, err := server.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.DecodeAccumulator(r); err != nil {
+		writer.Start()
+		writer.Stop(true)
+		wrote := writer.Result().Checkpoints()
+		reader, err := server.New(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := reader.Restore(); err != nil {
+			b.Fatal(err)
+		}
+		ck.WriteDuration += wrote.WriteDuration
+		ck.StallDuration += wrote.StallDuration
+		ck.ReadDuration += reader.Result().Checkpoints().ReadDuration
+		ck.LastBytes = wrote.LastBytes
 	}
-	b.StopTimer()
-	info, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(info.Size())/1e6, "ckpt-MB")
-	cfg := des.CurieStudy(32)
-	b.ReportMetric(100*cfg.CheckpointPauseSeconds/cfg.CheckpointPeriodSeconds, "overhead-pct")
+	n := float64(b.N)
+	b.ReportMetric(ck.WriteDuration.Seconds()*1e3/n, "write-ms")
+	b.ReportMetric(ck.StallDuration.Seconds()*1e3/n, "stall-ms")
+	b.ReportMetric(ck.ReadDuration.Seconds()*1e3/n, "read-ms")
+	b.ReportMetric(float64(ck.LastBytes)/1e6, "ckpt-MB")
+	dcfg := des.CurieStudy(32)
+	b.ReportMetric(100*dcfg.CheckpointPauseSeconds/dcfg.CheckpointPeriodSeconds, "overhead-pct")
 }
 
 // benchTubeBundle runs one live tube-bundle study (shared by the Fig. 7 and

@@ -93,7 +93,7 @@ func main() {
 			ck.StallDuration.Round(time.Microsecond), ck.WriteDuration.Round(time.Microsecond))
 	}
 	if stats.Converged {
-		log.Printf("  stopped early on convergence (widest CI %.4f)", res.MaxCIWidth(0.95))
+		log.Printf("  stopped early on convergence (widest CI %.4f)", res.MaxCIWidth())
 	}
 
 	// Write the final statistic fields, one CSV per parameter, mirroring

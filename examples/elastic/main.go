@@ -107,7 +107,7 @@ func main() {
 		fmt.Printf("  S%d = %6.3f   ST%d = %6.3f\n",
 			k+1, res.FirstField(0, k)[32], k+1, res.TotalField(0, k)[32])
 	}
-	fmt.Printf("widest 95%% CI: %.3f (tighten it by sending more waves)\n", res.MaxCIWidth(0.95))
+	fmt.Printf("widest 95%% CI: %.3f (tighten it by sending more waves)\n", res.MaxCIWidth())
 }
 
 // probeFirst peeks at a running index estimate. Reading a live server is

@@ -46,7 +46,9 @@ func Filename(dir string, rank int) string {
 }
 
 // Write serializes a payload produced by fill into path, atomically, in the
-// current format version.
+// current format version. The server streams its checkpoints through
+// StreamWriter; Write is the one-shot reference the tests compare that path
+// against, and has no other callers.
 func Write(path string, fill func(w *enc.Writer)) error {
 	return WriteVersioned(path, Version, fill)
 }
@@ -56,7 +58,8 @@ func Write(path string, fill func(w *enc.Writer)) error {
 // exercising the upgrade path) can read. The caller must fill the payload
 // in the matching layout (e.g. core.EncodeVersion). It is a one-section
 // StreamWriter, so the whole temp+CRC+fsync+rename+dir-sync protocol lives
-// in exactly one place.
+// in exactly one place. Only tests and tools/goldengen (the golden-fixture
+// generator) call it.
 func WriteVersioned(path string, version int, fill func(w *enc.Writer)) error {
 	sw, err := NewStreamWriter(path, version)
 	if err != nil {

@@ -50,10 +50,9 @@ type Connection struct {
 	// defaults resolved); they do not change afterwards.
 	opts ConnectOpts
 
-	net      transport.Network
-	senders  []transport.Sender
-	routes   []mesh.Transfer
-	simParts []mesh.Partition
+	net     transport.Network
+	senders []transport.Sender
+	routes  []mesh.Transfer
 
 	// Resilience state: budget consumed, the backoff/jitter stream, the
 	// per-route retention rings, the per-rank resume floors of a resumed
@@ -246,13 +245,12 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 	routes := mesh.Route(simParts, welcome.Partitions)
 
 	conn := &Connection{
-		Layout:   welcome,
-		opts:     o,
-		net:      net,
-		simParts: simParts,
-		routes:   routes,
-		rng:      rng,
-		maxStep:  -1,
+		Layout:  welcome,
+		opts:    o,
+		net:     net,
+		routes:  routes,
+		rng:     rng,
+		maxStep: -1,
 	}
 	// The Welcome reveals whether this server checkpoints: a NoDurability
 	// sentinel means nothing ever becomes durable (retention then only

@@ -28,13 +28,14 @@
 // Two historical layouts motivated this. The seed kept 4+4p parallel
 // per-statistic arrays updated in p+1 separate passes, moving the same bytes
 // through DRAM p+1 times per group; interleaving the Sobol' state into
-// records fixed that (BENCH_PR3.json). But the optional trackers stayed in
+// records fixed that (PR 3 in CHANGES.md). But the optional trackers stayed in
 // separate internal/stats field arrays swept by their own UpdatePair passes
 // after the main fold, so enabling them reintroduced exactly the strided
 // multi-pass traffic the records removed. Folding the tracker words into the
 // record ends that: trackers now cost a few extra slots in the already-resident
-// cache line instead of extra passes (compare BenchmarkUpdateGroupTrackers
-// against the multi-pass numbers in BENCH_PR10.json). Tracker state is
+// cache line instead of extra passes (BenchmarkUpdateGroupTrackers; the
+// multi-pass numbers are under PR 10 in CHANGES.md, and `bash bench/run.sh`
+// prices the kernel inside a whole study as core.fold_s). Tracker state is
 // materialized on demand — MinMax/Exceedance/HigherMoments gather the
 // interleaved slots into standalone internal/stats values, point-in-time
 // copies rather than live references. (Ribés et al. make the same
@@ -137,7 +138,8 @@
 // frozen view. On the benchmark shape (4096 cells × 8 steps, steady-state
 // sketches) the quantile snapshot stall dropped from ~52 ms to ~1 ms —
 // within ~2× of the plain-statistics floor — while the checkpoint bytes
-// remain identical to the eager path (see BenchmarkCheckpointSnapshot and
-// BENCH_PR10.json). CompactQuantiles remains as an explicit compaction knob
+// remain identical to the eager path (see BenchmarkCheckpointSnapshot, which CI
+// holds under a ceiling, and core.snapshot_ms in `bash bench/run.sh`).
+// CompactQuantiles remains as an explicit compaction knob
 // but is no longer on the checkpoint path.
 package core

@@ -28,7 +28,8 @@ import (
 // crash always lands mid-stream.
 func BenchmarkCrashRecovery(b *testing.B) {
 	// The study logs at Info cadence (checkpoint commits, restarts); keep the
-	// benchmark output parseable by tools/benchjson.
+	// benchmark lines readable. `bash bench/run.sh -workload crash_resume_mem`
+	// is the study-scale record of the same recovery.
 	old := olog.Default.Enabled(olog.Info)
 	olog.Default.SetLevel(olog.Error)
 	b.Cleanup(func() {

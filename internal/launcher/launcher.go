@@ -207,10 +207,9 @@ type reconnectEvent struct {
 }
 
 type groupDone struct {
-	group   int
-	attempt int
-	job     scheduler.JobID
-	err     error
+	group int
+	job   scheduler.JobID
+	err   error
 }
 
 // Launcher supervises one study.
@@ -518,8 +517,7 @@ func (l *Launcher) tickCluster(now time.Time) {
 			continue
 		}
 		// Walltime kill: treat as a failure and retry.
-		l.done <- groupDone{group: g.id, attempt: g.attempts - 1, job: job.ID,
-			err: fmt.Errorf("walltime exceeded")}
+		l.done <- groupDone{group: g.id, job: job.ID, err: fmt.Errorf("walltime exceeded")}
 	}
 }
 
@@ -562,7 +560,7 @@ func (l *Launcher) launchGroup(g *groupState, job scheduler.JobID, attempt int) 
 			Sim:        l.cfg.Sim,
 			BeforeStep: hook,
 		})
-		l.done <- groupDone{group: id, attempt: attempt, job: job, err: err}
+		l.done <- groupDone{group: id, job: job, err: err}
 	}()
 }
 

@@ -341,8 +341,8 @@ func TestLauncherConvergenceEarlyStop(t *testing.T) {
 	if folded < 4 || folded >= nGroups {
 		t.Fatalf("folded %d groups; expected early stop between 4 and %d", folded, nGroups)
 	}
-	if res.MaxCIWidth(0.95) > 1.0 {
-		t.Fatalf("converged study has CI width %v", res.MaxCIWidth(0.95))
+	if res.MaxCIWidth() > 1.0 {
+		t.Fatalf("converged study has CI width %v", res.MaxCIWidth())
 	}
 }
 

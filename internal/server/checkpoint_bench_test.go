@@ -104,10 +104,10 @@ func newBenchProc(b *testing.B, workers int, stats core.Options, dir string) *Pr
 		Rank:      0,
 		Partition: mesh.Partition{Lo: 0, Hi: benchCkptCells},
 	}, recv)
-	fillBenchAccumulator(pr.acc)
-	pr.startWorkers()
+	fillBenchAccumulator(pr.Accumulator())
+	pr.start()
 	b.Cleanup(func() {
-		pr.stopWorkers()
+		pr.stopStages()
 		recv.Close()
 	})
 	return pr
@@ -117,8 +117,9 @@ func newBenchProc(b *testing.B, workers int, stats core.Options, dir string) *Pr
 // initiation to durable file — through the real Proc machinery. The
 // hot-path blockage is only the snapshot copy, reported as the custom metric
 // stall-ns/op: that, not ns/op, is the number ingest pays — the rest of the
-// write overlaps folding. (The sync-vs-pipelined ratio against the deleted
-// quiesced write path is the historical BENCH_PR5.json record.)
+// write overlaps folding; `bash bench/run.sh` reports the same split at study
+// scale as checkpoint.stall_s and checkpoint.write_s. (The sync-vs-pipelined
+// ratio against the deleted quiesced write path is under PR 5 in CHANGES.md.)
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, oc := range benchCkptOptions() {
 		for _, workers := range []int{1, 4} {
@@ -127,8 +128,8 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 				before := pr.Checkpoints()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pr.beginCheckpoint(true)
-					pr.ckptWG.Wait() // durable before the next iteration
+					pr.ckpt.begin(true, pr.route)
+					pr.ckpt.wait() // durable before the next iteration
 				}
 				b.StopTimer()
 				ck := pr.Checkpoints()

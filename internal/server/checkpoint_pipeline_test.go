@@ -58,13 +58,13 @@ func quiescedCheckpoint(t *testing.T, p *Proc) []byte {
 	t.Helper()
 	dense := p.Accumulator().Dense()
 	dense.CompactQuantiles()
-	path := checkpoint.Filename(t.TempDir(), p.Rank())
+	path := checkpoint.Filename(t.TempDir(), p.cfg.Rank)
 	err := checkpoint.Write(path, func(w *enc.Writer) {
-		w.Int(p.Partition().Lo)
-		w.Int(p.Partition().Hi)
+		w.Int(p.cfg.Partition.Lo)
+		w.Int(p.cfg.Partition.Hi)
 		w.I64(p.Messages())
 		dense.Encode(w)
-		p.Tracker().Encode(w)
+		p.route.tracker.Encode(w)
 	})
 	if err != nil {
 		t.Fatal(err)

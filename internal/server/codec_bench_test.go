@@ -35,8 +35,10 @@ func benchSimCorrelated(cells, timesteps int) client.SimFunc {
 // BenchmarkServerIngest: the same end-to-end path (handshake, two-stage
 // transfer, shard decode, fold) on the correlated fixture, raw framing vs
 // negotiated compression. The wireB/group metric is the payload traffic one
-// group actually put on the wire — the number BENCH_PR6.json records; the
-// rawB/group metric is what the same content costs uncompressed.
+// group actually put on the wire — CI asserts it undercuts the raw framing, and
+// `bash bench/run.sh -workload codec_tcp` reports it at study scale as
+// wire.ratio; the rawB/group metric is what the same content costs
+// uncompressed.
 func BenchmarkServerIngestCodec(b *testing.B) {
 	for _, bc := range []struct {
 		name        string

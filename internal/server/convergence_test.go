@@ -67,7 +67,7 @@ func TestConvergenceReportsWhileFolding(t *testing.T) {
 	// stream: with all groups folded and the pool drained, the final state's
 	// dense recompute bounds it from below (widths shrink with n).
 	res := s.Result()
-	finalWidth := res.MaxCIWidth(0.95)
+	finalWidth := res.MaxCIWidth()
 	if finalWidth <= 0 || math.IsInf(finalWidth, 1) {
 		t.Fatalf("final MaxCIWidth = %v", finalWidth)
 	}

@@ -28,13 +28,13 @@ func TestDurableFrontierCrashMidCheckpoint(t *testing.T) {
 		c.CheckpointDir = dir
 	})
 	proc1 := s1.Procs()[0]
-	if got := proc1.durableStep(0); got != -1 {
+	if got := proc1.ckpt.durableStep(0); got != -1 {
 		t.Fatalf("group 0 durable at %d before any checkpoint", got)
 	}
 	runGroupsSequential(t, net1, s1, design, cells, timesteps, 2, []int{0, 1, 2})
 	s1.Stop(true)
 	for g := 0; g < 3; g++ {
-		if got := proc1.durableStep(g); got != timesteps-1 {
+		if got := proc1.ckpt.durableStep(g); got != timesteps-1 {
 			t.Fatalf("group %d durable at %d after commit, want %d", g, got, timesteps-1)
 		}
 	}
@@ -61,7 +61,7 @@ func TestDurableFrontierCrashMidCheckpoint(t *testing.T) {
 	proc2 := s2.Procs()[0]
 	// Restore republishes the checkpointed frontier before any new folds.
 	for g := 0; g < 3; g++ {
-		if got := proc2.durableStep(g); got != timesteps-1 {
+		if got := proc2.ckpt.durableStep(g); got != timesteps-1 {
 			t.Fatalf("restored group %d durable at %d, want %d", g, got, timesteps-1)
 		}
 	}
@@ -69,10 +69,10 @@ func TestDurableFrontierCrashMidCheckpoint(t *testing.T) {
 	runGroupsSequential(t, net2, s2, design, cells, timesteps, 2, []int{3, 4})
 	s2.Stop(true) // final checkpoint write fails mid-file
 
-	if got := proc2.durableStep(3); got != -1 {
+	if got := proc2.ckpt.durableStep(3); got != -1 {
 		t.Fatalf("failed checkpoint advanced group 3's durable frontier to %d", got)
 	}
-	if got := proc2.durableStep(0); got != timesteps-1 {
+	if got := proc2.ckpt.durableStep(0); got != timesteps-1 {
 		t.Fatalf("failed checkpoint rolled group 0's durable frontier to %d", got)
 	}
 
@@ -94,12 +94,12 @@ func TestDurableFrontierCrashMidCheckpoint(t *testing.T) {
 	}
 	proc3 := s3.Procs()[0]
 	for g := 0; g < 3; g++ {
-		if got := proc3.durableStep(g); got != timesteps-1 {
+		if got := proc3.ckpt.durableStep(g); got != timesteps-1 {
 			t.Fatalf("after crash, group %d durable at %d, want %d", g, got, timesteps-1)
 		}
 	}
 	for g := 3; g < 5; g++ {
-		if got := proc3.durableStep(g); got != -1 {
+		if got := proc3.ckpt.durableStep(g); got != -1 {
 			t.Fatalf("after crash, group %d durable at %d, want -1", g, got)
 		}
 	}
@@ -131,7 +131,7 @@ func TestMidStreamRestoreBitwise(t *testing.T) {
 		ok := true
 		for _, pr := range s1.Procs() {
 			for g := 0; g < 3; g++ {
-				if pr.durableStep(g) != timesteps-1 {
+				if pr.ckpt.durableStep(g) != timesteps-1 {
 					ok = false
 				}
 			}
@@ -202,7 +202,7 @@ func TestDurableStepWithoutCheckpointing(t *testing.T) {
 	net := transport.NewMemNetwork(transport.Options{})
 	s := startServer(t, net, 1, 8, 2, 1, nil)
 	defer s.Stop(false)
-	if got := s.Procs()[0].durableStep(0); got != wire.NoDurability {
+	if got := s.Procs()[0].ckpt.durableStep(0); got != wire.NoDurability {
 		t.Fatalf("durableStep without checkpointing = %d, want %d", got, wire.NoDurability)
 	}
 }

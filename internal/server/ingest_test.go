@@ -292,7 +292,7 @@ func TestRawPieceRouting(t *testing.T) {
 // TestBackpressureComputation pins the congestion-hint math to the work
 // queues' occupancy fraction.
 func TestBackpressureComputation(t *testing.T) {
-	p := &Proc{workCh: []chan foldTask{make(chan foldTask, 64), make(chan foldTask, 64)}}
+	p := &foldPool{workCh: []chan foldTask{make(chan foldTask, 64), make(chan foldTask, 64)}}
 	if got := p.backpressure(); got != 0 {
 		t.Fatalf("idle backpressure %v, want 0", got)
 	}
@@ -302,7 +302,7 @@ func TestBackpressureComputation(t *testing.T) {
 	if got := p.backpressure(); got != 0.25 {
 		t.Fatalf("backpressure %v, want 0.25 (32 of 128 slots)", got)
 	}
-	var empty Proc
+	var empty foldPool
 	if got := empty.backpressure(); got != 0 {
 		t.Fatalf("no-worker backpressure %v, want 0", got)
 	}
@@ -336,10 +336,8 @@ func TestAdaptiveBatchingReacts(t *testing.T) {
 	var gateOnce sync.Once
 	openGate := func() { gateOnce.Do(func() { close(gate) }) }
 	defer openGate()
-	for _, ch := range proc.workCh {
-		for i := 0; i < 33; i++ {
-			ch <- foldTask{gate: gate}
-		}
+	for i := 0; i < 33; i++ {
+		proc.fold.barrier(func(int) { <-gate }, func() {})
 	}
 
 	ctl := &client.BatchController{}

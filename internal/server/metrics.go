@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"melissa/internal/obs"
-	olog "melissa/internal/obs/log"
 )
 
 // Pipeline instrumentation, all on the process-wide obs registry. The metric
@@ -13,7 +12,7 @@ import (
 // on the hot path; every update is an atomic add, so instrumented ingest
 // stays 0 allocs/op and within noise of the uninstrumented pipeline.
 //
-// Stage histograms follow the three-stage pipeline of proc.go:
+// Stage histograms follow the ingest pipeline of router.go and fold.go:
 //
 //	route    — inbox time per bulk message (header parse + shape check +
 //	           routing all steps to the shard workers, including any
@@ -93,8 +92,8 @@ var dropLogInterval = 5 * time.Second
 // any group.
 const dropKeyNoGroup = ^uint64(0)
 
-// procMetrics is one process's resolved per-rank gauge set plus its drop-log
-// limiter, bound once in newProc.
+// procMetrics is one process's resolved per-rank gauge set, bound once in
+// newProc.
 type procMetrics struct {
 	backpressure   *obs.Gauge
 	groupsRunning  *obs.Gauge
@@ -104,7 +103,6 @@ type procMetrics struct {
 	sketchBytes    *obs.Gauge
 	ckptAge        *obs.Gauge
 	durableGap     *obs.Gauge
-	dropLim        olog.Limiter
 }
 
 func newProcMetrics(rank int) procMetrics {
@@ -118,21 +116,5 @@ func newProcMetrics(rank int) procMetrics {
 		sketchBytes:    mSketchBytes.With(r),
 		ckptAge:        mCkptAge.With(r),
 		durableGap:     mDurableGap.With(r),
-		dropLim:        olog.Limiter{Interval: dropLogInterval},
-	}
-}
-
-// dropFrame records one dropped frame: the counter is exact, the log line is
-// rate-limited per offending group so a corruption flood cannot spam the log.
-// kv carries the event-specific fields; the suppressed count since the last
-// emitted line is appended when nonzero.
-func (p *Proc) dropFrame(reason string, key uint64, kv ...any) {
-	mDrops.With(reason).Inc()
-	if ok, suppressed := p.met.dropLim.Allow(key); ok {
-		kv = append(kv, "rank", p.cfg.Rank, "reason", reason)
-		if suppressed > 0 {
-			kv = append(kv, "suppressed", suppressed)
-		}
-		olog.Warnw("server.frame_drop", kv...)
 	}
 }

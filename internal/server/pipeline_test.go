@@ -82,7 +82,7 @@ func TestFoldWorkersResolved(t *testing.T) {
 	for _, pr := range s.Procs() {
 		// 6 cells over 2 procs = 3 cells per partition: at most 3 shards.
 		if got := pr.FoldWorkers(); got != 3 {
-			t.Fatalf("proc %d resolved %d fold workers, want 3", pr.Rank(), got)
+			t.Fatalf("proc %d resolved %d fold workers, want 3", pr.cfg.Rank, got)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	if got := proc.Accumulator().QuantileProbes(); got != nil {
 		t.Fatalf("v1 restore resurrected quantile probes %v", got)
 	}
-	if fin := proc.Tracker().Finished(); len(fin) != 1 || fin[0] != 3 {
+	if fin := proc.route.tracker.Finished(); len(fin) != 1 || fin[0] != 3 {
 		t.Fatalf("tracker not restored: %v", fin)
 	}
 	// The restored server still folds incoming groups.

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"sync/atomic"
-
 	"melissa/internal/core"
-	"melissa/internal/mesh"
 )
 
 // Result is the assembled global view of a finished study: per-timestep,
@@ -16,8 +13,7 @@ type Result struct {
 	Timesteps int
 	P         int
 
-	partitions []mesh.Partition
-	procs      []*Proc
+	procs []*Proc
 
 	// scratch is the per-partition staging slice assemble reuses across
 	// field scans — FirstField/TotalField/etc. allocate only the returned
@@ -26,30 +22,20 @@ type Result struct {
 	scratch []float64
 }
 
-func newResult(cfg Config, partitions []mesh.Partition, procs []*Proc) *Result {
-	return &Result{
-		Cells:      cfg.Cells,
-		Timesteps:  cfg.Timesteps,
-		P:          cfg.P,
-		partitions: partitions,
-		procs:      procs,
-	}
-}
-
 // GroupsFolded returns the number of groups folded into timestep t (equal
 // across processes once the study has drained).
 func (r *Result) GroupsFolded(t int) int64 {
 	if len(r.procs) == 0 {
 		return 0
 	}
-	return r.procs[0].acc.N(t)
+	return r.procs[0].Accumulator().N(t)
 }
 
 // assemble stitches per-partition fields into one global field.
 func (r *Result) assemble(get func(p *Proc, dst []float64) []float64) []float64 {
 	out := make([]float64, r.Cells)
-	for i, p := range r.procs {
-		part := r.partitions[i]
+	for _, p := range r.procs {
+		part := p.cfg.Partition
 		r.scratch = get(p, r.scratch)
 		copy(out[part.Lo:part.Hi], r.scratch[:part.Len()])
 	}
@@ -59,21 +45,21 @@ func (r *Result) assemble(get func(p *Proc, dst []float64) []float64) []float64 
 // FirstField returns the global first-order Sobol' field S_k(·, t).
 func (r *Result) FirstField(t, k int) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.FirstField(t, k, dst)
+		return p.Accumulator().FirstField(t, k, dst)
 	})
 }
 
 // TotalField returns the global total-order Sobol' field ST_k(·, t).
 func (r *Result) TotalField(t, k int) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.TotalField(t, k, dst)
+		return p.Accumulator().TotalField(t, k, dst)
 	})
 }
 
 // MeanField returns the global output-mean field at timestep t.
 func (r *Result) MeanField(t int) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.MeanField(t, dst)
+		return p.Accumulator().MeanField(t, dst)
 	})
 }
 
@@ -81,14 +67,14 @@ func (r *Result) MeanField(t int) []float64 {
 // (the Fig. 8 map).
 func (r *Result) VarianceField(t int) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.VarianceField(t, dst)
+		return p.Accumulator().VarianceField(t, dst)
 	})
 }
 
 // InteractionField returns the global 1−ΣS_k field at timestep t.
 func (r *Result) InteractionField(t int) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.InteractionField(t, dst)
+		return p.Accumulator().InteractionField(t, dst)
 	})
 }
 
@@ -98,7 +84,7 @@ func (r *Result) InteractionField(t int) []float64 {
 // tracking the field is all zeros.
 func (r *Result) QuantileField(t int, q float64) []float64 {
 	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.acc.QuantileField(t, q, dst)
+		return p.Accumulator().QuantileField(t, q, dst)
 	})
 }
 
@@ -111,7 +97,7 @@ func (r *Result) QuantileProbes() []float64 {
 	if len(r.procs) == 0 {
 		return nil
 	}
-	return r.procs[0].acc.QuantileProbes()
+	return r.procs[0].Accumulator().QuantileProbes()
 }
 
 // QuantileTupleCount totals the retained quantile-sketch tuples across all
@@ -121,16 +107,16 @@ func (r *Result) QuantileProbes() []float64 {
 func (r *Result) QuantileTupleCount() int64 {
 	var total int64
 	for _, p := range r.procs {
-		total += p.acc.QuantileTupleCount()
+		total += p.Accumulator().QuantileTupleCount()
 	}
 	return total
 }
 
-// MaxCIWidth returns the widest confidence interval over every process.
-func (r *Result) MaxCIWidth(level float64) float64 {
+// MaxCIWidth returns the widest 95% confidence interval over every process.
+func (r *Result) MaxCIWidth() float64 {
 	var worst float64
 	for _, p := range r.procs {
-		if w := p.acc.MaxCIWidth(level); w > worst {
+		if w := p.Accumulator().MaxCIWidth(ciLevel); w > worst {
 			worst = w
 		}
 	}
@@ -142,7 +128,7 @@ func (r *Result) MaxCIWidth(level float64) float64 {
 func (r *Result) MemoryBytes() int64 {
 	var total int64
 	for _, p := range r.procs {
-		total += p.acc.MemoryBytes()
+		total += p.Accumulator().MemoryBytes()
 	}
 	return total
 }
@@ -203,9 +189,10 @@ func (ws WireStats) Ratio() float64 {
 func (r *Result) WireStats() WireStats {
 	var total WireStats
 	for _, p := range r.procs {
-		total.Messages += p.Messages()
-		total.WireBytes += atomic.LoadInt64(&p.wireBytes)
-		total.RawBytes += atomic.LoadInt64(&p.rawBytes)
+		ws := p.route.wireStats()
+		total.Messages += ws.Messages
+		total.WireBytes += ws.WireBytes
+		total.RawBytes += ws.RawBytes
 	}
 	return total
 }
@@ -214,7 +201,7 @@ func (r *Result) WireStats() WireStats {
 func (r *Result) Tracker() *core.GroupTracker {
 	merged := core.NewGroupTracker(r.Timesteps - 1)
 	for _, p := range r.procs {
-		merged.Merge(p.tracker)
+		p.route.mergeInto(merged)
 	}
 	return merged
 }

@@ -5,106 +5,70 @@
 // ubiquitous Sobol' accumulator with no inter-process communication or
 // synchronization ("updating the statistics is a local operation").
 //
-// # The ingest pipeline
+// # One process, four stages
 //
-// Each process is internally a three-stage pipeline so the fold path uses
-// all cores of the node, not one per process — and so no stage ever copies
-// a full field it does not own:
+// A Proc (proc.go) is a config, a receiver, two stop flags and four stages,
+// each the only code that touches its own state:
 //
-//	route (inbox goroutine):  recv → parse the bulk header lazily
-//	                          (wire.DataView/DataBatchView: ids, cell range,
-//	                          per-field byte offsets — no float decoding) →
-//	                          validate the shape once per message → retain
-//	                          the payload (refcounted transport buffer) and
-//	                          enqueue one task per (piece, timestep) on
-//	                          every worker channel
-//	shard-decode (workers):   each worker byte-swaps exactly its shard's
-//	                          cell sub-range of each field straight out of
-//	                          the shared payload bytes — decode work is
-//	                          spread across the pool instead of serialized
-//	                          in front of it
-//	fold (workers):           the task completing a (group, timestep)
-//	                          folds the shard into the owned cell range of
-//	                          the core.ShardedAccumulator
+//	router       (router.go)        group tracker, liveness clocks, message
+//	                                and byte counters; decodes control frames,
+//	                                parses bulk headers lazily (bulk.go),
+//	                                checks shape once per message and filters
+//	                                replays (Sec. 4.2.1)
+//	foldPool     (fold.go)          accumulator shards, one worker and one
+//	                                ordered channel per shard, assemblies,
+//	                                payload refcounts, the fold counter, the
+//	                                convergence and sketch telemetry
+//	checkpointer (checkpointer.go)  cadence, snapshot double buffer,
+//	                                background writer, stats, the durable
+//	                                frontier, restore (Sec. 4.2.3)
+//	liaison      (liaison.go)       launcher connection, heartbeats, reports
+//	                                (Sec. 4.2.2)
 //
-// A piece covering the whole partition (the common single-main-rank case)
-// takes the direct path: payload bytes → per-worker scratch → fold, with no
-// intermediate assembly buffer at all. Multi-piece (group, timestep)s are
-// assembled: the inbox tracks coverage from the piece headers only, the
-// workers decode their disjoint ranges into a shared pooled assembly, and
-// the piece that completes coverage carries the fold. The last consumer of
-// a payload releases its refcount and the buffer returns to the transport
-// pool (counters + a debug double-recycle panic make the path auditable:
-// transport.ReadPoolStats).
+// Proc.run sequences them on the inbox goroutine. Per pass: receive one frame
+// and dispatch it (router → foldPool); at report cadence send a heartbeat and
+// a report, start the next convergence scan and refresh the durability
+// telemetry; refresh the per-rank gauges; begin a checkpoint when one is due.
+// On stop: drain the inbox, quiesce the pool, write the final checkpoint if
+// asked, send the final report, join the workers and the writer.
 //
-// Config.FoldWorkers sets the pool width (0 = GOMAXPROCS-aware). The inbox
-// enqueues every task on every worker's channel in arrival order; each
-// worker processes its queue in that order, which keeps the statistics
-// bitwise independent of the worker count — and bitwise identical to the
-// pre-pipeline serial decode+copy design. All maps (pending assemblies,
-// tracker, lastMsg) stay inbox-owned and lock-free; the accumulator is only
-// read (reports, checkpoints, results) after quiesce(), i.e. once every
-// enqueued task has been processed by every shard worker. Assemblies,
-// message shells and payload buffers are pooled, so steady-state ingest
-// allocates approximately nothing.
+// A foldPool needs only a core.ShardedAccumulator and its partition: it can
+// be built and fed encoded frames with no network, tracker or Server.
 //
-// # Backpressure and adaptive client batching
+// # Ingest
+//
+// The router retains each bulk payload (a refcounted transport buffer) and
+// the pool enqueues one task per (piece, timestep) on every worker channel
+// in arrival order. Each worker byte-swaps exactly its shard's cell
+// sub-range of each field straight out of the shared payload bytes, and the
+// task completing a (group, timestep) folds the shard — decode work is
+// spread across the pool, no stage copies a full field it does not own, and
+// the statistics are bitwise independent of Config.FoldWorkers. Message
+// shells, assemblies and payload buffers are pooled, so steady-state ingest
+// allocates approximately nothing (transport.ReadPoolStats audits the
+// buffers). The accumulator is only read after quiesce, i.e. once every
+// enqueued task has been processed by every worker.
 //
 // Bounded worker queues preserve the end-to-end backpressure of Sec. 4.1.3:
 // if folding falls behind, the inbox blocks, transport buffers fill, and
 // the simulations suspend. The queue occupancy is also exported as a
-// congestion hint (wire.Report.Backpressure) on the reports each process
-// already sends the launcher. The launcher feeds every hint into one
-// study-wide client.BatchController, and each group connection maps the
-// smoothed level onto an effective per-message timestep batch between 1 and
-// its MaxBatchSteps: minimal latency while the server keeps up, growing
-// batches — fewer, larger messages — exactly when the fold path is the
-// bottleneck, decaying back as the backlog clears.
+// congestion hint (wire.Report.Backpressure); the launcher feeds it into one
+// study-wide client.BatchController, which grows the clients' per-message
+// timestep batch exactly when the fold path is the bottleneck.
 //
-// Convergence reports (Config.ConvergenceReports) are folded into the same
-// pipeline: a scan request is enqueued on every worker channel behind the
-// pending tasks, each worker rescans only the dirty timesteps of its own
-// shard (core caches per-timestep widths) and publishes the result
-// atomically, and the next report reads the published values. The fold pool
-// therefore never stops for convergence telemetry.
+// # Barriers: convergence scans and checkpoints
 //
-// Fault tolerance follows Sec. 4.2: discard-on-replay filtering of restarted
-// groups, per-group message timeouts reported to the launcher, periodic
-// atomic checkpoints (one file per process, dense format regardless of
-// FoldWorkers), and restart from the last checkpoint.
-//
-// # Stall-free checkpointing
-//
-// Checkpoints are a two-phase pipeline so the fold path never waits for the
-// file system:
-//
-//	snapshot (fold workers):  the inbox captures its own state (partition,
-//	                          message count, tracker bytes) and fans one
-//	                          snapshot task out to every worker channel;
-//	                          each worker — after exactly the folds enqueued
-//	                          before the task, so the image equals what the
-//	                          quiesced design would have written — compacts
-//	                          its shard's quantile sketches and deep-copies
-//	                          the shard into a pooled, double-buffered
-//	                          snapshot (the interleaved Sobol' records move
-//	                          with one contiguous copy), then resumes
-//	                          folding immediately
-//	write (background):       a dedicated goroutine per process streams the
-//	                          frozen snapshot into the unchanged dense v2
-//	                          on-disk format section by section
-//	                          (checkpoint.StreamWriter: incremental CRC, no
-//	                          full-payload buffer), fsyncs, renames
-//	                          atomically and fsyncs the directory — fully
-//	                          overlapped with ongoing ingest
-//
-// The fold pipeline therefore stalls only for the snapshot copies (the
-// longest lane's copy bounds the added latency — CheckpointStats splits this
-// stall out of the total write time), and a checkpoint interval that fires
-// while both snapshot buffers are still busy is skipped and logged, never
-// queued. This is the only write path; a checkpoint is a pure function of the
-// fold state — the tests compare every file byte for byte against a quiesced
-// one-shot encode of the stopped process — so checkpoints remain
-// interchangeable across versions and FoldWorkers settings.
+// Anything that must see the accumulator at a well-defined point of the
+// update stream rides the work channels as a barrier (foldPool.barrier): a
+// control task whose each(shard) runs on every worker after exactly the
+// folds enqueued before it, and whose last() runs once. The pool never
+// stops for one. A convergence scan (foldPool.scanIfIdle) is a barrier that
+// rescans each shard's dirty timesteps and publishes the widths reports and
+// /status read. A checkpoint (checkpointer.begin) is a barrier that copies
+// each shard into a double-buffered snapshot and hands it to a background
+// writer, so the fold path stalls only for the copies; the file is a pure
+// function of the fold state, byte-identical to a quiesced one-shot encode,
+// whatever the FoldWorkers setting.
 package server
 
 import (
@@ -114,6 +78,7 @@ import (
 
 	"melissa/internal/core"
 	"melissa/internal/mesh"
+	"melissa/internal/obs"
 	"melissa/internal/transport"
 )
 
@@ -153,8 +118,6 @@ type Config struct {
 	LauncherAddr string
 	// ReportInterval is the heartbeat/report period (default 1 s).
 	ReportInterval time.Duration
-	// CILevel is the confidence level for convergence reports (default .95).
-	CILevel float64
 	// ConvergenceReports enables MaxCIWidth telemetry in reports. The scan
 	// rides the fold pipeline as a per-shard task — each shard incrementally
 	// rescans only the timesteps that folded new groups since its last scan
@@ -177,16 +140,6 @@ type Config struct {
 	// only controls the advertisement. Results are bitwise identical with the
 	// codec on or off. Off by default.
 	WireCodec bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = time.Second
-	}
-	if c.CILevel == 0 {
-		c.CILevel = 0.95
-	}
-	return c
 }
 
 func (c Config) validate() error {
@@ -220,7 +173,9 @@ type Server struct {
 // New creates the server processes and opens their endpoints. Addresses are
 // available immediately (before Start) so the launcher can advertise them.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	if cfg.ReportInterval <= 0 {
+		cfg.ReportInterval = time.Second
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -245,22 +200,21 @@ func New(cfg Config) (*Server, error) {
 		recvs[rank] = r
 		addrs[rank] = r.Addr()
 	}
-	// Resolve every process's fold-shard count up front: the Welcome
-	// advertises the full vector so codec-enabled clients cut compressed
-	// payloads on the shard boundaries of whichever process they feed.
+	// The Welcome advertises every process's resolved fold-shard count so
+	// codec-enabled clients cut compressed payloads on the shard boundaries
+	// of whichever process they feed; the processes share the one vector.
 	foldShards := make([]int, cfg.Procs)
 	for rank := 0; rank < cfg.Procs; rank++ {
-		foldShards[rank] = procConfig{Config: cfg, Partition: s.partitions[rank]}.foldWorkers()
-	}
-	for rank := 0; rank < cfg.Procs; rank++ {
-		s.procs = append(s.procs, newProc(procConfig{
+		p := newProc(procConfig{
 			Config:     cfg,
 			Rank:       rank,
 			Partition:  s.partitions[rank],
 			AllAddrs:   addrs,
 			Partitions: s.partitions,
 			FoldShards: foldShards,
-		}, recvs[rank]))
+		}, recvs[rank])
+		foldShards[rank] = p.FoldWorkers()
+		s.procs = append(s.procs, p)
 	}
 	return s, nil
 }
@@ -303,9 +257,12 @@ func (s *Server) Start() {
 		panic("server: double Start")
 	}
 	s.started = true
-	s.RegisterStatus()
+	// Publish the live snapshot as the "server" section of the process-wide
+	// /status document; a newer instance (a launcher-driven restart) simply
+	// takes the section over.
+	obs.SetStatus("server", func() any { return s.Status() })
 	for _, p := range s.procs {
-		p.startWorkers()
+		p.start()
 	}
 	for _, p := range s.procs {
 		s.wg.Add(1)
@@ -343,5 +300,5 @@ func (s *Server) TotalFolds() int64 {
 // Result assembles the global study result from all process partitions.
 // Call only after the server stopped.
 func (s *Server) Result() *Result {
-	return newResult(s.cfg, s.partitions, s.procs)
+	return &Result{Cells: s.cfg.Cells, Timesteps: s.cfg.Timesteps, P: s.cfg.P, procs: s.procs}
 }

@@ -467,7 +467,7 @@ func TestServerResultConvergence(t *testing.T) {
 	waitFolds(t, s, int64(nGroups*timesteps*2), 10*time.Second)
 	s.Stop(false)
 	res := s.Result()
-	w := res.MaxCIWidth(0.95)
+	w := res.MaxCIWidth()
 	if math.IsInf(w, 1) || w <= 0 {
 		t.Fatalf("MaxCIWidth = %v", w)
 	}

@@ -2,10 +2,8 @@ package server
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
-	"melissa/internal/obs"
 	"melissa/internal/transport"
 )
 
@@ -132,22 +130,23 @@ func (s *Server) Status() Status {
 		P:         s.cfg.P,
 		Procs:     len(s.procs),
 	}
-	worstCI := math.Inf(-1)
-	anyScan := false
+	worstCI := math.Inf(-1) // +Inf (→ null) while any process has no scan yet
 	firstOwner := true
 	for _, p := range s.procs {
-		w := p.publishedCIWidth()
-		tuples, bytes := p.quantileTelemetrySums()
+		w := p.fold.ciWidth()
+		tuples, bytes := p.fold.sketchTelemetry()
+		running, finished := p.route.groupCounts()
+		wire := p.route.wireStats()
 		ps := ProcStatus{
 			Rank:           p.cfg.Rank,
 			CellLo:         p.cfg.Partition.Lo,
 			CellHi:         p.cfg.Partition.Hi,
-			FoldWorkers:    p.workers,
-			Messages:       p.Messages(),
+			FoldWorkers:    p.FoldWorkers(),
+			Messages:       wire.Messages,
 			Folds:          p.Folds(),
-			GroupsRunning:  p.statRunning.Load(),
-			GroupsFinished: p.statFinished.Load(),
-			Backpressure:   p.backpressure(),
+			GroupsRunning:  running,
+			GroupsFinished: finished,
+			Backpressure:   p.fold.backpressure(),
 			MaxCIWidth:     finiteOrNil(w),
 			QuantileTuples: tuples,
 			SketchBytes:    bytes,
@@ -168,16 +167,11 @@ func (s *Server) Status() Status {
 		if ps.Backpressure > st.Backpressure {
 			st.Backpressure = ps.Backpressure
 		}
-		if !math.IsInf(w, 1) {
-			anyScan = true
-		}
-		if w > worstCI {
-			worstCI = w
-		}
+		worstCI = max(worstCI, w)
 		st.QuantileTuples += tuples
 		st.QuantileSketchBytes += bytes
-		st.WireBytes += atomic.LoadInt64(&p.wireBytes)
-		st.RawBytes += atomic.LoadInt64(&p.rawBytes)
+		st.WireBytes += wire.WireBytes
+		st.RawBytes += wire.RawBytes
 
 		ck := p.Checkpoints()
 		st.CheckpointWrites += ck.Writes
@@ -186,9 +180,7 @@ func (s *Server) Status() Status {
 		st.CheckpointWriteSeconds += ck.WriteDuration.Seconds()
 		st.CheckpointBytes += ck.BytesWritten
 	}
-	if anyScan {
-		st.MaxCIWidth = finiteOrNil(worstCI)
-	}
+	st.MaxCIWidth = finiteOrNil(worstCI)
 	st.Durability = s.durabilityStatus()
 	st.CompressionRatio = 1
 	if st.WireBytes > 0 {
@@ -201,7 +193,7 @@ func (s *Server) Status() Status {
 }
 
 // durabilityStatus assembles the durable-frontier snapshot. Reads only
-// atomics and the durMu-guarded maps, so it is scrape-safe mid-ingest.
+// atomics and the mutex-guarded frontier, so it is scrape-safe mid-ingest.
 func (s *Server) durabilityStatus() DurabilityStatus {
 	d := DurabilityStatus{Enabled: s.cfg.CheckpointDir != ""}
 	if !d.Enabled {
@@ -209,13 +201,8 @@ func (s *Server) durabilityStatus() DurabilityStatus {
 	}
 	now := time.Now()
 	for _, p := range s.procs {
-		pd := ProcDurability{Rank: p.cfg.Rank, GapSteps: p.statDurableGap.Load()}
-		if at := p.durableAtNs.Load(); at > 0 {
-			pd.CheckpointAgeSeconds = now.Sub(time.Unix(0, at)).Seconds()
-		}
-		p.durMu.Lock()
-		pd.DurableGroups = len(p.durable)
-		p.durMu.Unlock()
+		pd := ProcDurability{Rank: p.cfg.Rank}
+		pd.CheckpointAgeSeconds, pd.DurableGroups, pd.GapSteps = p.ckpt.durability(now)
 		d.Procs = append(d.Procs, pd)
 		if pd.GapSteps > d.MaxGapSteps {
 			d.MaxGapSteps = pd.GapSteps
@@ -225,11 +212,4 @@ func (s *Server) durabilityStatus() DurabilityStatus {
 		}
 	}
 	return d
-}
-
-// RegisterStatus publishes this server's snapshot as the "server" section of
-// the process-wide /status document. Called from Start; a newer server
-// instance (e.g. a launcher-driven restart) simply takes the section over.
-func (s *Server) RegisterStatus() {
-	obs.SetStatus("server", func() any { return s.Status() })
 }

@@ -202,7 +202,7 @@ func TestDropFrameRateLimited(t *testing.T) {
 	s := startServer(t, net, 1, 16, 2, 2, nil)
 	defer s.Stop(false)
 	p := s.Procs()[0]
-	p.met.dropLim.Interval = 50 * time.Millisecond
+	p.route.dropLim.Interval = 50 * time.Millisecond
 
 	var mu sync.Mutex
 	var buf bytes.Buffer
@@ -216,9 +216,9 @@ func TestDropFrameRateLimited(t *testing.T) {
 	before := mDrops.With("rate_limit_test").Value()
 	const floods = 50
 	for i := 0; i < floods; i++ {
-		p.dropFrame("rate_limit_test", 42, "step", i)
+		p.route.dropFrame("rate_limit_test", 42, "step", i)
 	}
-	p.dropFrame("rate_limit_test", 43) // distinct connection: its own budget
+	p.route.dropFrame("rate_limit_test", 43) // distinct connection: its own budget
 
 	if got := mDrops.With("rate_limit_test").Value() - before; got != floods+1 {
 		t.Fatalf("drop counter moved by %d, want %d", got, floods+1)
@@ -233,8 +233,8 @@ func TestDropFrameRateLimited(t *testing.T) {
 
 	// After the window rolls, the next drop logs again and reports how many
 	// repeats were swallowed.
-	time.Sleep(3 * p.met.dropLim.Interval)
-	p.dropFrame("rate_limit_test", 42)
+	time.Sleep(3 * p.route.dropLim.Interval)
+	p.route.dropFrame("rate_limit_test", 42)
 	mu.Lock()
 	out = buf.String()
 	mu.Unlock()

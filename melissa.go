@@ -255,7 +255,7 @@ func (r *FieldResult) QuantileProbes() []float64 { return r.res.QuantileProbes()
 func (r *FieldResult) QuantileTupleCount() int64 { return r.res.QuantileTupleCount() }
 
 // MaxCIWidth returns the widest 95% confidence interval over all indices.
-func (r *FieldResult) MaxCIWidth() float64 { return r.res.MaxCIWidth(0.95) }
+func (r *FieldResult) MaxCIWidth() float64 { return r.res.MaxCIWidth() }
 
 // WireStats is the wire-byte telemetry of a study's bulk field traffic:
 // bytes as they crossed the wire versus what the same payloads cost in the
