@@ -133,6 +133,8 @@ type Accumulator struct {
 	// ciLevel is the confidence level the per-step ciWidth caches were
 	// computed at (0 = never computed).
 	ciLevel float64
+	// ciBand is scanStepCIWidth's scratch: one slot per (parameter, index).
+	ciBand []float64
 	// encScratch/encScratchI are the reusable transpose buffers for
 	// Encode/Decode, which keep the dense per-statistic-array checkpoint
 	// format (the int64 buffer carries the exceedance counts).
@@ -643,33 +645,120 @@ func (a *Accumulator) MaxCIWidth(level float64) float64 {
 	return worst
 }
 
-// scanStepCIWidth is the full scan of one timestep's state: the widest first
-// and total-order interval over all cells and parameters. One contiguous
-// pass over the interleaved records.
+// scanStepCIWidth returns the widest first and total-order interval of one
+// timestep over all cells and parameters — bitwise the maximum an evaluation
+// of every cell's interval would return — without evaluating every cell.
+//
+// All intervals of a timestep share n, and at fixed n the Eq. 8/9 width
+// shrinks as |ρ̂| grows (ρ̂ = Ŝ_k, or 1 − ŜT_k for the total-order form), so
+// the widest interval of a (parameter, index) sits at the cell with the
+// smallest |ρ̂|. Pass one finds that minimum with compares only; pass two
+// evaluates the exact interval on the cells within the rounding-safe band
+// around it (sobol.CI.Guard) and keeps the largest. Two passes rather than a
+// running minimum: on a smooth field, where |ρ̂| barely moves from cell to
+// cell, a running minimum would evaluate nearly every cell it visits.
+//
+// The estimates are correlation() with a cell's square roots taken once
+// instead of once per parameter and index: the same operations on the same
+// operands, hence the floats FirstAt and TotalAt return.
 func (a *Accumulator) scanStepCIWidth(s *stepAccum, level float64) float64 {
-	var worst float64
-	for ri := 0; ri < len(s.rec); ri += a.stride {
-		r := s.rec[ri : ri+a.stride]
+	if a.ciBand == nil {
+		a.ciBand = make([]float64, 2*a.p)
+	}
+	// band[2k], band[2k+1]: the least ρ̂² of parameter k's first and
+	// total-order estimates, then (after pass one) the guard bound above it.
+	band := a.ciBand
+	for j := range band {
+		band[j] = math.Inf(1)
+	}
+	stride, sob := a.stride, a.lay.sob
+	for ri := 0; ri < len(s.rec); ri += stride {
+		r := s.rec[ri : ri+stride]
 		m2A, m2B := r[offM2A], r[offM2B]
-		for off := recHeader; off < a.lay.sob; off += recPerParam {
+		if m2B == 0 {
+			continue
+		}
+		rA, rB := math.Sqrt(m2A), math.Sqrt(m2B)
+		for off, j := recHeader, 0; off < sob; off, j = off+recPerParam, j+2 {
 			m2C := r[off+blkM2C]
-			if m2B == 0 || m2C == 0 {
+			if m2C == 0 {
 				continue
 			}
-			first := correlation(r[off+blkC2BC], m2B, m2C)
-			if w := sobol.FirstOrderCI(first, s.n, level).Width(); w > worst {
-				worst = w
+			rC := math.Sqrt(m2C)
+			// A NaN key fails every compare and so never becomes a minimum.
+			if key := ciKey(r[off+blkC2BC] / (rB * rC)); key < band[j] {
+				band[j] = key
 			}
 			if m2A == 0 {
 				continue
 			}
-			total := 1 - correlation(r[off+blkC2AC], m2A, m2C)
-			if w := sobol.TotalOrderCI(total, s.n, level).Width(); w > worst {
-				worst = w
+			total := 1 - r[off+blkC2AC]/(rA*rC)
+			if key := ciKey(1 - total); key < band[j+1] {
+				band[j+1] = key
+			}
+		}
+	}
+	ci := sobol.NewCI(s.n, level)
+	for j := range band {
+		band[j] = ci.Guard(band[j])
+	}
+	// Pass two. A NaN estimate is inside every band (it fails the > compare),
+	// gets a NaN width and loses `w > worst`, exactly as in an exhaustive
+	// scan. prevFirst/prevTotal reuse the last evaluated width when the next
+	// candidate carries the same estimate (a spatially uniform field).
+	var worst float64
+	prevFirst, prevTotal := math.NaN(), math.NaN()
+	var wFirst, wTotal float64
+	for ri := 0; ri < len(s.rec); ri += stride {
+		r := s.rec[ri : ri+stride]
+		m2A, m2B := r[offM2A], r[offM2B]
+		if m2B == 0 {
+			continue
+		}
+		rA, rB := math.Sqrt(m2A), math.Sqrt(m2B)
+		for off, j := recHeader, 0; off < sob; off, j = off+recPerParam, j+2 {
+			m2C := r[off+blkM2C]
+			if m2C == 0 {
+				continue
+			}
+			rC := math.Sqrt(m2C)
+			first := r[off+blkC2BC] / (rB * rC)
+			if !(ciKey(first) > band[j]) {
+				if first != prevFirst {
+					prevFirst, wFirst = first, ci.First(first).Width()
+				}
+				if wFirst > worst {
+					worst = wFirst
+				}
+			}
+			if m2A == 0 {
+				continue
+			}
+			total := 1 - r[off+blkC2AC]/(rA*rC)
+			if !(ciKey(1-total) > band[j+1]) {
+				if total != prevTotal {
+					prevTotal, wTotal = total, ci.Total(total).Width()
+				}
+				if wTotal > worst {
+					worst = wTotal
+				}
 			}
 		}
 	}
 	return worst
+}
+
+// ciKey orders estimates by interval width: ρ̂² as the interval formulas see
+// it, i.e. capped where they clamp |ρ̂|. NaN stays NaN. (The square, not
+// math.Abs: the band is stated in ρ̂², and the multiply is cheaper than the
+// sign-bit round trip through an integer register.)
+func ciKey(rho float64) float64 {
+	const keyMax = sobol.ClampMax * sobol.ClampMax
+	k := rho * rho
+	if k > keyMax {
+		k = keyMax
+	}
+	return k
 }
 
 // Merge folds another accumulator (same shape and options) into a, cell by

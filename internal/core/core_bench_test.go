@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
+
+// benchSink keeps a benchmarked call's result alive.
+var benchSink float64
 
 // BenchmarkUpdateGroup measures the server's hot path: folding one group's
 // p+2 fields into the ubiquitous accumulator, at the paper's p = 6 on a
@@ -139,6 +143,64 @@ func BenchmarkMaxCIWidthAllClean(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sacc.MaxCIWidth(0.95)
+	}
+}
+
+// BenchmarkMaxCIWidthAllDirty is the worst report: every timestep folded a
+// group since the last scan, at the per-process shape of the study benchmark's
+// flood workloads (8192 cells × 32 steps × p = 4). "scattered" folds
+// independent noise, so |ρ̂| differs freely between cells; "smooth" folds
+// float32-rounded y = base(x) + a·pert(x), where every cell of a (step,
+// parameter) carries the same ρ̂ up to rounding — the layout on which a
+// running-minimum scan would evaluate every cell. CI gates on both.
+func BenchmarkMaxCIWidthAllDirty(b *testing.B) {
+	const cells, p, steps, groups = 8192, 4, 32, 8
+	scattered := func(rng *rand.Rand) []groupSample { return randomGroups(rng, groups, cells, p) }
+	smooth := func(rng *rand.Rand) []groupSample {
+		field := func(a float64) []float64 {
+			f := make([]float64, cells)
+			for i := range f {
+				x := float64(i) / cells
+				f[i] = float64(float32(20 + 4*math.Sin(7*x) + a*(1+0.3*math.Sin(3*x))))
+			}
+			return f
+		}
+		out := make([]groupSample, groups)
+		for g := range out {
+			// Pick-freeze: C^k has A's amplitude with parameter k taken from B.
+			xa, xb := make([]float64, p), make([]float64, p)
+			var aA, aB float64
+			for k := 0; k < p; k++ {
+				xa[k], xb[k] = 2*rng.Float64()-1, 2*rng.Float64()-1
+				aA += 0.1 * float64(k+1) * xa[k]
+				aB += 0.1 * float64(k+1) * xb[k]
+			}
+			s := groupSample{yA: field(aA), yB: field(aB), yC: make([][]float64, p)}
+			for k := range s.yC {
+				s.yC[k] = field(aA + 0.1*float64(k+1)*(xb[k]-xa[k]))
+			}
+			out[g] = s
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		gen  func(*rand.Rand) []groupSample
+	}{{"scattered", scattered}, {"smooth", smooth}} {
+		b.Run(c.name, func(b *testing.B) {
+			a := NewAccumulator(cells, steps, p, Options{})
+			gs := c.gen(rand.New(rand.NewSource(5)))
+			for t := 0; t < steps; t++ {
+				feedAll(a, t, gs)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for t := range a.steps {
+					a.steps[t].ciDirty = true
+				}
+				benchSink = a.MaxCIWidth(0.95)
+			}
+		})
 	}
 }
 

@@ -116,6 +116,14 @@
 // the same ownership rules as UpdateGroup; the server runs it per shard
 // *inside* the fold workers, so reports never stall the pipeline.
 //
+// Rescanning a dirty timestep does not evaluate every cell's interval. All
+// cells of a timestep share n, and at fixed n the Eq. 8/9 width decreases in
+// |ρ̂| (ρ̂ = Ŝ_k, or 1 − ŜT_k for total order), so per (parameter, index) one
+// compare-only pass finds the smallest ρ̂² and a second evaluates the exact
+// interval only on the cells within a rounding-safe band of it
+// (sobol.CI.Guard). The result is bitwise the maximum of the exhaustive
+// scan, which lives on as the reference of TestCIScanMatchesExhaustive.
+//
 // # Quantile statistics and copy-on-write snapshots
 //
 // Options.Quantiles adds per-cell per-timestep quantile sketches

@@ -34,6 +34,7 @@ func Serve(addr string, reg *Registry) (*Endpoint, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		reg.scraped.Store(time.Now().UnixNano())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WriteMetrics(w)
 	})

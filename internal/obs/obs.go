@@ -195,7 +195,15 @@ type Registry struct {
 	statusMu sync.Mutex
 	status   map[string]func() any
 	statOrd  []string
+
+	// scraped is when the endpoint last served /metrics (UnixNano, 0: never).
+	scraped atomic.Int64
 }
+
+// ScrapedAt returns the UnixNano time of the last /metrics request served
+// from this registry (0: never), so a component can skip refreshing a costly
+// gauge nobody is scraping.
+func (r *Registry) ScrapedAt() int64 { return r.scraped.Load() }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {

@@ -67,7 +67,9 @@ type foldTask struct {
 // arrival order, which makes the per-cell update sequence — and therefore
 // the statistics — bitwise identical to a single-threaded fold, whatever the
 // pool width. Exactly one goroutine may enqueue (route, release, barrier,
-// scanIfIdle, quiesce); the telemetry getters are safe from any goroutine.
+// scan, quiesce) and it alone touches the pacing fields routed, ciMark,
+// sketchMark and scansStarted; ask and the telemetry getters are safe from
+// any goroutine.
 type foldPool struct {
 	acc  *core.ShardedAccumulator
 	part mesh.Partition
@@ -87,12 +89,23 @@ type foldPool struct {
 	// Convergence and quantile-sketch telemetry published by the worker
 	// scans: ciWidths[i] is shard i's last scanned worst CI width (as
 	// Float64bits), qtelTuples[i]/qtelBytes[i] its retained sketch tuples and
-	// byte estimate; scansDone counts completed whole-pool scans,
-	// scansStarted (enqueuer-owned) the number enqueued.
-	ciWidths     []atomic.Uint64
-	qtelTuples   []atomic.Int64
-	qtelBytes    []atomic.Int64
-	scansDone    atomic.Int64
+	// byte estimate. scanning is set while a scan barrier rides the queues;
+	// ciScansDone counts completed convergence scans.
+	ciWidths    []atomic.Uint64
+	qtelTuples  []atomic.Int64
+	qtelBytes   []atomic.Int64
+	scanning    atomic.Bool
+	ciScansDone atomic.Int64
+
+	// asked is when a reader last asked for the convergence width (UnixNano).
+	asked atomic.Int64
+	// Scan pacing, enqueuer-owned: routed counts the (group, timestep) folds
+	// enqueued so far; ciMark and sketchMark are its value when the last
+	// convergence and sketch scan started; scansStarted counts the convergence
+	// scans enqueued.
+	routed       int64
+	ciMark       int64
+	sketchMark   int64
 	scansStarted int64
 }
 
@@ -183,30 +196,67 @@ func (f *foldPool) barrier(each func(shard int), last func()) {
 	}
 }
 
-// scanIfIdle starts a whole-pool convergence scan unless one is still riding
-// the queues: each worker refreshes its shard's cached worst CI width and
-// sketch telemetry (core caches per-timestep widths, so a quiet shard
-// answers in O(steps)) and publishes them. The published values therefore
-// always reflect a prefix of the committed update stream.
-func (f *foldPool) scanIfIdle() {
-	if f.scansStarted != f.scansDone.Load() {
-		return
-	}
-	f.scansStarted++
-	f.barrier(func(i int) {
-		a := f.acc.ShardAccum(i)
-		f.ciWidths[i].Store(math.Float64bits(a.MaxCIWidth(ciLevel)))
-		qt, qb := a.QuantileTelemetry()
-		f.qtelTuples[i].Store(qt)
-		f.qtelBytes[i].Store(qb)
-	}, func() { f.scansDone.Add(1) })
+// ask records that a reader wants the convergence width; the run loop scans
+// for a while after each ask (Proc.ciWanted).
+func (f *foldPool) ask(now time.Time) { f.asked.Store(now.UnixNano()) }
+
+// askedAt returns the UnixNano time of the last ask (0: never).
+func (f *foldPool) askedAt() int64 { return f.asked.Load() }
+
+// due reports whether a scan whose predecessor started at mark has something
+// to see: a whole group's worth of folds routed since — widths and sketches
+// change at group granularity — or, once the inbox went idle, any fold at
+// all, so that a paused stream never leaves a stale value published.
+func (f *foldPool) due(mark int64, idle bool) bool {
+	fresh := f.routed - mark
+	return fresh >= int64(f.acc.Timesteps()) || (idle && fresh > 0)
 }
 
-// ciWidth aggregates the per-shard widths of the last completed scan (+Inf
-// until one has finished — the convergence loop treats the study as
-// unconverged until real data arrives).
+// scan starts a telemetry barrier when one is wanted and due, unless one is
+// still riding the queues. Its convergence part — wanted when wantCI — has
+// each worker refresh its shard's worst CI width (core caches per-timestep
+// widths, so only timesteps folded since the last scan are swept); its sketch
+// part — wanted whenever quantile sketches are tracked — refreshes the
+// shard's sketch telemetry. The published values therefore always reflect a
+// prefix of the committed update stream. With neither part due nothing is
+// enqueued and the workers only decode and fold.
+func (f *foldPool) scan(wantCI, idle bool) {
+	ci := wantCI && f.due(f.ciMark, idle)
+	sketches := len(f.acc.QuantileProbes()) > 0 && f.due(f.sketchMark, idle)
+	if !(ci || sketches) || f.scanning.Load() {
+		return
+	}
+	f.scanning.Store(true)
+	if ci {
+		f.ciMark = f.routed
+		f.scansStarted++
+	}
+	if sketches {
+		f.sketchMark = f.routed
+	}
+	f.barrier(func(i int) {
+		a := f.acc.ShardAccum(i)
+		if ci {
+			f.ciWidths[i].Store(math.Float64bits(a.MaxCIWidth(ciLevel)))
+		}
+		if sketches {
+			qt, qb := a.QuantileTelemetry()
+			f.qtelTuples[i].Store(qt)
+			f.qtelBytes[i].Store(qb)
+		}
+	}, func() {
+		if ci {
+			f.ciScansDone.Add(1)
+		}
+		f.scanning.Store(false)
+	})
+}
+
+// ciWidth aggregates the per-shard widths of the last completed convergence
+// scan: +Inf until one was demanded and has finished — the convergence loop
+// treats the study as unconverged until real data arrives.
 func (f *foldPool) ciWidth() float64 {
-	if f.scansDone.Load() == 0 {
+	if f.ciScansDone.Load() == 0 {
 		return math.Inf(1)
 	}
 	var worst float64
@@ -242,6 +292,7 @@ func (f *foldPool) route(m *bulkMsg, s int) bool {
 	asm, pending := f.pending[key]
 	if !pending && lo == 0 && hi == f.part.Len() {
 		m.applied++
+		f.routed++
 		f.enqueue(m, foldTask{bulk: m, step: s, fold: true})
 		return true
 	}
@@ -261,6 +312,7 @@ func (f *foldPool) route(m *bulkMsg, s int) bool {
 	if asm.missing == 0 {
 		delete(f.pending, key)
 		task.fold = true
+		f.routed++
 		asm.remaining.Store(int32(len(f.workCh)))
 		f.inflight.Add(1)
 	}

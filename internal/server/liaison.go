@@ -69,9 +69,10 @@ func (l *liaison) report(final bool) {
 	// The congestion hint of the adaptive-batching loop: how full the
 	// fold-pipeline queues are right now (0 after the stop-path quiesce).
 	rep.Backpressure = l.fold.backpressure()
-	// Live sketch telemetry from the last completed worker scan, so the
-	// launcher (and a future memory governor) sees quantile memory without
-	// quiescing the pool.
+	// Live sketch telemetry from the last completed worker scan (zero
+	// without quantile sketches: no scan runs for them), so the launcher
+	// (and a future memory governor) sees quantile memory without quiescing
+	// the pool.
 	rep.TupleCount, rep.SketchBytes = l.fold.sketchTelemetry()
 	switch {
 	case !l.cfg.ConvergenceReports:
@@ -82,9 +83,10 @@ func (l *liaison) report(final bool) {
 		rep.MaxCIWidth = l.fold.accumulator().MaxCIWidth(ciLevel)
 	default:
 		// Publish the last completed worker scan; the fold pool never
-		// stalls. The value lags the stream by at most one report interval
-		// plus queue depth, which only makes the convergence stop
-		// conservative.
+		// stalls. Scans are paced by folds, not by reports: the value lags
+		// the stream by at most one group's worth of folds plus queue
+		// depth — and by nothing once the inbox has gone idle — which only
+		// makes the convergence stop conservative.
 		rep.MaxCIWidth = l.fold.ciWidth()
 	}
 	l.send(rep)

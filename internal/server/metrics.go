@@ -71,7 +71,7 @@ var (
 	mGroupsFinished = obs.NewGaugeVec("melissa_server_groups_finished",
 		"Simulation groups whose final timestep this process folded.", "proc")
 	mMaxCIWidth = obs.NewGaugeVec("melissa_server_max_ci_width",
-		"Worst 95% confidence-interval width from the last completed convergence scan (+Inf before the first).", "proc")
+		"Worst 95% confidence-interval width from the last completed convergence scan; +Inf until one was demanded (convergence reports on, or a /status or /metrics read in the last two report intervals) and completed.", "proc")
 	mQuantileTuples = obs.NewGaugeVec("melissa_server_quantile_tuples",
 		"Retained quantile-sketch tuples across all cells and timesteps (the O(cells/eps) memory quantity).", "proc")
 	mSketchBytes = obs.NewGaugeVec("melissa_server_quantile_sketch_bytes",

@@ -7,6 +7,7 @@ import (
 
 	"melissa/internal/core"
 	"melissa/internal/mesh"
+	"melissa/internal/obs"
 	"melissa/internal/transport"
 )
 
@@ -102,10 +103,12 @@ func (p *Proc) stopStages() {
 }
 
 // run is the inbox goroutine. Per pass, in order: receive and dispatch one
-// frame (route → fold); at report cadence heartbeat, report, start the next
-// convergence scan and refresh the durability telemetry; refresh the gauges;
-// begin a checkpoint when one is due. On stop: drain the inbox, quiesce the
-// pool, write the final checkpoint if asked, send the final report.
+// frame (route → fold); at report cadence heartbeat, report and refresh the
+// durability telemetry; start a telemetry scan if someone reads its result
+// and enough was folded since the last one (ciWanted, foldPool.scan); refresh
+// the gauges; begin a checkpoint when one is due. On stop: drain the inbox,
+// quiesce the pool, write the final checkpoint if asked, send the final
+// report.
 func (p *Proc) run() {
 	defer p.close()
 	defer p.stopStages()
@@ -131,11 +134,12 @@ func (p *Proc) run() {
 			return
 		}
 		msg, err := p.recv.Recv(pollEvery)
+		idle := false
 		switch err {
 		case nil:
 			p.dispatch(msg.Payload)
 		case transport.ErrTimeout:
-			// fall through to periodic work
+			idle = true // periodic work only
 		case transport.ErrClosed:
 			return
 		}
@@ -144,17 +148,26 @@ func (p *Proc) run() {
 			lastReport = now
 			p.liaison.heartbeat(now)
 			p.liaison.report(false)
-			// Keep the convergence/sketch telemetry fresh even when no
-			// launcher consumes reports: the scan rides the fold pipeline
-			// and publishes the per-shard widths and sketch telemetry.
-			p.fold.scanIfIdle()
 			p.publishDurability(now)
 		}
+		p.fold.scan(p.ciWanted(now), idle)
 		p.publishStatus()
 		if p.ckpt.due(now) {
 			p.ckpt.begin(false, p.route)
 		}
 	}
+}
+
+// ciWanted reports whether anyone reads the convergence width right now: the
+// launcher, when reports carry it, or a /status or /metrics reader that asked
+// within the last two report intervals. A study that runs to its planned
+// group count with nobody watching never pays for a scan.
+func (p *Proc) ciWanted(now time.Time) bool {
+	if p.cfg.ConvergenceReports {
+		return true
+	}
+	asked := max(p.fold.askedAt(), obs.Default.ScrapedAt())
+	return now.UnixNano()-asked < int64(2*p.cfg.ReportInterval)
 }
 
 func (p *Proc) dispatch(payload []byte) {

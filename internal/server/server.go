@@ -27,10 +27,11 @@
 //
 // Proc.run sequences them on the inbox goroutine. Per pass: receive one frame
 // and dispatch it (router → foldPool); at report cadence send a heartbeat and
-// a report, start the next convergence scan and refresh the durability
-// telemetry; refresh the per-rank gauges; begin a checkpoint when one is due.
-// On stop: drain the inbox, quiesce the pool, write the final checkpoint if
-// asked, send the final report, join the workers and the writer.
+// a report and refresh the durability telemetry; start a telemetry scan if
+// one is wanted and due; refresh the per-rank gauges; begin a checkpoint when
+// one is due. On stop: drain the inbox, quiesce the pool, write the final
+// checkpoint if asked, send the final report, join the workers and the
+// writer.
 //
 // A foldPool needs only a core.ShardedAccumulator and its partition: it can
 // be built and fed encoded frames with no network, tracker or Server.
@@ -62,13 +63,31 @@
 // update stream rides the work channels as a barrier (foldPool.barrier): a
 // control task whose each(shard) runs on every worker after exactly the
 // folds enqueued before it, and whose last() runs once. The pool never
-// stops for one. A convergence scan (foldPool.scanIfIdle) is a barrier that
-// rescans each shard's dirty timesteps and publishes the widths reports and
-// /status read. A checkpoint (checkpointer.begin) is a barrier that copies
+// stops for one. A checkpoint (checkpointer.begin) is a barrier that copies
 // each shard into a double-buffered snapshot and hands it to a background
 // writer, so the fold path stalls only for the copies; the file is a pure
 // function of the fold state, byte-identical to a quiesced one-shot encode,
 // whatever the FoldWorkers setting.
+//
+// A telemetry scan (foldPool.scan) is a barrier with two parts. The
+// convergence part rescans each shard's dirty timesteps and publishes the
+// widest confidence interval — the one scalar of Sec. 4.1.5, read only by the
+// optional early stop of Sec. 3.4 and by whoever watches /status or /metrics.
+// It is demand-driven: enqueued only while Config.ConvergenceReports is set
+// or for two report intervals after a Status() call or a /metrics scrape
+// asked (Proc.ciWanted), so a study that runs to its planned group count
+// unwatched never scans. It is paced by folds, not by the clock: a scan
+// starts once a whole group's worth of (group, timestep) updates was routed
+// since the previous one started — widths move at group granularity — or, when
+// the inbox has gone idle, as soon as anything was, so a paused stream leaves
+// the exact width of what was folded, never a stale one. And it is cheap: per
+// (timestep, parameter, index) core finds the cell with the smallest |ρ̂| by
+// compares and evaluates the interval only there and on its rounding-band
+// neighbours (core.Accumulator.MaxCIWidth), returning bitwise the maximum an
+// evaluation of every cell would. The sketch part refreshes the quantile
+// telemetry on the same pacing and exists only when quantile sketches are
+// tracked. With neither part wanted no barrier is enqueued and the workers
+// do nothing but decode and fold.
 package server
 
 import (
@@ -118,12 +137,16 @@ type Config struct {
 	LauncherAddr string
 	// ReportInterval is the heartbeat/report period (default 1 s).
 	ReportInterval time.Duration
-	// ConvergenceReports enables MaxCIWidth telemetry in reports. The scan
-	// rides the fold pipeline as a per-shard task — each shard incrementally
-	// rescans only the timesteps that folded new groups since its last scan
-	// and publishes the width — so enabling it no longer quiesces the pool;
-	// reported values lag the stream by at most one report interval. Off by
-	// default.
+	// ConvergenceReports makes reports carry MaxCIWidth (the launcher sets it
+	// when the study has a convergence target) and is the standing demand for
+	// the convergence scan: while set, a scan rides the fold pipeline as a
+	// per-shard barrier every time a whole group's worth of updates has been
+	// routed, and once more when the stream pauses, each shard rescanning
+	// only the timesteps folded since its last scan. The pool never
+	// quiesces for it; a reported width lags the stream by at most one
+	// group plus queue depth and is exact once the inbox is idle. While
+	// unset, scans run only for two report intervals after a Status() call or
+	// a /metrics scrape asked for the width — otherwise never. Off by default.
 	ConvergenceReports bool
 	// Epoch is the incarnation number of this server instance. The launcher
 	// increments it on every (re)start and stamps it into heartbeats and

@@ -29,7 +29,12 @@ type Status struct {
 	GroupsFinished int64 `json:"groups_finished"`
 
 	// MaxCIWidth is the worst published confidence-interval width across
-	// processes; null until a convergence scan has completed.
+	// processes: null until every process has completed a convergence scan,
+	// and scans run only on demand — while reports carry the width
+	// (Config.ConvergenceReports) or for two report intervals after a
+	// snapshot or /metrics scrape asked. A first snapshot therefore reads
+	// null and the next one a fresh value; after a pause in asking, the
+	// value is the one last scanned.
 	MaxCIWidth *float64 `json:"max_ci_width"`
 
 	// Backpressure is the worst fold-queue occupancy fraction [0,1] across
@@ -98,15 +103,17 @@ type ProcDurability struct {
 
 // ProcStatus is one server process's slice of the snapshot.
 type ProcStatus struct {
-	Rank           int      `json:"rank"`
-	CellLo         int      `json:"cell_lo"`
-	CellHi         int      `json:"cell_hi"`
-	FoldWorkers    int      `json:"fold_workers"`
-	Messages       int64    `json:"messages"`
-	Folds          int64    `json:"folds"`
-	GroupsRunning  int64    `json:"groups_running"`
-	GroupsFinished int64    `json:"groups_finished"`
-	Backpressure   float64  `json:"backpressure"`
+	Rank           int     `json:"rank"`
+	CellLo         int     `json:"cell_lo"`
+	CellHi         int     `json:"cell_hi"`
+	FoldWorkers    int     `json:"fold_workers"`
+	Messages       int64   `json:"messages"`
+	Folds          int64   `json:"folds"`
+	GroupsRunning  int64   `json:"groups_running"`
+	GroupsFinished int64   `json:"groups_finished"`
+	Backpressure   float64 `json:"backpressure"`
+	// MaxCIWidth is null until a convergence scan was demanded and has
+	// completed on this process (see Status.MaxCIWidth).
 	MaxCIWidth     *float64 `json:"max_ci_width"`
 	QuantileTuples int64    `json:"quantile_tuples"`
 	SketchBytes    int64    `json:"quantile_sketch_bytes"`
@@ -132,7 +139,9 @@ func (s *Server) Status() Status {
 	}
 	worstCI := math.Inf(-1) // +Inf (→ null) while any process has no scan yet
 	firstOwner := true
+	now := time.Now()
 	for _, p := range s.procs {
+		p.fold.ask(now) // the answer is in the next snapshot
 		w := p.fold.ciWidth()
 		tuples, bytes := p.fold.sketchTelemetry()
 		running, finished := p.route.groupCounts()

@@ -59,11 +59,11 @@ func TestIntervalBasics(t *testing.T) {
 
 func TestConfidenceIntervalDegenerateSampleSizes(t *testing.T) {
 	// i <= 3 must return the whole admissible range, not NaN.
-	iv := firstOrderInterval(0.5, 3, 0.95)
+	iv := FirstOrderCI(0.5, 3, 0.95)
 	if iv.Low != -1 || iv.High != 1 {
 		t.Errorf("first CI at i=3: %+v", iv)
 	}
-	iv = totalOrderInterval(0.5, 2, 0.95)
+	iv = TotalOrderCI(0.5, 2, 0.95)
 	if iv.Low != 0 || iv.High != 2 {
 		t.Errorf("total CI at i=2: %+v", iv)
 	}
@@ -72,12 +72,12 @@ func TestConfidenceIntervalDegenerateSampleSizes(t *testing.T) {
 func TestConfidenceIntervalBoundaryEstimates(t *testing.T) {
 	// Estimates at the correlation boundary must yield finite intervals.
 	for _, s := range []float64{1, -1, 1.0000001, -1.0000001} {
-		iv := firstOrderInterval(s, 100, 0.95)
+		iv := FirstOrderCI(s, 100, 0.95)
 		if math.IsNaN(iv.Low) || math.IsNaN(iv.High) || math.IsInf(iv.Low, 0) || math.IsInf(iv.High, 0) {
 			t.Errorf("first CI at s=%v not finite: %+v", s, iv)
 		}
 	}
-	iv := totalOrderInterval(0, 100, 0.95) // 1−ST = 1 boundary
+	iv := TotalOrderCI(0, 100, 0.95) // 1−ST = 1 boundary
 	if math.IsNaN(iv.Low) || math.IsNaN(iv.High) {
 		t.Errorf("total CI at st=0 not finite: %+v", iv)
 	}
@@ -86,8 +86,8 @@ func TestConfidenceIntervalBoundaryEstimates(t *testing.T) {
 func TestConfidenceIntervalShrinksAsSqrtN(t *testing.T) {
 	// Eq. 8: the Fisher half-width is z/sqrt(i-3), so quadrupling i-3
 	// halves the width.
-	w100 := firstOrderInterval(0.4, 103, 0.95).Width()
-	w400 := firstOrderInterval(0.4, 403, 0.95).Width()
+	w100 := FirstOrderCI(0.4, 103, 0.95).Width()
+	w400 := FirstOrderCI(0.4, 403, 0.95).Width()
 	ratio := w100 / w400
 	if math.Abs(ratio-2) > 0.05 {
 		t.Errorf("width ratio for 4x samples = %v, want ~2", ratio)
@@ -96,13 +96,13 @@ func TestConfidenceIntervalShrinksAsSqrtN(t *testing.T) {
 
 func TestConfidenceIntervalContainsEstimate(t *testing.T) {
 	for _, s := range []float64{-0.9, -0.3, 0, 0.2, 0.7, 0.99} {
-		iv := firstOrderInterval(s, 50, 0.95)
+		iv := FirstOrderCI(s, 50, 0.95)
 		if !iv.Contains(s) {
 			t.Errorf("first CI %+v does not contain its own estimate %v", iv, s)
 		}
 	}
 	for _, st := range []float64{0.01, 0.3, 0.9, 1.2} {
-		iv := totalOrderInterval(st, 50, 0.95)
+		iv := TotalOrderCI(st, 50, 0.95)
 		if !iv.Contains(st) {
 			t.Errorf("total CI %+v does not contain its own estimate %v", iv, st)
 		}

@@ -97,24 +97,25 @@ func (m *Martinez) Total(k int) float64 {
 // FirstCI returns the asymptotic confidence interval for S_k at the given
 // confidence level (Eq. 8; level 0.95 gives the paper's 1.96 bound).
 func (m *Martinez) FirstCI(k int, level float64) Interval {
-	return firstOrderInterval(m.First(k), m.n, level)
+	return FirstOrderCI(m.First(k), m.n, level)
 }
 
 // TotalCI returns the asymptotic confidence interval for ST_k (Eq. 9).
 func (m *Martinez) TotalCI(k int, level float64) Interval {
-	return totalOrderInterval(m.Total(k), m.n, level)
+	return TotalOrderCI(m.Total(k), m.n, level)
 }
 
 // MaxCIWidth returns the widest confidence interval across all first and
 // total indices, the scalar the server's convergence control monitors
 // (Sec. 4.1.5: "only keep the largest value").
 func (m *Martinez) MaxCIWidth(level float64) float64 {
+	ci := NewCI(m.n, level)
 	var w float64
 	for k := 0; k < m.P(); k++ {
-		if fw := m.FirstCI(k, level).Width(); fw > w {
+		if fw := ci.First(m.First(k)).Width(); fw > w {
 			w = fw
 		}
-		if tw := m.TotalCI(k, level).Width(); tw > w {
+		if tw := ci.Total(m.Total(k)).Width(); tw > w {
 			w = tw
 		}
 	}

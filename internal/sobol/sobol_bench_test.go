@@ -49,6 +49,6 @@ func BenchmarkClassicalVsIterative(b *testing.B) {
 
 func BenchmarkConfidenceInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		firstOrderInterval(0.42, int64(i%10000+10), 0.95)
+		FirstOrderCI(0.42, int64(i%10000+10), 0.95)
 	}
 }
