@@ -96,29 +96,34 @@ func main() {
 		log.Printf("  stopped early on convergence (widest CI %.4f)", res.MaxCIWidth())
 	}
 
-	// Write the final statistic fields, one CSV per parameter, mirroring
-	// the results.<field>_<statistic>.<timestep> files of the artifact.
+	// Write the final statistic fields, mirroring the
+	// results.<field>_<statistic>.<timestep> files of the artifact: one CSV
+	// per parameter for the Sobol' indices, one per other statistic, each
+	// row a cell. A nil column is an optional tracker that is not enabled;
+	// its file is not written.
 	last := st.Timesteps - 1
-	for k := 0; k < st.P(); k++ {
-		rows := make([][]float64, st.Cells)
-		first := res.FirstField(last, k)
-		total := res.TotalField(last, k)
-		for c := 0; c < st.Cells; c++ {
-			rows[c] = []float64{float64(c), first[c], total[c]}
+	writeFields := func(name string, header []string, cols ...[]float64) {
+		if cols[0] == nil {
+			return
 		}
-		path := filepath.Join(f.Out, fmt.Sprintf("results.%s_sobol.%d.csv", st.ParamNames[k], last))
-		if err := harness.WriteCSV(path, []string{"cell", "first", "total"}, rows); err != nil {
+		rows := make([][]float64, st.Cells)
+		for c := range rows {
+			rows[c] = []float64{float64(c)}
+			for _, col := range cols {
+				rows[c] = append(rows[c], col[c])
+			}
+		}
+		path := filepath.Join(f.Out, fmt.Sprintf("results.%s.%d.csv", name, last))
+		if err := harness.WriteCSV(path, append([]string{"cell"}, header...), rows); err != nil {
 			log.Fatalf("melissa-launcher: %v", err)
 		}
 	}
-	variance := res.VarianceField(last)
-	rows := make([][]float64, st.Cells)
-	for c := 0; c < st.Cells; c++ {
-		rows[c] = []float64{float64(c), variance[c]}
+	for k := 0; k < st.P(); k++ {
+		writeFields(st.ParamNames[k]+"_sobol", []string{"first", "total"}, res.FirstField(last, k), res.TotalField(last, k))
 	}
-	if err := harness.WriteCSV(filepath.Join(f.Out, fmt.Sprintf("results.variance.%d.csv", last)),
-		[]string{"cell", "variance"}, rows); err != nil {
-		log.Fatalf("melissa-launcher: %v", err)
-	}
+	writeFields("variance", []string{"variance"}, res.VarianceField(last))
+	writeFields("minmax", []string{"min", "max"}, res.MinField(last), res.MaxField(last))
+	writeFields("exceedance", []string{"probability"}, res.ExceedanceField(last))
+	writeFields("moments", []string{"skewness", "kurtosis"}, res.SkewnessField(last), res.KurtosisField(last))
 	log.Printf("  statistic fields written under %s", f.Out)
 }

@@ -8,7 +8,8 @@
 //   - Sec. 5.4: the fault-tolerance numbers (checkpoint cadence/overhead,
 //     measured live checkpoint write/read at a scaled size);
 //   - Fig. 7/8: the live tube-bundle study with the six first-order Sobol'
-//     maps and the variance map (ASCII + PGM + CSV);
+//     maps and the variance map, plus one map per optional statistic enabled
+//     (-minmax, -threshold, -higher-moments, -quantiles) (ASCII + PGM);
 //   - Sec. 3.4: confidence-interval convergence on Ishigami.
 //
 // Run everything (a few minutes, dominated by the live CFD study):
@@ -240,29 +241,40 @@ func runFig7(out string, f *cliflags.Flags, opts core.Options) {
 			ck.StallDuration.Round(time.Microsecond), ck.WriteDuration.Round(time.Microsecond))
 	}
 
+	// Every map is the same two outputs: an ASCII heatmap on stdout and a PGM
+	// under fig7/. A nil field is a statistic that was not enabled; it writes
+	// nothing.
 	const step = 79
+	writeMap := func(title, file string, field []float64, lo, hi float64) {
+		if field == nil {
+			return
+		}
+		fmt.Printf("%s at timestep %d:\n%s\n", title, step+1, harness.Heatmap(field, nx, ny, lo, hi))
+		if err := harness.WritePGM(filepath.Join(out, "fig7", file+".pgm"), field, nx, ny, lo, hi); err != nil {
+			log.Fatal(err)
+		}
+	}
 	for k, name := range melissa.TubeBundleParamNames() {
-		field := res.First(step, k)
-		masked := append([]float64(nil), field...)
+		masked := res.First(step, k)
 		for i := range masked {
 			if grid.Solid(i) {
 				masked[i] = 0
 			}
 		}
-		fmt.Printf("Fig. 7(%c) — S[%s] at timestep 80:\n%s\n", 'a'+k, name,
-			harness.Heatmap(masked, nx, ny, 0, 1))
-		if err := harness.WritePGM(filepath.Join(out, "fig7", name+".pgm"), masked, nx, ny, 0, 1); err != nil {
-			log.Fatal(err)
-		}
+		writeMap(fmt.Sprintf("Fig. 7(%c) — S[%s]", 'a'+k, name), name, masked, 0, 1)
 	}
-	variance := res.Variance(step)
-	fmt.Printf("Fig. 8 — Var(Y) at timestep 80:\n%s\n", harness.Heatmap(variance, nx, ny, 0, 0))
-	if err := harness.WritePGM(filepath.Join(out, "fig7", "variance.pgm"), variance, nx, ny, 0, 0); err != nil {
-		log.Fatal(err)
-	}
+	writeMap("Fig. 8 — Var(Y)", "variance", res.Variance(step), 0, 0)
+
+	// The optional trackers over the A/B samples (-minmax, -threshold,
+	// -higher-moments), at the same timestep as Fig. 7/8.
+	writeMap("Min(Y)", "min", res.Min(step), 0, 0)
+	writeMap("Max(Y)", "max", res.Max(step), 0, 0)
+	writeMap("P(Y > threshold)", "exceedance", res.Exceedance(step), 0, 1)
+	writeMap("Skewness(Y)", "skewness", res.Skewness(step), 0, 0)
+	writeMap("Excess kurtosis(Y)", "kurtosis", res.Kurtosis(step), 0, 0)
 
 	// Ubiquitous quantile maps (the in-transit order statistics of Ribés
-	// et al.), one per configured probe, at the same timestep as Fig. 7/8.
+	// et al.), one per configured probe.
 	if probes := res.QuantileProbes(); len(probes) > 0 {
 		tuples := res.QuantileTupleCount()
 		perCellStep := float64(tuples) / float64(res.Cells()*res.Timesteps())
@@ -270,12 +282,7 @@ func runFig7(out string, f *cliflags.Flags, opts core.Options) {
 			tuples, perCellStep, perCellStep*24/1024)
 	}
 	for _, q := range res.QuantileProbes() {
-		field := res.Quantile(step, q)
-		name := fmt.Sprintf("quantile_q%g", q)
-		fmt.Printf("Quantile map — q=%g at timestep 80:\n%s\n", q, harness.Heatmap(field, nx, ny, 0, 0))
-		if err := harness.WritePGM(filepath.Join(out, "fig7", name+".pgm"), field, nx, ny, 0, 0); err != nil {
-			log.Fatal(err)
-		}
+		writeMap(fmt.Sprintf("Quantile map — q=%g", q), fmt.Sprintf("quantile_q%g", q), res.Quantile(step, q), 0, 0)
 	}
 }
 

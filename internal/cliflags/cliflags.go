@@ -133,9 +133,14 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 		fs.DurationVar(&f.GroupTimeout, "group-timeout", b.groupTimeout, "unresponsive-group timeout (paper: 300s)")
 	}
 	if b.stats {
-		fs.BoolVar(&f.minMax, "minmax", false, "track per-cell min/max over the A/B samples")
-		fs.StringVar(&f.threshold, "threshold", "", "count per-cell exceedances of this value (empty = off)")
-		fs.BoolVar(&f.higherMoments, "higher-moments", false, "track per-cell skewness/kurtosis")
+		// The output named is melissa-study's; a melissa-server folds and
+		// checkpoints the statistic for whoever reads its Result.
+		fs.BoolVar(&f.minMax, "minmax", false,
+			"track per-cell min/max over the A/B samples (melissa-study: fig7/min.pgm, fig7/max.pgm)")
+		fs.StringVar(&f.threshold, "threshold", "",
+			"track the per-cell fraction of A/B samples above this value (empty = off; melissa-study: fig7/exceedance.pgm)")
+		fs.BoolVar(&f.higherMoments, "higher-moments", false,
+			"track per-cell skewness/kurtosis of the pooled A/B samples (melissa-study: fig7/skewness.pgm, fig7/kurtosis.pgm)")
 		fs.StringVar(&f.quantiles, "quantiles", "", "comma-separated quantile probes, e.g. 0.05,0.5,0.95 (empty = off)")
 		fs.Float64Var(&f.quantileEps, "quantile-eps", quantiles.DefaultEpsilon, "quantile sketch rank error ε")
 		fs.Float64Var(&f.quantileBudget, "quantile-memory-budget", 0,

@@ -323,8 +323,8 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 		r[offMeanB] += dB / n
 		r[offM2B] += dB * (yb - r[offMeanB])
 		// Tracker slots ride the same record while it is register/cache-warm.
-		// Each tracker sees yA then yB — the UpdatePair order of the
-		// historical stats passes, replicated bitwise.
+		// Each tracker sees yA then yB: the arithmetic of stats.Field*
+		// Update(yA) then Update(yB), replicated bitwise.
 		if mo := lay.min; mo >= 0 {
 			lo, hi := r[mo], r[mo+1]
 			if ya < lo {
@@ -433,12 +433,7 @@ func (a *Accumulator) TotalField(t, k int, dst []float64) []float64 {
 
 // MeanField writes the per-cell mean of the B sample at step t into dst.
 func (a *Accumulator) MeanField(t int, dst []float64) []float64 {
-	dst = ensureLen(dst, a.cells)
-	rec := a.steps[t].rec
-	for i, ri := 0, 0; i < a.cells; i, ri = i+1, ri+a.stride {
-		dst[i] = rec[ri+offMeanB]
-	}
-	return dst
+	return a.column(&a.steps[t], offMeanB, dst)
 }
 
 // VarianceField writes the per-cell unbiased variance of the B sample at
@@ -478,59 +473,77 @@ func (a *Accumulator) InteractionField(t int, dst []float64) []float64 {
 	return dst
 }
 
-// MinMax materializes the per-cell min/max tracker for step t as a
-// stats.FieldMinMax view (nil when not enabled). The tracker state lives
-// interleaved in the per-cell records; this accessor gathers it into a
-// standalone copy, so the result is a point-in-time value, not a live
-// reference.
-func (a *Accumulator) MinMax(t int) *stats.FieldMinMax {
+// The optional trackers read like every other statistic — a per-cell field
+// written into dst — straight out of the interleaved records; each getter
+// returns nil when its tracker is not enabled. The derived values
+// (probability, skewness, kurtosis) go through the internal/stats functions
+// the stats.Field* reference trackers also read through, so the equivalence
+// tests can hold the two sides to ==.
+
+// MinField writes the per-cell running minimum over the A and B samples at
+// step t into dst (+Inf before any sample).
+func (a *Accumulator) MinField(t int, dst []float64) []float64 {
 	if a.lay.min < 0 {
 		return nil
 	}
-	s := &a.steps[t]
-	lo := make([]float64, a.cells)
-	hi := make([]float64, a.cells)
-	for i, ri := 0, a.lay.min; i < a.cells; i, ri = i+1, ri+a.stride {
-		lo[i] = s.rec[ri]
-		hi[i] = s.rec[ri+1]
-	}
-	return stats.MinMaxFromState(s.minmaxN, lo, hi)
+	return a.column(&a.steps[t], a.lay.min, dst)
 }
 
-// Exceedance materializes the per-cell threshold counter for step t (nil
-// when not enabled). Like MinMax it returns a gathered copy of the
-// interleaved state.
-func (a *Accumulator) Exceedance(t int) *stats.FieldExceedance {
+// MaxField writes the per-cell running maximum over the A and B samples at
+// step t into dst (-Inf before any sample).
+func (a *Accumulator) MaxField(t int, dst []float64) []float64 {
+	if a.lay.min < 0 {
+		return nil
+	}
+	return a.column(&a.steps[t], a.lay.min+1, dst)
+}
+
+// ExceedanceField writes, per cell, the fraction of the A and B samples at
+// step t that exceeded Options.Threshold into dst.
+func (a *Accumulator) ExceedanceField(t int, dst []float64) []float64 {
 	if a.lay.exc < 0 {
 		return nil
 	}
 	s := &a.steps[t]
-	counts := make([]int64, a.cells)
-	for i, ri := 0, a.lay.exc; i < a.cells; i, ri = i+1, ri+a.stride {
-		counts[i] = int64(s.rec[ri])
+	dst = a.column(s, a.lay.exc, dst)
+	for i, count := range dst {
+		dst[i] = stats.ExceedanceProbability(count, s.exceedN)
 	}
-	return stats.ExceedanceFromState(a.threshold, s.exceedN, counts)
+	return dst
 }
 
-// HigherMoments materializes the pooled-moments tracker for step t (nil when
-// not enabled). Like MinMax it returns a gathered copy of the interleaved
-// state.
-func (a *Accumulator) HigherMoments(t int) *stats.FieldMoments {
+// SkewnessField writes the per-cell sample skewness of the pooled A and B
+// samples at step t into dst.
+func (a *Accumulator) SkewnessField(t int, dst []float64) []float64 {
+	return a.higherField(t, dst, 2, stats.Skewness)
+}
+
+// KurtosisField writes the per-cell sample excess kurtosis of the pooled A
+// and B samples at step t into dst.
+func (a *Accumulator) KurtosisField(t int, dst []float64) []float64 {
+	return a.higherField(t, dst, 3, stats.Kurtosis)
+}
+
+// higherField writes f(n, m2, m_k) per cell into dst, m_k being slot k of the
+// higher-moment quad [mean, m2, m3, m4].
+func (a *Accumulator) higherField(t int, dst []float64, k int, f func(n int64, m2, mk float64) float64) []float64 {
 	if a.lay.hig < 0 {
 		return nil
 	}
 	s := &a.steps[t]
-	means := make([]float64, a.cells)
-	m2 := make([]float64, a.cells)
-	m3 := make([]float64, a.cells)
-	m4 := make([]float64, a.cells)
+	dst = ensureLen(dst, a.cells)
 	for i, ri := 0, a.lay.hig; i < a.cells; i, ri = i+1, ri+a.stride {
-		means[i] = s.rec[ri]
-		m2[i] = s.rec[ri+1]
-		m3[i] = s.rec[ri+2]
-		m4[i] = s.rec[ri+3]
+		dst[i] = f(s.higherN, s.rec[ri+1], s.rec[ri+k])
 	}
-	return stats.MomentsFromState(s.higherN, means, m2, m3, m4)
+	return dst
+}
+
+// TrackerSamples returns how many samples the min/max, exceedance and
+// higher-moment trackers have folded at step t: two per group (the A and B
+// members), 0 for a disabled tracker.
+func (a *Accumulator) TrackerSamples(t int) (minmax, exceed, higher int64) {
+	s := &a.steps[t]
+	return s.minmaxN, s.exceedN, s.higherN
 }
 
 // Quantiles returns the optional per-cell quantile sketches for step t (nil
@@ -902,18 +915,21 @@ const (
 	LayoutCurrent = LayoutV3
 )
 
-// gatherColumn copies the strided per-cell statistic at record offset `off`
-// of step s into a.encScratch and returns it — the transpose step of the
-// dense checkpoint layout.
-func (a *Accumulator) gatherColumn(s *stepAccum, off int) []float64 {
-	if cap(a.encScratch) < a.cells {
-		a.encScratch = make([]float64, a.cells)
-	}
-	col := a.encScratch[:a.cells]
+// column writes the strided per-cell statistic at record offset `off` of
+// step s into dst (allocating when nil or too small) and returns it.
+func (a *Accumulator) column(s *stepAccum, off int, dst []float64) []float64 {
+	dst = ensureLen(dst, a.cells)
 	for i, ri := 0, off; i < a.cells; i, ri = i+1, ri+a.stride {
-		col[i] = s.rec[ri]
+		dst[i] = s.rec[ri]
 	}
-	return col
+	return dst
+}
+
+// gatherColumn is column into a.encScratch — the transpose step of the dense
+// checkpoint layout.
+func (a *Accumulator) gatherColumn(s *stepAccum, off int) []float64 {
+	a.encScratch = a.column(s, off, a.encScratch)
+	return a.encScratch
 }
 
 // gatherCountColumn is gatherColumn for the exceedance counts: the records
@@ -975,8 +991,7 @@ func (a *Accumulator) EncodeVersion(w *enc.Writer, version int) {
 			w.F64Slice(a.gatherColumn(s, off+blkC2BC))
 			w.F64Slice(a.gatherColumn(s, off+blkC2AC))
 		}
-		// Tracker sections in the historical stats.Field* byte layouts,
-		// gathered straight out of the interleaved records.
+		// Tracker sections, gathered straight out of the interleaved records.
 		if a.lay.min >= 0 {
 			w.I64(s.minmaxN)
 			w.F64Slice(a.gatherColumn(s, a.lay.min))
@@ -1111,8 +1126,11 @@ func correlation(c2, m2x, m2y float64) float64 {
 	return c2 / (math.Sqrt(m2x) * math.Sqrt(m2y))
 }
 
+// ensureLen returns dst resized to n, reallocating when it is nil or too
+// small. The result is never nil, even for n = 0: the tracker getters keep
+// nil for "not enabled".
 func ensureLen(dst []float64, n int) []float64 {
-	if cap(dst) < n {
+	if dst == nil || cap(dst) < n {
 		return make([]float64, n)
 	}
 	return dst[:n]

@@ -208,27 +208,27 @@ func TestAccumulatorOptionalStatistics(t *testing.T) {
 	groups := randomGroups(rng, 20, 3, 2)
 	feedAll(a, 0, groups)
 
-	mm := a.MinMax(0)
-	ex := a.Exceedance(0)
-	hm := a.HigherMoments(0)
-	if mm == nil || ex == nil || hm == nil {
+	lo, hi := a.MinField(0, nil), a.MaxField(0, nil)
+	ex := a.ExceedanceField(0, nil)
+	if lo == nil || hi == nil || ex == nil || a.SkewnessField(0, nil) == nil || a.KurtosisField(0, nil) == nil {
 		t.Fatal("optional statistics missing")
 	}
 	// Min/max and exceedance see 2 samples per group (A and B).
-	if mm.N() != 40 || ex.N() != 40 || hm.N() != 40 {
-		t.Fatalf("optional stat n = %d/%d/%d, want 40", mm.N(), ex.N(), hm.N())
+	if mmN, exN, hmN := a.TrackerSamples(0); mmN != 40 || exN != 40 || hmN != 40 {
+		t.Fatalf("optional stat n = %d/%d/%d, want 40", mmN, exN, hmN)
 	}
 	for i := 0; i < 3; i++ {
-		if mm.Min(i) > mm.Max(i) {
+		if lo[i] > hi[i] {
 			t.Fatal("min > max")
 		}
-		if p := ex.Probability(i); p < 0 || p > 1 {
+		if p := ex[i]; p < 0 || p > 1 {
 			t.Fatalf("exceedance %v", p)
 		}
 	}
 	// Disabled by default.
 	b := NewAccumulator(3, 1, 2, Options{})
-	if b.MinMax(0) != nil || b.Exceedance(0) != nil || b.HigherMoments(0) != nil {
+	if b.MinField(0, nil) != nil || b.MaxField(0, nil) != nil || b.ExceedanceField(0, nil) != nil ||
+		b.SkewnessField(0, nil) != nil || b.KurtosisField(0, nil) != nil {
 		t.Fatal("optional statistics enabled by default")
 	}
 }
@@ -325,7 +325,7 @@ func TestAccumulatorEncodeDecodeRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if b.MinMax(s).Min(0) != a.MinMax(s).Min(0) || b.Exceedance(s).Probability(1) != a.Exceedance(s).Probability(1) {
+		if b.MinField(s, nil)[0] != a.MinField(s, nil)[0] || b.ExceedanceField(s, nil)[1] != a.ExceedanceField(s, nil)[1] {
 			t.Fatal("optional stats not restored")
 		}
 		for _, q := range a.QuantileProbes() {

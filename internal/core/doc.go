@@ -29,16 +29,18 @@
 // per-statistic arrays updated in p+1 separate passes, moving the same bytes
 // through DRAM p+1 times per group; interleaving the Sobol' state into
 // records fixed that (PR 3 in CHANGES.md). But the optional trackers stayed in
-// separate internal/stats field arrays swept by their own UpdatePair passes
-// after the main fold, so enabling them reintroduced exactly the strided
+// separate internal/stats field arrays swept by their own passes after the
+// main fold, so enabling them reintroduced exactly the strided
 // multi-pass traffic the records removed. Folding the tracker words into the
 // record ends that: trackers now cost a few extra slots in the already-resident
 // cache line instead of extra passes (BenchmarkUpdateGroupTrackers; the
 // multi-pass numbers are under PR 10 in CHANGES.md, and `bash bench/run.sh`
-// prices the kernel inside a whole study as core.fold_s). Tracker state is
-// materialized on demand — MinMax/Exceedance/HigherMoments gather the
-// interleaved slots into standalone internal/stats values, point-in-time
-// copies rather than live references. (Ribés et al. make the same
+// prices the kernel inside a whole study as core.fold_s). The records are
+// the trackers' only representation: MinField/MaxField/ExceedanceField/
+// SkewnessField/KurtosisField read them like MeanField reads the mean (nil
+// when the tracker is off), and internal/stats keeps the standalone
+// per-cell trackers only as the reference the equivalence tests fold
+// beside the kernel. (Ribés et al. make the same
 // observation for in-transit quantiles: per-cell state layout, not
 // arithmetic, sets the throughput ceiling at scale.)
 //

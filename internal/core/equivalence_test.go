@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -292,32 +293,33 @@ func checkEqual(t *testing.T, a *core.Accumulator, ts int, ref *refAccum) {
 			t.Fatalf("step %d mean cell %d differs", ts, i)
 		}
 	}
+	minmaxN, exceedN, _ := a.TrackerSamples(ts)
 	if ref.minmax != nil {
-		mm := a.MinMax(ts)
-		if mm.N() != ref.minmax.N() {
-			t.Fatalf("minmax n: %d != %d", mm.N(), ref.minmax.N())
+		lo, hi := a.MinField(ts, nil), a.MaxField(ts, nil)
+		if minmaxN != ref.minmax.N() {
+			t.Fatalf("minmax n: %d != %d", minmaxN, ref.minmax.N())
 		}
 		for i := 0; i < ref.cells; i++ {
-			if mm.Min(i) != ref.minmax.Min(i) || mm.Max(i) != ref.minmax.Max(i) {
+			if lo[i] != ref.minmax.Min(i) || hi[i] != ref.minmax.Max(i) {
 				t.Fatalf("step %d minmax cell %d differs", ts, i)
 			}
 		}
 	}
 	if ref.exceed != nil {
-		ex := a.Exceedance(ts)
-		if ex.N() != ref.exceed.N() {
-			t.Fatalf("exceedance n: %d != %d", ex.N(), ref.exceed.N())
+		ex := a.ExceedanceField(ts, nil)
+		if exceedN != ref.exceed.N() {
+			t.Fatalf("exceedance n: %d != %d", exceedN, ref.exceed.N())
 		}
 		for i := 0; i < ref.cells; i++ {
-			if ex.Probability(i) != ref.exceed.Probability(i) {
+			if ex[i] != ref.exceed.Probability(i) {
 				t.Fatalf("step %d exceedance cell %d differs", ts, i)
 			}
 		}
 	}
 	if ref.higher != nil {
-		hm := a.HigherMoments(ts)
+		skew, kurt := a.SkewnessField(ts, nil), a.KurtosisField(ts, nil)
 		for i := 0; i < ref.cells; i++ {
-			if hm.Skewness(i) != ref.higher.Skewness(i) || hm.Kurtosis(i) != ref.higher.Kurtosis(i) {
+			if skew[i] != ref.higher.Skewness(i) || kurt[i] != ref.higher.Kurtosis(i) {
 				t.Fatalf("step %d higher moments cell %d differ", ts, i)
 			}
 		}
@@ -535,6 +537,19 @@ func TestShardedTrackerEquivalence(t *testing.T) {
 				dense := sacc.Dense()
 				for ts := 0; ts < steps; ts++ {
 					checkEqual(t, dense, ts, refs[ts])
+					// The stitched getters read the shards directly; they must
+					// return what the dense copy does, nil for a disabled tracker.
+					for name, pair := range map[string][2][]float64{
+						"min":        {sacc.MinField(ts, nil), dense.MinField(ts, nil)},
+						"max":        {sacc.MaxField(ts, nil), dense.MaxField(ts, nil)},
+						"exceedance": {sacc.ExceedanceField(ts, nil), dense.ExceedanceField(ts, nil)},
+						"skewness":   {sacc.SkewnessField(ts, nil), dense.SkewnessField(ts, nil)},
+						"kurtosis":   {sacc.KurtosisField(ts, nil), dense.KurtosisField(ts, nil)},
+					} {
+						if (pair[0] == nil) != (pair[1] == nil) || !slices.Equal(pair[0], pair[1]) {
+							t.Fatalf("workers=%d step %d: stitched %s field != dense", workers, ts, name)
+						}
+					}
 				}
 			}
 		})

@@ -111,14 +111,14 @@ func TestGoldenFixtureDecode(t *testing.T) {
 				}
 			}
 			for i := 0; i < goldenCells; i++ {
-				if dec.MinMax(ts).Min(i) != want.MinMax(ts).Min(i) ||
-					dec.MinMax(ts).Max(i) != want.MinMax(ts).Max(i) {
+				if dec.MinField(ts, nil)[i] != want.MinField(ts, nil)[i] ||
+					dec.MaxField(ts, nil)[i] != want.MaxField(ts, nil)[i] {
 					t.Fatalf("v%d: min/max differs at (%d,%d)", version, ts, i)
 				}
-				if dec.Exceedance(ts).Probability(i) != want.Exceedance(ts).Probability(i) {
+				if dec.ExceedanceField(ts, nil)[i] != want.ExceedanceField(ts, nil)[i] {
 					t.Fatalf("v%d: exceedance differs at (%d,%d)", version, ts, i)
 				}
-				if dec.HigherMoments(ts).Skewness(i) != want.HigherMoments(ts).Skewness(i) {
+				if dec.SkewnessField(ts, nil)[i] != want.SkewnessField(ts, nil)[i] {
 					t.Fatalf("v%d: skewness differs at (%d,%d)", version, ts, i)
 				}
 			}

@@ -220,7 +220,7 @@ func TestAccumulatorLayoutV1RoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if b.MinMax(s).Max(1) != a.MinMax(s).Max(1) || b.HigherMoments(s).Mean(0) != a.HigherMoments(s).Mean(0) {
+		if b.MaxField(s, nil)[1] != a.MaxField(s, nil)[1] || b.SkewnessField(s, nil)[0] != a.SkewnessField(s, nil)[0] {
 			t.Fatal("v1 round trip lost optional stats")
 		}
 	}

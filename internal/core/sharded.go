@@ -215,46 +215,79 @@ func (s *ShardedAccumulator) TotalAt(t, k, i int) float64 {
 	return s.shards[si].TotalAt(t, k, li)
 }
 
-// stitch runs one shard-level field writer per shard into the matching
-// sub-range of dst.
-func (s *ShardedAccumulator) stitch(dst []float64, get func(sh *Accumulator, sub []float64)) []float64 {
+// stitch runs one shard-level step-t field getter (a method expression such
+// as (*Accumulator).MeanField, or a closure binding the extra argument) per
+// shard into the matching sub-range of dst. A nil from a shard — a tracker
+// that is not enabled, the same on every shard — makes the stitched field nil
+// too.
+func (s *ShardedAccumulator) stitch(t int, dst []float64, get func(sh *Accumulator, t int, sub []float64) []float64) []float64 {
 	dst = ensureLen(dst, s.cells)
 	for i, sh := range s.shards {
-		get(sh, dst[s.bounds[i]:s.bounds[i+1]])
+		if get(sh, t, dst[s.bounds[i]:s.bounds[i+1]]) == nil {
+			return nil
+		}
 	}
 	return dst
 }
 
 // FirstField writes the per-cell first-order index field S_k(·, t) into dst.
 func (s *ShardedAccumulator) FirstField(t, k int, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.FirstField(t, k, sub) })
+	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.FirstField(t, k, sub) })
 }
 
 // TotalField writes the per-cell total-order index field ST_k(·, t) into dst.
 func (s *ShardedAccumulator) TotalField(t, k int, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.TotalField(t, k, sub) })
+	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.TotalField(t, k, sub) })
 }
 
 // MeanField writes the per-cell mean of the B sample at step t into dst.
 func (s *ShardedAccumulator) MeanField(t int, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.MeanField(t, sub) })
+	return s.stitch(t, dst, (*Accumulator).MeanField)
 }
 
 // VarianceField writes the per-cell unbiased variance of the B sample at
 // step t into dst.
 func (s *ShardedAccumulator) VarianceField(t int, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.VarianceField(t, sub) })
+	return s.stitch(t, dst, (*Accumulator).VarianceField)
 }
 
 // InteractionField writes 1 − ΣS_k(·, t) into dst.
 func (s *ShardedAccumulator) InteractionField(t int, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.InteractionField(t, sub) })
+	return s.stitch(t, dst, (*Accumulator).InteractionField)
 }
 
 // QuantileField writes the per-cell q-quantile estimate at step t into dst
 // (zeros when quantile tracking is disabled).
 func (s *ShardedAccumulator) QuantileField(t int, q float64, dst []float64) []float64 {
-	return s.stitch(dst, func(sh *Accumulator, sub []float64) { sh.QuantileField(t, q, sub) })
+	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.QuantileField(t, q, sub) })
+}
+
+// The optional tracker fields at step t, stitched into dst; each is nil when
+// its tracker is not enabled (see the Accumulator methods).
+
+// MinField writes the per-cell minimum over the A and B samples.
+func (s *ShardedAccumulator) MinField(t int, dst []float64) []float64 {
+	return s.stitch(t, dst, (*Accumulator).MinField)
+}
+
+// MaxField writes the per-cell maximum over the A and B samples.
+func (s *ShardedAccumulator) MaxField(t int, dst []float64) []float64 {
+	return s.stitch(t, dst, (*Accumulator).MaxField)
+}
+
+// ExceedanceField writes the per-cell fraction of samples above the threshold.
+func (s *ShardedAccumulator) ExceedanceField(t int, dst []float64) []float64 {
+	return s.stitch(t, dst, (*Accumulator).ExceedanceField)
+}
+
+// SkewnessField writes the per-cell sample skewness.
+func (s *ShardedAccumulator) SkewnessField(t int, dst []float64) []float64 {
+	return s.stitch(t, dst, (*Accumulator).SkewnessField)
+}
+
+// KurtosisField writes the per-cell sample excess kurtosis.
+func (s *ShardedAccumulator) KurtosisField(t int, dst []float64) []float64 {
+	return s.stitch(t, dst, (*Accumulator).KurtosisField)
 }
 
 // QuantileProbes returns the configured quantile probe list (nil when

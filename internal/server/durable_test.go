@@ -108,13 +108,15 @@ func TestDurableFrontierCrashMidCheckpoint(t *testing.T) {
 // TestMidStreamRestoreBitwise pins the recovery contract at the server layer:
 // a server killed mid-study (no final checkpoint) and restored from periodic
 // pipelined checkpoints, then fed the remaining groups, produces statistics
-// bitwise identical to an uninterrupted run — including min/max and quantile
-// sketches, whose serialization is the most state-heavy part of a snapshot.
+// bitwise identical to an uninterrupted run — including every optional
+// tracker (min/max, exceedance, skewness/kurtosis) and the quantile sketches,
+// whose serialization is the most state-heavy part of a snapshot.
 func TestMidStreamRestoreBitwise(t *testing.T) {
 	const cells, timesteps, p, nGroups = 16, 6, 2, 6
 	design := testDesign(p, nGroups)
 	dir := t.TempDir()
-	opts := core.Options{MinMax: true, Quantiles: []float64{0.25, 0.75}}
+	threshold := 0.2
+	opts := core.Options{MinMax: true, Threshold: &threshold, HigherMoments: true, Quantiles: []float64{0.25, 0.75}}
 
 	net1 := transport.NewMemNetwork(transport.Options{})
 	s1 := startServer(t, net1, 2, cells, timesteps, p, func(c *Config) {
@@ -178,10 +180,18 @@ func TestMidStreamRestoreBitwise(t *testing.T) {
 				}
 			}
 		}
-		av, bv := reference.VarianceField(step), restored.VarianceField(step)
-		for c := range av {
-			if av[c] != bv[c] {
-				t.Fatalf("variance differs at (t=%d, cell=%d): %v vs %v", step, c, av[c], bv[c])
+		for name, get := range map[string]func(*Result, int) []float64{
+			"variance": (*Result).VarianceField, "min": (*Result).MinField, "max": (*Result).MaxField,
+			"exceedance": (*Result).ExceedanceField, "skewness": (*Result).SkewnessField, "kurtosis": (*Result).KurtosisField,
+		} {
+			av, bv := get(reference, step), get(restored, step)
+			if len(av) != cells || len(bv) != cells {
+				t.Fatalf("%s field has %d/%d cells at t=%d, want %d", name, len(av), len(bv), step, cells)
+			}
+			for c := range av {
+				if av[c] != bv[c] {
+					t.Fatalf("%s differs at (t=%d, cell=%d): %v vs %v", name, step, c, av[c], bv[c])
+				}
 			}
 		}
 		for _, q := range []float64{0.25, 0.75} {

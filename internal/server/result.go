@@ -31,51 +31,83 @@ func (r *Result) GroupsFolded(t int) int64 {
 	return r.procs[0].Accumulator().N(t)
 }
 
-// assemble stitches per-partition fields into one global field.
-func (r *Result) assemble(get func(p *Proc, dst []float64) []float64) []float64 {
+// assemble stitches one step-t accumulator field getter (a method expression
+// such as (*core.ShardedAccumulator).MeanField, or a closure binding the
+// extra argument) across the partitions into one global field; nil when the
+// partitions return nil (an optional tracker that is not enabled).
+func (r *Result) assemble(t int, get func(a *core.ShardedAccumulator, t int, dst []float64) []float64) []float64 {
 	out := make([]float64, r.Cells)
 	for _, p := range r.procs {
 		part := p.cfg.Partition
-		r.scratch = get(p, r.scratch)
-		copy(out[part.Lo:part.Hi], r.scratch[:part.Len()])
+		field := get(p.Accumulator(), t, r.scratch)
+		if field == nil {
+			return nil
+		}
+		r.scratch = field
+		copy(out[part.Lo:part.Hi], field[:part.Len()])
 	}
 	return out
 }
 
 // FirstField returns the global first-order Sobol' field S_k(·, t).
 func (r *Result) FirstField(t, k int) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().FirstField(t, k, dst)
+	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
+		return a.FirstField(t, k, dst)
 	})
 }
 
 // TotalField returns the global total-order Sobol' field ST_k(·, t).
 func (r *Result) TotalField(t, k int) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().TotalField(t, k, dst)
+	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
+		return a.TotalField(t, k, dst)
 	})
 }
 
 // MeanField returns the global output-mean field at timestep t.
 func (r *Result) MeanField(t int) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().MeanField(t, dst)
-	})
+	return r.assemble(t, (*core.ShardedAccumulator).MeanField)
 }
 
 // VarianceField returns the global output-variance field at timestep t
 // (the Fig. 8 map).
 func (r *Result) VarianceField(t int) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().VarianceField(t, dst)
-	})
+	return r.assemble(t, (*core.ShardedAccumulator).VarianceField)
 }
 
 // InteractionField returns the global 1−ΣS_k field at timestep t.
 func (r *Result) InteractionField(t int) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().InteractionField(t, dst)
-	})
+	return r.assemble(t, (*core.ShardedAccumulator).InteractionField)
+}
+
+// The optional trackers over the A and B samples at timestep t. Each field
+// is nil unless its tracker was enabled (core.Options.MinMax / Threshold /
+// HigherMoments) — in the accumulators actually folded, so a restore from a
+// checkpoint written without it reads as disabled too.
+
+// MinField returns the global per-cell minimum.
+func (r *Result) MinField(t int) []float64 {
+	return r.assemble(t, (*core.ShardedAccumulator).MinField)
+}
+
+// MaxField returns the global per-cell maximum.
+func (r *Result) MaxField(t int) []float64 {
+	return r.assemble(t, (*core.ShardedAccumulator).MaxField)
+}
+
+// ExceedanceField returns the global per-cell fraction of samples above the
+// threshold.
+func (r *Result) ExceedanceField(t int) []float64 {
+	return r.assemble(t, (*core.ShardedAccumulator).ExceedanceField)
+}
+
+// SkewnessField returns the global per-cell sample skewness.
+func (r *Result) SkewnessField(t int) []float64 {
+	return r.assemble(t, (*core.ShardedAccumulator).SkewnessField)
+}
+
+// KurtosisField returns the global per-cell sample excess kurtosis.
+func (r *Result) KurtosisField(t int) []float64 {
+	return r.assemble(t, (*core.ShardedAccumulator).KurtosisField)
 }
 
 // QuantileField returns the global per-cell q-quantile estimate of the
@@ -83,8 +115,8 @@ func (r *Result) InteractionField(t int) []float64 {
 // per-cell sketches, not only the configured probes; without quantile
 // tracking the field is all zeros.
 func (r *Result) QuantileField(t int, q float64) []float64 {
-	return r.assemble(func(p *Proc, dst []float64) []float64 {
-		return p.Accumulator().QuantileField(t, q, dst)
+	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
+		return a.QuantileField(t, q, dst)
 	})
 }
 

@@ -3,7 +3,6 @@ package sobol
 import (
 	"fmt"
 
-	"melissa/internal/enc"
 	"melissa/internal/stats"
 )
 
@@ -129,29 +128,4 @@ func (m *Martinez) Converged(level, maxWidth float64) bool {
 		return false // CI undefined below i = 4 (needs i-3 > 0)
 	}
 	return m.MaxCIWidth(level) <= maxWidth
-}
-
-// Encode appends the estimator state to w (for server checkpoints).
-func (m *Martinez) Encode(w *enc.Writer) {
-	w.Int(len(m.covBC))
-	w.I64(m.n)
-	for k := range m.covBC {
-		m.covBC[k].Encode(w)
-		m.covAC[k].Encode(w)
-	}
-}
-
-// Decode restores the estimator state from r.
-func (m *Martinez) Decode(r *enc.Reader) {
-	p := r.Int()
-	if r.Err() != nil || p < 0 || p > 1<<20 {
-		return
-	}
-	m.n = r.I64()
-	m.covBC = make([]stats.Covariance, p)
-	m.covAC = make([]stats.Covariance, p)
-	for k := 0; k < p; k++ {
-		m.covBC[k].Decode(r)
-		m.covAC[k].Decode(r)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"melissa/internal/enc"
 )
 
 func maxAbsErr(got func(int) float64, want []float64) float64 {
@@ -167,34 +165,6 @@ func TestMartinezMerge(t *testing.T) {
 		if math.Abs(partA.Total(k)-whole.Total(k)) > 1e-10 {
 			t.Errorf("merged ST%d=%v whole=%v", k, partA.Total(k), whole.Total(k))
 		}
-	}
-}
-
-func TestMartinezEncodeDecode(t *testing.T) {
-	fn := Ishigami()
-	m := NewMartinez(fn.P())
-	Estimate(fn, 100, 4, m)
-
-	w := enc.NewWriter(256)
-	m.Encode(w)
-	r := enc.NewReader(w.Bytes())
-	m2 := new(Martinez)
-	m2.Decode(r)
-	if r.Err() != nil {
-		t.Fatalf("decode: %v", r.Err())
-	}
-	if m2.N() != m.N() || m2.P() != m.P() {
-		t.Fatalf("n/p not restored")
-	}
-	for k := 0; k < fn.P(); k++ {
-		if m2.First(k) != m.First(k) || m2.Total(k) != m.Total(k) {
-			t.Fatalf("index %d not bit-identical after round-trip", k)
-		}
-	}
-	// A restored estimator must continue accepting updates.
-	m2.Update(1, 2, []float64{3, 4, 5})
-	if m2.N() != m.N()+1 {
-		t.Fatalf("restored estimator cannot continue")
 	}
 }
 

@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // Covariance is a one-pass accumulator for the covariance of a stream of
 // paired samples (x, y). The zero value is ready for use.
 //
@@ -96,14 +98,9 @@ func (c *Covariance) Correlation() float64 {
 	if c.n < 2 || c.m2x == 0 || c.m2y == 0 {
 		return 0
 	}
-	return c.c2 / sqrtProduct(c.m2x, c.m2y)
+	// sqrt(a*b) would overflow sooner than the two-factor form.
+	return c.c2 / (math.Sqrt(c.m2x) * math.Sqrt(c.m2y))
 }
 
 // Reset returns the accumulator to its empty state.
 func (c *Covariance) Reset() { *c = Covariance{} }
-
-func sqrtProduct(a, b float64) float64 {
-	// sqrt(a)*sqrt(b) computed as sqrt(a*b) would overflow sooner; keep the
-	// two-factor form which is safe for the magnitudes seen here.
-	return sqrt(a) * sqrt(b)
-}

@@ -132,46 +132,50 @@ func TestCovarianceVariancesMatchMoments(t *testing.T) {
 	almostEqual(t, "meanY", c.MeanY(), my.Mean(), 1e-12)
 }
 
+// One-cell FieldMinMax/FieldExceedance contracts: ±Inf identity when empty,
+// merge with an empty side, strictly-greater exceedance, threshold agreement
+// on merge.
+
 func TestMinMax(t *testing.T) {
-	var m MinMax
-	if !math.IsInf(m.Min(), 1) || !math.IsInf(m.Max(), -1) {
-		t.Fatalf("empty MinMax not ±Inf")
+	m := NewFieldMinMax(1)
+	if !math.IsInf(m.Min(0), 1) || !math.IsInf(m.Max(0), -1) {
+		t.Fatalf("empty FieldMinMax not ±Inf")
 	}
 	for _, v := range []float64{3, -1, 7, 2} {
-		m.Update(v)
+		m.Update([]float64{v})
 	}
-	if m.Min() != -1 || m.Max() != 7 || m.N() != 4 {
-		t.Fatalf("got min=%v max=%v n=%d", m.Min(), m.Max(), m.N())
+	if m.Min(0) != -1 || m.Max(0) != 7 || m.N() != 4 {
+		t.Fatalf("got min=%v max=%v n=%d", m.Min(0), m.Max(0), m.N())
 	}
-	var other MinMax
-	other.Update(-9)
-	other.Update(100)
+	other := NewFieldMinMax(1)
+	other.Update([]float64{-9})
+	other.Update([]float64{100})
 	m.Merge(other)
-	if m.Min() != -9 || m.Max() != 100 || m.N() != 6 {
-		t.Fatalf("after merge: min=%v max=%v n=%d", m.Min(), m.Max(), m.N())
+	if m.Min(0) != -9 || m.Max(0) != 100 || m.N() != 6 {
+		t.Fatalf("after merge: min=%v max=%v n=%d", m.Min(0), m.Max(0), m.N())
 	}
-	var empty MinMax
-	m.Merge(empty)
-	if m.Min() != -9 || m.Max() != 100 || m.N() != 6 {
+	m.Merge(NewFieldMinMax(1))
+	if m.Min(0) != -9 || m.Max(0) != 100 || m.N() != 6 {
 		t.Fatalf("merge with empty changed state")
 	}
 }
 
 func TestExceedance(t *testing.T) {
-	e := NewExceedance(0.5)
+	e := NewFieldExceedance(1, 0.5)
 	for _, v := range []float64{0.1, 0.6, 0.5, 0.9, 0.2} {
-		e.Update(v)
+		e.Update([]float64{v})
 	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2 (strictly greater)", e.Count())
-	}
-	almostEqual(t, "probability", e.Probability(), 0.4, 1e-15)
+	// Strictly greater: 0.5 itself does not exceed.
+	almostEqual(t, "probability", e.Probability(0), 0.4, 1e-15)
 
-	other := NewExceedance(0.5)
-	other.Update(0.7)
-	e.Merge(*other)
-	if e.Count() != 3 || e.N() != 6 {
-		t.Fatalf("after merge: count=%d n=%d", e.Count(), e.N())
+	other := NewFieldExceedance(1, 0.5)
+	other.Update([]float64{0.7})
+	e.Merge(other)
+	if e.N() != 6 || e.Probability(0) != ExceedanceProbability(3, 6) {
+		t.Fatalf("after merge: n=%d probability=%v", e.N(), e.Probability(0))
+	}
+	if ExceedanceProbability(0, 0) != 0 {
+		t.Fatalf("empty stream probability not 0")
 	}
 }
 
@@ -181,9 +185,9 @@ func TestExceedanceMergeThresholdMismatchPanics(t *testing.T) {
 			t.Fatalf("expected panic on threshold mismatch")
 		}
 	}()
-	a := NewExceedance(0.5)
-	a.Update(1)
-	b := NewExceedance(0.7)
-	b.Update(1)
-	a.Merge(*b)
+	a := NewFieldExceedance(1, 0.5)
+	a.Update([]float64{1})
+	b := NewFieldExceedance(1, 0.7)
+	b.Update([]float64{1})
+	a.Merge(b)
 }

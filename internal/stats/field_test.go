@@ -127,58 +127,6 @@ func TestFieldMomentsBulkExports(t *testing.T) {
 	}
 }
 
-func TestFieldCovarianceMatchesScalarPerCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	const cells = 11
-	xs := randomFields(rng, 150, cells)
-	ys := randomFields(rng, 150, cells)
-
-	fc := NewFieldCovariance(cells)
-	scalar := make([]Covariance, cells)
-	for s := range xs {
-		fc.Update(xs[s], ys[s])
-		for i := range xs[s] {
-			scalar[i].Update(xs[s][i], ys[s][i])
-		}
-	}
-	for i := 0; i < cells; i++ {
-		almostEqual(t, "cov", fc.Cov(i), scalar[i].Cov(), 1e-10)
-		almostEqual(t, "varX", fc.VarX(i), scalar[i].VarX(), 1e-10)
-		almostEqual(t, "varY", fc.VarY(i), scalar[i].VarY(), 1e-10)
-		almostEqual(t, "corr", fc.Correlation(i), scalar[i].Correlation(), 1e-10)
-	}
-}
-
-func TestFieldCovarianceMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	const cells = 6
-	xs := randomFields(rng, 80, cells)
-	ys := randomFields(rng, 80, cells)
-
-	a := NewFieldCovariance(cells)
-	b := NewFieldCovariance(cells)
-	all := NewFieldCovariance(cells)
-	for s := range xs {
-		if s < 37 {
-			a.Update(xs[s], ys[s])
-		} else {
-			b.Update(xs[s], ys[s])
-		}
-		all.Update(xs[s], ys[s])
-	}
-	a.Merge(b)
-	for i := 0; i < cells; i++ {
-		almostEqual(t, "merged cov", a.Cov(i), all.Cov(i), 1e-10)
-		almostEqual(t, "merged corr", a.Correlation(i), all.Correlation(i), 1e-10)
-	}
-	corrs := a.CorrelationField(nil)
-	for i := range corrs {
-		if corrs[i] != a.Correlation(i) {
-			t.Fatalf("CorrelationField disagrees at cell %d", i)
-		}
-	}
-}
-
 func TestFieldMinMaxAndExceedance(t *testing.T) {
 	mm := NewFieldMinMax(3)
 	ex := NewFieldExceedance(3, 1.0)

@@ -90,24 +90,30 @@ func (m *Moments) PopulationVariance() float64 {
 // StdDev returns the square root of the unbiased variance.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
-// Skewness returns the sample skewness g1 = sqrt(n) * m3 / m2^(3/2).
-// It returns 0 when undefined (n < 2 or zero variance).
-func (m *Moments) Skewness() float64 {
-	if m.n < 2 || m.m2 == 0 {
+// Skewness returns the sample skewness (see the Skewness function).
+func (m *Moments) Skewness() float64 { return Skewness(m.n, m.m2, m.m3) }
+
+// Kurtosis returns the sample excess kurtosis (see the Kurtosis function).
+func (m *Moments) Kurtosis() float64 { return Kurtosis(m.n, m.m2, m.m4) }
+
+// Skewness is the sample skewness g1 = sqrt(n) * m3 / m2^(3/2) of n samples
+// with central-moment sums m2 and m3, 0 when undefined (n < 2 or zero
+// variance). Moments, FieldMoments and internal/core's per-cell tracker
+// slots all read through this one form, so they agree bitwise.
+func Skewness(n int64, m2, m3 float64) float64 {
+	if n < 2 || m2 == 0 {
 		return 0
 	}
-	n := float64(m.n)
-	return math.Sqrt(n) * m.m3 / math.Pow(m.m2, 1.5)
+	return math.Sqrt(float64(n)) * m3 / math.Pow(m2, 1.5)
 }
 
-// Kurtosis returns the sample excess kurtosis g2 = n*m4/m2^2 - 3.
-// It returns 0 when undefined.
-func (m *Moments) Kurtosis() float64 {
-	if m.n < 2 || m.m2 == 0 {
+// Kurtosis is the sample excess kurtosis g2 = n*m4/m2^2 - 3, 0 when
+// undefined; shared like Skewness.
+func Kurtosis(n int64, m2, m4 float64) float64 {
+	if n < 2 || m2 == 0 {
 		return 0
 	}
-	n := float64(m.n)
-	return n*m.m4/(m.m2*m.m2) - 3
+	return float64(n)*m4/(m2*m2) - 3
 }
 
 // SumSquaredDeviations exposes the raw M2 term; the Sobol' estimators use it

@@ -168,24 +168,3 @@ func TestQuickFieldMatchesScalar(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: encode/decode round-trips are bit-exact for every accumulator.
-func TestQuickSerializationRoundTrip(t *testing.T) {
-	f := func(raw []float64) bool {
-		var m Moments
-		var c Covariance
-		fm := NewFieldMoments(2)
-		fc := NewFieldCovariance(2)
-		for i, v := range raw {
-			x := boundedSample(v)
-			m.Update(x)
-			c.Update(x, x*0.5+float64(i))
-			fm.Update([]float64{x, -x})
-			fc.Update([]float64{x, x + 1}, []float64{2 * x, x * x})
-		}
-		return roundTripEqual(m, c, fm, fc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

@@ -3,11 +3,7 @@ package stats
 import (
 	"math/rand"
 	"testing"
-
-	"melissa/internal/enc"
 )
-
-func encWriterPool() *enc.Writer { return enc.NewWriter(1 << 19) }
 
 // The per-cell update cost is Melissa Server's inner loop: one field per
 // simulation per timestep, folded cell by cell.
@@ -48,18 +44,6 @@ func BenchmarkFieldMomentsUpdate10k(b *testing.B) {
 	}
 }
 
-func BenchmarkFieldCovarianceUpdate10k(b *testing.B) {
-	const cells = 10000
-	fc := NewFieldCovariance(cells)
-	x := benchField(cells)
-	y := benchField(cells)
-	b.SetBytes(16 * cells)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fc.Update(x, y)
-	}
-}
-
 func BenchmarkFieldMomentsMerge10k(b *testing.B) {
 	const cells = 10000
 	a := NewFieldMoments(cells)
@@ -72,16 +56,5 @@ func BenchmarkFieldMomentsMerge10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Merge(c)
-	}
-}
-
-func BenchmarkFieldMomentsEncode10k(b *testing.B) {
-	const cells = 10000
-	fm := NewFieldMoments(cells)
-	fm.Update(benchField(cells))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := encWriterPool()
-		fm.Encode(w)
 	}
 }

@@ -239,6 +239,27 @@ func (r *FieldResult) Variance(t int) []float64 { return r.res.VarianceField(t) 
 // interaction-share diagnostic of Sec. 5.5.
 func (r *FieldResult) Interaction(t int) []float64 { return r.res.InteractionField(t) }
 
+// Min returns the per-cell running minimum over the A and B samples at
+// timestep t; nil unless StudyConfig.MinMax was set.
+func (r *FieldResult) Min(t int) []float64 { return r.res.MinField(t) }
+
+// Max returns the per-cell running maximum; nil unless StudyConfig.MinMax
+// was set.
+func (r *FieldResult) Max(t int) []float64 { return r.res.MaxField(t) }
+
+// Exceedance returns the per-cell fraction of the A and B samples at
+// timestep t that exceeded StudyConfig.Threshold; nil when no threshold was
+// set.
+func (r *FieldResult) Exceedance(t int) []float64 { return r.res.ExceedanceField(t) }
+
+// Skewness returns the per-cell sample skewness of the pooled A and B
+// samples at timestep t; nil unless StudyConfig.HigherMoments was set.
+func (r *FieldResult) Skewness(t int) []float64 { return r.res.SkewnessField(t) }
+
+// Kurtosis returns the per-cell sample excess kurtosis; nil unless
+// StudyConfig.HigherMoments was set.
+func (r *FieldResult) Kurtosis(t int) []float64 { return r.res.KurtosisField(t) }
+
 // Quantile returns the per-cell q-quantile estimate of the pooled A/B
 // sample at timestep t (all zeros unless StudyConfig.Quantiles enabled the
 // sketches). Any q in [0, 1] may be queried, not only the configured
