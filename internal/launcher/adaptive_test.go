@@ -2,6 +2,7 @@ package launcher
 
 import (
 	"testing"
+	"time"
 
 	"melissa/internal/wire"
 )
@@ -20,13 +21,13 @@ func TestLauncherFeedsBatchController(t *testing.T) {
 		t.Fatal("MaxBatchSteps > 1 did not arm the batch controller")
 	}
 	for i := 0; i < 6; i++ {
-		l.applyReport(&wire.Report{ProcRank: 0, Backpressure: 1})
+		l.applyReport(&wire.Report{ProcRank: 0, Backpressure: 1}, time.Now())
 	}
 	if got := l.batchCtl.Steps(cfg.MaxBatchSteps); got != cfg.MaxBatchSteps {
 		t.Fatalf("congested reports grew batch to %d, want %d", got, cfg.MaxBatchSteps)
 	}
 	for i := 0; i < 8; i++ {
-		l.applyReport(&wire.Report{ProcRank: 0, Backpressure: 0})
+		l.applyReport(&wire.Report{ProcRank: 0, Backpressure: 0}, time.Now())
 	}
 	if got := l.batchCtl.Steps(cfg.MaxBatchSteps); got != 1 {
 		t.Fatalf("clear reports decayed batch to %d, want 1", got)
@@ -41,7 +42,7 @@ func TestLauncherFeedsBatchController(t *testing.T) {
 	if l2.batchCtl != nil {
 		t.Fatal("controller armed without MaxBatchSteps")
 	}
-	l2.applyReport(&wire.Report{ProcRank: 0, Backpressure: 1})
+	l2.applyReport(&wire.Report{ProcRank: 0, Backpressure: 1}, time.Now())
 }
 
 // TestLauncherAdaptiveStudyMatchesStatic: a whole study run with adaptive

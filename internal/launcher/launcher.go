@@ -5,6 +5,14 @@
 // kill/restart of unresponsive or zombie groups, give-up after repeated
 // failures, server restart from checkpoint, and optional convergence-based
 // early stop (the loopback control of Sec. 4.1.5).
+//
+// The supervision loop is event-driven: it sleeps until a group attempt
+// exits, a server heartbeat or report arrives, or a group reports a
+// reconnect, and the next group starts in the same pass that freed its slot.
+// A ticker wakes it only for the checks that depend on time passing
+// (heartbeat loss, the injected server crash, zombies, scheduler walltime,
+// series sampling). Group counts and the submit frontier are maintained at
+// each state transition, so a pass costs O(events), not O(groups).
 package launcher
 
 import (
@@ -100,7 +108,11 @@ type Config struct {
 	ResampleOnFailure bool
 	// Faults is the fault-injection plan (nil = no injected faults).
 	Faults *faults.Plan
-	// TickInterval is the supervision loop period (default 5 ms).
+	// TickInterval is the period of the time-based checks only: heartbeat
+	// loss, zombies, scheduler walltime and series sampling (default 5 ms).
+	// Group turnover does not wait for it: an attempt's exit, a server
+	// report and a reconnect wake the supervision loop immediately. The
+	// server's report period is derived from it.
 	TickInterval time.Duration
 	// ConnectTimeout bounds each group's handshake (default 5 s).
 	ConnectTimeout time.Duration
@@ -177,6 +189,8 @@ type Stats struct {
 // groupState tracks one simulation group across attempts.
 type groupState struct {
 	id         int
+	pos        int   // index in Launcher.order
+	class      uint8 // the class bits last counted into Launcher.counts
 	attempts   int
 	job        scheduler.JobID
 	jobRunning bool
@@ -200,7 +214,7 @@ type groupState struct {
 }
 
 // reconnectEvent is one group's report of a connection-recovery attempt,
-// handed from the group goroutine to the tick loop.
+// handed from the group goroutine to the supervision loop.
 type reconnectEvent struct {
 	group int
 	when  time.Time
@@ -211,6 +225,22 @@ type groupDone struct {
 	job   scheduler.JobID
 	err   error
 }
+
+// Group classes: the counts a pass needs, each a bit of groupState.class.
+// refresh keeps every group's cached class and Launcher.counts in step at
+// each state transition, so no pass has to scan the groups.
+const (
+	classInFlight = iota // job submitted, group not finished (the MaxInFlight budget)
+	classRunning         // job started by the scheduler
+	classFinished        // live, and confirmed by every reporting server process
+	classPending         // live and not finished: the study waits on it
+	classEligible        // live, unfinished, no job, not completed: may be submitted
+	numClasses
+)
+
+// passCheck, when non-nil, runs after every supervision pass. Tests install a
+// from-scratch recount of the maintained counts and submit frontier here.
+var passCheck func(*Launcher)
 
 // Launcher supervises one study.
 type Launcher struct {
@@ -233,6 +263,11 @@ type Launcher struct {
 
 	groups map[int]*groupState
 	order  []int
+	// counts holds, per group class, how many groups are in it.
+	counts [numClasses]int
+	// next is the submit frontier: no group before this position in order
+	// is eligible, so submission resumes here, in order.
+	next int
 	// jobIndex maps live scheduler job ids to their group, replacing the
 	// per-tick linear scan over all groups.
 	jobIndex map[scheduler.JobID]*groupState
@@ -291,10 +326,61 @@ func New(cfg Config) (*Launcher, error) {
 		l.batchCtl = &client.BatchController{}
 	}
 	for g := 0; g < cfg.Design.N(); g++ {
-		l.groups[g] = &groupState{id: g, finishedBy: make(map[int]bool)}
-		l.order = append(l.order, g)
+		l.addGroup(g)
 	}
 	return l, nil
+}
+
+// addGroup appends a fresh group to the submission order.
+func (l *Launcher) addGroup(id int) {
+	g := &groupState{id: id, pos: len(l.order), finishedBy: make(map[int]bool)}
+	l.groups[id] = g
+	l.order = append(l.order, id)
+	l.refresh(g)
+}
+
+// classify derives a group's class bits from its state.
+func (l *Launcher) classify(g *groupState) uint8 {
+	var c uint8
+	if g.jobRunning {
+		c |= 1 << classRunning
+	}
+	if g.givenUp || g.abandoned {
+		return c
+	}
+	switch {
+	case g.finished(l.reporters):
+		c |= 1 << classFinished
+	case g.job != 0:
+		c |= 1<<classPending | 1<<classInFlight
+	case !g.completedOK:
+		c |= 1<<classPending | 1<<classEligible
+	default:
+		c |= 1 << classPending
+	}
+	return c
+}
+
+// refresh re-counts a group after its state changed: every operation that
+// mutates a group's job, completion, finish or give-up state ends with it.
+// A group that becomes eligible behind the submit frontier moves the
+// frontier back to it, so submission order stays the order of l.order.
+func (l *Launcher) refresh(g *groupState) {
+	c := l.classify(g)
+	for k, diff := 0, c^g.class; diff != 0; k, diff = k+1, diff>>1 {
+		if diff&1 == 0 {
+			continue
+		}
+		if c&(1<<k) != 0 {
+			l.counts[k]++
+		} else {
+			l.counts[k]--
+		}
+	}
+	g.class = c
+	if c&(1<<classEligible) != 0 && g.pos < l.next {
+		l.next = g.pos
+	}
 }
 
 // Run executes the study to completion and returns the assembled result.
@@ -304,7 +390,8 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 	if err != nil {
 		return nil, l.stats, fmt.Errorf("launcher: %w", err)
 	}
-	defer l.recv.Close()
+	msgs, stopReceiving := l.receive()
+	defer stopReceiving()
 
 	if l.cfg.MetricsAddr != "" {
 		ep, err := obs.Serve(l.cfg.MetricsAddr, nil)
@@ -329,12 +416,12 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 
 	ticker := time.NewTicker(l.cfg.TickInterval)
 	defer ticker.Stop()
-	lastSample := time.Now()
+	now := time.Now()
+	lastSample := now
 
 	for {
-		now := time.Now()
 		l.drainReconnects()
-		l.drainMessages()
+		l.drainMessages(msgs, now)
 		l.drainDone(now)
 		l.injectServerCrash(now)
 		l.checkServer(now)
@@ -347,15 +434,21 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 			l.sample(now)
 		}
 		l.publishStatus(now)
+		var finished bool
 		if l.convergedEarly() {
 			l.stats.Converged = true
 			l.cancelOutstanding(now)
+			finished = true
+		} else {
+			finished = l.studyComplete()
+		}
+		if passCheck != nil {
+			passCheck(l)
+		}
+		if finished {
 			break
 		}
-		if l.studyComplete() {
-			break
-		}
-		<-ticker.C
+		now = l.wait(msgs, ticker.C)
 	}
 	l.sample(time.Now())
 	l.drainReconnects()
@@ -374,6 +467,61 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 		"converged", l.stats.Converged)
 	res := l.srv.Result()
 	return res, l.stats, nil
+}
+
+// receive starts the one goroutine that owns the launcher inbox: it blocks in
+// Recv and hands each server message's payload to the supervision loop. The
+// returned stop function closes the inbox, recycles every message still
+// queued, and returns once the goroutine has exited.
+func (l *Launcher) receive() (<-chan []byte, func()) {
+	recv := l.recv
+	msgs := make(chan []byte)
+	quit := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			msg, err := recv.Recv(0)
+			if err != nil {
+				return // closed, and everything buffered handed out
+			}
+			select {
+			case msgs <- msg.Payload:
+			case <-quit:
+				transport.Recycle(msg.Payload)
+			}
+		}
+	}()
+	return msgs, func() {
+		close(quit)
+		recv.Close()
+		<-exited
+	}
+}
+
+// wait blocks until something changes the study — an attempt exits, a server
+// message arrives, a group reports a reconnect — or the ticker fires for the
+// time-based checks. It applies the event that woke it and returns the clock
+// reading the next pass decides by.
+func (l *Launcher) wait(msgs <-chan []byte, tick <-chan time.Time) time.Time {
+	select {
+	case d := <-l.done:
+		now := time.Now()
+		wakeDone.Inc()
+		l.handleDone(d, now)
+		return now
+	case payload := <-msgs:
+		now := time.Now()
+		wakeReport.Inc()
+		l.handleMessage(payload, now)
+		return now
+	case ev := <-l.reconns:
+		wakeReconnect.Inc()
+		l.noteReconnect(ev)
+	case <-tick:
+		wakeTick.Inc()
+	}
+	return time.Now()
 }
 
 // startServer creates (or re-creates) the parallel server, optionally
@@ -429,6 +577,9 @@ func (l *Launcher) startServer(restore bool) error {
 	l.srv = srv
 	l.srvJob = job.ID
 	l.srvAddrs = srv.Addrs()
+	// Not the pass's clock: stopping the old incarnation and restoring the
+	// checkpoint can outlast HeartbeatTimeout, and the new incarnation's
+	// liveness clock starts when it does.
 	l.lastHeartbeat = time.Now()
 	srv.Start()
 	return nil
@@ -445,28 +596,29 @@ func (l *Launcher) sample(now time.Time) {
 
 // submitEligible queues group jobs up to the in-flight cap, in group order.
 func (l *Launcher) submitEligible(now time.Time) {
-	inFlight := 0
-	for _, g := range l.groups {
-		if g.job != 0 && !g.finished(l.reporters) && !g.givenUp && !g.abandoned {
-			inFlight++
-		}
-	}
-	for _, id := range l.order {
-		if inFlight >= l.cfg.MaxInFlight {
+	for l.counts[classInFlight] < l.cfg.MaxInFlight {
+		g := l.nextEligible()
+		if g == nil {
 			return
 		}
-		g := l.groups[id]
-		if g.job != 0 || g.completedOK || g.givenUp || g.abandoned || g.finished(l.reporters) {
-			continue
-		}
 		if err := l.submitGroup(g, now); err != nil {
-			olog.Errorw("launcher.submit_failed", "group", id, "err", err)
+			olog.Errorw("launcher.submit_failed", "group", g.id, "err", err)
 			g.givenUp = true
 			l.stats.GroupsGivenUp++
-			continue
 		}
-		inFlight++
+		l.refresh(g)
 	}
+}
+
+// nextEligible advances the submit frontier to the lowest position in
+// l.order whose group may be submitted, and returns that group (nil: none).
+func (l *Launcher) nextEligible() *groupState {
+	for ; l.next < len(l.order); l.next++ {
+		if g := l.groups[l.order[l.next]]; g.class&(1<<classEligible) != 0 {
+			return g
+		}
+	}
+	return nil
 }
 
 func (l *Launcher) submitGroup(g *groupState, now time.Time) error {
@@ -509,6 +661,7 @@ func (l *Launcher) tickCluster(now time.Time) {
 		g.jobRunning = true
 		g.attempts++
 		g.lastRestart = now
+		l.refresh(g)
 		l.launchGroup(g, job.ID, g.attempts-1)
 	}
 	for _, job := range killed {
@@ -516,8 +669,10 @@ func (l *Launcher) tickCluster(now time.Time) {
 		if g == nil {
 			continue
 		}
-		// Walltime kill: treat as a failure and retry.
-		l.done <- groupDone{group: g.id, job: job.ID, err: fmt.Errorf("walltime exceeded")}
+		// Walltime kill: fail the attempt and retry, right here. This loop is
+		// l.done's only reader, so it must never send there itself. The
+		// attempt's own completion arrives later and is dropped as stale.
+		l.handleDone(groupDone{group: g.id, job: job.ID, err: fmt.Errorf("walltime exceeded")}, now)
 	}
 }
 
@@ -570,13 +725,17 @@ func (l *Launcher) drainReconnects() {
 	for {
 		select {
 		case ev := <-l.reconns:
-			l.stats.Reconnects++
-			if g := l.groups[ev.group]; g != nil && ev.when.After(g.lastReconnect) {
-				g.lastReconnect = ev.when
-			}
+			l.noteReconnect(ev)
 		default:
 			return
 		}
+	}
+}
+
+func (l *Launcher) noteReconnect(ev reconnectEvent) {
+	l.stats.Reconnects++
+	if g := l.groups[ev.group]; g != nil && ev.when.After(g.lastReconnect) {
+		g.lastReconnect = ev.when
 	}
 }
 
@@ -607,12 +766,14 @@ func (l *Launcher) handleDone(d groupDone, now time.Time) {
 	}
 	if d.err == nil {
 		g.completedOK = true // server reports will confirm the finish
-		return
+	} else {
+		l.retryOrGiveUp(g, now, d.err)
 	}
-	l.retryOrGiveUp(g, now, d.err)
+	l.refresh(g)
 }
 
-// retryOrGiveUp applies the Sec. 4.2 failure policy to a failed attempt.
+// retryOrGiveUp applies the Sec. 4.2 failure policy to a failed attempt. The
+// caller refreshes g.
 func (l *Launcher) retryOrGiveUp(g *groupState, now time.Time, cause error) {
 	if g.attempts > l.cfg.MaxRetries {
 		g.givenUp = true
@@ -625,10 +786,7 @@ func (l *Launcher) retryOrGiveUp(g *groupState, now time.Time, cause error) {
 		// Abandon the row and draw a fresh one (Sec. 4.2.1 alternative).
 		g.abandoned = true
 		l.stats.GroupsResampled++
-		newIDs := l.cfg.Design.Extend(1)
-		nid := newIDs[0]
-		l.groups[nid] = &groupState{id: nid, finishedBy: make(map[int]bool)}
-		l.order = append(l.order, nid)
+		l.addGroup(l.cfg.Design.Extend(1)[0])
 		return
 	}
 	l.stats.Restarts++
@@ -639,41 +797,48 @@ func (l *Launcher) retryOrGiveUp(g *groupState, now time.Time, cause error) {
 	}
 }
 
-// drainMessages consumes heartbeats and reports from the server processes.
-func (l *Launcher) drainMessages() {
+// drainMessages applies the server messages already waiting, without
+// blocking.
+func (l *Launcher) drainMessages(msgs <-chan []byte, now time.Time) {
 	for {
-		msg, err := l.recv.Recv(time.Millisecond)
-		if err != nil {
+		select {
+		case payload := <-msgs:
+			l.handleMessage(payload, now)
+		default:
 			return
-		}
-		decoded, err := wire.Decode(msg.Payload)
-		transport.Recycle(msg.Payload) // Decode copied everything out
-		if err != nil {
-			continue
-		}
-		switch m := decoded.(type) {
-		case *wire.Heartbeat:
-			if m.Epoch != l.srvEpoch {
-				continue // trailing beacon from a dead incarnation
-			}
-			l.lastHeartbeat = time.Now()
-		case *wire.Report:
-			if m.Epoch != l.srvEpoch {
-				// A crashed server's stop drain keeps folding its inbound
-				// backlog and reporting progress that the restart rolled back
-				// to the durable frontier. Applying it would mark still-running
-				// groups finished (breaking MaxInFlight pacing and, worse,
-				// letting the study complete without their re-sent folds).
-				l.stats.StaleReportsDropped++
-				continue
-			}
-			l.lastHeartbeat = time.Now()
-			l.applyReport(m)
 		}
 	}
 }
 
-func (l *Launcher) applyReport(rep *wire.Report) {
+// handleMessage applies one heartbeat or report from a server process.
+func (l *Launcher) handleMessage(payload []byte, now time.Time) {
+	decoded, err := wire.Decode(payload)
+	transport.Recycle(payload) // Decode copied everything out
+	if err != nil {
+		return
+	}
+	switch m := decoded.(type) {
+	case *wire.Heartbeat:
+		if m.Epoch != l.srvEpoch {
+			return // trailing beacon from a dead incarnation
+		}
+		l.lastHeartbeat = now
+	case *wire.Report:
+		if m.Epoch != l.srvEpoch {
+			// A crashed server's stop drain keeps folding its inbound
+			// backlog and reporting progress that the restart rolled back
+			// to the durable frontier. Applying it would mark still-running
+			// groups finished (breaking MaxInFlight pacing and, worse,
+			// letting the study complete without their re-sent folds).
+			l.stats.StaleReportsDropped++
+			return
+		}
+		l.lastHeartbeat = now
+		l.applyReport(m, now)
+	}
+}
+
+func (l *Launcher) applyReport(rep *wire.Report, now time.Time) {
 	if l.batchCtl != nil {
 		// Close the adaptive-batching loop: the server's fold-pipeline
 		// occupancy steers every group's effective batch size.
@@ -686,37 +851,44 @@ func (l *Launcher) applyReport(rep *wire.Report) {
 			g.seen = true
 		}
 	}
+	// Finished lists are cumulative: only a (group, process) pair not seen
+	// before changes anything.
 	for _, id := range rep.Finished {
-		if g := l.groups[id]; g != nil {
-			g.seen = true
-			g.finishedBy[rep.ProcRank] = true
-			if !g.loggedDone && g.finished(l.reporters) {
-				g.loggedDone = true
-				// Debug: per-group cadence is too chatty for Info at
-				// paper scale (thousands of groups per study).
-				if olog.Default.Enabled(olog.Debug) {
-					olog.Debugw("launcher.group_complete",
-						"group", g.id, "attempts", g.attempts)
-				}
+		g := l.groups[id]
+		if g == nil {
+			continue
+		}
+		g.seen = true
+		if g.finishedBy[rep.ProcRank] {
+			continue
+		}
+		g.finishedBy[rep.ProcRank] = true
+		if !g.loggedDone && g.finished(l.reporters) {
+			g.loggedDone = true
+			// Debug: per-group cadence is too chatty for Info at
+			// paper scale (thousands of groups per study).
+			if olog.Default.Enabled(olog.Debug) {
+				olog.Debugw("launcher.group_complete",
+					"group", g.id, "attempts", g.attempts)
 			}
 		}
+		l.refresh(g)
 	}
 	if rep.MaxCIWidth != 0 {
 		l.maxCI[rep.ProcRank] = rep.MaxCIWidth
 	}
 	for _, id := range rep.TimedOut {
-		l.handleTimeout(id)
+		l.handleTimeout(id, now)
 	}
 }
 
 // handleTimeout implements the unfinished-group protocol: kill the job if
 // still known to the scheduler and resubmit (Sec. 4.2.2, case 1).
-func (l *Launcher) handleTimeout(id int) {
+func (l *Launcher) handleTimeout(id int, now time.Time) {
 	g := l.groups[id]
 	if g == nil || g.givenUp || g.abandoned || g.finished(l.reporters) {
 		return
 	}
-	now := time.Now()
 	// Grace period: ignore stale timeout reports about an attempt we just
 	// restarted (its first message may not have arrived yet). The server's
 	// timeout is the batch-scaled value, so the grace must be too — with the
@@ -737,15 +909,17 @@ func (l *Launcher) handleTimeout(id int) {
 	}
 	l.stats.TimeoutKills++
 	l.retryOrGiveUp(g, now, fmt.Errorf("group %d timed out", id))
+	l.refresh(g)
 }
 
 // checkZombies kills jobs the scheduler sees as running but that never
-// contacted any server process (Sec. 4.2.2, case 2).
+// contacted any server process (Sec. 4.2.2, case 2). A retry's new job may
+// join jobIndex mid-range; it is pending, so the loop skips it.
 func (l *Launcher) checkZombies(now time.Time) {
 	if l.cfg.ZombieTimeout <= 0 {
 		return
 	}
-	for _, g := range l.groups {
+	for _, g := range l.jobIndex {
 		if !g.jobRunning || g.seen || g.givenUp || g.abandoned {
 			continue
 		}
@@ -758,6 +932,7 @@ func (l *Launcher) checkZombies(now time.Time) {
 			l.clearJob(g)
 			l.stats.ZombieKills++
 			l.retryOrGiveUp(g, now, fmt.Errorf("group %d is a zombie", g.id))
+			l.refresh(g)
 		}
 	}
 }
@@ -828,6 +1003,7 @@ func (l *Launcher) restartServer(now time.Time) {
 				g.completedOK = false
 			}
 		}
+		l.refresh(g)
 	}
 	l.stats.ResumesAfterServerRestart += resumed
 	if err := l.startServer(true); err != nil {
@@ -844,32 +1020,13 @@ func (l *Launcher) groupByJob(id scheduler.JobID) *groupState { return l.jobInde
 
 func (g *groupState) finished(procs int) bool { return len(g.finishedBy) >= procs }
 
-func (l *Launcher) runningGroups() int {
-	n := 0
-	for _, g := range l.groups {
-		if g.jobRunning {
-			n++
-		}
-	}
-	return n
-}
+func (l *Launcher) runningGroups() int { return l.counts[classRunning] }
 
 // studyComplete reports whether every live group is finished (or given up /
 // abandoned), refreshing the finished counter as a side effect.
 func (l *Launcher) studyComplete() bool {
-	finished := 0
-	complete := true
-	for _, g := range l.groups {
-		switch {
-		case g.givenUp || g.abandoned:
-		case g.finished(l.reporters):
-			finished++
-		default:
-			complete = false
-		}
-	}
-	l.stats.GroupsFinished = finished
-	return complete
+	l.stats.GroupsFinished = l.counts[classFinished]
+	return l.counts[classPending] == 0
 }
 
 // convergedEarly implements the loopback control: all server processes have
@@ -889,14 +1046,13 @@ func (l *Launcher) convergedEarly() bool {
 // cancelOutstanding kills every pending and running group job (used when
 // convergence is reached before all groups ran, Sec. 3.4).
 func (l *Launcher) cancelOutstanding(now time.Time) {
-	for _, g := range l.groups {
-		if g.job != 0 {
-			if job := l.cfg.Cluster.Job(g.job); job != nil &&
-				(job.State == scheduler.Running || job.State == scheduler.Pending) {
-				l.cfg.Cluster.Cancel(g.job, now)
-			}
-			l.clearJob(g)
+	for _, g := range l.jobIndex {
+		if job := l.cfg.Cluster.Job(g.job); job != nil &&
+			(job.State == scheduler.Running || job.State == scheduler.Pending) {
+			l.cfg.Cluster.Cancel(g.job, now)
 		}
+		l.clearJob(g)
+		l.refresh(g)
 	}
 	l.studyComplete() // refresh the finished count
 }

@@ -321,8 +321,11 @@ func TestLauncherServerCrashRecovery(t *testing.T) {
 
 func TestLauncherConvergenceEarlyStop(t *testing.T) {
 	// Plenty of groups with a loose convergence target: the launcher should
-	// stop before running all of them.
-	const nGroups = 400
+	// stop before running all of them. Convergence is seen on the server's
+	// report cadence (tens of ms), while event-driven turnover runs these
+	// tiny groups at several per ms, so "plenty" is an order of magnitude
+	// more than the few hundred folded before the stop.
+	const nGroups = 4000
 	cfg := baseConfig(t, nGroups)
 	cfg.ConvergenceTarget = 0.9
 	cfg.MaxInFlight = 16

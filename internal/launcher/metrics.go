@@ -10,7 +10,7 @@ import (
 
 // studyTelemetry mirrors the launcher's supervision state into atomics so the
 // /status and /metrics scrape goroutines can read a consistent snapshot
-// without touching any structure owned by the tick loop. The tick loop calls
+// without touching any structure owned by the supervision loop, which calls
 // publishStatus once per pass; scrapes only load.
 type studyTelemetry struct {
 	groupsTotal     atomic.Int64
@@ -58,6 +58,16 @@ var (
 		"Live quantile-sketch tuples across all server processes (from reports).")
 	lSketchBytes = obs.NewGauge("melissa_study_quantile_sketch_bytes",
 		"Live quantile-sketch memory across all server processes (from reports).")
+
+	// The supervision loop's wakeups by cause, resolved once so counting a
+	// wakeup is one atomic add.
+	lWakeups = obs.NewCounterVec("melissa_launcher_wakeups_total",
+		"Launcher supervision-loop wakeups, by what woke it: a group attempt exit (done), a server heartbeat or report (report), a group reconnect (reconnect), or the ticker of the time-based checks (tick).",
+		"cause")
+	wakeDone      = lWakeups.With("done")
+	wakeReport    = lWakeups.With("report")
+	wakeReconnect = lWakeups.With("reconnect")
+	wakeTick      = lWakeups.With("tick")
 )
 
 // StudyStatus is the launcher's section of the /status document: the
@@ -94,7 +104,7 @@ type StudyStatus struct {
 	QuantileSketchBytes int64 `json:"quantile_sketch_bytes"`
 }
 
-// publishStatus refreshes the telemetry mirror from tick-loop-owned state.
+// publishStatus refreshes the telemetry mirror from supervision-loop state.
 // Called only from the supervision loop.
 func (l *Launcher) publishStatus(now time.Time) {
 	running := int64(l.runningGroups())

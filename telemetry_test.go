@@ -2,8 +2,10 @@ package melissa_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -92,5 +94,24 @@ func TestServeTelemetryDuringStudy(t *testing.T) {
 	}
 	if doc.Study.GroupsTotal != groups || doc.Study.GroupsFinished != groups {
 		t.Fatalf("study section = %+v, want %d groups finished", doc.Study, groups)
+	}
+
+	// The launcher loop's wakeups by cause: every cause is exposed, and group
+	// exits woke the loop.
+	wakes := map[string]int64{}
+	for _, line := range strings.Split(get("/metrics"), "\n") {
+		var cause string
+		var n int64
+		if _, err := fmt.Sscanf(line, "melissa_launcher_wakeups_total{cause=%q} %d", &cause, &n); err == nil {
+			wakes[cause] = n
+		}
+	}
+	for _, cause := range []string{"done", "report", "reconnect", "tick"} {
+		if _, ok := wakes[cause]; !ok {
+			t.Fatalf("/metrics lacks melissa_launcher_wakeups_total{cause=%q}: %v", cause, wakes)
+		}
+	}
+	if wakes["done"] < 1 {
+		t.Fatalf("no done wakeups after a %d-group study: %v", groups, wakes)
 	}
 }
