@@ -56,18 +56,16 @@ func main() {
 	}
 
 	start := time.Now()
-	// A standalone client has no launcher feeding it server congestion
-	// hints; MaxBatchSteps without a controller falls back to the local
-	// send-queue signal, which backs up exactly when the server stalls.
+	// A slow server suspends this process through the transport's bounded
+	// buffers (Sec. 4.1.3); -batch-steps fixes the frame size for the run.
 	err = client.RunGroup(f.TCPNetwork(st.Cells, st.P()), *serverAddr, client.RunConfig{
 		ConnectOpts: client.ConnectOpts{
-			GroupID:       *group,
-			SimRanks:      f.SimRanks,
-			Timeout:       *connectTimeout,
-			Retry:         f.RetryPolicy(),
-			BatchSteps:    f.BatchSteps,
-			MaxBatchSteps: f.MaxBatchSteps,
-			WireCodec:     f.WireCodec,
+			GroupID:    *group,
+			SimRanks:   f.SimRanks,
+			Timeout:    *connectTimeout,
+			Retry:      f.RetryPolicy(),
+			BatchSteps: f.BatchSteps,
+			WireCodec:  f.WireCodec,
 		},
 		Rows: design.GroupRows(*group),
 		Sim:  st.Sim,

@@ -57,7 +57,6 @@ func main() {
 		ServerProcs:       *serverProcs,
 		FoldWorkers:       f.FoldWorkers,
 		BatchSteps:        f.BatchSteps,
-		MaxBatchSteps:     f.MaxBatchSteps,
 		WireCodec:         f.WireCodec,
 		GroupNodes:        *groupNodes,
 		GroupTimeout:      f.GroupTimeout,

@@ -208,7 +208,6 @@ func runFig7(out string, f *cliflags.Flags, opts core.Options) {
 	study.SimRanks = 4
 	study.FoldWorkers = f.FoldWorkers
 	study.BatchSteps = f.BatchSteps
-	study.MaxBatchSteps = f.MaxBatchSteps
 	study.WireCodec = f.WireCodec
 	study.MinMax = opts.MinMax
 	study.Threshold = opts.Threshold

@@ -87,11 +87,6 @@ type Connection struct {
 	wireBytes int64
 	rawBytes  int64
 
-	// local is the fallback controller fed from send-queue occupancy;
-	// effSteps is the batch size the current timestep was routed with.
-	local    BatchController
-	effSteps int
-
 	// pending[r] buffers the not-yet-sent steps of route r when batching;
 	// step and field storage is reused across flushes. cutStep is the
 	// one-step shell of the current route cut: its Fields hold sub-slice
@@ -139,19 +134,6 @@ type ConnectOpts struct {
 	// gap by the same factor — server-side group timeouts must account for it
 	// (the launcher scales its GroupTimeout automatically).
 	BatchSteps int
-	// MaxBatchSteps, when > 1, enables adaptive batching: the effective
-	// batch size floats between 1 and MaxBatchSteps, driven by server
-	// congestion — small batches (low latency) while the fold pipeline
-	// keeps up, growing batches (high throughput) when it reports
-	// backpressure. It overrides BatchSteps.
-	MaxBatchSteps int
-	// Congestion supplies the server congestion signal for adaptive
-	// batching, normally the study-wide controller the launcher feeds from
-	// server reports. When nil (e.g. a standalone melissa-client with no
-	// launcher), the connection falls back to a local signal: the occupancy
-	// of its own transport send queues, which backs up exactly when the
-	// server stops draining.
-	Congestion *BatchController
 	// WireCodec, when true, ships field payloads in the compressed framing
 	// (delta-XOR + entropy coding, wire.TypeDataBatchC) — provided the server
 	// negotiated the capability in the Welcome (Hello always advertises it;
@@ -325,8 +307,6 @@ func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 	if step > c.maxStep {
 		c.maxStep = step
 	}
-	c.effSteps = c.effectiveBatchSteps()
-	cBatchSteps.Observe(float64(c.effSteps))
 	cut := &c.cutStep[0]
 	cut.Timestep = step
 	if cut.Fields == nil {
@@ -357,10 +337,8 @@ func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 }
 
 // batching reports whether timesteps go through the per-route batch buffers.
-// Adaptive mode stays on the buffered path even at batch size 1 so a later
-// growth decision needs no path switch mid-stream.
 func (c *Connection) batching() bool {
-	return c.effSteps > 1 || c.opts.MaxBatchSteps > 1
+	return c.opts.BatchSteps > 1
 }
 
 // shipSteps is the one place route ri's steps become a frame on the wire.
@@ -464,38 +442,9 @@ func (c *Connection) WireStats() (wireBytes, rawBytes int64) {
 	return c.wireBytes, c.rawBytes
 }
 
-// effectiveBatchSteps resolves the batch size for the current timestep:
-// the static BatchSteps knob, unless adaptive batching (MaxBatchSteps > 1)
-// is on — then the congestion controller's current level decides, using the
-// launcher-fed controller when present and the local send-queue occupancy
-// otherwise.
-func (c *Connection) effectiveBatchSteps() int {
-	if c.opts.MaxBatchSteps <= 1 {
-		if c.opts.BatchSteps > 1 {
-			return c.opts.BatchSteps
-		}
-		return 1
-	}
-	ctl := c.opts.Congestion
-	if ctl == nil {
-		worst := 0.0
-		for _, s := range c.senders {
-			if qp, ok := s.(transport.QueueProber); ok {
-				if f := qp.QueueFraction(); f > worst {
-					worst = f
-				}
-			}
-		}
-		cSendQueue.Set(worst)
-		c.local.Observe(worst)
-		ctl = &c.local
-	}
-	return ctl.Steps(c.opts.MaxBatchSteps)
-}
-
 // bufferStep copies one route cut into route ri's batch buffer (reusing the
-// storage of earlier batches) and flushes the route once it holds the
-// effective batch size.
+// storage of earlier batches) and flushes the route once it holds
+// BatchSteps steps.
 func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	if c.pending == nil {
 		c.pending = make([][]wire.DataStep, len(c.routes))
@@ -509,7 +458,7 @@ func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	}
 	copyStep(&steps[n], cut)
 	c.pending[ri] = steps
-	if len(steps) >= c.effSteps {
+	if len(steps) >= c.opts.BatchSteps {
 		return c.flushRoute(ri)
 	}
 	return nil

@@ -5,10 +5,8 @@ import (
 )
 
 // Client-side instrumentation: what the simulation groups are doing to the
-// wire. The adaptive-batching loop's two observable halves live here — the
-// effective batch size each timestep was routed with, and the send-queue
-// occupancy the fallback controller steers on — plus the byte counters whose
-// end-of-run sums Connection.WireStats already reports.
+// wire. The message and byte counters are process-wide sums of what
+// Connection.WireStats reports per connection.
 var (
 	cMessages = obs.NewCounter("melissa_client_messages_total",
 		"Stage-2 field messages sent to server processes.")
@@ -16,10 +14,6 @@ var (
 		"Field payload bytes as put on the wire.")
 	cRawBytes = obs.NewCounter("melissa_client_raw_bytes_total",
 		"Bytes the same payloads cost in the uncompressed framing.")
-	cBatchSteps = obs.NewHistogram("melissa_client_batch_steps",
-		"Effective timestep batch size each SendTimestep was routed with (adaptive batching).")
-	cSendQueue = obs.NewGauge("melissa_client_send_queue_occupancy",
-		"Worst transport send-queue occupancy fraction [0,1] across this process's server connections.")
 
 	// Connection-resilience counters: how often groups had to reconnect,
 	// what the resume handshake saved (pieces never resent) and what the

@@ -26,8 +26,9 @@ func limKey(group, rank int) uint64 { return uint64(uint32(group))<<16 | uint64(
 // RetryPolicy configures the connection-resilience layer: how often a group
 // may re-establish a broken server connection (dial and send paths both
 // count against the same per-group budget) and how the capped exponential
-// backoff between attempts grows. The zero value disables retries entirely —
-// a failed dial or send fails the attempt immediately, exactly the
+// backoff between attempts grows: each delay doubles the previous one up to
+// MaxDelay, then gets a ±20% random spread. The zero value disables retries
+// entirely — a failed dial or send fails the attempt immediately, exactly the
 // pre-resilience behavior (the launcher then treats it as a group death and
 // replays, Sec. 4.2).
 type RetryPolicy struct {
@@ -37,11 +38,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 1s).
 	MaxDelay time.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
-	// Jitter is the relative random spread applied to each delay, e.g. 0.2
-	// for ±20% (the default); negative disables jitter.
-	Jitter float64
 	// AckTimeout bounds the wait for a ResumeAck after a reconnect
 	// (default 5s).
 	AckTimeout time.Duration
@@ -49,6 +45,13 @@ type RetryPolicy struct {
 	// backoff sequences reproducible study-wide.
 	Seed int64
 }
+
+// The backoff growth factor per attempt and the relative random spread of
+// each delay.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
 
 func (p RetryPolicy) enabled() bool { return p.MaxReconnects > 0 }
 
@@ -59,31 +62,30 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
 	if p.AckTimeout <= 0 {
 		p.AckTimeout = 5 * time.Second
 	}
 	return p
 }
 
-// delay returns the backoff before retry number attempt (0-based).
+// delay returns the jittered backoff before retry number attempt (0-based).
 func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseDelay)
-	for i := 0; i < attempt && d < float64(p.MaxDelay); i++ {
-		d *= p.Multiplier
+	return jitter(p.backoff(attempt), rng)
+}
+
+// backoff returns the exact backoff before retry number attempt (0-based):
+// BaseDelay multiplied by backoffMultiplier per attempt, capped at MaxDelay.
+func (p RetryPolicy) backoff(attempt int) time.Duration {
+	d := p.BaseDelay
+	for i := 0; i < attempt && d < p.MaxDelay; i++ {
+		d *= backoffMultiplier
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
+	return min(d, p.MaxDelay)
+}
+
+// jitter spreads d uniformly within ±backoffJitter of itself.
+func jitter(d time.Duration, rng *rand.Rand) time.Duration {
+	return time.Duration(float64(d) * (1 + backoffJitter*(2*rng.Float64()-1)))
 }
 
 func retryRNG(p RetryPolicy, groupID int) *rand.Rand {

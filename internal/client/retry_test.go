@@ -15,8 +15,6 @@ func TestRetryDelayBackoffAndCap(t *testing.T) {
 		MaxReconnects: 5,
 		BaseDelay:     10 * time.Millisecond,
 		MaxDelay:      80 * time.Millisecond,
-		Multiplier:    2,
-		Jitter:        -1, // disable jitter: exact doubling
 	}.withDefaults()
 	rng := retryRNG(p, 0)
 	want := []time.Duration{
@@ -24,8 +22,13 @@ func TestRetryDelayBackoffAndCap(t *testing.T) {
 		80 * time.Millisecond, 80 * time.Millisecond, // capped
 	}
 	for attempt, w := range want {
-		if got := p.delay(attempt, rng); got != w {
-			t.Fatalf("attempt %d: delay %v, want %v", attempt, got, w)
+		if got := p.backoff(attempt); got != w {
+			t.Fatalf("attempt %d: backoff %v, want %v", attempt, got, w)
+		}
+		// The jittered delay stays within ±20% of the exact backoff.
+		lo, hi := time.Duration(0.8*float64(w)), time.Duration(1.2*float64(w))
+		if got := p.delay(attempt, rng); got < lo || got > hi {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, lo, hi)
 		}
 	}
 }
@@ -61,7 +64,7 @@ func TestRetryDelayDeterministicPerGroup(t *testing.T) {
 
 func TestRetryDefaults(t *testing.T) {
 	p := RetryPolicy{MaxReconnects: 1}.withDefaults()
-	if p.BaseDelay <= 0 || p.MaxDelay <= 0 || p.Multiplier < 1 || p.Jitter <= 0 || p.AckTimeout <= 0 {
+	if p.BaseDelay <= 0 || p.MaxDelay <= 0 || p.AckTimeout <= 0 {
 		t.Fatalf("defaults not filled: %+v", p)
 	}
 	if (RetryPolicy{}).enabled() {

@@ -26,9 +26,9 @@ import (
 // Flags holds the parsed values of the shared flags. Fields of groups a
 // binary does not register stay zero.
 type Flags struct {
-	// Pipeline: -batch-steps, -max-batch-steps, -wire-codec.
-	BatchSteps, MaxBatchSteps int
-	WireCodec                 bool
+	// Pipeline: -batch-steps, -wire-codec.
+	BatchSteps int
+	WireCodec  bool
 
 	// Server side: -fold-workers, -group-timeout, and -checkpoint-dir /
 	// -checkpoint-interval (read through Checkpoints).
@@ -104,8 +104,6 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 
 	fs.IntVar(&f.BatchSteps, "batch-steps", b.batchSteps,
 		"timesteps batched per wire message (on a server: the largest client value expected; sizes the receive buffers)")
-	fs.IntVar(&f.MaxBatchSteps, "max-batch-steps", 0,
-		"adaptive batching cap: grow batches towards this under server backpressure or a backed-up send path (overrides -batch-steps; on a server: the largest client value expected)")
 	fs.BoolVar(&f.WireCodec, "wire-codec", false,
 		"negotiate the compressed field framing (delta-XOR + entropy coding per fold shard): a server advertises it, a client uses it when advertised; results are bitwise identical")
 
@@ -231,7 +229,7 @@ func (f *Flags) RetryPolicy() client.RetryPolicy {
 // when a fault flag was set.
 func (f *Flags) TCPNetwork(cells, params int) transport.Network {
 	var net transport.Network = transport.NewTCPNetwork(transport.ForStudyCodec(
-		cells, params, max(f.BatchSteps, f.MaxBatchSteps), f.WireCodec))
+		cells, params, f.BatchSteps, f.WireCodec))
 	if plan := f.ChaosPlan(); plan != nil {
 		net = transport.NewChaosNetwork(net, *plan)
 	}

@@ -51,11 +51,15 @@ func TestBinaryFlagSets(t *testing.T) {
 			}
 		}
 		// Every binary carries the pipeline, telemetry and chaos groups.
-		for _, name := range []string{"batch-steps", "max-batch-steps", "wire-codec",
+		for _, name := range []string{"batch-steps", "wire-codec",
 			"metrics-addr", "log-level", "log-json", "chaos-seed", "chaos-cut-frames"} {
 			if fs.Lookup(name) == nil {
 				t.Errorf("%s: missing flag -%s", tc.name, name)
 			}
+		}
+		// Batching is static: no binary carries an adaptive batch cap.
+		if fs.Lookup("max-batch-steps") != nil {
+			t.Errorf("%s: unexpected flag -max-batch-steps", tc.name)
 		}
 		if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
 			t.Errorf("%s: -h returned %v", tc.name, err)

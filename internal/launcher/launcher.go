@@ -60,13 +60,6 @@ type Config struct {
 	// GroupTimeout is scaled by BatchSteps to match the stretched
 	// inter-message cadence.
 	BatchSteps int
-	// MaxBatchSteps, when > 1, enables backpressure-adaptive batching: the
-	// launcher feeds the congestion hints the server piggybacks on its
-	// reports into one study-wide client.BatchController, and every group's
-	// effective batch size floats between 1 and MaxBatchSteps with the
-	// server's fold-pipeline backlog. Overrides BatchSteps. GroupTimeout is
-	// scaled by MaxBatchSteps (the worst-case message stretch).
-	MaxBatchSteps int
 	// WireCodec opts the whole study into the compressed field framing: the
 	// server advertises the capability in its Welcome and every group
 	// compresses its data frames (see server.Config.WireCodec and
@@ -114,13 +107,14 @@ type Config struct {
 	// report and a reconnect wake the supervision loop immediately. The
 	// server's report period is derived from it.
 	TickInterval time.Duration
-	// ConnectTimeout bounds each group's handshake (default 5 s).
-	ConnectTimeout time.Duration
 	// MetricsAddr, when non-empty, serves the telemetry endpoint (/metrics,
 	// /status, /debug/pprof) on this address for the lifetime of Run.
 	// Use "127.0.0.1:0" to bind an ephemeral local port.
 	MetricsAddr string
 }
+
+// connectTimeout bounds each group's handshake.
+const connectTimeout = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Cluster == nil {
@@ -143,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 5 * time.Millisecond
-	}
-	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = 5 * time.Second
 	}
 	if c.SimRanks <= 0 {
 		c.SimRanks = 1
@@ -284,13 +275,10 @@ type Launcher struct {
 	lastHeartbeat time.Time
 	maxCI         map[int]float64 // per proc rank
 	// qtel holds each proc rank's last-reported {tuple count, sketch bytes}.
-	qtel map[int][2]int64
-	// batchCtl is the study-wide adaptive-batching controller (nil unless
-	// MaxBatchSteps > 1): reports feed it, group connections poll it.
-	batchCtl *client.BatchController
-	stats    Stats
-	start    time.Time
-	tel      studyTelemetry
+	qtel  map[int][2]int64
+	stats Stats
+	start time.Time
+	tel   studyTelemetry
 }
 
 // New validates the configuration and prepares a launcher.
@@ -321,9 +309,6 @@ func New(cfg Config) (*Launcher, error) {
 		maxCI:     make(map[int]float64),
 		qtel:      make(map[int][2]int64),
 		reporters: reporters,
-	}
-	if cfg.MaxBatchSteps > 1 {
-		l.batchCtl = &client.BatchController{}
 	}
 	for g := 0; g < cfg.Design.N(); g++ {
 		l.addGroup(g)
@@ -529,11 +514,10 @@ func (l *Launcher) wait(msgs <-chan []byte, tick <-chan time.Time) time.Time {
 func (l *Launcher) startServer(restore bool) error {
 	// Batching stretches a healthy group's inter-message gap by the batch
 	// factor; scale the liveness timeout so batched groups are not falsely
-	// declared unresponsive. Adaptive batching scales by its cap — the
-	// worst-case stretch when the server is congested.
+	// declared unresponsive.
 	groupTimeout := l.cfg.GroupTimeout
-	if factor := max(l.cfg.BatchSteps, l.cfg.MaxBatchSteps); factor > 1 {
-		groupTimeout *= time.Duration(factor)
+	if l.cfg.BatchSteps > 1 {
+		groupTimeout *= time.Duration(l.cfg.BatchSteps)
 	}
 	l.groupTimeout = groupTimeout
 	// On a restart, rebind the previous per-process data addresses so the
@@ -700,16 +684,14 @@ func (l *Launcher) launchGroup(g *groupState, job scheduler.JobID, attempt int) 
 			ConnectOpts: client.ConnectOpts{
 				GroupID:  id,
 				SimRanks: l.cfg.SimRanks,
-				Timeout:  l.cfg.ConnectTimeout,
+				Timeout:  connectTimeout,
 				Retry:    l.cfg.Retry,
 				// A restarted attempt recomputes steps the server may already
 				// have folded; the resume handshake lets it skip resending them.
-				Resume:        l.cfg.Retry.MaxReconnects > 0 && attempt > 0,
-				OnReconnect:   onReconnect,
-				BatchSteps:    l.cfg.BatchSteps,
-				MaxBatchSteps: l.cfg.MaxBatchSteps,
-				Congestion:    l.batchCtl,
-				WireCodec:     l.cfg.WireCodec,
+				Resume:      l.cfg.Retry.MaxReconnects > 0 && attempt > 0,
+				OnReconnect: onReconnect,
+				BatchSteps:  l.cfg.BatchSteps,
+				WireCodec:   l.cfg.WireCodec,
 			},
 			Rows:       rows,
 			Sim:        l.cfg.Sim,
@@ -839,11 +821,6 @@ func (l *Launcher) handleMessage(payload []byte, now time.Time) {
 }
 
 func (l *Launcher) applyReport(rep *wire.Report, now time.Time) {
-	if l.batchCtl != nil {
-		// Close the adaptive-batching loop: the server's fold-pipeline
-		// occupancy steers every group's effective batch size.
-		l.batchCtl.Observe(rep.Backpressure)
-	}
 	l.tel.backpressure.Store(math.Float64bits(rep.Backpressure))
 	l.qtel[rep.ProcRank] = [2]int64{rep.TupleCount, rep.SketchBytes}
 	for _, id := range rep.Running {

@@ -96,8 +96,8 @@ type StudyStatus struct {
 	// server process; null until convergence scans produce one.
 	MaxCIWidth *float64 `json:"max_ci_width"`
 
-	// Backpressure is the last fold-pipeline occupancy hint fed to the
-	// adaptive-batching controller (0 when adaptive batching is off).
+	// Backpressure is the fold-pipeline queue occupancy [0,1] carried by the
+	// last server report (monitoring only).
 	Backpressure float64 `json:"backpressure"`
 
 	QuantileTuples      int64 `json:"quantile_tuples"`

@@ -125,7 +125,7 @@ func BenchmarkLauncherChurn(b *testing.B) {
 			Cells:       cells,
 			Timesteps:   timesteps,
 			SimRanks:    2,
-			Network:     transport.NewMemNetwork(transport.ForStudy(cells, 2, 1)),
+			Network:     transport.NewMemNetwork(transport.ForStudyCodec(cells, 2, 1, false)),
 			ServerProcs: 2,
 			MaxInFlight: 2,
 		})

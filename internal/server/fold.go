@@ -136,8 +136,8 @@ func (f *foldPool) foldCount() int64 { return f.folds.Load() }
 // start launches one fold worker per accumulator shard. Channel capacity
 // bounds the routed-but-unprocessed backlog; when workers fall behind, the
 // enqueuer blocks and backpressure propagates through the transport to the
-// simulations — and the queue occupancy is the congestion hint reported to
-// the launcher for adaptive client batching.
+// simulations — and the queue occupancy is reported to the launcher as a
+// monitoring gauge.
 func (f *foldPool) start() {
 	n := f.workers()
 	f.workCh = make([]chan foldTask, n)
@@ -173,7 +173,7 @@ func (f *foldPool) stop() {
 func (f *foldPool) quiesce() { f.inflight.Wait() }
 
 // backpressure returns the occupancy fraction [0, 1] of the work queues.
-// Reading channel lengths is a racy snapshot, which is all a hint needs.
+// Reading channel lengths is a racy snapshot, which is all a gauge needs.
 func (f *foldPool) backpressure() float64 {
 	queued, capacity := 0, 0
 	for _, ch := range f.workCh {

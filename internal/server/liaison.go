@@ -66,8 +66,8 @@ func (l *liaison) report(final bool) {
 	rep := &l.rep
 	rep.ProcRank, rep.Epoch = l.cfg.Rank, l.cfg.Epoch
 	l.route.fillReport(rep)
-	// The congestion hint of the adaptive-batching loop: how full the
-	// fold-pipeline queues are right now (0 after the stop-path quiesce).
+	// How full the fold-pipeline queues are right now (0 after the stop-path
+	// quiesce).
 	rep.Backpressure = l.fold.backpressure()
 	// Live sketch telemetry from the last completed worker scan (zero
 	// without quantile sketches: no scan runs for them), so the launcher

@@ -65,7 +65,7 @@ var (
 	// inbox goroutine (reports/status ticks) and the fold workers
 	// (telemetry scans), read by scrapes.
 	mBackpressure = obs.NewGaugeVec("melissa_server_backpressure",
-		"Fold-pipeline work-queue occupancy fraction [0,1] (the adaptive-batching congestion hint).", "proc")
+		"Fold-pipeline work-queue occupancy fraction [0,1].", "proc")
 	mGroupsRunning = obs.NewGaugeVec("melissa_server_groups_running",
 		"Simulation groups started but not yet finished on this process.", "proc")
 	mGroupsFinished = obs.NewGaugeVec("melissa_server_groups_finished",

@@ -52,10 +52,10 @@
 //
 // Bounded worker queues preserve the end-to-end backpressure of Sec. 4.1.3:
 // if folding falls behind, the inbox blocks, transport buffers fill, and
-// the simulations suspend. The queue occupancy is also exported as a
-// congestion hint (wire.Report.Backpressure); the launcher feeds it into one
-// study-wide client.BatchController, which grows the clients' per-message
-// timestep batch exactly when the fold path is the bottleneck.
+// the simulations suspend. The queue occupancy is also reported as a
+// monitoring gauge (wire.Report.Backpressure, melissa_server_backpressure,
+// /status) that shows when the fold path is the bottleneck; nothing steers
+// on it.
 //
 // # Barriers: convergence scans and checkpoints
 //

@@ -38,7 +38,7 @@ type Status struct {
 	MaxCIWidth *float64 `json:"max_ci_width"`
 
 	// Backpressure is the worst fold-queue occupancy fraction [0,1] across
-	// processes (the adaptive-batching congestion hint).
+	// processes.
 	Backpressure float64 `json:"backpressure"`
 
 	// Wire traffic and the compression ratio raw/wire (1 when the codec is

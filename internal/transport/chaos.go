@@ -264,12 +264,3 @@ func (s *chaosSender) Send(payload []byte) error {
 }
 
 func (s *chaosSender) Close() error { return s.inner.Close() }
-
-// QueueFraction passes the congestion probe through when the wrapped sender
-// supports it, so adaptive batching behaves identically under chaos.
-func (s *chaosSender) QueueFraction() float64 {
-	if p, ok := s.inner.(QueueProber); ok {
-		return p.QueueFraction()
-	}
-	return 0
-}

@@ -185,14 +185,6 @@ func (s *memSender) Send(payload []byte) error {
 	}
 }
 
-// QueueFraction implements QueueProber: occupancy of the local send queue.
-func (s *memSender) QueueFraction() float64 {
-	if cap(s.queue) == 0 {
-		return 0
-	}
-	return float64(len(s.queue)) / float64(cap(s.queue))
-}
-
 // Close flushes the queued messages into the receiver inbox (the interface
 // contract) and releases the connection: it waits for the pump to finish,
 // so a caller that exits right after Close cannot lose delivered-looking

@@ -47,18 +47,14 @@ func (n *TCPNetwork) Listen(hint string) (Receiver, error) {
 	return r, nil
 }
 
-// applySockOpts applies the configured socket tuning: the TCP_NODELAY
-// override (nil keeps Go's default of NODELAY enabled) and the
-// study-shape-derived kernel buffer sizes (0 keeps the OS defaults). Sizing
-// errors are ignored — the kernel clamps to its own limits anyway and an
-// undersized buffer only costs throughput, never correctness.
+// applySockOpts applies the study-shape-derived kernel buffer sizes (0 keeps
+// the OS defaults). Sizing errors are ignored — the kernel clamps to its own
+// limits anyway and an undersized buffer only costs throughput, never
+// correctness.
 func applySockOpts(conn net.Conn, opts Options) {
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
 		return
-	}
-	if opts.TCPNoDelay != nil {
-		tc.SetNoDelay(*opts.TCPNoDelay)
 	}
 	if opts.SendSockBytes > 0 {
 		tc.SetWriteBuffer(opts.SendSockBytes)
@@ -295,14 +291,6 @@ func (s *tcpSender) Send(payload []byte) error {
 	case <-s.done:
 		return ErrClosed
 	}
-}
-
-// QueueFraction implements QueueProber: occupancy of the local send queue.
-func (s *tcpSender) QueueFraction() float64 {
-	if cap(s.queue) == 0 {
-		return 0
-	}
-	return float64(len(s.queue)) / float64(cap(s.queue))
 }
 
 // Close flushes the queued messages onto the socket (the interface

@@ -15,14 +15,6 @@
 // Two implementations share the Network interface: an in-memory network for
 // tests, benchmarks and single-process studies, and a TCP network (package
 // net) for real distributed deployments with dynamic connection.
-//
-// TCP tuning: Options.TCPNoDelay controls the TCP_NODELAY socket option on
-// every TCP connection. The default (nil) keeps Go's default of NODELAY
-// enabled — each flushed frame goes out immediately, minimizing per-message
-// latency. Setting it to false re-enables Nagle coalescing, which can
-// reduce packet overhead for floods of small frames at the cost of
-// latency; the sender's write pump already batches queued frames per
-// flush, so most deployments should keep the default.
 package transport
 
 import (
@@ -58,14 +50,10 @@ type Sender interface {
 	Close() error
 }
 
-// QueueProber is implemented by senders that can report how full their local
-// send queue is — the client-visible shadow of server-side congestion (a
-// slow receiver backs the queue up before Send starts blocking outright).
-// Adaptive batching uses it as a local fallback signal when no server
-// congestion hints reach the client.
+// QueueProber has no implementation and no caller in this module. It stays
+// declared only because bench/tracenet.go still names it; delete it together
+// with that reference.
 type QueueProber interface {
-	// QueueFraction returns the approximate occupancy of the send queue in
-	// [0, 1]. It is a racy snapshot: monitoring only.
 	QueueFraction() float64
 }
 
@@ -98,22 +86,17 @@ type Options struct {
 	SendBuffer int
 	// RecvBuffer is the per-receiver inbox capacity in messages.
 	RecvBuffer int
-	// TCPNoDelay overrides the TCP_NODELAY socket option on TCP connections
-	// (dialed and accepted). nil keeps Go's default (NODELAY on: frames are
-	// sent immediately); &false enables Nagle coalescing for many small
-	// frames. Ignored by the in-memory network. See the package comment.
-	TCPNoDelay *bool
 	// SendSockBytes/RecvSockBytes set the kernel socket buffers
 	// (SO_SNDBUF/SO_RCVBUF) on every TCP connection, dialed and accepted.
 	// 0 keeps the OS default. Sizing them to hold at least one full data
 	// frame keeps a simulation's write from stalling mid-frame and lets the
-	// kernel absorb a frame ahead of the fold pipeline; ForStudy derives
+	// kernel absorb a frame ahead of the fold pipeline; ForStudyCodec derives
 	// both from the study shape. Ignored by the in-memory network.
 	SendSockBytes int
 	RecvSockBytes int
 	// FrameBufBytes sizes the user-space bufio reader/writer wrapping each
-	// TCP connection (0 = 64 KiB). ForStudy sets it so a whole batched data
-	// frame is framed with one syscall when it fits the cap.
+	// TCP connection (0 = 64 KiB). ForStudyCodec sets it so a whole batched
+	// data frame is framed with one syscall when it fits the cap.
 	FrameBufBytes int
 }
 
@@ -122,26 +105,14 @@ func DefaultOptions() Options {
 	return Options{SendBuffer: 64, RecvBuffer: 1024, FrameBufBytes: 1 << 16}
 }
 
-// Socket and frame-buffer sizing bounds for ForStudy: at least the Go/bufio
-// conventional 64 KiB, at most 8 MiB (4 MiB for user-space frame buffers) so
-// a huge partition cannot pin unbounded per-connection memory.
+// Socket and frame-buffer sizing bounds for ForStudyCodec: at least the
+// Go/bufio conventional 64 KiB, at most 8 MiB (4 MiB for user-space frame
+// buffers) so a huge partition cannot pin unbounded per-connection memory.
 const (
 	minSockBytes    = 1 << 16
 	maxSockBytes    = 8 << 20
 	maxFrameBufSize = 4 << 20
 )
-
-// ForStudy returns Options with the per-connection buffers derived from the
-// study shape instead of the Go/OS defaults: one data frame carries
-// cells × (p+2) float64 fields per timestep and clients batch batchSteps
-// timesteps per frame (wire.DataBatch), so the socket buffers are sized to
-// hold a full frame (clamped to [64 KiB, 8 MiB]) and the user-space frame
-// buffers to one frame up to 4 MiB. cells should be the largest per-server-
-// process partition a connection will carry; non-positive inputs fall back
-// to 1 (p, batchSteps) or the defaults (cells).
-func ForStudy(cells, p, batchSteps int) Options {
-	return ForStudyCodec(cells, p, batchSteps, false)
-}
 
 // codecFrameDivisor is the planning ratio for codec-negotiated connections:
 // the delta-XOR+ZRLE codec measures ~1.7× on full-precision chaotic fields
@@ -151,10 +122,17 @@ func ForStudy(cells, p, batchSteps int) Options {
 // (the 64 KiB floors still absorb small frames either way).
 const codecFrameDivisor = 2
 
-// ForStudyCodec is ForStudy with the wire codec taken into account: when
-// codec is true the expected frame size is divided by the conservative
-// compression ratio the codec guarantees on typical fields, shrinking the
-// kernel and user-space buffers a codec-negotiated connection pins.
+// ForStudyCodec returns Options with the per-connection buffers derived from
+// the study shape instead of the Go/OS defaults: one data frame carries
+// cells × (p+2) float64 fields per timestep and clients batch batchSteps
+// timesteps per frame (wire.DataBatch), so the socket buffers are sized to
+// hold a full frame (clamped to [64 KiB, 8 MiB]) and the user-space frame
+// buffers to one frame up to 4 MiB. When codec is true the expected frame
+// size is divided by the conservative compression ratio the codec
+// guarantees on typical fields, shrinking the buffers a codec-negotiated
+// connection pins. cells should be the largest per-server-process partition
+// a connection will carry; non-positive inputs fall back to 1 (p,
+// batchSteps) or the defaults (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	opts := DefaultOptions()
 	if cells <= 0 {

@@ -45,44 +45,6 @@ func TestSendRecvBasic(t *testing.T) {
 	}
 }
 
-// TestTCPNoDelayOption drives traffic under both explicit TCP_NODELAY
-// settings (and the keep-default nil): the knob changes packet pacing only,
-// never delivery or ordering.
-func TestTCPNoDelayOption(t *testing.T) {
-	off, on := false, true
-	for name, noDelay := range map[string]*bool{"default": nil, "nodelay": &on, "nagle": &off} {
-		t.Run(name, func(t *testing.T) {
-			n := NewTCPNetwork(Options{TCPNoDelay: noDelay})
-			r, err := n.Listen("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			s, err := n.Dial(r.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
-			const frames = 64
-			for i := 0; i < frames; i++ {
-				if err := s.Send([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < frames; i++ {
-				m, err := r.Recv(2 * time.Second)
-				if err != nil {
-					t.Fatalf("frame %d: %v", i, err)
-				}
-				if want := fmt.Sprintf("frame-%03d", i); string(m.Payload) != want {
-					t.Fatalf("frame %d: got %q", i, m.Payload)
-				}
-			}
-		})
-	}
-}
-
 func TestSenderMayReuseBuffer(t *testing.T) {
 	for name, mk := range networks() {
 		t.Run(name, func(t *testing.T) {

@@ -247,7 +247,7 @@ func TestViewRejectsAllocationBomb(t *testing.T) {
 	}
 }
 
-// TestReportBackpressureRoundTrip: the congestion hint must survive the
+// TestReportBackpressureRoundTrip: the backpressure gauge must survive the
 // wire (it rides the existing report plumbing to the launcher).
 func TestReportBackpressureRoundTrip(t *testing.T) {
 	in := &Report{ProcRank: 2, Running: []int{1}, MaxCIWidth: 0.5, Messages: 9, Backpressure: 0.625}

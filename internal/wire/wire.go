@@ -186,12 +186,10 @@ type Report struct {
 	MaxCIWidth float64
 	// Messages is the total number of data messages folded so far.
 	Messages int64
-	// Backpressure is the congestion hint of the adaptive-batching loop: the
-	// occupancy fraction [0, 1] of the sender's fold-pipeline work queues at
-	// report time. The launcher feeds it to the clients' batch controllers,
-	// which grow their effective per-message timestep batch towards
-	// MaxBatchSteps while the server is congested and shrink it back as the
-	// backlog clears.
+	// Backpressure is the occupancy fraction [0, 1] of the sender's
+	// fold-pipeline work queues at report time: a monitoring gauge the
+	// launcher republishes on /status. Flow control does not read it; the
+	// transport's bounded buffers suspend the simulations on their own.
 	Backpressure float64
 	// Epoch is the server incarnation that produced this report. A stopping
 	// server keeps folding its inbound backlog (and keeps reporting) for a

@@ -96,14 +96,6 @@ type StudyConfig struct {
 	// process, amortizing per-message overhead. GroupTimeout is scaled by
 	// the same factor to match the stretched message cadence.
 	BatchSteps int
-	// MaxBatchSteps, when > 1, enables backpressure-adaptive batching
-	// instead of the static BatchSteps: the server piggybacks its
-	// fold-pipeline queue occupancy on the reports it already sends the
-	// launcher, and every group's effective batch size floats between 1
-	// (low latency while the server keeps up) and MaxBatchSteps (high
-	// throughput once it reports congestion). Overrides BatchSteps;
-	// GroupTimeout is scaled by the cap.
-	MaxBatchSteps int
 	// WireCodec opts the study into the negotiated compressed field framing:
 	// every group delta-XOR + entropy compresses its data frames per
 	// fold-shard cell range, and the server's fold workers decompress their
@@ -328,7 +320,7 @@ func SetLogging(level string, jsonLines bool) error {
 // configured chaos plan when one is declared.
 func studyNetwork(cfg StudyConfig) transport.Network {
 	var net transport.Network = transport.NewMemNetwork(transport.ForStudyCodec(
-		cfg.Cells, len(cfg.Parameters), max(cfg.BatchSteps, cfg.MaxBatchSteps), cfg.WireCodec))
+		cfg.Cells, len(cfg.Parameters), cfg.BatchSteps, cfg.WireCodec))
 	if cfg.Chaos != nil {
 		net = transport.NewChaosNetwork(net, *cfg.Chaos)
 	}
@@ -382,7 +374,6 @@ func RunStudy(cfg StudyConfig) (*FieldResult, StudyStats, error) {
 		ServerProcs:        cfg.ServerProcs,
 		FoldWorkers:        cfg.FoldWorkers,
 		BatchSteps:         cfg.BatchSteps,
-		MaxBatchSteps:      cfg.MaxBatchSteps,
 		WireCodec:          cfg.WireCodec,
 		ServerNodes:        cfg.ServerNodes,
 		GroupNodes:         cfg.GroupNodes,
