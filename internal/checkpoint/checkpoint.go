@@ -31,12 +31,13 @@ const (
 	V1 = 1
 	// V2 appends the per-cell quantile-sketch state (core.LayoutV2).
 	V2 = 2
-	// Version is the current (newest) format, written by Write: V3 keeps
-	// the V2 accumulator block and changes the group-tracker block to the
-	// frontier+ahead layout (core.LayoutV3). Read accepts every version
-	// from V1 up to Version and reports which one it found, so servers
-	// restart cleanly from checkpoints written by older builds.
-	Version = 3
+	// Version is the current format, the only one this build writes: V4
+	// stores the accumulator as its record image (core.LayoutV4) instead of
+	// the dense per-statistic arrays of V1–V3, after the frontier+ahead
+	// group-tracker block V3 introduced (core.LayoutV3). Read accepts every
+	// version from V1 up to Version and reports which one it found, so
+	// servers restart cleanly from checkpoints written by older builds.
+	Version = 4
 )
 
 // Filename returns the canonical checkpoint path for a server process rank,
@@ -46,22 +47,13 @@ func Filename(dir string, rank int) string {
 }
 
 // Write serializes a payload produced by fill into path, atomically, in the
-// current format version. The server streams its checkpoints through
-// StreamWriter; Write is the one-shot reference the tests compare that path
-// against, and has no other callers.
+// current format version. It is a one-section StreamWriter, so the whole
+// temp+CRC+fsync+rename+dir-sync protocol lives in exactly one place. The
+// server streams its checkpoints through StreamWriter directly; Write is the
+// one-shot reference the tests compare that path against, and the writer of
+// tools/goldengen's fixture.
 func Write(path string, fill func(w *enc.Writer)) error {
-	return WriteVersioned(path, Version, fill)
-}
-
-// WriteVersioned writes a checkpoint in an explicit format version — the
-// compatibility surface for producing files older builds (or tests
-// exercising the upgrade path) can read. The caller must fill the payload
-// in the matching layout (e.g. core.EncodeVersion). It is a one-section
-// StreamWriter, so the whole temp+CRC+fsync+rename+dir-sync protocol lives
-// in exactly one place. Only tests and tools/goldengen (the golden-fixture
-// generator) call it.
-func WriteVersioned(path string, version int, fill func(w *enc.Writer)) error {
-	sw, err := NewStreamWriter(path, version)
+	sw, err := NewStreamWriter(path, Version)
 	if err != nil {
 		return err
 	}
@@ -120,8 +112,8 @@ func SetWriteFault(f func(written int64) error) {
 // whole payload in memory: each Section is encoded into a reused buffer,
 // CRC'd incrementally and appended to the temp file. Commit patches the real
 // header over the placeholder, fsyncs, renames atomically and fsyncs the
-// directory — the resulting file is byte-identical to a single WriteVersioned
-// call producing the same payload, and until Commit returns the previous
+// directory — the resulting file is byte-identical to a single Write call
+// producing the same payload, and until Commit returns the previous
 // checkpoint at the target path is untouched.
 type StreamWriter struct {
 	path    string
@@ -136,6 +128,9 @@ type StreamWriter struct {
 }
 
 // NewStreamWriter opens a temp file next to path and reserves the header.
+// version is the format version the header will carry; the payload must be
+// in that version's layout. The server passes Version; an older one only
+// serves tests that fabricate files of older builds.
 func NewStreamWriter(path string, version int) (*StreamWriter, error) {
 	if version < V1 || version > Version {
 		return nil, fmt.Errorf("checkpoint: cannot write unknown version %d (valid: %d..%d)", version, V1, Version)
@@ -166,7 +161,7 @@ func NewStreamWriter(path string, version int) (*StreamWriter, error) {
 
 // Section encodes one payload fragment through fill and streams it out. The
 // fill callbacks across all sections must produce, concatenated, exactly the
-// payload a single fill passed to WriteVersioned would produce. On error the
+// payload a single fill passed to Write would produce. On error the
 // writer is poisoned; call Abort.
 func (sw *StreamWriter) Section(fill func(w *enc.Writer)) error {
 	if sw.err != nil {
@@ -291,7 +286,7 @@ func SweepTemps(dir string) ([]string, error) {
 // Read loads and verifies a checkpoint, returning a reader over its payload
 // and the format version found in the header (V1..Version). Callers pass
 // the version to the matching layout decoder (e.g.
-// core.DecodeAccumulatorVersion). Files written by a newer build are
+// core.DecodeShardedVersion). Files written by a newer build are
 // rejected with a clean error rather than misread.
 func Read(path string) (*enc.Reader, int, error) {
 	raw, err := os.ReadFile(path)

@@ -114,9 +114,17 @@ func TestCorruptionDetected(t *testing.T) {
 
 // TestReadV1File: files written by pre-quantile builds carry version 1 and
 // must still load, reporting their version so decoders pick the V1 layout.
+// The file is fabricated through a StreamWriter with a V1 header.
 func TestReadV1File(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.ckpt")
-	if err := WriteVersioned(path, V1, func(w *enc.Writer) { w.String("old-state") }); err != nil {
+	sw, err := NewStreamWriter(path, V1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Section(func(w *enc.Writer) { w.String("old-state") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	r, version, err := Read(path)
@@ -152,17 +160,6 @@ func TestReadFutureVersionRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unsupported version") {
 		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
-// TestWriteVersionedRejectsUnknown: the writer refuses versions this build
-// does not define, on both sides of the valid range.
-func TestWriteVersionedRejectsUnknown(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v.ckpt")
-	for _, v := range []int{0, -1, Version + 1} {
-		if err := WriteVersioned(path, v, func(w *enc.Writer) {}); err == nil {
-			t.Errorf("WriteVersioned accepted version %d", v)
-		}
 	}
 }
 

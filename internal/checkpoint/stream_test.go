@@ -126,7 +126,8 @@ func TestStreamWriterAbort(t *testing.T) {
 	}
 }
 
-// TestStreamWriterRejectsUnknownVersion mirrors WriteVersioned's guard.
+// TestStreamWriterRejectsUnknownVersion: the writer refuses header versions
+// this build does not define, on both sides of the valid range.
 func TestStreamWriterRejectsUnknownVersion(t *testing.T) {
 	for _, v := range []int{0, -1, Version + 1} {
 		if _, err := NewStreamWriter(filepath.Join(t.TempDir(), "v.ckpt"), v); err == nil {

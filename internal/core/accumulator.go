@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"melissa/internal/enc"
 	"melissa/internal/quantiles"
 	"melissa/internal/sobol"
 	"melissa/internal/stats"
@@ -63,8 +62,8 @@ func (o Options) withoutQuantiles() Options {
 // arrays — and enabling trackers widens that single sweep instead of
 // reintroducing separate strided passes (see the package comment for the
 // full rationale). The exceedance count is stored as a float64 holding an
-// integer value (exact below 2^53, far beyond any ensemble size); the codec
-// converts to the historical int64 wire form.
+// integer value (exact below 2^53, far beyond any ensemble size), and
+// checkpoints keep it that way (LayoutV4 writes the records as they are).
 const (
 	offMeanA = 0
 	offM2A   = 1
@@ -135,11 +134,6 @@ type Accumulator struct {
 	ciLevel float64
 	// ciBand is scanStepCIWidth's scratch: one slot per (parameter, index).
 	ciBand []float64
-	// encScratch/encScratchI are the reusable transpose buffers for
-	// Encode/Decode, which keep the dense per-statistic-array checkpoint
-	// format (the int64 buffer carries the exceedance counts).
-	encScratch  []float64
-	encScratchI []int64
 }
 
 // stepAccum is the per-timestep one-pass state: n, the interleaved record
@@ -192,6 +186,14 @@ func NewAccumulator(cells, timesteps, p int, opts Options) *Accumulator {
 		}
 	}
 	return a
+}
+
+// setCounts adopts src's group and tracker sample counts and marks the
+// step's convergence cache stale — the scalar half of replacing a step's
+// records wholesale (copy, merge into an empty step, restore).
+func (s *stepAccum) setCounts(src *stepAccum) {
+	s.n, s.minmaxN, s.exceedN, s.higherN = src.n, src.minmaxN, src.exceedN, src.higherN
+	s.ciDirty = true
 }
 
 func newStepAccum(cells int, opts Options) stepAccum {
@@ -869,12 +871,8 @@ func (a *Accumulator) Merge(other *Accumulator) {
 }
 
 func copyStep(dst, src *stepAccum) {
-	dst.n = src.n
-	dst.ciDirty = true
+	dst.setCounts(src)
 	copy(dst.rec, src.rec)
-	dst.minmaxN = src.minmaxN
-	dst.exceedN = src.exceedN
-	dst.higherN = src.higherN
 	if dst.quant != nil && src.quant != nil {
 		dst.quant.Merge(src.quant)
 	}
@@ -895,26 +893,6 @@ func (a *Accumulator) MemoryBytes() int64 {
 	return total
 }
 
-// Accumulator serialization layouts, corresponding one-to-one to the
-// checkpoint file versions of internal/checkpoint: LayoutV1 is the original
-// format (Sobol' co-moments plus the optional min/max, exceedance and
-// higher-moment trackers); LayoutV2 appends the quantile probe list, the
-// sketch ε and one per-cell quantile sketch field per timestep; LayoutV3
-// leaves the accumulator block unchanged from V2 and only changes the
-// GroupTracker block (contiguous frontier plus ahead-set instead of a single
-// last-step per group — see tracker.go). All layouts store the state as
-// dense per-statistic arrays (meanA, m2A, ... then per k: meanC, m2C, c2BC,
-// c2AC, then the tracker sections); Encode/Decode transpose between that
-// wire form and the in-memory interleaved records — tracker slots included —
-// so files are byte-identical to the ones written before the interleave and
-// interchange freely with older builds.
-const (
-	LayoutV1      = 1
-	LayoutV2      = 2
-	LayoutV3      = 3
-	LayoutCurrent = LayoutV3
-)
-
 // column writes the strided per-cell statistic at record offset `off` of
 // step s into dst (allocating when nil or too small) and returns it.
 func (a *Accumulator) column(s *stepAccum, off int, dst []float64) []float64 {
@@ -923,200 +901,6 @@ func (a *Accumulator) column(s *stepAccum, off int, dst []float64) []float64 {
 		dst[i] = s.rec[ri]
 	}
 	return dst
-}
-
-// gatherColumn is column into a.encScratch — the transpose step of the dense
-// checkpoint layout.
-func (a *Accumulator) gatherColumn(s *stepAccum, off int) []float64 {
-	a.encScratch = a.column(s, off, a.encScratch)
-	return a.encScratch
-}
-
-// gatherCountColumn is gatherColumn for the exceedance counts: the records
-// hold them as integral float64s, the wire format as int64.
-func (a *Accumulator) gatherCountColumn(s *stepAccum, off int) []int64 {
-	if cap(a.encScratchI) < a.cells {
-		a.encScratchI = make([]int64, a.cells)
-	}
-	col := a.encScratchI[:a.cells]
-	for i, ri := 0, off; i < a.cells; i, ri = i+1, ri+a.stride {
-		col[i] = int64(s.rec[ri])
-	}
-	return col
-}
-
-// scatterColumn spreads a dense per-cell array back into record offset `off`
-// of step s (the decode-side transpose).
-func (a *Accumulator) scatterColumn(s *stepAccum, off int, col []float64) {
-	for i, ri := 0, off; i < a.cells; i, ri = i+1, ri+a.stride {
-		s.rec[ri] = col[i]
-	}
-}
-
-// Encode appends the full accumulator state to w in the current checkpoint
-// layout.
-func (a *Accumulator) Encode(w *enc.Writer) { a.EncodeVersion(w, LayoutCurrent) }
-
-// EncodeVersion appends the accumulator state in the given layout version —
-// the compatibility surface for writing files older readers understand.
-// Encoding a quantile-enabled accumulator as LayoutV1 drops the quantile
-// state (V1 cannot represent it); everything else round-trips bit-exactly.
-func (a *Accumulator) EncodeVersion(w *enc.Writer, version int) {
-	if version < LayoutV1 || version > LayoutCurrent {
-		panic(fmt.Sprintf("core: unknown accumulator layout version %d", version))
-	}
-	w.Int(a.cells)
-	w.Int(a.timesteps)
-	w.Int(a.p)
-	w.Bool(a.opts.MinMax)
-	w.Bool(a.opts.Threshold != nil)
-	if a.opts.Threshold != nil {
-		w.F64(*a.opts.Threshold)
-	}
-	w.Bool(a.opts.HigherMoments)
-	if version >= LayoutV2 {
-		w.F64Slice(a.opts.Quantiles)
-		w.F64(a.opts.QuantileEps)
-	}
-	for t := range a.steps {
-		s := &a.steps[t]
-		w.I64(s.n)
-		w.F64Slice(a.gatherColumn(s, offMeanA))
-		w.F64Slice(a.gatherColumn(s, offM2A))
-		w.F64Slice(a.gatherColumn(s, offMeanB))
-		w.F64Slice(a.gatherColumn(s, offM2B))
-		for off := recHeader; off < a.lay.sob; off += recPerParam {
-			w.F64Slice(a.gatherColumn(s, off+blkMeanC))
-			w.F64Slice(a.gatherColumn(s, off+blkM2C))
-			w.F64Slice(a.gatherColumn(s, off+blkC2BC))
-			w.F64Slice(a.gatherColumn(s, off+blkC2AC))
-		}
-		// Tracker sections, gathered straight out of the interleaved records.
-		if a.lay.min >= 0 {
-			w.I64(s.minmaxN)
-			w.F64Slice(a.gatherColumn(s, a.lay.min))
-			w.F64Slice(a.gatherColumn(s, a.lay.min+1))
-		}
-		if a.lay.exc >= 0 {
-			w.F64(a.threshold)
-			w.I64(s.exceedN)
-			w.I64Slice(a.gatherCountColumn(s, a.lay.exc))
-		}
-		if a.lay.hig >= 0 {
-			w.I64(s.higherN)
-			w.F64Slice(a.gatherColumn(s, a.lay.hig))
-			w.F64Slice(a.gatherColumn(s, a.lay.hig+1))
-			w.F64Slice(a.gatherColumn(s, a.lay.hig+2))
-			w.F64Slice(a.gatherColumn(s, a.lay.hig+3))
-		}
-		if version >= LayoutV2 && s.quant != nil {
-			s.quant.Encode(w)
-		}
-	}
-}
-
-// DecodeAccumulator reconstructs an accumulator from r (current layout).
-func DecodeAccumulator(r *enc.Reader) (*Accumulator, error) {
-	return DecodeAccumulatorVersion(r, LayoutCurrent)
-}
-
-// DecodeAccumulatorVersion reconstructs an accumulator encoded in the given
-// layout version (taken from the checkpoint file header). A V1 stream
-// restores cleanly into this reader with quantile tracking disabled — the
-// state simply predates the statistic.
-func DecodeAccumulatorVersion(r *enc.Reader, version int) (*Accumulator, error) {
-	if version < LayoutV1 || version > LayoutCurrent {
-		return nil, fmt.Errorf("core: unsupported accumulator layout version %d (this build reads %d..%d)",
-			version, LayoutV1, LayoutCurrent)
-	}
-	cells := r.Int()
-	timesteps := r.Int()
-	p := r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if cells < 0 || timesteps < 1 || p < 1 || timesteps > 1<<24 || p > 1<<20 {
-		return nil, fmt.Errorf("core: corrupt accumulator header (cells=%d timesteps=%d p=%d)", cells, timesteps, p)
-	}
-	var opts Options
-	opts.MinMax = r.Bool()
-	if r.Bool() {
-		th := r.F64()
-		opts.Threshold = &th
-	}
-	opts.HigherMoments = r.Bool()
-	if version >= LayoutV2 {
-		opts.Quantiles = r.F64Slice()
-		opts.QuantileEps = r.F64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		for _, q := range opts.Quantiles {
-			if !(q > 0 && q < 1) {
-				return nil, fmt.Errorf("core: corrupt quantile probe %v", q)
-			}
-		}
-		if !(opts.QuantileEps >= 0 && opts.QuantileEps < 1) {
-			return nil, fmt.Errorf("core: corrupt quantile eps %v", opts.QuantileEps)
-		}
-	}
-	a := NewAccumulator(cells, timesteps, p, opts)
-	col := make([]float64, cells)
-	for t := range a.steps {
-		s := &a.steps[t]
-		s.n = r.I64()
-		readCol := func(off int) {
-			r.F64SliceInto(col)
-			if r.Err() == nil {
-				a.scatterColumn(s, off, col)
-			}
-		}
-		readCol(offMeanA)
-		readCol(offM2A)
-		readCol(offMeanB)
-		readCol(offM2B)
-		for off := recHeader; off < a.lay.sob; off += recPerParam {
-			readCol(off + blkMeanC)
-			readCol(off + blkM2C)
-			readCol(off + blkC2BC)
-			readCol(off + blkC2AC)
-		}
-		if a.lay.min >= 0 {
-			s.minmaxN = r.I64()
-			readCol(a.lay.min)
-			readCol(a.lay.min + 1)
-		}
-		if a.lay.exc >= 0 {
-			r.F64() // per-section threshold copy; the header value governs
-			s.exceedN = r.I64()
-			counts := r.I64Slice()
-			if r.Err() == nil {
-				if len(counts) != cells {
-					return nil, fmt.Errorf("core: exceedance section has %d cells, want %d", len(counts), cells)
-				}
-				for i, ri := 0, a.lay.exc; i < cells; i, ri = i+1, ri+a.stride {
-					s.rec[ri] = float64(counts[i])
-				}
-			}
-		}
-		if a.lay.hig >= 0 {
-			s.higherN = r.I64()
-			readCol(a.lay.hig)
-			readCol(a.lay.hig + 1)
-			readCol(a.lay.hig + 2)
-			readCol(a.lay.hig + 3)
-		}
-		if version >= LayoutV2 && s.quant != nil {
-			s.quant.Decode(r)
-			if s.quant.Cells() != a.cells && r.Err() == nil {
-				return nil, fmt.Errorf("core: quantile field has %d cells, want %d", s.quant.Cells(), a.cells)
-			}
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 func correlation(c2, m2x, m2y float64) float64 {

@@ -310,7 +310,7 @@ func TestAccumulatorEncodeDecodeRoundTrip(t *testing.T) {
 
 	w := enc.NewWriter(4096)
 	a.Encode(w)
-	b, err := DecodeAccumulator(enc.NewReader(w.Bytes()))
+	b, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()), LayoutCurrent)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestAccumulatorEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal("restored accumulator cannot continue")
 	}
 	// Truncated checkpoints are rejected.
-	if _, err := DecodeAccumulator(enc.NewReader(w.Bytes()[:w.Len()/2])); err == nil {
+	if _, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()[:w.Len()/2]), LayoutCurrent); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }

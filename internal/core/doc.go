@@ -74,10 +74,13 @@
 // with the same streams over all 16 Options combinations and compare every
 // statistic bit for bit.
 //
-// Checkpoints and the wire format keep the historical dense per-statistic-
-// array layout: Encode gathers each statistic column out of the records and
-// Decode scatters it back, so files interchange byte-for-byte with builds
-// that predate the interleave (golden v1/v2 fixtures pin this).
+// Checkpoints store the record image (LayoutV4): per timestep the counts and
+// the records exactly as they sit in memory, so writing is a copy of each
+// shard's window and restoring reads the run straight back into the new
+// shards' windows — no transpose either way. The older dense per-statistic-
+// array layouts (LayoutV1–V3) are still read, each array scattered into the
+// shards' records, so files of older builds and the golden v1/v2 fixtures
+// restore; nothing writes them.
 //
 // The package also provides the GroupTracker implementing the
 // discard-on-replay bookkeeping of Sec. 4.2.1: per-group last-folded
@@ -99,11 +102,12 @@
 // identical to the single-threaded Accumulator, so sharded results are
 // bitwise equal to dense results for any shard count. A cell range of the
 // interleaved layout is one contiguous block per timestep — tracker slots
-// ride inside the records — so shard extraction, injection and the dense
-// stitch are plain memmoves plus a handful of scalar sample counts. Read
+// ride inside the records — so snapshots, restores and the dense stitch move
+// a shard with one memmove per step plus a handful of scalar counts. Read
 // methods present the stitched dense view and must only run while no worker
-// is folding. Checkpoints use the dense format (Encode/DecodeSharded),
-// making them interchangeable across shard counts.
+// is folding. A checkpoint concatenates the shards' record windows in cell
+// order, which is the same byte stream for every shard count, so files
+// interchange across FoldWorkers settings (Snapshot, DecodeShardedVersion).
 //
 // # Incremental convergence tracking
 //
@@ -134,9 +138,10 @@
 // (a Greenwald-Khanna summary) rather than a handful of floats. The sketch
 // is a deterministic function of its update sequence, so it inherits the
 // bitwise FoldWorkers-invariance above unchanged; Extract/Inject/Merge and
-// the checkpoint codec treat it like any other field tracker. Checkpoints
-// carrying quantile state use layout version LayoutV2; LayoutV1 files from
-// older builds restore with quantiles disabled (DecodeAccumulatorVersion).
+// the checkpoint codec treat it like any other field tracker. Sketches are
+// the one part of a checkpoint step outside the record run: each timestep's
+// field follows its records (since LayoutV2), and LayoutV1 files from older
+// builds restore with quantiles disabled.
 //
 // Because sketch state is variable-sized, checkpoint snapshots used to
 // deep-copy and eagerly compact every sketch while the fold pipeline

@@ -1,15 +1,19 @@
 package core_test
 
-// Golden-fixture tests for the checkpoint byte stream. The fixtures in
-// testdata/ were written by the seed (pre-interleave) kernel via
-// tools/goldengen: the dense per-statistic-array layout, one file per
-// checkpoint version. The interleaved accumulator must keep decoding them
-// and re-encoding them byte-for-byte, which pins cross-version and
-// mixed-build interoperability: a checkpoint written today restores on a
-// seed build and vice versa.
+// Golden-fixture tests for the checkpoint byte stream. testdata/ holds one
+// accumulator per checkpoint layout that matters:
+//
+//   - accumulator_v1.ckpt and accumulator_v2.ckpt were written by the seed
+//     (pre-interleave) kernel in the dense per-statistic-array layouts. No
+//     build writes those layouts any more; they are frozen history that must
+//     keep decoding to exactly the state the current kernel folds, which pins
+//     both the kernel and the upgrade path from older builds.
+//   - accumulator_v4.ckpt is the record image (LayoutV4) of the same fold,
+//     written by tools/goldengen. It pins the current format byte for byte.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,9 +39,20 @@ const (
 	goldenGroups = 9
 )
 
+// goldenVersions are the fixture layouts in testdata/.
+var goldenVersions = []int{core.LayoutV1, core.LayoutV2, core.LayoutV4}
+
 func buildGoldenAccumulator(t *testing.T, opts core.Options) *core.Accumulator {
 	t.Helper()
 	a := core.NewAccumulator(goldenCells, goldenSteps, goldenP, opts)
+	foldGolden(a)
+	return a
+}
+
+// foldGolden folds the fixtures' update stream into a (dense or sharded).
+func foldGolden(a interface {
+	UpdateGroup(t int, yA, yB []float64, yC [][]float64)
+}) {
 	g := &goldenLCG{s: 2017}
 	yA := make([]float64, goldenCells)
 	yB := make([]float64, goldenCells)
@@ -57,9 +72,10 @@ func buildGoldenAccumulator(t *testing.T, opts core.Options) *core.Accumulator {
 			a.UpdateGroup(ts, yA, yB, yC)
 		}
 	}
-	return a
 }
 
+// goldenOptions is the statistics set of the fixture of a layout version:
+// everything, quantiles included once the layout can hold them.
 func goldenOptions(version int) core.Options {
 	th := 0.25
 	opts := core.Options{MinMax: true, Threshold: &th, HigherMoments: true}
@@ -70,28 +86,36 @@ func goldenOptions(version int) core.Options {
 	return opts
 }
 
-func goldenPath(t *testing.T, version int) string {
-	t.Helper()
-	name := "accumulator_v1.ckpt"
-	if version >= core.LayoutV2 {
-		name = "accumulator_v2.ckpt"
-	}
-	return filepath.Join("testdata", name)
+func goldenPath(version int) string {
+	return filepath.Join("testdata", fmt.Sprintf("accumulator_v%d.ckpt", version))
 }
 
-// TestGoldenFixtureDecode restores both fixture versions and checks the
-// state against a freshly-built accumulator of the same update stream —
-// every index, every optional statistic, bit for bit.
+// readGolden returns a fixture's verified payload reader, failing unless its
+// header carries the expected version.
+func readGolden(t *testing.T, version int) *enc.Reader {
+	t.Helper()
+	r, got, err := checkpoint.Read(goldenPath(version))
+	if err != nil {
+		t.Fatalf("v%d: %v", version, err)
+	}
+	if got != version {
+		t.Fatalf("fixture header says v%d, want v%d", got, version)
+	}
+	return r
+}
+
+func encodeAcc(a *core.Accumulator) []byte {
+	w := enc.NewWriter(1 << 15)
+	a.Encode(w)
+	return w.Bytes()
+}
+
+// TestGoldenFixtureDecode restores every fixture version and checks the state
+// against a freshly-built accumulator of the same update stream — every
+// index, every optional statistic, bit for bit.
 func TestGoldenFixtureDecode(t *testing.T) {
-	for _, version := range []int{core.LayoutV1, core.LayoutV2} {
-		r, gotVersion, err := checkpoint.Read(goldenPath(t, version))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if gotVersion != version {
-			t.Fatalf("fixture header says v%d, want v%d", gotVersion, version)
-		}
-		dec, err := core.DecodeAccumulatorVersion(r, gotVersion)
+	for _, version := range goldenVersions {
+		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
 		if err != nil {
 			t.Fatalf("v%d decode: %v", version, err)
 		}
@@ -122,14 +146,12 @@ func TestGoldenFixtureDecode(t *testing.T) {
 					t.Fatalf("v%d: skewness differs at (%d,%d)", version, ts, i)
 				}
 			}
-			if version >= core.LayoutV2 {
-				for _, q := range want.QuantileProbes() {
-					dq := dec.QuantileField(ts, q, nil)
-					wq := want.QuantileField(ts, q, nil)
-					for i := range wq {
-						if dq[i] != wq[i] {
-							t.Fatalf("v%d: quantile %v differs at (%d,%d)", version, q, ts, i)
-						}
+			for _, q := range want.QuantileProbes() {
+				dq := dec.QuantileField(ts, q, nil)
+				wq := want.QuantileField(ts, q, nil)
+				for i := range wq {
+					if dq[i] != wq[i] {
+						t.Fatalf("v%d: quantile %v differs at (%d,%d)", version, q, ts, i)
 					}
 				}
 			}
@@ -137,92 +159,153 @@ func TestGoldenFixtureDecode(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtureReencode proves the transposed Encode reproduces the
-// seed kernel's payload bytes exactly: decode each fixture, re-encode at the
-// same layout version, and compare against the fixture payload.
+// TestGoldenFixtureReencode goes below the getters: each fixture, decoded
+// and re-encoded in the current layout, must give the exact bytes of the
+// rebuilt accumulator — every record slot and sketch tuple of the seed
+// kernel's state reproduced. The v2 fixture holds the same statistics as v4,
+// so it re-encodes to the v4 fixture's payload itself.
 func TestGoldenFixtureReencode(t *testing.T) {
-	for _, version := range []int{core.LayoutV1, core.LayoutV2} {
-		path := goldenPath(t, version)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPayload := raw[16:] // past the checkpoint header
-
-		r, gotVersion, err := checkpoint.Read(path)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		dec, err := core.DecodeAccumulatorVersion(r, gotVersion)
+	v4, err := os.ReadFile(goldenPath(core.LayoutV4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4Payload := v4[16:] // past the checkpoint header
+	for _, version := range goldenVersions {
+		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
 		if err != nil {
 			t.Fatalf("v%d decode: %v", version, err)
 		}
-		w := enc.NewWriter(len(wantPayload))
-		dec.EncodeVersion(w, version)
-		if !bytes.Equal(w.Bytes(), wantPayload) {
-			t.Fatalf("v%d: re-encoded payload differs from seed-kernel fixture (%d vs %d bytes)",
-				version, w.Len(), len(wantPayload))
+		got := encodeAcc(dec)
+		if want := encodeAcc(buildGoldenAccumulator(t, goldenOptions(version))); !bytes.Equal(got, want) {
+			t.Fatalf("v%d: re-encoded fixture differs from the rebuilt state (%d vs %d bytes)", version, len(got), len(want))
+		}
+		if version >= core.LayoutV2 && !bytes.Equal(got, v4Payload) {
+			t.Fatalf("v%d: re-encoded fixture differs from the v4 fixture payload (%d vs %d bytes)", version, len(got), len(v4Payload))
 		}
 	}
 }
 
-// TestGoldenFixtureFreshEncode goes one step further: an accumulator built
-// from scratch by the interleaved kernel must encode to the exact bytes the
-// seed kernel wrote — update path, layout transpose and trackers all
-// bitwise-faithful.
+// TestGoldenFixtureFreshEncode pins the current format: an accumulator built
+// from scratch must encode to the v4 fixture's bytes, whether it was folded
+// densely or by any number of shards; and the checkpoint writer's snapshot
+// sections must match the dense encode of the same (compacted) state.
 func TestGoldenFixtureFreshEncode(t *testing.T) {
-	for _, version := range []int{core.LayoutV1, core.LayoutV2} {
-		raw, err := os.ReadFile(goldenPath(t, version))
+	raw, err := os.ReadFile(goldenPath(core.LayoutV4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPayload := raw[16:]
+	opts := goldenOptions(core.LayoutV4)
+	if got := encodeAcc(buildGoldenAccumulator(t, opts)); !bytes.Equal(got, wantPayload) {
+		t.Fatalf("freshly-built accumulator encodes differently from the v4 fixture (%d vs %d bytes)",
+			len(got), len(wantPayload))
+	}
+	for _, shards := range []int{1, 2, 5} {
+		s := core.NewSharded(goldenCells, goldenSteps, goldenP, opts, shards)
+		foldGolden(s)
+		if !bytes.Equal(encodeDense(s), wantPayload) {
+			t.Fatalf("%d shards: folded state encodes differently from the v4 fixture", shards)
+		}
+		s.CompactQuantiles()
+		snap := s.NewSnapshot()
+		for i := 0; i < s.NumShards(); i++ {
+			s.SnapshotShard(i, snap)
+		}
+		if !bytes.Equal(encodeSnapshot(snap), encodeDense(s)) {
+			t.Fatalf("%d shards: snapshot sections differ from the dense encode", shards)
+		}
+	}
+}
+
+// TestGoldenFixtureRestoredContinues folds more groups into each restored
+// fixture that carries quantiles and checks the restored accumulator keeps
+// producing the same stream as the rebuilt one — the server-restart path.
+func TestGoldenFixtureRestoredContinues(t *testing.T) {
+	for _, version := range []int{core.LayoutV2, core.LayoutV4} {
+		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPayload := raw[16:]
-		a := buildGoldenAccumulator(t, goldenOptions(version))
-		w := enc.NewWriter(len(wantPayload))
-		a.EncodeVersion(w, version)
-		if !bytes.Equal(w.Bytes(), wantPayload) {
-			t.Fatalf("v%d: freshly-built accumulator encodes differently from the seed kernel (%d vs %d bytes)",
-				version, w.Len(), len(wantPayload))
+		want := buildGoldenAccumulator(t, goldenOptions(version))
+		g := &goldenLCG{s: 99}
+		yA := make([]float64, goldenCells)
+		yB := make([]float64, goldenCells)
+		yC := make([][]float64, goldenP)
+		for k := range yC {
+			yC[k] = make([]float64, goldenCells)
+		}
+		for n := 0; n < 5; n++ {
+			for i := 0; i < goldenCells; i++ {
+				yA[i] = g.next()
+				yB[i] = g.next()
+				for k := 0; k < goldenP; k++ {
+					yC[k][i] = g.next()
+				}
+			}
+			dec.UpdateGroup(0, yA, yB, yC)
+			want.UpdateGroup(0, yA, yB, yC)
+		}
+		// Float state only: encoding flushes a sketch's insert buffer, so a
+		// restored sketch batches later inserts differently from one that
+		// never went through a checkpoint.
+		fields := map[string][2][]float64{
+			"min":      {dec.MinField(0, nil), want.MinField(0, nil)},
+			"max":      {dec.MaxField(0, nil), want.MaxField(0, nil)},
+			"exceed":   {dec.ExceedanceField(0, nil), want.ExceedanceField(0, nil)},
+			"kurtosis": {dec.KurtosisField(0, nil), want.KurtosisField(0, nil)},
+		}
+		for k := 0; k < goldenP; k++ {
+			fields[fmt.Sprintf("S%d", k)] = [2][]float64{dec.FirstField(0, k, nil), want.FirstField(0, k, nil)}
+			fields[fmt.Sprintf("ST%d", k)] = [2][]float64{dec.TotalField(0, k, nil), want.TotalField(0, k, nil)}
+		}
+		for name, pair := range fields {
+			for i := range pair[1] {
+				if pair[0][i] != pair[1][i] {
+					t.Fatalf("v%d: restored accumulator diverges at %s cell %d", version, name, i)
+				}
+			}
 		}
 	}
 }
 
-// TestGoldenFixtureRestoredContinues folds more groups into a restored
-// fixture and checks the restored accumulator keeps producing the same
-// stream as the rebuilt one — the server-restart path.
-func TestGoldenFixtureRestoredContinues(t *testing.T) {
-	r, version, err := checkpoint.Read(goldenPath(t, core.LayoutV2))
+// TestAccumulatorLayoutV1RoundTrip: a V1 stream (pre-quantile builds)
+// restores into a V1 reader with quantiles disabled and keeps folding, and
+// re-encoding it carries every V1 statistic across bit-exactly. Unknown
+// layout versions are rejected cleanly.
+func TestAccumulatorLayoutV1RoundTrip(t *testing.T) {
+	b, err := core.DecodeAccumulatorVersion(readGolden(t, core.LayoutV1), core.LayoutV1)
+	if err != nil {
+		t.Fatalf("v1 decode: %v", err)
+	}
+	if b.QuantileProbes() != nil || b.Quantiles(0) != nil {
+		t.Fatal("v1 stream restored with quantile state")
+	}
+	again, err := core.DecodeAccumulatorVersion(enc.NewReader(encodeAcc(b)), core.LayoutCurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := core.DecodeAccumulatorVersion(r, version)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(encodeAcc(again), encodeAcc(b)) {
+		t.Fatal("v1 state changed across a current-layout round trip")
 	}
-	want := buildGoldenAccumulator(t, goldenOptions(core.LayoutV2))
-	g := &goldenLCG{s: 99}
-	yA := make([]float64, goldenCells)
-	yB := make([]float64, goldenCells)
+	// The restored accumulator keeps folding (server restart from an old
+	// checkpoint) — just without quantiles.
+	n := b.N(0)
+	zero := make([]float64, goldenCells)
 	yC := make([][]float64, goldenP)
 	for k := range yC {
-		yC[k] = make([]float64, goldenCells)
+		yC[k] = zero
 	}
-	for n := 0; n < 5; n++ {
-		for i := 0; i < goldenCells; i++ {
-			yA[i] = g.next()
-			yB[i] = g.next()
-			for k := 0; k < goldenP; k++ {
-				yC[k][i] = g.next()
-			}
+	b.UpdateGroup(0, zero, zero, yC)
+	if b.N(0) != n+1 {
+		t.Fatal("v1-restored accumulator cannot continue")
+	}
+
+	for _, version := range []int{0, core.LayoutCurrent + 1} {
+		if _, err := core.DecodeAccumulatorVersion(readGolden(t, core.LayoutV1), version); err == nil {
+			t.Fatalf("layout version %d accepted", version)
 		}
-		dec.UpdateGroup(0, yA, yB, yC)
-		want.UpdateGroup(0, yA, yB, yC)
-	}
-	for k := 0; k < goldenP; k++ {
-		for i := 0; i < goldenCells; i++ {
-			if dec.FirstAt(0, k, i) != want.FirstAt(0, k, i) {
-				t.Fatalf("restored accumulator diverges at S%d cell %d", k, i)
-			}
+		if _, err := core.DecodeShardedVersion(readGolden(t, core.LayoutV1), version, 2); err == nil {
+			t.Fatalf("layout version %d accepted by the sharded restore", version)
 		}
 	}
 }

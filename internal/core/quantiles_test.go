@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"melissa/internal/enc"
 )
 
 func quantileOpts(eps float64) Options {
@@ -181,66 +179,4 @@ func TestAccumulatorBadQuantileProbePanics(t *testing.T) {
 		}
 	}()
 	NewAccumulator(2, 1, 1, Options{Quantiles: []float64{1.5}})
-}
-
-// TestAccumulatorLayoutV1RoundTrip: the V1 layout (pre-quantile builds)
-// still round-trips bit-exactly for every V1 statistic, and a V1 stream
-// restores into the V2 reader with quantiles disabled — old checkpoints
-// stay readable.
-func TestAccumulatorLayoutV1RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	th := 0.75
-	const cells, p, steps = 5, 2, 2
-	opts := Options{MinMax: true, Threshold: &th, HigherMoments: true,
-		Quantiles: []float64{0.5}, QuantileEps: 0.05}
-	a := NewAccumulator(cells, steps, p, opts)
-	for s := 0; s < steps; s++ {
-		feedAll(a, s, randomGroups(rng, 7, cells, p))
-	}
-
-	// What an old build would have written: the V1 layout has no quantile
-	// block (EncodeVersion drops it).
-	w := enc.NewWriter(4096)
-	a.EncodeVersion(w, LayoutV1)
-	b, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()), LayoutV1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if b.QuantileProbes() != nil || b.Quantiles(0) != nil {
-		t.Fatal("v1 stream restored with quantile state")
-	}
-	for s := 0; s < steps; s++ {
-		if b.N(s) != a.N(s) {
-			t.Fatalf("step %d: n %d vs %d", s, b.N(s), a.N(s))
-		}
-		for k := 0; k < p; k++ {
-			for i := 0; i < cells; i++ {
-				if b.FirstAt(s, k, i) != a.FirstAt(s, k, i) || b.TotalAt(s, k, i) != a.TotalAt(s, k, i) {
-					t.Fatal("v1 round trip lost Sobol' state")
-				}
-			}
-		}
-		if b.MaxField(s, nil)[1] != a.MaxField(s, nil)[1] || b.SkewnessField(s, nil)[0] != a.SkewnessField(s, nil)[0] {
-			t.Fatal("v1 round trip lost optional stats")
-		}
-	}
-	// The restored accumulator keeps folding (server restart from an old
-	// checkpoint) — just without quantiles.
-	feedAll(b, 0, randomGroups(rng, 2, cells, p))
-	if b.N(0) != a.N(0)+2 {
-		t.Fatal("v1-restored accumulator cannot continue")
-	}
-
-	// Unknown layout versions are rejected cleanly on both sides.
-	if _, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()), LayoutCurrent+1); err == nil {
-		t.Fatal("future layout version accepted")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EncodeVersion accepted an unknown version")
-			}
-		}()
-		a.EncodeVersion(enc.NewWriter(16), LayoutCurrent+1)
-	}()
 }

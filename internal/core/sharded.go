@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"melissa/internal/enc"
-)
+import "fmt"
 
 // ShardedAccumulator is an Accumulator split into contiguous cell-range
 // shards so that independent cell sub-ranges can be folded concurrently by
@@ -15,9 +11,10 @@ import (
 // single-threaded Accumulator — sharded results are bitwise equal to dense
 // results for the same update stream.
 //
-// Read methods (FirstField, MaxCIWidth, Encode, ...) present the dense
+// Read methods (FirstField, MaxCIWidth, Dense, ...) present the dense
 // single-partition view and must only be called while no worker is folding
-// (the server quiesces its pipeline first).
+// (the server quiesces its pipeline first). Checkpoints go through a
+// Snapshot.
 type ShardedAccumulator struct {
 	cells     int
 	timesteps int
@@ -78,68 +75,15 @@ func NewSharded(cells, timesteps, p int, opts Options, shards int) *ShardedAccum
 	return s
 }
 
-// SplitAccumulator re-shards a dense accumulator (e.g. one decoded from a
-// checkpoint) into `shards` cell ranges, copying the state.
-func SplitAccumulator(a *Accumulator, shards int) *ShardedAccumulator {
-	shards = clampShards(a.cells, shards)
-	s := &ShardedAccumulator{
-		cells:     a.cells,
-		timesteps: a.timesteps,
-		p:         a.p,
-		opts:      a.opts,
-		bounds:    shardBounds(a.cells, shards),
-		shards:    make([]*Accumulator, shards),
-		ycScratch: make([][][]float64, shards),
-	}
-	for i := range s.shards {
-		s.shards[i] = a.extractRange(s.bounds[i], s.bounds[i+1])
-		s.ycScratch[i] = make([][]float64, a.p)
-	}
-	return s
-}
-
-// Shard returns a copy of the i-th of n contiguous cell sub-ranges of a as
-// an independent accumulator.
-func (a *Accumulator) Shard(i, n int) *Accumulator {
-	n = clampShards(a.cells, n)
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("core: shard %d out of range [0,%d)", i, n))
-	}
-	bounds := shardBounds(a.cells, n)
-	return a.extractRange(bounds[i], bounds[i+1])
-}
-
-// extractRange copies cells [lo, hi) of a into a fresh accumulator. A cell
-// range of the interleaved layout is one contiguous block per timestep —
-// tracker slots ride inside the records — so everything but the quantile
-// sketches moves with a single copy per step.
-func (a *Accumulator) extractRange(lo, hi int) *Accumulator {
-	out := NewAccumulator(hi-lo, a.timesteps, a.p, a.opts)
-	for t := range a.steps {
-		src, dst := &a.steps[t], &out.steps[t]
-		dst.n = src.n
-		dst.minmaxN = src.minmaxN
-		dst.exceedN = src.exceedN
-		dst.higherN = src.higherN
-		copy(dst.rec, src.rec[lo*a.stride:hi*a.stride])
-		if src.quant != nil {
-			dst.quant = src.quant.Extract(lo, hi)
-		}
-	}
-	return out
-}
-
 // injectRange copies src (an accumulator over hi-lo cells) into cells
-// [lo, lo+src.cells) of a, adopting src's per-step counts — the contiguous
-// inverse of extractRange.
+// [lo, lo+src.cells) of a, adopting src's per-step counts. A cell range of
+// the interleaved layout is one contiguous block per timestep — tracker
+// slots ride inside the records — so everything but the quantile sketches
+// moves with a single copy per step.
 func (a *Accumulator) injectRange(src *Accumulator, lo int) {
 	for t := range a.steps {
 		from, to := &src.steps[t], &a.steps[t]
-		to.n = from.n
-		to.minmaxN = from.minmaxN
-		to.exceedN = from.exceedN
-		to.higherN = from.higherN
-		to.ciDirty = true
+		to.setCounts(from)
 		copy(to.rec[lo*a.stride:(lo+src.cells)*a.stride], from.rec)
 		if to.quant != nil && from.quant != nil {
 			to.quant.Inject(from.quant, lo)
@@ -347,31 +291,4 @@ func (s *ShardedAccumulator) Dense() *Accumulator {
 		out.injectRange(sh, s.bounds[i])
 	}
 	return out
-}
-
-// Encode appends the accumulator state to w in the *dense* single-
-// accumulator checkpoint format, so checkpoints are interchangeable between
-// sharded and unsharded servers (and across FoldWorkers settings).
-func (s *ShardedAccumulator) Encode(w *enc.Writer) {
-	if len(s.shards) == 1 {
-		s.shards[0].Encode(w)
-		return
-	}
-	s.Dense().Encode(w)
-}
-
-// DecodeSharded reconstructs a sharded accumulator from a dense-format
-// checkpoint stream (current layout), splitting it into `shards` ranges.
-func DecodeSharded(r *enc.Reader, shards int) (*ShardedAccumulator, error) {
-	return DecodeShardedVersion(r, LayoutCurrent, shards)
-}
-
-// DecodeShardedVersion is DecodeSharded for a stream encoded in the given
-// layout version (see DecodeAccumulatorVersion).
-func DecodeShardedVersion(r *enc.Reader, version, shards int) (*ShardedAccumulator, error) {
-	dense, err := DecodeAccumulatorVersion(r, version)
-	if err != nil {
-		return nil, err
-	}
-	return SplitAccumulator(dense, shards), nil
 }

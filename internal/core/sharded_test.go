@@ -149,78 +149,74 @@ func TestShardedConcurrentFoldRace(t *testing.T) {
 	compareShardedToDense(t, s, dense)
 }
 
-// TestShardedSplitDenseRoundTrip checks the checkpoint conversions: a dense
-// accumulator split mid-stream must keep folding identically, Dense() must
-// reassemble exactly, and the encoded bytes must match the dense format so
-// checkpoints are interchangeable across FoldWorkers settings.
+// restoreSharded splits a dense accumulator into `shards` shards the way a
+// restart does: through its checkpoint encoding.
+func restoreSharded(t *testing.T, a *Accumulator, shards int) *ShardedAccumulator {
+	t.Helper()
+	var w enc.Writer
+	a.Encode(&w)
+	s, err := DecodeShardedVersion(enc.NewReader(w.Bytes()), LayoutCurrent, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestShardedSplitDenseRoundTrip checks the conversions between the dense
+// and sharded forms: a dense accumulator restored into shards mid-stream
+// must keep folding identically, at any shard count, and Dense() must
+// reassemble exactly.
 func TestShardedSplitDenseRoundTrip(t *testing.T) {
-	const cells, p, shards = 53, 3, 4
+	const cells, p = 53, 3
 	rng := rand.New(rand.NewSource(3))
 	first := randomGroups(rng, 8, cells, p)
 	second := randomGroups(rng, 8, cells, p)
 
 	dense := NewAccumulator(cells, 1, p, shardedOpts())
 	feedAll(dense, 0, first)
-
-	s := SplitAccumulator(dense, shards)
+	split := make([]*ShardedAccumulator, 0, 3)
+	for _, n := range []int{1, 4, cells} {
+		split = append(split, restoreSharded(t, dense, n))
+	}
 	feedAll(dense, 0, second)
-	feedSharded(s, 0, second)
-	compareShardedToDense(t, s, dense)
-
-	back := s.Dense()
-	var wd, ws enc.Writer
+	var wd enc.Writer
 	dense.Encode(&wd)
-	back.Encode(&ws)
-	if !bytes.Equal(wd.Bytes(), ws.Bytes()) {
-		t.Fatal("Dense() round trip changed the encoded state")
-	}
-
-	ws.Reset()
-	s.Encode(&ws)
-	if !bytes.Equal(wd.Bytes(), ws.Bytes()) {
-		t.Fatal("sharded Encode differs from the dense checkpoint format")
-	}
-
-	decoded, err := DecodeSharded(enc.NewReader(ws.Bytes()), shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareShardedToDense(t, decoded, dense)
-
-	// A single-shard accumulator must also encode identically (fast path).
-	one := SplitAccumulator(dense, 1)
-	ws.Reset()
-	one.Encode(&ws)
-	if !bytes.Equal(wd.Bytes(), ws.Bytes()) {
-		t.Fatal("single-shard Encode differs from the dense checkpoint format")
+	for _, s := range split {
+		feedSharded(s, 0, second)
+		compareShardedToDense(t, s, dense)
+		var ws enc.Writer
+		s.Dense().Encode(&ws)
+		if !bytes.Equal(wd.Bytes(), ws.Bytes()) {
+			t.Fatalf("%d shards: Dense() round trip changed the encoded state", s.NumShards())
+		}
 	}
 }
 
-// TestAccumulatorShard checks the public range extractor used for
-// re-sharding.
+// TestAccumulatorShard checks the range split of a restore: the shards cover
+// the partition contiguously, in order, each holding exactly the dense cells
+// of its range.
 func TestAccumulatorShard(t *testing.T) {
 	const cells, p = 10, 2
 	rng := rand.New(rand.NewSource(5))
 	dense := NewAccumulator(cells, 1, p, Options{})
 	feedAll(dense, 0, randomGroups(rng, 5, cells, p))
 
+	s := restoreSharded(t, dense, 3)
 	covered := 0
-	for i := 0; i < 3; i++ {
-		sh := dense.Shard(i, 3)
+	for i := 0; i < s.NumShards(); i++ {
+		lo, hi := s.ShardRange(i)
+		sh := s.ShardAccum(i)
+		if lo != covered || sh.Cells() != hi-lo {
+			t.Fatalf("shard %d covers [%d,%d) with %d cells after %d covered", i, lo, hi, sh.Cells(), covered)
+		}
 		for c := 0; c < sh.Cells(); c++ {
-			if got, want := sh.FirstAt(0, 0, c), dense.FirstAt(0, 0, covered+c); got != want {
+			if got, want := sh.FirstAt(0, 0, c), dense.FirstAt(0, 0, lo+c); got != want {
 				t.Fatalf("shard %d cell %d: %v vs dense %v", i, c, got, want)
 			}
 		}
-		covered += sh.Cells()
+		covered = hi
 	}
 	if covered != cells {
 		t.Fatalf("shards cover %d of %d cells", covered, cells)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Shard index did not panic")
-		}
-	}()
-	dense.Shard(3, 3)
 }

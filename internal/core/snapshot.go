@@ -22,7 +22,7 @@ import (
 //
 // Once every shard has snapshotted, the snapshot is a self-consistent image
 // of the accumulator at one fold state, and a background writer can encode
-// it into the unchanged dense checkpoint layout (EncodeHeader/EncodeStep).
+// it as the checkpoint's record image (EncodeHeader/EncodeStep, LayoutV4).
 // This is the phase split that takes checkpoint encode+I/O off the ingest
 // path: the fold pipeline stalls only for the memmove + freeze, never for
 // compaction or the file.
@@ -111,95 +111,33 @@ func (a *Accumulator) copyInto(dst *Accumulator) {
 	}
 	copy(dst.buf, a.buf)
 	for t := range a.steps {
-		src, d := &a.steps[t], &dst.steps[t]
-		d.n = src.n
-		d.minmaxN = src.minmaxN
-		d.exceedN = src.exceedN
-		d.higherN = src.higherN
-		d.ciDirty = true
+		dst.steps[t].setCounts(&a.steps[t])
 	}
 }
 
 // Timesteps returns the number of per-timestep sections EncodeStep accepts.
 func (snap *Snapshot) Timesteps() int { return snap.timesteps }
 
-// EncodeHeader appends the dense-layout accumulator header for the given
-// layout version — the first section of the streamed checkpoint encode.
-// EncodeHeader followed by EncodeStep for every timestep produces bytes
-// identical to ShardedAccumulator.Encode on the source accumulator at the
-// snapshot's fold state (with compacted quantile sketches).
+// EncodeHeader appends the accumulator header — the first section of the
+// streamed checkpoint encode. EncodeHeader followed by EncodeStep for every
+// timestep produces the bytes of Accumulator.Encode on the source's dense
+// state at the snapshot's fold state (with compacted quantile sketches),
+// whatever the shard count. version must be LayoutCurrent: older layouts
+// are read, never written.
 func (snap *Snapshot) EncodeHeader(w *enc.Writer, version int) {
-	if version < LayoutV1 || version > LayoutCurrent {
-		panic(fmt.Sprintf("core: unknown accumulator layout version %d", version))
-	}
-	w.Int(snap.cells)
-	w.Int(snap.timesteps)
-	w.Int(snap.p)
-	w.Bool(snap.opts.MinMax)
-	w.Bool(snap.opts.Threshold != nil)
-	if snap.opts.Threshold != nil {
-		w.F64(*snap.opts.Threshold)
-	}
-	w.Bool(snap.opts.HigherMoments)
-	if version >= LayoutV2 {
-		w.F64Slice(snap.opts.Quantiles)
-		w.F64(snap.opts.QuantileEps)
-	}
+	mustWriteLayout(version)
+	header{snap.cells, snap.timesteps, snap.p, snap.opts}.encode(w)
 }
 
-// EncodeStep appends timestep t's dense-layout section: the per-statistic
-// arrays — tracker columns included — are stitched across shards straight
-// out of the interleaved records (each shard contributes its contiguous
-// cell sub-range), so no dense intermediate copy of the state ever exists.
-// Frozen quantile sketches are canonicalized (flushed + compacted) into the
+// EncodeStep appends timestep t's section: the counts and the record run,
+// each shard's record window copied as it is, then the quantile field.
+// Frozen sketches are canonicalized (flushed + compacted) into the
 // snapshot's scratch sketch one at a time as they stream out, producing the
 // same bytes the eager pre-snapshot Compact pass used to.
 func (snap *Snapshot) EncodeStep(w *enc.Writer, version, t int) {
-	if version < LayoutV1 || version > LayoutCurrent {
-		panic(fmt.Sprintf("core: unknown accumulator layout version %d", version))
-	}
-	sh0 := snap.shards[0]
-	w.I64(sh0.steps[t].n)
-	writeColumn := func(off int) {
-		w.U64(uint64(snap.cells))
-		for _, sh := range snap.shards {
-			w.F64Raw(sh.gatherColumn(&sh.steps[t], off))
-		}
-	}
-	lay := sh0.lay
-	writeColumn(offMeanA)
-	writeColumn(offM2A)
-	writeColumn(offMeanB)
-	writeColumn(offM2B)
-	for off := recHeader; off < lay.sob; off += recPerParam {
-		writeColumn(off + blkMeanC)
-		writeColumn(off + blkM2C)
-		writeColumn(off + blkC2BC)
-		writeColumn(off + blkC2AC)
-	}
-	// Tracker sections in the historical stats stitched byte layouts,
-	// gathered out of the records like everything else.
-	if lay.min >= 0 {
-		w.I64(sh0.steps[t].minmaxN)
-		writeColumn(lay.min)
-		writeColumn(lay.min + 1)
-	}
-	if lay.exc >= 0 {
-		w.F64(sh0.threshold)
-		w.I64(sh0.steps[t].exceedN)
-		w.U64(uint64(snap.cells))
-		for _, sh := range snap.shards {
-			w.I64Raw(sh.gatherCountColumn(&sh.steps[t], lay.exc))
-		}
-	}
-	if lay.hig >= 0 {
-		w.I64(sh0.steps[t].higherN)
-		writeColumn(lay.hig)
-		writeColumn(lay.hig + 1)
-		writeColumn(lay.hig + 2)
-		writeColumn(lay.hig + 3)
-	}
-	if version >= LayoutV2 && snap.frozen != nil {
+	mustWriteLayout(version)
+	encodeRecords(w, snap.shards, t)
+	if snap.frozen != nil {
 		parts := snap.fzParts[:0]
 		for i := range snap.shards {
 			parts = append(parts, snap.frozen[i][t])
@@ -209,11 +147,10 @@ func (snap *Snapshot) EncodeStep(w *enc.Writer, version, t int) {
 	}
 }
 
-// Encode appends the full snapshot state in the current layout — the
-// one-shot convenience equivalent of the streamed section sequence.
-func (snap *Snapshot) Encode(w *enc.Writer) {
-	snap.EncodeHeader(w, LayoutCurrent)
-	for t := 0; t < snap.timesteps; t++ {
-		snap.EncodeStep(w, LayoutCurrent, t)
+// mustWriteLayout panics unless version is the one layout the encoders
+// write.
+func mustWriteLayout(version int) {
+	if version != LayoutCurrent {
+		panic(fmt.Sprintf("core: cannot write accumulator layout version %d (only %d is written)", version, LayoutCurrent))
 	}
 }

@@ -34,9 +34,23 @@ func foldRandomGroups(s *core.ShardedAccumulator, cells, timesteps, p, nGroups i
 	}
 }
 
+// encodeSnapshot writes snap the way the background checkpoint writer does:
+// the header, then one section per timestep.
+func encodeSnapshot(snap *core.Snapshot) []byte {
+	w := enc.NewWriter(1 << 16)
+	snap.EncodeHeader(w, core.LayoutCurrent)
+	for t := 0; t < snap.Timesteps(); t++ {
+		snap.EncodeStep(w, core.LayoutCurrent, t)
+	}
+	return w.Bytes()
+}
+
+// encodeDense is the one-shot reference encode of s's state.
+func encodeDense(s *core.ShardedAccumulator) []byte { return encodeAcc(s.Dense()) }
+
 // TestSnapshotEncodeMatchesDense: a snapshot filled shard by shard must
 // encode, via the stitched section writers, to exactly the bytes of the
-// dense ShardedAccumulator.Encode at the same fold state — the byte-identity
+// dense Accumulator.Encode at the same fold state — the byte-identity
 // contract the background checkpoint writer relies on. Swept over every
 // Options combination and several shard counts.
 func TestSnapshotEncodeMatchesDense(t *testing.T) {
@@ -47,19 +61,17 @@ func TestSnapshotEncodeMatchesDense(t *testing.T) {
 			foldRandomGroups(s, cells, timesteps, p, nGroups, int64(1000+ci))
 			s.CompactQuantiles()
 
-			want := enc.NewWriter(1 << 16)
-			s.Encode(want)
+			want := encodeDense(s)
 
 			snap := s.NewSnapshot()
 			for i := 0; i < s.NumShards(); i++ {
 				s.SnapshotShard(i, snap)
 			}
-			got := enc.NewWriter(1 << 16)
-			snap.Encode(got)
+			got := encodeSnapshot(snap)
 
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			if !bytes.Equal(want, got) {
 				t.Fatalf("combo %d shards %d: snapshot encode differs from dense (%d vs %d bytes)",
-					ci, shards, got.Len(), want.Len())
+					ci, shards, len(got), len(want))
 			}
 		}
 	}
@@ -88,11 +100,9 @@ func TestSnapshotReuse(t *testing.T) {
 	for i := 0; i < s.NumShards(); i++ {
 		s.SnapshotShard(i, snap)
 	}
-	want := enc.NewWriter(1 << 16)
-	s.Encode(want)
-	got := enc.NewWriter(1 << 16)
-	snap.Encode(got)
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	want := encodeDense(s)
+	got := encodeSnapshot(snap)
+	if !bytes.Equal(want, got) {
 		t.Fatal("reused snapshot differs from dense encode after refresh")
 	}
 
@@ -100,16 +110,14 @@ func TestSnapshotReuse(t *testing.T) {
 	for i := 0; i < s.NumShards(); i++ {
 		s.SnapshotShard(i, fresh)
 	}
-	freshW := enc.NewWriter(1 << 16)
-	fresh.Encode(freshW)
-	if !bytes.Equal(freshW.Bytes(), got.Bytes()) {
+	if !bytes.Equal(encodeSnapshot(fresh), got) {
 		t.Fatal("reused snapshot differs from fresh snapshot")
 	}
 }
 
 // TestSnapshotDecodesRoundTrip: the snapshot's streamed encode must be
-// decodable by the ordinary dense decoder (it is, after all, the same
-// format), restoring the same statistics.
+// decodable by the dense decoder and by the sharded restore at any shard
+// count, restoring the same statistics.
 func TestSnapshotDecodesRoundTrip(t *testing.T) {
 	const cells, timesteps, p = 23, 2, 2
 	opts := core.Options{MinMax: true, Quantiles: []float64{0.5}}
@@ -121,9 +129,8 @@ func TestSnapshotDecodesRoundTrip(t *testing.T) {
 	for i := 0; i < s.NumShards(); i++ {
 		s.SnapshotShard(i, snap)
 	}
-	w := enc.NewWriter(1 << 16)
-	snap.Encode(w)
-	dec, err := core.DecodeAccumulator(enc.NewReader(w.Bytes()))
+	image := encodeSnapshot(snap)
+	dec, err := core.DecodeAccumulatorVersion(enc.NewReader(image), core.LayoutCurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +142,50 @@ func TestSnapshotDecodesRoundTrip(t *testing.T) {
 				}
 			}
 		}
+		for _, q := range opts.Quantiles {
+			dq, sq := dec.QuantileField(t2, q, nil), s.QuantileField(t2, q, nil)
+			for c := range sq {
+				if dq[c] != sq[c] {
+					t.Fatalf("decoded quantile %v (t=%d,c=%d) differs", q, t2, c)
+				}
+			}
+		}
+	}
+	for _, shards := range []int{1, 3, 4} {
+		back, err := core.DecodeShardedVersion(enc.NewReader(image), core.LayoutCurrent, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumShards() != shards {
+			t.Fatalf("restored into %d shards, want %d", back.NumShards(), shards)
+		}
+		if !bytes.Equal(encodeDense(back), encodeDense(s)) {
+			t.Fatalf("%d shards: restored state differs from the snapshot's source", shards)
+		}
+	}
+}
+
+// TestSnapshotEncoderWritesOnlyCurrentLayout: the older layouts are read,
+// never written — asking the encoders for one is a programming error.
+func TestSnapshotEncoderWritesOnlyCurrentLayout(t *testing.T) {
+	s := core.NewSharded(4, 1, 1, core.Options{}, 2)
+	snap := s.NewSnapshot()
+	for _, version := range []int{core.LayoutV1, core.LayoutV3, core.LayoutCurrent + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("EncodeHeader accepted layout version %d", version)
+				}
+			}()
+			snap.EncodeHeader(enc.NewWriter(16), version)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("EncodeStep accepted layout version %d", version)
+				}
+			}()
+			snap.EncodeStep(enc.NewWriter(16), version, 0)
+		}()
 	}
 }

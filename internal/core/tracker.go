@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"melissa/internal/enc"
@@ -195,20 +196,10 @@ func (g *GroupTracker) Merge(other *GroupTracker) {
 }
 
 // Encode appends the tracker state to w (part of the server checkpoint) in
-// the current layout.
-func (g *GroupTracker) Encode(w *enc.Writer) { g.EncodeVersion(w, LayoutCurrent) }
-
-// EncodeVersion appends the tracker state in the given checkpoint layout.
-// Layouts before LayoutV3 store one (id, last-folded-step) pair per group —
-// they predate the frontier/ahead split and cannot represent a hole, so a
-// downgrade encode flattens each group to its highest folded step (exactly
-// what a pre-V3 build, which assumed contiguous arrival, would have
-// recorded).
-func (g *GroupTracker) EncodeVersion(w *enc.Writer, version int) {
-	if version < LayoutV3 {
-		g.encodeLegacy(w)
-		return
-	}
+// the current layout: the final step, then per group, in id order, its
+// frontier (-1 for none) and its sorted ahead-steps. The block is unchanged
+// since LayoutV3.
+func (g *GroupTracker) Encode(w *enc.Writer) {
 	w.Int(g.finalStep)
 	ids := make([]int, 0, len(g.last)+len(g.ahead))
 	for id := range g.last {
@@ -240,51 +231,21 @@ func (g *GroupTracker) EncodeVersion(w *enc.Writer, version int) {
 	}
 }
 
-func (g *GroupTracker) encodeLegacy(w *enc.Writer) {
-	w.Int(g.finalStep)
-	ids := make([]int, 0, len(g.last)+len(g.ahead))
-	for id := range g.last {
-		ids = append(ids, id)
-	}
-	for id := range g.ahead {
-		if _, seen := g.last[id]; !seen {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	w.Int(len(ids))
-	for _, id := range ids {
-		last, seen := g.last[id]
-		if !seen {
-			last = -1
-		}
-		for s := range g.ahead[id] {
-			if s > last {
-				last = s
-			}
-		}
-		w.Int(id)
-		w.Int(last)
-	}
-}
-
-// DecodeGroupTracker reconstructs a tracker encoded in the current layout.
-func DecodeGroupTracker(r *enc.Reader) (*GroupTracker, error) {
-	return DecodeGroupTrackerVersion(r, LayoutCurrent)
-}
-
 // DecodeGroupTrackerVersion reconstructs a tracker encoded in the given
 // checkpoint layout. Pre-V3 files carry one (id, last) pair per group; those
 // builds assumed contiguous arrival, so the pair is restored as a contiguous
 // frontier with an empty ahead-set.
 func DecodeGroupTrackerVersion(r *enc.Reader, version int) (*GroupTracker, error) {
-	if version < LayoutV3 {
-		return decodeLegacyTracker(r)
-	}
 	finalStep := r.Int()
 	count := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if finalStep < 0 {
+		return nil, fmt.Errorf("core: corrupt group tracker final step %d", finalStep)
+	}
+	if version < LayoutV3 {
+		return decodeLegacyTracker(r, finalStep, count)
 	}
 	g := NewGroupTracker(finalStep)
 	for i := 0; i < count; i++ {
@@ -313,12 +274,7 @@ func DecodeGroupTrackerVersion(r *enc.Reader, version int) (*GroupTracker, error
 	return g, nil
 }
 
-func decodeLegacyTracker(r *enc.Reader) (*GroupTracker, error) {
-	finalStep := r.Int()
-	count := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+func decodeLegacyTracker(r *enc.Reader, finalStep, count int) (*GroupTracker, error) {
 	g := NewGroupTracker(finalStep)
 	for i := 0; i < count; i++ {
 		id := r.Int()

@@ -174,7 +174,7 @@ func TestTrackerEncodeDecode(t *testing.T) {
 	}
 	w := enc.NewWriter(1024)
 	tr.Encode(w)
-	got, err := DecodeGroupTracker(enc.NewReader(w.Bytes()))
+	got, err := DecodeGroupTrackerVersion(enc.NewReader(w.Bytes()), LayoutCurrent)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -201,30 +201,34 @@ func TestTrackerEncodeDecode(t *testing.T) {
 	}
 }
 
-// A pre-V3 checkpoint stores one (id, last) pair per group; it must restore
-// as a contiguous frontier, and a downgrade encode must flatten each group to
-// its highest folded step (what a pre-V3 build would have recorded).
+// A pre-V3 checkpoint stores one (id, last) pair per group — what the builds
+// of that era, which assumed contiguous arrival, recorded. Nothing writes the
+// layout any more; a hand-encoded block must restore each pair as a
+// contiguous frontier with nothing ahead of it.
 func TestTrackerLegacyLayoutRoundTrip(t *testing.T) {
-	tr := NewGroupTracker(99)
-	for s := 0; s <= 10; s++ {
-		tr.Commit(1, s)
-	}
-	tr.Commit(1, 15) // ahead of a hole at 11..14
-	tr.Commit(2, 7)  // ahead-only group, no frontier
 	w := enc.NewWriter(64)
-	tr.EncodeVersion(w, LayoutV1)
-	got, err := DecodeGroupTrackerVersion(enc.NewReader(w.Bytes()), LayoutV1)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
+	for _, v := range []int{99, 3, 1, 15, 2, 7, 4, 99} { // final step, count, then (id, last) pairs
+		w.Int(v)
 	}
-	if last, ok := got.LastStep(1); !ok || last != 15 {
-		t.Fatalf("group 1 flattened to %d/%v, want 15", last, ok)
-	}
-	if last, ok := got.LastStep(2); !ok || last != 7 {
-		t.Fatalf("group 2 flattened to %d/%v, want 7", last, ok)
-	}
-	if got.State(1) != GroupRunning || got.State(2) != GroupRunning {
-		t.Fatal("legacy groups should restore as running")
+	for _, version := range []int{LayoutV1, LayoutV2} {
+		got, err := DecodeGroupTrackerVersion(enc.NewReader(w.Bytes()), version)
+		if err != nil {
+			t.Fatalf("v%d legacy decode: %v", version, err)
+		}
+		if got.FinalStep() != 99 {
+			t.Fatalf("v%d: final step %d", version, got.FinalStep())
+		}
+		for _, want := range [][2]int{{1, 15}, {2, 7}, {4, 99}} {
+			if last, ok := got.LastStep(want[0]); !ok || last != want[1] {
+				t.Fatalf("v%d group %d: frontier %d/%v, want %d", version, want[0], last, ok, want[1])
+			}
+			if got.ShouldApply(want[0], want[1]) || !got.ShouldApply(want[0], want[1]+1) {
+				t.Fatalf("v%d group %d: frontier is not contiguous", version, want[0])
+			}
+		}
+		if got.State(1) != GroupRunning || got.State(2) != GroupRunning || got.State(4) != GroupFinished {
+			t.Fatalf("v%d: legacy groups restored in the wrong states", version)
+		}
 	}
 }
 

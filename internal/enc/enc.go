@@ -146,15 +146,6 @@ func (w *Writer) F64Raw(vs []float64) {
 	}
 }
 
-// I64Raw appends the int64 values with no length prefix (the I64Slice
-// counterpart of F64Raw).
-func (w *Writer) I64Raw(vs []int64) {
-	w.grow(8 * len(vs))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-	}
-}
-
 func (w *Writer) grow(n int) {
 	if cap(w.buf)-len(w.buf) < n {
 		nb := make([]byte, len(w.buf), 2*cap(w.buf)+n)
@@ -310,6 +301,19 @@ func (r *Reader) F64SliceInto(dst []float64) {
 	}
 	for i := range dst {
 		dst[i] = r.F64()
+	}
+}
+
+// F64RawInto fills dst with len(dst) float64 values that carry no length
+// prefix — the reading counterpart of F64Raw, for a run whose length the
+// caller has already checked.
+func (r *Reader) F64RawInto(dst []float64) {
+	b := r.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 

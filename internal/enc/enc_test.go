@@ -94,6 +94,32 @@ func TestF64SliceInto(t *testing.T) {
 	}
 }
 
+// TestF64RawInto: a run written as F64Raw parts reads back bit-exactly in
+// parts of other sizes, and a run longer than the input is an error.
+func TestF64RawInto(t *testing.T) {
+	vs := []float64{1, math.Copysign(0, -1), math.NaN(), math.Inf(1), -2.5}
+	w := NewWriter(0)
+	w.F64Raw(vs[:2])
+	w.F64Raw(vs[2:])
+	r := NewReader(w.Bytes())
+	got := make([]float64, len(vs))
+	r.F64RawInto(got[:3])
+	r.F64RawInto(got[3:])
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("err=%v remaining=%d", r.Err(), r.Remaining())
+	}
+	for i := range vs {
+		if math.Float64bits(got[i]) != math.Float64bits(vs[i]) {
+			t.Fatalf("[%d] = %v, want %v", i, got[i], vs[i])
+		}
+	}
+	r2 := NewReader(w.Bytes())
+	r2.F64RawInto(make([]float64, len(vs)+1))
+	if r2.Err() == nil {
+		t.Fatal("run past the end of the input accepted")
+	}
+}
+
 func TestShortBufferErrors(t *testing.T) {
 	w := NewWriter(0)
 	w.F64(1)

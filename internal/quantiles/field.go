@@ -13,8 +13,8 @@ import (
 // sample fields folded in.
 //
 // Like the other field trackers it supports Extract/Inject for spatial
-// domain decomposition (the sharded fold engine) and Encode/Decode for the
-// checkpoint format.
+// domain decomposition (the sharded fold engine) and Encode/DecodeStitched
+// for the checkpoint format.
 type Field struct {
 	n        int64
 	sketches []Sketch
@@ -188,6 +188,33 @@ func EncodeStitched(w *enc.Writer, parts []*Field) {
 	}
 }
 
+// DecodeStitched is the decoder of the Field.Encode layout: it restores one
+// field straight into parts — contiguous cell sub-range fields of one
+// partition, in cell order, whose cell counts must add up to the encoded
+// count (one part takes the whole field). It is the inverse of Encode,
+// EncodeStitched and EncodeFrozenStitched. Errors are reported through
+// r.Err().
+func DecodeStitched(r *enc.Reader, parts []*Field) {
+	n := r.I64()
+	cells := r.Int()
+	total := 0
+	for _, p := range parts {
+		total += len(p.sketches)
+	}
+	if r.Err() == nil && (n < 0 || cells != total) {
+		r.Fail(fmt.Errorf("quantiles: corrupt field header (n=%d, cells=%d, want %d)", n, cells, total))
+	}
+	for _, p := range parts {
+		p.n = n
+		for i := range p.sketches {
+			if r.Err() != nil {
+				return
+			}
+			p.sketches[i].Decode(r)
+		}
+	}
+}
+
 // CopyInto deep-copies f into dst (same cell count), reusing dst's sketch
 // storage where capacity allows — the allocation-free refresh of a pooled
 // snapshot buffer. f's buffered inserts are folded first, exactly as clone
@@ -199,25 +226,6 @@ func (f *Field) CopyInto(dst *Field) {
 	dst.n = f.n
 	for i := range f.sketches {
 		f.sketches[i].copyInto(&dst.sketches[i])
-	}
-}
-
-// Decode restores the field state from r, adopting the encoded cell count.
-// Errors are reported through r.Err().
-func (f *Field) Decode(r *enc.Reader) {
-	f.n = r.I64()
-	cells := r.Int()
-	if r.Err() == nil && (f.n < 0 || cells < 0) {
-		r.Fail(fmt.Errorf("quantiles: corrupt field header (n=%d, cells=%d)", f.n, cells))
-	}
-	if r.Err() != nil {
-		return
-	}
-	f.sketches = f.sketches[:0]
-	for i := 0; i < cells && r.Err() == nil; i++ {
-		var s Sketch
-		s.Decode(r)
-		f.sketches = append(f.sketches, s)
 	}
 }
 

@@ -94,9 +94,9 @@ func TestFieldEncodeDecodeRoundTrip(t *testing.T) {
 	var w enc.Writer
 	f.Encode(&w)
 
-	var d Field
+	d := NewField(cells, 0.01)
 	r := enc.NewReader(w.Bytes())
-	d.Decode(r)
+	DecodeStitched(r, []*Field{d})
 	if r.Err() != nil {
 		t.Fatalf("decode: %v", r.Err())
 	}
@@ -110,9 +110,8 @@ func TestFieldEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	var tr Field
 	short := enc.NewReader(w.Bytes()[:w.Len()-3])
-	tr.Decode(short)
+	DecodeStitched(short, []*Field{NewField(cells, 0.01)})
 	if short.Err() == nil {
 		t.Fatal("truncated field decoded without error")
 	}

@@ -37,6 +37,31 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
 			t.Fatalf("%d parts: stitched encode differs from dense", len(parts))
 		}
+
+		// DecodeStitched restores the dense bytes straight into fresh parts
+		// of the same shape; they stitch back to the same bytes.
+		fresh := make([]*Field, len(parts))
+		for i := range fresh {
+			fresh[i] = NewField(parts[i].Cells(), 0.05)
+		}
+		r := enc.NewReader(want.Bytes())
+		DecodeStitched(r, fresh)
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("%d parts: decode err=%v remaining=%d", len(parts), r.Err(), r.Remaining())
+		}
+		again := enc.NewWriter(1 << 14)
+		EncodeStitched(again, fresh)
+		if !bytes.Equal(want.Bytes(), again.Bytes()) {
+			t.Fatalf("%d parts: decoded parts encode differently", len(parts))
+		}
+	}
+	// Parts that do not add up to the encoded cell count are rejected.
+	w := enc.NewWriter(1 << 14)
+	f.Encode(w)
+	r := enc.NewReader(w.Bytes())
+	DecodeStitched(r, []*Field{NewField(cells-1, 0.05)})
+	if r.Err() == nil {
+		t.Fatal("stitched decode into the wrong cell count accepted")
 	}
 }
 

@@ -51,9 +51,9 @@ func readCheckpointFiles(t *testing.T, dir string, procs int) [][]byte {
 // quiescedCheckpoint is the byte-identity reference for the checkpoint
 // pipeline: the image of a stopped (hence quiesced) process encoded in one
 // shot — partition header, the dense accumulator with its quantile sketches
-// compacted, the tracker — through checkpoint.Write and Accumulator.Encode,
-// i.e. through neither the snapshot copy nor the streaming section writer the
-// server uses.
+// compacted, the tracker — through checkpoint.Write and Accumulator.Encode
+// (the current layout, the record image), i.e. through neither the snapshot
+// copy nor the streaming section writer the server uses.
 func quiescedCheckpoint(t *testing.T, p *Proc) []byte {
 	t.Helper()
 	dense := p.Accumulator().Dense()
@@ -112,6 +112,63 @@ func TestPipelinedCheckpointMatchesSync(t *testing.T) {
 			}
 			if ck.BytesWritten == 0 || ck.LastBytes == 0 {
 				t.Fatalf("combo %d fold%d: checkpoint bytes not recorded: %+v", ci, workers, ck)
+			}
+		}
+	}
+}
+
+// TestCheckpointBytesFoldWorkerInvariant: a checkpoint stores per-cell
+// records, so one fold state gives byte-identical files at FoldWorkers ∈
+// {1, 2, 3, 4}, and each file restores bitwise into every one of those
+// settings — the full state, trackers and compacted sketches included.
+func TestCheckpointBytesFoldWorkerInvariant(t *testing.T) {
+	const cells, timesteps, p = 30, 2, 2
+	opts := optionCombos()[15] // every statistic on
+	var files [][]byte
+	var dirs []string
+	var want []byte
+	for workers := 1; workers <= 4; workers++ {
+		dir := t.TempDir()
+		s := runCheckpointedStudy(t, dir, 1, cells, timesteps, p, []int{0, 1, 2}, func(c *Config) {
+			c.Stats = opts
+			c.FoldWorkers = workers
+		})
+		if got := s.Procs()[0].FoldWorkers(); got != workers {
+			t.Fatalf("study ran %d fold workers, want %d", got, workers)
+		}
+		files = append(files, readCheckpointFiles(t, dir, 1)[0])
+		dirs = append(dirs, dir)
+		if !bytes.Equal(files[0], files[workers-1]) {
+			t.Fatalf("FoldWorkers %d wrote a different checkpoint than FoldWorkers 1 (%d vs %d bytes)",
+				workers, len(files[workers-1]), len(files[0]))
+		}
+		if want == nil {
+			dense := s.Procs()[0].Accumulator().Dense()
+			dense.CompactQuantiles()
+			want = encodeAccumulator(dense)
+		}
+	}
+	for from, dir := range dirs {
+		for workers := 1; workers <= 4; workers++ {
+			s, err := New(Config{
+				Procs: 1, FoldWorkers: workers, Cells: cells, Timesteps: timesteps, P: p, Stats: opts,
+				Network:       transport.NewMemNetwork(transport.Options{}),
+				CheckpointDir: dir, CheckpointInterval: time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			acc := s.Procs()[0].Accumulator()
+			if acc.NumShards() != workers {
+				t.Fatalf("restored into %d shards, want %d", acc.NumShards(), workers)
+			}
+			dense := acc.Dense()
+			dense.CompactQuantiles()
+			if !bytes.Equal(encodeAccumulator(dense), want) {
+				t.Fatalf("file of FoldWorkers %d restored into FoldWorkers %d differs from the written state", from+1, workers)
 			}
 		}
 	}

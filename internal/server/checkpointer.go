@@ -266,11 +266,12 @@ func (c *checkpointer) writer() {
 	}
 }
 
-// write encodes one frozen snapshot into the unchanged dense checkpoint
-// format — section by section through the streaming writer, so the full
-// payload never materializes in memory — computes the CRC, fsyncs and
-// atomically renames. The bytes are identical to a quiesced one-shot encode
-// of the same fold state.
+// write encodes one frozen snapshot as the checkpoint's record image
+// (core.LayoutV4: each shard's record window copied as it is) — section by
+// section through the streaming writer, so the full payload never
+// materializes in memory — computes the CRC, fsyncs and atomically renames.
+// The bytes are identical to a quiesced one-shot encode of the same fold
+// state, whatever the FoldWorkers setting.
 func (c *checkpointer) write(job *ckptJob) {
 	path := checkpoint.Filename(c.cfg.CheckpointDir, c.cfg.Rank)
 	sw, err := checkpoint.NewStreamWriter(path, checkpoint.Version)

@@ -66,8 +66,8 @@ func referenceAccumulator(cells, timesteps, p int, opts core.Options, design *sa
 	return ref
 }
 
-// encodeAccumulator serializes an accumulator in the dense checkpoint
-// layout — the strongest equality oracle available: every tracked statistic
+// encodeAccumulator serializes an accumulator in the checkpoint layout — the
+// strongest equality oracle available: every tracked statistic
 // (Sobol' state, min/max, exceedances, higher moments, quantile sketches)
 // must match bit for bit.
 func encodeAccumulator(a *core.Accumulator) []byte {

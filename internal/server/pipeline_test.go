@@ -162,7 +162,7 @@ func TestBatchedStepsMatchUnbatched(t *testing.T) {
 
 // TestCheckpointAcrossFoldWorkers: a checkpoint written by a sharded server
 // must restore into a server with a different FoldWorkers setting (the
-// checkpoint format is the dense layout), and finishing the study there
+// record image is the same for any shard count), and finishing the study there
 // must match an uninterrupted single-threaded run bitwise.
 func TestCheckpointAcrossFoldWorkers(t *testing.T) {
 	const cells, timesteps, p, nGroups = 40, 3, 2, 8

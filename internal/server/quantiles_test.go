@@ -2,6 +2,7 @@ package server
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -98,35 +99,52 @@ func TestQuantilesMatchDirectAccumulation(t *testing.T) {
 	}
 }
 
-// writeCheckpointFile fabricates a server-process checkpoint in the given
-// format version, exactly as an older (v1) or current (v2) build would have
-// written it.
-func writeCheckpointFile(t *testing.T, dir string, version int, part mesh.Partition,
-	acc *core.Accumulator, tracker *core.GroupTracker) {
+// writeCheckpointFile writes process 0's checkpoint with the given format
+// version in its header: the partition and message count, then whatever
+// accumulator and tracker blocks fill appends.
+func writeCheckpointFile(t *testing.T, dir string, version int, part mesh.Partition, fill func(w *enc.Writer)) {
 	t.Helper()
-	err := checkpoint.WriteVersioned(checkpoint.Filename(dir, 0), version, func(w *enc.Writer) {
+	sw, err := checkpoint.NewStreamWriter(checkpoint.Filename(dir, 0), version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sw.Section(func(w *enc.Writer) {
 		w.Int(part.Lo)
 		w.Int(part.Hi)
 		w.I64(7) // messages
-		acc.EncodeVersion(w, version)
-		tracker.EncodeVersion(w, version)
+		fill(w)
 	})
+	if err == nil {
+		err = sw.Commit()
+	}
 	if err != nil {
+		sw.Abort()
 		t.Fatal(err)
 	}
 }
 
 // TestRestoreV1Checkpoint: a checkpoint written by a pre-quantile build
 // (file version 1, no sketch state) restores cleanly into the current
-// server — even one configured with quantiles — and keeps serving.
+// server — even one configured with quantiles — and keeps serving. No build
+// writes v1 any more, so the file is fabricated from the golden v1
+// accumulator payload (13 cells, 3 timesteps, p = 4) and a hand-encoded
+// legacy tracker block.
 func TestRestoreV1Checkpoint(t *testing.T) {
-	const cells, timesteps, p = 16, 2, 2
+	const cells, timesteps, p, priorGroups = 13, 3, 4, 9
 	dir := t.TempDir()
 
-	prior := core.NewAccumulator(cells, timesteps, p, core.Options{MinMax: true})
-	tracker := core.NewGroupTracker(timesteps - 1)
-	tracker.Commit(3, timesteps-1)
-	writeCheckpointFile(t, dir, checkpoint.V1, mesh.Partition{Lo: 0, Hi: cells}, prior, tracker)
+	raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", "accumulator_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeCheckpointFile(t, dir, checkpoint.V1, mesh.Partition{Lo: 0, Hi: cells}, func(w *enc.Writer) {
+		// The accumulator payload, past the fixture's own file header, then
+		// the legacy tracker: final step, count, one (id, last) pair.
+		w.Raw(raw[16:])
+		for _, v := range []int{timesteps - 1, 1, 3, timesteps - 1} {
+			w.Int(v)
+		}
+	})
 
 	net := transport.NewMemNetwork(transport.Options{})
 	s, err := New(Config{
@@ -154,8 +172,8 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	waitFolds(t, s, timesteps, 5*time.Second)
 	s.Stop(false)
 	res := s.Result()
-	if got := res.GroupsFolded(0); got != 1 {
-		t.Fatalf("restored server folded %d groups", got)
+	if got := res.GroupsFolded(0); got != priorGroups+1 {
+		t.Fatalf("restored server holds %d groups at step 0, want the fixture's %d plus 1", got, priorGroups)
 	}
 	// The result must agree with the restored state, not the configuration:
 	// no probes, so consumers never iterate over all-zero quantile maps.
@@ -205,9 +223,10 @@ func TestRestoreV2CheckpointKeepsQuantiles(t *testing.T) {
 func TestRestoreUnknownVersionFails(t *testing.T) {
 	const cells, timesteps, p = 8, 2, 2
 	dir := t.TempDir()
-	prior := core.NewAccumulator(cells, timesteps, p, core.Options{})
-	writeCheckpointFile(t, dir, checkpoint.Version, mesh.Partition{Lo: 0, Hi: cells},
-		prior, core.NewGroupTracker(timesteps-1))
+	writeCheckpointFile(t, dir, checkpoint.Version, mesh.Partition{Lo: 0, Hi: cells}, func(w *enc.Writer) {
+		core.NewAccumulator(cells, timesteps, p, core.Options{}).Encode(w)
+		core.NewGroupTracker(timesteps - 1).Encode(w)
+	})
 	// Bump the stored header version beyond what this build reads.
 	path := checkpoint.Filename(dir, 0)
 	raw, err := os.ReadFile(path)

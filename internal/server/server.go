@@ -65,9 +65,10 @@
 // folds enqueued before it, and whose last() runs once. The pool never
 // stops for one. A checkpoint (checkpointer.begin) is a barrier that copies
 // each shard into a double-buffered snapshot and hands it to a background
-// writer, so the fold path stalls only for the copies; the file is a pure
-// function of the fold state, byte-identical to a quiesced one-shot encode,
-// whatever the FoldWorkers setting.
+// writer, so the fold path stalls only for the copies. The file is the
+// record image of the fold state (core.LayoutV4): the shards' record windows
+// in cell order, byte-identical to a quiesced one-shot encode whatever the
+// FoldWorkers setting, and restored straight into the new shards.
 //
 // A telemetry scan (foldPool.scan) is a barrier with two parts. The
 // convergence part rescans each shard's dirty timesteps and publishes the

@@ -1,12 +1,15 @@
-// goldengen writes the golden v1/v2 checkpoint fixtures for
-// internal/core/golden_test.go. The committed fixtures in
-// internal/core/testdata/ were generated against the seed (pre-interleave)
-// parallel-array kernel, so they pin the historical byte stream; because
-// the interleaved kernel is bitwise identical and its Encode transposes to
-// the same dense layout, re-running this tool reproduces the same bytes
-// (TestGoldenFixtureFreshEncode asserts exactly that). Regenerate only if
-// the fixture shape itself needs to change, and never to "fix" a byte
-// mismatch — a mismatch means the kernel broke compatibility.
+// goldengen writes the golden v4 checkpoint fixture for
+// internal/core/golden_test.go: the record image (core.LayoutV4) of a small
+// accumulator with every statistic on, quantile sketches included. Run it
+// from the repository root: go run ./tools/goldengen.
+//
+// The v1 and v2 fixtures next to it are frozen history. They were written by
+// the seed (pre-interleave) kernel in the dense per-statistic layout, which
+// no build writes any more; the tests only decode them. Because the kernel is
+// bitwise identical to the seed's, decoding them yields the state this tool
+// folds (TestGoldenFixtureDecode). Regenerate the v4 fixture only if its
+// shape itself needs to change, and never to "fix" a byte mismatch — a
+// mismatch means the kernel or the format broke compatibility.
 package main
 
 import (
@@ -29,45 +32,32 @@ func (l *lcg) next() float64 {
 func main() {
 	const cells, steps, p, groups = 13, 3, 4, 9
 	th := 0.25
-	build := func(opts core.Options) *core.Accumulator {
-		a := core.NewAccumulator(cells, steps, p, opts)
-		g := &lcg{s: 2017}
-		yA := make([]float64, cells)
-		yB := make([]float64, cells)
-		yC := make([][]float64, p)
-		for k := range yC {
-			yC[k] = make([]float64, cells)
-		}
-		for t := 0; t < steps; t++ {
-			for n := 0; n < groups; n++ {
-				for i := 0; i < cells; i++ {
-					yA[i] = g.next()
-					yB[i] = g.next()
-					for k := 0; k < p; k++ {
-						yC[k][i] = g.next()
-					}
+	opts := core.Options{MinMax: true, Threshold: &th, HigherMoments: true,
+		Quantiles: []float64{0.1, 0.5, 0.9}, QuantileEps: 0.05}
+	a := core.NewAccumulator(cells, steps, p, opts)
+	g := &lcg{s: 2017}
+	yA := make([]float64, cells)
+	yB := make([]float64, cells)
+	yC := make([][]float64, p)
+	for k := range yC {
+		yC[k] = make([]float64, cells)
+	}
+	for t := 0; t < steps; t++ {
+		for n := 0; n < groups; n++ {
+			for i := 0; i < cells; i++ {
+				yA[i] = g.next()
+				yB[i] = g.next()
+				for k := 0; k < p; k++ {
+					yC[k][i] = g.next()
 				}
-				a.UpdateGroup(t, yA, yB, yC)
 			}
+			a.UpdateGroup(t, yA, yB, yC)
 		}
-		return a
 	}
-
-	v1opts := core.Options{MinMax: true, Threshold: &th, HigherMoments: true}
-	v2opts := v1opts
-	v2opts.Quantiles = []float64{0.1, 0.5, 0.9}
-	v2opts.QuantileEps = 0.05
-
-	a1 := build(v1opts)
-	if err := checkpoint.WriteVersioned("internal/core/testdata/accumulator_v1.ckpt", checkpoint.V1,
-		func(w *enc.Writer) { a1.EncodeVersion(w, core.LayoutV1) }); err != nil {
+	if err := checkpoint.Write("internal/core/testdata/accumulator_v4.ckpt",
+		func(w *enc.Writer) { a.Encode(w) }); err != nil {
 		log.Fatal(err)
 	}
-	a2 := build(v2opts)
-	if err := checkpoint.WriteVersioned("internal/core/testdata/accumulator_v2.ckpt", checkpoint.V2,
-		func(w *enc.Writer) { a2.EncodeVersion(w, core.LayoutV2) }); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("fixtures written: S0(0,0,0)=%v total=%v q50=%v",
-		a2.FirstAt(0, 0, 0), a2.TotalAt(0, 0, 0), a2.QuantileField(0, 0.5, nil)[0])
+	log.Printf("fixture written: S0(0,0,0)=%v total=%v q50=%v",
+		a.FirstAt(0, 0, 0), a.TotalAt(0, 0, 0), a.QuantileField(0, 0.5, nil)[0])
 }
