@@ -56,9 +56,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}, nil
 }
 
-// Config returns the solver configuration.
-func (s *Solver) Config() Config { return s.cfg }
-
 // Cells returns the number of mesh cells (the per-timestep field size).
 func (s *Solver) Cells() int { return s.cfg.Nx * s.cfg.Ny }
 

@@ -498,9 +498,6 @@ func (c *Connection) Flush() error {
 	return nil
 }
 
-// Messages returns how many stage-2 messages one timestep produces.
-func (c *Connection) Messages() int { return len(c.routes) }
-
 // Close releases all server connections — the Finalize call. Buffered
 // batches are flushed best-effort first.
 func (c *Connection) Close() {

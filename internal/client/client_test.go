@@ -102,8 +102,8 @@ func TestConnectHandshake(t *testing.T) {
 		t.Fatalf("connection %+v", conn.Layout)
 	}
 	// 2 sim ranks × 3 server procs with 90 cells: the block overlap count.
-	if conn.Messages() < 3 || conn.Messages() > 4 {
-		t.Fatalf("unexpected route count %d", conn.Messages())
+	if len(conn.routes) < 3 || len(conn.routes) > 4 {
+		t.Fatalf("unexpected route count %d", len(conn.routes))
 	}
 }
 
@@ -179,7 +179,7 @@ func TestSendTimestepCoversAllCellsOnce(t *testing.T) {
 	}
 
 	seen := make([]int, cells)
-	for got := 0; got < conn.Messages(); got++ {
+	for got := 0; got < len(conn.routes); got++ {
 		select {
 		case d := <-f.data:
 			if d.Timestep != 2 || d.GroupID != 1 || len(d.Fields) != p+2 {

@@ -108,6 +108,12 @@ const (
 	minZeroRun   = 2
 )
 
+// MaxExpansion bounds the raw bytes one compressed byte can stand for: a
+// token byte expands to at most maxRun bytes, so a block that validates
+// against rawLen is at least rawLen/MaxExpansion bytes long. Parsers check a
+// frame's claimed raw size against it before they allocate for it.
+const MaxExpansion = maxRun
+
 // MaxCompressedLen bounds the compressed size of n raw bytes: literal input
 // costs one token byte per 128 literals, and each of the 8 byte planes may
 // additionally open with a short literal chunk (a lone literal byte costs two

@@ -605,8 +605,8 @@ func (a *Accumulator) QuantileTelemetry() (tuples, bytes int64) {
 // CompactQuantiles runs the sketch compaction pass on every timestep's
 // quantile field (no-op when quantiles are disabled). With copy-on-write
 // snapshots the checkpoint path no longer calls this — the background writer
-// compacts frozen views instead — but it remains the explicit compaction
-// knob; see quantiles.Field.Compact.
+// compacts frozen views instead — but it stays as the eager reference the
+// snapshot bytes are tested against; see quantiles.Field.Compact.
 func (a *Accumulator) CompactQuantiles() {
 	for t := range a.steps {
 		if q := a.steps[t].quant; q != nil {
@@ -774,108 +774,6 @@ func ciKey(rho float64) float64 {
 		k = keyMax
 	}
 	return k
-}
-
-// Merge folds another accumulator (same shape and options) into a, cell by
-// cell and timestep by timestep, using the pairwise co-moment merge formulas
-// — one fused sweep over both interleaved buffers per timestep, tracker
-// slots included. The per-cell tracker arithmetic replicates the
-// internal/stats merge formulas bitwise.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other.cells != a.cells || other.timesteps != a.timesteps || other.p != a.p {
-		panic("core: merging accumulators of different shapes")
-	}
-	if other.lay != a.lay {
-		panic("core: merging accumulators with different tracker options")
-	}
-	lay := a.lay
-	stride := lay.stride
-	for t := range a.steps {
-		sa, sb := &a.steps[t], &other.steps[t]
-		if sb.n == 0 {
-			continue
-		}
-		sa.ciDirty = true
-		if sa.n == 0 {
-			copyStep(sa, sb)
-			continue
-		}
-		na, nb := float64(sa.n), float64(sb.n)
-		nx := na + nb
-		w := na * nb / nx
-		// Higher-moment merge factors (the tracker counts 2 samples per
-		// group). copyHig covers a decoded state whose tracker count is
-		// empty on one side.
-		var ha, hb, hx float64
-		mergeHig, copyHig := false, false
-		if lay.hig >= 0 && sb.higherN > 0 {
-			if sa.higherN == 0 {
-				copyHig = true
-			} else {
-				mergeHig = true
-				ha, hb = float64(sa.higherN), float64(sb.higherN)
-				hx = ha + hb
-			}
-		}
-		for ri := 0; ri < len(sa.rec); ri += stride {
-			r := sa.rec[ri : ri+stride : ri+stride]
-			q := sb.rec[ri : ri+stride : ri+stride]
-			dA := q[offMeanA] - r[offMeanA]
-			dB := q[offMeanB] - r[offMeanB]
-			for off := recHeader; off < lay.sob; off += recPerParam {
-				dC := q[off+blkMeanC] - r[off+blkMeanC]
-				r[off+blkC2BC] += q[off+blkC2BC] + dB*dC*w
-				r[off+blkC2AC] += q[off+blkC2AC] + dA*dC*w
-				r[off+blkM2C] += q[off+blkM2C] + dC*dC*w
-				r[off+blkMeanC] += dC * nb / nx
-			}
-			r[offM2A] += q[offM2A] + dA*dA*w
-			r[offM2B] += q[offM2B] + dB*dB*w
-			r[offMeanA] += dA * nb / nx
-			r[offMeanB] += dB * nb / nx
-			if mo := lay.min; mo >= 0 {
-				if q[mo] < r[mo] {
-					r[mo] = q[mo]
-				}
-				if q[mo+1] > r[mo+1] {
-					r[mo+1] = q[mo+1]
-				}
-			}
-			if eo := lay.exc; eo >= 0 {
-				r[eo] += q[eo]
-			}
-			if hg := lay.hig; mergeHig {
-				delta := q[hg] - r[hg]
-				delta2 := delta * delta
-				r[hg+3] += q[hg+3] +
-					delta2*delta2*ha*hb*(ha*ha-ha*hb+hb*hb)/(hx*hx*hx) +
-					6*delta2*(ha*ha*q[hg+1]+hb*hb*r[hg+1])/(hx*hx) +
-					4*delta*(ha*q[hg+2]-hb*r[hg+2])/hx
-				r[hg+2] += q[hg+2] +
-					delta*delta2*ha*hb*(ha-hb)/(hx*hx) +
-					3*delta*(ha*q[hg+1]-hb*r[hg+1])/hx
-				r[hg+1] += q[hg+1] + delta2*ha*hb/hx
-				r[hg] += delta * hb / hx
-			} else if copyHig {
-				copy(r[hg:hg+4], q[hg:hg+4])
-			}
-		}
-		sa.minmaxN += sb.minmaxN
-		sa.exceedN += sb.exceedN
-		sa.higherN += sb.higherN
-		if sa.quant != nil && sb.quant != nil {
-			sa.quant.Merge(sb.quant)
-		}
-		sa.n += sb.n
-	}
-}
-
-func copyStep(dst, src *stepAccum) {
-	dst.setCounts(src)
-	copy(dst.rec, src.rec)
-	if dst.quant != nil && src.quant != nil {
-		dst.quant.Merge(src.quant)
-	}
 }
 
 // MemoryBytes returns the size of the float64 state, the quantity of the

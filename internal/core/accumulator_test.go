@@ -141,44 +141,6 @@ func TestAccumulatorTimestepIsolation(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const cells, p, n = 6, 3, 50
-	groups := randomGroups(rng, n, cells, p)
-
-	whole := NewAccumulator(cells, 1, p, Options{})
-	partA := NewAccumulator(cells, 1, p, Options{})
-	partB := NewAccumulator(cells, 1, p, Options{})
-	for gi, g := range groups {
-		whole.UpdateGroup(0, g.yA, g.yB, g.yC)
-		if gi%3 == 0 {
-			partA.UpdateGroup(0, g.yA, g.yB, g.yC)
-		} else {
-			partB.UpdateGroup(0, g.yA, g.yB, g.yC)
-		}
-	}
-	partA.Merge(partB)
-	if partA.N(0) != whole.N(0) {
-		t.Fatalf("merged n = %d, want %d", partA.N(0), whole.N(0))
-	}
-	for k := 0; k < p; k++ {
-		for i := 0; i < cells; i++ {
-			if d := math.Abs(partA.FirstAt(0, k, i) - whole.FirstAt(0, k, i)); d > 1e-10 {
-				t.Errorf("merged S%d cell %d differs by %v", k, i, d)
-			}
-			if d := math.Abs(partA.TotalAt(0, k, i) - whole.TotalAt(0, k, i)); d > 1e-10 {
-				t.Errorf("merged ST%d cell %d differs by %v", k, i, d)
-			}
-		}
-	}
-	// Merge into an empty accumulator copies.
-	empty := NewAccumulator(cells, 1, p, Options{})
-	empty.Merge(whole)
-	if empty.N(0) != whole.N(0) || empty.FirstAt(0, 0, 0) != whole.FirstAt(0, 0, 0) {
-		t.Fatal("merge into empty lost state")
-	}
-}
-
 func TestAccumulatorGroupOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const cells, p, n = 4, 2, 30
@@ -367,15 +329,4 @@ func TestAccumulatorMemoryModel(t *testing.T) {
 	if small.MemoryBytes() != before {
 		t.Fatal("memory grew with sample count: not O(1) in n")
 	}
-}
-
-func TestAccumulatorMergeShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a := NewAccumulator(4, 1, 2, Options{})
-	b := NewAccumulator(5, 1, 2, Options{})
-	a.Merge(b)
 }

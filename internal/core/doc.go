@@ -137,8 +137,8 @@
 // the first ubiquitous statistic whose per-cell state is a data structure
 // (a Greenwald-Khanna summary) rather than a handful of floats. The sketch
 // is a deterministic function of its update sequence, so it inherits the
-// bitwise FoldWorkers-invariance above unchanged; Extract/Inject/Merge and
-// the checkpoint codec treat it like any other field tracker. Sketches are
+// bitwise FoldWorkers-invariance above unchanged; Extract/Inject and the
+// checkpoint codec treat it like any other field tracker. Sketches are
 // the one part of a checkpoint step outside the record run: each timestep's
 // field follows its records (since LayoutV2), and LayoutV1 files from older
 // builds restore with quantiles disabled.
@@ -155,6 +155,6 @@
 // within ~2× of the plain-statistics floor — while the checkpoint bytes
 // remain identical to the eager path (see BenchmarkCheckpointSnapshot, which CI
 // holds under a ceiling, and core.snapshot_ms in `bash bench/run.sh`).
-// CompactQuantiles remains as an explicit compaction knob
-// but is no longer on the checkpoint path.
+// CompactQuantiles keeps the eager compaction, which is no longer on the
+// checkpoint path: the snapshot tests compare the frozen bytes against it.
 package core

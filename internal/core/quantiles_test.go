@@ -107,55 +107,6 @@ func TestShardedQuantilesFoldWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAccumulatorQuantileMerge: merged accumulators keep the ε rank
-// contract for the combined stream (sketch merges compose rank-wise).
-func TestAccumulatorQuantileMerge(t *testing.T) {
-	const cells, p, nGroups, eps = 4, 2, 3000, 0.02
-	rng := rand.New(rand.NewSource(62))
-	groups := randomGroups(rng, nGroups, cells, p)
-
-	partA := NewAccumulator(cells, 1, p, quantileOpts(eps))
-	partB := NewAccumulator(cells, 1, p, quantileOpts(eps))
-	exact := make([][]float64, cells)
-	for gi, g := range groups {
-		if gi%2 == 0 {
-			partA.UpdateGroup(0, g.yA, g.yB, g.yC)
-		} else {
-			partB.UpdateGroup(0, g.yA, g.yB, g.yC)
-		}
-		for i := 0; i < cells; i++ {
-			exact[i] = append(exact[i], g.yA[i], g.yB[i])
-		}
-	}
-	partA.Merge(partB)
-
-	n := 2 * nGroups
-	if got := partA.Quantiles(0).N(); got != int64(n) {
-		t.Fatalf("merged quantile n = %d, want %d", got, n)
-	}
-	allowed := int(math.Ceil(eps * float64(n)))
-	for i := range exact {
-		sort.Float64s(exact[i])
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		f := partA.QuantileField(0, q, nil)
-		target := int(math.Ceil(q * float64(n)))
-		for i, got := range f {
-			lo := sort.SearchFloat64s(exact[i], got) + 1
-			hi := sort.Search(n, func(j int) bool { return exact[i][j] > got })
-			err := 0
-			if target < lo {
-				err = lo - target
-			} else if target > hi {
-				err = target - hi
-			}
-			if err > allowed {
-				t.Errorf("merged cell %d q=%v: rank error %d exceeds εn = %d", i, q, err, allowed)
-			}
-		}
-	}
-}
-
 // TestQuantileFieldDisabled: without the option the field reads as zeros
 // and no sketch state exists.
 func TestQuantileFieldDisabled(t *testing.T) {

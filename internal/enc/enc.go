@@ -112,21 +112,6 @@ func (w *Writer) F64Slice(vs []float64) {
 	}
 }
 
-// I64Slice appends a length-prefixed []int64.
-func (w *Writer) I64Slice(vs []int64) {
-	w.U64(uint64(len(vs)))
-	w.grow(8 * len(vs))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-	}
-}
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) BytesField(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Raw appends b verbatim, with no length prefix. It splices pre-encoded
 // fragments (e.g. a tracker serialized earlier on another goroutine) into a
 // stream whose overall layout the caller controls.
@@ -263,31 +248,6 @@ func (r *Reader) F64Slice() []float64 {
 	return vs
 }
 
-// F64SliceReuse reads a length-prefixed []float64 into dst's storage when
-// its capacity suffices, allocating only on growth. It returns the filled
-// slice (which may alias dst). This is the steady-state-zero-allocation
-// decode used by the server fold loop.
-func (r *Reader) F64SliceReuse(dst []float64) []float64 {
-	n := int(r.U64())
-	if r.err != nil || n < 0 {
-		return dst[:0]
-	}
-	if n > r.Remaining()/8 { // division sidesteps 8*n overflow on corrupt lengths
-		r.err = fmt.Errorf("%w: float64 slice of %d elements exceeds remaining %d bytes",
-			ErrShortBuffer, n, r.Remaining())
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := range dst {
-		dst[i] = r.F64()
-	}
-	return dst
-}
-
 // F64SliceInto reads a length-prefixed []float64 into dst, which must have
 // exactly the encoded length.
 func (r *Reader) F64SliceInto(dst []float64) {
@@ -333,19 +293,4 @@ func (r *Reader) I64Slice() []int64 {
 		vs[i] = r.I64()
 	}
 	return vs
-}
-
-// BytesField reads a length-prefixed byte slice (copied).
-func (r *Reader) BytesField() []byte {
-	n := int(r.U64())
-	if r.err != nil {
-		return nil
-	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

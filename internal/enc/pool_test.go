@@ -31,52 +31,3 @@ func TestWriterPool(t *testing.T) {
 	big := GetWriter(maxPooledWriter + 1)
 	PutWriter(big)
 }
-
-func TestF64SliceReuse(t *testing.T) {
-	var w Writer
-	vals := []float64{1, 2, 3, 4, 5}
-	w.F64Slice(vals)
-	w.F64Slice(vals[:2])
-	w.F64Slice(vals)
-
-	r := NewReader(w.Bytes())
-	got := r.F64SliceReuse(nil)
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("first read: %v", got)
-	}
-	ptr := &got[0]
-	got = r.F64SliceReuse(got) // shrinking read must reuse storage
-	if len(got) != 2 || &got[0] != ptr {
-		t.Fatalf("shrinking read reallocated: %v", got)
-	}
-	got = r.F64SliceReuse(got) // growing back within capacity also reuses
-	if len(got) != 5 || &got[0] != ptr || got[3] != 4 {
-		t.Fatalf("regrow read: %v", got)
-	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("reader state: err=%v remaining=%d", r.Err(), r.Remaining())
-	}
-
-	// Truncated input surfaces as an error, not a panic.
-	r2 := NewReader(w.Bytes()[:10])
-	r2.F64SliceReuse(nil)
-	if r2.Err() == nil {
-		t.Fatal("truncated slice accepted")
-	}
-
-	// A corrupt length whose byte count overflows int64 must error, not
-	// panic with an absurd allocation.
-	var wc Writer
-	wc.U64(1 << 61)
-	for _, read := range []func(*Reader){
-		func(r *Reader) { r.F64SliceReuse(nil) },
-		func(r *Reader) { r.F64Slice() },
-		func(r *Reader) { r.I64Slice() },
-	} {
-		r3 := NewReader(wc.Bytes())
-		read(r3)
-		if r3.Err() == nil {
-			t.Fatal("overflowing slice length accepted")
-		}
-	}
-}

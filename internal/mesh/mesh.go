@@ -35,9 +35,6 @@ func (g Grid) Dy() float64 { return g.Ly / float64(g.Ny) }
 // Index returns the flat index of cell (ix, iy).
 func (g Grid) Index(ix, iy int) int { return ix + iy*g.Nx }
 
-// Coords returns (ix, iy) for a flat cell index.
-func (g Grid) Coords(idx int) (ix, iy int) { return idx % g.Nx, idx / g.Nx }
-
 // Center returns the physical coordinates of the center of cell (ix, iy).
 func (g Grid) Center(ix, iy int) (x, y float64) {
 	return (float64(ix) + 0.5) * g.Dx(), (float64(iy) + 0.5) * g.Dy()
@@ -117,24 +114,6 @@ func BlockPartition(cells, parts int) []Partition {
 		lo += size
 	}
 	return out
-}
-
-// Owner returns the index of the partition containing flat cell idx,
-// assuming parts was produced by BlockPartition (sorted, disjoint, tiling).
-func Owner(parts []Partition, idx int) int {
-	lo, hi := 0, len(parts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case idx < parts[mid].Lo:
-			hi = mid
-		case idx >= parts[mid].Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	panic(fmt.Sprintf("mesh: cell %d not covered by partitioning", idx))
 }
 
 // Transfer describes one message of the N×M redistribution: the cells

@@ -122,20 +122,6 @@ func (l *Logger) Event(v Level, event string, kv ...any) {
 	_, _ = io.WriteString(l.out, b.String())
 }
 
-// Debugf-style helpers for each level.
-
-// Debugw emits a Debug event.
-func (l *Logger) Debugw(event string, kv ...any) { l.Event(Debug, event, kv...) }
-
-// Infow emits an Info event.
-func (l *Logger) Infow(event string, kv ...any) { l.Event(Info, event, kv...) }
-
-// Warnw emits a Warn event.
-func (l *Logger) Warnw(event string, kv ...any) { l.Event(Warn, event, kv...) }
-
-// Errorw emits an Error event.
-func (l *Logger) Errorw(event string, kv ...any) { l.Event(Error, event, kv...) }
-
 // Package-level helpers on Default.
 
 // Debugw emits a Debug event on Default.

@@ -16,7 +16,7 @@ func TestTextFormat(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
 	l.now = fixedNow
-	l.Infow("server.group_complete", "group", 7, "folds", 1234)
+	l.Event(Info, "server.group_complete", "group", 7, "folds", 1234)
 	got := b.String()
 	want := "2017-11-13T09:30:00.000 INFO server.group_complete group=7 folds=1234\n"
 	if got != want {
@@ -29,7 +29,7 @@ func TestJSONFormat(t *testing.T) {
 	l := New(&b)
 	l.now = fixedNow
 	l.SetJSON(true)
-	l.Warnw("server.drop", "reason", "decode", "bytes", 42, "stall", 3*time.Millisecond)
+	l.Event(Warn, "server.drop", "reason", "decode", "bytes", 42, "stall", 3*time.Millisecond)
 	var doc map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("not a JSON line: %v\n%s", err, b.String())
@@ -43,11 +43,11 @@ func TestJSONFormat(t *testing.T) {
 func TestLevelThreshold(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
-	l.Debugw("hidden")
+	l.Event(Debug, "hidden")
 	l.SetLevel(Error)
-	l.Infow("hidden")
-	l.Warnw("hidden")
-	l.Errorw("shown")
+	l.Event(Info, "hidden")
+	l.Event(Warn, "hidden")
+	l.Event(Error, "shown")
 	if n := strings.Count(b.String(), "\n"); n != 1 {
 		t.Fatalf("emitted %d lines, want 1:\n%s", n, b.String())
 	}
@@ -77,7 +77,7 @@ func TestParseLevel(t *testing.T) {
 func TestOddFieldCount(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
-	l.Infow("odd", "danglingkey")
+	l.Event(Info, "odd", "danglingkey")
 	if !strings.Contains(b.String(), "!MISSING_VALUE=danglingkey") {
 		t.Fatalf("dangling key not flagged:\n%s", b.String())
 	}
@@ -136,7 +136,7 @@ func TestConcurrentLogging(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.Infow("tick", "worker", i, "j", j)
+				l.Event(Info, "tick", "worker", i, "j", j)
 			}
 		}(i)
 	}

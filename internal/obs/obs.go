@@ -272,17 +272,6 @@ func (r *Registry) NewGaugeVec(name, help, label string) GaugeVec {
 	return GaugeVec{r.family(name, help, label, gaugeKind)}
 }
 
-// HistogramVec is a histogram family keyed by one label.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for one label value (created on first use).
-func (v HistogramVec) With(value string) *Histogram { return v.f.get(value).(*Histogram) }
-
-// NewHistogramVec gets or creates a histogram family with one label key.
-func (r *Registry) NewHistogramVec(name, help, label string) HistogramVec {
-	return HistogramVec{r.family(name, help, label, histogramKind)}
-}
-
 // NewGaugeFunc registers (or replaces) a gauge whose value is computed at
 // scrape time — the zero-hot-path-cost option for values that already exist
 // as atomics elsewhere (pool balances, queue occupancy). Unlike the other
@@ -316,11 +305,6 @@ func NewCounterVec(name, help, label string) CounterVec {
 
 // NewGaugeVec gets or creates a labeled gauge family in Default.
 func NewGaugeVec(name, help, label string) GaugeVec { return Default.NewGaugeVec(name, help, label) }
-
-// NewHistogramVec gets or creates a labeled histogram family in Default.
-func NewHistogramVec(name, help, label string) HistogramVec {
-	return Default.NewHistogramVec(name, help, label)
-}
 
 // NewGaugeFunc registers a scrape-time gauge in Default.
 func NewGaugeFunc(name, help string, fn func() float64) { Default.NewGaugeFunc(name, help, fn) }

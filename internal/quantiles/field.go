@@ -71,17 +71,6 @@ func (f *Field) UpdatePair(a, b []float64) {
 	}
 }
 
-// Merge folds other into f cell by cell. Cell counts and ε must match.
-func (f *Field) Merge(other *Field) {
-	if len(other.sketches) != len(f.sketches) {
-		panic("quantiles: merging Fields with different cell counts")
-	}
-	for i := range f.sketches {
-		f.sketches[i].Merge(&other.sketches[i])
-	}
-	f.n += other.n
-}
-
 // Query returns the q-quantile estimate for cell i (0 before any data).
 func (f *Field) Query(i int, q float64) float64 {
 	return f.sketches[i].Query(q)
@@ -169,30 +158,11 @@ func (f *Field) Encode(w *enc.Writer) {
 	}
 }
 
-// EncodeStitched writes the concatenation of parts — contiguous cell
-// sub-range fields of one partition — in the Field.Encode layout, so the
-// bytes are identical to encoding the dense field the parts were extracted
-// from. The sample count is taken from the first part (invariant across
-// shards: every sample field covers them all). parts must be non-empty.
-func EncodeStitched(w *enc.Writer, parts []*Field) {
-	total := 0
-	for _, p := range parts {
-		total += len(p.sketches)
-	}
-	w.I64(parts[0].n)
-	w.Int(total)
-	for _, p := range parts {
-		for i := range p.sketches {
-			p.sketches[i].Encode(w)
-		}
-	}
-}
-
 // DecodeStitched is the decoder of the Field.Encode layout: it restores one
 // field straight into parts — contiguous cell sub-range fields of one
 // partition, in cell order, whose cell counts must add up to the encoded
-// count (one part takes the whole field). It is the inverse of Encode,
-// EncodeStitched and EncodeFrozenStitched. Errors are reported through
+// count (one part takes the whole field). It is the inverse of Encode and
+// EncodeFrozenStitched. Errors are reported through
 // r.Err().
 func DecodeStitched(r *enc.Reader, parts []*Field) {
 	n := r.I64()
@@ -212,20 +182,6 @@ func DecodeStitched(r *enc.Reader, parts []*Field) {
 			}
 			p.sketches[i].Decode(r)
 		}
-	}
-}
-
-// CopyInto deep-copies f into dst (same cell count), reusing dst's sketch
-// storage where capacity allows — the allocation-free refresh of a pooled
-// snapshot buffer. f's buffered inserts are folded first, exactly as clone
-// and Encode do, so the copy is canonical.
-func (f *Field) CopyInto(dst *Field) {
-	if len(dst.sketches) != len(f.sketches) {
-		panic(fmt.Sprintf("quantiles: CopyInto between %d and %d cells", len(f.sketches), len(dst.sketches)))
-	}
-	dst.n = f.n
-	for i := range f.sketches {
-		f.sketches[i].copyInto(&dst.sketches[i])
 	}
 }
 

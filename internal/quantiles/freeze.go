@@ -63,9 +63,6 @@ func (f *Field) FreezeInto(dst *FrozenField) *FrozenField {
 	return dst
 }
 
-// Cells returns the number of cells captured.
-func (fz *FrozenField) Cells() int { return fz.cells }
-
 // N returns the number of sample fields folded in at freeze time.
 func (fz *FrozenField) N() int64 { return fz.n }
 

@@ -17,7 +17,7 @@
 //
 // Updates are buffered (up to 1/(2ε) values) and folded in sorted batches,
 // so the amortized update cost is O(log(1/ε)) comparisons plus an O(1/ε)
-// merge every buffer flush. All operations — Update, Merge, Query, Encode —
+// merge every buffer flush. All operations — Update, Query, Encode —
 // are deterministic functions of the operation sequence, which is what lets
 // the sharded fold engine reproduce bitwise-identical sketches for any
 // worker count.
@@ -242,58 +242,6 @@ func (s *Sketch) Compact() {
 	s.scratch = nil
 }
 
-// Merge folds other into s. Both sketches must share the same ε (their
-// error contracts compose rank-wise: ε·n_a + ε·n_b = ε·(n_a+n_b)). The
-// other sketch's logical state is unchanged, though its internal buffer is
-// canonicalized. Merging is deterministic but not bitwise associative; the
-// ε contract holds for any merge tree.
-func (s *Sketch) Merge(other *Sketch) {
-	if other.eps != s.eps {
-		panic(fmt.Sprintf("quantiles: merging sketches with different eps (%v vs %v)", s.eps, other.eps))
-	}
-	s.flushPending()
-	other.flushPending()
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.n = other.n
-		if s.sharedTuples {
-			s.tuples = nil
-			s.sharedTuples = false
-		}
-		s.tuples = append(s.tuples[:0], other.tuples...)
-		return
-	}
-	merged := make([]tuple, 0, len(s.tuples)+len(other.tuples))
-	i, j := 0, 0
-	for i < len(s.tuples) || j < len(other.tuples) {
-		var t tuple
-		if j >= len(other.tuples) || (i < len(s.tuples) && s.tuples[i].v <= other.tuples[j].v) {
-			// Taking from s: the other summary contributes between
-			// rmin_other(prev) and rmax_other(next)−1 elements below v, an
-			// extra uncertainty of g_next + Δ_next − 1 — zero when v lies
-			// below the other summary's minimum or above its maximum.
-			t = s.tuples[i]
-			i++
-			if j > 0 && j < len(other.tuples) {
-				t.delta += other.tuples[j].g + other.tuples[j].delta - 1
-			}
-		} else {
-			t = other.tuples[j]
-			j++
-			if i > 0 && i < len(s.tuples) {
-				t.delta += s.tuples[i].g + s.tuples[i].delta - 1
-			}
-		}
-		merged = append(merged, t)
-	}
-	s.unshareTuplesTarget() // the old array becomes compress's target unless frozen
-	s.tuples = merged
-	s.n += other.n
-	s.compress()
-}
-
 // Query returns a retained sample whose rank is within ±εN of ⌈q·N⌉. q is
 // clamped to [0, 1]; q = 0 and q = 1 return the exact minimum and maximum.
 // An empty sketch returns 0 (matching the other field statistics, which
@@ -380,25 +328,6 @@ func (s *Sketch) clone() Sketch {
 		n:      s.n,
 		tuples: append([]tuple(nil), s.tuples...),
 	}
-}
-
-// copyInto deep-copies s into dst, reusing dst's tuple storage when its
-// capacity suffices. Like clone it canonicalizes s first, so dst encodes to
-// the same bytes as s.
-func (s *Sketch) copyInto(dst *Sketch) {
-	s.flushPending()
-	dst.eps = s.eps
-	dst.n = s.n
-	if dst.sharedTuples {
-		dst.tuples = nil
-		dst.sharedTuples = false
-	}
-	if dst.sharedPending {
-		dst.pending = nil
-		dst.sharedPending = false
-	}
-	dst.tuples = append(dst.tuples[:0], s.tuples...)
-	dst.pending = dst.pending[:0]
 }
 
 // ParseList parses a comma-separated quantile probe list such as

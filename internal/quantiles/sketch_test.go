@@ -127,65 +127,6 @@ func TestSketchMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAccuracy splits one stream across sketches and merges under
-// both association orders; every grouping must honor the ε contract.
-func TestSketchMergeAccuracy(t *testing.T) {
-	const n, eps = 15000, 0.01
-	rng := rand.New(rand.NewSource(3))
-	stream := sampleStreams(rng, n)["lognormal"]
-	sorted := append([]float64(nil), stream...)
-	sort.Float64s(sorted)
-
-	build := func(lo, hi int) *Sketch {
-		s := New(eps)
-		for _, v := range stream[lo:hi] {
-			s.Update(v)
-		}
-		return s
-	}
-	// ((a ⊕ b) ⊕ c)
-	left := build(0, n/3)
-	left.Merge(build(n/3, 2*n/3))
-	left.Merge(build(2*n/3, n))
-	// (a ⊕ (b ⊕ c))
-	bc := build(n/3, 2*n/3)
-	bc.Merge(build(2*n/3, n))
-	right := build(0, n/3)
-	right.Merge(bc)
-
-	allowed := int(math.Ceil(eps * float64(n)))
-	for _, s := range []*Sketch{left, right} {
-		if s.N() != n {
-			t.Fatalf("merged N = %d, want %d", s.N(), n)
-		}
-		for _, q := range probeList {
-			if e := rankError(sorted, s.Query(q), q); e > allowed {
-				t.Errorf("merged q=%v: rank error %d exceeds εn = %d", q, e, allowed)
-			}
-		}
-	}
-	// Merging an empty sketch is a no-op; merging into an empty one copies.
-	empty := New(eps)
-	was := left.N()
-	left.Merge(New(eps))
-	if left.N() != was {
-		t.Fatal("merging empty changed N")
-	}
-	empty.Merge(left)
-	if empty.N() != was || empty.Query(0.5) != left.Query(0.5) {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
-func TestSketchMergeEpsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(0.01).Merge(New(0.02))
-}
-
 // TestSketchDeterminism: the sketch is a pure function of its operation
 // sequence — the property the sharded fold engine relies on for bitwise
 // FoldWorkers-invariant results.

@@ -8,6 +8,18 @@ import (
 	"melissa/internal/enc"
 )
 
+// stitch encodes parts the way a checkpoint does: each part frozen, then
+// the frozen views stitched into one Field.Encode image.
+func stitch(parts []*Field) []byte {
+	frozen := make([]*FrozenField, len(parts))
+	for i, p := range parts {
+		frozen[i] = p.FreezeInto(nil)
+	}
+	w := enc.NewWriter(1 << 14)
+	EncodeFrozenStitched(w, frozen, nil)
+	return w.Bytes()
+}
+
 // TestEncodeStitchedMatchesDense: the stitched encode of extracted sub-range
 // fields must be byte-identical to encoding the dense field they came from.
 func TestEncodeStitchedMatchesDense(t *testing.T) {
@@ -32,9 +44,7 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 		}
 		want := enc.NewWriter(1 << 14)
 		f.Encode(want)
-		got := enc.NewWriter(1 << 14)
-		EncodeStitched(got, parts)
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		if !bytes.Equal(want.Bytes(), stitch(parts)) {
 			t.Fatalf("%d parts: stitched encode differs from dense", len(parts))
 		}
 
@@ -49,9 +59,7 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("%d parts: decode err=%v remaining=%d", len(parts), r.Err(), r.Remaining())
 		}
-		again := enc.NewWriter(1 << 14)
-		EncodeStitched(again, fresh)
-		if !bytes.Equal(want.Bytes(), again.Bytes()) {
+		if !bytes.Equal(want.Bytes(), stitch(fresh)) {
 			t.Fatalf("%d parts: decoded parts encode differently", len(parts))
 		}
 	}
@@ -62,48 +70,5 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 	DecodeStitched(r, []*Field{NewField(cells-1, 0.05)})
 	if r.Err() == nil {
 		t.Fatal("stitched decode into the wrong cell count accepted")
-	}
-}
-
-// TestCopyInto: a pooled-buffer deep copy must encode identically to the
-// source and stay independent of it afterwards.
-func TestCopyInto(t *testing.T) {
-	const cells = 11
-	rng := rand.New(rand.NewSource(3))
-	src := NewField(cells, 0.1)
-	dst := NewField(cells, 0.1)
-	a := make([]float64, cells)
-	b := make([]float64, cells)
-	fold := func(f *Field, n int) {
-		for s := 0; s < n; s++ {
-			for i := range a {
-				a[i] = rng.NormFloat64()
-				b[i] = rng.NormFloat64()
-			}
-			f.UpdatePair(a, b)
-		}
-	}
-
-	fold(src, 15)
-	src.CopyInto(dst)
-	wantBytes := func(f *Field) []byte {
-		w := enc.NewWriter(1 << 12)
-		f.Encode(w)
-		return append([]byte(nil), w.Bytes()...)
-	}
-	if !bytes.Equal(wantBytes(src), wantBytes(dst)) {
-		t.Fatal("copy encodes differently from source")
-	}
-
-	// Further folding into src must not leak into the copy, and a second
-	// CopyInto must fully refresh the reused buffers.
-	before := wantBytes(dst)
-	fold(src, 10)
-	if !bytes.Equal(before, wantBytes(dst)) {
-		t.Fatal("copy aliases source state")
-	}
-	src.CopyInto(dst)
-	if !bytes.Equal(wantBytes(src), wantBytes(dst)) {
-		t.Fatal("refreshed copy encodes differently from source")
 	}
 }

@@ -97,32 +97,6 @@ func (d *Design) RowC(i, k int) []float64 {
 	return row
 }
 
-// SimulationRole identifies which matrix a simulation of a group evaluates.
-type SimulationRole int
-
-// Roles of the p+2 simulations inside one group, in the fixed intra-group
-// order (A, B, C^1 ... C^p).
-const (
-	RoleA SimulationRole = iota // simulation of f(A_i)
-	RoleB                       // simulation of f(B_i)
-	RoleC                       // simulation of f(C^k_i); k = index - 2
-)
-
-// Role returns the role and the pick-freeze column (−1 for A and B) of
-// simulation `sim` (0 ≤ sim < p+2) inside a group.
-func (d *Design) Role(sim int) (SimulationRole, int) {
-	switch {
-	case sim == 0:
-		return RoleA, -1
-	case sim == 1:
-		return RoleB, -1
-	case sim >= 2 && sim < d.GroupSize():
-		return RoleC, sim - 2
-	default:
-		panic(fmt.Sprintf("sampling: simulation index %d out of range [0,%d)", sim, d.GroupSize()))
-	}
-}
-
 // GroupRows returns the p+2 parameter sets of group i in intra-group order
 // (A_i, B_i, C^1_i, ..., C^p_i). Running these p+2 simulations synchronously
 // is what lets the server update every Sobol' index with O(1) extra memory
@@ -135,19 +109,6 @@ func (d *Design) GroupRows(i int) [][]float64 {
 		rows[k+2] = d.RowC(i, k)
 	}
 	return rows
-}
-
-// SimulationRow returns the parameter set for simulation `sim` of group i.
-func (d *Design) SimulationRow(i, sim int) []float64 {
-	role, k := d.Role(sim)
-	switch role {
-	case RoleA:
-		return d.RowA(i)
-	case RoleB:
-		return d.RowB(i)
-	default:
-		return d.RowC(i, k)
-	}
 }
 
 // Extend grows the design by extra rows and returns the indices of the new

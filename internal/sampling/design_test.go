@@ -143,33 +143,6 @@ func TestDesignGroupRows(t *testing.T) {
 			}
 		}
 	}
-	// SimulationRow agrees with GroupRows.
-	for sim := 0; sim < d.GroupSize(); sim++ {
-		sr := d.SimulationRow(2, sim)
-		for j := range sr {
-			if sr[j] != rows[sim][j] {
-				t.Fatalf("SimulationRow(%d) disagrees with GroupRows", sim)
-			}
-		}
-	}
-}
-
-func TestDesignRoles(t *testing.T) {
-	d := NewDesign(testParams(), 5, 1)
-	role, k := d.Role(0)
-	if role != RoleA || k != -1 {
-		t.Fatalf("sim 0: %v %d", role, k)
-	}
-	role, k = d.Role(1)
-	if role != RoleB || k != -1 {
-		t.Fatalf("sim 1: %v %d", role, k)
-	}
-	for sim := 2; sim < 5; sim++ {
-		role, k = d.Role(sim)
-		if role != RoleC || k != sim-2 {
-			t.Fatalf("sim %d: %v %d", sim, role, k)
-		}
-	}
 }
 
 func TestDesignExtend(t *testing.T) {
@@ -197,7 +170,6 @@ func TestDesignOutOfRangePanics(t *testing.T) {
 		func() { d.RowA(5) },
 		func() { d.RowA(-1) },
 		func() { d.RowC(0, 3) },
-		func() { d.Role(5) },
 	} {
 		func() {
 			defer func() {

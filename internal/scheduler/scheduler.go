@@ -64,7 +64,6 @@ type Job struct {
 // Cluster is the virtual machine room.
 type Cluster struct {
 	totalNodes int
-	backfill   bool
 
 	nextID  JobID
 	used    int
@@ -76,21 +75,17 @@ type Cluster struct {
 }
 
 // New returns a cluster with the given node count and EASY-style backfill
-// enabled (smaller jobs may start ahead of a blocked queue head).
+// (smaller jobs may start ahead of a blocked queue head).
 func New(totalNodes int) *Cluster {
 	if totalNodes < 1 {
 		panic("scheduler: cluster needs at least one node")
 	}
 	return &Cluster{
 		totalNodes: totalNodes,
-		backfill:   true,
 		running:    make(map[JobID]*Job),
 		jobs:       make(map[JobID]*Job),
 	}
 }
-
-// SetBackfill toggles backfill; with it off the queue is strict FCFS.
-func (c *Cluster) SetBackfill(on bool) { c.backfill = on }
 
 // TotalNodes returns the cluster size.
 func (c *Cluster) TotalNodes() int { return c.totalNodes }
@@ -150,12 +145,11 @@ func (c *Cluster) Tick(now time.Time) (started, killed []*Job) {
 		killed = append(killed, j)
 	}
 
-	// FCFS start with optional backfill.
+	// FCFS start with backfill: a job that does not fit stays queued
+	// without holding back smaller ones behind it.
 	remaining := c.queue[:0]
-	blocked := false
 	for _, j := range c.queue {
-		canStart := j.Nodes <= c.totalNodes-c.used && (!blocked || c.backfill)
-		if canStart {
+		if j.Nodes <= c.totalNodes-c.used {
 			j.State = Running
 			j.StartTime = now
 			c.used += j.Nodes
@@ -165,7 +159,6 @@ func (c *Cluster) Tick(now time.Time) (started, killed []*Job) {
 			c.running[j.ID] = j
 			started = append(started, j)
 		} else {
-			blocked = true
 			remaining = append(remaining, j)
 		}
 	}
@@ -223,13 +216,4 @@ func (c *Cluster) release(j *Job, state JobState, now time.Time) {
 	c.used -= j.Nodes
 	j.State = state
 	j.EndTime = now
-}
-
-// NodeSeconds returns the node·seconds consumed by a finished job, the unit
-// the Sec. 5.3 CPU-hour accounting aggregates.
-func (j *Job) NodeSeconds() float64 {
-	if j.StartTime.IsZero() || j.EndTime.IsZero() {
-		return 0
-	}
-	return j.EndTime.Sub(j.StartTime).Seconds() * float64(j.Nodes)
 }

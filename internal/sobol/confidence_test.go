@@ -154,24 +154,3 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 		t.Errorf("ishigami total-order CI coverage %.2f < 0.60", tc)
 	}
 }
-
-func TestMartinezConvergedStoppingRule(t *testing.T) {
-	fn := Ishigami()
-	m := NewMartinez(fn.P())
-	if m.Converged(0.95, 0.5) {
-		t.Fatal("empty estimator cannot be converged")
-	}
-	Estimate(fn, 50, 5, m)
-	wide := m.MaxCIWidth(0.95)
-	Estimate(fn, 5000, 6, m) // keep folding more groups
-	narrow := m.MaxCIWidth(0.95)
-	if narrow >= wide {
-		t.Errorf("CI width did not shrink: %v -> %v", wide, narrow)
-	}
-	if !m.Converged(0.95, wide) {
-		t.Errorf("estimator should be converged at the earlier width %v (now %v)", wide, narrow)
-	}
-	if m.Converged(0.95, narrow/10) {
-		t.Errorf("estimator cannot be converged at width %v", narrow/10)
-	}
-}

@@ -69,18 +69,6 @@ func (m *Martinez) Update(yA, yB float64, yC []float64) {
 	m.n++
 }
 
-// Merge folds another Martinez accumulator into m (parallel reduction).
-func (m *Martinez) Merge(other *Martinez) {
-	if other.P() != m.P() {
-		panic("sobol: merging estimators with different p")
-	}
-	for k := range m.covBC {
-		m.covBC[k].Merge(other.covBC[k])
-		m.covAC[k].Merge(other.covAC[k])
-	}
-	m.n += other.n
-}
-
 // First implements Estimator: S_k = Corr(Y^B, Y^Ck) (Eq. 5).
 func (m *Martinez) First(k int) float64 { return m.covBC[k].Correlation() }
 
@@ -102,30 +90,4 @@ func (m *Martinez) FirstCI(k int, level float64) Interval {
 // TotalCI returns the asymptotic confidence interval for ST_k (Eq. 9).
 func (m *Martinez) TotalCI(k int, level float64) Interval {
 	return TotalOrderCI(m.Total(k), m.n, level)
-}
-
-// MaxCIWidth returns the widest confidence interval across all first and
-// total indices, the scalar the server's convergence control monitors
-// (Sec. 4.1.5: "only keep the largest value").
-func (m *Martinez) MaxCIWidth(level float64) float64 {
-	ci := NewCI(m.n, level)
-	var w float64
-	for k := 0; k < m.P(); k++ {
-		if fw := ci.First(m.First(k)).Width(); fw > w {
-			w = fw
-		}
-		if tw := ci.Total(m.Total(k)).Width(); tw > w {
-			w = tw
-		}
-	}
-	return w
-}
-
-// Converged reports whether every index is estimated within maxWidth at the
-// given confidence level (the stopping rule of Sec. 3.4).
-func (m *Martinez) Converged(level, maxWidth float64) bool {
-	if m.n < 4 {
-		return false // CI undefined below i = 4 (needs i-3 > 0)
-	}
-	return m.MaxCIWidth(level) <= maxWidth
 }

@@ -134,40 +134,6 @@ func TestMartinezOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestMartinezMerge(t *testing.T) {
-	fn := Ishigami()
-	const n = 600
-	yA, yB, yC := Materialize(fn, n, 9)
-
-	whole := NewMartinez(fn.P())
-	partA := NewMartinez(fn.P())
-	partB := NewMartinez(fn.P())
-	yCi := make([]float64, fn.P())
-	for i := 0; i < n; i++ {
-		for k := range yCi {
-			yCi[k] = yC[k][i]
-		}
-		whole.Update(yA[i], yB[i], yCi)
-		if i%2 == 0 {
-			partA.Update(yA[i], yB[i], yCi)
-		} else {
-			partB.Update(yA[i], yB[i], yCi)
-		}
-	}
-	partA.Merge(partB)
-	if partA.N() != whole.N() {
-		t.Fatalf("merged n=%d want %d", partA.N(), whole.N())
-	}
-	for k := 0; k < fn.P(); k++ {
-		if math.Abs(partA.First(k)-whole.First(k)) > 1e-10 {
-			t.Errorf("merged S%d=%v whole=%v", k, partA.First(k), whole.First(k))
-		}
-		if math.Abs(partA.Total(k)-whole.Total(k)) > 1e-10 {
-			t.Errorf("merged ST%d=%v whole=%v", k, partA.Total(k), whole.Total(k))
-		}
-	}
-}
-
 func TestMartinezUpdateDimensionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -34,29 +34,6 @@ func (c *Covariance) Update(x, y float64) {
 	c.m2y += dy * (y - c.meanY)
 }
 
-// Merge folds the pairs summarized by other into c.
-func (c *Covariance) Merge(other Covariance) {
-	if other.n == 0 {
-		return
-	}
-	if c.n == 0 {
-		*c = other
-		return
-	}
-	na := float64(c.n)
-	nb := float64(other.n)
-	nx := na + nb
-	dx := other.meanX - c.meanX
-	dy := other.meanY - c.meanY
-
-	c.c2 += other.c2 + dx*dy*na*nb/nx
-	c.m2x += other.m2x + dx*dx*na*nb/nx
-	c.m2y += other.m2y + dy*dy*na*nb/nx
-	c.meanX += dx * nb / nx
-	c.meanY += dy * nb / nx
-	c.n += other.n
-}
-
 // N returns the number of pairs seen.
 func (c *Covariance) N() int64 { return c.n }
 

@@ -76,33 +76,6 @@ func TestCovarianceIndependentNearZero(t *testing.T) {
 	}
 }
 
-func TestCovarianceMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 777
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-		ys[i] = xs[i]*xs[i] + rng.NormFloat64()
-	}
-	for _, split := range []int{0, 1, 300, n - 1, n} {
-		var a, b, all Covariance
-		for i := range xs {
-			if i < split {
-				a.Update(xs[i], ys[i])
-			} else {
-				b.Update(xs[i], ys[i])
-			}
-			all.Update(xs[i], ys[i])
-		}
-		a.Merge(b)
-		almostEqual(t, "merged cov", a.Cov(), all.Cov(), 1e-10)
-		almostEqual(t, "merged corr", a.Correlation(), all.Correlation(), 1e-10)
-		almostEqual(t, "merged varX", a.VarX(), all.VarX(), 1e-10)
-		almostEqual(t, "merged varY", a.VarY(), all.VarY(), 1e-10)
-	}
-}
-
 func TestCovarianceConstantStream(t *testing.T) {
 	var c Covariance
 	for i := 0; i < 10; i++ {
@@ -147,17 +120,6 @@ func TestMinMax(t *testing.T) {
 	if m.Min(0) != -1 || m.Max(0) != 7 || m.N() != 4 {
 		t.Fatalf("got min=%v max=%v n=%d", m.Min(0), m.Max(0), m.N())
 	}
-	other := NewFieldMinMax(1)
-	other.Update([]float64{-9})
-	other.Update([]float64{100})
-	m.Merge(other)
-	if m.Min(0) != -9 || m.Max(0) != 100 || m.N() != 6 {
-		t.Fatalf("after merge: min=%v max=%v n=%d", m.Min(0), m.Max(0), m.N())
-	}
-	m.Merge(NewFieldMinMax(1))
-	if m.Min(0) != -9 || m.Max(0) != 100 || m.N() != 6 {
-		t.Fatalf("merge with empty changed state")
-	}
 }
 
 func TestExceedance(t *testing.T) {
@@ -167,27 +129,10 @@ func TestExceedance(t *testing.T) {
 	}
 	// Strictly greater: 0.5 itself does not exceed.
 	almostEqual(t, "probability", e.Probability(0), 0.4, 1e-15)
-
-	other := NewFieldExceedance(1, 0.5)
-	other.Update([]float64{0.7})
-	e.Merge(other)
-	if e.N() != 6 || e.Probability(0) != ExceedanceProbability(3, 6) {
-		t.Fatalf("after merge: n=%d probability=%v", e.N(), e.Probability(0))
+	if e.N() != 5 || e.Probability(0) != ExceedanceProbability(2, 5) {
+		t.Fatalf("n=%d probability=%v", e.N(), e.Probability(0))
 	}
 	if ExceedanceProbability(0, 0) != 0 {
 		t.Fatalf("empty stream probability not 0")
 	}
-}
-
-func TestExceedanceMergeThresholdMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on threshold mismatch")
-		}
-	}()
-	a := NewFieldExceedance(1, 0.5)
-	a.Update([]float64{1})
-	b := NewFieldExceedance(1, 0.7)
-	b.Update([]float64{1})
-	a.Merge(b)
 }

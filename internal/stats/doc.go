@@ -2,12 +2,14 @@
 // statistics that underpin Melissa's in-transit sensitivity analysis
 // (Sec. 3.1 of the paper).
 //
-// All accumulators support three operations:
+// All accumulators support two operations:
 //
 //   - Update: fold one new sample in O(1) memory,
-//   - Merge: combine two partial accumulators (pairwise/parallel reduction,
-//     Chan et al. 1982; Pébay 2008),
 //   - query: read the current estimate at any point of the stream.
+//
+// Pairwise merging of two partial accumulators (Chan et al. 1982; Pébay
+// 2008) is not implemented: the server folds every sample into one owner,
+// so no reduction tree exists to merge along.
 //
 // The update formulas are the numerically stable single-pass forms of
 // Pébay, "Formulas for robust, one-pass parallel computation of covariances

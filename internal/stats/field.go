@@ -58,41 +58,6 @@ func (f *FieldMoments) Update(values []float64) {
 	}
 }
 
-// Merge folds other into f cell by cell. The cell counts must match.
-func (f *FieldMoments) Merge(other *FieldMoments) {
-	if len(other.means) != len(f.means) {
-		panic("stats: merging FieldMoments with different cell counts")
-	}
-	if other.n == 0 {
-		return
-	}
-	if f.n == 0 {
-		f.n = other.n
-		copy(f.means, other.means)
-		copy(f.m2, other.m2)
-		copy(f.m3, other.m3)
-		copy(f.m4, other.m4)
-		return
-	}
-	na := float64(f.n)
-	nb := float64(other.n)
-	nx := na + nb
-	for i := range f.means {
-		delta := other.means[i] - f.means[i]
-		delta2 := delta * delta
-		f.m4[i] += other.m4[i] +
-			delta2*delta2*na*nb*(na*na-na*nb+nb*nb)/(nx*nx*nx) +
-			6*delta2*(na*na*other.m2[i]+nb*nb*f.m2[i])/(nx*nx) +
-			4*delta*(na*other.m3[i]-nb*f.m3[i])/nx
-		f.m3[i] += other.m3[i] +
-			delta*delta2*na*nb*(na-nb)/(nx*nx) +
-			3*delta*(na*other.m2[i]-nb*f.m2[i])/nx
-		f.m2[i] += other.m2[i] + delta2*na*nb/nx
-		f.means[i] += delta * nb / nx
-	}
-	f.n += other.n
-}
-
 // Mean returns the running mean of cell i.
 func (f *FieldMoments) Mean(i int) float64 { return f.means[i] }
 
@@ -153,9 +118,6 @@ func NewFieldMinMax(cells int) *FieldMinMax {
 	return f
 }
 
-// Cells returns the number of cells per sample field.
-func (f *FieldMinMax) Cells() int { return len(f.min) }
-
 // N returns the number of sample fields folded in.
 func (f *FieldMinMax) N() int64 { return f.n }
 
@@ -171,22 +133,6 @@ func (f *FieldMinMax) Update(values []float64) {
 		}
 		if x > f.max[i] {
 			f.max[i] = x
-		}
-	}
-}
-
-// Merge folds other into f.
-func (f *FieldMinMax) Merge(other *FieldMinMax) {
-	if len(other.min) != len(f.min) {
-		panic("stats: merging FieldMinMax with different cell counts")
-	}
-	f.n += other.n
-	for i := range f.min {
-		if other.min[i] < f.min[i] {
-			f.min[i] = other.min[i]
-		}
-		if other.max[i] > f.max[i] {
-			f.max[i] = other.max[i]
 		}
 	}
 }
@@ -210,9 +156,6 @@ func NewFieldExceedance(cells int, threshold float64) *FieldExceedance {
 	return &FieldExceedance{Threshold: threshold, counts: make([]int64, cells)}
 }
 
-// Cells returns the number of cells per sample field.
-func (f *FieldExceedance) Cells() int { return len(f.counts) }
-
 // N returns the number of sample fields folded in.
 func (f *FieldExceedance) N() int64 { return f.n }
 
@@ -226,23 +169,6 @@ func (f *FieldExceedance) Update(values []float64) {
 		if x > f.Threshold {
 			f.counts[i]++
 		}
-	}
-}
-
-// Merge folds other into f.
-func (f *FieldExceedance) Merge(other *FieldExceedance) {
-	if len(other.counts) != len(f.counts) {
-		panic("stats: merging FieldExceedance with different cell counts")
-	}
-	if f.n > 0 && other.n > 0 && f.Threshold != other.Threshold {
-		panic("stats: merging FieldExceedance with different thresholds")
-	}
-	if f.n == 0 {
-		f.Threshold = other.Threshold
-	}
-	f.n += other.n
-	for i, c := range other.counts {
-		f.counts[i] += c
 	}
 }
 

@@ -42,57 +42,6 @@ func TestFieldMomentsMatchesScalarPerCell(t *testing.T) {
 	}
 }
 
-func TestFieldMomentsMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const cells = 7
-	fields := randomFields(rng, 101, cells)
-
-	a := NewFieldMoments(cells)
-	b := NewFieldMoments(cells)
-	all := NewFieldMoments(cells)
-	for s, f := range fields {
-		if s%3 == 0 {
-			a.Update(f)
-		} else {
-			b.Update(f)
-		}
-	}
-	// Interleave in original order for the reference.
-	for _, f := range fields {
-		all.Update(f)
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged n=%d want %d", a.N(), all.N())
-	}
-	for i := 0; i < cells; i++ {
-		almostEqual(t, "merged mean", a.Mean(i), all.Mean(i), 1e-12)
-		almostEqual(t, "merged variance", a.Variance(i), all.Variance(i), 1e-9)
-		almostEqual(t, "merged kurtosis", a.Kurtosis(i), all.Kurtosis(i), 1e-7)
-	}
-}
-
-func TestFieldMomentsMergeIntoEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const cells = 5
-	src := NewFieldMoments(cells)
-	for _, f := range randomFields(rng, 10, cells) {
-		src.Update(f)
-	}
-	dst := NewFieldMoments(cells)
-	dst.Merge(src)
-	for i := 0; i < cells; i++ {
-		almostEqual(t, "copy mean", dst.Mean(i), src.Mean(i), 0)
-		almostEqual(t, "copy var", dst.Variance(i), src.Variance(i), 0)
-	}
-	// Merging an empty accumulator is the identity.
-	before := dst.Mean(0)
-	dst.Merge(NewFieldMoments(cells))
-	if dst.Mean(0) != before || dst.N() != src.N() {
-		t.Fatalf("merge of empty changed state")
-	}
-}
-
 func TestFieldMomentsDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -150,22 +99,5 @@ func TestFieldMinMaxAndExceedance(t *testing.T) {
 		if math.Abs(ex.Probability(i)-w) > 1e-15 {
 			t.Errorf("cell %d exceedance = %v, want %v", i, ex.Probability(i), w)
 		}
-	}
-
-	mm2 := NewFieldMinMax(3)
-	mm2.Update([]float64{-5, 10, 0})
-	mm.Merge(mm2)
-	if mm.Min(0) != -5 || mm.Max(1) != 10 {
-		t.Errorf("after merge: min0=%v max1=%v", mm.Min(0), mm.Max(1))
-	}
-
-	ex2 := NewFieldExceedance(3, 1.0)
-	ex2.Update([]float64{2, 2, 2})
-	ex.Merge(ex2)
-	if ex.N() != 4 {
-		t.Fatalf("merged n = %d", ex.N())
-	}
-	if math.Abs(ex.Probability(0)-0.5) > 1e-15 {
-		t.Errorf("merged exceedance cell0 = %v, want 0.5", ex.Probability(0))
 	}
 }

@@ -31,39 +31,6 @@ func (m *Moments) Update(x float64) {
 	m.m2 += term1
 }
 
-// Merge folds the samples summarized by other into m, leaving other
-// untouched. Merging is associative and commutative and matches sequential
-// updates up to round-off (Chan et al. 1982; Pébay 2008 Sec. 3).
-func (m *Moments) Merge(other Moments) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = other
-		return
-	}
-	na := float64(m.n)
-	nb := float64(other.n)
-	nx := na + nb
-	delta := other.mean - m.mean
-	delta2 := delta * delta
-
-	m4 := m.m4 + other.m4 +
-		delta2*delta2*na*nb*(na*na-na*nb+nb*nb)/(nx*nx*nx) +
-		6*delta2*(na*na*other.m2+nb*nb*m.m2)/(nx*nx) +
-		4*delta*(na*other.m3-nb*m.m3)/nx
-	m3 := m.m3 + other.m3 +
-		delta*delta2*na*nb*(na-nb)/(nx*nx) +
-		3*delta*(na*other.m2-nb*m.m2)/nx
-	m2 := m.m2 + other.m2 + delta2*na*nb/nx
-
-	m.mean += delta * nb / nx
-	m.m2 = m2
-	m.m3 = m3
-	m.m4 = m4
-	m.n += other.n
-}
-
 // N returns the number of samples seen.
 func (m *Moments) N() int64 { return m.n }
 
@@ -78,17 +45,6 @@ func (m *Moments) Variance() float64 {
 	}
 	return m.m2 / float64(m.n-1)
 }
-
-// PopulationVariance returns the biased (divide by n) variance.
-func (m *Moments) PopulationVariance() float64 {
-	if m.n < 1 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the square root of the unbiased variance.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // Skewness returns the sample skewness (see the Skewness function).
 func (m *Moments) Skewness() float64 { return Skewness(m.n, m.m2, m.m3) }
@@ -115,10 +71,6 @@ func Kurtosis(n int64, m2, m4 float64) float64 {
 	}
 	return float64(n)*m4/(m2*m2) - 3
 }
-
-// SumSquaredDeviations exposes the raw M2 term; the Sobol' estimators use it
-// to form variance ratios without the (n-1) factors cancelling incorrectly.
-func (m *Moments) SumSquaredDeviations() float64 { return m.m2 }
 
 // Reset returns the accumulator to its empty state.
 func (m *Moments) Reset() { *m = Moments{} }

@@ -98,58 +98,6 @@ func TestMomentsOrderInvariance(t *testing.T) {
 	almostEqual(t, "kurtosis", forward.Kurtosis(), backward.Kurtosis(), 1e-8)
 }
 
-func TestMomentsMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 100
-	}
-	for _, split := range []int{0, 1, 250, 500, 999, 1000} {
-		var a, b, all Moments
-		for i, x := range xs {
-			if i < split {
-				a.Update(x)
-			} else {
-				b.Update(x)
-			}
-			all.Update(x)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			t.Fatalf("split %d: merged n=%d, want %d", split, a.N(), all.N())
-		}
-		almostEqual(t, "merged mean", a.Mean(), all.Mean(), 1e-12)
-		almostEqual(t, "merged variance", a.Variance(), all.Variance(), 1e-10)
-		almostEqual(t, "merged skewness", a.Skewness(), all.Skewness(), 1e-7)
-		almostEqual(t, "merged kurtosis", a.Kurtosis(), all.Kurtosis(), 1e-7)
-	}
-}
-
-func TestMomentsMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	chunk := func(n int) Moments {
-		var m Moments
-		for i := 0; i < n; i++ {
-			m.Update(rng.NormFloat64())
-		}
-		return m
-	}
-	a, b, c := chunk(17), chunk(5), chunk(111)
-
-	left := a // (a+b)+c
-	left.Merge(b)
-	left.Merge(c)
-
-	bc := b // a+(b+c)
-	bc.Merge(c)
-	right := a
-	right.Merge(bc)
-
-	almostEqual(t, "assoc mean", left.Mean(), right.Mean(), 1e-12)
-	almostEqual(t, "assoc variance", left.Variance(), right.Variance(), 1e-10)
-	almostEqual(t, "assoc kurtosis", left.Kurtosis(), right.Kurtosis(), 1e-7)
-}
-
 func TestMomentsNumericalStabilityLargeOffset(t *testing.T) {
 	// Classic catastrophic-cancellation scenario for naive sum-of-squares:
 	// small variance on a huge mean. The one-pass form must survive it.
@@ -185,20 +133,5 @@ func TestMomentsReset(t *testing.T) {
 	m.Reset()
 	if m.N() != 0 || m.Mean() != 0 || m.Variance() != 0 {
 		t.Fatalf("reset did not clear accumulator: %+v", m)
-	}
-}
-
-func TestMomentsMergeEmpty(t *testing.T) {
-	var a, empty Moments
-	a.Update(3)
-	a.Update(5)
-	want := a
-	a.Merge(empty)
-	if a != want {
-		t.Fatalf("merging empty changed accumulator: %+v != %+v", a, want)
-	}
-	empty.Merge(a)
-	if empty != want {
-		t.Fatalf("merge into empty lost state: %+v != %+v", empty, want)
 	}
 }

@@ -44,37 +44,6 @@ func TestQuickMomentsMatchTwoPass(t *testing.T) {
 	}
 }
 
-// Property: merge(a, b) is equivalent to streaming the concatenation.
-func TestQuickMergeEquivalence(t *testing.T) {
-	f := func(rawA, rawB []float64) bool {
-		var a, b, all Moments
-		for _, v := range rawA {
-			x := boundedSample(v)
-			a.Update(x)
-			all.Update(x)
-		}
-		for _, v := range rawB {
-			x := boundedSample(v)
-			b.Update(x)
-			all.Update(x)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		mscale := math.Max(1, math.Abs(all.Mean()))
-		vscale := math.Max(1, all.Variance())
-		return math.Abs(a.Mean()-all.Mean()) <= 1e-8*mscale &&
-			math.Abs(a.Variance()-all.Variance()) <= 1e-6*vscale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: shuffling the sample order never changes the result beyond
 // round-off. This is the "data can be consumed in any order" claim of
 // Sec. 3.1 that lets Melissa loosen synchronization between simulations.

@@ -43,18 +43,3 @@ func BenchmarkFieldMomentsUpdate10k(b *testing.B) {
 		fm.Update(field)
 	}
 }
-
-func BenchmarkFieldMomentsMerge10k(b *testing.B) {
-	const cells = 10000
-	a := NewFieldMoments(cells)
-	c := NewFieldMoments(cells)
-	field := benchField(cells)
-	for i := 0; i < 10; i++ {
-		a.Update(field)
-		c.Update(field)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Merge(c)
-	}
-}

@@ -45,69 +45,3 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		t.Fatalf("empty batch: %+v", got)
 	}
 }
-
-// TestDecodeDataInto checks the scratch-reusing decoder: repeated decodes
-// into one scratch must reproduce Decode exactly and reuse the field
-// storage once capacities are warm.
-func TestDecodeDataInto(t *testing.T) {
-	var scratch Data
-	for _, cells := range []int{32, 8, 32} {
-		d := benchData(cells)
-		payload := Encode(d)
-		if err := DecodeDataInto(payload, &scratch); err != nil {
-			t.Fatal(err)
-		}
-		cp := scratch
-		if !reflect.DeepEqual(&cp, d) {
-			t.Fatalf("cells=%d: scratch decode mismatch", cells)
-		}
-	}
-	// Warm scratch: decoding a same-shape payload must not reallocate the
-	// per-field storage.
-	payload := Encode(benchData(32))
-	if err := DecodeDataInto(payload, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	before := &scratch.Fields[0][0]
-	if err := DecodeDataInto(payload, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if before != &scratch.Fields[0][0] {
-		t.Fatal("warm scratch decode reallocated field storage")
-	}
-
-	if err := DecodeDataInto(Encode(&Stop{}), &scratch); err == nil {
-		t.Fatal("DecodeDataInto accepted a non-Data payload")
-	}
-	if err := DecodeDataInto(payload[:len(payload)-1], &scratch); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-}
-
-func TestDecodeDataBatchInto(t *testing.T) {
-	var scratch DataBatch
-	for _, steps := range []int{4, 2, 4} {
-		b := benchBatch(steps, 3, 16)
-		if err := DecodeDataBatchInto(Encode(b), &scratch); err != nil {
-			t.Fatal(err)
-		}
-		cp := scratch
-		if !reflect.DeepEqual(&cp, b) {
-			t.Fatalf("steps=%d: scratch decode mismatch", steps)
-		}
-	}
-	payload := Encode(benchBatch(4, 3, 16))
-	if err := DecodeDataBatchInto(payload, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	before := &scratch.Steps[0].Fields[0][0]
-	if err := DecodeDataBatchInto(payload, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if before != &scratch.Steps[0].Fields[0][0] {
-		t.Fatal("warm scratch decode reallocated field storage")
-	}
-	if err := DecodeDataBatchInto(Encode(&Stop{}), &scratch); err == nil {
-		t.Fatal("DecodeDataBatchInto accepted a non-DataBatch payload")
-	}
-}

@@ -193,6 +193,12 @@ func (v *DataBatchCView) Parse(payload []byte) error {
 	if nf <= 0 || nf > 1<<16 {
 		return fmt.Errorf("wire: cbatch view: %d fields", nf)
 	}
+	// The blocks hold at most MaxExpansion raw bytes per byte, which bounds
+	// the decompressed steps × fields × cells before anything sizes a buffer
+	// by it (and keeps 8·ns·nf·cells from overflowing).
+	if cells > codec.MaxExpansion/8*r.Remaining()/(ns*nf) {
+		return fmt.Errorf("wire: cbatch view: %d steps x %d fields x %d cells exceed payload", ns, nf, cells)
+	}
 	v.numFields = nf
 	nr := int(r.U32())
 	if r.Err() != nil || nr <= 0 || nr > r.Remaining()/rangeEntrySize || nr > cells {

@@ -394,15 +394,13 @@ func Decode(payload []byte) (any, error) {
 		m.Timesteps = r.Int()
 		m.Cells = r.Int()
 		m.P = r.Int()
-		na := int(r.U32())
-		if r.Err() == nil && na >= 0 && na < 1<<20 {
+		if na := count(r, 4); r.Err() == nil {
 			m.ServerAddr = make([]string, na)
 			for i := range m.ServerAddr {
 				m.ServerAddr[i] = r.String()
 			}
 		}
-		np := int(r.U32())
-		if r.Err() == nil && np >= 0 && np < 1<<20 {
+		if np := count(r, 16); r.Err() == nil {
 			m.Partitions = make([]mesh.Partition, np)
 			for i := range m.Partitions {
 				m.Partitions[i].Lo = r.Int()
@@ -410,8 +408,7 @@ func Decode(payload []byte) (any, error) {
 			}
 		}
 		m.Caps = r.U32()
-		nw := int(r.U32())
-		if r.Err() == nil && nw > 0 && nw < 1<<20 {
+		if nw := count(r, 8); nw > 0 {
 			m.FoldShards = make([]int, nw)
 			for i := range m.FoldShards {
 				m.FoldShards[i] = r.Int()
@@ -426,8 +423,7 @@ func Decode(payload []byte) (any, error) {
 		m.Timestep = r.Int()
 		m.CellLo = r.Int()
 		m.CellHi = r.Int()
-		nf := int(r.U32())
-		if r.Err() == nil && nf >= 0 && nf < 1<<16 {
+		if nf := count(r, 8); r.Err() == nil {
 			m.Fields = make([][]float64, nf)
 			for i := range m.Fields {
 				m.Fields[i] = r.F64Slice()
@@ -439,13 +435,12 @@ func Decode(payload []byte) (any, error) {
 		m.GroupID = r.Int()
 		m.CellLo = r.Int()
 		m.CellHi = r.Int()
-		ns := int(r.U32())
-		if r.Err() == nil && ns >= 0 && ns < 1<<20 {
+		if ns := count(r, 12); r.Err() == nil {
 			m.Steps = make([]DataStep, ns)
 			for i := range m.Steps {
 				m.Steps[i].Timestep = r.Int()
-				nf := int(r.U32())
-				if r.Err() != nil || nf < 0 || nf >= 1<<16 {
+				nf := count(r, 8)
+				if r.Err() != nil {
 					break
 				}
 				m.Steps[i].Fields = make([][]float64, nf)
@@ -469,22 +464,19 @@ func Decode(payload []byte) (any, error) {
 	case TypeReport:
 		m := &Report{}
 		m.ProcRank = r.Int()
-		nr := int(r.U32())
-		if r.Err() == nil && nr > 0 && nr < 1<<24 {
+		if nr := count(r, 8); nr > 0 {
 			m.Running = make([]int, nr)
 			for i := range m.Running {
 				m.Running[i] = r.Int()
 			}
 		}
-		nf := int(r.U32())
-		if r.Err() == nil && nf > 0 && nf < 1<<24 {
+		if nf := count(r, 8); nf > 0 {
 			m.Finished = make([]int, nf)
 			for i := range m.Finished {
 				m.Finished[i] = r.Int()
 			}
 		}
-		nt := int(r.U32())
-		if r.Err() == nil && nt > 0 && nt < 1<<24 {
+		if nt := count(r, 8); nt > 0 {
 			m.TimedOut = make([]int, nt)
 			for i := range m.TimedOut {
 				m.TimedOut[i] = r.Int()
@@ -529,6 +521,21 @@ func Decode(payload []byte) (any, error) {
 	return msg, nil
 }
 
+// count reads a U32 element count whose elements encode to at least minSize
+// bytes each. A count the unread payload cannot hold fails r before the
+// caller allocates for it, so a frame's allocation is bounded by its size;
+// on failure count returns 0.
+func count(r *enc.Reader, minSize int) int {
+	n := int(r.U32())
+	if r.Err() == nil && n > r.Remaining()/minSize {
+		r.Fail(fmt.Errorf("count %d exceeds the %d bytes left", n, r.Remaining()))
+	}
+	if r.Err() != nil {
+		return 0
+	}
+	return n
+}
+
 // PayloadType peeks at the type tag of an encoded message without decoding
 // it, so receivers can route bulk payloads to scratch-reusing decoders.
 func PayloadType(payload []byte) MsgType {
@@ -536,93 +543,6 @@ func PayloadType(payload []byte) MsgType {
 		return 0
 	}
 	return MsgType(payload[0])
-}
-
-// DecodeDataInto decodes a TypeData payload into m, reusing m's field
-// storage when capacities allow. Steady-state decoding of same-shaped data
-// messages allocates nothing.
-func DecodeDataInto(payload []byte, m *Data) error {
-	r := enc.NewReader(payload)
-	if typ := MsgType(r.U8()); typ != TypeData {
-		return fmt.Errorf("wire: DecodeDataInto on message type %d", typ)
-	}
-	m.GroupID = r.Int()
-	m.Timestep = r.Int()
-	m.CellLo = r.Int()
-	m.CellHi = r.Int()
-	nf := int(r.U32())
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("wire: decoding %d: %w", TypeData, err)
-	}
-	if nf < 0 || nf >= 1<<16 {
-		return fmt.Errorf("wire: data message with %d fields", nf)
-	}
-	m.Fields = growFields(m.Fields, nf)
-	for i := range m.Fields {
-		m.Fields[i] = r.F64SliceReuse(m.Fields[i])
-	}
-	return finishDecode(r, TypeData)
-}
-
-// DecodeDataBatchInto decodes a TypeDataBatch payload into m, reusing the
-// step and field storage when capacities allow.
-func DecodeDataBatchInto(payload []byte, m *DataBatch) error {
-	r := enc.NewReader(payload)
-	if typ := MsgType(r.U8()); typ != TypeDataBatch {
-		return fmt.Errorf("wire: DecodeDataBatchInto on message type %d", typ)
-	}
-	m.GroupID = r.Int()
-	m.CellLo = r.Int()
-	m.CellHi = r.Int()
-	ns := int(r.U32())
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("wire: decoding %d: %w", TypeDataBatch, err)
-	}
-	if ns < 0 || ns >= 1<<20 {
-		return fmt.Errorf("wire: data batch with %d steps", ns)
-	}
-	if cap(m.Steps) < ns {
-		steps := make([]DataStep, ns)
-		copy(steps, m.Steps)
-		m.Steps = steps
-	} else {
-		m.Steps = m.Steps[:ns]
-	}
-	for i := range m.Steps {
-		st := &m.Steps[i]
-		st.Timestep = r.Int()
-		nf := int(r.U32())
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("wire: decoding %d: %w", TypeDataBatch, err)
-		}
-		if nf < 0 || nf >= 1<<16 {
-			return fmt.Errorf("wire: data batch step with %d fields", nf)
-		}
-		st.Fields = growFields(st.Fields, nf)
-		for f := range st.Fields {
-			st.Fields[f] = r.F64SliceReuse(st.Fields[f])
-		}
-	}
-	return finishDecode(r, TypeDataBatch)
-}
-
-func growFields(fields [][]float64, n int) [][]float64 {
-	if cap(fields) < n {
-		grown := make([][]float64, n)
-		copy(grown, fields)
-		return grown
-	}
-	return fields[:n]
-}
-
-func finishDecode(r *enc.Reader, typ MsgType) error {
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("wire: decoding %d: %w", typ, err)
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after message type %d", r.Remaining(), typ)
-	}
-	return nil
 }
 
 // DataSizeBytes returns the encoded size of a Data message carrying `fields`

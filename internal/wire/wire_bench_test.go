@@ -36,24 +36,10 @@ func BenchmarkDataDecode10kCells(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeDataInto10kCells measures the fold loop's scratch-reusing
-// decode: after the first iteration it allocates nothing.
-func BenchmarkDecodeDataInto10kCells(b *testing.B) {
-	payload := Encode(benchData(10000))
-	var scratch Data
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeDataInto(payload, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDataViewParse10kCells measures the route-stage cost of the lazy
 // ingest path: header validation and per-field offset recording only, no
-// float decoding. Compare against BenchmarkDecodeDataInto10kCells — the
-// per-message work the old design serialized on the inbox goroutine.
+// float decoding. Compare against BenchmarkDataDecode10kCells, which decodes
+// every float up front.
 func BenchmarkDataViewParse10kCells(b *testing.B) {
 	payload := Encode(benchData(10000))
 	var v DataView
@@ -106,18 +92,6 @@ func BenchmarkDataBatchEncode8Steps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Encode(batch)
-	}
-}
-
-func BenchmarkDataBatchDecodeInto8Steps(b *testing.B) {
-	payload := Encode(benchBatch(8, 8, 1250))
-	var scratch DataBatch
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeDataBatchInto(payload, &scratch); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
