@@ -31,7 +31,7 @@ func main() {
 	p := flag.Int("p", 3, "number of uncertain parameters")
 	addrFile := flag.String("addr-file", "", "write the main process address to this file")
 	restore := flag.Bool("restore", false, "restore from the last checkpoint before serving")
-	launcherAddr := flag.String("launcher", "", "launcher address for heartbeats/reports")
+	launcherAddr := flag.String("launcher", "", "launcher address for reports (the server's heartbeat)")
 	f := cliflags.Register(flag.CommandLine, "melissa-server")
 	flag.Parse()
 

@@ -1,14 +1,14 @@
 // Package launcher implements Melissa Launcher (Sec. 4.1.4, 4.2): the
 // front-node supervisor that generates the parameter sets, submits the
-// server and every simulation group as independent batch jobs, watches
-// heartbeats and reports, and applies the fault-tolerance protocol —
-// kill/restart of unresponsive or zombie groups, give-up after repeated
-// failures, server restart from checkpoint, and optional convergence-based
-// early stop (the loopback control of Sec. 4.1.5).
+// server and every simulation group as independent batch jobs, watches the
+// server's reports (each also a heartbeat), and applies the fault-tolerance
+// protocol — kill/restart of unresponsive or zombie groups, give-up after
+// repeated failures, server restart from checkpoint, and optional
+// convergence-based early stop (the loopback control of Sec. 4.1.5).
 //
 // The supervision loop is event-driven: it sleeps until a group attempt
-// exits, a server heartbeat or report arrives, or a group reports a
-// reconnect, and the next group starts in the same pass that freed its slot.
+// exits, a server report arrives, or a group reports a reconnect, and the
+// next group starts in the same pass that freed its slot.
 // A ticker wakes it only for the checks that depend on time passing
 // (heartbeat loss, the injected server crash, zombies, scheduler walltime,
 // series sampling). Group counts and the submit frontier are maintained at
@@ -18,8 +18,10 @@ package launcher
 import (
 	"fmt"
 	"math"
+	"os"
 	"time"
 
+	"melissa/internal/checkpoint"
 	"melissa/internal/client"
 	"melissa/internal/core"
 	"melissa/internal/faults"
@@ -86,10 +88,12 @@ type Config struct {
 	// ZombieTimeout is the launcher-side no-contact timeout for jobs the
 	// scheduler reports running (Sec. 4.2.2, zombie groups).
 	ZombieTimeout time.Duration
-	// HeartbeatTimeout declares the server dead when no process has beaten
-	// for this long (Sec. 4.2.3).
+	// HeartbeatTimeout declares the server dead when no process has sent a
+	// report, the server's heartbeat, for this long (Sec. 4.2.3).
 	HeartbeatTimeout time.Duration
-	// CheckpointInterval/CheckpointDir configure server checkpoints.
+	// CheckpointInterval/CheckpointDir configure server checkpoints. A study
+	// owns CheckpointDir: Run first removes the checkpoints an earlier study
+	// left there, so a server restart restores only this study's state.
 	CheckpointInterval time.Duration
 	CheckpointDir      string
 	// ConvergenceTarget, when positive, stops the study early once the
@@ -169,8 +173,8 @@ type Stats struct {
 	// counting into Restarts instead).
 	ResumesAfterServerRestart int
 	// StaleReportsDropped counts server reports discarded because they were
-	// stamped with a previous server incarnation's epoch (the stop drain of a
-	// crashed server racing its own replacement).
+	// stamped with a previous server incarnation's epoch (a crashed server's
+	// final report, or one still queued when its replacement started).
 	StaleReportsDropped int
 	Converged           bool
 	PeakNodes           int
@@ -245,11 +249,11 @@ type Launcher struct {
 	// did.
 	srvAddrs []string
 	// srvEpoch is the incarnation number of the current server instance,
-	// bumped on every startServer. A stopping server keeps draining (and
-	// reporting) for a short window; its trailing heartbeats and reports are
-	// stamped with the old epoch and discarded, so they cannot refresh the
-	// new incarnation's liveness clock or mark groups finished whose folds
-	// were rolled back to the durable frontier.
+	// bumped on every startServer. A stopped server's final report, and any
+	// of its reports still queued here, are stamped with the old epoch and
+	// discarded, so they cannot refresh the new incarnation's liveness clock
+	// or mark groups finished whose folds were rolled back to the durable
+	// frontier.
 	srvEpoch int
 
 	groups map[int]*groupState
@@ -395,6 +399,9 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 		"groups", l.cfg.Design.N(), "parameters", l.cfg.Design.P(),
 		"cells", l.cfg.Cells, "timesteps", l.cfg.Timesteps,
 		"server_procs", l.cfg.ServerProcs)
+	if err := l.clearCheckpoints(); err != nil {
+		return nil, l.stats, err
+	}
 	if err := l.startServer(false); err != nil {
 		return nil, l.stats, err
 	}
@@ -438,8 +445,9 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 	l.sample(time.Now())
 	l.drainReconnects()
 
-	// Final drain so in-flight messages reach the statistics, then stop.
-	l.srv.Stop(l.cfg.CheckpointDir != "")
+	// Every process reported every group finished, so all their data was
+	// routed. A completed study is never restored: no last checkpoint.
+	l.srv.Stop(false)
 	l.stats.WallClock = time.Since(l.start)
 	l.stats.PeakNodes = l.cfg.Cluster.PeakUsedNodes()
 	l.publishStatus(time.Now())
@@ -792,32 +800,28 @@ func (l *Launcher) drainMessages(msgs <-chan []byte, now time.Time) {
 	}
 }
 
-// handleMessage applies one heartbeat or report from a server process.
+// handleMessage applies one report from a server process. A report of the
+// current incarnation is also its heartbeat.
 func (l *Launcher) handleMessage(payload []byte, now time.Time) {
 	decoded, err := wire.Decode(payload)
 	transport.Recycle(payload) // Decode copied everything out
 	if err != nil {
 		return
 	}
-	switch m := decoded.(type) {
-	case *wire.Heartbeat:
-		if m.Epoch != l.srvEpoch {
-			return // trailing beacon from a dead incarnation
-		}
-		l.lastHeartbeat = now
-	case *wire.Report:
-		if m.Epoch != l.srvEpoch {
-			// A crashed server's stop drain keeps folding its inbound
-			// backlog and reporting progress that the restart rolled back
-			// to the durable frontier. Applying it would mark still-running
-			// groups finished (breaking MaxInFlight pacing and, worse,
-			// letting the study complete without their re-sent folds).
-			l.stats.StaleReportsDropped++
-			return
-		}
-		l.lastHeartbeat = now
-		l.applyReport(m, now)
+	m, ok := decoded.(*wire.Report)
+	if !ok {
+		return
 	}
+	if m.Epoch != l.srvEpoch {
+		// A crashed server's last reports claim progress that the restart
+		// rolled back to the durable frontier. Applying them would mark
+		// still-running groups finished (breaking MaxInFlight pacing and,
+		// worse, letting the study complete without their re-sent folds).
+		l.stats.StaleReportsDropped++
+		return
+	}
+	l.lastHeartbeat = now
+	l.applyReport(m, now)
 }
 
 func (l *Launcher) applyReport(rep *wire.Report, now time.Time) {
@@ -914,7 +918,7 @@ func (l *Launcher) checkZombies(now time.Time) {
 	}
 }
 
-// checkServer restarts the server from its last checkpoint when heartbeats
+// checkServer restarts the server from its last checkpoint when its reports
 // stop (Sec. 4.2.3), then restarts every unfinished group; replayed data is
 // discarded by the restored trackers.
 func (l *Launcher) checkServer(now time.Time) {
@@ -929,11 +933,31 @@ func (l *Launcher) checkServer(now time.Time) {
 func (l *Launcher) injectServerCrash(now time.Time) {
 	if l.cfg.Faults.ShouldCrashServer(now.Sub(l.start)) {
 		olog.Infow("launcher.fault_server_crash", "elapsed", now.Sub(l.start))
-		l.srv.Stop(false) // crash: no final checkpoint
-		// Heartbeats cease; the next checkServer pass performs the restart.
+		l.srv.Stop(false) // crash: no last checkpoint
+		// Reports cease; the next checkServer pass performs the restart.
 		// Speed it up by backdating the last heartbeat.
 		l.lastHeartbeat = now.Add(-24 * time.Hour)
 	}
+}
+
+// clearCheckpoints removes the per-rank checkpoint files an earlier study
+// left in the checkpoint directory — a server restart would restore them as
+// this study's state — and its abandoned temp files.
+func (l *Launcher) clearCheckpoints() error {
+	dir := l.cfg.CheckpointDir
+	if dir == "" {
+		return nil
+	}
+	for rank := 0; rank < l.cfg.ServerProcs; rank++ {
+		if path := checkpoint.Filename(dir, rank); checkpoint.Exists(path) {
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("launcher: %w", err)
+			}
+			olog.Warnw("launcher.stale_checkpoint_removed", "file", path)
+		}
+	}
+	_, err := checkpoint.SweepTemps(dir)
+	return err
 }
 
 func (l *Launcher) restartServer(now time.Time) {

@@ -62,7 +62,7 @@ var (
 	// The supervision loop's wakeups by cause, resolved once so counting a
 	// wakeup is one atomic add.
 	lWakeups = obs.NewCounterVec("melissa_launcher_wakeups_total",
-		"Launcher supervision-loop wakeups, by what woke it: a group attempt exit (done), a server heartbeat or report (report), a group reconnect (reconnect), or the ticker of the time-based checks (tick).",
+		"Launcher supervision-loop wakeups, by what woke it: a group attempt exit (done), a server report (report), a group reconnect (reconnect), or the ticker of the time-based checks (tick).",
 		"cause")
 	wakeDone      = lWakeups.With("done")
 	wakeReport    = lWakeups.With("report")

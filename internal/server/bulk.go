@@ -41,7 +41,6 @@ type bulkMsg struct {
 	steps, fields         int
 
 	// Set by the fold pool while the router still holds its own reference:
-	tracked bool  // the pool's in-flight count was charged for this message
 	applied int32 // (group, timestep) updates committed via the direct path
 }
 
@@ -77,7 +76,7 @@ func parseBulk(payload []byte) (*bulkMsg, error) {
 		return nil, err
 	}
 	m.Init(payload, 1)
-	m.tracked, m.applied = false, 0
+	m.applied = 0
 	m.gen++
 	return m, nil
 }

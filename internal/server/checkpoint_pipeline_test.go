@@ -297,6 +297,11 @@ func TestCheckpointSkipWhileWriteInFlight(t *testing.T) {
 		close(gate)
 		t.Fatal("no checkpoint interval was skipped while the writer was blocked")
 	}
+	// Wait for the released write to commit: Stop(false) would abandon it.
+	deadline = time.Now().Add(5 * time.Second)
+	for s.Procs()[0].Checkpoints().Writes == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	s.Stop(false)
 	ck := s.Procs()[0].Checkpoints()
 	if ck.Writes == 0 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -89,20 +90,22 @@ type checkpointer struct {
 
 	// stats is guarded by mu (the background writer and the run loop both
 	// update it). jobs feeds completed snapshots to the writer goroutine;
-	// free holds the ckptJobBuffers idle jobs, their buffers allocated on
-	// first use; writing tracks checkpoints from initiation to durability
-	// (the final-checkpoint stop path waits on it).
-	stats    CheckpointStats
-	mu       sync.Mutex
-	jobs     chan *ckptJob
-	free     chan *ckptJob
-	writing  sync.WaitGroup
-	writerWG sync.WaitGroup
+	// free holds the idle jobs, made counts those allocated so far (at most
+	// ckptJobBuffers). abandoned is Server.Stop without a last checkpoint:
+	// the writer drops what it has not committed yet, as a crash would,
+	// instead of waiting out a write nothing will read.
+	stats     CheckpointStats
+	mu        sync.Mutex
+	jobs      chan *ckptJob
+	free      chan *ckptJob
+	made      int
+	writerWG  sync.WaitGroup
+	abandoned atomic.Bool
 
 	// Cadence (run-loop-owned): last is when the latest checkpoint started;
-	// requested is set by a client CheckpointReq so the next due() pass
-	// starts an early, skippable checkpoint instead of waiting out the rest
-	// of the interval.
+	// requested is set by a client CheckpointReq so next() moves up to an
+	// early, skippable checkpoint instead of waiting out the rest of the
+	// interval.
 	last      time.Time
 	requested bool
 
@@ -120,16 +123,12 @@ type checkpointer struct {
 }
 
 func newCheckpointer(cfg *procConfig, fold *foldPool) *checkpointer {
-	c := &checkpointer{
+	return &checkpointer{
 		cfg:  cfg,
 		fold: fold,
 		jobs: make(chan *ckptJob, ckptJobBuffers),
 		free: make(chan *ckptJob, ckptJobBuffers),
 	}
-	for i := 0; i < ckptJobBuffers; i++ {
-		c.free <- &ckptJob{}
-	}
-	return c
 }
 
 func (c *checkpointer) enabled() bool { return c.cfg.CheckpointDir != "" }
@@ -141,16 +140,16 @@ func (c *checkpointer) start() {
 	go c.writer()
 }
 
-// stop retires the background writer, which drains and commits every
-// handed-off job before exiting. Call after the fold pool stopped: a
-// checkpoint whose snapshot completed is then always durable on return.
+// stop retires the background writer, which finishes every handed-off job
+// before exiting. Call after the fold pool stopped: a checkpoint whose
+// snapshot completed is then durable on return, unless abandoned is set.
 func (c *checkpointer) stop() {
 	close(c.jobs)
 	c.writerWG.Wait()
 }
 
-// wait blocks until every begun checkpoint is durable (or has failed).
-func (c *checkpointer) wait() { c.writing.Wait() }
+// errAbandoned ends a write that a stop without a last checkpoint overtook.
+var errAbandoned = errors.New("checkpoint abandoned by the stop")
 
 func (c *checkpointer) snapshotStats() CheckpointStats {
 	c.mu.Lock()
@@ -167,33 +166,38 @@ func (c *checkpointer) request() {
 	}
 }
 
-// due reports whether the run loop should begin a checkpoint now, and
-// consumes the slot when it says yes. An early-checkpoint request fires
-// ahead of the interval, but never more often than a quarter interval —
-// requests advance the schedule, they cannot turn it into a busy loop. The
+// next returns when the next checkpoint falls due, the zero time for never:
+// an interval after the last one began, or sooner after an early-checkpoint
+// request — but never closer than a quarter interval to the last one, so
+// requests advance the schedule without turning it into a busy loop. That
 // spacing is clamped to 250ms so completion-time durable drains stay fast
-// even under production intervals of many minutes (50ms floor when no
-// interval is set).
+// even under production intervals of many minutes (50ms when no interval
+// is set). The run loop's receive deadline includes it.
+func (c *checkpointer) next() time.Time {
+	interval := c.cfg.CheckpointInterval
+	switch {
+	case c.requested:
+		minGap := 50 * time.Millisecond
+		if interval > 0 {
+			minGap = min(interval/4, 250*time.Millisecond)
+		}
+		return c.last.Add(minGap)
+	case interval > 0:
+		return c.last.Add(interval)
+	}
+	return time.Time{}
+}
+
+// due reports whether the run loop should begin a checkpoint now, and
+// consumes the slot when it says yes.
 func (c *checkpointer) due(now time.Time) bool {
-	if !c.enabled() {
+	at := c.next()
+	if at.IsZero() || now.Before(at) {
 		return false
 	}
-	interval := c.cfg.CheckpointInterval
-	due := interval > 0 && now.Sub(c.last) >= interval
-	if !due && c.requested {
-		minGap := interval / 4
-		if minGap <= 0 {
-			minGap = 50 * time.Millisecond
-		} else if minGap > 250*time.Millisecond {
-			minGap = 250 * time.Millisecond
-		}
-		due = now.Sub(c.last) >= minGap
-	}
-	if due {
-		c.requested = false
-		c.last = now
-	}
-	return due
+	c.requested = false
+	c.last = now
+	return true
 }
 
 // begin initiates a checkpoint from the run loop — the one checkpoint write
@@ -225,7 +229,6 @@ func (c *checkpointer) begin(block bool, src *router) {
 	job.stallNs.Store(0)
 	job.tracker.Reset()
 	job.messages, job.frontiers = src.capture(job.tracker)
-	c.writing.Add(1)
 	acc := c.fold.accumulator()
 	c.fold.barrier(func(shard int) {
 		t0 := time.Now()
@@ -237,16 +240,24 @@ func (c *checkpointer) begin(block bool, src *router) {
 }
 
 // takeJob acquires an idle checkpoint job, or nil when both are busy and
-// block is unset. Only the run loop calls it.
+// block is unset. It makes a second job only while the first is still being
+// written: reusing the idle one spares the run loop a fresh snapshot buffer
+// (the record image, tens of MB) to allocate and zero. Only the run loop
+// calls it.
 func (c *checkpointer) takeJob(block bool) *ckptJob {
 	var job *ckptJob
 	select {
 	case job = <-c.free:
 	default:
-		if !block {
+		switch {
+		case c.made < ckptJobBuffers:
+			job = &ckptJob{}
+			c.made++
+		case !block:
 			return nil
+		default:
+			job = <-c.free
 		}
-		job = <-c.free
 	}
 	if job.snap == nil {
 		job.snap, job.tracker = c.fold.accumulator().NewSnapshot(), enc.NewWriter(1<<10)
@@ -262,7 +273,6 @@ func (c *checkpointer) writer() {
 	for job := range c.jobs {
 		c.write(job)
 		c.free <- job
-		c.writing.Done()
 	}
 }
 
@@ -271,7 +281,8 @@ func (c *checkpointer) writer() {
 // section through the streaming writer, so the full payload never
 // materializes in memory — computes the CRC, fsyncs and atomically renames.
 // The bytes are identical to a quiesced one-shot encode of the same fold
-// state, whatever the FoldWorkers setting.
+// state, whatever the FoldWorkers setting. Between steps, and before the
+// last section, it checks abandoned.
 func (c *checkpointer) write(job *ckptJob) {
 	path := checkpoint.Filename(c.cfg.CheckpointDir, c.cfg.Rank)
 	sw, err := checkpoint.NewStreamWriter(path, checkpoint.Version)
@@ -285,8 +296,11 @@ func (c *checkpointer) write(job *ckptJob) {
 		w.I64(job.messages)
 		job.snap.EncodeHeader(w, core.LayoutCurrent)
 	})
-	for t := 0; t < job.snap.Timesteps() && err == nil; t++ {
+	for t := 0; t < job.snap.Timesteps() && err == nil && !c.abandoned.Load(); t++ {
 		err = sw.Section(func(w *enc.Writer) { job.snap.EncodeStep(w, core.LayoutCurrent, t) })
+	}
+	if err == nil && c.abandoned.Load() {
+		err = errAbandoned
 	}
 	if err == nil {
 		err = sw.Section(func(w *enc.Writer) { w.Raw(job.tracker.Bytes()) })
@@ -311,6 +325,10 @@ func (c *checkpointer) write(job *ckptJob) {
 		c.stats.BytesWritten += written
 	}
 	c.mu.Unlock()
+	if errors.Is(err, errAbandoned) {
+		olog.Infow("server.checkpoint_abandoned", "rank", c.cfg.Rank, "elapsed", elapsed)
+		return
+	}
 	if err != nil {
 		olog.Errorw("server.checkpoint_failed", "rank", c.cfg.Rank, "err", err)
 		return

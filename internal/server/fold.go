@@ -67,7 +67,7 @@ type foldTask struct {
 // arrival order, which makes the per-cell update sequence — and therefore
 // the statistics — bitwise identical to a single-threaded fold, whatever the
 // pool width. Exactly one goroutine may enqueue (route, release, barrier,
-// scan, quiesce) and it alone touches the pacing fields routed, ciMark,
+// scan) and it alone touches the pacing fields routed, ciMark,
 // sketchMark and scansStarted; ask and the telemetry getters are safe from
 // any goroutine.
 type foldPool struct {
@@ -76,9 +76,6 @@ type foldPool struct {
 
 	workCh   []chan foldTask
 	workerWG sync.WaitGroup
-	// inflight tracks retained payloads, completed assemblies and barriers
-	// from enqueue until every worker has processed them (quiesce).
-	inflight sync.WaitGroup
 	// scratch[i] is worker i's private decode target for the direct path,
 	// sized to its shard.
 	scratch [][][]float64
@@ -126,7 +123,8 @@ func newFoldPool(acc *core.ShardedAccumulator, part mesh.Partition) *foldPool {
 func (f *foldPool) adopt(acc *core.ShardedAccumulator) { f.acc = acc }
 
 // accumulator exposes the statistics state: shard i inside a barrier's
-// each(i), the whole of it after quiesce or stop.
+// each(i), the whole of it after stop — or after a barrier's last() when
+// nothing was enqueued behind that barrier.
 func (f *foldPool) accumulator() *core.ShardedAccumulator { return f.acc }
 
 func (f *foldPool) workers() int { return f.acc.NumShards() }
@@ -167,11 +165,6 @@ func (f *foldPool) stop() {
 	f.workerWG.Wait()
 }
 
-// quiesce blocks until every enqueued payload, assembly and barrier has been
-// processed by every worker, after which the accumulator may be read — and
-// its caches mutated — safely until the next enqueue.
-func (f *foldPool) quiesce() { f.inflight.Wait() }
-
 // backpressure returns the occupancy fraction [0, 1] of the work queues.
 // Reading channel lengths is a racy snapshot, which is all a gauge needs.
 func (f *foldPool) backpressure() float64 {
@@ -190,7 +183,6 @@ func (f *foldPool) backpressure() float64 {
 func (f *foldPool) barrier(each func(shard int), last func()) {
 	b := &barrier{each: each, last: last}
 	b.remaining.Store(int32(len(f.workCh)))
-	f.inflight.Add(1)
 	for _, ch := range f.workCh {
 		ch <- foldTask{ctl: b}
 	}
@@ -314,19 +306,14 @@ func (f *foldPool) route(m *bulkMsg, s int) bool {
 		task.fold = true
 		f.routed++
 		asm.remaining.Store(int32(len(f.workCh)))
-		f.inflight.Add(1)
 	}
 	f.enqueue(m, task)
 	return task.fold
 }
 
 // enqueue sends one bulk task to every worker, charging the payload refcount
-// (one reference per worker) and, once per message, the in-flight count.
+// (one reference per worker).
 func (f *foldPool) enqueue(m *bulkMsg, task foldTask) {
-	if !m.tracked {
-		m.tracked = true
-		f.inflight.Add(1)
-	}
 	m.Retain(int32(len(f.workCh)))
 	for _, ch := range f.workCh {
 		ch <- task
@@ -334,8 +321,8 @@ func (f *foldPool) enqueue(m *bulkMsg, task foldTask) {
 }
 
 // release drops one payload reference. Whichever goroutine drops the last
-// one retires the message: publish its direct-path folds, balance the
-// in-flight charge and recycle the buffer and the shell.
+// one retires the message: publish its direct-path folds and recycle the
+// buffer and the shell.
 func (f *foldPool) release(m *bulkMsg) {
 	if !m.Release() {
 		return
@@ -343,9 +330,6 @@ func (f *foldPool) release(m *bulkMsg) {
 	if m.applied > 0 {
 		f.folds.Add(int64(m.applied))
 		mFolds.Add(int64(m.applied))
-	}
-	if m.tracked {
-		f.inflight.Done()
 	}
 	bulkShells.Put(m)
 }
@@ -365,7 +349,6 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 			b.each(i)
 			if b.remaining.Add(-1) == 0 {
 				b.last()
-				f.inflight.Done()
 			}
 			continue
 		}
@@ -391,7 +374,6 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 					f.folds.Add(1)
 					mFolds.Inc()
 					f.asmPool.Put(asm)
-					f.inflight.Done()
 				}
 			}
 		} else {

@@ -16,9 +16,9 @@ import (
 // network, no group tracker. Six groups arrive in the six (framing × path)
 // shapes: Data, DataBatch and DataBatchC, each once as whole-partition
 // pieces (direct path) and once split into cell sub-ranges (assembled path).
-// After every group a barrier rides the queues behind the routed steps, with
-// no quiesce in between: its each() must see exactly the folds routed so far
-// on every shard. The final state must be bitwise equal to folding the same
+// After every group a barrier rides the queues behind the routed steps: its
+// each() must see exactly the folds routed so far on every shard. Once the
+// last barrier passed, the state must be bitwise equal to folding the same
 // fields into a dense accumulator in order, and every payload reference must
 // have been released.
 func TestFoldPoolStandalone(t *testing.T) {
@@ -114,9 +114,8 @@ func TestFoldPoolStandalone(t *testing.T) {
 			}
 		}
 
-		pool.quiesce()
 		if got := transport.ReadPoolStats().RefsActive(); got != refsBefore {
-			t.Fatalf("payload refs active %d after quiesce, want %d", got, refsBefore)
+			t.Fatalf("payload refs active %d after the last barrier, want %d", got, refsBefore)
 		}
 		if got := pool.foldCount(); got != int64(folds) {
 			t.Fatalf("fold counter %d, want %d", got, folds)

@@ -370,9 +370,9 @@ func TestReportBackpressureTracksStall(t *testing.T) {
 
 // TestPayloadPoolBalancesUnderStress is the -race leak audit of the
 // refcounted ingest path: many concurrent clients mix well-formed Data and
-// DataBatch traffic with Hellos, heartbeats and garbage, with double-recycle
-// detection armed; after a drained shutdown the payload pool must balance —
-// zero live references and zero outstanding buffers.
+// DataBatch traffic with Hellos, retired-tag frames and garbage, with
+// double-recycle detection armed; after a drained shutdown the payload pool
+// must balance — zero live references and zero outstanding buffers.
 func TestPayloadPoolBalancesUnderStress(t *testing.T) {
 	transport.SetPoolDebug(true)
 	defer transport.SetPoolDebug(false)
@@ -397,7 +397,7 @@ func TestPayloadPoolBalancesUnderStress(t *testing.T) {
 		}(g)
 	}
 	// Hostile traffic alongside: garbage bytes, truncated bulk frames,
-	// wrong-shape data, stray Hellos and heartbeats on the data endpoints.
+	// wrong-shape data, stray Hellos and retired tags on the data endpoints.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -419,7 +419,7 @@ func TestPayloadPoolBalancesUnderStress(t *testing.T) {
 							Fields: make([][]float64, p+2)})
 						snd.Send(full[:len(full)/2]) // truncated bulk frame
 					case 3:
-						snd.Send(wire.Encode(&wire.Heartbeat{Sender: "stray"}))
+						snd.Send([]byte{4, 's', 0, 0, 0}) // retired heartbeat tag
 					case 4:
 						snd.Send(wire.Encode(&wire.Hello{GroupID: 999, ReplyAddr: "mem://nowhere"}))
 					}

@@ -1,16 +1,14 @@
 package server
 
 import (
-	"fmt"
-	"time"
-
 	"melissa/internal/transport"
 	"melissa/internal/wire"
 )
 
 // liaison is the launcher-facing stage: the lazily dialed launcher
-// connection, heartbeats, and the periodic and final status reports. Run-loop
-// goroutine only.
+// connection and the periodic and final status reports. The periodic report
+// goes out every ReportInterval whether or not the process is busy, so it is
+// also the process's liveness beacon. Run-loop goroutine only.
 type liaison struct {
 	cfg   *procConfig
 	route *router
@@ -46,19 +44,10 @@ func (l *liaison) send(msg any) {
 	}
 }
 
-func (l *liaison) heartbeat(now time.Time) {
-	l.send(&wire.Heartbeat{
-		Sender:     fmt.Sprintf("server-%d", l.cfg.Rank),
-		TimeMillis: now.UnixMilli(),
-		Epoch:      l.cfg.Epoch,
-	})
-}
-
 // report ships the bookkeeping lists of Sec. 4.2.2 and the pipeline
 // telemetry to the launcher. final marks the stop-path report, which runs
-// after quiesce and may therefore read the accumulator directly; periodic
-// reports must not (the flag is a parameter, not a stop-flag read, because
-// that can flip mid-iteration while workers are still folding).
+// after the fold workers were joined and may therefore read the accumulator
+// directly; periodic reports must not, because workers are still folding.
 func (l *liaison) report(final bool) {
 	if l.cfg.LauncherAddr == "" {
 		return
@@ -66,8 +55,8 @@ func (l *liaison) report(final bool) {
 	rep := &l.rep
 	rep.ProcRank, rep.Epoch = l.cfg.Rank, l.cfg.Epoch
 	l.route.fillReport(rep)
-	// How full the fold-pipeline queues are right now (0 after the stop-path
-	// quiesce).
+	// How full the fold-pipeline queues are right now (0 in the final
+	// report).
 	rep.Backpressure = l.fold.backpressure()
 	// Live sketch telemetry from the last completed worker scan (zero
 	// without quantile sketches: no scan runs for them), so the launcher

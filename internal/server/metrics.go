@@ -61,6 +61,14 @@ var (
 	mCkptReqs = obs.NewCounter("melissa_server_checkpoint_requests_total",
 		"Early-checkpoint requests from clients whose retention ring crossed its durable high-water mark.")
 
+	// The run loop's wakeups by cause, resolved once so counting a wakeup is
+	// one atomic add.
+	mWakeups = obs.NewCounterVec("melissa_server_wakeups_total",
+		"Server run-loop wakeups, by what woke it: an inbox frame (message) or the next report or checkpoint deadline (deadline).",
+		"cause")
+	wakeMessage  = mWakeups.With("message")
+	wakeDeadline = mWakeups.With("deadline")
+
 	// Per-process gauges, labeled by server process rank. Updated from the
 	// inbox goroutine (reports/status ticks) and the fold workers
 	// (telemetry scans), read by scrapes.

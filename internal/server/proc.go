@@ -2,7 +2,6 @@ package server
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"melissa/internal/core"
@@ -42,9 +41,6 @@ type Proc struct {
 
 	// met is this process's resolved per-rank gauge set.
 	met procMetrics
-
-	stopFlag atomic.Bool
-	stopCkpt atomic.Bool
 }
 
 func newProc(cfg procConfig, recv transport.Receiver) *Proc {
@@ -82,12 +78,6 @@ func (p *Proc) Folds() int64 { return p.fold.foldCount() }
 // the server runs (the background writer updates them concurrently).
 func (p *Proc) Checkpoints() CheckpointStats { return p.ckpt.snapshotStats() }
 
-// requestStop asks the run loop to exit at the next iteration.
-func (p *Proc) requestStop(finalCheckpoint bool) {
-	p.stopCkpt.Store(finalCheckpoint)
-	p.stopFlag.Store(true)
-}
-
 // start launches the fold workers and the checkpoint writer; run needs them.
 func (p *Proc) start() {
 	p.fold.start()
@@ -96,57 +86,56 @@ func (p *Proc) start() {
 
 // stopStages joins the fold workers (which drain what is queued, pending
 // snapshot barriers included) and then the checkpoint writer, so a checkpoint
-// whose snapshot completed is always durable by the time Stop returns.
+// whose snapshot completed is durable by the time Stop returns, unless Stop
+// abandoned it.
 func (p *Proc) stopStages() {
 	p.fold.stop()
 	p.ckpt.stop()
 }
 
-// run is the inbox goroutine. Per pass, in order: receive and dispatch one
-// frame (route → fold); at report cadence heartbeat, report and refresh the
-// durability telemetry; start a telemetry scan if someone reads its result
-// and enough was folded since the last one (ciWanted, foldPool.scan); refresh
-// the gauges; begin a checkpoint when one is due. On stop: drain the inbox,
-// quiesce the pool, write the final checkpoint if asked, send the final
-// report.
+// run is the inbox goroutine. It waits on the inbox until the earlier of the
+// next report and the next checkpoint, then per pass, on one clock reading:
+// dispatches the frame received, if any (route → fold); at report cadence
+// reports and refreshes the durability telemetry; starts a telemetry scan if
+// someone reads its result and enough was folded since the last one
+// (ciWanted, foldPool.scan); refreshes the gauges; begins a checkpoint when
+// one is due. The receiver closing is the stop: once it has handed out what
+// it buffered, run begins a last checkpoint if Stop asked for one, joins the
+// fold workers and the checkpoint writer, sends the final report and
+// returns.
 func (p *Proc) run() {
-	defer p.close()
-	defer p.stopStages()
-	lastReport := time.Now()
-
-	pollEvery := p.cfg.ReportInterval / 4
-	if pollEvery <= 0 || pollEvery > 100*time.Millisecond {
-		pollEvery = 100 * time.Millisecond
-	}
+	defer p.liaison.close()
+	now := time.Now()
+	nextReport := now.Add(p.cfg.ReportInterval)
 	for {
-		if p.stopFlag.Load() {
-			p.drainInbox()
-			p.fold.quiesce()
-			if p.stopCkpt.Load() && p.ckpt.enabled() {
-				// The final checkpoint must be durable before the process
-				// exits: start it (waiting for a job buffer if a periodic
-				// write is still in flight) and block until the background
-				// writer commits it.
-				p.ckpt.begin(true, p.route)
-				p.ckpt.wait()
-			}
-			p.liaison.report(true)
-			return
+		deadline := nextReport
+		if at := p.ckpt.next(); !at.IsZero() && at.Before(deadline) {
+			deadline = at
 		}
-		msg, err := p.recv.Recv(pollEvery)
+		// Recv(≤ 0) blocks forever; a deadline already passed polls.
+		msg, err := p.recv.Recv(max(deadline.Sub(now), time.Millisecond))
+		now = time.Now()
 		idle := false
 		switch err {
 		case nil:
-			p.dispatch(msg.Payload)
+			wakeMessage.Inc()
+			p.route.dispatch(msg.Payload)
 		case transport.ErrTimeout:
+			wakeDeadline.Inc()
 			idle = true // periodic work only
 		case transport.ErrClosed:
+			// The stop: the closed inbox has handed out all it buffered.
+			if p.ckpt.enabled() && !p.ckpt.abandoned.Load() {
+				// begin waits for a job buffer if a periodic write is in
+				// flight; stopStages returns once the file is durable.
+				p.ckpt.begin(true, p.route)
+			}
+			p.stopStages()
+			p.liaison.report(true)
 			return
 		}
-		now := time.Now()
-		if now.Sub(lastReport) >= p.cfg.ReportInterval {
-			lastReport = now
-			p.liaison.heartbeat(now)
+		if !now.Before(nextReport) {
+			nextReport = now.Add(p.cfg.ReportInterval)
 			p.liaison.report(false)
 			p.publishDurability(now)
 		}
@@ -168,30 +157,6 @@ func (p *Proc) ciWanted(now time.Time) bool {
 	}
 	asked := max(p.fold.askedAt(), obs.Default.ScrapedAt())
 	return now.UnixNano()-asked < int64(2*p.cfg.ReportInterval)
-}
-
-func (p *Proc) dispatch(payload []byte) {
-	if stop := p.route.dispatch(payload); stop != nil {
-		p.requestStop(stop.Checkpoint)
-	}
-}
-
-// drainInbox consumes messages already queued (or still trickling in) so a
-// clean stop never discards data the clients consider delivered. It returns
-// after the inbox stays quiet for one poll interval.
-func (p *Proc) drainInbox() {
-	for {
-		msg, err := p.recv.Recv(50 * time.Millisecond)
-		if err != nil {
-			return
-		}
-		p.dispatch(msg.Payload)
-	}
-}
-
-func (p *Proc) close() {
-	p.liaison.close()
-	p.recv.Close()
 }
 
 // restore loads the last checkpoint, if any (Sec. 4.2.3 server restart).

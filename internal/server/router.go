@@ -129,19 +129,19 @@ func (r *router) dropFrame(reason string, key uint64, kv ...any) {
 // path: the payload is retained, only its header is parsed here, and the
 // float decoding happens on the shard workers (zero steady-state
 // allocation, no inbox-side copy). Everything else takes the generic decode
-// path, with the buffer recycled immediately. A Stop frame is returned to
-// the run loop, which owns the stop flags.
-func (r *router) dispatch(payload []byte) *wire.Stop {
+// path, with the buffer recycled immediately. No frame stops the process:
+// only Server.Stop does.
+func (r *router) dispatch(payload []byte) {
 	switch wire.PayloadType(payload) {
 	case wire.TypeData, wire.TypeDataBatch, wire.TypeDataBatchC:
 		r.handleBulk(payload)
-		return nil
+		return
 	}
 	msg, err := wire.Decode(payload)
 	transport.Recycle(payload)
 	if err != nil {
 		r.dropFrame("undecodable", dropKeyNoGroup, "err", err)
-		return nil
+		return
 	}
 	switch m := msg.(type) {
 	case *wire.Hello:
@@ -154,14 +154,9 @@ func (r *router) dispatch(payload []byte) *wire.Stop {
 		mCkptReqs.Inc()
 		r.lastMsg[m.GroupID] = time.Now()
 		r.ckpt.request()
-	case *wire.Stop:
-		return m
-	case *wire.Heartbeat:
-		// Clients may ping data endpoints; nothing to do.
 	default:
 		r.dropFrame("unexpected_type", dropKeyNoGroup, "type", fmt.Sprintf("%T", msg))
 	}
-	return nil
 }
 
 // reply dials a group's reply endpoint and sends it one message; failures

@@ -7,8 +7,8 @@
 //
 // # One process, four stages
 //
-// A Proc (proc.go) is a config, a receiver, two stop flags and four stages,
-// each the only code that touches its own state:
+// A Proc (proc.go) is a config, a receiver, a last-checkpoint bit and four
+// stages, each the only code that touches its own state:
 //
 //	router       (router.go)        group tracker, liveness clocks, message
 //	                                and byte counters; decodes control frames,
@@ -22,16 +22,19 @@
 //	checkpointer (checkpointer.go)  cadence, snapshot double buffer,
 //	                                background writer, stats, the durable
 //	                                frontier, restore (Sec. 4.2.3)
-//	liaison      (liaison.go)       launcher connection, heartbeats, reports
-//	                                (Sec. 4.2.2)
+//	liaison      (liaison.go)       launcher connection, reports — also the
+//	                                liveness beacon (Sec. 4.2.2)
 //
-// Proc.run sequences them on the inbox goroutine. Per pass: receive one frame
-// and dispatch it (router → foldPool); at report cadence send a heartbeat and
-// a report and refresh the durability telemetry; start a telemetry scan if
-// one is wanted and due; refresh the per-rank gauges; begin a checkpoint when
-// one is due. On stop: drain the inbox, quiesce the pool, write the final
-// checkpoint if asked, send the final report, join the workers and the
-// writer.
+// Proc.run sequences them on the inbox goroutine, which waits on the inbox
+// until the earlier of the next report and the next checkpoint deadline.
+// Per pass, on one clock reading: dispatch the frame received, if any
+// (router → foldPool); at report cadence send a report and refresh the
+// durability telemetry; start a telemetry scan if one is wanted and due;
+// refresh the per-rank gauges; begin a checkpoint when one is due.
+// Server.Stop closes the receivers; a closed receiver hands out what it
+// buffered and then reports closed. That is the one stop path: begin a last
+// checkpoint if Stop asked for one (else abandon a write still in flight),
+// join the workers and the writer, send the final report.
 //
 // A foldPool needs only a core.ShardedAccumulator and its partition: it can
 // be built and fed encoded frames with no network, tracker or Server.
@@ -47,8 +50,9 @@
 // the statistics are bitwise independent of Config.FoldWorkers. Message
 // shells, assemblies and payload buffers are pooled, so steady-state ingest
 // allocates approximately nothing (transport.ReadPoolStats audits the
-// buffers). The accumulator is only read after quiesce, i.e. once every
-// enqueued task has been processed by every worker.
+// buffers). The accumulator is only read inside a barrier or after the
+// workers were joined, i.e. once every enqueued task has been processed by
+// every worker.
 //
 // Bounded worker queues preserve the end-to-end backpressure of Sec. 4.1.3:
 // if folding falls behind, the inbox blocks, transport buffers fill, and
@@ -134,9 +138,11 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// CheckpointDir is where checkpoint files live.
 	CheckpointDir string
-	// LauncherAddr, when set, receives heartbeats and reports.
+	// LauncherAddr, when set, receives the reports; the launcher counts
+	// each as a heartbeat.
 	LauncherAddr string
-	// ReportInterval is the heartbeat/report period (default 1 s).
+	// ReportInterval is the report period (default 1 s). It is also the
+	// longest the run loop sleeps with no frame and no checkpoint due.
 	ReportInterval time.Duration
 	// ConvergenceReports makes reports carry MaxCIWidth (the launcher sets it
 	// when the study has a convergence target) and is the standing demand for
@@ -150,10 +156,10 @@ type Config struct {
 	// a /metrics scrape asked for the width — otherwise never. Off by default.
 	ConvergenceReports bool
 	// Epoch is the incarnation number of this server instance. The launcher
-	// increments it on every (re)start and stamps it into heartbeats and
-	// reports, so stale messages queued by a dying incarnation's stop drain
-	// cannot corrupt the launcher's liveness or completion bookkeeping after
-	// a restart. Zero is a valid epoch (single-incarnation embedders need not
+	// increments it on every (re)start and stamps it into reports, so a dying
+	// incarnation's final report, or one still queued at the launcher, cannot
+	// corrupt the launcher's liveness or completion bookkeeping after a
+	// restart. Zero is a valid epoch (single-incarnation embedders need not
 	// set it).
 	Epoch int
 	// WireCodec opts this server into the negotiated wire codec: Welcome
@@ -297,11 +303,21 @@ func (s *Server) Start() {
 	}
 }
 
-// Stop asks every process to exit (after an optional final checkpoint) and
-// waits for them.
+// Stop closes every process's receiver and waits for the processes to exit.
+// Each folds what its inbox had already buffered, writes a last checkpoint
+// when finalCheckpoint is set and a directory is configured, and reports one
+// final time. Without finalCheckpoint a checkpoint still being written is
+// abandoned, as a crash would leave it: the committed file stays the one a
+// restore reads, and the stop does not wait out a write nothing will read.
+// Closing releases senders blocked on a full inbox and frees the addresses
+// for a restarted server. Over TCP it also closes the data
+// connections: frames still in kernel socket buffers are not folded —
+// resilient clients resend them to the next server, and otherwise the
+// launcher replays the groups they belong to. A second Stop returns at once.
 func (s *Server) Stop(finalCheckpoint bool) {
 	for _, p := range s.procs {
-		p.requestStop(finalCheckpoint)
+		p.ckpt.abandoned.Store(!finalCheckpoint)
+		p.recv.Close()
 	}
 	s.wg.Wait()
 }

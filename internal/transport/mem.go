@@ -132,35 +132,32 @@ type memSender struct {
 
 // pump is the background delivery thread (the ZeroMQ I/O thread): it drains
 // the local queue into the remote inbox, blocking when the inbox is full.
+// After Close it flushes what is queued and exits. When the receiver closes
+// instead, it recycles the payload in hand and everything queued, and exits.
 func (s *memSender) pump() {
 	defer close(s.pumpDone)
 	for {
+		var payload []byte
 		select {
-		case payload, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			select {
-			case s.recv.inbox <- Message{Payload: payload}:
-			case <-s.recv.done:
-				return
-			}
+		case payload = <-s.queue:
 		case <-s.done:
-			// Flush what is already queued, then exit.
-			for {
-				select {
-				case payload, ok := <-s.queue:
-					if !ok {
-						return
-					}
-					select {
-					case s.recv.inbox <- Message{Payload: payload}:
-					case <-s.recv.done:
-						return
-					}
-				default:
-					return
-				}
+			select {
+			case payload = <-s.queue:
+			default:
+				return
+			}
+		}
+		select {
+		case s.recv.inbox <- Message{Payload: payload}:
+			continue
+		case <-s.recv.done:
+		}
+		for {
+			Recycle(payload)
+			select {
+			case payload = <-s.queue:
+			default:
+				return
 			}
 		}
 	}
@@ -179,10 +176,10 @@ func (s *memSender) Send(payload []byte) error {
 	case s.queue <- cp:
 		return nil
 	case <-s.recv.done:
-		return ErrClosed
 	case <-s.done:
-		return ErrClosed
 	}
+	Recycle(cp)
+	return ErrClosed
 }
 
 // Close flushes the queued messages into the receiver inbox (the interface

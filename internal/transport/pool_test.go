@@ -2,6 +2,7 @@ package transport
 
 import (
 	"testing"
+	"time"
 )
 
 // TestRefLifecycle: references added by Init and Retain must balance against
@@ -121,5 +122,43 @@ func TestPoolStatsBalanceAfterPipe(t *testing.T) {
 	}
 	if gets := after.Gets - before.Gets; gets < 100 {
 		t.Fatalf("pool recorded %d gets, want >= 100", gets)
+	}
+}
+
+// TestPoolBalancesWhenReceiverCloses: closing a receiver with payloads
+// queued everywhere — in its inbox, in a sender's pump and send queue, and
+// in Sends blocked on the full queue — leaves no buffer outstanding once
+// the receiver is drained: the transport recycles every payload it refuses.
+func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
+	before := ReadPoolStats()
+	net := NewMemNetwork(Options{SendBuffer: 4, RecvBuffer: 2})
+	recv, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd, err := net.Dial(recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 512)
+	sent := make(chan error, 10)
+	for i := 0; i < 10; i++ {
+		go func() { sent <- snd.Send(msg) }()
+	}
+	time.Sleep(20 * time.Millisecond) // inbox, pump and queue fill; 3 Sends block
+	recv.Close()
+	for i := 0; i < 10; i++ {
+		<-sent
+	}
+	for {
+		m, err := recv.Recv(0)
+		if err != nil {
+			break
+		}
+		Recycle(m.Payload)
+	}
+	snd.Close()
+	if d := ReadPoolStats().Outstanding() - before.Outstanding(); d != 0 {
+		t.Fatalf("closing the receiver leaked %d payload buffers", d)
 	}
 }

@@ -133,6 +133,7 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 		select {
 		case r.inbox <- Message{Payload: payload}:
 		case <-r.done:
+			Recycle(payload)
 			return
 		}
 	}
@@ -289,6 +290,7 @@ func (s *tcpSender) Send(payload []byte) error {
 	case s.queue <- cp:
 		return nil
 	case <-s.done:
+		Recycle(cp)
 		return ErrClosed
 	}
 }

@@ -51,7 +51,7 @@ func TestDecodeCountBombsAllocateLittle(t *testing.T) {
 }
 
 // fuzzSeeds is one encoded message of every type, the codec frame included,
-// plus the count bombs.
+// one frame per retired tag, plus the count bombs.
 func fuzzSeeds() [][]byte {
 	batch := testBatch(4, 8, 40, 3, 4)
 	var bc BatchCompressor
@@ -65,9 +65,9 @@ func fuzzSeeds() [][]byte {
 		Encode(&Data{GroupID: 1, Timestep: 2, CellLo: 0, CellHi: 3, Fields: [][]float64{{1, 2, 3}, {4, 5, 6}}}),
 		Encode(batch),
 		w.Bytes(),
-		Encode(&Heartbeat{Sender: "server-0", TimeMillis: 99, Epoch: 1}),
+		{4, 's', 0, 0, 0}, // the retired heartbeat tag
 		Encode(&Report{ProcRank: 1, Running: []int{3}, Finished: []int{1, 2}, TimedOut: []int{3}, MaxCIWidth: 0.5, Messages: 7}),
-		Encode(&Stop{Checkpoint: true}),
+		{6, 1}, // the retired stop tag
 		Encode(&Resume{GroupID: 3, ReplyAddr: "mem://2"}),
 		Encode(&ResumeAck{ProcRank: 1, GroupID: 3, LastStep: 2, DurableStep: 1}),
 		Encode(&CheckpointReq{GroupID: 3}),

@@ -20,32 +20,31 @@ import (
 // MsgType tags a wire message.
 type MsgType uint8
 
-// Message types.
+// Message types; each value is the message's one-byte wire tag. Tags 4 and
+// 6 are reserved: they carried the server → launcher heartbeat, which the
+// periodic Report replaced, and a stop request, which no frame may make
+// now. Decode rejects them as unknown types.
 const (
 	// TypeHello announces a simulation group to the server main process.
-	TypeHello MsgType = iota + 1
+	TypeHello MsgType = 1
 	// TypeWelcome answers a Hello with the server layout (dynamic
 	// connection handshake of Sec. 4.1.3).
-	TypeWelcome
+	TypeWelcome MsgType = 2
 	// TypeData carries simulation results: one group, one timestep, one
 	// cell range, all p+2 simulations.
-	TypeData
-	// TypeHeartbeat is a liveness beacon (server process → launcher).
-	TypeHeartbeat
+	TypeData MsgType = 3
 	// TypeReport carries a server process's group bookkeeping to the
 	// launcher (Sec. 4.2.2) plus convergence information (Sec. 4.1.5).
-	TypeReport
-	// TypeStop asks a server process to checkpoint (if configured) and exit.
-	TypeStop
+	TypeReport MsgType = 5
 	// TypeDataBatch carries several timesteps of one group for one cell
 	// range in a single message, cutting per-message framing and syscall
 	// overhead on the simulation→server hot path.
-	TypeDataBatch
+	TypeDataBatch MsgType = 7
 	// TypeDataBatchC is the compressed form of TypeDataBatch (codecframe.go):
 	// the same timesteps and cell range, with the float payload delta-XOR'd
 	// and entropy-coded per shard-aligned cell sub-range. Only sent after
 	// both sides advertised CapWireCodec in the Hello/Welcome exchange.
-	TypeDataBatchC
+	TypeDataBatchC MsgType = 8
 	// TypeResume is a group → server-process query on a fresh connection:
 	// "what is the last contiguous timestep you folded for my group?". The
 	// addressed process dials ReplyAddr back with a ResumeAck. An empty
@@ -53,17 +52,17 @@ const (
 	// the server's per-group message clock without requesting an answer),
 	// which a resuming group emits while it recomputes already-folded steps
 	// it will never resend.
-	TypeResume
+	TypeResume MsgType = 9
 	// TypeResumeAck answers a Resume with the process's contiguous fold
 	// frontier for the group; the reconnecting client resends only the
 	// retained steps after LastStep.
-	TypeResumeAck
+	TypeResumeAck MsgType = 10
 	// TypeCheckpointReq is a client → server-process nudge: "my retention
 	// ring for your rank is filling with acked-but-not-durable frames —
 	// please checkpoint soon so the durable frontier advances". It is
 	// fire-and-forget advice, never an ingest blocker: the process folds it
 	// into its next run-loop pass and starts an early (skippable) checkpoint.
-	TypeCheckpointReq
+	TypeCheckpointReq MsgType = 11
 )
 
 // Capability bits exchanged in Hello.Caps/Welcome.Caps. A capability takes
@@ -156,19 +155,6 @@ type DataBatch struct {
 	Steps   []DataStep
 }
 
-// Heartbeat is a liveness beacon.
-type Heartbeat struct {
-	// Sender identifies the beating process, e.g. "server-3".
-	Sender string
-	// TimeMillis is the sender's clock (for launcher-side staleness checks).
-	TimeMillis int64
-	// Epoch is the server incarnation that emitted this beacon. The launcher
-	// bumps the epoch on every server (re)start and discards beacons from
-	// earlier incarnations, so a dying server's backlog cannot refresh the
-	// liveness clock of its replacement.
-	Epoch int
-}
-
 // Report is the periodic server→launcher status message: which groups this
 // server process believes are running or finished, and how converged the
 // statistics are.
@@ -191,12 +177,12 @@ type Report struct {
 	// launcher republishes on /status. Flow control does not read it; the
 	// transport's bounded buffers suspend the simulations on their own.
 	Backpressure float64
-	// Epoch is the server incarnation that produced this report. A stopping
-	// server keeps folding its inbound backlog (and keeps reporting) for a
-	// short drain window; after a crash+restart those trailing reports can
-	// claim groups finished whose folds were rolled back to the durable
-	// frontier. The launcher only applies reports whose epoch matches the
-	// current incarnation.
+	// Epoch is the server incarnation that produced this report. After a
+	// crash+restart, the dead incarnation's final report and any of its
+	// reports still queued at the launcher can claim groups finished whose
+	// folds were rolled back to the durable frontier. The launcher only
+	// applies reports whose epoch matches the current incarnation, and
+	// counts each one it applies as a heartbeat.
 	Epoch int
 	// TupleCount and SketchBytes are the sender's live quantile-sketch
 	// telemetry (retained GK tuples and their byte estimate, summed over
@@ -205,12 +191,6 @@ type Report struct {
 	// quantiles are disabled or no scan has completed yet.
 	TupleCount  int64
 	SketchBytes int64
-}
-
-// Stop asks a server process to shut down cleanly.
-type Stop struct {
-	// Checkpoint requests a final checkpoint before exiting.
-	Checkpoint bool
 }
 
 // Resume asks one server process for its fold frontier of a group (see
@@ -325,11 +305,6 @@ func EncodeTo(w *enc.Writer, msg any) {
 				w.F64Slice(f)
 			}
 		}
-	case *Heartbeat:
-		w.U8(uint8(TypeHeartbeat))
-		w.String(m.Sender)
-		w.I64(m.TimeMillis)
-		w.Int(m.Epoch)
 	case *Report:
 		w.U8(uint8(TypeReport))
 		w.Int(m.ProcRank)
@@ -351,9 +326,6 @@ func EncodeTo(w *enc.Writer, msg any) {
 		w.I64(m.TupleCount)
 		w.I64(m.SketchBytes)
 		w.Int(m.Epoch)
-	case *Stop:
-		w.U8(uint8(TypeStop))
-		w.Bool(m.Checkpoint)
 	case *Resume:
 		w.U8(uint8(TypeResume))
 		w.Int(m.GroupID)
@@ -455,12 +427,6 @@ func Decode(payload []byte) (any, error) {
 		// cannot express the patched range table); delegate and skip the
 		// trailing-bytes epilogue, which DataBatchCView already enforces.
 		return DecodeDataBatchC(payload)
-	case TypeHeartbeat:
-		m := &Heartbeat{}
-		m.Sender = r.String()
-		m.TimeMillis = r.I64()
-		m.Epoch = r.Int()
-		msg = m
 	case TypeReport:
 		m := &Report{}
 		m.ProcRank = r.Int()
@@ -488,10 +454,6 @@ func Decode(payload []byte) (any, error) {
 		m.TupleCount = r.I64()
 		m.SketchBytes = r.I64()
 		m.Epoch = r.Int()
-		msg = m
-	case TypeStop:
-		m := &Stop{}
-		m.Checkpoint = r.Bool()
 		msg = m
 	case TypeResume:
 		m := &Resume{}

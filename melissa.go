@@ -8,8 +8,8 @@
 // of a multi-run simulation study — without storing any simulation output.
 // Groups of p+2 pick-freeze simulations stream their per-timestep fields to
 // a parallel server that folds them into one-pass (iterative) statistics
-// and discards the data. The architecture is fault tolerant (heartbeats,
-// discard-on-replay, checkpoint/restart) and elastic (groups are
+// and discards the data. The architecture is fault tolerant (liveness
+// reports, discard-on-replay, checkpoint/restart) and elastic (groups are
 // independent batch jobs that connect dynamically).
 //
 // Two entry points cover most uses:
@@ -131,7 +131,10 @@ type StudyConfig struct {
 	GroupTimeout time.Duration
 	// CheckpointDir/CheckpointInterval enable server checkpoints (the
 	// two-phase pipeline: per-shard snapshot copy on the fold workers,
-	// encode+fsync on a background writer overlapped with ingest).
+	// encode+fsync on a background writer overlapped with ingest). The study
+	// owns CheckpointDir: it starts by removing the per-rank checkpoint files
+	// an earlier study left there, and a completed study leaves only the
+	// periodic checkpoints it wrote along the way.
 	CheckpointDir      string
 	CheckpointInterval time.Duration
 	// ConvergenceTarget, when positive, stops the study once every Sobol'
@@ -280,11 +283,11 @@ type WireStats = server.WireStats
 func (r *FieldResult) WireStats() WireStats { return r.res.WireStats() }
 
 // CheckpointStats summarizes the server-side checkpoint activity of a study:
-// how many periodic/final checkpoints were written (and how many intervals
-// were skipped because a write was still in flight), the total wall time of
-// the writes vs the part that actually stalled the fold pipeline (the
-// per-shard snapshot copies — encode and fsync run on a background writer,
-// overlapped with ingest), read-side restore timing, and bytes made durable.
+// how many checkpoints were written (and how many intervals were skipped
+// because a write was still in flight), the total wall time of the writes
+// vs the part that actually stalled the fold pipeline (the per-shard
+// snapshot copies — encode and fsync run on a background writer, overlapped
+// with ingest), read-side restore timing, and bytes made durable.
 type CheckpointStats = server.CheckpointStats
 
 // Checkpoints returns the aggregated checkpoint statistics across all server

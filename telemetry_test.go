@@ -96,22 +96,29 @@ func TestServeTelemetryDuringStudy(t *testing.T) {
 		t.Fatalf("study section = %+v, want %d groups finished", doc.Study, groups)
 	}
 
-	// The launcher loop's wakeups by cause: every cause is exposed, and group
-	// exits woke the loop.
-	wakes := map[string]int64{}
-	for _, line := range strings.Split(get("/metrics"), "\n") {
-		var cause string
-		var n int64
-		if _, err := fmt.Sscanf(line, "melissa_launcher_wakeups_total{cause=%q} %d", &cause, &n); err == nil {
-			wakes[cause] = n
+	// The launcher and server loops' wakeups by cause: every cause is
+	// exposed, group exits woke the launcher, and frames woke the server.
+	metrics := get("/metrics")
+	wakeups := func(name string, causes ...string) map[string]int64 {
+		wakes := map[string]int64{}
+		for _, line := range strings.Split(metrics, "\n") {
+			var cause string
+			var n int64
+			if _, err := fmt.Sscanf(line, name+"{cause=%q} %d", &cause, &n); err == nil {
+				wakes[cause] = n
+			}
 		}
-	}
-	for _, cause := range []string{"done", "report", "reconnect", "tick"} {
-		if _, ok := wakes[cause]; !ok {
-			t.Fatalf("/metrics lacks melissa_launcher_wakeups_total{cause=%q}: %v", cause, wakes)
+		for _, cause := range causes {
+			if _, ok := wakes[cause]; !ok {
+				t.Fatalf("/metrics lacks %s{cause=%q}: %v", name, cause, wakes)
+			}
 		}
+		return wakes
 	}
-	if wakes["done"] < 1 {
+	if wakes := wakeups("melissa_launcher_wakeups_total", "done", "report", "reconnect", "tick"); wakes["done"] < 1 {
 		t.Fatalf("no done wakeups after a %d-group study: %v", groups, wakes)
+	}
+	if wakes := wakeups("melissa_server_wakeups_total", "message", "deadline"); wakes["message"] < 1 {
+		t.Fatalf("no message wakeups after a %d-group study: %v", groups, wakes)
 	}
 }
