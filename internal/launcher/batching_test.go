@@ -31,8 +31,8 @@ func TestLauncherBatchedStudyMatchesUnbatched(t *testing.T) {
 		if stats.GroupsFinished != nGroups {
 			t.Fatalf("batch %d: %d groups finished, want %d", batch, stats.GroupsFinished, nGroups)
 		}
-		if want := time.Duration(batch) * groupTimeout; l.groupTimeout != want {
-			t.Fatalf("batch %d: server group timeout %v, want %v", batch, l.groupTimeout, want)
+		if want := time.Duration(batch) * groupTimeout; l.cfg.GroupTimeout != want {
+			t.Fatalf("batch %d: server group timeout %v, want %v", batch, l.cfg.GroupTimeout, want)
 		}
 		var fields [][]float64
 		for step := 0; step < cfg.Timesteps; step++ {

@@ -78,3 +78,25 @@ func checkBookkeeping(l *Launcher) {
 		fail("group at position %d is eligible behind the submit frontier %d", lowest, l.next)
 	}
 }
+
+// capRunning checks, after every supervision pass for the rest of the test and
+// on top of the bookkeeping recount, that at most limit groups are running.
+func capRunning(t *testing.T, limit int) {
+	t.Helper()
+	check := passCheck
+	passes, peak := 0, 0
+	passCheck = func(l *Launcher) {
+		check(l)
+		passes++
+		peak = max(peak, l.counts[classRunning])
+	}
+	t.Cleanup(func() {
+		passCheck = check
+		if passes == 0 {
+			t.Error("no supervision pass ran")
+		}
+		if peak > limit {
+			t.Errorf("pacing violated: %d groups running after one pass, cap %d", peak, limit)
+		}
+	})
+}

@@ -72,11 +72,6 @@ func TestLauncherTurnoverNotTickBound(t *testing.T) {
 	if peakInFlight > maxInFlight || peakRunning > maxInFlight {
 		t.Fatalf("pacing violated: peak %d in flight, %d running, cap %d", peakInFlight, peakRunning, maxInFlight)
 	}
-	for _, s := range stats.Series {
-		if s.RunningGroups > maxInFlight {
-			t.Fatalf("pacing violated: %d groups running at %v", s.RunningGroups, s.Elapsed)
-		}
-	}
 
 	// Group exits drove the study; the ticker fired only at its own period.
 	if d := w1["done"] - w0["done"]; d < 1 || d > nGroups {
