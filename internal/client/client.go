@@ -15,6 +15,7 @@ package client
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"melissa/internal/enc"
@@ -55,26 +56,17 @@ type Connection struct {
 	routes  []mesh.Transfer
 
 	// Resilience state: budget consumed, the backoff/jitter stream, the
-	// per-route retention rings, the per-rank resume floors of a resumed
-	// attempt (-1 = nothing folded) and the per-rank skipped-piece counters
-	// driving liveness pings.
-	reconnects  int
-	rng         *rand.Rand
-	retain      []retainRing
-	resumeFloor []int
-	skipped     []int
+	// per-route retention rings and one record per server process.
+	reconnects int
+	rng        *rand.Rand
+	retain     []retainRing
+	ranks      []rankState
 
-	// Durable-frontier state: durability reports whether the server
-	// checkpoints at all (Welcome.DurableStep != wire.NoDurability); when it
-	// does, durable[rank] is that process's last known checkpoint-committed
-	// step for this group (-1 = nothing durable), refreshed by every
-	// ResumeAck. maxStep is the highest timestep handed to SendTimestep — the
-	// durable-drain target. ckptReqAt[rank] is the step the last
-	// early-checkpoint request went out at (rate limiting).
+	// durability reports whether the server checkpoints at all
+	// (Welcome.DurableStep != wire.NoDurability). maxStep is the highest
+	// timestep handed to SendTimestep — the durable-drain target.
 	durability bool
-	durable    []int
 	maxStep    int
-	ckptReqAt  []int
 
 	// Framing state (shipSteps): the per-connection compressor, the per-route
 	// shard-aligned sub-range lengths (computed on first use), the message
@@ -88,12 +80,26 @@ type Connection struct {
 	rawBytes  int64
 
 	// pending[r] buffers the not-yet-sent steps of route r when batching;
-	// step and field storage is reused across flushes. cutStep is the
-	// one-step shell of the current route cut: its Fields hold sub-slice
-	// headers into the caller's fields, never a copy. A Connection is not
+	// the step and header storage is reused across flushes. cutStep is the
+	// one-step shell of the current route cut. Both hold sub-slice headers
+	// into the fields SendTimestep took, never a copy. A Connection is not
 	// safe for concurrent use.
 	pending [][]wire.DataStep
 	cutStep [1]wire.DataStep
+}
+
+// rankState is the connection's record of one server process, filled when
+// the connection is made.
+type rankState struct {
+	// resumeFloor is the last step the process had folded when a resumed
+	// attempt connected (-1 = nothing): pieces at or below it are skipped.
+	// skipped counts those pieces, spacing the liveness pings.
+	resumeFloor, skipped int
+	// durable is the process's last known checkpoint-committed step for
+	// this group (-1 = nothing durable), refreshed by every ResumeAck.
+	// ckptReqAt is the step the last early-checkpoint request went out at
+	// (-1 = none; rate limiting).
+	durable, ckptReqAt int
 }
 
 // ConnectOpts is the one declaration of a group connection's options: the
@@ -108,11 +114,11 @@ type ConnectOpts struct {
 	// Timeout bounds each handshake attempt (Welcome wait).
 	Timeout time.Duration
 
-	// Retry is the connection-resilience policy (retry.go): with a non-zero
-	// reconnect budget, failed dials, handshakes and sends transparently
-	// redial the server process, perform the resume handshake and resend the
-	// retained unacked window. The zero value keeps the legacy fail-fast
-	// behavior.
+	// Retry is the connection-resilience policy (retry.go): failed dials,
+	// handshakes and sends redial the server process, perform the resume
+	// handshake and resend the retained unacked window while the reconnect
+	// budget lasts. A zero budget keeps the legacy fail-fast behavior and
+	// the two costs only a budget pays for: retention and the durable drain.
 	Retry RetryPolicy
 	// Resume marks a (re)connection of a group whose data may already be
 	// partially folded — a restarted attempt. The handshake then asks every
@@ -155,9 +161,7 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 	if o.SimRanks < 1 {
 		return nil, fmt.Errorf("client: group %d needs at least one rank", o.GroupID)
 	}
-	if o.Retry.enabled() {
-		o.Retry = o.Retry.withDefaults()
-	}
+	o.Retry = o.Retry.withDefaults()
 	retry := o.Retry
 	rng := retryRNG(retry, o.GroupID)
 	var lastErr error
@@ -175,9 +179,6 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 		conn, err := connectOnce(net, mainAddr, o, rng, o.Resume || attempt > 0)
 		if err != nil {
 			lastErr = err
-			if !retry.enabled() {
-				return nil, err
-			}
 			continue
 		}
 		// Handshake retries consume the same per-group budget as send-path
@@ -227,26 +228,20 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 	routes := mesh.Route(simParts, welcome.Partitions)
 
 	conn := &Connection{
-		Layout:  welcome,
-		opts:    o,
-		net:     net,
-		routes:  routes,
-		rng:     rng,
+		Layout: welcome,
+		opts:   o,
+		net:    net,
+		routes: routes,
+		rng:    rng,
+		ranks: slices.Repeat([]rankState{{resumeFloor: -1, durable: -1, ckptReqAt: -1}},
+			len(welcome.ServerAddr)),
 		maxStep: -1,
+		// The Welcome reveals whether this server checkpoints: a
+		// NoDurability sentinel means nothing ever becomes durable
+		// (retention then only covers reconnects within this server's life).
+		durability: welcome.DurableStep != wire.NoDurability,
 	}
-	// The Welcome reveals whether this server checkpoints: a NoDurability
-	// sentinel means nothing ever becomes durable (retention then only
-	// covers reconnects within this server's life).
-	conn.durability = welcome.DurableStep != wire.NoDurability
-	if conn.durability {
-		conn.durable = make([]int, len(welcome.ServerAddr))
-		conn.ckptReqAt = make([]int, len(welcome.ServerAddr))
-		for i := range conn.durable {
-			conn.durable[i] = -1
-			conn.ckptReqAt[i] = -1
-		}
-		conn.durable[0] = welcome.DurableStep
-	}
+	conn.noteDurable(0, welcome.DurableStep)
 	// Open one connection per server process that appears in the routing
 	// ("each main simulation process opens individual communication
 	// channels to each necessary server process").
@@ -267,11 +262,7 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 		// Learn each process's fold frontier so the resumed attempt skips
 		// resending folded pieces. Rank 0's answer rode along in the Welcome;
 		// the others are queried over the fresh data connections.
-		conn.resumeFloor = make([]int, len(conn.senders))
-		for rank := range conn.resumeFloor {
-			conn.resumeFloor[rank] = -1
-		}
-		conn.resumeFloor[0] = welcome.LastStep
+		conn.ranks[0].resumeFloor = welcome.LastStep
 		for rank, s := range conn.senders {
 			if s == nil || rank == 0 {
 				continue
@@ -281,8 +272,8 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 				conn.Close()
 				return nil, err
 			}
-			conn.resumeFloor[rank] = ack.LastStep
-			conn.noteAck(ack)
+			conn.ranks[rank].resumeFloor = ack.LastStep
+			conn.noteDurable(rank, ack.DurableStep)
 		}
 	}
 	return conn, nil
@@ -294,6 +285,12 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 // implicit (fields are already assembled per simulation); stage 2 cuts them
 // along the static routing and ships one message per (sim rank, server
 // process) pair.
+//
+// SendTimestep takes ownership of the field arrays: batching and the
+// retention ring keep views into them until the steps are sent or evicted,
+// so the caller must not write them again and hands over fresh storage per
+// step (RunGroup's per-emit copy is the one client copy of a field). The
+// outer fields slice may be reused.
 func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 	if len(fields) != c.Layout.P+2 {
 		return fmt.Errorf("client: group %d: %d fields, want %d", c.opts.GroupID, len(fields), c.Layout.P+2)
@@ -442,8 +439,8 @@ func (c *Connection) WireStats() (wireBytes, rawBytes int64) {
 	return c.wireBytes, c.rawBytes
 }
 
-// bufferStep copies one route cut into route ri's batch buffer (reusing the
-// storage of earlier batches) and flushes the route once it holds
+// bufferStep appends one route cut to route ri's batch buffer (reusing the
+// header storage of earlier batches) and flushes the route once it holds
 // BatchSteps steps.
 func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	if c.pending == nil {
@@ -456,7 +453,7 @@ func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	} else {
 		steps = append(steps, wire.DataStep{})
 	}
-	copyStep(&steps[n], cut)
+	shareStep(&steps[n], cut)
 	c.pending[ri] = steps
 	if len(steps) >= c.opts.BatchSteps {
 		return c.flushRoute(ri)
@@ -464,16 +461,11 @@ func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
 	return nil
 }
 
-// copyStep deep-copies src into dst, reusing dst's field storage.
-func copyStep(dst, src *wire.DataStep) {
+// shareStep points dst at src's step and field views, reusing dst's header
+// storage; no float is copied (SendTimestep owns the fields).
+func shareStep(dst, src *wire.DataStep) {
 	dst.Timestep = src.Timestep
-	if cap(dst.Fields) < len(src.Fields) {
-		dst.Fields = make([][]float64, len(src.Fields))
-	}
-	dst.Fields = dst.Fields[:len(src.Fields)]
-	for i, f := range src.Fields {
-		dst.Fields[i] = append(dst.Fields[i][:0], f...)
-	}
+	dst.Fields = append(dst.Fields[:0], src.Fields...)
 }
 
 // flushRoute ships route ri's buffered steps as one batch frame.
@@ -482,7 +474,7 @@ func (c *Connection) flushRoute(ri int) error {
 		return nil
 	}
 	err := c.shipSteps(ri, c.pending[ri], true)
-	c.pending[ri] = c.pending[ri][:0] // keep field storage for the next batch
+	c.pending[ri] = c.pending[ri][:0] // keep header storage for the next batch
 	return err
 }
 

@@ -38,22 +38,17 @@ const durableDrainTimeout = 30 * time.Second
 // durablePollCap caps the exponential poll backoff inside WaitDurable.
 const durablePollCap = 100 * time.Millisecond
 
-// noteAck folds a ResumeAck's durable frontier into the per-rank floor.
-// Every resume handshake carries one, so reconnects, resume queries and
-// drain polls all refresh it. A NoDurability sentinel (server running
-// without a checkpoint directory) switches the whole connection back to
-// fold-frontier retention.
-func (c *Connection) noteAck(ack *wire.ResumeAck) {
-	if ack.DurableStep == wire.NoDurability {
+// noteDurable folds a durable frontier reported for rank (by the Welcome or
+// a ResumeAck) into its record. Every resume handshake carries one, so
+// reconnects, resume queries and drain polls all refresh it. A NoDurability
+// sentinel (server running without a checkpoint directory) switches the
+// whole connection back to fold-frontier retention.
+func (c *Connection) noteDurable(rank, step int) {
+	if step == wire.NoDurability {
 		c.durability = false
 		return
 	}
-	if c.durable == nil || ack.ProcRank < 0 || ack.ProcRank >= len(c.durable) {
-		return
-	}
-	if ack.DurableStep > c.durable[ack.ProcRank] {
-		c.durable[ack.ProcRank] = ack.DurableStep
-	}
+	c.ranks[rank].durable = max(c.ranks[rank].durable, step)
 }
 
 // noteRetained runs after a route cut enters the retention ring: when the
@@ -63,18 +58,14 @@ func (c *Connection) noteAck(ack *wire.ResumeAck) {
 // blocks on it — and requests are spaced at least half a high-water of
 // steps apart per rank so a stalled checkpointer is not flooded.
 func (c *Connection) noteRetained(rank, step int) {
-	// Without a reconnect budget the retention ring is never replayed, so
-	// there is nothing for the durable frontier to protect — stay silent.
-	if !c.opts.Retry.enabled() || !c.durability || c.durable == nil || rank >= len(c.durable) {
+	r := &c.ranks[rank]
+	if !c.durability || step-r.durable < checkpointHighWater {
 		return
 	}
-	if step-c.durable[rank] < checkpointHighWater {
+	if r.ckptReqAt >= 0 && step-r.ckptReqAt < checkpointHighWater/2 {
 		return
 	}
-	if last := c.ckptReqAt[rank]; last >= 0 && step-last < checkpointHighWater/2 {
-		return
-	}
-	c.ckptReqAt[rank] = step
+	r.ckptReqAt = step
 	if s := c.senders[rank]; s != nil {
 		// Best-effort: a broken connection surfaces on the next data frame.
 		_ = s.Send(wire.Encode(&wire.CheckpointReq{GroupID: c.opts.GroupID}))
@@ -94,7 +85,10 @@ func (c *Connection) noteRetained(rank, step int) {
 // only slow every study down); after durableDrainTimeout it returns an error
 // and the caller decides whether to accept the legacy at-risk window.
 func (c *Connection) WaitDurable() error {
-	if !c.opts.Retry.enabled() || !c.durability || c.maxStep < 0 || c.durable == nil {
+	// Cost gate: drain only with a budget and a server that checkpoints.
+	// Without a budget a server crash replays the whole group anyway, and
+	// without checkpoints nothing ever becomes durable.
+	if c.opts.Retry.MaxReconnects <= 0 || !c.durability || c.maxStep < 0 {
 		return nil
 	}
 	deadline := time.Now().Add(durableDrainTimeout)
@@ -103,7 +97,7 @@ func (c *Connection) WaitDurable() error {
 		if c.senders[rank] == nil {
 			continue
 		}
-		for c.durability && c.durable[rank] < c.maxStep {
+		for c.durability && c.ranks[rank].durable < c.maxStep {
 			ack, err := c.resumeQueryOn(c.senders[rank], rank)
 			if err != nil {
 				if rerr := c.recoverRank(rank, err); rerr != nil {
@@ -111,13 +105,13 @@ func (c *Connection) WaitDurable() error {
 				}
 				continue
 			}
-			c.noteAck(ack)
-			if !c.durability || c.durable[rank] >= c.maxStep {
+			c.noteDurable(rank, ack.DurableStep)
+			if !c.durability || c.ranks[rank].durable >= c.maxStep {
 				break
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("%w: group %d server %d durable step %d < last sent %d",
-					errDurableDrain, c.opts.GroupID, rank, c.durable[rank], c.maxStep)
+					errDurableDrain, c.opts.GroupID, rank, c.ranks[rank].durable, c.maxStep)
 			}
 			_ = c.senders[rank].Send(wire.Encode(&wire.CheckpointReq{GroupID: c.opts.GroupID}))
 			cCkptReqs.Inc()

@@ -27,10 +27,10 @@ func limKey(group, rank int) uint64 { return uint64(uint32(group))<<16 | uint64(
 // may re-establish a broken server connection (dial and send paths both
 // count against the same per-group budget) and how the capped exponential
 // backoff between attempts grows: each delay doubles the previous one up to
-// MaxDelay, then gets a ±20% random spread. The zero value disables retries
+// MaxDelay, then gets a ±20% random spread. A zero budget disables retries
 // entirely — a failed dial or send fails the attempt immediately, exactly the
 // pre-resilience behavior (the launcher then treats it as a group death and
-// replays, Sec. 4.2).
+// replays, Sec. 4.2) — and with them retention and the durable drain.
 type RetryPolicy struct {
 	// MaxReconnects is the per-group reconnect budget; 0 disables retries.
 	MaxReconnects int
@@ -52,8 +52,6 @@ const (
 	backoffMultiplier = 2
 	backoffJitter     = 0.2
 )
-
-func (p RetryPolicy) enabled() bool { return p.MaxReconnects > 0 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
@@ -109,8 +107,9 @@ const resumePingEvery = 64
 // cannot be resent and only a full group replay can heal the study.
 var errResumeGap = errors.New("client: resume gap exceeds retention window")
 
-// retainRing keeps copies of the most recent sent steps of one route (a
-// fixed-size ring; storage is reused across pushes).
+// retainRing keeps the most recent sent steps of one route as views into
+// the fields SendTimestep took (a fixed-size ring; header storage is reused
+// across pushes).
 type retainRing struct {
 	buf  []wire.DataStep
 	head int // index of the oldest entry
@@ -131,7 +130,7 @@ func (r *retainRing) push(window int, st *wire.DataStep) {
 	} else {
 		r.n++
 	}
-	copyStep(&r.buf[idx], st)
+	shareStep(&r.buf[idx], st)
 }
 
 // at returns the i-th oldest retained step as a one-element slice of the ring.
@@ -140,11 +139,12 @@ func (r *retainRing) at(i int) []wire.DataStep {
 	return r.buf[j : j+1]
 }
 
-// retainStep copies one route cut into the retention ring; a later reconnect
-// resends the retained steps the server has not folded. No-op when retries
-// are disabled, so the legacy path carries no copy cost.
+// retainStep records one route cut in the retention ring; a later reconnect
+// resends the retained steps the server has not folded.
 func (c *Connection) retainStep(ri int, st *wire.DataStep) {
-	if !c.opts.Retry.enabled() {
+	// Cost gate: retain only with a budget. Without one nothing is ever
+	// resent, and the ring would pin every sent field until it wraps.
+	if c.opts.Retry.MaxReconnects <= 0 {
 		return
 	}
 	if c.retain == nil {
@@ -155,14 +155,13 @@ func (c *Connection) retainStep(ri int, st *wire.DataStep) {
 }
 
 // sendFrame sends one encoded frame to a server rank, transparently
-// reconnecting and resending the unacked window on failure when the retry
-// policy allows.
+// reconnecting and resending the unacked window on failure while the
+// reconnect budget lasts.
 func (c *Connection) sendFrame(rank int, payload []byte) error {
-	err := c.senders[rank].Send(payload)
-	if err == nil || !c.opts.Retry.enabled() {
-		return err
+	if err := c.senders[rank].Send(payload); err != nil {
+		return c.recoverRank(rank, err)
 	}
-	return c.recoverRank(rank, err)
+	return nil
 }
 
 // recoverRank re-establishes the connection to one server process after a
@@ -172,17 +171,18 @@ func (c *Connection) sendFrame(rank int, payload []byte) error {
 // before they are sent), so nothing is lost between the failure and the
 // resend.
 func (c *Connection) recoverRank(rank int, cause error) error {
+	budget := c.opts.Retry.MaxReconnects
 	for attempt := 0; ; attempt++ {
-		if c.reconnects >= c.opts.Retry.MaxReconnects {
+		if c.reconnects >= budget {
 			return fmt.Errorf("client: group %d server %d: retry budget (%d) exhausted: %w",
-				c.opts.GroupID, rank, c.opts.Retry.MaxReconnects, cause)
+				c.opts.GroupID, rank, budget, cause)
 		}
 		c.reconnects++
 		time.Sleep(c.opts.Retry.delay(attempt, c.rng))
 		cReconnects.Inc()
 		if ok, suppressed := reconnLim.Allow(limKey(c.opts.GroupID, rank)); ok {
 			kv := []any{"group", c.opts.GroupID, "server", rank,
-				"used", c.reconnects, "budget", c.opts.Retry.MaxReconnects, "cause", cause}
+				"used", c.reconnects, "budget", budget, "cause", cause}
 			if suppressed > 0 {
 				kv = append(kv, "suppressed", suppressed)
 			}
@@ -206,7 +206,7 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 			old.Close()
 		}
 		c.senders[rank] = s
-		c.noteAck(ack)
+		c.noteDurable(rank, ack.DurableStep)
 		err = c.resendRank(rank, ack.LastStep)
 		if err == nil {
 			olog.Debugw("client.reconnected", "group", c.opts.GroupID, "server", rank,
@@ -223,7 +223,7 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 // resumeQueryOn performs the resume handshake on a fresh connection: it asks
 // the server process for its contiguous fold frontier of this group and
 // waits for the dialed-back ResumeAck (which also carries the durable
-// frontier — the caller feeds it to noteAck).
+// frontier — the caller feeds it to noteDurable).
 func (c *Connection) resumeQueryOn(s transport.Sender, rank int) (*wire.ResumeAck, error) {
 	inbox, err := c.net.Listen("")
 	if err != nil {
@@ -233,11 +233,7 @@ func (c *Connection) resumeQueryOn(s transport.Sender, rank int) (*wire.ResumeAc
 	if err := s.Send(wire.Encode(&wire.Resume{GroupID: c.opts.GroupID, ReplyAddr: inbox.Addr()})); err != nil {
 		return nil, fmt.Errorf("client: group %d resume query to server %d: %w", c.opts.GroupID, rank, err)
 	}
-	ackTimeout := c.opts.Retry.AckTimeout
-	if ackTimeout <= 0 {
-		ackTimeout = 5 * time.Second // resume without a retry policy
-	}
-	msg, err := inbox.Recv(ackTimeout)
+	msg, err := inbox.Recv(c.opts.Retry.AckTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: group %d resume ack from server %d: %w", c.opts.GroupID, rank, err)
 	}
@@ -294,17 +290,15 @@ func (c *Connection) resendRank(rank, ack int) error {
 // sent so the server's timeout machinery sees the group alive while the
 // solver recomputes folded steps without producing traffic.
 func (c *Connection) skipResumed(rank, step int) (bool, error) {
-	if c.resumeFloor == nil || rank >= len(c.resumeFloor) || step > c.resumeFloor[rank] {
+	r := &c.ranks[rank]
+	if step > r.resumeFloor {
 		return false, nil
 	}
 	cSkippedPieces.Inc()
-	if c.skipped == nil {
-		c.skipped = make([]int, len(c.senders))
-	}
-	c.skipped[rank]++
-	if c.skipped[rank]%resumePingEvery == 1 && c.senders[rank] != nil {
+	r.skipped++
+	if r.skipped%resumePingEvery == 1 && c.senders[rank] != nil {
 		if ok, suppressed := pingLim.Allow(limKey(c.opts.GroupID, rank)); ok {
-			kv := []any{"group", c.opts.GroupID, "server", rank, "skipped", c.skipped[rank]}
+			kv := []any{"group", c.opts.GroupID, "server", rank, "skipped", r.skipped}
 			if suppressed > 0 {
 				kv = append(kv, "suppressed", suppressed)
 			}

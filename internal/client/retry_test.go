@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
@@ -67,12 +68,6 @@ func TestRetryDefaults(t *testing.T) {
 	if p.BaseDelay <= 0 || p.MaxDelay <= 0 || p.AckTimeout <= 0 {
 		t.Fatalf("defaults not filled: %+v", p)
 	}
-	if (RetryPolicy{}).enabled() {
-		t.Fatal("zero policy must be disabled")
-	}
-	if !(RetryPolicy{MaxReconnects: 1}).enabled() {
-		t.Fatal("budget 1 must enable retries")
-	}
 }
 
 func TestRetainRingEvictsOldest(t *testing.T) {
@@ -95,13 +90,26 @@ func TestRetainRingEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestRetainRingCopiesFields(t *testing.T) {
-	var r retainRing
-	f := []float64{1, 2, 3}
-	r.push(2, &wire.DataStep{Timestep: 0, Fields: [][]float64{f}})
-	f[0] = 99 // caller reuses its buffer
-	if got := r.at(0)[0].Fields[0][0]; got != 1 {
-		t.Fatalf("ring aliases the caller's buffer: %v", got)
+// The batch buffer and the retention ring keep views into the fields
+// SendTimestep took, never copies: both hold the caller's backing arrays.
+func TestBufferAndRetainShareFields(t *testing.T) {
+	f := []float64{1, 2, 3, 4}
+	cut := &wire.DataStep{Timestep: 0, Fields: [][]float64{f[1:3]}}
+	c := &Connection{
+		opts:   ConnectOpts{BatchSteps: 4, Retry: RetryPolicy{MaxReconnects: 1}},
+		routes: make([]mesh.Transfer, 1),
+		ranks:  []rankState{{resumeFloor: -1, durable: -1, ckptReqAt: -1}},
+	}
+	if err := c.bufferStep(0, cut); err != nil {
+		t.Fatal(err)
+	}
+	c.retainStep(0, cut)
+	want := unsafe.SliceData(f[1:3])
+	if got := unsafe.SliceData(c.pending[0][0].Fields[0]); got != want {
+		t.Fatal("bufferStep copied the field instead of keeping the caller's array")
+	}
+	if got := unsafe.SliceData(c.retain[0].at(0)[0].Fields[0]); got != want {
+		t.Fatal("retainStep copied the field instead of keeping the caller's array")
 	}
 }
 

@@ -214,19 +214,15 @@ func (f *Flags) ChaosPlan() *transport.ChaosPlan {
 	return &transport.ChaosPlan{Seed: f.chaosSeed, Rules: []transport.ChaosRule{r}}
 }
 
-// RetryPolicy assembles the client retry policy (zero value when
-// -reconnect-budget is 0, preserving the legacy fail-fast path).
+// RetryPolicy assembles the client retry policy (a -reconnect-budget of 0
+// keeps the legacy fail-fast path).
 func (f *Flags) RetryPolicy() client.RetryPolicy {
-	if f.reconnectBudget <= 0 {
-		return client.RetryPolicy{}
-	}
 	return client.RetryPolicy{MaxReconnects: f.reconnectBudget, BaseDelay: f.reconnectBase, MaxDelay: f.reconnectMax}
 }
 
-// TCPNetwork builds the binary's TCP transport: per-connection buffers sized
+// TCPNetwork builds the binary's TCP transport: kernel socket buffers sized
 // from the study shape and the batching/codec flags so a whole batched data
-// frame fits the kernel and user-space buffers, wrapped in a ChaosNetwork
-// when a fault flag was set.
+// frame fits them, wrapped in a ChaosNetwork when a fault flag was set.
 func (f *Flags) TCPNetwork(cells, params int) transport.Network {
 	var net transport.Network = transport.NewTCPNetwork(transport.ForStudyCodec(
 		cells, params, f.BatchSteps, f.WireCodec))

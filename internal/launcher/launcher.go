@@ -80,8 +80,8 @@ type Config struct {
 	// Retry is the per-group connection-resilience policy handed to every
 	// attempt: broken server connections are re-dialed with capped
 	// exponential backoff and healed by the resume handshake instead of
-	// failing the attempt (see client.RetryPolicy). The zero value keeps the
-	// legacy fail-the-attempt behavior exactly.
+	// failing the attempt (see client.RetryPolicy). A zero MaxReconnects
+	// keeps the legacy fail-the-attempt behavior exactly.
 	Retry client.RetryPolicy
 	// MaxInFlight caps submitted-but-unfinished group jobs (the paper was
 	// limited to 500 simultaneous submissions).

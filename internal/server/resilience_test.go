@@ -146,6 +146,45 @@ func TestReconnectHealsCutBitwise(t *testing.T) {
 	}
 }
 
+// TestBatchedResendFromReusedBufferBitwise pins the client's ownership
+// boundary: the simulation writes every step into one reused buffer
+// (testSim does), RunGroup hands SendTimestep a per-emit copy, and batching
+// and the retention ring keep views into that copy, not into the reused
+// buffer. A cut that loses a whole batch is healed by resending those views;
+// the statistics must equal a clean run bit for bit.
+func TestBatchedResendFromReusedBufferBitwise(t *testing.T) {
+	const cells, timesteps, p, groups = 20, 12, 2, 2
+	design := testDesign(p, groups)
+	run := func(net transport.Network, retry client.RetryPolicy) *Result {
+		s := startServer(t, net, 1, cells, timesteps, p, nil)
+		for g := 0; g < groups; g++ {
+			if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
+				ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 1, BatchSteps: 4, Retry: retry},
+				Rows:        design.GroupRows(g), Sim: testSim(cells, timesteps),
+			}); err != nil {
+				t.Fatalf("group %d failed: %v", g, err)
+			}
+		}
+		waitFolds(t, s, int64(timesteps*groups), 10*time.Second)
+		s.Stop(false)
+		return s.Result()
+	}
+	clean := run(transport.NewMemNetwork(transport.Options{}), client.RetryPolicy{})
+
+	// Dial 1 is group 0's data connection: its first batch (steps 0..3) is
+	// silently lost and the second batch's send surfaces the cut.
+	chaosNet := transport.NewChaosNetwork(transport.NewMemNetwork(transport.Options{}), transport.ChaosPlan{
+		Seed:  3,
+		Rules: []transport.ChaosRule{{Dial: 1, CutAfterFrames: 1, DropTailFrames: 1}},
+	})
+	faulty := run(chaosNet, client.RetryPolicy{MaxReconnects: 3, BaseDelay: time.Millisecond,
+		MaxDelay: 5 * time.Millisecond, Seed: 1})
+	if st := chaosNet.Stats(); st.Cuts != 1 || st.Dropped != 1 {
+		t.Fatalf("chaos stats: %+v", st)
+	}
+	compareResultsBitwise(t, "batched resend", clean, faulty, timesteps, p)
+}
+
 // TestRetryBudgetZeroKeepsLegacyFailure: with no retry budget a cut
 // connection fails the attempt immediately — the pre-resilience contract the
 // launcher's restart protocol builds on.

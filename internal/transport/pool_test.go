@@ -162,3 +162,58 @@ func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 		t.Fatalf("closing the receiver leaked %d payload buffers", d)
 	}
 }
+
+// TestTCPPoolBalancesWhenReceiverCloses is the TCP twin of
+// TestPoolBalancesWhenReceiverCloses: closing the receiver breaks the
+// connection under a partly read frame and a pump with frames still queued,
+// and every payload on either end must come back to the pool. The queue
+// holds every Send, so none blocks (TestTCPSendFailsAfterPeerGone covers
+// that).
+func TestTCPPoolBalancesWhenReceiverCloses(t *testing.T) {
+	before := ReadPoolStats()
+	const sends = 16
+	net := NewTCPNetwork(Options{SendBuffer: sends, RecvBuffer: 2})
+	recv, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd, err := net.Dial(recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 1<<20)
+	sent := make(chan error, sends)
+	for i := 0; i < sends; i++ {
+		go func() { sent <- snd.Send(msg) }()
+	}
+	time.Sleep(50 * time.Millisecond) // inbox, reader, sockets and pump fill; the rest queues
+	recv.Close()
+	for i := 0; i < sends; i++ {
+		select {
+		case <-sent:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d Sends still blocked after the receiver closed", sends-i)
+		}
+	}
+	snd.Close()
+	// The receiver's read loops exit asynchronously: drain what they still
+	// deliver until the pool balances.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for {
+			m, err := recv.Recv(0)
+			if err != nil {
+				break
+			}
+			Recycle(m.Payload)
+		}
+		d := ReadPoolStats().Outstanding() - before.Outstanding()
+		if d == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("closing the receiver leaked %d payload buffers", d)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

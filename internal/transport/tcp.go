@@ -28,6 +28,13 @@ func NewTCPNetwork(opts Options) *TCPNetwork {
 // length prefixes rather than allocating absurd buffers.
 const maxFrameSize = 64 << 20
 
+// frameBufSize is the user-space bufio buffer on both ends of a connection.
+// It coalesces small frames into one syscall. A frame larger than the buffer
+// passes bufio by: once the buffer is empty, bufio moves the rest straight
+// between the socket and the payload, so at most one buffer's worth of a
+// bulk data frame is copied through it.
+const frameBufSize = 64 << 10
+
 // Listen implements Network. An empty hint listens on 127.0.0.1:0.
 func (n *TCPNetwork) Listen(hint string) (Receiver, error) {
 	if hint == "" {
@@ -73,11 +80,9 @@ func (n *TCPNetwork) Dial(addr string) (Sender, error) {
 	applySockOpts(conn, n.opts)
 	s := &tcpSender{
 		conn:     conn,
-		frameBuf: n.opts.FrameBufBytes,
 		queue:    make(chan []byte, n.opts.SendBuffer),
 		done:     make(chan struct{}),
 		pumpDone: make(chan struct{}),
-		errCh:    make(chan error, 1),
 	}
 	go s.pump()
 	return s, nil
@@ -116,7 +121,7 @@ func (r *tcpReceiver) acceptLoop() {
 // ZeroMQ's high-water marks.
 func (r *tcpReceiver) readLoop(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, r.opts.FrameBufBytes)
+	br := bufio.NewReaderSize(conn, frameBufSize)
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
@@ -128,6 +133,7 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 		}
 		payload := getPayload(int(size))
 		if _, err := io.ReadFull(br, payload); err != nil {
+			Recycle(payload)
 			return
 		}
 		select {
@@ -184,111 +190,97 @@ func (r *tcpReceiver) Close() error {
 
 type tcpSender struct {
 	conn     net.Conn
-	frameBuf int
 	queue    chan []byte
-	done     chan struct{}
-	pumpDone chan struct{}
-	errCh    chan error
+	done     chan struct{} // closed by Close
+	pumpDone chan struct{} // closed when the pump exits
+	err      error         // the write error that ended the pump; read after pumpDone
 	once     sync.Once
-
-	mu     sync.Mutex
-	closed bool
 }
 
-// pump is the writer goroutine: it frames and writes queued payloads.
+// pump is the writer goroutine: it frames queued payloads into the
+// connection and flushes whenever the queue runs empty, so a burst shares
+// syscalls and a lone message is not delayed. It exits after Close once the
+// queue is drained, or on the first write error.
 func (s *tcpSender) pump() {
-	defer close(s.pumpDone)
-	bw := bufio.NewWriterSize(s.conn, s.frameBuf)
+	bw := bufio.NewWriterSize(s.conn, frameBufSize)
 	var lenBuf [4]byte
-	write := func(payload []byte) error {
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
-		return nil
-	}
-	for {
+	var err error
+	for err == nil {
+		var payload []byte
 		select {
-		case payload := <-s.queue:
-			err := write(payload)
-			Recycle(payload)
-			if err != nil {
-				s.fail(err)
-				return
+		case payload = <-s.queue:
+		default:
+			if err = bw.Flush(); err != nil {
+				continue
 			}
-			// Opportunistically batch whatever else is queued before
-			// flushing, then flush so single messages are not delayed.
-		batch:
-			for {
+			select {
+			case payload = <-s.queue:
+			case <-s.done:
 				select {
-				case more := <-s.queue:
-					err := write(more)
-					Recycle(more)
-					if err != nil {
-						s.fail(err)
-						return
-					}
+				case payload = <-s.queue:
 				default:
-					break batch
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				s.fail(err)
-				return
-			}
-		case <-s.done:
-			// Flush remaining queued messages best-effort, then close.
-			for {
-				select {
-				case payload := <-s.queue:
-					err := write(payload)
-					Recycle(payload)
-					if err != nil {
-						s.conn.Close()
-						return
-					}
-				default:
-					bw.Flush()
-					s.conn.Close()
+					s.exit(nil)
 					return
 				}
 			}
 		}
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
+		if _, err = bw.Write(lenBuf[:]); err == nil {
+			_, err = bw.Write(payload)
+		}
+		Recycle(payload)
 	}
+	s.exit(err)
 }
 
-func (s *tcpSender) fail(err error) {
-	select {
-	case s.errCh <- err:
-	default:
-	}
+// exit ends the pump: it records the error, releases the connection, marks
+// the sender dead for Send and recycles whatever is still queued.
+func (s *tcpSender) exit(err error) {
+	s.err = err
 	s.conn.Close()
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	close(s.pumpDone)
+	s.drain()
 }
 
+// drain recycles every queued payload. It runs once nothing pumps the queue
+// any more; concurrent drains are safe.
+func (s *tcpSender) drain() {
+	for {
+		select {
+		case payload := <-s.queue:
+			Recycle(payload)
+		default:
+			return
+		}
+	}
+}
+
+// deadErr is what Send returns once the pump has exited.
+func (s *tcpSender) deadErr() error {
+	if s.err != nil {
+		return fmt.Errorf("%w: %v", ErrClosed, s.err)
+	}
+	return ErrClosed
+}
+
+// Send fails once the pump has exited (a write error or Close): nothing
+// would drain the queue any more. A payload queued just as the pump exits is
+// recycled here, so it neither leaks nor counts as sent.
 func (s *tcpSender) Send(payload []byte) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	select {
-	case err := <-s.errCh:
-		s.errCh <- err // keep for later callers
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	default:
-	}
 	cp := getPayload(len(payload))
 	copy(cp, payload)
 	select {
 	case s.queue <- cp:
-		return nil
+		select {
+		case <-s.pumpDone:
+			s.drain()
+			return s.deadErr()
+		default:
+			return nil
+		}
+	case <-s.pumpDone:
+		Recycle(cp)
+		return s.deadErr()
 	case <-s.done:
 		Recycle(cp)
 		return ErrClosed
@@ -298,14 +290,11 @@ func (s *tcpSender) Send(payload []byte) error {
 // Close flushes the queued messages onto the socket (the interface
 // contract) and releases the connection: it waits for the pump, so a
 // process that exits right after Close has actually handed its frames to
-// the kernel. A dead peer ends the wait via a write error.
+// the kernel. A dead peer ends the wait via a write error; whatever the
+// pump could not write is recycled.
 func (s *tcpSender) Close() error {
-	s.once.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		close(s.done)
-	})
+	s.once.Do(func() { close(s.done) })
 	<-s.pumpDone
+	s.drain()
 	return nil
 }

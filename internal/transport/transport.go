@@ -94,24 +94,19 @@ type Options struct {
 	// both from the study shape. Ignored by the in-memory network.
 	SendSockBytes int
 	RecvSockBytes int
-	// FrameBufBytes sizes the user-space bufio reader/writer wrapping each
-	// TCP connection (0 = 64 KiB). ForStudyCodec sets it so a whole batched
-	// data frame is framed with one syscall when it fits the cap.
-	FrameBufBytes int
 }
 
 // DefaultOptions returns the buffer sizes used when an Options field is 0.
 func DefaultOptions() Options {
-	return Options{SendBuffer: 64, RecvBuffer: 1024, FrameBufBytes: 1 << 16}
+	return Options{SendBuffer: 64, RecvBuffer: 1024}
 }
 
-// Socket and frame-buffer sizing bounds for ForStudyCodec: at least the
-// Go/bufio conventional 64 KiB, at most 8 MiB (4 MiB for user-space frame
-// buffers) so a huge partition cannot pin unbounded per-connection memory.
+// Socket sizing bounds for ForStudyCodec: at least the conventional 64 KiB,
+// at most 8 MiB so a huge partition cannot pin unbounded per-connection
+// memory.
 const (
-	minSockBytes    = 1 << 16
-	maxSockBytes    = 8 << 20
-	maxFrameBufSize = 4 << 20
+	minSockBytes = 1 << 16
+	maxSockBytes = 8 << 20
 )
 
 // codecFrameDivisor is the planning ratio for codec-negotiated connections:
@@ -122,17 +117,16 @@ const (
 // (the 64 KiB floors still absorb small frames either way).
 const codecFrameDivisor = 2
 
-// ForStudyCodec returns Options with the per-connection buffers derived from
-// the study shape instead of the Go/OS defaults: one data frame carries
+// ForStudyCodec returns Options with the kernel socket buffers derived from
+// the study shape instead of the OS defaults: one data frame carries
 // cells × (p+2) float64 fields per timestep and clients batch batchSteps
 // timesteps per frame (wire.DataBatch), so the socket buffers are sized to
-// hold a full frame (clamped to [64 KiB, 8 MiB]) and the user-space frame
-// buffers to one frame up to 4 MiB. When codec is true the expected frame
-// size is divided by the conservative compression ratio the codec
-// guarantees on typical fields, shrinking the buffers a codec-negotiated
-// connection pins. cells should be the largest per-server-process partition
-// a connection will carry; non-positive inputs fall back to 1 (p,
-// batchSteps) or the defaults (cells).
+// hold a full frame (clamped to [64 KiB, 8 MiB]). When codec is true the
+// expected frame size is divided by the conservative compression ratio the
+// codec guarantees on typical fields, shrinking the buffers a
+// codec-negotiated connection pins. cells should be the largest
+// per-server-process partition a connection will carry; non-positive inputs
+// fall back to 1 (p, batchSteps) or the defaults (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	opts := DefaultOptions()
 	if cells <= 0 {
@@ -158,14 +152,6 @@ func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	}
 	opts.SendSockBytes = sock
 	opts.RecvSockBytes = sock
-	fb := frame
-	if fb < 1<<16 {
-		fb = 1 << 16
-	}
-	if fb > maxFrameBufSize {
-		fb = maxFrameBufSize
-	}
-	opts.FrameBufBytes = fb
 	return opts
 }
 
@@ -176,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RecvBuffer <= 0 {
 		o.RecvBuffer = d.RecvBuffer
-	}
-	if o.FrameBufBytes <= 0 {
-		o.FrameBufBytes = d.FrameBufBytes
 	}
 	return o
 }

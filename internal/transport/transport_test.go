@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -248,6 +249,44 @@ func TestTCPBackpressureEventuallyBlocks(t *testing.T) {
 	}
 	if sent := <-done; sent != 256 {
 		t.Fatalf("sent %d of 256", sent)
+	}
+}
+
+// TestTCPSendFailsAfterPeerGone: once the peer is gone the pump dies on a
+// write error, and Send — one blocked on the full queue included — must fail
+// promptly instead of waiting on a queue nothing drains any more. A group
+// under backpressure whose server dies reconnects on that error.
+func TestTCPSendFailsAfterPeerGone(t *testing.T) {
+	n := NewTCPNetwork(Options{SendBuffer: 2})
+	big := make([]byte, 4<<20)
+	for round := 0; round < 20; round++ {
+		r, err := n.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := n.Dial(r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		done := make(chan error, 1)
+		go func() {
+			for {
+				if err := s.Send(big); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: Send failed with %v, want ErrClosed", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Send still blocked 5 s after the peer closed", round)
+		}
+		s.Close()
 	}
 }
 

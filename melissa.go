@@ -155,9 +155,10 @@ type StudyConfig struct {
 	// 96 steps beyond the server's durable frontier asks for an early
 	// checkpoint, and every group waits up to 30 s at completion for a
 	// checkpoint to cover its last step — so a server crash resumes out of
-	// the retention rings instead of forcing full group replays. The zero
-	// value keeps the legacy behavior — any connection failure fails the
-	// attempt and the launcher replays the whole group.
+	// the retention rings instead of forcing full group replays. A zero
+	// MaxReconnects keeps the legacy behavior — no retention, no drain, any
+	// connection failure fails the attempt and the launcher replays the
+	// whole group.
 	Retry RetryPolicy
 	// Chaos, when non-nil, wraps the study's transport in a deterministic
 	// fault-injecting ChaosNetwork — connection refusals, mid-stream cuts
