@@ -24,7 +24,7 @@ package codec
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 )
 
 // DeltaXOR applies the in-place forward delta over words, laid out as
@@ -82,9 +82,7 @@ func UndeltaXOR(words []uint64, steps, fields, cells int) {
 // Float64sToWords copies the bit patterns of src into dst[:len(src)] — the
 // lossless boundary between the solver's float fields and the XOR domain.
 func Float64sToWords(dst []uint64, src []float64) {
-	for i, v := range src {
-		dst[i] = math.Float64bits(v)
-	}
+	copy(dst, wordsOf(src))
 }
 
 // WordsToFloat64s is the inverse boundary: it reinterprets the bit patterns
@@ -92,9 +90,20 @@ func Float64sToWords(dst []uint64, src []float64) {
 // value survives the codec bit-for-bit (including NaN payloads and signed
 // zeros) and the folded statistics stay bitwise identical to the raw path.
 func WordsToFloat64s(dst []float64, src []uint64) {
-	for i, w := range src {
-		dst[i] = math.Float64frombits(w)
-	}
+	copy(dst, AsFloat64s(src))
+}
+
+// AsFloat64s reinterprets words as the float64s whose bit patterns they
+// hold, in place: the zero-copy form of WordsToFloat64s, valid for as long
+// as words is. A uint64 and a float64 share size, alignment and byte order
+// on every host, so the reinterpretation is exact everywhere.
+func AsFloat64s(words []uint64) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(words))), len(words))
+}
+
+// wordsOf is AsFloat64s the other way round.
+func wordsOf(vs []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs))
 }
 
 // ZRLE token format: one token byte t per run. t with the high bit set

@@ -4,8 +4,10 @@
 //
 // The package deliberately avoids reflection (encoding/gob, binary.Write on
 // structs): checkpoints can reach hundreds of megabytes per server process
-// (Sec. 5.4 of the paper reports 959 MB per process), so the hot paths are
-// simple loops over float64 slices.
+// (Sec. 5.4 of the paper reports 959 MB per process), so float runs — the
+// bulk of every wire frame and checkpoint — move as bytes: on a
+// little-endian host a run is one copy of its memory, and only a
+// big-endian host converts value by value.
 package enc
 
 import (
@@ -14,7 +16,63 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
+
+// nativeLE reports whether the host lays out a float64 in memory exactly as
+// the encoding does, so that a float run can be copied as bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes is the memory of vs as bytes.
+func f64Bytes(vs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
+// appendF64s appends vs to buf in the encoding's byte order.
+func appendF64s(buf []byte, vs []float64) []byte {
+	if nativeLE {
+		return append(buf, f64Bytes(vs)...)
+	}
+	return appendF64sPortable(buf, vs)
+}
+
+// appendF64sPortable is appendF64s value by value, for any host.
+func appendF64sPortable(buf []byte, vs []float64) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// DecodeF64s fills dst with the first len(dst) float64s encoded in src,
+// which must hold at least 8·len(dst) bytes.
+func DecodeF64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	if nativeLE {
+		copy(f64Bytes(dst), src)
+		return
+	}
+	decodeF64sPortable(dst, src)
+}
+
+// decodeF64sPortable is DecodeF64s value by value, for any host.
+func decodeF64sPortable(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// F64View returns the float64s encoded in b as a slice sharing b's memory,
+// or nil when b is empty, the host is big-endian or b does not start 8-byte
+// aligned — then the caller copies with DecodeF64s instead. len(b) must be
+// a multiple of 8. The view is valid for as long as b is.
+func F64View(b []byte) []float64 {
+	p := unsafe.SliceData(b)
+	if !nativeLE || len(b) == 0 || uintptr(unsafe.Pointer(p))%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(p)), len(b)/8)
+}
 
 // ErrShortBuffer is returned when a decoder runs out of input bytes.
 var ErrShortBuffer = errors.New("enc: short buffer")
@@ -106,10 +164,7 @@ func (w *Writer) String(s string) {
 // F64Slice appends a length-prefixed []float64.
 func (w *Writer) F64Slice(vs []float64) {
 	w.U64(uint64(len(vs)))
-	w.grow(8 * len(vs))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-	}
+	w.F64Raw(vs)
 }
 
 // Raw appends b verbatim, with no length prefix. It splices pre-encoded
@@ -126,9 +181,7 @@ func (w *Writer) Raw(b []byte) {
 // over the concatenation.
 func (w *Writer) F64Raw(vs []float64) {
 	w.grow(8 * len(vs))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-	}
+	w.buf = appendF64s(w.buf, vs)
 }
 
 func (w *Writer) grow(n int) {
@@ -242,9 +295,7 @@ func (r *Reader) F64Slice() []float64 {
 		return nil
 	}
 	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
-	}
+	r.F64RawInto(vs)
 	return vs
 }
 
@@ -259,21 +310,15 @@ func (r *Reader) F64SliceInto(dst []float64) {
 		r.err = fmt.Errorf("enc: encoded slice length %d does not match destination %d", n, len(dst))
 		return
 	}
-	for i := range dst {
-		dst[i] = r.F64()
-	}
+	r.F64RawInto(dst)
 }
 
 // F64RawInto fills dst with len(dst) float64 values that carry no length
 // prefix — the reading counterpart of F64Raw, for a run whose length the
 // caller has already checked.
 func (r *Reader) F64RawInto(dst []float64) {
-	b := r.take(8 * len(dst))
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if b := r.take(8 * len(dst)); b != nil {
+		DecodeF64s(dst, b)
 	}
 }
 

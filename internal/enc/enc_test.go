@@ -1,6 +1,8 @@
 package enc
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -194,5 +196,120 @@ func TestQuickF64SliceRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// specialFloats are the values a value-by-value conversion could disturb:
+// NaN payloads of both signs (quiet and signalling), signed zeros,
+// subnormals and infinities.
+var specialFloats = []float64{
+	math.Float64frombits(0x7ff8_0000_0000_0001),
+	math.Float64frombits(0x7ff0_0000_0000_0001),
+	math.Float64frombits(0xfff8_dead_0000_beef),
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000f_ffff_ffff_ffff),
+	math.Inf(1), math.Inf(-1), math.MaxFloat64, -1.5,
+}
+
+// sameBits reports whether got and want hold identical bit patterns.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkF64Paths: the byte-copy path and the portable loop encode vs to the
+// same bytes, and every reader gives back the same bits.
+func checkF64Paths(t *testing.T, vs []float64) {
+	t.Helper()
+	want := appendF64sPortable(nil, vs)
+	if got := appendF64s(nil, vs); !bytes.Equal(got, want) {
+		t.Fatalf("%d floats: copy path wrote % x, loop % x", len(vs), got, want)
+	}
+	w := NewWriter(0)
+	w.F64Raw(vs)
+	w.F64Slice(vs)
+	if !bytes.Equal(w.Bytes()[:8*len(vs)], want) || !bytes.Equal(w.Bytes()[8*len(vs)+8:], want) {
+		t.Fatalf("%d floats: writer bytes differ from the portable loop", len(vs))
+	}
+
+	fast, slow := make([]float64, len(vs)), make([]float64, len(vs))
+	DecodeF64s(fast, want)
+	decodeF64sPortable(slow, want)
+	if !sameBits(fast, vs) || !sameBits(slow, vs) {
+		t.Fatalf("%d floats: decoded %v (copy) and %v (loop), want %v", len(vs), fast, slow, vs)
+	}
+	r := NewReader(w.Bytes())
+	raw, into := make([]float64, len(vs)), make([]float64, len(vs))
+	r.F64RawInto(raw)
+	r.F64SliceInto(into)
+	r2 := NewReader(w.Bytes()[8*len(vs):])
+	fresh := r2.F64Slice()
+	if r.Err() != nil || r2.Err() != nil || !sameBits(raw, vs) || !sameBits(into, vs) || !sameBits(fresh, vs) {
+		t.Fatalf("%d floats: reader round trip lost bits (errs %v, %v)", len(vs), r.Err(), r2.Err())
+	}
+	if view := F64View(want); view != nil && !sameBits(view, vs) {
+		t.Fatalf("%d floats: in-place view %v, want %v", len(vs), view, vs)
+	}
+}
+
+// TestF64CopyPathMatchesPortableLoop pins the little-endian byte copy to the
+// value-by-value loop a big-endian host runs, on the special values at
+// lengths 0, 1, odd and full, and on random bit patterns.
+func TestF64CopyPathMatchesPortableLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 7, len(specialFloats)} {
+		checkF64Paths(t, specialFloats[:n])
+	}
+	check := func(bits []uint64) bool {
+		vs := make([]float64, len(bits))
+		for i, b := range bits {
+			vs[i] = math.Float64frombits(b)
+		}
+		checkF64Paths(t, vs)
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestF64ReadGuards: the copy path keeps the short-buffer and length guards
+// of the loop it replaced.
+func TestF64ReadGuards(t *testing.T) {
+	w := NewWriter(0)
+	w.F64Slice([]float64{1, 2, 3})
+	full := w.Bytes()
+
+	r := NewReader(full[8:])
+	r.F64RawInto(make([]float64, 4))
+	if !errors.Is(r.Err(), ErrShortBuffer) {
+		t.Fatalf("raw run past the input: %v, want ErrShortBuffer", r.Err())
+	}
+	r = NewReader(full[:len(full)-1])
+	if vs := r.F64Slice(); vs != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+		t.Fatalf("truncated slice: %v, %v", vs, r.Err())
+	}
+	r = NewReader(full[:len(full)-1])
+	r.F64SliceInto(make([]float64, 3))
+	if !errors.Is(r.Err(), ErrShortBuffer) {
+		t.Fatalf("truncated slice into: %v, want ErrShortBuffer", r.Err())
+	}
+	r = NewReader(full)
+	r.F64SliceInto(make([]float64, 2))
+	if r.Err() == nil || errors.Is(r.Err(), ErrShortBuffer) {
+		t.Fatalf("length mismatch: %v, want a length error", r.Err())
+	}
+	if DecodeF64s(nil, nil); F64View(nil) != nil {
+		t.Fatal("empty input gave a view")
+	}
+	if F64View(make([]byte, 16)[1:9]) != nil {
+		t.Fatal("misaligned input gave a view")
 	}
 }

@@ -23,10 +23,11 @@ const (
 // compressed DataBatchC): the transport buffer with its embedded refcount,
 // the parsed lazy view, and the header fields every stage reads (copied out
 // of the view once, at parse). The router parses and routes it; the shard
-// workers share it read-only, each decoding exactly its shard's cell
-// sub-range out of the payload bytes (decompressing its own shard-aligned
-// block first on the codec path, cached per worker across the batch's
-// steps). The final Release recycles the buffer and retires the message.
+// workers share it read-only, each reading exactly its shard's cell
+// sub-range in place in the payload bytes (decompressing its own
+// shard-aligned block first on the codec path, cached per worker across the
+// batch's steps). The final Release recycles the buffer and retires the
+// message.
 // Shells are pooled; gen counts the payloads parsed into one shell, so
 // worker-side decode caches can key on (shell, gen).
 type bulkMsg struct {
@@ -99,7 +100,29 @@ func (m *bulkMsg) stepTimestep(s int) int {
 	return m.data.Timestep
 }
 
-// decodeFieldRange decodes cells [lo, hi) — relative to cellLo — of field f
+// fieldRange lends cells [lo, hi) — relative to cellLo — of field f at batch
+// entry s without copying them, or returns nil when the message cannot: raw
+// payloads lend them in place (the wire views' FieldRange), compressed ones
+// from the calling worker's decompressed words when one sub-range covers
+// [lo, hi). The slice is read-only and valid until the worker's next task.
+func (m *bulkMsg) fieldRange(cc *codecCache, s, f, lo, hi int) []float64 {
+	switch m.kind {
+	case kindBatch:
+		return m.batch.FieldRange(s, f, lo, hi)
+	case kindCBatch:
+		v := &m.cbatch
+		for r := 0; r < v.NumRanges(); r++ {
+			if rlo, rhi := v.RangeBounds(r); rlo <= lo && hi <= rhi {
+				rc, at := rhi-rlo, (s*m.fields+f)*(rhi-rlo)
+				return codec.AsFloat64s(cc.rangeWords(m, r)[at+lo-rlo : at+hi-rlo : at+rc])
+			}
+		}
+		return nil
+	}
+	return m.data.FieldRange(f, lo, hi)
+}
+
+// decodeFieldRange copies cells [lo, hi) — relative to cellLo — of field f
 // at batch entry s into dst[:hi-lo]. Compressed payloads go through the
 // calling worker's decode cache.
 func (m *bulkMsg) decodeFieldRange(cc *codecCache, s, f, lo, hi int, dst []float64) {

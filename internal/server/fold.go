@@ -47,12 +47,12 @@ type barrier struct {
 	remaining atomic.Int32
 }
 
-// foldTask is one unit on a worker channel: a barrier, or decode work on a
-// retained payload — the worker decodes its shard's overlap of step `step`'s
-// fields into asm (assembled path) or, when asm is nil, into its own scratch
-// (direct path, the piece covers the whole partition). fold marks the task
-// that completes the (group, timestep): the worker folds its shard after
-// decoding.
+// foldTask is one unit on a worker channel: a barrier, or work on a retained
+// payload — the worker decodes its shard's overlap of step `step`'s fields
+// into asm (assembled path) or, when asm is nil, folds its shard's cells
+// where they lie in the payload (direct path, the piece covers the whole
+// partition). fold marks the task that completes the (group, timestep): the
+// worker folds its shard after decoding.
 type foldTask struct {
 	ctl *barrier
 
@@ -76,12 +76,9 @@ type foldPool struct {
 
 	workCh   []chan foldTask
 	workerWG sync.WaitGroup
-	// scratch[i] is worker i's private decode target for the direct path,
-	// sized to its shard.
-	scratch [][][]float64
-	pending map[groupStep]*assembly // enqueuer-owned
-	asmPool sync.Pool
-	folds   atomic.Int64 // completed (group, timestep) updates
+	pending  map[groupStep]*assembly // enqueuer-owned
+	asmPool  sync.Pool
+	folds    atomic.Int64 // completed (group, timestep) updates
 
 	// Convergence and quantile-sketch telemetry published by the worker
 	// scans: ciWidths[i] is shard i's last scanned worst CI width (as
@@ -142,14 +139,7 @@ func (f *foldPool) start() {
 	f.ciWidths = make([]atomic.Uint64, n)
 	f.qtelTuples = make([]atomic.Int64, n)
 	f.qtelBytes = make([]atomic.Int64, n)
-	f.scratch = make([][][]float64, n)
 	for i := range f.workCh {
-		lo, hi := f.acc.ShardRange(i)
-		fields := make([][]float64, f.acc.P()+2)
-		for k := range fields {
-			fields[k] = make([]float64, hi-lo)
-		}
-		f.scratch[i] = fields
 		f.workCh[i] = make(chan foldTask, 64)
 		f.workerWG.Add(1)
 		go f.worker(i, f.workCh[i])
@@ -335,15 +325,19 @@ func (f *foldPool) release(m *bulkMsg) {
 }
 
 // worker owns shard i and applies every task, in enqueue order, to its cell
-// range [lo, hi) of the partition. Bulk tasks are decoded — only the shard's
-// overlap of the payload's cell range, straight out of the shared bytes —
-// and, on the task that completes a (group, timestep), folded into the
-// shard. The worker that retires an assembly (last shard folded) publishes
-// the fold and recycles its buffers.
+// range [lo, hi) of the partition. Bulk tasks read only the shard's overlap
+// of the payload's cell range, straight out of the shared bytes, and the
+// task that completes a (group, timestep) folds it into the shard. The
+// worker that retires an assembly (last shard folded) publishes the fold and
+// recycles its buffers.
 func (f *foldPool) worker(i int, ch chan foldTask) {
 	defer f.workerWG.Done()
 	lo, hi := f.acc.ShardRange(i)
 	var cc codecCache // this worker's compressed-payload decode state
+	// in holds the direct path's per-field inputs; scratch backs the ones a
+	// message cannot lend in place and is made on first need.
+	in := make([][]float64, f.acc.P()+2)
+	var scratch [][]float64
 	for task := range ch {
 		if b := task.ctl; b != nil {
 			b.each(i)
@@ -377,15 +371,27 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 				}
 			}
 		} else {
-			// Direct path: the piece covers the whole partition, so the shard's
-			// cells go payload → worker scratch → fold with no assembly copy.
-			sc := f.scratch[i]
+			// Direct path: the piece covers the whole partition, so the shard
+			// folds its cells where they lie — in the payload, which this
+			// task's reference keeps alive until the release below, or in
+			// the worker's decompressed words. Only cells a message cannot
+			// lend are copied, into scratch.
 			t0 := time.Now()
-			for k := 0; k < m.fields; k++ {
-				m.decodeFieldRange(&cc, task.step, k, lo-plo, hi-plo, sc[k])
+			for k := range in {
+				if in[k] = m.fieldRange(&cc, task.step, k, lo-plo, hi-plo); in[k] == nil {
+					if scratch == nil {
+						scratch = make([][]float64, len(in))
+						for j := range scratch {
+							scratch[j] = make([]float64, hi-lo)
+						}
+					}
+					m.decodeFieldRange(&cc, task.step, k, lo-plo, hi-plo, scratch[k])
+					in[k] = scratch[k]
+				}
 			}
 			t1 := time.Now()
-			f.acc.ShardAccum(i).UpdateGroup(m.stepTimestep(task.step), sc[0], sc[1], sc[2:])
+			f.acc.ShardAccum(i).UpdateGroup(m.stepTimestep(task.step), in[0], in[1], in[2:])
+			clear(in)
 			mDecodeSeconds.Observe(t1.Sub(t0).Seconds())
 			mFoldSeconds.ObserveSince(t1)
 		}

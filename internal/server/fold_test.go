@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"melissa/internal/core"
@@ -123,5 +126,102 @@ func TestFoldPoolStandalone(t *testing.T) {
 		if !bytes.Equal(encodeAccumulator(pool.accumulator().Dense()), encodeAccumulator(ref)) {
 			t.Fatal("standalone pool state diverged from direct accumulation")
 		}
+	}
+}
+
+// TestInPlaceFoldHoldsPayloadUntilRelease: the direct path folds fields
+// where they lie in the payload (or in a worker's decompressed words), so
+// the payload must be read only while a reference to it is held. Frames are
+// fed one at a time through one buffer; as soon as the last reference to a
+// frame is dropped, the test fills the buffer with NaN bytes. A worker that
+// read the payload after its release would fold NaNs, and -race reports
+// the write against its read. The state must be bitwise equal to folding
+// the same frames decoded into fresh slices.
+func TestInPlaceFoldHoldsPayloadUntilRelease(t *testing.T) {
+	const cells, timesteps, p, shards = 29, 4, 3, 3
+	part := mesh.Partition{Lo: 7, Hi: 7 + cells}
+	opts := optionCombos()[15]
+	pool := newFoldPool(core.NewSharded(cells, timesteps, p, opts, shards), part)
+	pool.start()
+	t.Cleanup(pool.stop)
+	ref := core.NewAccumulator(cells, timesteps, p, opts)
+
+	var shardCuts []int // the codec sub-ranges a client cuts on shard bounds
+	for i := 0; i < shards; i++ {
+		lo, hi := pool.accumulator().ShardRange(i)
+		shardCuts = append(shardCuts, hi-lo)
+	}
+	batch := func(group int) *wire.DataBatch {
+		b := &wire.DataBatch{GroupID: group, CellLo: part.Lo, CellHi: part.Hi}
+		for s := 0; s < timesteps; s++ {
+			fs := make([][]float64, p+2)
+			for f := range fs {
+				fs[f] = make([]float64, cells)
+				for c := range fs[f] {
+					fs[f][c] = math.Sin(float64(group*977+s*131+f*37+c)) * float64(group+1)
+				}
+			}
+			b.Steps = append(b.Steps, wire.DataStep{Timestep: s, Fields: fs})
+		}
+		return b
+	}
+	var frames [][]byte
+	for g := 0; g < 4; g++ {
+		b := batch(g)
+		switch g {
+		case 0:
+			for _, st := range b.Steps {
+				frames = append(frames, wire.Encode(&wire.Data{GroupID: g, Timestep: st.Timestep,
+					CellLo: b.CellLo, CellHi: b.CellHi, Fields: st.Fields}))
+			}
+		case 1:
+			frames = append(frames, wire.Encode(b))
+		case 2:
+			frames = append(frames, encodeBatchC(b, shardCuts)) // folded from the decode cache
+		case 3:
+			frames = append(frames, encodeBatchC(b, []int{cells / 2, cells - cells/2})) // copied
+		}
+	}
+
+	// Above the transport pool's buffer cap, so the final release drops the
+	// buffer instead of pooling it and only this test ever writes it.
+	buf := make([]byte, 0, 8<<20)
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	base := transport.ReadPoolStats().RefsActive()
+	for _, frame := range frames {
+		buf = append(buf[:0], frame...)
+		m, err := parseBulk(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < m.steps; s++ {
+			pool.route(m, s)
+		}
+		pool.release(m)
+		for transport.ReadPoolStats().RefsActive() != base {
+			runtime.Gosched()
+		}
+		for i := 0; i+8 <= len(buf); i += 8 {
+			copy(buf[i:], nan)
+		}
+
+		msg, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch d := msg.(type) {
+		case *wire.Data:
+			ref.UpdateGroup(d.Timestep, d.Fields[0], d.Fields[1], d.Fields[2:])
+		case *wire.DataBatch:
+			for _, st := range d.Steps {
+				ref.UpdateGroup(st.Timestep, st.Fields[0], st.Fields[1], st.Fields[2:])
+			}
+		}
+	}
+	done := make(chan struct{})
+	pool.barrier(func(int) {}, func() { close(done) })
+	<-done
+	if !bytes.Equal(encodeAccumulator(pool.accumulator().Dense()), encodeAccumulator(ref)) {
+		t.Fatal("in-place fold diverged from folding decoded copies")
 	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"melissa/internal/codec"
@@ -24,25 +26,28 @@ func allocBytes(runs int, f func()) int {
 }
 
 // countBomb is a header whose element count the payload cannot hold: the
-// tag, nFixed 8-byte fields, then a U32 count.
-func countBomb(typ MsgType, nFixed int, count uint32) []byte {
-	b := make([]byte, 1+8*nFixed, 1+8*nFixed+4)
+// tag, nFixed 8-byte fields, a U32 count, then pad zero bytes.
+func countBomb(typ MsgType, nFixed int, count uint32, pad int) []byte {
+	b := make([]byte, 1+8*nFixed, 1+8*nFixed+4+pad)
 	b[0] = byte(typ)
-	return binary.LittleEndian.AppendUint32(b, count)
+	b = binary.LittleEndian.AppendUint32(b, count)
+	return append(b, make([]byte, pad)...)
 }
 
 // countBombs are tiny control frames whose counts once sized allocations of
 // up to 134 MB before the decoder noticed the payload was 13 bytes long.
+// The batch bomb carries its header pad, so the batch view reaches its
+// count check too.
 var countBombs = map[string][]byte{
-	"report":  countBomb(TypeReport, 1, 1<<24-1),    // 13 bytes
-	"batch":   countBomb(TypeDataBatch, 3, 1<<20-1), // 29 bytes
-	"welcome": countBomb(TypeWelcome, 3, 1<<20-1),   // 29 bytes
+	"report":  countBomb(TypeReport, 1, 1<<24-1, 0),          // 13 bytes
+	"batch":   countBomb(TypeDataBatch, 3, 1<<20-1, dataPad), // 32 bytes
+	"welcome": countBomb(TypeWelcome, 3, 1<<20-1, 0),         // 29 bytes
 }
 
 func TestDecodeCountBombsAllocateLittle(t *testing.T) {
 	for name, payload := range countBombs {
-		if _, err := Decode(payload); err == nil {
-			t.Errorf("%s: %d-byte frame decoded", name, len(payload))
+		if _, err := Decode(payload); err == nil || !strings.Contains(err.Error(), "count") {
+			t.Errorf("%s: %d-byte frame: %v, want a count error", name, len(payload), err)
 		}
 		if got := allocBytes(20, func() { Decode(payload) }); got > 64<<10 {
 			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", name, len(payload), got)
@@ -57,13 +62,15 @@ func fuzzSeeds() [][]byte {
 	var bc BatchCompressor
 	w := enc.NewWriter(0)
 	bc.EncodeTo(w, batch, []int{12, 20})
+	data := Encode(&Data{GroupID: 1, Timestep: 2, CellLo: 0, CellHi: 3, Fields: [][]float64{{1, 2, 3}, {4, 5, 6}}})
+	raw := Encode(batch)
 	seeds := [][]byte{
 		Encode(&Hello{GroupID: 1, SimRanks: 2, ReplyAddr: "mem://1", Caps: CapWireCodec, Resume: true}),
 		Encode(&Welcome{Timesteps: 5, Cells: 64, P: 2, ServerAddr: []string{"a", "b"},
 			Partitions: []mesh.Partition{{Lo: 0, Hi: 32}, {Lo: 32, Hi: 64}}, Caps: CapWireCodec,
 			FoldShards: []int{2, 2}, LastStep: 3, DurableStep: NoDurability}),
-		Encode(&Data{GroupID: 1, Timestep: 2, CellLo: 0, CellHi: 3, Fields: [][]float64{{1, 2, 3}, {4, 5, 6}}}),
-		Encode(batch),
+		data,
+		raw,
 		w.Bytes(),
 		{4, 's', 0, 0, 0}, // the retired heartbeat tag
 		Encode(&Report{ProcRank: 1, Running: []int{3}, Finished: []int{1, 2}, TimedOut: []int{3}, MaxCIWidth: 0.5, Messages: 7}),
@@ -73,6 +80,16 @@ func fuzzSeeds() [][]byte {
 		Encode(&CheckpointReq{GroupID: 3}),
 	}
 	for _, b := range countBombs {
+		seeds = append(seeds, b)
+	}
+	// Padded frames with one pad byte set, which every decoder must reject:
+	// the Data header pad, the batch header pad and a batch step pad.
+	for _, bad := range []struct {
+		frame []byte
+		at    int
+	}{{data, dataHeaderSize - 1}, {raw, dataBatchHeaderSize - 1}, {raw, dataBatchHeaderSize + stepHeaderSize - 1}} {
+		b := append([]byte(nil), bad.frame...)
+		b[bad.at] = 0x80
 		seeds = append(seeds, b)
 	}
 	return seeds
@@ -123,17 +140,25 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 
-		if dv != nil && dv.NumFields() > 0 {
-			dst := make([]float64, dv.Cells())
+		if dv != nil {
+			if !zeroBytes(payload[dataHeaderSize-dataPad : dataHeaderSize]) {
+				t.Fatal("data view parsed a non-zero header pad")
+			}
 			for fi := 0; fi < dv.NumFields(); fi++ {
+				dst := make([]float64, dv.Cells()) // a field bounds the cell range
 				dv.DecodeFieldRange(fi, 0, dv.Cells(), dst)
+				checkLent(t, dv.FieldRange(fi, 0, dv.Cells()), dst)
 			}
 		}
 		if bv != nil {
+			if !zeroBytes(payload[dataBatchHeaderSize-dataPad : dataBatchHeaderSize]) {
+				t.Fatal("batch view parsed a non-zero header pad")
+			}
 			dst := make([]float64, bv.Cells())
 			for s := 0; s < bv.NumSteps(); s++ {
 				for fi := 0; fi < bv.NumFields(); fi++ {
 					bv.DecodeFieldRange(s, fi, 0, bv.Cells(), dst)
+					checkLent(t, bv.FieldRange(s, fi, 0, bv.Cells()), dst)
 				}
 			}
 		}
@@ -146,4 +171,18 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkLent fails t unless a range lent in place, if any, holds the bits
+// its copy holds.
+func checkLent(t *testing.T, lent, copied []float64) {
+	t.Helper()
+	if lent == nil {
+		return
+	}
+	for i := range copied {
+		if math.Float64bits(lent[i]) != math.Float64bits(copied[i]) {
+			t.Fatalf("lent cell %d = %v, copied %v", i, lent[i], copied[i])
+		}
+	}
 }

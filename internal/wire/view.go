@@ -3,30 +3,54 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"melissa/internal/enc"
 )
 
 // Lazy view decoders. DataView and DataBatchView parse only the header of an
 // encoded bulk payload — ids, timesteps, the cell range and the byte offset
 // of every field's float block — without touching the float payload itself.
-// Consumers that own a cell sub-range (the server's shard workers) then call
-// DecodeFieldRange to convert exactly their cells straight out of the wire
-// bytes, so a payload shared by W workers is decoded once in W disjoint
-// pieces instead of once up front plus one full copy per hand-off.
+// Consumers that own a cell sub-range (the server's shard workers) then read
+// exactly their cells straight out of the wire bytes: FieldRange hands them
+// out in place, and DecodeFieldRange copies them where a view is not
+// possible, so a payload shared by W workers is never decoded up front.
 //
 // Parsing is strict and hoists all shape validation to one place: a view
 // refuses payloads whose field lengths disagree with the cell range, whose
-// steps carry differing field counts, or that have trailing bytes. A payload
-// that parses is therefore rectangular — every later DecodeFieldRange is a
-// pure, infallible memcopy-with-byteswap.
+// steps carry differing field counts, whose pad bytes are not zero, or that
+// have trailing bytes. A payload that parses is therefore rectangular —
+// every later FieldRange or DecodeFieldRange is infallible.
 
-// headerSize* are the fixed byte offsets implied by the EncodeTo layout.
+// The bulk frame layout. Pad bytes after the counts put every field's float
+// run at a payload offset that is a multiple of 8, so a receiver whose
+// buffer is 8-byte aligned reads the floats where they lie:
+//
+//	Data:      tag u8, group, step, lo, hi i64, nf u32, 3 pad   (40 bytes)
+//	           nf × { len i64, len × f64 }
+//	DataBatch: tag u8, group, lo, hi i64, ns u32, 3 pad         (32 bytes)
+//	           ns × { step i64, nf u32, 4 pad                   (16 bytes)
+//	                  nf × { len i64, len × f64 } }
 const (
-	dataHeaderSize      = 1 + 4*8 + 4 // tag, group, step, lo, hi, nf
-	dataBatchHeaderSize = 1 + 3*8 + 4 // tag, group, lo, hi, ns
-	stepHeaderSize      = 8 + 4       // timestep, nf
-	fieldLenSize        = 8           // per-field length prefix
+	dataPad             = 3
+	stepPad             = 4
+	dataHeaderSize      = 1 + 4*8 + 4 + dataPad // tag, group, step, lo, hi, nf, pad
+	dataBatchHeaderSize = 1 + 3*8 + 4 + dataPad // tag, group, lo, hi, ns, pad
+	stepHeaderSize      = 8 + 4 + stepPad       // timestep, nf, pad
+	fieldLenSize        = 8                     // per-field length prefix
 )
+
+// zeroPad is the source of every pad run the encoder writes.
+var zeroPad [stepPad]byte
+
+// zeroBytes reports whether every byte of b is zero.
+func zeroBytes(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // DataView is a zero-copy view of an encoded TypeData payload. The zero
 // value is ready for Parse; a view may be re-Parsed to amortize its offset
@@ -62,6 +86,9 @@ func (v *DataView) Parse(payload []byte) error {
 	v.CellLo = int(int64(binary.LittleEndian.Uint64(payload[17:])))
 	v.CellHi = int(int64(binary.LittleEndian.Uint64(payload[25:])))
 	nf := int(binary.LittleEndian.Uint32(payload[33:]))
+	if !zeroBytes(payload[dataHeaderSize-dataPad : dataHeaderSize]) {
+		return fmt.Errorf("wire: data view: non-zero header pad")
+	}
 	cells := v.CellHi - v.CellLo
 	if cells <= 0 {
 		return fmt.Errorf("wire: data view: empty cell range [%d,%d)", v.CellLo, v.CellHi)
@@ -88,10 +115,19 @@ func (v *DataView) Parse(payload []byte) error {
 	return nil
 }
 
-// DecodeFieldRange decodes cells [lo, hi) of field f — offsets relative to
+// FieldRange returns cells [lo, hi) of field f — offsets relative to CellLo
+// — in place in the payload, or nil when they cannot be viewed (see
+// enc.F64View); the caller then copies them with DecodeFieldRange. The
+// slice aliases the payload: it must not be written, nor outlive the
+// buffer's recycling.
+func (v *DataView) FieldRange(f, lo, hi int) []float64 {
+	return enc.F64View(v.payload[v.fieldOff[f]+8*lo : v.fieldOff[f]+8*hi])
+}
+
+// DecodeFieldRange copies cells [lo, hi) of field f — offsets relative to
 // CellLo — into dst[:hi-lo]. The range must lie within [0, Cells()).
 func (v *DataView) DecodeFieldRange(f, lo, hi int, dst []float64) {
-	decodeFloats(v.payload[v.fieldOff[f]+8*lo:], dst[:hi-lo])
+	enc.DecodeF64s(dst[:hi-lo], v.payload[v.fieldOff[f]+8*lo:])
 }
 
 // DataBatchView is the zero-copy view of an encoded TypeDataBatch payload:
@@ -134,6 +170,9 @@ func (v *DataBatchView) Parse(payload []byte) error {
 	v.CellLo = int(int64(binary.LittleEndian.Uint64(payload[9:])))
 	v.CellHi = int(int64(binary.LittleEndian.Uint64(payload[17:])))
 	ns := int(binary.LittleEndian.Uint32(payload[25:]))
+	if !zeroBytes(payload[dataBatchHeaderSize-dataPad : dataBatchHeaderSize]) {
+		return fmt.Errorf("wire: batch view: non-zero header pad")
+	}
 	cells := v.CellHi - v.CellLo
 	if cells <= 0 {
 		return fmt.Errorf("wire: batch view: empty cell range [%d,%d)", v.CellLo, v.CellHi)
@@ -154,6 +193,9 @@ func (v *DataBatchView) Parse(payload []byte) error {
 		}
 		v.timesteps[s] = int(int64(binary.LittleEndian.Uint64(payload[off:])))
 		nf := int(binary.LittleEndian.Uint32(payload[off+8:]))
+		if !zeroBytes(payload[off+stepHeaderSize-stepPad : off+stepHeaderSize]) {
+			return fmt.Errorf("wire: batch view: non-zero pad in step %d header", s)
+		}
 		off += stepHeaderSize
 		if s == 0 {
 			// Every field costs at least its length prefix in every step, so
@@ -183,10 +225,18 @@ func (v *DataBatchView) Parse(payload []byte) error {
 	return nil
 }
 
-// DecodeFieldRange decodes cells [lo, hi) of field f at batch entry s —
+// FieldRange returns cells [lo, hi) of field f at batch entry s — offsets
+// relative to CellLo — in place in the payload, or nil when they cannot be
+// viewed; see DataView.FieldRange.
+func (v *DataBatchView) FieldRange(s, f, lo, hi int) []float64 {
+	off := v.fieldOff[s*v.numFields+f]
+	return enc.F64View(v.payload[off+8*lo : off+8*hi])
+}
+
+// DecodeFieldRange copies cells [lo, hi) of field f at batch entry s —
 // offsets relative to CellLo — into dst[:hi-lo].
 func (v *DataBatchView) DecodeFieldRange(s, f, lo, hi int, dst []float64) {
-	decodeFloats(v.payload[v.fieldOff[s*v.numFields+f]+8*lo:], dst[:hi-lo])
+	enc.DecodeF64s(dst[:hi-lo], v.payload[v.fieldOff[s*v.numFields+f]+8*lo:])
 }
 
 // fieldOffset validates one field's length prefix at off (it must equal
@@ -205,14 +255,6 @@ func fieldOffset(payload []byte, off, cells int) (int, error) {
 		return 0, fmt.Errorf("%d-cell field floats exceed payload", cells)
 	}
 	return off + fieldLenSize + 8*cells, nil
-}
-
-// decodeFloats byte-swaps len(dst) little-endian float64s out of src.
-func decodeFloats(src []byte, dst []float64) {
-	_ = src[8*len(dst)-1] // one bounds check for the whole loop
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
 }
 
 func growOffsets(s []int, n int) []int {

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"melissa/internal/enc"
+	"melissa/internal/transport"
 )
 
 func viewTestData(cells, fields int) *Data {
@@ -189,30 +192,33 @@ func TestViewRejectsOverflowingCellRange(t *testing.T) {
 		}
 		if batch {
 			w = append(w, byte(TypeDataBatch))
-			app64(0)    // group
-			app64(0)    // lo
-			app64(huge) // hi
-			app32(1)    // steps
-			app64(0)    // timestep
-			app32(2)    // fields
+			app64(0)                  // group
+			app64(0)                  // lo
+			app64(huge)               // hi
+			app32(1)                  // steps
+			w = append(w, 0, 0, 0)    // pad
+			app64(0)                  // timestep
+			app32(2)                  // fields
+			w = append(w, 0, 0, 0, 0) // pad
 		} else {
 			w = append(w, byte(TypeData))
-			app64(0)    // group
-			app64(0)    // timestep
-			app64(0)    // lo
-			app64(huge) // hi
-			app32(2)    // fields
+			app64(0)               // group
+			app64(0)               // timestep
+			app64(0)               // lo
+			app64(huge)            // hi
+			app32(1)               // fields
+			w = append(w, 0, 0, 0) // pad
 		}
 		app64(huge) // field 0 length prefix matches the cell range
 		return w
 	}
 	var dv DataView
-	if err := dv.Parse(build(false)); err == nil {
-		t.Fatal("DataView.Parse accepted an overflowing cell range")
+	if err := dv.Parse(build(false)); err == nil || !strings.Contains(err.Error(), "floats exceed payload") {
+		t.Fatalf("DataView.Parse of an overflowing cell range: %v", err)
 	}
 	var bv DataBatchView
-	if err := bv.Parse(build(true)); err == nil {
-		t.Fatal("DataBatchView.Parse accepted an overflowing cell range")
+	if err := bv.Parse(build(true)); err == nil || !strings.Contains(err.Error(), "floats exceed payload") {
+		t.Fatalf("DataBatchView.Parse of an overflowing cell range: %v", err)
 	}
 }
 
@@ -227,11 +233,13 @@ func TestViewRejectsAllocationBomb(t *testing.T) {
 	w.Int(0)         // lo
 	w.Int(1)         // hi (1 cell)
 	w.U32(1<<20 - 1) // steps: max that passed the old per-factor check
+	w.Raw([]byte{0, 0, 0})
 	w.Int(0)         // step 0 timestep
 	w.U32(1<<16 - 1) // step 0 fields
+	w.Raw([]byte{0, 0, 0, 0})
 	var bv DataBatchView
-	if err := bv.Parse(w.Bytes()); err == nil {
-		t.Fatal("DataBatchView.Parse accepted an allocation-bomb header")
+	if err := bv.Parse(w.Bytes()); err == nil || !strings.Contains(err.Error(), "exceed payload") {
+		t.Fatalf("DataBatchView.Parse of an allocation-bomb header: %v", err)
 	}
 
 	dw := enc.NewWriter(64)
@@ -241,9 +249,10 @@ func TestViewRejectsAllocationBomb(t *testing.T) {
 	dw.Int(0)         // lo
 	dw.Int(1)         // hi
 	dw.U32(1<<16 - 1) // fields
+	dw.Raw([]byte{0, 0, 0})
 	var dv DataView
-	if err := dv.Parse(dw.Bytes()); err == nil {
-		t.Fatal("DataView.Parse accepted an allocation-bomb header")
+	if err := dv.Parse(dw.Bytes()); err == nil || !strings.Contains(err.Error(), "exceed payload") {
+		t.Fatalf("DataView.Parse of an allocation-bomb header: %v", err)
 	}
 }
 
@@ -261,5 +270,122 @@ func TestReportBackpressureRoundTrip(t *testing.T) {
 	}
 	if rep.Backpressure != in.Backpressure {
 		t.Fatalf("backpressure %v, want %v", rep.Backpressure, in.Backpressure)
+	}
+}
+
+// TestFieldRangeInPlaceOverTransports: Data and DataBatch frames delivered
+// by either transport lend every field range in place. The pad bytes put
+// each float run on an 8-byte boundary and transport buffers come from make,
+// so a nil here means the server silently went back to copying.
+func TestFieldRangeInPlaceOverTransports(t *testing.T) {
+	if enc.F64View(make([]byte, 8)) == nil {
+		t.Skip("big-endian host: fields are always copied")
+	}
+	nets := map[string]transport.Network{
+		"mem": transport.NewMemNetwork(transport.Options{}),
+		"tcp": transport.NewTCPNetwork(transport.Options{}),
+	}
+	for name, n := range nets {
+		t.Run(name, func(t *testing.T) {
+			r, err := n.Listen("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			s, err := n.Dial(r.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, cells := range []int{1, 3, 17, 1000} {
+				d, b := viewTestData(cells, 4), viewTestBatch(3, cells, 4)
+				for _, frame := range [][]byte{Encode(d), Encode(b)} {
+					if err := s.Send(frame); err != nil {
+						t.Fatal(err)
+					}
+				}
+				msg, err := r.Recv(5 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var dv DataView
+				if err := dv.Parse(msg.Payload); err != nil {
+					t.Fatal(err)
+				}
+				for f := range d.Fields {
+					for lo := 0; lo < cells; lo += max(1, cells/3) {
+						if got := dv.FieldRange(f, lo, cells); got == nil || !reflect.DeepEqual(got, d.Fields[f][lo:]) {
+							t.Fatalf("%d cells: Data field %d from cell %d lent %v", cells, f, lo, got)
+						}
+					}
+				}
+				msg, err = r.Recv(5 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var bv DataBatchView
+				if err := bv.Parse(msg.Payload); err != nil {
+					t.Fatal(err)
+				}
+				for st := range b.Steps {
+					for f := range b.Steps[st].Fields {
+						if got := bv.FieldRange(st, f, 0, cells); got == nil || !reflect.DeepEqual(got, b.Steps[st].Fields[f]) {
+							t.Fatalf("%d cells: batch step %d field %d lent %v", cells, st, f, got)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFieldRangeMisalignedFallsBack: a payload that does not start 8-byte
+// aligned lends nothing, and DecodeFieldRange still copies the exact values.
+func TestFieldRangeMisalignedFallsBack(t *testing.T) {
+	d := viewTestData(5, 3)
+	frame := Encode(d)
+	shifted := append(make([]byte, 1, len(frame)+1), frame...)[1:]
+	var v DataView
+	if err := v.Parse(shifted); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 5)
+	for f := range d.Fields {
+		if got := v.FieldRange(f, 0, 5); got != nil {
+			t.Fatalf("field %d: misaligned payload lent %v", f, got)
+		}
+		v.DecodeFieldRange(f, 0, 5, dst)
+		if !reflect.DeepEqual(dst, d.Fields[f]) {
+			t.Fatalf("field %d: copied %v, want %v", f, dst, d.Fields[f])
+		}
+	}
+}
+
+// TestFramesRejectNonZeroPad: every pad byte of a Data or DataBatch frame
+// must be zero, for the decoder and the views alike.
+func TestFramesRejectNonZeroPad(t *testing.T) {
+	// The second batch step's header starts after the first step's fields.
+	second := dataBatchHeaderSize + stepHeaderSize + 2*(fieldLenSize+8*4)
+	cases := []struct {
+		name  string
+		frame []byte
+		parse func([]byte) error
+		pads  []int
+	}{
+		{"data", Encode(viewTestData(4, 2)), new(DataView).Parse, []int{37, 38, 39}},
+		{"batch", Encode(viewTestBatch(2, 4, 2)), new(DataBatchView).Parse,
+			[]int{29, 30, 31, 44, 45, 46, 47, second + 12, second + 15}},
+	}
+	for _, tc := range cases {
+		for _, at := range tc.pads {
+			bad := append([]byte(nil), tc.frame...)
+			bad[at] = 1
+			if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "pad") {
+				t.Errorf("%s: Decode with pad byte %d set: %v", tc.name, at, err)
+			}
+			if err := tc.parse(bad); err == nil || !strings.Contains(err.Error(), "pad") {
+				t.Errorf("%s: view with pad byte %d set: %v", tc.name, at, err)
+			}
+		}
 	}
 }

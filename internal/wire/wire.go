@@ -289,6 +289,7 @@ func EncodeTo(w *enc.Writer, msg any) {
 		w.Int(m.CellLo)
 		w.Int(m.CellHi)
 		w.U32(uint32(len(m.Fields)))
+		w.Raw(zeroPad[:dataPad])
 		for _, f := range m.Fields {
 			w.F64Slice(f)
 		}
@@ -298,9 +299,11 @@ func EncodeTo(w *enc.Writer, msg any) {
 		w.Int(m.CellLo)
 		w.Int(m.CellHi)
 		w.U32(uint32(len(m.Steps)))
+		w.Raw(zeroPad[:dataPad])
 		for _, st := range m.Steps {
 			w.Int(st.Timestep)
 			w.U32(uint32(len(st.Fields)))
+			w.Raw(zeroPad[:stepPad])
 			for _, f := range st.Fields {
 				w.F64Slice(f)
 			}
@@ -395,7 +398,7 @@ func Decode(payload []byte) (any, error) {
 		m.Timestep = r.Int()
 		m.CellLo = r.Int()
 		m.CellHi = r.Int()
-		if nf := count(r, 8); r.Err() == nil {
+		if nf := count(r, fieldLenSize); skipPad(r, dataPad) {
 			m.Fields = make([][]float64, nf)
 			for i := range m.Fields {
 				m.Fields[i] = r.F64Slice()
@@ -407,12 +410,12 @@ func Decode(payload []byte) (any, error) {
 		m.GroupID = r.Int()
 		m.CellLo = r.Int()
 		m.CellHi = r.Int()
-		if ns := count(r, 12); r.Err() == nil {
+		if ns := count(r, stepHeaderSize); skipPad(r, dataPad) {
 			m.Steps = make([]DataStep, ns)
 			for i := range m.Steps {
 				m.Steps[i].Timestep = r.Int()
-				nf := count(r, 8)
-				if r.Err() != nil {
+				nf := count(r, fieldLenSize)
+				if !skipPad(r, stepPad) {
 					break
 				}
 				m.Steps[i].Fields = make([][]float64, nf)
@@ -498,6 +501,17 @@ func count(r *enc.Reader, minSize int) int {
 	return n
 }
 
+// skipPad consumes n alignment pad bytes and reports whether r is still
+// error-free; a pad byte that is not zero fails r.
+func skipPad(r *enc.Reader, n int) bool {
+	for i := 0; i < n; i++ {
+		if b := r.U8(); b != 0 {
+			r.Fail(fmt.Errorf("non-zero pad byte %#x", b))
+		}
+	}
+	return r.Err() == nil
+}
+
 // PayloadType peeks at the type tag of an encoded message without decoding
 // it, so receivers can route bulk payloads to scratch-reusing decoders.
 func PayloadType(payload []byte) MsgType {
@@ -511,11 +525,11 @@ func PayloadType(payload []byte) MsgType {
 // fields of `cells` cells — the quantity the performance model uses for
 // bandwidth accounting.
 func DataSizeBytes(fields, cells int) int64 {
-	return 1 + 4*8 + 4 + int64(fields)*(8+8*int64(cells))
+	return dataHeaderSize + int64(fields)*(fieldLenSize+8*int64(cells))
 }
 
 // DataBatchSizeBytes returns the encoded size of a DataBatch carrying
 // `steps` timesteps of `fields` fields over `cells` cells.
 func DataBatchSizeBytes(steps, fields, cells int) int64 {
-	return 1 + 3*8 + 4 + int64(steps)*(8+4+int64(fields)*(8+8*int64(cells)))
+	return dataBatchHeaderSize + int64(steps)*(stepHeaderSize+int64(fields)*(fieldLenSize+8*int64(cells)))
 }

@@ -103,3 +103,22 @@ func BenchmarkHelloRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeFieldRange times a shard worker copying every field of a
+// Data frame out of the payload: the server's fallback decode and the
+// assembled path.
+func BenchmarkDecodeFieldRange(b *testing.B) {
+	payload := Encode(benchData(8192))
+	var v DataView
+	if err := v.Parse(payload); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, v.Cells())
+	b.SetBytes(int64(8 * v.Cells() * v.NumFields()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for f := 0; f < v.NumFields(); f++ {
+			v.DecodeFieldRange(f, 0, v.Cells(), dst)
+		}
+	}
+}
