@@ -1,0 +1,107 @@
+package checkpoint
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"melissa/internal/enc"
+)
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls. Small allocations are accounted a span at a time, so a single
+// run may be off by tens of KiB; large ones are exact.
+func allocBytes(runs int, f func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+}
+
+// FuzzCheckpointRead feeds arbitrary file contents to Read. No input may
+// panic; a rejected file returns a clean "checkpoint:" error and nothing
+// else; an accepted one has the magic, a version this build reads, a length
+// field matching the payload and a matching CRC, and its reader covers
+// exactly that payload. Read may allocate at most twice the file plus
+// 64 KiB: the header's length field never sizes an allocation.
+func FuzzCheckpointRead(f *testing.F) {
+	dir := f.TempDir()
+	seed := func(name string, version int, fill func(w *enc.Writer)) {
+		path := filepath.Join(dir, name)
+		sw, err := NewStreamWriter(path, version)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sw.Section(fill); err != nil {
+			f.Fatal(err)
+		}
+		if err := sw.Commit(); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	seed("v4.ckpt", Version, func(w *enc.Writer) {
+		w.Int(42)
+		w.F64Slice([]float64{1, 2, 3})
+		w.String("state")
+	})
+	seed("v1.ckpt", V1, func(w *enc.Writer) { w.String("old-state") })
+	seed("empty.ckpt", Version, func(*enc.Writer) {})
+	f.Add([]byte{})
+	f.Add([]byte("MLSA"))
+	bomb := make([]byte, 16) // a header whose length field the file cannot hold
+	binary.LittleEndian.PutUint32(bomb, magic)
+	binary.LittleEndian.PutUint32(bomb[4:], Version)
+	binary.LittleEndian.PutUint32(bomb[12:], 1<<31)
+	f.Add(bomb)
+
+	path := filepath.Join(dir, "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var r *enc.Reader
+		var version int
+		var err error
+		got := allocBytes(1, func() { r, version, err = Read(path) })
+		if limit := 2*len(raw) + 64<<10; got > limit {
+			// One run can be charged for a span filled before it; confirm
+			// over many.
+			if got = allocBytes(32, func() { Read(path) }); got > limit {
+				t.Fatalf("reading a %d-byte file allocated %d (limit %d)", len(raw), got, limit)
+			}
+		}
+		if err != nil {
+			if r != nil || version != 0 || !strings.HasPrefix(err.Error(), "checkpoint: ") {
+				t.Fatalf("rejection returned reader %v, version %d, error %q", r, version, err)
+			}
+			return
+		}
+		le := binary.LittleEndian
+		switch {
+		case len(raw) < 16:
+			t.Fatalf("accepted a %d-byte file", len(raw))
+		case le.Uint32(raw) != magic:
+			t.Fatalf("accepted magic %#x", le.Uint32(raw))
+		case version != int(le.Uint32(raw[4:])) || version < V1 || version > Version:
+			t.Fatalf("accepted version %d (header %d)", version, le.Uint32(raw[4:]))
+		case int(le.Uint32(raw[12:])) != len(raw)-16:
+			t.Fatalf("accepted length field %d for a %d-byte payload", le.Uint32(raw[12:]), len(raw)-16)
+		case crc32.ChecksumIEEE(raw[16:]) != le.Uint32(raw[8:]):
+			t.Fatal("accepted a CRC mismatch")
+		case r.Remaining() != len(raw)-16:
+			t.Fatalf("reader covers %d bytes of a %d-byte payload", r.Remaining(), len(raw)-16)
+		}
+	})
+}

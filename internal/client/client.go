@@ -70,12 +70,14 @@ type Connection struct {
 
 	// Framing state (shipSteps): the per-connection compressor, the per-route
 	// shard-aligned sub-range lengths (computed on first use), the message
-	// shells the encoders read from (fields, so handing their address to an
-	// encoder allocates nothing), and the raw-vs-wire byte counters.
+	// shells the encoders read from and the writer over each frame's
+	// transport buffer (fields, so handing their address to an encoder
+	// allocates nothing), and the raw-vs-wire byte counters.
 	comp      wire.BatchCompressor
 	rangeLens [][]int
 	dataMsg   wire.Data
 	batchMsg  wire.DataBatch
+	frame     enc.Writer
 	wireBytes int64
 	rawBytes  int64
 
@@ -338,8 +340,9 @@ func (c *Connection) batching() bool {
 	return c.opts.BatchSteps > 1
 }
 
-// shipSteps is the one place route ri's steps become a frame on the wire.
-// The framing follows the negotiated format: a codec connection always sends
+// shipSteps is the one place route ri's steps become a frame on the wire,
+// encoded once into a transport buffer that Send then takes. The framing
+// follows the negotiated format: a codec connection always sends
 // a TypeDataBatchC frame (a single step is its degenerate batch, so the
 // server needs no third bulk path); a raw connection sends one TypeData frame
 // per step when unbatched and a TypeDataBatch otherwise. recover marks a
@@ -358,7 +361,8 @@ func (c *Connection) shipSteps(ri int, steps []wire.DataStep, recover bool) erro
 			c.retainStep(ri, &steps[i])
 		}
 	}
-	w := enc.GetWriter(int(rawSize))
+	w := &c.frame
+	w.ResetTo(transport.GetPayload(int(rawSize)))
 	codecOn := c.codecNegotiated()
 	if single && !codecOn {
 		c.dataMsg = wire.Data{GroupID: c.opts.GroupID, Timestep: steps[0].Timestep,
@@ -377,13 +381,14 @@ func (c *Connection) shipSteps(ri int, steps []wire.DataStep, recover bool) erro
 	cWireBytes.Add(int64(w.Len()))
 	cRawBytes.Add(rawSize)
 	cMessages.Inc()
+	frame := w.Bytes()
+	w.ResetTo(nil) // Send takes the frame
 	var err error
 	if recover {
-		err = c.sendFrame(tr.ServerRank, w.Bytes())
+		err = c.sendFrame(tr.ServerRank, frame)
 	} else {
-		err = c.senders[tr.ServerRank].Send(w.Bytes())
+		err = c.senders[tr.ServerRank].Send(frame)
 	}
-	enc.PutWriter(w) // Send copied the payload
 	if err != nil {
 		return fmt.Errorf("client: group %d steps %d..%d to server %d: %w", c.opts.GroupID,
 			steps[0].Timestep, steps[len(steps)-1].Timestep, tr.ServerRank, err)

@@ -96,8 +96,8 @@ const maxPooledWriter = 1 << 22 // 4 MiB
 
 // GetWriter returns a pooled Writer, reset and grown to at least the given
 // capacity. Release it with PutWriter once the encoded bytes have been
-// consumed (transport senders copy payloads synchronously, so PutWriter is
-// safe immediately after Send returns).
+// consumed. Bytes handed to a transport Send are the transport's, so a frame
+// bound for Send is encoded into the transport's buffer instead (ResetTo).
 func GetWriter(capacity int) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
@@ -123,6 +123,9 @@ func (w *Writer) Len() int { return len(w.buf) }
 
 // Reset discards all written data, retaining the allocation.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// ResetTo discards all written data and makes w append into buf's storage.
+func (w *Writer) ResetTo(buf []byte) { w.buf = buf[:0] }
 
 // U8 appends a single byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }

@@ -58,7 +58,7 @@ type Status struct {
 	CheckpointWriteSeconds float64 `json:"checkpoint_write_seconds"`
 	CheckpointBytes        int64   `json:"checkpoint_bytes"`
 
-	// Payload pool balance (process-wide transport counters): buffers out
+	// Payload pool balance (process-wide transport counters): buffers taken
 	// vs returned, and live payload references.
 	PoolOutstanding int64 `json:"pool_outstanding"`
 	PoolRefsActive  int64 `json:"pool_refs_active"`

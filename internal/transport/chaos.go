@@ -206,6 +206,8 @@ type chaosSender struct {
 	cut    bool
 }
 
+// Send passes the payload's ownership on to the wrapped sender; a dropped
+// frame, or one sent on a cut connection, is left to the garbage collector.
 func (s *chaosSender) Send(payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,17 +237,14 @@ func (s *chaosSender) Send(payload []byte) error {
 		return nil
 	}
 	if n == r.CorruptFrame && len(payload) > 0 {
-		// Clobber a copy, never the caller's buffer (Send's contract says
-		// callers may reuse the slice immediately).
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		cp[0] ^= 0x5A // type tag → unknown type, strict decode rejects
-		for i := 0; i < 3 && len(cp) > 1; i++ {
-			cp[1+s.rng.Intn(len(cp)-1)] ^= byte(1 + s.rng.Intn(255))
+		// Send owns the payload, so the frame is clobbered in place.
+		payload[0] ^= 0x5A // type tag → unknown type, strict decode rejects
+		for i := 0; i < 3 && len(payload) > 1; i++ {
+			payload[1+s.rng.Intn(len(payload)-1)] ^= byte(1 + s.rng.Intn(255))
 		}
 		s.net.stats.corrupted.Add(1)
 		mChaosCorrupted.Inc()
-		return s.inner.Send(cp)
+		return s.inner.Send(payload)
 	}
 	if n == r.TruncateFrame {
 		s.net.stats.truncated.Add(1)
@@ -253,12 +252,13 @@ func (s *chaosSender) Send(payload []byte) error {
 		return s.inner.Send(payload[:len(payload)/2])
 	}
 	if n == r.DuplicateFrame {
+		dup := append(GetPayload(len(payload))[:0], payload...) // the one copy chaos makes
 		if err := s.inner.Send(payload); err != nil {
 			return err
 		}
 		s.net.stats.duplicated.Add(1)
 		mChaosDuplicated.Inc()
-		return s.inner.Send(payload)
+		return s.inner.Send(dup)
 	}
 	return s.inner.Send(payload)
 }

@@ -137,9 +137,9 @@ func TestChaosCorruptAndTruncateAreDetectable(t *testing.T) {
 	}
 	defer s.Close()
 	orig := []byte{42, 1, 2, 3, 4, 5, 6, 7}
-	s.Send(orig)
-	s.Send(orig)
-	s.Send(orig)
+	for i := 0; i < 3; i++ {
+		s.Send(append([]byte(nil), orig...)) // Send takes its buffer
+	}
 
 	corrupted := recvOne(t, recv)
 	if corrupted[0] == orig[0] {
@@ -230,5 +230,65 @@ func TestChaosFirstRuleWins(t *testing.T) {
 	}
 	if _, err := net.Dial(addr); err == nil {
 		t.Fatal("second dial not refused by catch-all")
+	}
+}
+
+// TestChaosFaultsKeepPoolBalanced: every fault passes the payload's
+// ownership through — clobbered or cut short in place, copied once for a
+// duplicate, left to the collector when dropped or refused — so the pool
+// counters balance once the receiver has recycled what arrived, for pool
+// buffers and plain heap slices alike.
+func TestChaosFaultsKeepPoolBalanced(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		rule      ChaosRule
+		delivered int
+	}{
+		{"corrupt", ChaosRule{CorruptFrame: 2}, 5},
+		{"truncate", ChaosRule{TruncateFrame: 2}, 5},
+		{"duplicate", ChaosRule{DuplicateFrame: 2}, 6},
+		{"drop-tail", ChaosRule{CutAfterFrames: 4, DropTailFrames: 2}, 2},
+		{"cut", ChaosRule{CutAfterFrames: 2}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ReadPoolStats()
+			net, recv := chaosPair(t, ChaosPlan{Seed: 5, Rules: []ChaosRule{tc.rule}})
+			s, err := net.Dial(recv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				buf := make([]byte, 64)
+				if i%2 == 0 {
+					buf = GetPayload(64)
+				}
+				s.Send(buf)
+			}
+			s.Close()
+			got := 0
+			for ; ; got++ {
+				msg, err := recv.Recv(20 * time.Millisecond)
+				if err != nil {
+					break
+				}
+				if got%2 == 0 {
+					Recycle(msg.Payload)
+				} else {
+					var ref Ref
+					ref.Init(msg.Payload, 1)
+					ref.Release()
+				}
+			}
+			if got != tc.delivered {
+				t.Fatalf("%d frames delivered, want %d", got, tc.delivered)
+			}
+			after := ReadPoolStats()
+			if d := after.Outstanding() - before.Outstanding(); d != 0 {
+				t.Fatalf("%d payload buffers outstanding", d)
+			}
+			if d := after.RefsActive() - before.RefsActive(); d != 0 {
+				t.Fatalf("%d payload references active", d)
+			}
+		})
 	}
 }

@@ -164,21 +164,19 @@ func (s *memSender) pump() {
 }
 
 func (s *memSender) Send(payload []byte) error {
+	take(payload)
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	if closed {
-		return ErrClosed
+	if !closed {
+		select {
+		case s.queue <- payload:
+			return nil
+		case <-s.recv.done:
+		case <-s.done:
+		}
 	}
-	cp := getPayload(len(payload))
-	copy(cp, payload)
-	select {
-	case s.queue <- cp:
-		return nil
-	case <-s.recv.done:
-	case <-s.done:
-	}
-	Recycle(cp)
+	Recycle(payload)
 	return ErrClosed
 }
 

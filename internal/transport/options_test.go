@@ -81,6 +81,7 @@ func TestTCPWithStudySizedBuffers(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
+	want := append([]byte(nil), payload...) // Send takes payload
 	if err := send.Send(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestTCPWithStudySizedBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msg.Payload) != len(payload) {
-		t.Fatalf("got %d bytes, want %d", len(msg.Payload), len(payload))
+	if len(msg.Payload) != len(want) {
+		t.Fatalf("got %d bytes, want %d", len(msg.Payload), len(want))
 	}
-	for i := 0; i < len(payload); i += 997 {
-		if msg.Payload[i] != payload[i] {
+	for i := 0; i < len(want); i += 997 {
+		if msg.Payload[i] != want[i] {
 			t.Fatalf("payload corrupted at %d", i)
 		}
 	}

@@ -2,40 +2,46 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// payloadPool recycles message buffers across the send and receive paths.
-// Buffers above maxPooledPayload are never pooled so one oversized frame
-// does not pin memory.
-var payloadPool sync.Pool
+// payloadPools recycle message buffers across the send and receive paths,
+// one pool per capacity class ⌊log2 cap⌋, so a frame reuses a buffer near its
+// own size: a client's raw-size frame buffer does not end up holding a small
+// compressed frame on the server. Buffers above maxPooledPayload (class 22)
+// are never pooled so one oversized frame does not pin memory.
+var payloadPools [23]sync.Pool
 
 const maxPooledPayload = 4 << 20
+
+func poolClass(c int) int { return bits.Len(uint(c)) - 1 }
 
 // Pool telemetry (PoolStats). All counters are monotonic; consumers diff
 // snapshots. Outstanding() is the balance the stress tests drive to zero.
 var (
-	poolGets     atomic.Int64 // buffers handed out by getPayload
-	poolMakes    atomic.Int64 // the subset of gets that allocated fresh
+	poolGets     atomic.Int64 // buffers the transport took custody of (take)
+	poolMakes    atomic.Int64 // GetPayload calls that allocated fresh
 	poolPuts     atomic.Int64 // buffers returned to the pool by Recycle
-	poolDrops    atomic.Int64 // Recycle calls on unpoolable (oversized) buffers
+	poolDrops    atomic.Int64 // Recycle calls on unpoolable (empty or oversized) buffers
 	poolRetains  atomic.Int64 // references added via Ref (initial + Retain)
 	poolReleases atomic.Int64 // references dropped via Ref.Release
 )
 
 // PoolStats is a snapshot of the payload-pool counters: how many buffers the
-// transport handed out (and how many of those were fresh allocations), how
-// many came back, and the reference traffic of the refcounted payload path.
+// transport took custody of (a Send, or a TCP frame read) — whoever
+// allocated them — how many the pool's getter allocated fresh, how many came
+// back, and the reference traffic of the refcounted payload path.
 type PoolStats struct {
 	Gets, Makes, Puts, Drops int64
 	Retains, Releases        int64
 }
 
-// Outstanding returns the number of live payload buffers: handed out but
-// neither recycled nor dropped. A drained, shut-down system balances to the
-// number of buffers deliberately retained forever (normally zero).
+// Outstanding returns the number of live payload buffers: taken into
+// custody but neither recycled nor dropped. A drained, shut-down system
+// balances to the number deliberately retained forever (normally zero).
 func (s PoolStats) Outstanding() int64 { return s.Gets - s.Puts - s.Drops }
 
 // RefsActive returns the number of live payload references (Ref path only).
@@ -53,11 +59,12 @@ func ReadPoolStats() PoolStats {
 	}
 }
 
-// Pool debugging: when enabled, the pool tracks the identity of every
-// handed-out buffer and panics on a Recycle of a buffer that is not
-// currently live — the double-recycle that would otherwise surface as two
-// goroutines scribbling over one "pooled" buffer far from the culprit.
-// Debug mode takes a mutex per get/recycle; tests only. The disabled path
+// Pool debugging: when enabled, the pool tracks the identity of every buffer
+// in custody and panics on a Recycle of a buffer that is not currently live,
+// or on a second hand-off of one that is — the double-recycle or double-Send
+// that would otherwise surface as two goroutines scribbling over one
+// "pooled" buffer far from the culprit.
+// Debug mode takes a mutex per take/recycle; tests only. The disabled path
 // costs one atomic load, never the lock.
 var (
 	debugOn   atomic.Bool
@@ -65,8 +72,8 @@ var (
 	debugLive map[*byte]bool // live state per buffer identity; nil = disabled
 )
 
-// SetPoolDebug toggles double-recycle detection. Enabling starts tracking
-// from an empty state (buffers handed out earlier are unknown and tolerated);
+// SetPoolDebug toggles double-recycle and double-hand-off detection. Enabling starts tracking
+// from an empty state (buffers taken earlier are unknown and tolerated);
 // disabling drops all tracking state.
 func SetPoolDebug(enabled bool) {
 	debugMu.Lock()
@@ -87,54 +94,45 @@ func bufID(b []byte) *byte {
 	return unsafe.SliceData(b[:cap(b)])
 }
 
-func debugTrackGet(b []byte) {
-	if !debugOn.Load() {
-		return
-	}
-	debugMu.Lock()
-	if debugLive != nil {
-		if id := bufID(b); id != nil {
-			debugLive[id] = true
-		}
-	}
-	debugMu.Unlock()
-}
-
-func debugTrackRecycle(b []byte) {
+// debugTrack moves b's tracked state to live (taken into custody) or not
+// live (recycled), panicking when b already is in that state.
+func debugTrack(b []byte, live bool) {
 	if !debugOn.Load() {
 		return
 	}
 	debugMu.Lock()
 	defer debugMu.Unlock()
-	if debugLive == nil {
-		return
-	}
 	id := bufID(b)
-	if id == nil {
+	if debugLive == nil || id == nil {
 		return
 	}
-	if live, known := debugLive[id]; known && !live {
-		panic(fmt.Sprintf("transport: double recycle of %d-byte payload buffer %p", cap(b), id))
+	if was, known := debugLive[id]; known && was == live {
+		panic(fmt.Sprintf("transport: payload buffer %p (%d bytes) recycled or handed off twice", id, cap(b)))
 	}
-	debugLive[id] = false
+	debugLive[id] = live
 }
 
-// getPayload returns a buffer of length n, reusing pooled storage when a
-// large-enough buffer is available.
-func getPayload(n int) []byte {
-	poolGets.Add(1)
-	if n <= maxPooledPayload {
-		if v := payloadPool.Get(); v != nil {
+// GetPayload returns a buffer of length n, reusing pooled storage when a
+// large-enough buffer is available. The buffer is the caller's until it
+// hands it to Send (an encoder writes its frame straight into it) or
+// Recycle.
+func GetPayload(n int) []byte {
+	if n > 0 && n <= maxPooledPayload {
+		if v := payloadPools[poolClass(n)].Get(); v != nil {
 			if b := v.([]byte); cap(b) >= n {
-				b = b[:n]
-				debugTrackGet(b)
-				return b
+				return b[:n]
 			}
 		}
 	}
 	poolMakes.Add(1)
-	b := make([]byte, n)
-	debugTrackGet(b)
+	return make([]byte, n)
+}
+
+// take records that the transport has taken custody of b — in Send or a
+// TCP frame read — whether or not the pool made it; Recycle ends custody.
+func take(b []byte) []byte {
+	debugTrack(b, true)
+	poolGets.Add(1)
 	return b
 }
 
@@ -143,18 +141,19 @@ func getPayload(n int) []byte {
 // it, and unrecycled buffers are reclaimed by the garbage collector. After
 // Recycle the caller must not touch the slice again. Consumers that need
 // one payload to outlive several concurrent readers use Ref instead of
-// recycling directly.
+// recycling directly. Recycle only what the transport delivered or took: a
+// GetPayload buffer that never reached Send is dropped, not recycled.
 func Recycle(payload []byte) {
 	if payload == nil {
 		return
 	}
-	debugTrackRecycle(payload)
-	if cap(payload) > maxPooledPayload {
+	debugTrack(payload, false)
+	if c := cap(payload); c == 0 || c > maxPooledPayload {
 		poolDrops.Add(1)
 		return
 	}
 	poolPuts.Add(1)
-	payloadPool.Put(payload[:0])
+	payloadPools[poolClass(cap(payload))].Put(payload[:0])
 }
 
 // Ref is a refcounted handle on one received payload buffer, letting a

@@ -1,16 +1,25 @@
 package transport
 
 import (
+	"os"
 	"testing"
 	"time"
 )
+
+// TestMain runs the package with the pool debugger armed, so a test that
+// hands one buffer to two Sends, or recycles it twice, panics where it does
+// so instead of poisoning the shared pool for a later test.
+func TestMain(m *testing.M) {
+	SetPoolDebug(true)
+	os.Exit(m.Run())
+}
 
 // TestRefLifecycle: references added by Init and Retain must balance against
 // Release, with the final release recycling the buffer, and the counters
 // must record the traffic.
 func TestRefLifecycle(t *testing.T) {
 	before := ReadPoolStats()
-	payload := getPayload(128)
+	payload := take(GetPayload(128))
 
 	var r Ref
 	r.Init(payload, 1)
@@ -36,7 +45,7 @@ func TestRefLifecycle(t *testing.T) {
 // double-free and must fail loudly.
 func TestRefOverReleasePanics(t *testing.T) {
 	var r Ref
-	r.Init(getPayload(16), 1)
+	r.Init(take(GetPayload(16)), 1)
 	r.Release()
 	defer func() {
 		if recover() == nil {
@@ -50,7 +59,7 @@ func TestRefOverReleasePanics(t *testing.T) {
 // gone is a use-after-free and must fail loudly.
 func TestRetainAfterFreePanics(t *testing.T) {
 	var r Ref
-	r.Init(getPayload(16), 1)
+	r.Init(take(GetPayload(16)), 1)
 	r.Release()
 	defer func() {
 		if recover() == nil {
@@ -60,13 +69,10 @@ func TestRetainAfterFreePanics(t *testing.T) {
 	r.Retain(1)
 }
 
-// TestPoolDebugDoubleRecyclePanics: with debug tracking on, recycling the
-// same buffer twice must panic at the second Recycle.
+// TestPoolDebugDoubleRecyclePanics: with debug tracking on (TestMain),
+// recycling the same buffer twice must panic at the second Recycle.
 func TestPoolDebugDoubleRecyclePanics(t *testing.T) {
-	SetPoolDebug(true)
-	defer SetPoolDebug(false)
-
-	payload := getPayload(64)
+	payload := take(GetPayload(64))
 	Recycle(payload)
 	defer func() {
 		if recover() == nil {
@@ -76,14 +82,42 @@ func TestPoolDebugDoubleRecyclePanics(t *testing.T) {
 	Recycle(payload)
 }
 
-// TestPoolDebugTracksReuse: get → recycle → get of the same buffer must
-// stay legal under debug tracking (the live state flips back on reuse).
-func TestPoolDebugTracksReuse(t *testing.T) {
-	SetPoolDebug(true)
-	defer SetPoolDebug(false)
+// TestPoolDebugDoubleSendPanics: with debug tracking on, handing a buffer to
+// Send while an earlier Send of it is still undelivered must panic at the
+// second Send, before the counters move.
+func TestPoolDebugDoubleSendPanics(t *testing.T) {
+	net := NewMemNetwork(Options{})
+	recv, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	snd, err := net.Dial(recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snd.Close()
+	buf := make([]byte, 64)
+	if err := snd.Send(buf); err != nil {
+		t.Fatal(err)
+	}
+	before := ReadPoolStats()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double hand-off did not panic")
+		}
+		if d := ReadPoolStats().Gets - before.Gets; d != 0 {
+			t.Fatalf("the refused hand-off moved the custody count by %d", d)
+		}
+	}()
+	snd.Send(buf)
+}
 
+// TestPoolDebugTracksReuse: get → take → recycle → get of the same buffer
+// must stay legal under debug tracking (the live state flips back on reuse).
+func TestPoolDebugTracksReuse(t *testing.T) {
 	for i := 0; i < 4; i++ {
-		p := getPayload(256)
+		p := take(GetPayload(256))
 		Recycle(p)
 	}
 }
@@ -101,9 +135,8 @@ func TestPoolStatsBalanceAfterPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]byte, 512)
 	for i := 0; i < 100; i++ {
-		if err := snd.Send(msg); err != nil {
+		if err := snd.Send(make([]byte, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,10 +173,9 @@ func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]byte, 512)
 	sent := make(chan error, 10)
 	for i := 0; i < 10; i++ {
-		go func() { sent <- snd.Send(msg) }()
+		go func() { sent <- snd.Send(make([]byte, 512)) }()
 	}
 	time.Sleep(20 * time.Millisecond) // inbox, pump and queue fill; 3 Sends block
 	recv.Close()
@@ -181,10 +213,9 @@ func TestTCPPoolBalancesWhenReceiverCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]byte, 1<<20)
 	sent := make(chan error, sends)
 	for i := 0; i < sends; i++ {
-		go func() { sent <- snd.Send(msg) }()
+		go func() { sent <- snd.Send(make([]byte, 1<<20)) }()
 	}
 	time.Sleep(50 * time.Millisecond) // inbox, reader, sockets and pump fill; the rest queues
 	recv.Close()

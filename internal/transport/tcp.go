@@ -131,7 +131,7 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 		if size > maxFrameSize {
 			return
 		}
-		payload := getPayload(int(size))
+		payload := take(GetPayload(int(size)))
 		if _, err := io.ReadFull(br, payload); err != nil {
 			Recycle(payload)
 			return
@@ -263,14 +263,14 @@ func (s *tcpSender) deadErr() error {
 	return ErrClosed
 }
 
-// Send fails once the pump has exited (a write error or Close): nothing
-// would drain the queue any more. A payload queued just as the pump exits is
-// recycled here, so it neither leaks nor counts as sent.
+// Send queues the payload itself for the pump, which writes it and then
+// recycles it. Send fails once the pump has exited (a write error or Close):
+// nothing would drain the queue any more. A payload queued just as the pump
+// exits is recycled here, so it neither leaks nor counts as sent.
 func (s *tcpSender) Send(payload []byte) error {
-	cp := getPayload(len(payload))
-	copy(cp, payload)
+	take(payload)
 	select {
-	case s.queue <- cp:
+	case s.queue <- payload:
 		select {
 		case <-s.pumpDone:
 			s.drain()
@@ -279,10 +279,10 @@ func (s *tcpSender) Send(payload []byte) error {
 			return nil
 		}
 	case <-s.pumpDone:
-		Recycle(cp)
+		Recycle(payload)
 		return s.deadErr()
 	case <-s.done:
-		Recycle(cp)
+		Recycle(payload)
 		return ErrClosed
 	}
 }

@@ -10,7 +10,9 @@
 //   - per-connection ordering is FIFO (TCP/ZeroMQ guarantee), while
 //     messages from different connections interleave arbitrarily;
 //   - receivers drain a single inbox regardless of how many clients are
-//     connected (PUSH/PULL fan-in).
+//     connected (PUSH/PULL fan-in);
+//   - Send takes its payload, as ZeroMQ's zero-copy send does: the transport
+//     moves the caller's buffer, never a copy of it, and recycles it.
 //
 // Two implementations share the Network interface: an in-memory network for
 // tests, benchmarks and single-process studies, and a TCP network (package
@@ -32,7 +34,8 @@ var (
 
 // Message is one delivered payload.
 type Message struct {
-	// Payload is the message body. The slice is owned by the receiver;
+	// Payload is the message body: the buffer the sender handed to Send
+	// (in memory) or one the TCP reader filled. It is the receiver's;
 	// consumers that copy everything out of it (wire.Decode and the
 	// DecodeInto variants do) may hand the buffer back with Recycle, and
 	// consumers that share it across workers wrap it in a Ref (pool.go).
@@ -42,9 +45,10 @@ type Message struct {
 // Sender is the client end of a one-way channel (ZeroMQ PUSH-like).
 // Implementations are safe for concurrent use.
 type Sender interface {
-	// Send enqueues one payload. It copies the payload (callers may reuse
-	// the slice) and blocks only when both the local queue and the remote
-	// inbox are full. It returns ErrClosed once either end is closed.
+	// Send enqueues one payload and takes ownership of it, whether it
+	// succeeds or fails: the caller never touches the slice again. It
+	// blocks only when both the local queue and the remote inbox are full,
+	// and returns ErrClosed once either end is closed.
 	Send(payload []byte) error
 	// Close flushes queued messages and releases the connection.
 	Close() error

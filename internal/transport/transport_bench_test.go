@@ -5,7 +5,8 @@ import (
 	"time"
 )
 
-// benchPipe measures one-way message throughput for a given payload size.
+// benchPipe measures one-way message throughput for a given payload size:
+// each Send takes a pool buffer, and the receiver recycles it.
 func benchPipe(b *testing.B, n Network, payload int) {
 	r, err := n.Listen("")
 	if err != nil {
@@ -18,21 +19,22 @@ func benchPipe(b *testing.B, n Network, payload int) {
 	}
 	defer s.Close()
 
-	msg := make([]byte, payload)
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Recv(10 * time.Second); err != nil {
+			m, err := r.Recv(10 * time.Second)
+			if err != nil {
 				b.Error(err)
 				break
 			}
+			Recycle(m.Payload)
 		}
 		close(done)
 	}()
 	b.SetBytes(int64(payload))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Send(msg); err != nil {
+		if err := s.Send(GetPayload(payload)); err != nil {
 			b.Fatal(err)
 		}
 	}

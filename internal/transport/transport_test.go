@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // networks returns both implementations so every behavior is verified
@@ -46,28 +47,74 @@ func TestSendRecvBasic(t *testing.T) {
 	}
 }
 
-func TestSenderMayReuseBuffer(t *testing.T) {
+// TestSendTakesOwnership: Send moves the caller's buffer instead of copying
+// it. In memory the receiver gets the sender's very backing array; over TCP
+// the pump recycles the sent buffer once written. On both, the pool counters
+// balance whether the buffer came from the pool or is a plain heap slice,
+// and whether the receiver recycles it directly or through a Ref.
+func TestSendTakesOwnership(t *testing.T) {
 	for name, mk := range networks() {
 		t.Run(name, func(t *testing.T) {
+			before := ReadPoolStats()
 			n := mk(Options{})
 			r, _ := n.Listen("")
 			defer r.Close()
 			s, _ := n.Dial(r.Addr())
 			defer s.Close()
 
-			buf := []byte("first")
-			if err := s.Send(buf); err != nil {
-				t.Fatal(err)
+			for i, buf := range [][]byte{GetPayload(4096), make([]byte, 4096)} {
+				buf[0], buf[4095] = byte(i+1), 9
+				sent := unsafe.SliceData(buf)
+				if err := s.Send(buf); err != nil {
+					t.Fatal(err)
+				}
+				m, err := r.Recv(2 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(m.Payload) != 4096 || m.Payload[0] != byte(i+1) || m.Payload[4095] != 9 {
+					t.Fatalf("buffer %d: payload damaged", i)
+				}
+				shared := unsafe.SliceData(m.Payload) == sent
+				switch {
+				case name == "mem" && !shared:
+					t.Fatalf("buffer %d: the in-memory receiver got a copy", i)
+				case name == "tcp" && !shared: // else the reader already reused it from the pool
+					waitRecycled(t, sent)
+				}
+				if i == 0 {
+					Recycle(m.Payload)
+				} else {
+					var ref Ref
+					ref.Init(m.Payload, 1)
+					ref.Release()
+				}
 			}
-			copy(buf, "XXXXX") // mutate after send: must not corrupt delivery
-			m, err := r.Recv(2 * time.Second)
-			if err != nil {
-				t.Fatal(err)
+			after := ReadPoolStats()
+			if d := after.Outstanding() - before.Outstanding(); d != 0 {
+				t.Fatalf("%d payload buffers outstanding", d)
 			}
-			if string(m.Payload) != "first" {
-				t.Fatalf("send did not copy: got %q", m.Payload)
+			if d := after.RefsActive() - before.RefsActive(); d != 0 {
+				t.Fatalf("%d payload references active", d)
 			}
 		})
+	}
+}
+
+// waitRecycled waits until the pool debugger has seen the buffer starting at
+// p recycled.
+func waitRecycled(t *testing.T, p *byte) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		debugMu.Lock()
+		live, known := debugLive[p]
+		debugMu.Unlock()
+		if known && !live {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the sent buffer never went back to the pool")
+		}
 	}
 }
 
@@ -223,12 +270,12 @@ func TestTCPBackpressureEventuallyBlocks(t *testing.T) {
 	s, _ := n.Dial(r.Addr())
 	defer s.Close()
 
-	big := make([]byte, 1<<20) // 1 MiB frames defeat kernel buffering fast
 	done := make(chan int, 1)
 	go func() {
 		sent := 0
 		for i := 0; i < 256; i++ {
-			if err := s.Send(big); err != nil {
+			// 1 MiB frames defeat kernel buffering fast.
+			if err := s.Send(GetPayload(1 << 20)); err != nil {
 				break
 			}
 			sent++
@@ -258,7 +305,6 @@ func TestTCPBackpressureEventuallyBlocks(t *testing.T) {
 // under backpressure whose server dies reconnects on that error.
 func TestTCPSendFailsAfterPeerGone(t *testing.T) {
 	n := NewTCPNetwork(Options{SendBuffer: 2})
-	big := make([]byte, 4<<20)
 	for round := 0; round < 20; round++ {
 		r, err := n.Listen("")
 		if err != nil {
@@ -272,7 +318,7 @@ func TestTCPSendFailsAfterPeerGone(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			for {
-				if err := s.Send(big); err != nil {
+				if err := s.Send(GetPayload(4 << 20)); err != nil {
 					done <- err
 					return
 				}

@@ -250,8 +250,8 @@ func encodedSizeHint(msg any) int {
 }
 
 // EncodeTo serializes any supported message with its type tag, appending to
-// w. Callers that encode per-timestep messages should obtain w from
-// enc.GetWriter and release it after the transport copied the payload.
+// w. A per-timestep frame bound for Send is encoded straight into a
+// transport buffer (enc.Writer.ResetTo), which Send then takes.
 func EncodeTo(w *enc.Writer, msg any) {
 	switch m := msg.(type) {
 	case *Hello:
