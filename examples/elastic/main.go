@@ -29,17 +29,32 @@ const (
 	p         = 3
 )
 
-func sim(row []float64, emit func(step int, field []float64) bool) {
-	field := make([]float64, cells)
+// runGroup runs group g the way a solver that owns its time loop would,
+// through the paper's three-call API: ConnectWith (Initialise), SendTimestep
+// (Process), Close (Finalize). SendTimestep borrows the fields, so the same
+// p+2 buffers serve every step.
+func runGroup(net transport.Network, addr string, g int, rows [][]float64) error {
+	conn, err := client.ConnectWith(net, addr, client.ConnectOpts{GroupID: g, SimRanks: 2, Timeout: 10 * time.Second})
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	fields := make([][]float64, len(rows))
+	for i := range fields {
+		fields[i] = make([]float64, cells)
+	}
 	for t := 0; t < timesteps; t++ {
-		for c := range field {
-			x := float64(c) / cells
-			field[c] = row[0]*math.Sin(2*math.Pi*x) + row[1]*x + row[2]*row[2]*float64(t)*0.1
+		for i, row := range rows {
+			for c := range fields[i] {
+				x := float64(c) / cells
+				fields[i][c] = row[0]*math.Sin(2*math.Pi*x) + row[1]*x + row[2]*row[2]*float64(t)*0.1
+			}
 		}
-		if !emit(t, field) {
-			return
+		if err := conn.SendTimestep(t, fields); err != nil {
+			return err
 		}
 	}
+	return conn.Flush()
 }
 
 func main() {
@@ -78,12 +93,7 @@ func main() {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				err := client.RunGroup(net, srv.MainAddr(), client.RunConfig{
-					ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 2},
-					Rows:        design.GroupRows(g),
-					Sim:         client.SimFunc(sim),
-				})
-				if err != nil {
+				if err := runGroup(net, srv.MainAddr(), g, design.GroupRows(g)); err != nil {
 					log.Printf("group %d: %v", g, err)
 				}
 			}(g)

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"time"
 
-	"melissa/internal/enc"
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
 	"melissa/internal/wire"
@@ -26,7 +25,9 @@ import (
 
 // Simulation is the solver abstraction the group runtime drives: Run
 // integrates one parameter set and must call emit once per output timestep,
-// in increasing step order. Run aborts early when emit returns false.
+// in increasing step order. emit has read the field when it returns, so the
+// simulation may overwrite the buffer at once. Run aborts early when emit
+// returns false.
 type Simulation interface {
 	Run(row []float64, emit func(step int, field []float64) bool)
 }
@@ -68,26 +69,18 @@ type Connection struct {
 	durability bool
 	maxStep    int
 
-	// Framing state (shipSteps): the per-connection compressor, the per-route
-	// shard-aligned sub-range lengths (computed on first use), the message
-	// shells the encoders read from and the writer over each frame's
-	// transport buffer (fields, so handing their address to an encoder
-	// allocates nothing), and the raw-vs-wire byte counters.
-	comp      wire.BatchCompressor
-	rangeLens [][]int
-	dataMsg   wire.Data
-	batchMsg  wire.DataBatch
-	frame     enc.Writer
-	wireBytes int64
-	rawBytes  int64
-
-	// pending[r] buffers the not-yet-sent steps of route r when batching;
-	// the step and header storage is reused across flushes. cutStep is the
-	// one-step shell of the current route cut. Both hold sub-slice headers
-	// into the fields SendTimestep took, never a copy. A Connection is not
-	// safe for concurrent use.
-	pending [][]wire.DataStep
-	cutStep [1]wire.DataStep
+	// Framing state (frames.go): out[ri] is route ri's frame under
+	// construction, frameSteps the steps a frame carries (BatchSteps, at
+	// least 1) and codec whether frames are compressed, by comp; the byte
+	// counters total what went out. A Connection is not safe for concurrent
+	// use, except that the members of an open step fill their own slots
+	// concurrently.
+	out        []routeOut
+	frameSteps int
+	codec      bool
+	comp       wire.BatchCompressor
+	wireBytes  int64
+	rawBytes   int64
 }
 
 // rankState is the connection's record of one server process, filled when
@@ -237,13 +230,22 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 		rng:    rng,
 		ranks: slices.Repeat([]rankState{{resumeFloor: -1, durable: -1, ckptReqAt: -1}},
 			len(welcome.ServerAddr)),
-		maxStep: -1,
+		maxStep:    -1,
+		out:        make([]routeOut, len(routes)),
+		frameSteps: max(1, o.BatchSteps),
+		codec:      o.WireCodec && welcome.Caps&wire.CapWireCodec != 0,
 		// The Welcome reveals whether this server checkpoints: a
 		// NoDurability sentinel means nothing ever becomes durable
 		// (retention then only covers reconnects within this server's life).
 		durability: welcome.DurableStep != wire.NoDurability,
 	}
 	conn.noteDurable(0, welcome.DurableStep)
+	for ri, tr := range routes {
+		conn.out[ri].runs = make([]int, welcome.P+2)
+		if conn.codec {
+			conn.out[ri].batch.RangeLens = conn.rangeLens(tr)
+		}
+	}
 	// Open one connection per server process that appears in the routing
 	// ("each main simulation process opens individual communication
 	// channels to each necessary server process").
@@ -285,156 +287,59 @@ func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *ran
 // Process call of the 3-function API. fields[0] is f(A_i), fields[1] f(B_i),
 // fields[2+k] f(C^k_i); each covers the full mesh. The stage-1 gather is
 // implicit (fields are already assembled per simulation); stage 2 cuts them
-// along the static routing and ships one message per (sim rank, server
-// process) pair.
+// along the static routing into one frame per (sim rank, server process)
+// pair and timestep, or batch of BatchSteps timesteps.
 //
-// SendTimestep takes ownership of the field arrays: batching and the
-// retention ring keep views into them until the steps are sent or evicted,
-// so the caller must not write them again and hands over fresh storage per
-// step (RunGroup's per-emit copy is the one client copy of a field). The
-// outer fields slice may be reused.
+// SendTimestep borrows the fields: it copies each route's cut into the
+// frame under construction before it returns, and keeps no reference, so
+// the caller may overwrite them at once.
 func (c *Connection) SendTimestep(step int, fields [][]float64) error {
 	if len(fields) != c.Layout.P+2 {
 		return fmt.Errorf("client: group %d: %d fields, want %d", c.opts.GroupID, len(fields), c.Layout.P+2)
 	}
 	for i, f := range fields {
-		if len(f) != c.Layout.Cells {
-			return fmt.Errorf("client: group %d field %d has %d cells, want %d",
-				c.opts.GroupID, i, len(f), c.Layout.Cells)
-		}
-	}
-	if step > c.maxStep {
-		c.maxStep = step
-	}
-	cut := &c.cutStep[0]
-	cut.Timestep = step
-	if cut.Fields == nil {
-		cut.Fields = make([][]float64, len(fields))
-	}
-	for ri, tr := range c.routes {
-		if skip, err := c.skipResumed(tr.ServerRank, step); skip || err != nil {
-			if err != nil {
-				return err
-			}
-			continue // the server already folded this piece (resume floor)
-		}
-		for fi, f := range fields {
-			cut.Fields[fi] = f[tr.Cells.Lo:tr.Cells.Hi]
-		}
-		var err error
-		if c.batching() {
-			err = c.bufferStep(ri, cut)
-		} else {
-			// Unbatched: ship the caller's slices as cut, no copy.
-			err = c.shipSteps(ri, c.cutStep[:], true)
-		}
-		if err != nil {
+		if err := c.checkField(i, f); err != nil {
 			return err
 		}
 	}
-	return nil
+	if err := c.openStep(step); err != nil {
+		return err
+	}
+	for i, f := range fields {
+		c.putField(i, f)
+	}
+	return c.closeStep()
 }
 
-// batching reports whether timesteps go through the per-route batch buffers.
-func (c *Connection) batching() bool {
-	return c.opts.BatchSteps > 1
-}
-
-// shipSteps is the one place route ri's steps become a frame on the wire,
-// encoded once into a transport buffer that Send then takes. The framing
-// follows the negotiated format: a codec connection always sends
-// a TypeDataBatchC frame (a single step is its degenerate batch, so the
-// server needs no third bulk path); a raw connection sends one TypeData frame
-// per step when unbatched and a TypeDataBatch otherwise. recover marks a
-// first transmission: the steps enter the retention ring before the send, and
-// a failed send goes through reconnect + windowed resend. A resend passes
-// false and pushes directly — its caller's reconnect loop owns the errors.
-func (c *Connection) shipSteps(ri int, steps []wire.DataStep, recover bool) error {
-	tr := c.routes[ri]
-	single := len(steps) == 1 && !c.batching()
-	rawSize := wire.DataBatchSizeBytes(len(steps), len(steps[0].Fields), tr.Cells.Len())
-	if single {
-		rawSize = wire.DataSizeBytes(len(steps[0].Fields), tr.Cells.Len())
-	}
-	if recover {
-		for i := range steps {
-			c.retainStep(ri, &steps[i])
-		}
-	}
-	w := &c.frame
-	w.ResetTo(transport.GetPayload(int(rawSize)))
-	codecOn := c.codecNegotiated()
-	if single && !codecOn {
-		c.dataMsg = wire.Data{GroupID: c.opts.GroupID, Timestep: steps[0].Timestep,
-			CellLo: tr.Cells.Lo, CellHi: tr.Cells.Hi, Fields: steps[0].Fields}
-		wire.EncodeTo(w, &c.dataMsg)
-	} else {
-		c.batchMsg = wire.DataBatch{GroupID: c.opts.GroupID, CellLo: tr.Cells.Lo, CellHi: tr.Cells.Hi, Steps: steps}
-		if codecOn {
-			c.comp.EncodeTo(w, &c.batchMsg, c.routeRangeLens(ri))
-		} else {
-			wire.EncodeTo(w, &c.batchMsg)
-		}
-	}
-	c.wireBytes += int64(w.Len())
-	c.rawBytes += rawSize
-	cWireBytes.Add(int64(w.Len()))
-	cRawBytes.Add(rawSize)
-	cMessages.Inc()
-	frame := w.Bytes()
-	w.ResetTo(nil) // Send takes the frame
-	var err error
-	if recover {
-		err = c.sendFrame(tr.ServerRank, frame)
-	} else {
-		err = c.senders[tr.ServerRank].Send(frame)
-	}
-	if err != nil {
-		return fmt.Errorf("client: group %d steps %d..%d to server %d: %w", c.opts.GroupID,
-			steps[0].Timestep, steps[len(steps)-1].Timestep, tr.ServerRank, err)
+// checkField reports a field of member i that does not cover the mesh.
+func (c *Connection) checkField(i int, f []float64) error {
+	if len(f) != c.Layout.Cells {
+		return fmt.Errorf("client: group %d field %d has %d cells, want %d",
+			c.opts.GroupID, i, len(f), c.Layout.Cells)
 	}
 	return nil
 }
 
-// codecNegotiated reports whether compressed frames may be sent: the local
-// knob is on and the server granted the capability.
-func (c *Connection) codecNegotiated() bool {
-	return c.opts.WireCodec && c.Layout.Caps&wire.CapWireCodec != 0
-}
-
-// routeRangeLens returns route ri's compressed sub-range lengths: the
-// receiving process's fold-shard boundaries intersected with the route's
-// cell range, computed once per route. The server resolves its shard count
-// with the same block rule (core.NewSharded), so each block lands on exactly
-// one fold worker.
-func (c *Connection) routeRangeLens(ri int) []int {
-	if c.rangeLens == nil {
-		c.rangeLens = make([][]int, len(c.routes))
+// rangeLens returns route tr's compressed sub-range lengths: the receiving
+// process's fold-shard boundaries intersected with the route's cell range.
+// The server resolves its shard count with the same block rule
+// (core.NewSharded), so each block lands on exactly one fold worker.
+func (c *Connection) rangeLens(tr mesh.Transfer) []int {
+	part := c.Layout.Partitions[tr.ServerRank]
+	shards := 1
+	if tr.ServerRank < len(c.Layout.FoldShards) {
+		shards = c.Layout.FoldShards[tr.ServerRank]
 	}
-	if c.rangeLens[ri] == nil {
-		tr := c.routes[ri]
-		part := c.Layout.Partitions[tr.ServerRank]
-		shards := 1
-		if tr.ServerRank < len(c.Layout.FoldShards) {
-			shards = c.Layout.FoldShards[tr.ServerRank]
+	shards = min(max(shards, 1), part.Len())
+	lens := []int{}
+	for _, sh := range mesh.BlockPartition(part.Len(), shards) {
+		lo := max(sh.Lo+part.Lo, tr.Cells.Lo)
+		hi := min(sh.Hi+part.Lo, tr.Cells.Hi)
+		if lo < hi {
+			lens = append(lens, hi-lo)
 		}
-		if shards < 1 {
-			shards = 1
-		}
-		if n := part.Len(); shards > n {
-			shards = n
-		}
-		lens := []int{}
-		for _, sh := range mesh.BlockPartition(part.Len(), shards) {
-			lo := max(sh.Lo+part.Lo, tr.Cells.Lo)
-			hi := min(sh.Hi+part.Lo, tr.Cells.Hi)
-			if lo < hi {
-				lens = append(lens, hi-lo)
-			}
-		}
-		c.rangeLens[ri] = lens
 	}
-	return c.rangeLens[ri]
+	return lens
 }
 
 // WireStats returns the bytes this connection put on the wire and the bytes
@@ -444,61 +349,15 @@ func (c *Connection) WireStats() (wireBytes, rawBytes int64) {
 	return c.wireBytes, c.rawBytes
 }
 
-// bufferStep appends one route cut to route ri's batch buffer (reusing the
-// header storage of earlier batches) and flushes the route once it holds
-// BatchSteps steps.
-func (c *Connection) bufferStep(ri int, cut *wire.DataStep) error {
-	if c.pending == nil {
-		c.pending = make([][]wire.DataStep, len(c.routes))
-	}
-	steps := c.pending[ri]
-	n := len(steps)
-	if cap(steps) > n {
-		steps = steps[:n+1] // keeps the slot's field storage
-	} else {
-		steps = append(steps, wire.DataStep{})
-	}
-	shareStep(&steps[n], cut)
-	c.pending[ri] = steps
-	if len(steps) >= c.opts.BatchSteps {
-		return c.flushRoute(ri)
-	}
-	return nil
-}
-
-// shareStep points dst at src's step and field views, reusing dst's header
-// storage; no float is copied (SendTimestep owns the fields).
-func shareStep(dst, src *wire.DataStep) {
-	dst.Timestep = src.Timestep
-	dst.Fields = append(dst.Fields[:0], src.Fields...)
-}
-
-// flushRoute ships route ri's buffered steps as one batch frame.
-func (c *Connection) flushRoute(ri int) error {
-	if len(c.pending[ri]) == 0 {
-		return nil
-	}
-	err := c.shipSteps(ri, c.pending[ri], true)
-	c.pending[ri] = c.pending[ri][:0] // keep header storage for the next batch
-	return err
-}
-
-// Flush ships any partially filled batches. It is a no-op when batching is
-// off; when batching is on, call it after the last SendTimestep (Close also
-// flushes, but swallows errors).
-func (c *Connection) Flush() error {
-	for ri := range c.pending {
-		if err := c.flushRoute(ri); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close releases all server connections — the Finalize call. Buffered
 // batches are flushed best-effort first.
 func (c *Connection) Close() {
 	c.Flush()
+	c.closeSenders()
+}
+
+// closeSenders releases the server connections without flushing.
+func (c *Connection) closeSenders() {
 	for _, s := range c.senders {
 		if s != nil {
 			s.Close()

@@ -1,9 +1,13 @@
 package client
 
 import (
+	"bytes"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"melissa/internal/enc"
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
 	"melissa/internal/wire"
@@ -17,13 +21,16 @@ type fakeServer struct {
 	mainRecv transport.Receiver
 	dataRecv []transport.Receiver
 	data     chan *wire.Data
+	frames   chan []byte // every payload the data receivers got
+	sink     atomic.Bool // recycle payloads unread instead
 }
 
-func newFakeServer(t *testing.T, procs, cells, timesteps, p int) *fakeServer {
+func newFakeServer(t testing.TB, procs, cells, timesteps, p int) *fakeServer {
 	t.Helper()
 	f := &fakeServer{
-		net:  transport.NewMemNetwork(transport.Options{}),
-		data: make(chan *wire.Data, 1024),
+		net:    transport.NewMemNetwork(transport.Options{}),
+		data:   make(chan *wire.Data, 1024),
+		frames: make(chan []byte, 1024),
 	}
 	var err error
 	f.mainRecv, err = f.net.Listen("")
@@ -50,11 +57,16 @@ func newFakeServer(t *testing.T, procs, cells, timesteps, p int) *fakeServer {
 				if err != nil {
 					return
 				}
+				if f.sink.Load() {
+					transport.Recycle(m.Payload)
+					continue
+				}
 				if d, err := wire.Decode(m.Payload); err == nil {
 					if data, ok := d.(*wire.Data); ok {
 						f.data <- data
 					}
 				}
+				f.frames <- m.Payload
 			}
 		}(r)
 	}
@@ -284,5 +296,246 @@ func TestRunGroupSimulationEndsEarly(t *testing.T) {
 	err := RunGroup(f.net, f.mainRecv.Addr(), RunConfig{ConnectOpts: ConnectOpts{GroupID: 1}, Rows: rows, Sim: sim})
 	if err == nil {
 		t.Fatal("early-ending simulation not reported")
+	}
+}
+
+// The frames the members write are the frames wire.EncodeTo and
+// BatchCompressor.EncodeTo make of the same message, byte for byte: raw
+// Data, a full and a partial final DataBatch, and codec frames cut into one
+// and into three ranges.
+func TestMemberFramesMatchEncode(t *testing.T) {
+	const procs, cells, p = 2, 14, 1
+	for _, tc := range []struct {
+		name          string
+		batch, steps  int
+		codec, shards int // shards: fold shards per process (codec)
+	}{
+		{"data", 1, 2, 0, 0},
+		{"full-batch", 3, 3, 0, 0},
+		{"partial-batch", 3, 5, 0, 0},
+		{"codec-1-range", 2, 3, 1, 1},
+		{"codec-3-ranges", 2, 3, 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeServer(t, procs, cells, tc.steps, p)
+			defer f.close()
+			if tc.codec != 0 {
+				f.welcome.Caps = wire.CapWireCodec
+				f.welcome.FoldShards = []int{tc.shards, tc.shards}
+			}
+			conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 4, SimRanks: 1,
+				Timeout: 2 * time.Second, BatchSteps: tc.batch, WireCodec: tc.codec != 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			value := func(step, m, c int) float64 { return math.Sin(float64(c)/3+float64(m)) + float64(step) }
+			fields := make([][]float64, p+2)
+			for i := range fields {
+				fields[i] = make([]float64, cells)
+			}
+			for step := 0; step < tc.steps; step++ {
+				for m, fl := range fields {
+					for c := range fl {
+						fl[c] = value(step, m, c)
+					}
+				}
+				if err := conn.SendTimestep(step, fields); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := conn.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// One frame per route and batch (ceil(steps/batch) per route).
+			want := procs * ((tc.steps + tc.batch - 1) / tc.batch)
+			for i := 0; i < want; i++ {
+				frame := <-f.frames
+				decoded, err := wire.Decode(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Rebuild the message the frame claims to carry from the
+				// fields themselves, and encode it the one-call way.
+				var lo, hi int
+				var steps []int
+				switch m := decoded.(type) {
+				case *wire.Data:
+					lo, hi, steps = m.CellLo, m.CellHi, []int{m.Timestep}
+				case *wire.DataBatch:
+					lo, hi = m.CellLo, m.CellHi
+					for _, st := range m.Steps {
+						steps = append(steps, st.Timestep)
+					}
+				}
+				msg := &wire.DataBatch{GroupID: 4, CellLo: lo, CellHi: hi}
+				for _, step := range steps {
+					st := wire.DataStep{Timestep: step}
+					for m := 0; m < p+2; m++ {
+						cut := make([]float64, hi-lo)
+						for c := range cut {
+							cut[c] = value(step, m, lo+c)
+						}
+						st.Fields = append(st.Fields, cut)
+					}
+					msg.Steps = append(msg.Steps, st)
+				}
+				w := enc.NewWriter(0)
+				switch {
+				case tc.codec != 0:
+					var lens []int
+					for _, sh := range mesh.BlockPartition(hi-lo, tc.shards) {
+						lens = append(lens, sh.Len())
+					}
+					var bc wire.BatchCompressor
+					bc.EncodeTo(w, msg, lens)
+				case tc.batch == 1:
+					st := msg.Steps[0]
+					wire.EncodeTo(w, &wire.Data{GroupID: 4, Timestep: st.Timestep, CellLo: lo, CellHi: hi, Fields: st.Fields})
+				default:
+					wire.EncodeTo(w, msg)
+				}
+				if !bytes.Equal(frame, w.Bytes()) {
+					t.Fatalf("frame of cells [%d,%d) steps %v differs from its one-call encoding", lo, hi, steps)
+				}
+			}
+		})
+	}
+}
+
+// A send that fails on one route (a cut connection, no retry budget) does
+// not hold back the other route, and the connection stays usable: later
+// SendTimestep calls fail on the cut route but still ship every step to the
+// healthy one, in frames of at most BatchSteps steps, raw and codec alike.
+func TestSendTimestepAfterRouteFailure(t *testing.T) {
+	const procs, cells, p, rounds = 2, 12, 1, 3
+	for _, tc := range []struct {
+		name  string
+		batch int
+		codec bool
+	}{{"data", 1, false}, {"batch", 2, false}, {"codec", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeServer(t, procs, cells, rounds*tc.batch, p)
+			defer f.close()
+			if tc.codec {
+				f.welcome.Caps = wire.CapWireCodec
+				f.welcome.FoldShards = []int{1, 1}
+			}
+			// Process 0's data connection breaks after its first frame.
+			chaos := transport.NewChaosNetwork(f.net, transport.ChaosPlan{Rules: []transport.ChaosRule{
+				{Addr: f.welcome.ServerAddr[0], Dial: 0, CutAfterFrames: 1},
+			}})
+			conn, err := ConnectWith(chaos, f.mainRecv.Addr(), ConnectOpts{GroupID: 2, SimRanks: 1,
+				Timeout: 2 * time.Second, BatchSteps: tc.batch, WireCodec: tc.codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			value := func(step, m, c int) float64 { return float64(1000*step + 100*m + c) }
+			fields := [][]float64{make([]float64, cells), make([]float64, cells), make([]float64, cells)}
+			failed := 0
+			for step := 0; step < rounds*tc.batch; step++ {
+				for m, fl := range fields {
+					for c := range fl {
+						fl[c] = value(step, m, c)
+					}
+				}
+				if err := conn.SendTimestep(step, fields); err != nil {
+					failed++
+				}
+			}
+			if failed != rounds-1 {
+				t.Fatalf("%d SendTimestep calls failed, want %d (every ship to the cut process after its first)", failed, rounds-1)
+			}
+			// Process 1 gets every step, intact; process 0 its first frame.
+			healthy := f.welcome.Partitions[1]
+			var got []int
+			for len(got) < rounds*tc.batch {
+				var frame []byte
+				select {
+				case frame = <-f.frames:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("process 1 got steps %v, want 0..%d", got, rounds*tc.batch-1)
+				}
+				decoded, err := wire.Decode(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, ok := decoded.(*wire.DataBatch)
+				if d, single := decoded.(*wire.Data); single {
+					batch, ok = &wire.DataBatch{CellLo: d.CellLo, Steps: []wire.DataStep{{Timestep: d.Timestep, Fields: d.Fields}}}, true
+				}
+				if !ok || len(batch.Steps) > tc.batch {
+					t.Fatalf("frame %T with more than %d steps", decoded, tc.batch)
+				}
+				if batch.CellLo != healthy.Lo {
+					continue
+				}
+				for _, st := range batch.Steps {
+					for m, fl := range st.Fields {
+						for c, v := range fl {
+							if v != value(st.Timestep, m, healthy.Lo+c) {
+								t.Fatalf("step %d field %d cell %d = %v", st.Timestep, m, healthy.Lo+c, v)
+							}
+						}
+					}
+					got = append(got, st.Timestep)
+				}
+			}
+			for i, step := range got {
+				if step != i {
+					t.Fatalf("process 1 got steps %v, want 0..%d in order", got, rounds*tc.batch-1)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSendTimestep times one SendTimestep of p+2 fields into a mem
+// sink that recycles every frame: raw Data frames, four-step DataBatch
+// frames and codec frames. Steady state allocates nothing (CI gates 0
+// allocs/op on all three).
+func BenchmarkSendTimestep(b *testing.B) {
+	const cells, p = 4096, 4
+	for _, bc := range []struct {
+		name  string
+		batch int
+		codec bool
+	}{{"data", 1, false}, {"batch4", 4, false}, {"codec", 4, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := newFakeServer(b, 2, cells, 1, p)
+			defer f.close()
+			f.sink.Store(true)
+			if bc.codec {
+				f.welcome.Caps = wire.CapWireCodec
+				f.welcome.FoldShards = []int{2, 2}
+			}
+			conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 0, SimRanks: 1,
+				Timeout: 2 * time.Second, BatchSteps: bc.batch, WireCodec: bc.codec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			fields := make([][]float64, p+2)
+			for i := range fields {
+				fields[i] = make([]float64, cells)
+				for c := range fields[i] {
+					fields[i][c] = math.Sin(float64(c)/64 + float64(i))
+				}
+			}
+			for step := 0; step < 4*bc.batch; step++ { // warm the pools and scratch
+				if err := conn.SendTimestep(step, fields); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(8 * cells * (p + 2)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := conn.SendTimestep(i, fields); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -33,21 +33,17 @@ type RunConfig struct {
 	StepDelay time.Duration
 }
 
-// stepResult carries one simulation's field for one step across the
-// lockstep barrier.
-type stepResult struct {
-	step  int
-	field []float64
-}
-
 // RunGroup executes one simulation group end to end: handshake, p+2
 // simulations advancing in lockstep, per-timestep two-stage sends, teardown.
 // It is the body of one group batch job.
 //
 // The p+2 simulations run as concurrent goroutines synchronized per
-// timestep (the MPMD execution of Sec. 4.1.2): no simulation starts
-// timestep t+1 before every simulation's timestep t has been shipped,
-// which keeps the server-side assembly memory bounded.
+// timestep (the MPMD execution of Sec. 4.1.2). The group opens step t on the
+// connection, each member's emit of t waits for that and writes its field
+// straight into the frames (the one client copy of a field), and once all
+// p+2 have written, t closes and ships while the members compute t+1. No
+// member writes t+1 before t has shipped, which keeps the server-side
+// assembly memory bounded.
 func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	if len(rc.Rows) < 3 {
 		return fmt.Errorf("client: group %d has %d rows, need p+2 ≥ 3", rc.GroupID, len(rc.Rows))
@@ -65,47 +61,61 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	// A failed group ships nothing more: a step may be half written.
+	defer conn.closeSenders()
 
 	if got, want := len(rc.Rows), conn.Layout.P+2; got != want {
 		return fmt.Errorf("client: group %d has %d rows but the server expects p+2 = %d", rc.GroupID, got, want)
 	}
 
-	// Launch the p+2 member simulations; each hands its per-step field
-	// through a rendezvous channel and blocks until the group loop takes it.
+	// Launch the p+2 member simulations. turns[s] hands member s the open
+	// step; dones[s] carries back the outcome of its emit and closes when
+	// its Run returns.
 	quit := make(chan struct{})
 	defer close(quit)
-	chans := make([]chan stepResult, len(rc.Rows))
+	turns := make([]chan int, len(rc.Rows))
+	dones := make([]chan error, len(rc.Rows))
 	for s, row := range rc.Rows {
-		ch := make(chan stepResult)
-		chans[s] = ch
-		go func(row []float64, ch chan stepResult) {
-			defer close(ch)
+		turn, done := make(chan int, 1), make(chan error, 1)
+		turns[s], dones[s] = turn, done
+		go func() {
+			defer close(done)
 			rc.Sim.Run(row, func(step int, field []float64) bool {
-				cp := make([]float64, len(field))
-				copy(cp, field)
+				var open int
 				select {
-				case ch <- stepResult{step: step, field: cp}:
-					return true
+				case open = <-turn:
 				case <-quit:
 					return false
 				}
+				err := conn.checkField(s, field)
+				if step != open {
+					err = fmt.Errorf("client: group %d simulation %d emitted step %d, want %d",
+						rc.GroupID, s, step, open)
+				}
+				if err == nil {
+					conn.putField(s, field)
+				}
+				done <- err
+				return err == nil
 			})
-		}(row, ch)
+		}()
 	}
 
-	fields := make([][]float64, len(rc.Rows))
 	for step := 0; step < conn.Layout.Timesteps; step++ {
-		for s, ch := range chans {
-			res, ok := <-ch
+		if err := conn.openStep(step); err != nil {
+			return err
+		}
+		for _, turn := range turns {
+			turn <- step
+		}
+		for s, done := range dones {
+			err, ok := <-done
 			if !ok {
 				return fmt.Errorf("client: group %d simulation %d ended early at step %d", rc.GroupID, s, step)
 			}
-			if res.step != step {
-				return fmt.Errorf("client: group %d simulation %d emitted step %d, want %d",
-					rc.GroupID, s, res.step, step)
+			if err != nil {
+				return err
 			}
-			fields[s] = res.field
 		}
 		if rc.BeforeStep != nil {
 			if err := rc.BeforeStep(step); err != nil {
@@ -115,7 +125,7 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 		if rc.StepDelay > 0 {
 			time.Sleep(rc.StepDelay)
 		}
-		if err := conn.SendTimestep(step, fields); err != nil {
+		if err := conn.closeStep(); err != nil {
 			return err
 		}
 	}

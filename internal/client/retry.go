@@ -107,21 +107,25 @@ const resumePingEvery = 64
 // cannot be resent and only a full group replay can heal the study.
 var errResumeGap = errors.New("client: resume gap exceeds retention window")
 
-// retainRing keeps the most recent sent steps of one route as views into
-// the fields SendTimestep took (a fixed-size ring; header storage is reused
-// across pushes).
+// retainRing keeps its own copies of the most recent frames sent on one
+// route (a fixed-size ring whose slot storage is reused across pushes).
 type retainRing struct {
-	buf  []wire.DataStep
+	buf  []retained
 	head int // index of the oldest entry
 	n    int
 }
 
-func (r *retainRing) push(window int, st *wire.DataStep) {
+// retained is one frame of a retention ring: a copy of the bytes handed to
+// Send, the first and last timestep they carry and their raw-format size.
+type retained struct {
+	frame       []byte
+	first, last int
+	raw         int64
+}
+
+func (r *retainRing) push(window int, frame []byte, first, last int, raw int64) {
 	if r.buf == nil {
-		if window < 1 {
-			window = 1
-		}
-		r.buf = make([]wire.DataStep, window)
+		r.buf = make([]retained, max(window, 1))
 	}
 	idx := (r.head + r.n) % len(r.buf)
 	if r.n == len(r.buf) {
@@ -130,28 +134,30 @@ func (r *retainRing) push(window int, st *wire.DataStep) {
 	} else {
 		r.n++
 	}
-	shareStep(&r.buf[idx], st)
+	e := &r.buf[idx]
+	e.frame = append(e.frame[:0], frame...)
+	e.first, e.last, e.raw = first, last, raw
 }
 
-// at returns the i-th oldest retained step as a one-element slice of the ring.
-func (r *retainRing) at(i int) []wire.DataStep {
-	j := (r.head + i) % len(r.buf)
-	return r.buf[j : j+1]
+// at returns the i-th oldest retained frame.
+func (r *retainRing) at(i int) *retained {
+	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
-// retainStep records one route cut in the retention ring; a later reconnect
-// resends the retained steps the server has not folded.
-func (c *Connection) retainStep(ri int, st *wire.DataStep) {
+// retainFrame copies a frame of route ri into its retention ring before
+// Send takes it; a later reconnect resends the retained frames the server
+// has not folded. The ring spans resendWindow timesteps.
+func (c *Connection) retainFrame(ri int, frame []byte, first, last int, raw int64) {
 	// Cost gate: retain only with a budget. Without one nothing is ever
-	// resent, and the ring would pin every sent field until it wraps.
+	// resent, and the ring would copy every frame for nothing.
 	if c.opts.Retry.MaxReconnects <= 0 {
 		return
 	}
 	if c.retain == nil {
 		c.retain = make([]retainRing, len(c.routes))
 	}
-	c.retain[ri].push(resendWindow, st)
-	c.noteRetained(c.routes[ri].ServerRank, st.Timestep)
+	c.retain[ri].push((resendWindow+c.frameSteps-1)/c.frameSteps, frame, first, last, raw)
+	c.noteRetained(c.routes[ri].ServerRank, last)
 }
 
 // sendFrame sends one encoded frame to a server rank, transparently
@@ -166,8 +172,8 @@ func (c *Connection) sendFrame(rank int, payload []byte) error {
 
 // recoverRank re-establishes the connection to one server process after a
 // send failure: backoff, redial, resume handshake, then resend of every
-// retained step beyond the server's acknowledged fold frontier. The frame
-// whose send failed is covered by the retention ring (steps are retained
+// retained frame beyond the server's acknowledged fold frontier. The frame
+// whose send failed is covered by the retention ring (frames are retained
 // before they are sent), so nothing is lost between the failure and the
 // resend.
 func (c *Connection) recoverRank(rank int, cause error) error {
@@ -250,32 +256,32 @@ func (c *Connection) resumeQueryOn(s transport.Sender, rank int) (*wire.ResumeAc
 	return ack, nil
 }
 
-// resendRank replays the retained steps beyond the server's acknowledged
-// frontier on the (re-established) connection to rank, as single-step
-// frames. Steps the server already folded are skipped; replay-discard makes
-// any overlap with frames that were still in flight idempotent.
+// resendRank replays the retained frames that carry a step beyond the
+// server's acknowledged frontier on the (re-established) connection to rank,
+// each as a fresh copy of the frame as it was sent. A batch frame may carry
+// steps the server already folded; replay-discard drops those, as it does
+// any overlap with frames that were still in flight.
 func (c *Connection) resendRank(rank, ack int) error {
 	if c.retain == nil {
 		return nil
 	}
 	for ri, tr := range c.routes {
-		if tr.ServerRank != rank {
-			continue
-		}
 		r := &c.retain[ri]
-		if r.n == 0 {
+		if tr.ServerRank != rank || r.n == 0 {
 			continue
 		}
-		if oldest := r.at(0)[0].Timestep; oldest > ack+1 {
+		if oldest := r.at(0).first; oldest > ack+1 {
 			return fmt.Errorf("%w: server %d acked step %d, oldest retained step %d",
 				errResumeGap, rank, ack, oldest)
 		}
 		for i := 0; i < r.n; i++ {
-			st := r.at(i)
-			if st[0].Timestep <= ack {
+			e := r.at(i)
+			if e.last <= ack {
 				continue
 			}
-			if err := c.shipSteps(ri, st, false); err != nil {
+			frame := append(transport.GetPayload(len(e.frame))[:0], e.frame...)
+			c.count(frame, e.raw)
+			if err := c.senders[rank].Send(frame); err != nil {
 				return err
 			}
 			cResentFrames.Inc()

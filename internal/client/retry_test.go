@@ -1,10 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
-	"unsafe"
 
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
@@ -70,54 +70,95 @@ func TestRetryDefaults(t *testing.T) {
 	}
 }
 
+// dataFrame encodes a one-field, one-cell Data frame whose value is its step.
+func dataFrame(step int) []byte {
+	return wire.Encode(&wire.Data{Timestep: step, CellHi: 1, Fields: [][]float64{{float64(step)}}})
+}
+
+// batchFrame encodes a one-field, one-cell DataBatch frame of steps
+// first..last whose values are their steps.
+func batchFrame(first, last int) []byte {
+	m := &wire.DataBatch{CellHi: 1}
+	for st := first; st <= last; st++ {
+		m.Steps = append(m.Steps, wire.DataStep{Timestep: st, Fields: [][]float64{{float64(st)}}})
+	}
+	return wire.Encode(m)
+}
+
 func TestRetainRingEvictsOldest(t *testing.T) {
 	var r retainRing
 	for step := 0; step < 7; step++ {
-		r.push(4, &wire.DataStep{Timestep: step, Fields: [][]float64{{float64(step)}}})
+		r.push(4, dataFrame(step), step, step, 1)
 	}
 	if r.n != 4 {
 		t.Fatalf("ring holds %d, want 4", r.n)
 	}
-	// Steps 3..6 retained, oldest first.
+	// Frames of steps 3..6 retained, oldest first.
 	for i := 0; i < r.n; i++ {
-		st := r.at(i)[0]
-		if st.Timestep != 3+i {
-			t.Fatalf("slot %d: step %d, want %d", i, st.Timestep, 3+i)
+		e := r.at(i)
+		if e.first != 3+i || e.last != 3+i {
+			t.Fatalf("slot %d: steps %d..%d, want %d", i, e.first, e.last, 3+i)
 		}
-		if st.Fields[0][0] != float64(3+i) {
-			t.Fatalf("slot %d carries stale field %v", i, st.Fields[0][0])
+		if !bytes.Equal(e.frame, dataFrame(3+i)) {
+			t.Fatalf("slot %d carries a stale frame", i)
 		}
 	}
 }
 
-// The batch buffer and the retention ring keep views into the fields
-// SendTimestep took, never copies: both hold the caller's backing arrays.
-func TestBufferAndRetainShareFields(t *testing.T) {
-	f := []float64{1, 2, 3, 4}
-	cut := &wire.DataStep{Timestep: 0, Fields: [][]float64{f[1:3]}}
-	c := &Connection{
-		opts:   ConnectOpts{BatchSteps: 4, Retry: RetryPolicy{MaxReconnects: 1}},
-		routes: make([]mesh.Transfer, 1),
-		ranks:  []rankState{{resumeFloor: -1, durable: -1, ckptReqAt: -1}},
-	}
-	if err := c.bufferStep(0, cut); err != nil {
+// The retention ring holds its own copy of every frame it keeps: no view of
+// the caller's fields and none of the buffer Send took. Overwriting both
+// after SendTimestep returns leaves the retained frames intact.
+func TestRetainRingCopiesFrames(t *testing.T) {
+	const cells, p = 8, 1
+	f := newFakeServer(t, 1, cells, 4, p)
+	defer f.close()
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 0, SimRanks: 1,
+		Timeout: 2 * time.Second, BatchSteps: 2, Retry: RetryPolicy{MaxReconnects: 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.retainStep(0, cut)
-	want := unsafe.SliceData(f[1:3])
-	if got := unsafe.SliceData(c.pending[0][0].Fields[0]); got != want {
-		t.Fatal("bufferStep copied the field instead of keeping the caller's array")
+	defer conn.Close()
+	fields := make([][]float64, p+2)
+	for i := range fields {
+		fields[i] = make([]float64, cells)
 	}
-	if got := unsafe.SliceData(c.retain[0].at(0)[0].Fields[0]); got != want {
-		t.Fatal("retainStep copied the field instead of keeping the caller's array")
+	var want [][]byte
+	for step := 0; step < 4; step++ {
+		for i, fl := range fields {
+			for c := range fl {
+				fl[c] = float64(100*step + 10*i + c)
+			}
+		}
+		if err := conn.SendTimestep(step, fields); err != nil {
+			t.Fatal(err)
+		}
+		if step%2 == 1 {
+			sent := <-f.frames
+			want = append(want, bytes.Clone(sent))
+			clear(sent) // the receiver's buffer is the one Send took
+		}
+		for _, fl := range fields {
+			for c := range fl {
+				fl[c] = -1
+			}
+		}
+	}
+	r := &conn.retain[0]
+	if r.n != len(want) {
+		t.Fatalf("ring holds %d frames, want %d", r.n, len(want))
+	}
+	for i := range want {
+		if e := r.at(i); !bytes.Equal(e.frame, want[i]) || e.first != 2*i || e.last != 2*i+1 {
+			t.Fatalf("frame %d (steps %d..%d) differs from what was sent", i, e.first, e.last)
+		}
 	}
 }
 
 // The legacy path (zero retry policy) must carry no retention cost and never
-// attempt recovery: retainStep is a no-op.
+// attempt recovery: retainFrame is a no-op.
 func TestRetryDisabledNoRetention(t *testing.T) {
 	c := &Connection{routes: make([]mesh.Transfer, 1)}
-	c.retainStep(0, &wire.DataStep{Fields: [][]float64{{1}}})
+	c.retainFrame(0, dataFrame(0), 0, 0, 1)
 	if c.retain != nil {
 		t.Fatal("disabled policy allocated retention state")
 	}
@@ -127,8 +168,9 @@ func TestRetryDisabledNoRetention(t *testing.T) {
 // cannot be healed by resending — the discontiguity would leave a silent
 // hole in the statistics. resendRank must refuse with errResumeGap (the
 // reconnect loop's signal to abort, which escalates the group to the legacy
-// full-replay path) exactly when the oldest retained step is beyond ack+1,
-// and resend normally at the boundary.
+// full-replay path) exactly when the first step of the oldest retained frame
+// is beyond ack+1, and otherwise resend every frame that carries a step
+// beyond ack, whole.
 func TestResendRankResumeGap(t *testing.T) {
 	net := transport.NewMemNetwork(transport.Options{})
 	inbox, err := net.Listen("")
@@ -147,34 +189,49 @@ func TestResendRankResumeGap(t *testing.T) {
 		senders: []transport.Sender{s},
 		retain:  make([]retainRing, 1),
 	}
-	// Retained window: steps 5 and 6 (everything older evicted).
-	c.retain[0].push(2, &wire.DataStep{Timestep: 5, Fields: [][]float64{{5}}})
-	c.retain[0].push(2, &wire.DataStep{Timestep: 6, Fields: [][]float64{{6}}})
+	// Retained window: the batches of steps 3..4 and 5..6 (1..2 evicted).
+	for first := 1; first <= 5; first += 2 {
+		c.retain[0].push(2, batchFrame(first, first+1), first, first+1, 1)
+	}
 
-	// Server rolled back to step 2: steps 3-4 are gone from both sides.
-	err = c.resendRank(0, 2)
+	// Server rolled back to step 1: step 2 is gone from both sides.
+	err = c.resendRank(0, 1)
 	if !errors.Is(err, errResumeGap) {
 		t.Fatalf("rollback past retention returned %v, want errResumeGap", err)
 	}
-	// Boundary: ack+1 == oldest retained — contiguous, both steps resend.
-	if err := c.resendRank(0, 4); err != nil {
-		t.Fatalf("contiguous resend failed: %v", err)
+	// Acked step 2, the boundary (the oldest retained step is ack+1), and
+	// acked step 3, inside the oldest batch: both batches resend whole, and
+	// the server's replay-discard drops step 3 in the second case.
+	for _, ack := range []int{2, 3} {
+		if err := c.resendRank(0, ack); err != nil {
+			t.Fatalf("contiguous resend after ack %d failed: %v", ack, err)
+		}
+		for _, first := range []int{3, 5} {
+			m, err := inbox.Recv(time.Second)
+			if err != nil {
+				t.Fatalf("ack %d: resent batch %d never arrived: %v", ack, first, err)
+			}
+			decoded, err := wire.Decode(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := decoded.(*wire.DataBatch)
+			if !ok || len(b.Steps) != 2 {
+				t.Fatalf("ack %d: resent frame %T %+v, want a two-step DataBatch", ack, decoded, decoded)
+			}
+			for i, st := range b.Steps {
+				if st.Timestep != first+i || st.Fields[0][0] != float64(first+i) {
+					t.Fatalf("ack %d: resent batch %d step %d carries step %d, field %v",
+						ack, first, i, st.Timestep, st.Fields[0][0])
+				}
+			}
+		}
 	}
-	for _, want := range []int{5, 6} {
-		m, err := inbox.Recv(time.Second)
-		if err != nil {
-			t.Fatalf("resent step %d never arrived: %v", want, err)
-		}
-		decoded, err := wire.Decode(m.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, ok := decoded.(*wire.Data)
-		if !ok || d.Timestep != want {
-			t.Fatalf("resent frame %T %+v, want Data step %d", decoded, decoded, want)
-		}
-		if d.Fields[0][0] != float64(want) {
-			t.Fatalf("resent step %d carries field %v", want, d.Fields[0][0])
-		}
+	// Acked past every retained step: nothing to resend.
+	if err := c.resendRank(0, 6); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := inbox.Recv(50 * time.Millisecond); err == nil {
+		t.Fatalf("resend past the ack sent %d bytes", len(m.Payload))
 	}
 }

@@ -103,7 +103,7 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 	f := &Flags{}
 
 	fs.IntVar(&f.BatchSteps, "batch-steps", b.batchSteps,
-		"timesteps batched per wire message (on a server: the largest client value expected; sizes the receive buffers)")
+		"timesteps batched per wire message (on a server: the largest client value expected; sizes the receive buffers and the largest frame accepted)")
 	fs.BoolVar(&f.WireCodec, "wire-codec", false,
 		"negotiate the compressed field framing (delta-XOR + entropy coding per fold shard): a server advertises it, a client uses it when advertised; results are bitwise identical")
 

@@ -28,20 +28,22 @@ func f64Bytes(vs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
 }
 
-// appendF64s appends vs to buf in the encoding's byte order.
-func appendF64s(buf []byte, vs []float64) []byte {
+// PutF64s writes vs into dst, which must hold at least 8·len(vs) bytes, in
+// the encoding's byte order.
+func PutF64s(dst []byte, vs []float64) {
+	dst = dst[:8*len(vs)]
 	if nativeLE {
-		return append(buf, f64Bytes(vs)...)
+		copy(dst, f64Bytes(vs))
+		return
 	}
-	return appendF64sPortable(buf, vs)
+	putF64sPortable(dst, vs)
 }
 
-// appendF64sPortable is appendF64s value by value, for any host.
-func appendF64sPortable(buf []byte, vs []float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// putF64sPortable is PutF64s value by value, for any host.
+func putF64sPortable(dst []byte, vs []float64) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
-	return buf
 }
 
 // DecodeF64s fills dst with the first len(dst) float64s encoded in src,
@@ -183,8 +185,17 @@ func (w *Writer) Raw(b []byte) {
 // each part with F64Raw, and the bytes are identical to one F64Slice call
 // over the concatenation.
 func (w *Writer) F64Raw(vs []float64) {
-	w.grow(8 * len(vs))
-	w.buf = appendF64s(w.buf, vs)
+	PutF64s(w.Extend(8*len(vs)), vs)
+}
+
+// Extend appends n bytes of room and returns it for the caller to fill. A
+// frame whose float runs are written later, or by other goroutines, reserves
+// them this way; the room holds whatever the buffer held before.
+func (w *Writer) Extend(n int) []byte {
+	w.grow(n)
+	off := len(w.buf)
+	w.buf = w.buf[:off+n]
+	return w.buf[off:]
 }
 
 func (w *Writer) grow(n int) {

@@ -229,8 +229,10 @@ func sameBits(got, want []float64) bool {
 // same bytes, and every reader gives back the same bits.
 func checkF64Paths(t *testing.T, vs []float64) {
 	t.Helper()
-	want := appendF64sPortable(nil, vs)
-	if got := appendF64s(nil, vs); !bytes.Equal(got, want) {
+	want := make([]byte, 8*len(vs))
+	putF64sPortable(want, vs)
+	got := make([]byte, 8*len(vs))
+	if PutF64s(got, vs); !bytes.Equal(got, want) {
 		t.Fatalf("%d floats: copy path wrote % x, loop % x", len(vs), got, want)
 	}
 	w := NewWriter(0)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,6 +184,73 @@ func TestBatchedResendFromReusedBufferBitwise(t *testing.T) {
 		t.Fatalf("chaos stats: %+v", st)
 	}
 	compareResultsBitwise(t, "batched resend", clean, faulty, timesteps, p)
+}
+
+// TestSendTimestepBorrowsFields pins SendTimestep's borrow contract: the
+// caller overwrites its field arrays right after every call, while batching
+// holds three steps per frame and a cut loses the first batch, which the
+// retention ring resends. The statistics must equal a clean run bit for
+// bit, so no client structure may keep a view of the caller's fields.
+func TestSendTimestepBorrowsFields(t *testing.T) {
+	const cells, timesteps, p, groups = 20, 12, 2, 2
+	design := testDesign(p, groups)
+	run := func(net transport.Network, retry client.RetryPolicy, scribble bool) *Result {
+		s := startServer(t, net, 1, cells, timesteps, p, nil)
+		for g := 0; g < groups; g++ {
+			// Every member's fields of every step, from the test solver.
+			rows := design.GroupRows(g)
+			steps := make([][][]float64, timesteps)
+			for _, row := range rows {
+				testSim(cells, timesteps)(row, func(step int, field []float64) bool {
+					steps[step] = append(steps[step], slices.Clone(field))
+					return true
+				})
+			}
+			conn, err := client.ConnectWith(net, s.MainAddr(), client.ConnectOpts{
+				GroupID: g, SimRanks: 1, Timeout: 5 * time.Second, BatchSteps: 3, Retry: retry})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fields := make([][]float64, p+2)
+			for i := range fields {
+				fields[i] = make([]float64, cells)
+			}
+			for step := 0; step < timesteps; step++ {
+				for i := range fields {
+					copy(fields[i], steps[step][i])
+				}
+				if err := conn.SendTimestep(step, fields); err != nil {
+					t.Fatalf("group %d step %d: %v", g, step, err)
+				}
+				if scribble { // SendTimestep returned: the fields are ours again
+					for i := range fields {
+						clear(fields[i])
+					}
+				}
+			}
+			if err := conn.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+		}
+		waitFolds(t, s, int64(timesteps*groups), 10*time.Second)
+		s.Stop(false)
+		return s.Result()
+	}
+	clean := run(transport.NewMemNetwork(transport.Options{}), client.RetryPolicy{}, false)
+
+	// Dial 1 is group 0's data connection: its first batch (steps 0..2) is
+	// silently lost and the second batch's send surfaces the cut.
+	chaosNet := transport.NewChaosNetwork(transport.NewMemNetwork(transport.Options{}), transport.ChaosPlan{
+		Seed:  3,
+		Rules: []transport.ChaosRule{{Dial: 1, CutAfterFrames: 1, DropTailFrames: 1}},
+	})
+	faulty := run(chaosNet, client.RetryPolicy{MaxReconnects: 3, BaseDelay: time.Millisecond,
+		MaxDelay: 5 * time.Millisecond, Seed: 1}, true)
+	if st := chaosNet.Stats(); st.Cuts != 1 || st.Dropped != 1 {
+		t.Fatalf("chaos stats: %+v", st)
+	}
+	compareResultsBitwise(t, "borrowed fields", clean, faulty, timesteps, p)
 }
 
 // TestRetryBudgetZeroKeepsLegacyFailure: with no retry budget a cut

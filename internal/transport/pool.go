@@ -15,6 +15,11 @@ import (
 // are never pooled so one oversized frame does not pin memory.
 var payloadPools [23]sync.Pool
 
+// holders box the buffers the payload pools store: a pool holds a *[]byte,
+// and the box goes back here when its buffer leaves, so neither GetPayload
+// nor Recycle allocates once the pools are warm.
+var holders = sync.Pool{New: func() any { return new([]byte) }}
+
 const maxPooledPayload = 4 << 20
 
 func poolClass(c int) int { return bits.Len(uint(c)) - 1 }
@@ -119,7 +124,11 @@ func debugTrack(b []byte, live bool) {
 func GetPayload(n int) []byte {
 	if n > 0 && n <= maxPooledPayload {
 		if v := payloadPools[poolClass(n)].Get(); v != nil {
-			if b := v.([]byte); cap(b) >= n {
+			h := v.(*[]byte)
+			b := *h
+			*h = nil
+			holders.Put(h)
+			if cap(b) >= n {
 				return b[:n]
 			}
 		}
@@ -153,7 +162,9 @@ func Recycle(payload []byte) {
 		return
 	}
 	poolPuts.Add(1)
-	payloadPools[poolClass(cap(payload))].Put(payload[:0])
+	h := holders.Get().(*[]byte)
+	*h = payload[:0]
+	payloadPools[poolClass(cap(payload))].Put(h)
 }
 
 // Ref is a refcounted handle on one received payload buffer, letting a

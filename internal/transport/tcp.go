@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	olog "melissa/internal/obs/log"
 )
 
 // TCPNetwork is the real-socket Network used for distributed deployments:
@@ -24,9 +26,9 @@ func NewTCPNetwork(opts Options) *TCPNetwork {
 	return &TCPNetwork{opts: opts.withDefaults()}
 }
 
-// maxFrameSize bounds a single message (64 MiB) to fail fast on corrupted
-// length prefixes rather than allocating absurd buffers.
-const maxFrameSize = 64 << 20
+// oversizeLim rate-limits the log line for a length prefix over the frame
+// bound: a misconfigured peer reconnects and repeats it.
+var oversizeLim = olog.Limiter{Interval: 5 * time.Second}
 
 // frameBufSize is the user-space bufio buffer on both ends of a connection.
 // It coalesces small frames into one syscall. A frame larger than the buffer
@@ -128,7 +130,13 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 			return
 		}
 		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > maxFrameSize {
+		if int64(size) > int64(r.opts.maxFrame) {
+			// Corrupt, hostile, or a peer configured for larger batches:
+			// fail before sizing a buffer by it.
+			if ok, suppressed := oversizeLim.Allow(0); ok {
+				olog.Warnw("transport.oversize_frame", "from", conn.RemoteAddr().String(),
+					"bytes", size, "bound", r.opts.maxFrame, "suppressed", suppressed)
+			}
 			return
 		}
 		payload := take(GetPayload(int(size)))

@@ -22,6 +22,8 @@ package transport
 import (
 	"errors"
 	"time"
+
+	"melissa/internal/wire"
 )
 
 // Errors returned by senders and receivers.
@@ -98,6 +100,10 @@ type Options struct {
 	// both from the study shape. Ignored by the in-memory network.
 	SendSockBytes int
 	RecvSockBytes int
+
+	// maxFrame is the largest frame a TCP receiver accepts (0 means
+	// defaultMaxFrame); ForStudyCodec derives it from the study shape.
+	maxFrame int
 }
 
 // DefaultOptions returns the buffer sizes used when an Options field is 0.
@@ -121,16 +127,19 @@ const (
 // (the 64 KiB floors still absorb small frames either way).
 const codecFrameDivisor = 2
 
-// ForStudyCodec returns Options with the kernel socket buffers derived from
-// the study shape instead of the OS defaults: one data frame carries
-// cells × (p+2) float64 fields per timestep and clients batch batchSteps
-// timesteps per frame (wire.DataBatch), so the socket buffers are sized to
-// hold a full frame (clamped to [64 KiB, 8 MiB]). When codec is true the
-// expected frame size is divided by the conservative compression ratio the
-// codec guarantees on typical fields, shrinking the buffers a
-// codec-negotiated connection pins. cells should be the largest
-// per-server-process partition a connection will carry; non-positive inputs
-// fall back to 1 (p, batchSteps) or the defaults (cells).
+// ForStudyCodec returns Options with the kernel socket buffers and the TCP
+// frame bound derived from the study shape instead of the OS defaults and
+// the fixed 64 MiB bound: one data frame carries cells × (p+2) float64
+// fields per timestep and clients batch batchSteps timesteps per frame
+// (wire.DataBatch), so the socket buffers are sized to hold a full frame
+// (clamped to [64 KiB, 8 MiB]). When codec is true the expected frame size
+// is divided by the conservative compression ratio the codec guarantees on
+// typical fields, shrinking the buffers a codec-negotiated connection pins.
+// The frame bound admits a full batch in either framing whatever codec
+// says (receivers decode both), and never less than defaultMaxFrame.
+// cells should be the largest per-server-process partition a connection
+// will carry; non-positive inputs fall back to 1 (p, batchSteps) or the
+// defaults (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	opts := DefaultOptions()
 	if cells <= 0 {
@@ -156,11 +165,21 @@ func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	}
 	opts.SendSockBytes = sock
 	opts.RecvSockBytes = sock
+	opts.maxFrame = int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), defaultMaxFrame))
 	return opts
 }
 
+// defaultMaxFrame bounds TCP frames when no study shape is given, and is the
+// floor for every shape: control frames grow with what the shape does not
+// carry (a Report lists every running and finished group at 8 bytes each,
+// so 64 MiB holds about 8M groups).
+const defaultMaxFrame = 64 << 20
+
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
+	if o.maxFrame <= 0 {
+		o.maxFrame = defaultMaxFrame
+	}
 	if o.SendBuffer <= 0 {
 		o.SendBuffer = d.SendBuffer
 	}

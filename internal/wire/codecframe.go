@@ -51,8 +51,47 @@ const rangeEntrySize = 4 + 4
 // concurrent use; each client connection owns one.
 type BatchCompressor struct {
 	enc   codec.Encoder
-	words []uint64
+	batch WordBatch
 	block []byte
+}
+
+// WordBatch is a batch of one cell range in the codec's word order, the form
+// a compressed frame is made from: range-major, and within range r a
+// [step][field][cell] block of steps × fields × RangeLens[r] words starting
+// at word stepCap·fields·(cells before r). A sender may fill it a step at a
+// time, each field from its own goroutine (Put), and close it with
+// BatchCompressor.EncodeWords.
+type WordBatch struct {
+	// Timesteps holds one entry per step of the batch so far.
+	Timesteps []int
+	// RangeLens are the compressed sub-range lengths: positive, summing to
+	// the cell count. Reset keeps them.
+	RangeLens []int
+
+	group, lo, hi, fields, stepCap int
+	words                          []uint64
+}
+
+// Reset readies b for a batch of at most stepCap steps of nf fields over
+// [lo, hi), reusing its storage.
+func (b *WordBatch) Reset(group, lo, hi, nf, stepCap int) {
+	b.group, b.lo, b.hi, b.fields, b.stepCap = group, lo, hi, nf, stepCap
+	b.Timesteps = b.Timesteps[:0]
+	if need := stepCap * nf * (hi - lo); cap(b.words) < need {
+		b.words = make([]uint64, need)
+	}
+}
+
+// Put writes field f of batch step s, whose len(vs) = hi-lo cells it copies
+// into their range blocks. Puts of distinct (s, f) touch disjoint words.
+func (b *WordBatch) Put(s, f int, vs []float64) {
+	base, rlo := 0, 0
+	for _, rc := range b.RangeLens {
+		off := base + (s*b.fields+f)*rc
+		codec.Float64sToWords(b.words[off:off+rc], vs[rlo:rlo+rc])
+		base += b.stepCap * b.fields * rc
+		rlo += rc
+	}
 }
 
 // EncodeTo appends the compressed encoding of m to w, cutting the cell range
@@ -61,46 +100,52 @@ type BatchCompressor struct {
 // field holding exactly CellHi-CellLo cells — the sender-side invariant the
 // raw encoder shares.
 func (bc *BatchCompressor) EncodeTo(w *enc.Writer, m *DataBatch, rangeLens []int) {
-	ns := len(m.Steps)
 	nf := 0
-	if ns > 0 {
+	if len(m.Steps) > 0 {
 		nf = len(m.Steps[0].Fields)
 	}
+	b := &bc.batch
+	b.Reset(m.GroupID, m.CellLo, m.CellHi, nf, len(m.Steps))
+	b.RangeLens = rangeLens
+	for s, st := range m.Steps {
+		b.Timesteps = append(b.Timesteps, st.Timestep)
+		for f, field := range st.Fields {
+			b.Put(s, f, field)
+		}
+	}
+	bc.EncodeWords(w, b)
+}
+
+// EncodeWords appends the compressed frame of batch b to w. The delta runs
+// in place, so b's words are spent.
+func (bc *BatchCompressor) EncodeWords(w *enc.Writer, b *WordBatch) {
+	ns, nf := len(b.Timesteps), b.fields
 	w.U8(uint8(TypeDataBatchC))
-	w.Int(m.GroupID)
-	w.Int(m.CellLo)
-	w.Int(m.CellHi)
+	w.Int(b.group)
+	w.Int(b.lo)
+	w.Int(b.hi)
 	w.U32(uint32(ns))
-	for _, st := range m.Steps {
-		w.Int(st.Timestep)
+	for _, t := range b.Timesteps {
+		w.Int(t)
 	}
 	w.U32(uint32(nf))
-	w.U32(uint32(len(rangeLens)))
+	w.U32(uint32(len(b.RangeLens)))
 	tableOff := w.Len()
-	for _, rc := range rangeLens {
+	for _, rc := range b.RangeLens {
 		w.U32(uint32(rc))
 		w.U32(0) // compLen, patched below
 	}
 	if ns == 0 || nf == 0 {
 		return
 	}
-	rlo := 0
-	for r, rc := range rangeLens {
-		need := ns * nf * rc
-		if cap(bc.words) < need {
-			bc.words = make([]uint64, need)
-		}
-		words := bc.words[:need]
-		for s, st := range m.Steps {
-			for f, field := range st.Fields {
-				codec.Float64sToWords(words[(s*nf+f)*rc:(s*nf+f+1)*rc], field[rlo:rlo+rc])
-			}
-		}
+	base := 0
+	for r, rc := range b.RangeLens {
+		words := b.words[base : base+ns*nf*rc]
 		codec.DeltaXOR(words, ns, nf, rc)
 		bc.block = bc.enc.Compress(bc.block[:0], words)
 		w.Raw(bc.block)
 		patchU32(w, tableOff+r*rangeEntrySize+4, uint32(len(bc.block)))
-		rlo += rc
+		base += b.stepCap * nf * rc
 	}
 }
 

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -82,6 +84,9 @@ func fuzzSeeds() [][]byte {
 	for _, b := range countBombs {
 		seeds = append(seeds, b)
 	}
+	for _, sf := range slotFrames() {
+		seeds = append(seeds, sf.slots)
+	}
 	// Padded frames with one pad byte set, which every decoder must reject:
 	// the Data header pad, the batch header pad and a batch step pad.
 	for _, bad := range []struct {
@@ -93,6 +98,84 @@ func fuzzSeeds() [][]byte {
 		seeds = append(seeds, b)
 	}
 	return seeds
+}
+
+// slotFrame is one bulk frame laid out the way a sender whose members write
+// their own fields lays it out (heads and slots first, floats later, a batch
+// step count set last), beside the one-call encoding of the same message.
+type slotFrame struct {
+	name         string
+	slots, whole []byte
+}
+
+// slotFrames builds an unbatched Data frame, a full and a partial final
+// DataBatch, and codec frames of one and of three ranges.
+func slotFrames() []slotFrame {
+	var out []slotFrame
+	for _, ns := range []int{3, 2} { // a full batch of 3, then a partial one
+		m := testBatch(5, 8, 20, ns, 3)
+		w := enc.NewWriter(0)
+		AppendBatchHead(w, m.GroupID, m.CellLo, m.CellHi, 0)
+		runs := make([][]int, ns)
+		for s, st := range m.Steps {
+			AppendStepHead(w, st.Timestep, len(st.Fields))
+			for range st.Fields {
+				runs[s] = append(runs[s], AppendFieldSlot(w, m.CellHi-m.CellLo))
+			}
+		}
+		SetBatchSteps(w.Bytes(), ns)
+		for s, st := range m.Steps {
+			for f, field := range st.Fields {
+				enc.PutF64s(w.Bytes()[runs[s][f]:], field)
+			}
+		}
+		out = append(out, slotFrame{fmt.Sprintf("batch-%d", ns), w.Bytes(), Encode(m)})
+		if ns == 2 {
+			st := m.Steps[0]
+			d := &Data{GroupID: m.GroupID, Timestep: st.Timestep, CellLo: m.CellLo, CellHi: m.CellHi, Fields: st.Fields}
+			w := enc.NewWriter(0)
+			AppendDataHead(w, d.GroupID, d.Timestep, d.CellLo, d.CellHi, len(d.Fields))
+			var offs []int
+			for range d.Fields {
+				offs = append(offs, AppendFieldSlot(w, d.CellHi-d.CellLo))
+			}
+			for f, field := range d.Fields {
+				enc.PutF64s(w.Bytes()[offs[f]:], field)
+			}
+			out = append(out, slotFrame{"data", w.Bytes(), Encode(d)})
+		}
+	}
+	for _, lens := range [][]int{{12}, {4, 5, 3}} {
+		m := testBatch(6, 8, 20, 2, 3)
+		var b WordBatch
+		b.RangeLens = lens
+		b.Reset(m.GroupID, m.CellLo, m.CellHi, 3, 4) // room for 4 steps, 2 used
+		for s := len(m.Steps) - 1; s >= 0; s-- {
+			for f, field := range m.Steps[s].Fields {
+				b.Put(s, f, field)
+			}
+		}
+		for _, st := range m.Steps {
+			b.Timesteps = append(b.Timesteps, st.Timestep)
+		}
+		var bc BatchCompressor
+		w := enc.NewWriter(0)
+		bc.EncodeWords(w, &b)
+		whole := enc.NewWriter(0)
+		bc.EncodeTo(whole, m, lens)
+		out = append(out, slotFrame{fmt.Sprintf("codec-%d-ranges", len(lens)), w.Bytes(), whole.Bytes()})
+	}
+	return out
+}
+
+// A frame built slot by slot is the frame EncodeTo makes of the same
+// message: the layout is defined once.
+func TestSlotFramesMatchEncode(t *testing.T) {
+	for _, sf := range slotFrames() {
+		if !bytes.Equal(sf.slots, sf.whole) {
+			t.Errorf("%s: slot-built frame differs from the one-call encoding", sf.name)
+		}
+	}
 }
 
 // decodeAll runs every decoder a receiver may apply to bytes off the wire,

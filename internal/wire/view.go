@@ -37,6 +37,7 @@ const (
 	dataBatchHeaderSize = 1 + 3*8 + 4 + dataPad // tag, group, lo, hi, ns, pad
 	stepHeaderSize      = 8 + 4 + stepPad       // timestep, nf, pad
 	fieldLenSize        = 8                     // per-field length prefix
+	batchStepsOff       = 1 + 3*8               // DataBatch step count: after tag, group, lo, hi
 )
 
 // zeroPad is the source of every pad run the encoder writes.

@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"melissa/internal/enc"
-	"melissa/internal/transport"
 )
+
+// The view builders, for the external tests (transport_test.go).
+var ViewTestData, ViewTestBatch = viewTestData, viewTestBatch
 
 func viewTestData(cells, fields int) *Data {
 	m := &Data{GroupID: 7, Timestep: 3, CellLo: 10, CellHi: 10 + cells}
@@ -270,72 +271,6 @@ func TestReportBackpressureRoundTrip(t *testing.T) {
 	}
 	if rep.Backpressure != in.Backpressure {
 		t.Fatalf("backpressure %v, want %v", rep.Backpressure, in.Backpressure)
-	}
-}
-
-// TestFieldRangeInPlaceOverTransports: Data and DataBatch frames delivered
-// by either transport lend every field range in place. The pad bytes put
-// each float run on an 8-byte boundary and transport buffers come from make,
-// so a nil here means the server silently went back to copying.
-func TestFieldRangeInPlaceOverTransports(t *testing.T) {
-	if enc.F64View(make([]byte, 8)) == nil {
-		t.Skip("big-endian host: fields are always copied")
-	}
-	nets := map[string]transport.Network{
-		"mem": transport.NewMemNetwork(transport.Options{}),
-		"tcp": transport.NewTCPNetwork(transport.Options{}),
-	}
-	for name, n := range nets {
-		t.Run(name, func(t *testing.T) {
-			r, err := n.Listen("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			s, err := n.Dial(r.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			for _, cells := range []int{1, 3, 17, 1000} {
-				d, b := viewTestData(cells, 4), viewTestBatch(3, cells, 4)
-				for _, frame := range [][]byte{Encode(d), Encode(b)} {
-					if err := s.Send(frame); err != nil {
-						t.Fatal(err)
-					}
-				}
-				msg, err := r.Recv(5 * time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var dv DataView
-				if err := dv.Parse(msg.Payload); err != nil {
-					t.Fatal(err)
-				}
-				for f := range d.Fields {
-					for lo := 0; lo < cells; lo += max(1, cells/3) {
-						if got := dv.FieldRange(f, lo, cells); got == nil || !reflect.DeepEqual(got, d.Fields[f][lo:]) {
-							t.Fatalf("%d cells: Data field %d from cell %d lent %v", cells, f, lo, got)
-						}
-					}
-				}
-				msg, err = r.Recv(5 * time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var bv DataBatchView
-				if err := bv.Parse(msg.Payload); err != nil {
-					t.Fatal(err)
-				}
-				for st := range b.Steps {
-					for f := range b.Steps[st].Fields {
-						if got := bv.FieldRange(st, f, 0, cells); got == nil || !reflect.DeepEqual(got, b.Steps[st].Fields[f]) {
-							t.Fatalf("%d cells: batch step %d field %d lent %v", cells, st, f, got)
-						}
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -11,8 +11,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"melissa/internal/codec"
 	"melissa/internal/enc"
 	"melissa/internal/mesh"
 )
@@ -224,29 +226,12 @@ type CheckpointReq struct {
 }
 
 // Encode serializes any supported message with its type tag into a fresh
-// buffer. Hot paths should prefer EncodeTo with a pooled enc.Writer.
+// buffer. Bulk frames bound for Send are laid out in a transport buffer
+// instead (EncodeTo, AppendFieldSlot).
 func Encode(msg any) []byte {
-	w := enc.NewWriter(encodedSizeHint(msg))
+	w := enc.NewWriter(64)
 	EncodeTo(w, msg)
 	return w.Bytes()
-}
-
-// encodedSizeHint returns a capacity that avoids regrowth for the bulk
-// messages (their exact size models live below); small control messages
-// just use a small default.
-func encodedSizeHint(msg any) int {
-	switch m := msg.(type) {
-	case *Data:
-		return int(DataSizeBytes(len(m.Fields), m.CellHi-m.CellLo))
-	case *DataBatch:
-		fields := 0
-		if len(m.Steps) > 0 {
-			fields = len(m.Steps[0].Fields)
-		}
-		return int(DataBatchSizeBytes(len(m.Steps), fields, m.CellHi-m.CellLo))
-	default:
-		return 64
-	}
 }
 
 // EncodeTo serializes any supported message with its type tag, appending to
@@ -283,29 +268,16 @@ func EncodeTo(w *enc.Writer, msg any) {
 		w.Int(m.LastStep)
 		w.Int(m.DurableStep)
 	case *Data:
-		w.U8(uint8(TypeData))
-		w.Int(m.GroupID)
-		w.Int(m.Timestep)
-		w.Int(m.CellLo)
-		w.Int(m.CellHi)
-		w.U32(uint32(len(m.Fields)))
-		w.Raw(zeroPad[:dataPad])
+		AppendDataHead(w, m.GroupID, m.Timestep, m.CellLo, m.CellHi, len(m.Fields))
 		for _, f := range m.Fields {
-			w.F64Slice(f)
+			putField(w, f)
 		}
 	case *DataBatch:
-		w.U8(uint8(TypeDataBatch))
-		w.Int(m.GroupID)
-		w.Int(m.CellLo)
-		w.Int(m.CellHi)
-		w.U32(uint32(len(m.Steps)))
-		w.Raw(zeroPad[:dataPad])
+		AppendBatchHead(w, m.GroupID, m.CellLo, m.CellHi, len(m.Steps))
 		for _, st := range m.Steps {
-			w.Int(st.Timestep)
-			w.U32(uint32(len(st.Fields)))
-			w.Raw(zeroPad[:stepPad])
+			AppendStepHead(w, st.Timestep, len(st.Fields))
 			for _, f := range st.Fields {
-				w.F64Slice(f)
+				putField(w, f)
 			}
 		}
 	case *Report:
@@ -345,6 +317,61 @@ func EncodeTo(w *enc.Writer, msg any) {
 	default:
 		panic(fmt.Sprintf("wire: cannot encode %T", msg))
 	}
+}
+
+// The raw bulk frames are laid out by the calls below and nothing else.
+// EncodeTo fills each field slot as it appends it; a sender whose group
+// members write their own fields (client.Connection) appends the heads and
+// slots first and has each member fill its slots later. A frame that grows
+// a step at a time heads its batch with 0 steps and sets the count last.
+
+// AppendDataHead appends the head of a Data frame carrying nf fields.
+func AppendDataHead(w *enc.Writer, group, step, lo, hi, nf int) {
+	w.U8(uint8(TypeData))
+	w.Int(group)
+	w.Int(step)
+	w.Int(lo)
+	w.Int(hi)
+	w.U32(uint32(nf))
+	w.Raw(zeroPad[:dataPad])
+}
+
+// AppendBatchHead appends the head of a DataBatch frame carrying ns steps.
+func AppendBatchHead(w *enc.Writer, group, lo, hi, ns int) {
+	w.U8(uint8(TypeDataBatch))
+	w.Int(group)
+	w.Int(lo)
+	w.Int(hi)
+	w.U32(uint32(ns))
+	w.Raw(zeroPad[:dataPad])
+}
+
+// SetBatchSteps sets the step count in the head of DataBatch frame b.
+func SetBatchSteps(b []byte, ns int) {
+	binary.LittleEndian.PutUint32(b[batchStepsOff:], uint32(ns))
+}
+
+// AppendStepHead appends the head of one DataBatch step carrying nf fields.
+func AppendStepHead(w *enc.Writer, step, nf int) {
+	w.Int(step)
+	w.U32(uint32(nf))
+	w.Raw(zeroPad[:stepPad])
+}
+
+// AppendFieldSlot appends a field's length prefix for n floats and room for
+// them, and returns the room's byte offset (8-byte aligned in an aligned
+// frame).
+func AppendFieldSlot(w *enc.Writer, n int) int {
+	w.U64(uint64(n))
+	off := w.Len()
+	w.Extend(8 * n)
+	return off
+}
+
+// putField appends a slot for field f and fills it.
+func putField(w *enc.Writer, f []float64) {
+	off := AppendFieldSlot(w, len(f))
+	enc.PutF64s(w.Bytes()[off:], f)
 }
 
 // Decode parses a wire payload into one of the message structs.
@@ -532,4 +559,16 @@ func DataSizeBytes(fields, cells int) int64 {
 // `steps` timesteps of `fields` fields over `cells` cells.
 func DataBatchSizeBytes(steps, fields, cells int) int64 {
 	return dataBatchHeaderSize + int64(steps)*(stepHeaderSize+int64(fields)*(fieldLenSize+8*int64(cells)))
+}
+
+// MaxBulkFrameBytes bounds every bulk frame a sender cuts from at most steps
+// timesteps of fields fields over at most cells cells: the raw DataBatch,
+// and the compressed frame at its worst — every range incompressible
+// (codec.MaxCompressedLen) and as many ranges as cells.
+func MaxBulkFrameBytes(steps, fields, cells int) int64 {
+	raw := DataBatchSizeBytes(steps, fields, cells)
+	words := 8 * int64(steps) * int64(fields) * int64(cells)
+	comp := dataBatchCFixedSize + 8*int64(steps) + 4 + 4 + rangeEntrySize*int64(cells) +
+		int64(codec.MaxCompressedLen(int(words))) + int64(cells-1)*int64(codec.MaxCompressedLen(0))
+	return max(raw, comp)
 }

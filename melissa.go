@@ -60,8 +60,9 @@ type (
 type Interval = sobol.Interval
 
 // Simulation is the solver abstraction: Run integrates one parameter set
-// and emits one field per output timestep, in order. Emit returns false
-// when the run must abort (e.g. the group was killed).
+// and emits one field per output timestep, in order. Emit has read the
+// field when it returns, so the solver may overwrite the buffer at once;
+// it returns false when the run must abort (e.g. the group was killed).
 type Simulation = client.Simulation
 
 // SimFunc adapts a plain function to Simulation.
