@@ -220,9 +220,9 @@ func (f *Flags) RetryPolicy() client.RetryPolicy {
 	return client.RetryPolicy{MaxReconnects: f.reconnectBudget, BaseDelay: f.reconnectBase, MaxDelay: f.reconnectMax}
 }
 
-// TCPNetwork builds the binary's TCP transport: kernel socket buffers sized
-// from the study shape and the batching/codec flags so a whole batched data
-// frame fits them, wrapped in a ChaosNetwork when a fault flag was set.
+// TCPNetwork builds the binary's TCP transport: a frame bound sized from
+// the study shape and the batching flag so a whole batched data frame
+// passes it, wrapped in a ChaosNetwork when a fault flag was set.
 func (f *Flags) TCPNetwork(cells, params int) transport.Network {
 	var net transport.Network = transport.NewTCPNetwork(transport.ForStudyCodec(
 		cells, params, f.BatchSteps, f.WireCodec))

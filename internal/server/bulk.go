@@ -10,33 +10,23 @@ import (
 	"melissa/internal/wire"
 )
 
-// bulkKind discriminates the three bulk payload framings a bulkMsg can hold.
-type bulkKind uint8
-
-const (
-	kindData bulkKind = iota
-	kindBatch
-	kindCBatch
-)
-
 // bulkMsg is one retained inbound bulk payload (Data, DataBatch or the
 // compressed DataBatchC): the transport buffer with its embedded refcount,
-// the parsed lazy view, and the header fields every stage reads (copied out
-// of the view once, at parse). The router parses and routes it; the shard
-// workers share it read-only, each reading exactly its shard's cell
-// sub-range in place in the payload bytes (decompressing its own
-// shard-aligned block first on the codec path, cached per worker across the
-// batch's steps). The final Release recycles the buffer and retires the
-// message.
+// the parsed lazy view — raw (a Data frame reads as a one-step batch) or
+// compressed — and the header fields every stage reads (copied out of the
+// view once, at parse). The router parses and routes it; the shard workers
+// share it read-only, each reading exactly its shard's cell sub-range in
+// place in the payload bytes (decompressing its own shard-aligned block
+// first on the codec path, cached per worker across the batch's steps). The
+// final Release recycles the buffer and retires the message.
 // Shells are pooled; gen counts the payloads parsed into one shell, so
 // worker-side decode caches can key on (shell, gen).
 type bulkMsg struct {
 	transport.Ref
-	data   wire.DataView
-	batch  wire.DataBatchView
-	cbatch wire.DataBatchCView
-	kind   bulkKind
-	gen    uint64
+	raw        wire.DataBatchView
+	comp       wire.DataBatchCView
+	compressed bool
+	gen        uint64
 
 	group, cellLo, cellHi int
 	steps, fields         int
@@ -55,22 +45,17 @@ var bulkShells = sync.Pool{New: func() any { return new(bulkMsg) }}
 func parseBulk(payload []byte) (*bulkMsg, error) {
 	m := bulkShells.Get().(*bulkMsg)
 	var err error
-	switch wire.PayloadType(payload) {
-	case wire.TypeDataBatch:
-		v := &m.batch
+	m.compressed = wire.PayloadType(payload) == wire.TypeDataBatchC
+	if m.compressed {
+		v := &m.comp
 		err = v.Parse(payload)
-		m.kind, m.group, m.cellLo, m.cellHi = kindBatch, v.GroupID, v.CellLo, v.CellHi
+		m.group, m.cellLo, m.cellHi = v.GroupID, v.CellLo, v.CellHi
 		m.steps, m.fields = v.NumSteps(), v.NumFields()
-	case wire.TypeDataBatchC:
-		v := &m.cbatch
-		err = v.Parse(payload)
-		m.kind, m.group, m.cellLo, m.cellHi = kindCBatch, v.GroupID, v.CellLo, v.CellHi
+	} else {
+		v := &m.raw
+		err = v.ParseRaw(payload)
+		m.group, m.cellLo, m.cellHi = v.GroupID, v.CellLo, v.CellHi
 		m.steps, m.fields = v.NumSteps(), v.NumFields()
-	default:
-		v := &m.data
-		err = v.Parse(payload)
-		m.kind, m.group, m.cellLo, m.cellHi = kindData, v.GroupID, v.CellLo, v.CellHi
-		m.steps, m.fields = 1, v.NumFields()
 	}
 	if err != nil {
 		bulkShells.Put(m)
@@ -84,55 +69,46 @@ func parseBulk(payload []byte) (*bulkMsg, error) {
 
 // rawBytes is what the message's content costs in the uncompressed framing.
 func (m *bulkMsg) rawBytes() int64 {
-	if m.kind == kindCBatch {
+	if m.compressed {
 		return wire.DataBatchSizeBytes(m.steps, m.fields, m.cellHi-m.cellLo)
 	}
 	return int64(len(m.Payload()))
 }
 
 func (m *bulkMsg) stepTimestep(s int) int {
-	switch m.kind {
-	case kindBatch:
-		return m.batch.StepTimestep(s)
-	case kindCBatch:
-		return m.cbatch.StepTimestep(s)
+	if m.compressed {
+		return m.comp.StepTimestep(s)
 	}
-	return m.data.Timestep
+	return m.raw.StepTimestep(s)
 }
 
 // fieldRange lends cells [lo, hi) — relative to cellLo — of field f at batch
 // entry s without copying them, or returns nil when the message cannot: raw
-// payloads lend them in place (the wire views' FieldRange), compressed ones
+// payloads lend them in place (the wire view's FieldRange), compressed ones
 // from the calling worker's decompressed words when one sub-range covers
 // [lo, hi). The slice is read-only and valid until the worker's next task.
 func (m *bulkMsg) fieldRange(cc *codecCache, s, f, lo, hi int) []float64 {
-	switch m.kind {
-	case kindBatch:
-		return m.batch.FieldRange(s, f, lo, hi)
-	case kindCBatch:
-		v := &m.cbatch
-		for r := 0; r < v.NumRanges(); r++ {
-			if rlo, rhi := v.RangeBounds(r); rlo <= lo && hi <= rhi {
-				rc, at := rhi-rlo, (s*m.fields+f)*(rhi-rlo)
-				return codec.AsFloat64s(cc.rangeWords(m, r)[at+lo-rlo : at+hi-rlo : at+rc])
-			}
-		}
-		return nil
+	if !m.compressed {
+		return m.raw.FieldRange(s, f, lo, hi)
 	}
-	return m.data.FieldRange(f, lo, hi)
+	v := &m.comp
+	for r := 0; r < v.NumRanges(); r++ {
+		if rlo, rhi := v.RangeBounds(r); rlo <= lo && hi <= rhi {
+			rc, at := rhi-rlo, (s*m.fields+f)*(rhi-rlo)
+			return codec.AsFloat64s(cc.rangeWords(m, r)[at+lo-rlo : at+hi-rlo : at+rc])
+		}
+	}
+	return nil
 }
 
 // decodeFieldRange copies cells [lo, hi) — relative to cellLo — of field f
 // at batch entry s into dst[:hi-lo]. Compressed payloads go through the
 // calling worker's decode cache.
 func (m *bulkMsg) decodeFieldRange(cc *codecCache, s, f, lo, hi int, dst []float64) {
-	switch m.kind {
-	case kindBatch:
-		m.batch.DecodeFieldRange(s, f, lo, hi, dst)
-	case kindCBatch:
+	if m.compressed {
 		m.decodeCompressedRange(cc, s, f, lo, hi, dst)
-	default:
-		m.data.DecodeFieldRange(f, lo, hi, dst)
+	} else {
+		m.raw.DecodeFieldRange(s, f, lo, hi, dst)
 	}
 }
 
@@ -144,7 +120,7 @@ func (m *bulkMsg) decodeFieldRange(cc *codecCache, s, f, lo, hi int, dst []float
 // exactly its own block; after a pool resize (checkpoint restore) it may
 // touch a neighbouring block — correct either way.
 func (m *bulkMsg) decodeCompressedRange(cc *codecCache, s, f, lo, hi int, dst []float64) {
-	v := &m.cbatch
+	v := &m.comp
 	nf := m.fields
 	for r := 0; r < v.NumRanges() && lo < hi; r++ {
 		rlo, rhi := v.RangeBounds(r)
@@ -181,7 +157,7 @@ type codecCache struct {
 func (cc *codecCache) rangeWords(m *bulkMsg, r int) []uint64 {
 	if cc.msg != m || cc.gen != m.gen {
 		cc.msg, cc.gen = m, m.gen
-		nr := m.cbatch.NumRanges()
+		nr := m.comp.NumRanges()
 		if cap(cc.ready) < nr {
 			cc.ready = make([]bool, nr)
 			cc.words = make([][]uint64, nr)
@@ -191,7 +167,7 @@ func (cc *codecCache) rangeWords(m *bulkMsg, r int) []uint64 {
 		clear(cc.ready)
 	}
 	if !cc.ready[r] {
-		need := m.cbatch.RangeWords(r)
+		need := m.comp.RangeWords(r)
 		if cap(cc.words[r]) < need {
 			cc.words[r] = make([]uint64, need)
 		}
@@ -199,7 +175,7 @@ func (cc *codecCache) rangeWords(m *bulkMsg, r int) []uint64 {
 		t0 := time.Now()
 		// Parse token-scanned every block (codec.Validate), so this cannot
 		// fail on a routed message; the check is pure defence in depth.
-		if err := m.cbatch.DecompressRange(r, &cc.dec, cc.words[r]); err != nil {
+		if err := m.comp.DecompressRange(r, &cc.dec, cc.words[r]); err != nil {
 			olog.Errorw("server.codec_decompress_failed", "err", err)
 			clear(cc.words[r])
 		}

@@ -149,10 +149,11 @@ func TestReconnectHealsCutBitwise(t *testing.T) {
 
 // TestBatchedResendFromReusedBufferBitwise pins the client's ownership
 // boundary: the simulation writes every step into one reused buffer
-// (testSim does), RunGroup hands SendTimestep a per-emit copy, and batching
-// and the retention ring keep views into that copy, not into the reused
-// buffer. A cut that loses a whole batch is healed by resending those views;
-// the statistics must equal a clean run bit for bit.
+// (testSim does), and each member's emit copies its field straight into the
+// open batch frame before the buffer is overwritten; the retention ring
+// keeps its own copy of every shipped frame, never a view of the reused
+// buffer. A cut that loses a whole batch is healed by resending the
+// retained frames; the statistics must equal a clean run bit for bit.
 func TestBatchedResendFromReusedBufferBitwise(t *testing.T) {
 	const cells, timesteps, p, groups = 20, 12, 2, 2
 	design := testDesign(p, groups)

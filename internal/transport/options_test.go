@@ -15,64 +15,35 @@ import (
 	"melissa/internal/wire"
 )
 
+// ForStudyCodec sizes only the frame bound: the message-count buffers keep
+// their defaults, and degenerate shapes fall back rather than size anything
+// by zero or a negative count.
 func TestForStudySizing(t *testing.T) {
-	// Small study: buffers clamp up to the 64 KiB floor.
-	small := ForStudyCodec(16, 2, 1, false)
-	if small.SendSockBytes != minSockBytes || small.RecvSockBytes != minSockBytes {
-		t.Fatalf("small study sock bytes = %d/%d, want %d", small.SendSockBytes, small.RecvSockBytes, minSockBytes)
-	}
-
-	// Mid-size study: buffers track the frame size (cells × (p+2) × batch ×
-	// 8 bytes plus header allowance).
 	mid := ForStudyCodec(10000, 6, 4, false)
-	wantFrame := 8*10000*(6+2)*4 + 4096
-	if mid.SendSockBytes != wantFrame || mid.RecvSockBytes != wantFrame {
-		t.Fatalf("mid study sock bytes = %d/%d, want %d", mid.SendSockBytes, mid.RecvSockBytes, wantFrame)
-	}
-
-	// Huge partition: clamped so one connection cannot pin unbounded memory.
-	huge := ForStudyCodec(10_000_000, 20, 10, false)
-	if huge.SendSockBytes != maxSockBytes || huge.RecvSockBytes != maxSockBytes {
-		t.Fatalf("huge study sock bytes = %d/%d, want %d", huge.SendSockBytes, huge.RecvSockBytes, maxSockBytes)
-	}
-
-	// Degenerate shapes fall back to defaults rather than zero-size buffers.
-	if d := ForStudyCodec(0, 0, 0, false); d.SendSockBytes != 0 {
-		t.Fatalf("degenerate study produced %+v", d)
-	}
-	if d := ForStudyCodec(100, -1, -5, false); d.SendSockBytes < minSockBytes {
-		t.Fatalf("negative p/batch produced %+v", d)
-	}
-
-	// Message-count buffers keep their defaults.
 	if mid.SendBuffer != DefaultOptions().SendBuffer || mid.RecvBuffer != DefaultOptions().RecvBuffer {
 		t.Fatalf("ForStudyCodec changed message-count buffers: %+v", mid)
 	}
+	if d := ForStudyCodec(0, 0, 0, false); d != DefaultOptions() {
+		t.Fatalf("degenerate study produced %+v", d)
+	}
+	if d, one := ForStudyCodec(100, -1, -5, false), ForStudyCodec(100, 1, 1, false); d != one {
+		t.Fatalf("negative p/batch produced %+v, want %+v", d, one)
+	}
 }
 
+// The codec flag no longer changes the options: the frame bound covers both
+// framings, and no socket buffer is sized by an expected compression ratio.
 func TestForStudyCodecSizing(t *testing.T) {
-	// With the codec negotiated, buffers plan for the compressed frame size
-	// at the conservative divisor.
-	raw := ForStudyCodec(10000, 6, 4, false)
-	comp := ForStudyCodec(10000, 6, 4, true)
-	wantFrame := 8*10000*(6+2)*4/codecFrameDivisor + 4096
-	if comp.SendSockBytes != wantFrame {
-		t.Fatalf("codec sizing = %d, want %d", comp.SendSockBytes, wantFrame)
-	}
-	if comp.SendSockBytes >= raw.SendSockBytes {
-		t.Fatalf("codec sizing %d not smaller than raw %d", comp.SendSockBytes, raw.SendSockBytes)
-	}
-
-	// The 64 KiB floors still hold for small compressed frames.
-	small := ForStudyCodec(16, 2, 1, true)
-	if small.SendSockBytes != minSockBytes {
-		t.Fatalf("small codec study produced %+v", small)
+	for _, sh := range [][3]int{{16, 2, 1}, {10000, 6, 4}, {10_000_000, 20, 10}} {
+		if raw, comp := ForStudyCodec(sh[0], sh[1], sh[2], false), ForStudyCodec(sh[0], sh[1], sh[2], true); raw != comp {
+			t.Fatalf("shape %v: codec moved the options %+v -> %+v", sh, raw, comp)
+		}
 	}
 }
 
 // A TCP network built from ForStudyCodec options must move study-shaped frames
-// end to end (the socket-buffer calls succeed and the bufio layers frame
-// correctly, including frames larger than the user-space buffer).
+// end to end (the bufio layers frame correctly, including frames larger than
+// the user-space buffer).
 func TestTCPWithStudySizedBuffers(t *testing.T) {
 	const cells, p, batch = 5000, 6, 2
 	net := NewTCPNetwork(ForStudyCodec(cells, p, batch, false))

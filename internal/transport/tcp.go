@@ -56,30 +56,12 @@ func (n *TCPNetwork) Listen(hint string) (Receiver, error) {
 	return r, nil
 }
 
-// applySockOpts applies the study-shape-derived kernel buffer sizes (0 keeps
-// the OS defaults). Sizing errors are ignored — the kernel clamps to its own
-// limits anyway and an undersized buffer only costs throughput, never
-// correctness.
-func applySockOpts(conn net.Conn, opts Options) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	if opts.SendSockBytes > 0 {
-		tc.SetWriteBuffer(opts.SendSockBytes)
-	}
-	if opts.RecvSockBytes > 0 {
-		tc.SetReadBuffer(opts.RecvSockBytes)
-	}
-}
-
 // Dial implements Network.
 func (n *TCPNetwork) Dial(addr string) (Sender, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	applySockOpts(conn, n.opts)
 	s := &tcpSender{
 		conn:     conn,
 		queue:    make(chan []byte, n.opts.SendBuffer),
@@ -109,7 +91,6 @@ func (r *tcpReceiver) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		applySockOpts(conn, r.opts)
 		r.mu.Lock()
 		r.conns = append(r.conns, conn)
 		r.mu.Unlock()

@@ -86,21 +86,12 @@ type Network interface {
 }
 
 // Options sizes the bounded buffers ("buffer sizes can be user controlled",
-// Sec. 4.1.3) and carries socket-level tuning.
+// Sec. 4.1.3) and bounds TCP frames.
 type Options struct {
 	// SendBuffer is the per-sender queue capacity in messages.
 	SendBuffer int
 	// RecvBuffer is the per-receiver inbox capacity in messages.
 	RecvBuffer int
-	// SendSockBytes/RecvSockBytes set the kernel socket buffers
-	// (SO_SNDBUF/SO_RCVBUF) on every TCP connection, dialed and accepted.
-	// 0 keeps the OS default. Sizing them to hold at least one full data
-	// frame keeps a simulation's write from stalling mid-frame and lets the
-	// kernel absorb a frame ahead of the fold pipeline; ForStudyCodec derives
-	// both from the study shape. Ignored by the in-memory network.
-	SendSockBytes int
-	RecvSockBytes int
-
 	// maxFrame is the largest frame a TCP receiver accepts (0 means
 	// defaultMaxFrame); ForStudyCodec derives it from the study shape.
 	maxFrame int
@@ -111,60 +102,22 @@ func DefaultOptions() Options {
 	return Options{SendBuffer: 64, RecvBuffer: 1024}
 }
 
-// Socket sizing bounds for ForStudyCodec: at least the conventional 64 KiB,
-// at most 8 MiB so a huge partition cannot pin unbounded per-connection
-// memory.
-const (
-	minSockBytes = 1 << 16
-	maxSockBytes = 8 << 20
-)
-
-// codecFrameDivisor is the planning ratio for codec-negotiated connections:
-// the delta-XOR+ZRLE codec measures ~1.7× on full-precision chaotic fields
-// and ~3.2× on single-precision-widened ones, so buffer sizing assumes a
-// conservative 2× — enough to halve the per-connection memory of a large
-// study without risking mid-frame stalls when a field barely compresses
-// (the 64 KiB floors still absorb small frames either way).
-const codecFrameDivisor = 2
-
-// ForStudyCodec returns Options with the kernel socket buffers and the TCP
-// frame bound derived from the study shape instead of the OS defaults and
-// the fixed 64 MiB bound: one data frame carries cells × (p+2) float64
-// fields per timestep and clients batch batchSteps timesteps per frame
-// (wire.DataBatch), so the socket buffers are sized to hold a full frame
-// (clamped to [64 KiB, 8 MiB]). When codec is true the expected frame size
-// is divided by the conservative compression ratio the codec guarantees on
-// typical fields, shrinking the buffers a codec-negotiated connection pins.
-// The frame bound admits a full batch in either framing whatever codec
-// says (receivers decode both), and never less than defaultMaxFrame.
-// cells should be the largest per-server-process partition a connection
-// will carry; non-positive inputs fall back to 1 (p, batchSteps) or the
-// defaults (cells).
+// ForStudyCodec returns Options with the TCP frame bound derived from the
+// study shape instead of the fixed 64 MiB bound: one data frame carries
+// cells × (p+2) float64 fields per timestep and clients batch batchSteps
+// timesteps per frame (wire.DataBatch). The bound admits a full batch in
+// either framing, since receivers decode both, so codec does not change
+// the result; it is never less than defaultMaxFrame. The kernel socket
+// buffers keep the OS defaults and its autotuning. cells should be the
+// largest per-server-process partition a connection will carry;
+// non-positive inputs fall back to 1 (p, batchSteps) or the defaults
+// (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	opts := DefaultOptions()
 	if cells <= 0 {
 		return opts
 	}
-	if p < 1 {
-		p = 1
-	}
-	if batchSteps < 1 {
-		batchSteps = 1
-	}
-	// 8 bytes per float plus a small allowance for headers/cell ranges.
-	frame := 8*cells*(p+2)*batchSteps + 4096
-	if codec {
-		frame = 8*cells*(p+2)*batchSteps/codecFrameDivisor + 4096
-	}
-	sock := frame
-	if sock < minSockBytes {
-		sock = minSockBytes
-	}
-	if sock > maxSockBytes {
-		sock = maxSockBytes
-	}
-	opts.SendSockBytes = sock
-	opts.RecvSockBytes = sock
+	p, batchSteps = max(p, 1), max(batchSteps, 1)
 	opts.maxFrame = int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), defaultMaxFrame))
 	return opts
 }

@@ -38,10 +38,12 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		t.Fatalf("PayloadType = %d", PayloadType(payload))
 	}
 
-	// Empty batch survives too.
-	empty := &DataBatch{GroupID: 1, CellLo: 5, CellHi: 9}
-	got := roundTrip(t, empty).(*DataBatch)
-	if got.GroupID != 1 || got.CellLo != 5 || got.CellHi != 9 || len(got.Steps) != 0 {
-		t.Fatalf("empty batch: %+v", got)
+	// A batch without steps is no frame: Decode rejects it as the view does.
+	empty := Encode(&DataBatch{GroupID: 1, CellLo: 5, CellHi: 9})
+	if _, err := Decode(empty); err == nil {
+		t.Fatal("Decode accepted an empty batch")
+	}
+	if err := new(DataBatchView).Parse(empty); err == nil {
+		t.Fatal("the batch view accepted an empty batch")
 	}
 }

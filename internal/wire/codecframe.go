@@ -303,38 +303,3 @@ func (v *DataBatchCView) DecompressRange(r int, d *codec.Decoder, words []uint64
 	codec.UndeltaXOR(words, len(v.timesteps), v.numFields, rc)
 	return nil
 }
-
-// DecodeDataBatchC fully decodes a TypeDataBatchC payload into a DataBatch —
-// the convenience path for tests and debugging; the server uses the view.
-func DecodeDataBatchC(payload []byte) (*DataBatch, error) {
-	var v DataBatchCView
-	if err := v.Parse(payload); err != nil {
-		return nil, err
-	}
-	m := &DataBatch{GroupID: v.GroupID, CellLo: v.CellLo, CellHi: v.CellHi}
-	m.Steps = make([]DataStep, v.NumSteps())
-	nf := v.NumFields()
-	for s := range m.Steps {
-		m.Steps[s].Timestep = v.StepTimestep(s)
-		m.Steps[s].Fields = make([][]float64, nf)
-		for f := range m.Steps[s].Fields {
-			m.Steps[s].Fields[f] = make([]float64, v.Cells())
-		}
-	}
-	var d codec.Decoder
-	for r := 0; r < v.NumRanges(); r++ {
-		words := make([]uint64, v.RangeWords(r))
-		if err := v.DecompressRange(r, &d, words); err != nil {
-			return nil, err
-		}
-		rlo, rhi := v.RangeBounds(r)
-		rc := rhi - rlo
-		for s := range m.Steps {
-			for f := 0; f < nf; f++ {
-				codec.WordsToFloat64s(m.Steps[s].Fields[f][rlo:rhi],
-					words[(s*nf+f)*rc:(s*nf+f+1)*rc])
-			}
-		}
-	}
-	return m, nil
-}

@@ -43,7 +43,7 @@ func TestDataBatchCRoundTrip(t *testing.T) {
 	for _, rangeLens := range [][]int{{96}, {32, 32, 32}, {1, 95}, {50, 46}} {
 		in := testBatch(7, 100, 196, 3, 5)
 		payload := encodeBatchC(t, in, rangeLens)
-		out, err := DecodeDataBatchC(payload)
+		out, err := Decode(payload)
 		if err != nil {
 			t.Fatalf("ranges %v: %v", rangeLens, err)
 		}

@@ -97,7 +97,26 @@ func fuzzSeeds() [][]byte {
 		b[bad.at] = 0x80
 		seeds = append(seeds, b)
 	}
-	return seeds
+	return append(seeds, raggedFrames()...)
+}
+
+// raggedFrames are a Data frame whose second field is shorter than its cell
+// range and a DataBatch whose second step carries one field fewer. The
+// views reject both; a Decode with a parser of its own once accepted them.
+func raggedFrames() [][]byte {
+	d := viewTestData(8, 3)
+	d.Fields[1] = d.Fields[1][:5]
+	b := viewTestBatch(2, 8, 3)
+	b.Steps[1].Fields = b.Steps[1].Fields[:2]
+	return [][]byte{Encode(d), Encode(b)}
+}
+
+func TestDecodeRejectsRaggedFrames(t *testing.T) {
+	for _, frame := range raggedFrames() {
+		if m, err := Decode(frame); err == nil {
+			t.Errorf("Decode accepted a ragged %T", m)
+		}
+	}
 }
 
 // slotFrame is one bulk frame laid out the way a sender whose members write
@@ -178,42 +197,54 @@ func TestSlotFramesMatchEncode(t *testing.T) {
 	}
 }
 
-// decodeAll runs every decoder a receiver may apply to bytes off the wire,
-// with fresh views as a cold receiver would, and returns the views that
-// parsed.
-func decodeAll(payload []byte) (dv *DataView, bv *DataBatchView, cv *DataBatchCView) {
-	Decode(payload)
-	dv, bv, cv = &DataView{}, &DataBatchView{}, &DataBatchCView{}
-	if dv.Parse(payload) != nil {
-		dv = nil
-	}
-	if bv.Parse(payload) != nil {
-		bv = nil
-	}
-	if cv.Parse(payload) != nil {
-		cv = nil
-	}
-	return dv, bv, cv
+// decoded is what every decoder a receiver may apply made of one frame:
+// Decode's message, and each view that parsed (nil where one did not). rv
+// is the raw view the server reads, parsed with ParseRaw.
+type decoded struct {
+	msg    any
+	err    error
+	dv     *DataView
+	bv, rv *DataBatchView
+	cv     *DataBatchCView
 }
 
-// FuzzWireDecode feeds arbitrary bytes to wire.Decode and the three bulk
-// views, then decodes every range of a view that parsed. No input may panic,
-// and the decoders may allocate at most 64 bytes per byte the frame carries
+// decodeAll runs every decoder a receiver may apply to bytes off the wire,
+// with fresh views as a cold receiver would.
+func decodeAll(payload []byte) decoded {
+	d := decoded{dv: &DataView{}, bv: &DataBatchView{}, rv: &DataBatchView{}, cv: &DataBatchCView{}}
+	d.msg, d.err = Decode(payload)
+	if d.dv.Parse(payload) != nil {
+		d.dv = nil
+	}
+	if d.bv.Parse(payload) != nil {
+		d.bv = nil
+	}
+	if d.rv.ParseRaw(payload) != nil {
+		d.rv = nil
+	}
+	if d.cv.Parse(payload) != nil {
+		d.cv = nil
+	}
+	return d
+}
+
+// FuzzWireDecode feeds arbitrary bytes to wire.Decode and the bulk views,
+// then decodes every range of a view that parsed. No input may panic, and
+// the decoders may allocate at most 64 bytes per byte the frame carries
 // plus 64 KiB. A frame carries its own length, or for a codec frame that
 // parsed, its decompressed size (the codec expands up to
-// codec.MaxExpansion-fold).
+// codec.MaxExpansion-fold). Decode of a bulk frame succeeds exactly when
+// that tag's view parses, and then holds the bits the view reads.
 func FuzzWireDecode(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var dv *DataView
-		var bv *DataBatchView
-		var cv *DataBatchCView
-		got := allocBytes(1, func() { dv, bv, cv = decodeAll(payload) })
+		var d decoded
+		got := allocBytes(1, func() { d = decodeAll(payload) })
 		carried := len(payload)
-		if cv != nil {
-			carried = max(carried, 8*cv.NumSteps()*cv.NumFields()*cv.Cells())
+		if d.cv != nil {
+			carried = max(carried, 8*d.cv.NumSteps()*d.cv.NumFields()*d.cv.Cells())
 		}
 		if limit := 64*carried + 64<<10; got > limit {
 			// One run can be charged for a span filled before it; confirm
@@ -223,49 +254,92 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 
-		if dv != nil {
-			if !zeroBytes(payload[dataHeaderSize-dataPad : dataHeaderSize]) {
-				t.Fatal("data view parsed a non-zero header pad")
+		typ := PayloadType(payload)
+		if (d.dv != nil) != (typ == TypeData && d.rv != nil) ||
+			(d.bv != nil) != (typ == TypeDataBatch && d.rv != nil) {
+			t.Fatalf("tag %d: data view %v, batch view %v, raw view %v disagree",
+				typ, d.dv != nil, d.bv != nil, d.rv != nil)
+		}
+		switch typ {
+		case TypeData, TypeDataBatch:
+			if (d.err == nil) != (d.rv != nil) {
+				t.Fatalf("tag %d: Decode error %v, raw view parsed %v", typ, d.err, d.rv != nil)
 			}
-			for fi := 0; fi < dv.NumFields(); fi++ {
-				dst := make([]float64, dv.Cells()) // a field bounds the cell range
-				dv.DecodeFieldRange(fi, 0, dv.Cells(), dst)
-				checkLent(t, dv.FieldRange(fi, 0, dv.Cells()), dst)
+		case TypeDataBatchC:
+			if (d.err == nil) != (d.cv != nil) {
+				t.Fatalf("codec frame: Decode error %v, codec view parsed %v", d.err, d.cv != nil)
 			}
 		}
-		if bv != nil {
-			if !zeroBytes(payload[dataBatchHeaderSize-dataPad : dataBatchHeaderSize]) {
-				t.Fatal("batch view parsed a non-zero header pad")
+
+		if v := d.rv; v != nil {
+			head := dataBatchHeaderSize
+			if typ == TypeData {
+				head = dataHeaderSize
 			}
-			dst := make([]float64, bv.Cells())
-			for s := 0; s < bv.NumSteps(); s++ {
-				for fi := 0; fi < bv.NumFields(); fi++ {
-					bv.DecodeFieldRange(s, fi, 0, bv.Cells(), dst)
-					checkLent(t, bv.FieldRange(s, fi, 0, bv.Cells()), dst)
+			if !zeroBytes(payload[head-dataPad : head]) {
+				t.Fatalf("tag %d: raw view parsed a non-zero header pad", typ)
+			}
+			steps := bulkSteps(d.msg)
+			var dst []float64
+			for s := 0; s < v.NumSteps(); s++ {
+				for fi := 0; fi < v.NumFields(); fi++ {
+					if dst == nil {
+						dst = make([]float64, v.Cells()) // a field bounds the cell range
+					}
+					v.DecodeFieldRange(s, fi, 0, v.Cells(), dst)
+					checkLent(t, v.FieldRange(s, fi, 0, v.Cells()), dst)
+					checkBits(t, steps[s].Fields[fi], dst)
 				}
 			}
 		}
-		if cv != nil {
-			var d codec.Decoder
-			for r := 0; r < cv.NumRanges(); r++ {
-				if err := cv.DecompressRange(r, &d, make([]uint64, cv.RangeWords(r))); err != nil {
+		if v := d.cv; v != nil {
+			steps := bulkSteps(d.msg)
+			var dec codec.Decoder
+			for r := 0; r < v.NumRanges(); r++ {
+				words := make([]uint64, v.RangeWords(r))
+				if err := v.DecompressRange(r, &dec, words); err != nil {
 					t.Fatalf("range %d of a parsed frame: %v", r, err)
+				}
+				rlo, rhi := v.RangeBounds(r)
+				dst := make([]float64, rhi-rlo)
+				for s := 0; s < v.NumSteps(); s++ {
+					for fi := 0; fi < v.NumFields(); fi++ {
+						at := (s*v.NumFields() + fi) * (rhi - rlo)
+						codec.WordsToFloat64s(dst, words[at:at+rhi-rlo])
+						checkBits(t, steps[s].Fields[fi][rlo:rhi], dst)
+					}
 				}
 			}
 		}
 	})
 }
 
+// bulkSteps returns the steps of a decoded bulk message, a Data as one.
+func bulkSteps(msg any) []DataStep {
+	if m, ok := msg.(*Data); ok {
+		return []DataStep{{Timestep: m.Timestep, Fields: m.Fields}}
+	}
+	return msg.(*DataBatch).Steps
+}
+
+// checkBits fails t unless got holds exactly the bits of want.
+func checkBits(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("cell %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 // checkLent fails t unless a range lent in place, if any, holds the bits
 // its copy holds.
 func checkLent(t *testing.T, lent, copied []float64) {
 	t.Helper()
-	if lent == nil {
-		return
-	}
-	for i := range copied {
-		if math.Float64bits(lent[i]) != math.Float64bits(copied[i]) {
-			t.Fatalf("lent cell %d = %v, copied %v", i, lent[i], copied[i])
-		}
+	if lent != nil {
+		checkBits(t, lent, copied)
 	}
 }

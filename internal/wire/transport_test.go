@@ -54,7 +54,7 @@ func TestFieldRangeInPlaceOverTransports(t *testing.T) {
 				}
 				for f := range d.Fields {
 					for lo := 0; lo < cells; lo += max(1, cells/3) {
-						if got := dv.FieldRange(f, lo, cells); got == nil || !reflect.DeepEqual(got, d.Fields[f][lo:]) {
+						if got := dv.FieldRange(0, f, lo, cells); got == nil || !reflect.DeepEqual(got, d.Fields[f][lo:]) {
 							t.Fatalf("%d cells: Data field %d from cell %d lent %v", cells, f, lo, got)
 						}
 					}

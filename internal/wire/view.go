@@ -4,16 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"melissa/internal/codec"
 	"melissa/internal/enc"
 )
 
-// Lazy view decoders. DataView and DataBatchView parse only the header of an
-// encoded bulk payload — ids, timesteps, the cell range and the byte offset
-// of every field's float block — without touching the float payload itself.
-// Consumers that own a cell sub-range (the server's shard workers) then read
-// exactly their cells straight out of the wire bytes: FieldRange hands them
-// out in place, and DecodeFieldRange copies them where a view is not
-// possible, so a payload shared by W workers is never decoded up front.
+// Lazy view decoders. DataBatchView is the one raw view: it parses only the
+// header of a Data or DataBatch payload — ids, timesteps, the cell range and
+// the byte offset of every field's float block — without touching the float
+// payload itself, reading a Data frame as a one-step batch (DataView is its
+// Data-only face). Consumers that own a cell sub-range (the server's shard
+// workers) then read exactly their cells straight out of the wire bytes:
+// FieldRange hands them out in place, and DecodeFieldRange copies them where
+// a view is not possible, so a payload shared by W workers is never decoded
+// up front. Decode builds its bulk messages through the same views.
 //
 // Parsing is strict and hoists all shape validation to one place: a view
 // refuses payloads whose field lengths disagree with the cell range, whose
@@ -53,88 +56,13 @@ func zeroBytes(b []byte) bool {
 	return true
 }
 
-// DataView is a zero-copy view of an encoded TypeData payload. The zero
-// value is ready for Parse; a view may be re-Parsed to amortize its offset
-// storage. The view aliases the payload — it must not outlive the buffer's
-// recycling.
-type DataView struct {
-	GroupID  int
-	Timestep int
-	CellLo   int
-	CellHi   int
-
-	payload  []byte
-	fieldOff []int // byte offset of field f's first float64
-}
-
-// Cells returns the number of cells per field (CellHi - CellLo).
-func (v *DataView) Cells() int { return v.CellHi - v.CellLo }
-
-// NumFields returns the number of fields carried by the payload.
-func (v *DataView) NumFields() int { return len(v.fieldOff) }
-
-// Parse validates payload as a TypeData message and records the per-field
-// byte offsets. No float data is decoded or copied.
-func (v *DataView) Parse(payload []byte) error {
-	if len(payload) < dataHeaderSize {
-		return fmt.Errorf("wire: data view: %d-byte payload shorter than header", len(payload))
-	}
-	if typ := MsgType(payload[0]); typ != TypeData {
-		return fmt.Errorf("wire: data view on message type %d", typ)
-	}
-	v.GroupID = int(int64(binary.LittleEndian.Uint64(payload[1:])))
-	v.Timestep = int(int64(binary.LittleEndian.Uint64(payload[9:])))
-	v.CellLo = int(int64(binary.LittleEndian.Uint64(payload[17:])))
-	v.CellHi = int(int64(binary.LittleEndian.Uint64(payload[25:])))
-	nf := int(binary.LittleEndian.Uint32(payload[33:]))
-	if !zeroBytes(payload[dataHeaderSize-dataPad : dataHeaderSize]) {
-		return fmt.Errorf("wire: data view: non-zero header pad")
-	}
-	cells := v.CellHi - v.CellLo
-	if cells <= 0 {
-		return fmt.Errorf("wire: data view: empty cell range [%d,%d)", v.CellLo, v.CellHi)
-	}
-	// Bound the count by what the payload could physically hold before
-	// allocating offset storage: a crafted header must not OOM the parser.
-	if nf < 0 || nf > (len(payload)-dataHeaderSize)/fieldLenSize {
-		return fmt.Errorf("wire: data view: %d fields exceed payload", nf)
-	}
-	v.payload = payload
-	v.fieldOff = growOffsets(v.fieldOff, nf)
-	off := dataHeaderSize
-	for f := 0; f < nf; f++ {
-		next, err := fieldOffset(payload, off, cells)
-		if err != nil {
-			return fmt.Errorf("wire: data view: field %d: %w", f, err)
-		}
-		v.fieldOff[f] = off + fieldLenSize
-		off = next
-	}
-	if off != len(payload) {
-		return fmt.Errorf("wire: data view: %d trailing bytes", len(payload)-off)
-	}
-	return nil
-}
-
-// FieldRange returns cells [lo, hi) of field f — offsets relative to CellLo
-// — in place in the payload, or nil when they cannot be viewed (see
-// enc.F64View); the caller then copies them with DecodeFieldRange. The
-// slice aliases the payload: it must not be written, nor outlive the
-// buffer's recycling.
-func (v *DataView) FieldRange(f, lo, hi int) []float64 {
-	return enc.F64View(v.payload[v.fieldOff[f]+8*lo : v.fieldOff[f]+8*hi])
-}
-
-// DecodeFieldRange copies cells [lo, hi) of field f — offsets relative to
-// CellLo — into dst[:hi-lo]. The range must lie within [0, Cells()).
-func (v *DataView) DecodeFieldRange(f, lo, hi int, dst []float64) {
-	enc.DecodeF64s(dst[:hi-lo], v.payload[v.fieldOff[f]+8*lo:])
-}
-
-// DataBatchView is the zero-copy view of an encoded TypeDataBatch payload:
-// the batched analogue of DataView. Parse enforces that every step carries
-// the same field count, so a malformed batch is rejected wholesale instead
-// of surfacing one shape error per step downstream.
+// DataBatchView is the zero-copy view of an encoded raw bulk payload: a
+// TypeDataBatch, or through ParseRaw a TypeData read as a one-step batch
+// whose timestep is the frame's. The zero value is ready for Parse; a view
+// may be re-Parsed to amortize its offset storage. The view aliases the
+// payload — it must not outlive the buffer's recycling. Parse enforces that
+// every step carries the same field count, so a malformed batch is rejected
+// wholesale instead of surfacing one shape error per step downstream.
 type DataBatchView struct {
 	GroupID int
 	CellLo  int
@@ -160,84 +88,200 @@ func (v *DataBatchView) StepTimestep(s int) int { return v.timesteps[s] }
 
 // Parse validates payload as a TypeDataBatch message and records every
 // (step, field) float-block offset. No float data is decoded or copied.
-func (v *DataBatchView) Parse(payload []byte) error {
-	if len(payload) < dataBatchHeaderSize {
-		return fmt.Errorf("wire: batch view: %d-byte payload shorter than header", len(payload))
+func (v *DataBatchView) Parse(payload []byte) error { return v.parse(payload, TypeDataBatch) }
+
+// ParseRaw parses either raw bulk frame: a TypeDataBatch as Parse does, a
+// TypeData as a one-step batch. It accepts exactly what Parse and
+// DataView.Parse accept.
+func (v *DataBatchView) ParseRaw(payload []byte) error {
+	return v.parse(payload, PayloadType(payload))
+}
+
+// parse validates payload as a raw bulk frame of type typ.
+func (v *DataBatchView) parse(payload []byte, typ MsgType) error {
+	name := "batch"
+	if typ == TypeData {
+		name = "data"
 	}
-	if typ := MsgType(payload[0]); typ != TypeDataBatch {
-		return fmt.Errorf("wire: batch view on message type %d", typ)
+	if err := v.parseFrame(payload, typ); err != nil {
+		return fmt.Errorf("wire: %s view: %w", name, err)
+	}
+	return nil
+}
+
+// parseFrame walks a Data or DataBatch frame. A Data frame is a one-step
+// batch whose step head (timestep, field count) sits in the frame head.
+func (v *DataBatchView) parseFrame(payload []byte, typ MsgType) error {
+	data := typ == TypeData
+	head, rangeAt := dataBatchHeaderSize, 9 // cell range after tag, group
+	if data {
+		head, rangeAt = dataHeaderSize, 17 // after tag, group, timestep
+	}
+	if len(payload) < head {
+		return fmt.Errorf("%d-byte payload shorter than header", len(payload))
+	}
+	if got := MsgType(payload[0]); got != typ || !data && typ != TypeDataBatch {
+		return fmt.Errorf("message type %d", got)
 	}
 	v.GroupID = int(int64(binary.LittleEndian.Uint64(payload[1:])))
-	v.CellLo = int(int64(binary.LittleEndian.Uint64(payload[9:])))
-	v.CellHi = int(int64(binary.LittleEndian.Uint64(payload[17:])))
-	ns := int(binary.LittleEndian.Uint32(payload[25:]))
-	if !zeroBytes(payload[dataBatchHeaderSize-dataPad : dataBatchHeaderSize]) {
-		return fmt.Errorf("wire: batch view: non-zero header pad")
-	}
-	cells := v.CellHi - v.CellLo
-	if cells <= 0 {
-		return fmt.Errorf("wire: batch view: empty cell range [%d,%d)", v.CellLo, v.CellHi)
+	v.CellLo = int(int64(binary.LittleEndian.Uint64(payload[rangeAt:])))
+	v.CellHi = int(int64(binary.LittleEndian.Uint64(payload[rangeAt+8:])))
+	if !zeroBytes(payload[head-dataPad : head]) {
+		return fmt.Errorf("non-zero header pad")
 	}
 	// Bound the counts by what the payload could physically hold before
 	// allocating offset storage: a crafted header must not OOM the parser
 	// (every step costs at least its header, every field its length prefix).
-	if ns <= 0 || ns > (len(payload)-dataBatchHeaderSize)/stepHeaderSize {
-		return fmt.Errorf("wire: batch view: %d steps exceed payload", ns)
+	ns := 1
+	if !data {
+		ns = int(binary.LittleEndian.Uint32(payload[batchStepsOff:]))
+		if ns <= 0 || ns > (len(payload)-head)/stepHeaderSize {
+			return fmt.Errorf("step count %d would exceed payload", ns)
+		}
+	}
+	cells := v.CellHi - v.CellLo
+	if cells <= 0 {
+		return fmt.Errorf("empty cell range [%d,%d)", v.CellLo, v.CellHi)
 	}
 	v.payload = payload
 	v.timesteps = growOffsets(v.timesteps, ns)
-	v.numFields = 0
-	off := dataBatchHeaderSize
+	off := head
 	for s := 0; s < ns; s++ {
-		if off+stepHeaderSize > len(payload) {
-			return fmt.Errorf("wire: batch view: truncated step %d header", s)
+		stepAt, nfAt := 9, head-dataPad-4 // a Data step head is in the frame head
+		if !data {
+			if off+stepHeaderSize > len(payload) {
+				return fmt.Errorf("truncated step %d header", s)
+			}
+			if !zeroBytes(payload[off+stepHeaderSize-stepPad : off+stepHeaderSize]) {
+				return fmt.Errorf("non-zero pad in step %d header", s)
+			}
+			stepAt, nfAt = off, off+8
+			off += stepHeaderSize
 		}
-		v.timesteps[s] = int(int64(binary.LittleEndian.Uint64(payload[off:])))
-		nf := int(binary.LittleEndian.Uint32(payload[off+8:]))
-		if !zeroBytes(payload[off+stepHeaderSize-stepPad : off+stepHeaderSize]) {
-			return fmt.Errorf("wire: batch view: non-zero pad in step %d header", s)
-		}
-		off += stepHeaderSize
+		v.timesteps[s] = int(int64(binary.LittleEndian.Uint64(payload[stepAt:])))
+		nf := int(binary.LittleEndian.Uint32(payload[nfAt:]))
 		if s == 0 {
-			// Every field costs at least its length prefix in every step, so
-			// the ns×nf offset table may never exceed payload/8 entries —
-			// this also bounds the product, not just each factor.
-			if nf <= 0 || ns*nf > len(payload)/fieldLenSize {
-				return fmt.Errorf("wire: batch view: %d steps x %d fields exceed payload", ns, nf)
+			// Every field costs at least its length prefix in every step,
+			// so the ns×nf offset table may never exceed payload/8 entries
+			// — this also bounds the product, not just each factor. Only a
+			// batch step must carry a field.
+			if ns*nf > len(payload)/fieldLenSize || !data && nf == 0 {
+				return fmt.Errorf("%d steps x %d fields exceed payload", ns, nf)
 			}
 			v.numFields = nf
 			v.fieldOff = growOffsets(v.fieldOff, ns*nf)
 		} else if nf != v.numFields {
-			return fmt.Errorf("wire: batch view: step %d has %d fields, step 0 has %d",
-				s, nf, v.numFields)
+			return fmt.Errorf("step %d has %d fields, step 0 has %d", s, nf, v.numFields)
 		}
 		for f := 0; f < nf; f++ {
 			next, err := fieldOffset(payload, off, cells)
 			if err != nil {
-				return fmt.Errorf("wire: batch view: step %d field %d: %w", s, f, err)
+				return fmt.Errorf("step %d field %d: %w", s, f, err)
 			}
-			v.fieldOff[s*v.numFields+f] = off + fieldLenSize
+			v.fieldOff[s*nf+f] = off + fieldLenSize
 			off = next
 		}
 	}
 	if off != len(payload) {
-		return fmt.Errorf("wire: batch view: %d trailing bytes", len(payload)-off)
+		return fmt.Errorf("%d trailing bytes", len(payload)-off)
 	}
 	return nil
 }
 
 // FieldRange returns cells [lo, hi) of field f at batch entry s — offsets
 // relative to CellLo — in place in the payload, or nil when they cannot be
-// viewed; see DataView.FieldRange.
+// viewed (see enc.F64View); the caller then copies them with
+// DecodeFieldRange. The slice aliases the payload: it must not be written,
+// nor outlive the buffer's recycling.
 func (v *DataBatchView) FieldRange(s, f, lo, hi int) []float64 {
 	off := v.fieldOff[s*v.numFields+f]
 	return enc.F64View(v.payload[off+8*lo : off+8*hi])
 }
 
 // DecodeFieldRange copies cells [lo, hi) of field f at batch entry s —
-// offsets relative to CellLo — into dst[:hi-lo].
+// offsets relative to CellLo — into dst[:hi-lo]. The range must lie within
+// [0, Cells()).
 func (v *DataBatchView) DecodeFieldRange(s, f, lo, hi int, dst []float64) {
 	enc.DecodeF64s(dst[:hi-lo], v.payload[v.fieldOff[s*v.numFields+f]+8*lo:])
+}
+
+// DataView is the TypeData face of DataBatchView: it accepts only Data
+// frames, and its DecodeFieldRange reads their one step. It parses nothing
+// itself; everything else is the raw view's (FieldRange takes step 0).
+type DataView struct {
+	DataBatchView
+	Timestep int
+}
+
+// Parse validates payload as a TypeData message (see DataBatchView.ParseRaw).
+func (v *DataView) Parse(payload []byte) error {
+	if err := v.parse(payload, TypeData); err != nil {
+		return err
+	}
+	v.Timestep = v.timesteps[0]
+	return nil
+}
+
+// DecodeFieldRange is DataBatchView.DecodeFieldRange of the frame's one step.
+func (v *DataView) DecodeFieldRange(f, lo, hi int, dst []float64) {
+	v.DataBatchView.DecodeFieldRange(0, f, lo, hi, dst)
+}
+
+// decodeBulk builds the message a bulk frame of type typ carries, read
+// through that tag's view: the frame decodes exactly when the view parses,
+// and every field holds the bits the view hands out. A Data frame decodes
+// to *Data, the two batch framings to *DataBatch.
+func decodeBulk(payload []byte, typ MsgType) (any, error) {
+	if typ == TypeDataBatchC {
+		var v DataBatchCView
+		if err := v.Parse(payload); err != nil {
+			return nil, err
+		}
+		m := newDataBatch(v.GroupID, v.CellLo, v.Cells(), v.timesteps, v.numFields)
+		var d codec.Decoder
+		for r := 0; r < v.NumRanges(); r++ {
+			words := make([]uint64, v.RangeWords(r))
+			if err := v.DecompressRange(r, &d, words); err != nil {
+				return nil, err
+			}
+			rlo, rhi := v.RangeBounds(r)
+			for s, st := range m.Steps {
+				for f, field := range st.Fields {
+					at := (s*v.numFields + f) * (rhi - rlo)
+					codec.WordsToFloat64s(field[rlo:rhi], words[at:at+rhi-rlo])
+				}
+			}
+		}
+		return m, nil
+	}
+	var v DataBatchView
+	if err := v.parse(payload, typ); err != nil {
+		return nil, err
+	}
+	m := newDataBatch(v.GroupID, v.CellLo, v.Cells(), v.timesteps, v.numFields)
+	for s, st := range m.Steps {
+		for f, field := range st.Fields {
+			v.DecodeFieldRange(s, f, 0, len(field), field)
+		}
+	}
+	if typ == TypeData {
+		st := m.Steps[0]
+		return &Data{GroupID: m.GroupID, Timestep: st.Timestep, CellLo: m.CellLo, CellHi: m.CellHi, Fields: st.Fields}, nil
+	}
+	return m, nil
+}
+
+// newDataBatch allocates a batch over cells cells from lo, of one step per
+// timestep, each of nf fields.
+func newDataBatch(group, lo, cells int, timesteps []int, nf int) *DataBatch {
+	m := &DataBatch{GroupID: group, CellLo: lo, CellHi: lo + cells, Steps: make([]DataStep, len(timesteps))}
+	for s := range m.Steps {
+		m.Steps[s] = DataStep{Timestep: timesteps[s], Fields: make([][]float64, nf)}
+		for f := range m.Steps[s].Fields {
+			m.Steps[s].Fields[f] = make([]float64, cells)
+		}
+	}
+	return m
 }
 
 // fieldOffset validates one field's length prefix at off (it must equal

@@ -286,7 +286,7 @@ func TestFieldRangeMisalignedFallsBack(t *testing.T) {
 	}
 	dst := make([]float64, 5)
 	for f := range d.Fields {
-		if got := v.FieldRange(f, 0, 5); got != nil {
+		if got := v.FieldRange(0, f, 0, 5); got != nil {
 			t.Fatalf("field %d: misaligned payload lent %v", f, got)
 		}
 		v.DecodeFieldRange(f, 0, 5, dst)

@@ -419,44 +419,8 @@ func Decode(payload []byte) (any, error) {
 		m.LastStep = r.Int()
 		m.DurableStep = r.Int()
 		msg = m
-	case TypeData:
-		m := &Data{}
-		m.GroupID = r.Int()
-		m.Timestep = r.Int()
-		m.CellLo = r.Int()
-		m.CellHi = r.Int()
-		if nf := count(r, fieldLenSize); skipPad(r, dataPad) {
-			m.Fields = make([][]float64, nf)
-			for i := range m.Fields {
-				m.Fields[i] = r.F64Slice()
-			}
-		}
-		msg = m
-	case TypeDataBatch:
-		m := &DataBatch{}
-		m.GroupID = r.Int()
-		m.CellLo = r.Int()
-		m.CellHi = r.Int()
-		if ns := count(r, stepHeaderSize); skipPad(r, dataPad) {
-			m.Steps = make([]DataStep, ns)
-			for i := range m.Steps {
-				m.Steps[i].Timestep = r.Int()
-				nf := count(r, fieldLenSize)
-				if !skipPad(r, stepPad) {
-					break
-				}
-				m.Steps[i].Fields = make([][]float64, nf)
-				for f := range m.Steps[i].Fields {
-					m.Steps[i].Fields[f] = r.F64Slice()
-				}
-			}
-		}
-		msg = m
-	case TypeDataBatchC:
-		// The compressed frame has its own parser (the reader-based decode
-		// cannot express the patched range table); delegate and skip the
-		// trailing-bytes epilogue, which DataBatchCView already enforces.
-		return DecodeDataBatchC(payload)
+	case TypeData, TypeDataBatch, TypeDataBatchC:
+		return decodeBulk(payload, typ)
 	case TypeReport:
 		m := &Report{}
 		m.ProcRank = r.Int()
@@ -526,17 +490,6 @@ func count(r *enc.Reader, minSize int) int {
 		return 0
 	}
 	return n
-}
-
-// skipPad consumes n alignment pad bytes and reports whether r is still
-// error-free; a pad byte that is not zero fails r.
-func skipPad(r *enc.Reader, n int) bool {
-	for i := 0; i < n; i++ {
-		if b := r.U8(); b != 0 {
-			r.Fail(fmt.Errorf("non-zero pad byte %#x", b))
-		}
-	}
-	return r.Err() == nil
 }
 
 // PayloadType peeks at the type tag of an encoded message without decoding

@@ -41,12 +41,26 @@ func BenchmarkDataDecode10kCells(b *testing.B) {
 // float decoding. Compare against BenchmarkDataDecode10kCells, which decodes
 // every float up front.
 func BenchmarkDataViewParse10kCells(b *testing.B) {
-	payload := Encode(benchData(10000))
-	var v DataView
+	benchParse(b, Encode(benchData(10000)), new(DataView).Parse)
+}
+
+// BenchmarkDataBatchViewParseData10kCells is the same frame on the server's
+// path: the raw view's ParseRaw reads it as a one-step batch.
+func BenchmarkDataBatchViewParseData10kCells(b *testing.B) {
+	benchParse(b, Encode(benchData(10000)), new(DataBatchView).ParseRaw)
+}
+
+// benchParse times re-parsing payload with a warm view: CI requires 0
+// allocs/op, since the view's offset storage is reused across payloads.
+func benchParse(b *testing.B, payload []byte, parse func([]byte) error) {
+	if err := parse(payload); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.Parse(payload); err != nil {
+		if err := parse(payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,15 +87,7 @@ func BenchmarkDataViewDecodeRange10kCells(b *testing.B) {
 
 // BenchmarkDataBatchViewParse8Steps is the batched route-stage cost.
 func BenchmarkDataBatchViewParse8Steps(b *testing.B) {
-	payload := Encode(benchBatch(8, 8, 1250))
-	var v DataBatchView
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := v.Parse(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchParse(b, Encode(benchBatch(8, 8, 1250)), new(DataBatchView).Parse)
 }
 
 // BenchmarkDataBatchEncode8Steps encodes 8 timesteps in one message —

@@ -1,9 +1,14 @@
 package melissa_test
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"melissa"
@@ -14,12 +19,14 @@ import (
 	"melissa/internal/transport"
 )
 
-// Pinned knob counts. Lower a pin when a change removes knobs. Raise it only
-// together with a stated reason in the change that adds one: every knob is a
-// path someone has to measure, document and keep working.
+// Pinned knob and line counts. Lower a pin when a change removes knobs or
+// code. Raise it only together with a stated reason in the change that adds
+// them: every knob is a path someone has to measure, document and keep
+// working, and every line one someone has to read.
 const (
-	pinnedConfigFields = 88
+	pinnedConfigFields = 86
 	pinnedSharedFlags  = 107
+	pinnedSourceLines  = 16981
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
@@ -53,15 +60,46 @@ func TestKnobCensus(t *testing.T) {
 		flags += n
 	}
 
-	check := func(what string, got, pinned int) {
-		switch {
-		case got > pinned:
-			t.Errorf("%s grew to %d (pinned at %d): state the reason for each new knob in the change and raise the pin",
-				what, got, pinned)
-		case got < pinned:
-			t.Errorf("%s shrank to %d (pinned at %d): lower the pin", what, got, pinned)
+	const grew = "state the reason for each new knob in the change and raise the pin"
+	checkPin(t, "exported config fields", fields, pinnedConfigFields, grew)
+	checkPin(t, "shared flag registrations", flags, pinnedSharedFlags, grew)
+}
+
+// TestLineCensus counts every line of every non-test Go file of the module
+// outside bench/ (the benchmark is a module of its own) and pins the total.
+func TestLineCensus(t *testing.T) {
+	lines := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
+		if d.IsDir() {
+			if path == "bench" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		lines += bytes.Count(b, []byte("\n"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	check("exported config fields", fields, pinnedConfigFields)
-	check("shared flag registrations", flags, pinnedSharedFlags)
+	checkPin(t, "non-test Go lines outside bench/", lines, pinnedSourceLines, "state the reason and raise the pin")
+}
+
+// checkPin fails t unless got equals its pin; grew says what to do when it
+// rose above it.
+func checkPin(t *testing.T, what string, got, pinned int, grew string) {
+	t.Helper()
+	switch {
+	case got > pinned:
+		t.Errorf("%s grew to %d (pinned at %d): %s", what, got, pinned, grew)
+	case got < pinned:
+		t.Errorf("%s shrank to %d (pinned at %d): lower the pin", what, got, pinned)
+	}
 }

@@ -324,8 +324,7 @@ func SetLogging(level string, jsonLines bool) error {
 // studyNetwork builds the in-process transport for a study, wrapped in the
 // configured chaos plan when one is declared.
 func studyNetwork(cfg StudyConfig) transport.Network {
-	var net transport.Network = transport.NewMemNetwork(transport.ForStudyCodec(
-		cfg.Cells, len(cfg.Parameters), cfg.BatchSteps, cfg.WireCodec))
+	var net transport.Network = transport.NewMemNetwork(transport.Options{})
 	if cfg.Chaos != nil {
 		net = transport.NewChaosNetwork(net, *cfg.Chaos)
 	}
