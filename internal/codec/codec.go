@@ -4,9 +4,11 @@
 // timesteps of the same pick-freeze member are highly correlated, so XORing
 // each step against its predecessor zeroes the sign, exponent and high
 // mantissa bytes of most values; the shuffle groups those now-mostly-zero
-// byte planes together and the run-length pass collapses them. Everything is
-// a single O(n) sweep with caller-owned scratch — no allocation in steady
-// state, no dependency beyond the standard library, and bit-lossless (the
+// byte planes together and the run-length pass collapses them. The shuffle
+// is one blocked pass (eight words byte-transposed in registers at a time)
+// and the run-length pass scans a word at a time, both over caller-owned
+// scratch — no allocation in steady state, no dependency beyond the
+// standard library, one code path on every host, and bit-lossless (the
 // float values round-trip exactly, so folded statistics stay bitwise
 // identical to the raw wire format).
 //
@@ -23,9 +25,14 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"unsafe"
 )
+
+var le = binary.LittleEndian
 
 // DeltaXOR applies the in-place forward delta over words, laid out as
 // [step][field][cell] with the given shape. Two references exploit the two
@@ -132,160 +139,219 @@ func MaxCompressedLen(n int) int {
 	return n + n/maxRun + 2*8
 }
 
-// Encoder holds the compression scratch (one byte plane). The zero value is
-// ready to use; scratch grows to the largest block seen and is reused.
+// Encoder holds the compression scratch (the block's eight byte planes).
+// The zero value is ready to use; scratch grows to the largest block seen.
 type Encoder struct {
-	plane []byte
+	planes []byte
 }
 
 // Compress appends the compressed form of words to dst and returns the
-// extended slice. The byte-plane shuffle runs per plane (least-significant
-// first), so the run-length pass sees each plane's bytes contiguously; runs
-// never span planes, which costs at most one token per plane and keeps both
-// directions a simple sweep. Each plane is additionally byte-delta coded
-// (b[i] − b[i−1] mod 256) before the run-length pass: the exponent planes of
-// a spatially smooth field are long runs of one repeated byte, which the
-// delta turns into the zero runs ZRLE collapses.
+// extended slice. The byte-plane shuffle lays the planes out one after the
+// other (least-significant first), so the run-length pass sees each plane's
+// bytes contiguously; runs never span planes, which costs at most one token
+// per plane. Each plane is additionally byte-delta coded (b[i] − b[i−1] mod
+// 256) before the run-length pass: the exponent planes of a spatially
+// smooth field are long runs of one repeated byte, which the delta turns
+// into the zero runs ZRLE collapses.
 func (e *Encoder) Compress(dst []byte, words []uint64) []byte {
 	n := len(words)
-	if cap(e.plane) < n {
-		e.plane = make([]byte, n)
+	if cap(e.planes) < 8*n {
+		e.planes = make([]byte, 8*n)
 	}
-	plane := e.plane[:n]
+	planes := e.planes[:8*n]
+	shuffle(planes, words)
+	at, bound := len(dst), MaxCompressedLen(8*n)
+	dst = slices.Grow(dst, bound)[:at+bound]
 	for b := 0; b < 8; b++ {
-		shift := uint(8 * b)
-		prev := byte(0)
-		for i, w := range words {
-			v := byte(w >> shift)
-			plane[i] = v - prev
-			prev = v
-		}
-		dst = zrleAppend(dst, plane)
+		at = zrleAppend(dst, at, planes[b*n:(b+1)*n])
 	}
-	return dst
+	return dst[:at]
 }
 
-// zrleAppend run-length-encodes one plane onto dst.
-func zrleAppend(dst []byte, src []byte) []byte {
-	i, n := 0, len(src)
-	for i < n {
-		// Measure the zero run starting here (possibly empty).
-		z := i
-		for z < n && src[z] == 0 {
-			z++
+// highBits is the high bit of every byte of a word.
+const highBits = 0x8080808080808080
+
+// The swap masks of the three transpose stages.
+const m32, m16, m8 = 0x00000000ffffffff, 0x0000ffff0000ffff, 0x00ff00ff00ff00ff
+
+// swap4 exchanges the bits of each xk under m<<s with those of yk under m.
+// Three such stages, swapping 4×4, 2×2 and 1×1 blocks across the diagonal,
+// transpose the 8×8 byte matrix whose row j is the word aj (byte k of aj in
+// column k): afterwards byte j of ak is the old byte k of aj, so plane
+// words come out of words and back. Byte k of a word is bits 8k..8k+7, so
+// the result does not depend on the host's byte order.
+func swap4(x0, x1, x2, x3, y0, y1, y2, y3 uint64, s uint, m uint64) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
+	t0, t1, t2, t3 := (x0>>s^y0)&m, (x1>>s^y1)&m, (x2>>s^y2)&m, (x3>>s^y3)&m
+	return x0 ^ t0<<s, x1 ^ t1<<s, x2 ^ t2<<s, x3 ^ t3<<s, y0 ^ t0, y1 ^ t1, y2 ^ t2, y3 ^ t3
+}
+
+// byteSub returns x − y computed bytewise mod 256: the high bits are masked
+// off so no borrow crosses a byte, then put back by XOR.
+func byteSub(x, y uint64) uint64 {
+	return ((x | highBits) - (y &^ highBits)) ^ ((x ^ ^y) & highBits)
+}
+
+// byteAdd returns x + y computed bytewise mod 256.
+func byteAdd(x, y uint64) uint64 {
+	return ((x &^ highBits) + (y &^ highBits)) ^ ((x ^ y) & highBits)
+}
+
+// shuffle writes the byte-delta-coded planes of words into planes: plane b,
+// at planes[b*n:(b+1)*n], holds byte b of every word minus byte b of the
+// word before it, which is byte b of the bytewise difference of the two
+// words. Eight such differences at a time are transposed in registers, and
+// each plane word is stored in one explicit little-endian write.
+func shuffle(planes []byte, words []uint64) {
+	n := len(words)
+	prev := uint64(0) // the word before words[i]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		w := words[i : i+8 : i+8]
+		a0, a1, a2, a3, a4, a5, a6, a7 := byteSub(w[0], prev), byteSub(w[1], w[0]),
+			byteSub(w[2], w[1]), byteSub(w[3], w[2]), byteSub(w[4], w[3]),
+			byteSub(w[5], w[4]), byteSub(w[6], w[5]), byteSub(w[7], w[6])
+		prev = w[7]
+		a0, a1, a2, a3, a4, a5, a6, a7 = swap4(a0, a1, a2, a3, a4, a5, a6, a7, 32, m32)
+		a0, a1, a4, a5, a2, a3, a6, a7 = swap4(a0, a1, a4, a5, a2, a3, a6, a7, 16, m16)
+		a0, a2, a4, a6, a1, a3, a5, a7 = swap4(a0, a2, a4, a6, a1, a3, a5, a7, 8, m8)
+		for b, p := range [8]uint64{a0, a1, a2, a3, a4, a5, a6, a7} {
+			le.PutUint64(planes[b*n+i:], p)
 		}
+	}
+	for ; i < n; i++ {
+		d := byteSub(words[i], prev)
+		prev = words[i]
+		for b := 0; b < 8; b++ {
+			planes[b*n+i] = byte(d >> (8 * b))
+		}
+	}
+}
+
+// unshuffle inverts shuffle: it transposes eight plane words at a time back
+// into word differences and sums them bytewise into words.
+func unshuffle(words []uint64, planes []byte) {
+	n := len(words)
+	prev := uint64(0) // words[i-1]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		a0, a1, a2, a3, a4, a5, a6, a7 := le.Uint64(planes[i:]), le.Uint64(planes[n+i:]),
+			le.Uint64(planes[2*n+i:]), le.Uint64(planes[3*n+i:]), le.Uint64(planes[4*n+i:]),
+			le.Uint64(planes[5*n+i:]), le.Uint64(planes[6*n+i:]), le.Uint64(planes[7*n+i:])
+		a0, a1, a2, a3, a4, a5, a6, a7 = swap4(a0, a1, a2, a3, a4, a5, a6, a7, 32, m32)
+		a0, a1, a4, a5, a2, a3, a6, a7 = swap4(a0, a1, a4, a5, a2, a3, a6, a7, 16, m16)
+		a0, a2, a4, a6, a1, a3, a5, a7 = swap4(a0, a2, a4, a6, a1, a3, a5, a7, 8, m8)
+		w := words[i : i+8 : i+8]
+		w[0] = byteAdd(prev, a0)
+		w[1] = byteAdd(w[0], a1)
+		w[2] = byteAdd(w[1], a2)
+		w[3] = byteAdd(w[2], a3)
+		w[4] = byteAdd(w[3], a4)
+		w[5] = byteAdd(w[4], a5)
+		w[6] = byteAdd(w[5], a6)
+		w[7] = byteAdd(w[6], a7)
+		prev = w[7]
+	}
+	for ; i < n; i++ {
+		var d uint64
+		for b := 0; b < 8; b++ {
+			d |= uint64(planes[b*n+i]) << (8 * b)
+		}
+		prev = byteAdd(prev, d)
+		words[i] = prev
+	}
+}
+
+// zrleAppend run-length-encodes one plane into dst[at:], which must have
+// room for it (MaxCompressedLen), and returns the new end. The runs are
+// found a word at a time (nonZeroFrom, literalEnd); the tokens are those of
+// a byte-at-a-time scan.
+func zrleAppend(dst []byte, at int, src []byte) int {
+	n := len(src)
+	i, z := 0, nonZeroFrom(src, 0) // [i, z) is the zero run at i
+	for i < n {
 		if run := z - i; run >= minZeroRun || (run > 0 && z == n) {
-			for run > 0 {
-				k := run
-				if k > maxRun {
-					k = maxRun
-				}
-				dst = append(dst, byte(tokenZeroBit|(k-1)))
-				run -= k
+			for ; run > maxRun; run -= maxRun {
+				dst[at] = tokenZeroBit | (maxRun - 1)
+				at++
 			}
+			dst[at] = byte(tokenZeroBit | (run - 1))
+			at++
 			i = z
 			continue
 		}
 		// Literal run: up to the next compressible zero run (or the end),
-		// including any single isolated zeros on the way.
-		j := z // z == i or i+1 here; singles join the literals
-		for j < n {
-			if src[j] != 0 {
-				j++
-				continue
-			}
-			z = j
-			for z < n && src[z] == 0 {
-				z++
-			}
-			if z-j >= minZeroRun || z == n {
-				break
-			}
-			j = z
-		}
+		// including any single isolated zeros on the way; z == i or i+1
+		// here, and a lone zero at i joins the literals too.
+		j := literalEnd(src, z)
+		z = nonZeroFrom(src, j)
 		for i < j {
-			k := j - i
-			if k > maxRun {
-				k = maxRun
-			}
-			dst = append(dst, byte(k-1))
-			dst = append(dst, src[i:i+k]...)
+			k := min(j-i, maxRun)
+			dst[at] = byte(k - 1)
+			copy(dst[at+1:at+1+k], src[i:i+k])
+			at += 1 + k
 			i += k
 		}
 	}
-	return dst
+	return at
 }
 
-// Decoder holds the decompression scratch. The zero value is ready to use.
+// nonZeroFrom returns the index of the first non-zero byte of src at or
+// after i, or len(src).
+func nonZeroFrom(src []byte, i int) int {
+	for ; i+8 <= len(src); i += 8 {
+		if w := le.Uint64(src[i:]); w != 0 {
+			return i + bits.TrailingZeros64(w)/8
+		}
+	}
+	for i < len(src) && src[i] == 0 {
+		i++
+	}
+	return i
+}
+
+// literalEnd returns where a literal run that reaches j ends: at the first
+// zero byte at or after j that starts a run of minZeroRun zeros or is the
+// last byte of src, or at len(src). zero flags exactly the zero bytes of a
+// word: adding 0x7f to a byte's low seven bits sets its high bit unless
+// they are all zero, and OR-ing in the byte clears it only for a zero byte.
+func literalEnd(src []byte, j int) int {
+	const low7 = ^uint64(highBits)
+	n := len(src)
+	for ; j+8 < n; j += 8 {
+		w := le.Uint64(src[j:])
+		zero := ^((w&low7 + low7) | w) & highBits
+		next := (uint64(src[j+8]) - 1) & (1 << 63) // the following byte is zero
+		if pair := zero & (zero>>8 | next); pair != 0 {
+			return j + bits.TrailingZeros64(pair)/8
+		}
+	}
+	for ; j < n; j++ {
+		if src[j] == 0 && (j+1 == n || src[j+1] == 0) {
+			return j
+		}
+	}
+	return n
+}
+
+// Decoder holds the decompression scratch (the block's eight byte planes).
+// The zero value is ready to use.
 type Decoder struct {
-	plane []byte
+	planes []byte
 }
 
 // Decompress expands src into words, which must hold exactly the block's
-// word count. It returns an error on any malformed token stream; a block
-// that passed Validate never errors.
+// word count. It returns an error on any malformed token stream, and then
+// leaves words untouched; a block that passed Validate never errors.
 func (d *Decoder) Decompress(words []uint64, src []byte) error {
 	n := len(words)
-	if cap(d.plane) < n {
-		d.plane = make([]byte, n)
+	if cap(d.planes) < 8*n {
+		d.planes = make([]byte, 8*n)
 	}
-	plane := d.plane[:n]
-	off := 0
-	for b := 0; b < 8; b++ {
-		var err error
-		off, err = zrleExpand(plane, src, off)
-		if err != nil {
-			return fmt.Errorf("codec: plane %d: %w", b, err)
-		}
-		// Invert the per-plane byte delta (prefix sum) while scattering the
-		// plane back into its word lane.
-		shift := uint(8 * b)
-		acc := byte(0)
-		if b == 0 {
-			for i, v := range plane {
-				acc += v
-				words[i] = uint64(acc)
-			}
-		} else {
-			for i, v := range plane {
-				acc += v
-				words[i] |= uint64(acc) << shift
-			}
-		}
+	if err := expand(d.planes[:8*n], n, src); err != nil {
+		return err
 	}
-	if off != len(src) {
-		return fmt.Errorf("codec: %d trailing bytes", len(src)-off)
-	}
+	unshuffle(words, d.planes[:8*n])
 	return nil
-}
-
-// zrleExpand decodes one plane's worth of bytes from src[off:] into dst and
-// returns the new source offset.
-func zrleExpand(dst []byte, src []byte, off int) (int, error) {
-	out, n := 0, len(dst)
-	for out < n {
-		if off >= len(src) {
-			return 0, fmt.Errorf("truncated token stream")
-		}
-		t := src[off]
-		off++
-		run := int(t&0x7f) + 1
-		if run > n-out {
-			return 0, fmt.Errorf("run of %d overflows plane", run)
-		}
-		if t&tokenZeroBit != 0 {
-			clear(dst[out : out+run])
-			out += run
-			continue
-		}
-		if off+run > len(src) {
-			return 0, fmt.Errorf("truncated literal run")
-		}
-		copy(dst[out:out+run], src[off:off+run])
-		off += run
-		out += run
-	}
-	return off, nil
 }
 
 // Validate token-scans a compressed block without writing anything: the
@@ -298,25 +364,36 @@ func Validate(src []byte, rawLen int) error {
 	if rawLen <= 0 || rawLen%8 != 0 {
 		return fmt.Errorf("codec: invalid raw length %d", rawLen)
 	}
-	planeLen := rawLen / 8
+	return expand(nil, rawLen/8, src)
+}
+
+// expand decodes the eight planes of n bytes each that src holds into
+// planes, or with planes nil only checks that src decodes: Decompress and
+// Validate read the tokens with the same loop, so they accept the same
+// blocks.
+func expand(planes []byte, n int, src []byte) error {
 	off := 0
 	for b := 0; b < 8; b++ {
-		out := 0
-		for out < planeLen {
+		for out, end := b*n, (b+1)*n; out < end; {
 			if off >= len(src) {
 				return fmt.Errorf("codec: plane %d: truncated token stream", b)
 			}
 			t := src[off]
 			off++
 			run := int(t&0x7f) + 1
-			if run > planeLen-out {
+			if run > end-out {
 				return fmt.Errorf("codec: plane %d: run of %d overflows plane", b, run)
 			}
 			if t&tokenZeroBit == 0 {
 				if off+run > len(src) {
 					return fmt.Errorf("codec: plane %d: truncated literal run", b)
 				}
+				if planes != nil {
+					copy(planes[out:out+run], src[off:off+run])
+				}
 				off += run
+			} else if planes != nil {
+				clear(planes[out : out+run])
 			}
 			out += run
 		}

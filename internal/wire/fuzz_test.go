@@ -46,6 +46,33 @@ var countBombs = map[string][]byte{
 	"welcome": countBomb(TypeWelcome, 3, 1<<20-1, 0),         // 29 bytes
 }
 
+// fieldlessData is a 40-byte Data frame with no fields over 2^62 cells. It
+// once parsed, so a reader sizing a buffer from Cells() could be made to
+// allocate without bound.
+func fieldlessData() []byte {
+	b := []byte{byte(TypeData)}
+	for _, v := range []uint64{1, 2, 0, 1 << 62} { // group, step, lo, hi
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = binary.LittleEndian.AppendUint32(b, 0) // nf
+	return append(b, make([]byte, dataPad)...)
+}
+
+func TestViewsRejectFieldlessData(t *testing.T) {
+	frame := fieldlessData()
+	var dv DataView
+	if err := dv.Parse(frame); err == nil {
+		t.Errorf("DataView parsed a %d-byte frame with no fields over %d cells", len(frame), dv.Cells())
+	}
+	var bv DataBatchView
+	if err := bv.ParseRaw(frame); err == nil {
+		t.Errorf("DataBatchView.ParseRaw parsed a %d-byte frame with no fields over %d cells", len(frame), bv.Cells())
+	}
+	if _, err := Decode(frame); err == nil {
+		t.Error("Decode accepted a Data frame with no fields")
+	}
+}
+
 func TestDecodeCountBombsAllocateLittle(t *testing.T) {
 	for name, payload := range countBombs {
 		if _, err := Decode(payload); err == nil || !strings.Contains(err.Error(), "count") {
@@ -84,6 +111,7 @@ func fuzzSeeds() [][]byte {
 	for _, b := range countBombs {
 		seeds = append(seeds, b)
 	}
+	seeds = append(seeds, fieldlessData())
 	for _, sf := range slotFrames() {
 		seeds = append(seeds, sf.slots)
 	}

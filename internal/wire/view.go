@@ -163,9 +163,9 @@ func (v *DataBatchView) parseFrame(payload []byte, typ MsgType) error {
 		if s == 0 {
 			// Every field costs at least its length prefix in every step,
 			// so the ns×nf offset table may never exceed payload/8 entries
-			// — this also bounds the product, not just each factor. Only a
-			// batch step must carry a field.
-			if ns*nf > len(payload)/fieldLenSize || !data && nf == 0 {
+			// — this also bounds the product, not just each factor. Every
+			// step must carry a field, or a frame claims its cells for free.
+			if ns*nf > len(payload)/fieldLenSize || nf == 0 {
 				return fmt.Errorf("%d steps x %d fields exceed payload", ns, nf)
 			}
 			v.numFields = nf

@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 86
 	pinnedSharedFlags  = 107
-	pinnedSourceLines  = 16981
+	pinnedSourceLines  = 17058
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
