@@ -1,16 +1,19 @@
 // Package codec implements the negotiated wire codec of the data path: a
 // delta-XOR transform over float64 bit patterns followed by a byte-plane
-// shuffle and a zero-run-length entropy pass. Fields from neighbouring
+// transpose and a chunked zero-unit pass. Fields from neighbouring
 // timesteps of the same pick-freeze member are highly correlated, so XORing
 // each step against its predecessor zeroes the sign, exponent and high
-// mantissa bytes of most values; the shuffle groups those now-mostly-zero
-// byte planes together and the run-length pass collapses them. The shuffle
-// is one blocked pass (eight words byte-transposed in registers at a time)
-// and the run-length pass scans a word at a time, both over caller-owned
-// scratch — no allocation in steady state, no dependency beyond the
-// standard library, one code path on every host, and bit-lossless (the
-// float values round-trip exactly, so folded statistics stay bitwise
-// identical to the raw wire format).
+// mantissa bytes of most values; seen as byte planes (all byte 0s, then all
+// byte 1s, …) and delta coded along each plane, those bytes become runs of
+// zero units,
+// which a chunk of 64 words records as a presence byte and one bit per
+// 4-byte unit instead of storing them. Each side is one streaming pass:
+// eight words at a time are differenced and byte-transposed in registers,
+// and their plane words' units go straight to or come straight from the
+// block — no plane scratch, no allocation in steady state, no dependency
+// beyond the standard library, one code path on every host, and
+// bit-lossless (the float values round-trip exactly, so folded statistics
+// stay bitwise identical to the raw wire format).
 //
 // A compressed block is self-contained: the delta references live entirely
 // inside the block (step s against step s-1 of the same block; the fields of
@@ -18,10 +21,10 @@
 // server holds no per-connection history and replayed or reordered messages
 // decode exactly like fresh ones.
 //
-// Validate performs a pure token scan of a compressed block — exact source
-// consumption, exact output size, no writes — so receivers can reject a
-// malformed block at parse time and treat every later Decompress as
-// infallible.
+// Validate walks the chunk headers of a compressed block — exact source
+// consumption for the block's word count, no writes, O(n/64) — so receivers
+// can reject a malformed block at parse time and treat every later
+// Decompress as infallible.
 package codec
 
 import (
@@ -113,60 +116,76 @@ func wordsOf(vs []float64) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs))
 }
 
-// ZRLE token format: one token byte t per run. t with the high bit set
-// encodes a run of (t&0x7f)+1 zero bytes (1..128 zeros per token byte);
-// t with the high bit clear encodes t+1 literal bytes (1..128) that follow
-// the token verbatim. Zero runs shorter than minZeroRun are folded into the
-// surrounding literals so isolated zeros never split a literal run.
+// Chunk format. The words are coded in chunks of chunkWords (the last chunk
+// may be shorter), and a chunk in groups of eight words. Seen through the
+// byte-plane transpose, a group is eight plane words (byte b of each of its
+// words, one byte per word), and a plane word is two units of unitBytes: the
+// low unit holds the group's words 0–3, the high unit words 4–7. A chunk is
+//
+//	presence u8 | a unit mask per present plane | the non-zero units
+//
+// Bit b of the presence byte says plane b has a non-zero unit; bit 2j+h of
+// its little-endian mask says unit h of group j is non-zero. A mask has a
+// bit for each unit that holds a word of the chunk, rounded up to whole
+// bytes: two bytes, or one in a last chunk of at most 32 words. The units
+// follow group by group, plane by plane, low before high: the order in
+// which a transpose of each group yields them. The bytes of a last, partial
+// unit past the chunk's end are zero when written and ignored when read.
 const (
-	tokenZeroBit = 0x80
-	maxRun       = 128
-	minZeroRun   = 2
+	chunkWords = 64
+	unitBytes  = 4
+	maxHeader  = 1 + 2*8
 )
 
 // MaxExpansion bounds the raw bytes one compressed byte can stand for: a
-// token byte expands to at most maxRun bytes, so a block that validates
-// against rawLen is at least rawLen/MaxExpansion bytes long. Parsers check a
-// frame's claimed raw size against it before they allocate for it.
-const MaxExpansion = maxRun
+// chunk of at most 8·chunkWords raw bytes costs at least its presence byte,
+// so a block that validates against rawLen is at least rawLen/MaxExpansion
+// bytes long. Parsers check a frame's claimed raw size against it before
+// they allocate for it.
+const MaxExpansion = 8 * chunkWords
 
-// MaxCompressedLen bounds the compressed size of n raw bytes: literal input
-// costs one token byte per 128 literals, and each of the 8 byte planes may
-// additionally open with a short literal chunk (a lone literal byte costs two
-// output bytes, but a second literal run in the same plane is only reachable
-// across a zero run that more than pays for its own token).
+// MaxCompressedLen bounds the compressed size of n raw bytes: a whole chunk
+// costs at most its full header on top of its bytes, and the short last
+// chunk also rounds each plane up to whole units (three bytes per plane).
+// The bound is subadditive, so k blocks of n_i bytes fit in
+// MaxCompressedLen(Σn_i) + (k−1)·MaxCompressedLen(0).
 func MaxCompressedLen(n int) int {
-	return n + n/maxRun + 2*8
+	return n + maxHeader*(n/MaxExpansion) + maxHeader + 8*(unitBytes-1)
 }
 
-// Encoder holds the compression scratch (the block's eight byte planes).
-// The zero value is ready to use; scratch grows to the largest block seen.
-type Encoder struct {
-	planes []byte
-}
+// Encoder compresses blocks. It holds no state.
+type Encoder struct{}
 
 // Compress appends the compressed form of words to dst and returns the
-// extended slice. The byte-plane shuffle lays the planes out one after the
-// other (least-significant first), so the run-length pass sees each plane's
-// bytes contiguously; runs never span planes, which costs at most one token
-// per plane. Each plane is additionally byte-delta coded (b[i] − b[i−1] mod
-// 256) before the run-length pass: the exponent planes of a spatially
-// smooth field are long runs of one repeated byte, which the delta turns
-// into the zero runs ZRLE collapses.
+// extended slice. Each byte plane is delta coded by XOR (b[i] ^ b[i−1],
+// across chunks too; over all planes at once that is words[i] ^
+// words[i−1]): the exponent planes of a spatially smooth field are long
+// runs of one repeated byte, which the delta turns into the zero units the
+// masks drop.
 func (e *Encoder) Compress(dst []byte, words []uint64) []byte {
-	n := len(words)
-	if cap(e.planes) < 8*n {
-		e.planes = make([]byte, 8*n)
-	}
-	planes := e.planes[:8*n]
-	shuffle(planes, words)
-	at, bound := len(dst), MaxCompressedLen(8*n)
-	dst = slices.Grow(dst, bound)[:at+bound]
-	for b := 0; b < 8; b++ {
-		at = zrleAppend(dst, at, planes[b*n:(b+1)*n])
+	at, bound := len(dst), MaxCompressedLen(8*len(words))
+	// Units are stored as whole words, so keep 8 bytes of slack past the bound.
+	dst = slices.Grow(dst, bound+8)[:at+bound+8]
+	prev := uint64(0) // the word before the chunk
+	var pad [chunkWords]uint64
+	for c := 0; c < len(words); c += chunkWords {
+		w := &pad
+		if len(words)-c >= chunkWords {
+			w = (*[chunkWords]uint64)(words[c:])
+		} else { // a short last chunk repeats its last word: zero differences
+			for i := copy(pad[:], words[c:]); i < chunkWords; i++ {
+				pad[i] = words[len(words)-1]
+			}
+		}
+		at = compressChunk(dst, at, w, prev, maskBytes(len(words)-c))
+		prev = w[chunkWords-1]
 	}
 	return dst[:at]
 }
+
+// maskBytes is the mask width of a chunk that starts words words before the
+// end of its block: one byte holds the 8 units of 32 words.
+func maskBytes(words int) int { return 1 + min(words-1, 32)/32 }
 
 // highBits is the high bit of every byte of a word.
 const highBits = 0x8080808080808080
@@ -185,221 +204,191 @@ func swap4(x0, x1, x2, x3, y0, y1, y2, y3 uint64, s uint, m uint64) (uint64, uin
 	return x0 ^ t0<<s, x1 ^ t1<<s, x2 ^ t2<<s, x3 ^ t3<<s, y0 ^ t0, y1 ^ t1, y2 ^ t2, y3 ^ t3
 }
 
-// byteSub returns x − y computed bytewise mod 256: the high bits are masked
-// off so no borrow crosses a byte, then put back by XOR.
-func byteSub(x, y uint64) uint64 {
-	return ((x | highBits) - (y &^ highBits)) ^ ((x ^ ^y) & highBits)
+// nonZeroBytes returns a word whose bit 8b is set exactly when byte b of x
+// is non-zero: adding 0x7f to a byte's low seven bits carries into its high
+// bit unless they are all zero.
+func nonZeroBytes(x uint64) uint64 {
+	return ((x&^highBits + ^uint64(highBits)) | x) >> 7 & (highBits >> 7)
 }
 
-// byteAdd returns x + y computed bytewise mod 256.
-func byteAdd(x, y uint64) uint64 {
-	return ((x &^ highBits) + (y &^ highBits)) ^ ((x ^ y) & highBits)
-}
+// A plane word's two mask bits k select its units: none, the low, the high
+// or both. unitShift moves a high unit alone to the low end (and back),
+// unitKeep keeps of a whole-word read what the units hold, unitLen is their
+// size.
+var (
+	unitShift = [4]uint8{0, 0, 32, 0}
+	unitKeep  = [4]uint64{0, m32, ^uint64(0), ^uint64(0)}
+	unitLen   = [4]int{0, 4, 4, 8}
+)
 
-// shuffle writes the byte-delta-coded planes of words into planes: plane b,
-// at planes[b*n:(b+1)*n], holds byte b of every word minus byte b of the
-// word before it, which is byte b of the bytewise difference of the two
-// words. Eight such differences at a time are transposed in registers, and
-// each plane word is stored in one explicit little-endian write.
-func shuffle(planes []byte, words []uint64) {
-	n := len(words)
-	prev := uint64(0) // the word before words[i]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := words[i : i+8 : i+8]
-		a0, a1, a2, a3, a4, a5, a6, a7 := byteSub(w[0], prev), byteSub(w[1], w[0]),
-			byteSub(w[2], w[1]), byteSub(w[3], w[2]), byteSub(w[4], w[3]),
-			byteSub(w[5], w[4]), byteSub(w[6], w[5]), byteSub(w[7], w[6])
-		prev = w[7]
+// compressChunk writes the chunk w that follows the word prev into dst[at:],
+// which must have room for it plus 8 bytes, and returns the new end. A
+// first pass finds the non-zero units: unit h of group j in plane b is
+// byte b of the OR of its four word deltas (w[i] ^ w[i−1]). The second
+// transposes the deltas of eight words at a time in registers into plane
+// words and appends the units the masks select.
+func compressChunk(dst []byte, at int, w *[chunkWords]uint64, prev uint64, mb int) int {
+	var x [2]uint64 // byte b of x[i]: bits 8i..8i+7 of plane b's mask
+	p := prev
+	for j := 0; j < 8; j++ {
+		g := (*[8]uint64)(w[8*j:])
+		lo := (g[0] ^ p) | (g[1] ^ g[0]) | (g[2] ^ g[1]) | (g[3] ^ g[2])
+		hi := (g[4] ^ g[3]) | (g[5] ^ g[4]) | (g[6] ^ g[5]) | (g[7] ^ g[6])
+		p = g[7]
+		x[j>>2&1] |= (nonZeroBytes(lo) | nonZeroBytes(hi)<<1) << (2 * (j & 3))
+	}
+	var mask [8]uint64
+	h := at + 1
+	present := 0
+	for b := range mask {
+		mask[b] = x[0]>>(8*b)&0xff | x[1]>>(8*b)&0xff<<8
+		if mask[b] != 0 {
+			present |= 1 << b
+			le.PutUint16(dst[h:], uint16(mask[b])) // a one-byte mask's zero high byte is overwritten
+			h += mb
+		}
+	}
+	dst[at] = byte(present)
+	at = h
+	for j := 0; j < 8; j++ {
+		g := (*[8]uint64)(w[8*j:])
+		a0, a1, a2, a3, a4, a5, a6, a7 := g[0]^prev, g[1]^g[0], g[2]^g[1], g[3]^g[2], g[4]^g[3], g[5]^g[4], g[6]^g[5], g[7]^g[6]
+		prev = g[7]
 		a0, a1, a2, a3, a4, a5, a6, a7 = swap4(a0, a1, a2, a3, a4, a5, a6, a7, 32, m32)
 		a0, a1, a4, a5, a2, a3, a6, a7 = swap4(a0, a1, a4, a5, a2, a3, a6, a7, 16, m16)
 		a0, a2, a4, a6, a1, a3, a5, a7 = swap4(a0, a2, a4, a6, a1, a3, a5, a7, 8, m8)
-		for b, p := range [8]uint64{a0, a1, a2, a3, a4, a5, a6, a7} {
-			le.PutUint64(planes[b*n+i:], p)
-		}
-	}
-	for ; i < n; i++ {
-		d := byteSub(words[i], prev)
-		prev = words[i]
-		for b := 0; b < 8; b++ {
-			planes[b*n+i] = byte(d >> (8 * b))
-		}
-	}
-}
-
-// unshuffle inverts shuffle: it transposes eight plane words at a time back
-// into word differences and sums them bytewise into words.
-func unshuffle(words []uint64, planes []byte) {
-	n := len(words)
-	prev := uint64(0) // words[i-1]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		a0, a1, a2, a3, a4, a5, a6, a7 := le.Uint64(planes[i:]), le.Uint64(planes[n+i:]),
-			le.Uint64(planes[2*n+i:]), le.Uint64(planes[3*n+i:]), le.Uint64(planes[4*n+i:]),
-			le.Uint64(planes[5*n+i:]), le.Uint64(planes[6*n+i:]), le.Uint64(planes[7*n+i:])
-		a0, a1, a2, a3, a4, a5, a6, a7 = swap4(a0, a1, a2, a3, a4, a5, a6, a7, 32, m32)
-		a0, a1, a4, a5, a2, a3, a6, a7 = swap4(a0, a1, a4, a5, a2, a3, a6, a7, 16, m16)
-		a0, a2, a4, a6, a1, a3, a5, a7 = swap4(a0, a2, a4, a6, a1, a3, a5, a7, 8, m8)
-		w := words[i : i+8 : i+8]
-		w[0] = byteAdd(prev, a0)
-		w[1] = byteAdd(w[0], a1)
-		w[2] = byteAdd(w[1], a2)
-		w[3] = byteAdd(w[2], a3)
-		w[4] = byteAdd(w[3], a4)
-		w[5] = byteAdd(w[4], a5)
-		w[6] = byteAdd(w[5], a6)
-		w[7] = byteAdd(w[6], a7)
-		prev = w[7]
-	}
-	for ; i < n; i++ {
-		var d uint64
-		for b := 0; b < 8; b++ {
-			d |= uint64(planes[b*n+i]) << (8 * b)
-		}
-		prev = byteAdd(prev, d)
-		words[i] = prev
-	}
-}
-
-// zrleAppend run-length-encodes one plane into dst[at:], which must have
-// room for it (MaxCompressedLen), and returns the new end. The runs are
-// found a word at a time (nonZeroFrom, literalEnd); the tokens are those of
-// a byte-at-a-time scan.
-func zrleAppend(dst []byte, at int, src []byte) int {
-	n := len(src)
-	i, z := 0, nonZeroFrom(src, 0) // [i, z) is the zero run at i
-	for i < n {
-		if run := z - i; run >= minZeroRun || (run > 0 && z == n) {
-			for ; run > maxRun; run -= maxRun {
-				dst[at] = tokenZeroBit | (maxRun - 1)
-				at++
-			}
-			dst[at] = byte(tokenZeroBit | (run - 1))
-			at++
-			i = z
-			continue
-		}
-		// Literal run: up to the next compressible zero run (or the end),
-		// including any single isolated zeros on the way; z == i or i+1
-		// here, and a lone zero at i joins the literals too.
-		j := literalEnd(src, z)
-		z = nonZeroFrom(src, j)
-		for i < j {
-			k := min(j-i, maxRun)
-			dst[at] = byte(k - 1)
-			copy(dst[at+1:at+1+k], src[i:i+k])
-			at += 1 + k
-			i += k
+		a := [8]uint64{a0, a1, a2, a3, a4, a5, a6, a7}
+		for q := present; q != 0; q &= q - 1 {
+			b := bits.TrailingZeros(uint(q)) & 7
+			k := mask[b] >> (2 * j) & 3
+			le.PutUint64(dst[at:], a[b]>>unitShift[k])
+			at += unitLen[k]
 		}
 	}
 	return at
 }
 
-// nonZeroFrom returns the index of the first non-zero byte of src at or
-// after i, or len(src).
-func nonZeroFrom(src []byte, i int) int {
-	for ; i+8 <= len(src); i += 8 {
-		if w := le.Uint64(src[i:]); w != 0 {
-			return i + bits.TrailingZeros64(w)/8
-		}
-	}
-	for i < len(src) && src[i] == 0 {
-		i++
-	}
-	return i
-}
-
-// literalEnd returns where a literal run that reaches j ends: at the first
-// zero byte at or after j that starts a run of minZeroRun zeros or is the
-// last byte of src, or at len(src). zero flags exactly the zero bytes of a
-// word: adding 0x7f to a byte's low seven bits sets its high bit unless
-// they are all zero, and OR-ing in the byte clears it only for a zero byte.
-func literalEnd(src []byte, j int) int {
-	const low7 = ^uint64(highBits)
-	n := len(src)
-	for ; j+8 < n; j += 8 {
-		w := le.Uint64(src[j:])
-		zero := ^((w&low7 + low7) | w) & highBits
-		next := (uint64(src[j+8]) - 1) & (1 << 63) // the following byte is zero
-		if pair := zero & (zero>>8 | next); pair != 0 {
-			return j + bits.TrailingZeros64(pair)/8
-		}
-	}
-	for ; j < n; j++ {
-		if src[j] == 0 && (j+1 == n || src[j+1] == 0) {
-			return j
-		}
-	}
-	return n
-}
-
-// Decoder holds the decompression scratch (the block's eight byte planes).
-// The zero value is ready to use.
-type Decoder struct {
-	planes []byte
-}
+// Decoder decompresses blocks. It holds no state.
+type Decoder struct{}
 
 // Decompress expands src into words, which must hold exactly the block's
-// word count. It returns an error on any malformed token stream, and then
-// leaves words untouched; a block that passed Validate never errors.
+// word count. It returns an error on any malformed block, and words then
+// hold a partial decode; a block that passed Validate never errors.
 func (d *Decoder) Decompress(words []uint64, src []byte) error {
-	n := len(words)
-	if cap(d.planes) < 8*n {
-		d.planes = make([]byte, 8*n)
-	}
-	if err := expand(d.planes[:8*n], n, src); err != nil {
-		return err
-	}
-	unshuffle(words, d.planes[:8*n])
-	return nil
-}
-
-// Validate token-scans a compressed block without writing anything: the
-// stream must expand to exactly rawLen bytes (8 planes of rawLen/8) and
-// consume exactly len(src) source bytes. rawLen must be a multiple of 8.
-// A block accepted here cannot make Decompress fail, so receivers may
-// validate once at parse time and decompress later on a path with no error
-// reporting.
-func Validate(src []byte, rawLen int) error {
-	if rawLen <= 0 || rawLen%8 != 0 {
-		return fmt.Errorf("codec: invalid raw length %d", rawLen)
-	}
-	return expand(nil, rawLen/8, src)
-}
-
-// expand decodes the eight planes of n bytes each that src holds into
-// planes, or with planes nil only checks that src decodes: Decompress and
-// Validate read the tokens with the same loop, so they accept the same
-// blocks.
-func expand(planes []byte, n int, src []byte) error {
-	off := 0
-	for b := 0; b < 8; b++ {
-		for out, end := b*n, (b+1)*n; out < end; {
-			if off >= len(src) {
-				return fmt.Errorf("codec: plane %d: truncated token stream", b)
-			}
-			t := src[off]
-			off++
-			run := int(t&0x7f) + 1
-			if run > end-out {
-				return fmt.Errorf("codec: plane %d: run of %d overflows plane", b, run)
-			}
-			if t&tokenZeroBit == 0 {
-				if off+run > len(src) {
-					return fmt.Errorf("codec: plane %d: truncated literal run", b)
-				}
-				if planes != nil {
-					copy(planes[out:out+run], src[off:off+run])
-				}
-				off += run
-			} else if planes != nil {
-				clear(planes[out : out+run])
-			}
-			out += run
+	prev, off := uint64(0), 0 // the word before the chunk, the chunk's offset
+	for c := 0; c < len(words); c += chunkWords {
+		present, mask, at, end, err := chunkHeader(src, off, c, len(words))
+		if err != nil {
+			return err
 		}
+		s := src[at:]
+		if len(s) < 8*chunkWords+8 {
+			// Units are read as whole words: give the last chunks slack.
+			var buf [8*chunkWords + 16]byte
+			s = buf[:copy(buf[:], s)+8]
+		}
+		if len(words)-c >= chunkWords {
+			decompressChunk((*[chunkWords]uint64)(words[c:]), s, present, &mask, prev)
+		} else {
+			var pad [chunkWords]uint64
+			decompressChunk(&pad, s, present, &mask, prev)
+			copy(words[c:], pad[:])
+		}
+		prev = words[min(c+chunkWords, len(words))-1]
+		off = end
 	}
 	if off != len(src) {
 		return fmt.Errorf("codec: %d trailing bytes", len(src)-off)
 	}
 	return nil
+}
+
+// decompressChunk decodes the units that s starts with into the chunk w,
+// given its presence byte and masks and the word prev before it. s must
+// extend 8 bytes past the units: they are read as whole words. Eight plane
+// words at a time are pulled from the units the masks select (a zero where
+// they select none), transposed back into word deltas and XOR-summed into
+// words.
+func decompressChunk(w *[chunkWords]uint64, s []byte, present byte, mask *[8]uint64, prev uint64) {
+	at := 0
+	for j := 0; j < 8; j++ {
+		var a [8]uint64
+		for q := present; q != 0; q &= q - 1 {
+			b := bits.TrailingZeros8(q) & 7
+			k := mask[b] >> (2 * j) & 3
+			a[b] = le.Uint64(s[at:]) << unitShift[k] & unitKeep[k]
+			at += unitLen[k]
+		}
+		a0, a1, a2, a3, a4, a5, a6, a7 := swap4(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], 32, m32)
+		a0, a1, a4, a5, a2, a3, a6, a7 = swap4(a0, a1, a4, a5, a2, a3, a6, a7, 16, m16)
+		a0, a2, a4, a6, a1, a3, a5, a7 = swap4(a0, a2, a4, a6, a1, a3, a5, a7, 8, m8)
+		a0 ^= prev
+		a1 ^= a0
+		a2 ^= a1
+		a3 ^= a2
+		a4 ^= a3
+		a5 ^= a4
+		a6 ^= a5
+		a7 ^= a6
+		g := (*[8]uint64)(w[8*j:]) // stored word by word: an array store goes through the stack
+		g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		prev = a7
+	}
+}
+
+// Validate checks a compressed block without decoding it: rawLen must be a
+// positive multiple of 8, and the chunk headers must describe exactly
+// len(src) bytes over rawLen/8 words. It reads only the headers. Decompress
+// checks the same headers, so a block accepted here cannot make it fail:
+// receivers validate once at parse time and decompress later on a path with
+// no error reporting.
+func Validate(src []byte, rawLen int) error {
+	if rawLen <= 0 || rawLen%8 != 0 {
+		return fmt.Errorf("codec: invalid raw length %d", rawLen)
+	}
+	off := 0
+	for c := 0; c < rawLen/8; c += chunkWords {
+		_, _, _, end, err := chunkHeader(src, off, c, rawLen/8)
+		if err != nil {
+			return err
+		}
+		off = end
+	}
+	if off != len(src) {
+		return fmt.Errorf("codec: %d trailing bytes", len(src)-off)
+	}
+	return nil
+}
+
+// chunkHeader checks the header at src[off:] of the chunk at word c of a
+// block of n words, and returns its presence byte, its masks, and the
+// offsets of its units and of its end. A mask must be non-zero and name
+// only units that hold a word of the chunk, and the units must fit in src.
+func chunkHeader(src []byte, off, c, n int) (present byte, mask [8]uint64, at, end int, err error) {
+	if off >= len(src) {
+		return 0, mask, 0, 0, fmt.Errorf("codec: chunk at word %d: truncated header", c)
+	}
+	present, at = src[off], off+1
+	mb := maskBytes(n - c)
+	if mb*bits.OnesCount8(present) > len(src)-at {
+		return 0, mask, 0, 0, fmt.Errorf("codec: chunk at word %d: truncated masks", c)
+	}
+	valid := uint64(1)<<((min(n-c, chunkWords)+unitBytes-1)/unitBytes) - 1
+	units := 0
+	for q := present; q != 0; q &= q - 1 {
+		b := bits.TrailingZeros8(q) & 7
+		mask[b] = uint64(src[at])
+		if mb == 2 {
+			mask[b] |= uint64(src[at+1]) << 8
+		}
+		at += mb
+		if mask[b] == 0 || mask[b]&^valid != 0 {
+			return 0, mask, 0, 0, fmt.Errorf("codec: chunk at word %d: plane %d mask %#04x outside %#04x", c, b, mask[b], valid)
+		}
+		units += bits.OnesCount64(mask[b])
+	}
+	if unitBytes*units > len(src)-at {
+		return 0, mask, 0, 0, fmt.Errorf("codec: chunk at word %d: %d units overrun the block", c, units)
+	}
+	return present, mask, at, at + unitBytes*units, nil
 }

@@ -174,26 +174,34 @@ func TestValidateMatchesDecompress(t *testing.T) {
 
 func TestValidateRejectsBadRawLen(t *testing.T) {
 	var e Encoder
-	comp := e.Compress(nil, make([]uint64, 8))
+	comp := e.Compress(nil, randomWords(rand.New(rand.NewSource(5)), 8))
 	for _, rawLen := range []int{0, -8, 7, 63} {
 		if err := Validate(comp, rawLen); err == nil {
 			t.Fatalf("rawLen %d accepted", rawLen)
 		}
 	}
-	// A mismatched (but valid-shape) length must also be rejected.
-	if err := Validate(comp, 8*16); err == nil {
-		t.Fatal("wrong raw length accepted")
+	// Mismatched (but valid-shape) lengths must also be rejected: four words
+	// have no high units for the masks to name, and 65 words need a second
+	// chunk. (A block does not carry its word count: an all-zero chunk
+	// stands for any number of zero words up to chunkWords.)
+	for _, rawLen := range []int{8 * 4, 8 * (chunkWords + 1)} {
+		if err := Validate(comp, rawLen); err == nil {
+			t.Fatalf("wrong raw length %d accepted", rawLen)
+		}
 	}
 }
 
-func TestZRLEWorstCase(t *testing.T) {
-	// Incompressible input must stay within the documented expansion bound.
+func TestCompressWorstCase(t *testing.T) {
+	// Incompressible input must stay within the documented expansion bound,
+	// for whole chunks and for every short last chunk.
 	rng := rand.New(rand.NewSource(4))
-	words := randomWords(rng, 4096)
 	var e Encoder
-	comp := e.Compress(nil, words)
-	if len(comp) > MaxCompressedLen(8*len(words)) {
-		t.Fatalf("worst case %d exceeds bound %d", len(comp), MaxCompressedLen(8*len(words)))
+	for _, n := range []int{4096, 4096 + 1, 4096 + 31, 4096 + 32, 4096 + 33, 4096 + 63} {
+		words := randomWords(rng, n)
+		comp := e.Compress(nil, words)
+		if len(comp) > MaxCompressedLen(8*len(words)) {
+			t.Fatalf("%d words: worst case %d exceeds bound %d", n, len(comp), MaxCompressedLen(8*len(words)))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func checkValidate(t *testing.T, d *Decoder, src []byte, rawLen int) {
 }
 
 // sparseWords draws n words whose bytes are zero with probability zero,
-// runs of the same byte in a plane included (the byte delta zeroes them).
+// runs of the same byte in a plane included (the plane delta zeroes them).
 func sparseWords(rng *rand.Rand, n int, zero float64) []uint64 {
 	words := make([]uint64, n)
 	for i := range words {
@@ -73,19 +74,27 @@ func sparseWords(rng *rand.Rand, n int, zero float64) []uint64 {
 	return words
 }
 
-// TestCodecMatchesReference checks the word-wide codec against the
-// per-byte reference on ragged lengths and every mix of zero and literal
-// bytes, and Validate against the reference decoder on corrupted blocks.
+// TestCodecMatchesReference checks the transposing codec against the
+// unit-at-a-time reference on every word count of one to two chunks and a
+// short tail, on ragged lengths with every mix of zero and non-zero bytes,
+// and on the chunk shapes by name; and Validate against the reference
+// decoder on corrupted blocks and on hand-made headers that must fail.
 func TestCodecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var e Encoder
 	var d Decoder
+	densities := []float64{0, 0.05, 0.3, 0.6, 0.9, 0.99, 1}
+	for n := 1; n <= 2*chunkWords+1; n++ {
+		for _, zero := range densities {
+			checkAgainstReference(t, &e, &d, sparseWords(rng, n, zero))
+		}
+	}
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(300)
 		if trial%50 == 0 {
 			n = rng.Intn(5000)
 		}
-		words := sparseWords(rng, n, []float64{0, 0.05, 0.3, 0.6, 0.9, 0.99, 1}[trial%7])
+		words := sparseWords(rng, n, densities[trial%7])
 		checkAgainstReference(t, &e, &d, words)
 		if n == 0 {
 			continue
@@ -96,9 +105,74 @@ func TestCodecMatchesReference(t *testing.T) {
 		checkValidate(t, &d, comp, 8*n)
 		checkValidate(t, &d, comp[:pos], 8*n)
 	}
+
+	// The presence byte of a chunk with no plane, only plane 7 and every
+	// plane present.
+	for _, c := range []struct {
+		words   []uint64
+		present byte
+	}{
+		{make([]uint64, chunkWords), 0},
+		{planeWords(chunkWords, 0x80), 0x80},
+		{randomWords(rng, chunkWords), 0xff},
+	} {
+		checkAgainstReference(t, &e, &d, c.words)
+		if comp := e.Compress(nil, c.words); comp[0] != c.present {
+			t.Fatalf("presence byte %#02x, want %#02x", comp[0], c.present)
+		}
+	}
+
+	// Hand-made headers: each block is rejected by Validate, with an error
+	// that names the check, and by the reference; or (the last one)
+	// accepted by both.
+	unit := []byte{1, 2, 3, 4}
+	for _, c := range []struct {
+		name  string
+		words int
+		block []byte
+		err   string // "" for a block both accept
+	}{
+		// Plane 0 of a whole chunk claims 16 units; 15 follow.
+		{"popcount overruns the block", chunkWords,
+			append([]byte{0x01, 0xff, 0xff}, bytes.Repeat(unit, 15)...), "overrun"},
+		// Five words have two units per plane; the mask names a third.
+		{"mask bit past the tail", 5, append([]byte{0x01, 0x05}, bytes.Repeat(unit, 2)...), "outside"},
+		// Thirty-two words have one-byte masks: a second byte is trailing.
+		{"two-byte mask on a short chunk", 32, append([]byte{0x01, 0x01, 0x00}, unit...), "trailing"},
+		{"present plane with an empty mask", 8, []byte{0x01, 0x00}, "outside"},
+		{"truncated masks", chunkWords, []byte{0x03, 0x01, 0x00, 0x01}, "truncated masks"},
+		{"no header for the second chunk", chunkWords + 1, []byte{0x00}, "truncated header"},
+		// Bytes 5–7 of plane 0 lie past the five words and are ignored.
+		{"partial unit", 5, []byte{0x01, 0x03, 1, 2, 3, 4, 5, 6, 7, 8}, ""},
+	} {
+		err := Validate(c.block, 8*c.words)
+		if (err == nil) != (c.err == "") || err != nil && !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: Validate error %v, want %q", c.name, err, c.err)
+		}
+		checkValidate(t, &d, c.block, 8*c.words)
+	}
 }
 
-// FuzzCodec checks the codec against the per-byte reference. The input
+// TestMaxExpansionBound pins MaxExpansion as a true bound on the cheapest
+// blocks there are: all-zero words cost one presence byte per chunk.
+func TestMaxExpansionBound(t *testing.T) {
+	var e Encoder
+	for n := 8; n <= 1<<16; n *= 2 {
+		for _, m := range []int{n - 1, n, n + 1} {
+			words := make([]uint64, m)
+			comp := e.Compress(nil, words)
+			if 8*m > MaxExpansion*len(comp) {
+				t.Fatalf("%d zero words: %d compressed bytes stand for more than %d raw bytes each",
+					m, len(comp), MaxExpansion)
+			}
+			if err := Validate(comp, 8*m); err != nil {
+				t.Fatalf("%d zero words: %v", m, err)
+			}
+		}
+	}
+}
+
+// FuzzCodec checks the codec against the unit-at-a-time reference. The input
 // read as little-endian words must compress to the reference bytes and
 // round-trip bit for bit; read as a compressed block of 1+k%2048 words, it
 // must be accepted by Validate exactly when the reference decoder accepts
@@ -111,6 +185,7 @@ func FuzzCodec(f *testing.F) {
 		correlatedWords(2, 3, 21),
 		edgeRunWords(2),
 		sparseWords(rand.New(rand.NewSource(7)), 40, 0.6),
+		planeWords(chunkWords+5, 0x80),
 	} {
 		raw := make([]byte, 8*len(words))
 		for i, w := range words {

@@ -2,137 +2,137 @@ package codec
 
 import "fmt"
 
-// The per-byte reference codec: one pass per byte plane, a byte-at-a-time
-// run-length scan, and a per-plane prefix sum scattered back into the
-// words. It defines the wire bytes; the word-wide production loops must
-// match it byte for byte (FuzzCodec, TestCodecMatchesReference).
+// The unit-at-a-time reference codec: each byte plane XOR-delta coded on
+// its own, cut into chunks of chunkWords bytes and those into units of
+// unitBytes; a unit is written when any of its bytes is non-zero, in the
+// order of the format (unit pair, plane, unit). It defines the wire bytes;
+// the transposing production loops must match it byte for byte (FuzzCodec,
+// TestCodecMatchesReference).
 
 // refCompress is the reference Encoder.Compress.
 func refCompress(dst []byte, words []uint64) []byte {
 	n := len(words)
-	plane := make([]byte, n)
-	for b := 0; b < 8; b++ {
-		shift := uint(8 * b)
+	var planes [8][]byte
+	for b := range planes {
+		planes[b] = make([]byte, n)
 		prev := byte(0)
 		for i, w := range words {
-			v := byte(w >> shift)
-			plane[i] = v - prev
+			v := byte(w >> (8 * b))
+			planes[b][i] = v ^ prev
 			prev = v
 		}
-		dst = refZRLEAppend(dst, plane)
+	}
+	for c := 0; c < n; c += chunkWords {
+		end := min(c+chunkWords, n)
+		var masks [8]uint16
+		present := byte(0)
+		for b, plane := range planes {
+			for u := 0; c+u*unitBytes < end; u++ {
+				for _, v := range refUnit(plane, c+u*unitBytes, end) {
+					if v != 0 {
+						masks[b] |= 1 << u
+					}
+				}
+			}
+			if masks[b] != 0 {
+				present |= 1 << b
+			}
+		}
+		dst = append(dst, present)
+		for _, m := range masks {
+			if m != 0 {
+				dst = append(dst, byte(m))
+				if end-c > 32 {
+					dst = append(dst, byte(m>>8))
+				}
+			}
+		}
+		for u := 0; c+u*unitBytes < end; u += 2 {
+			for b, plane := range planes {
+				for h := u; h < u+2; h++ {
+					if masks[b]>>h&1 != 0 {
+						dst = append(dst, refUnit(plane, c+h*unitBytes, end)...)
+					}
+				}
+			}
+		}
 	}
 	return dst
 }
 
-// refZRLEAppend run-length-encodes one plane onto dst.
-func refZRLEAppend(dst []byte, src []byte) []byte {
-	i, n := 0, len(src)
-	for i < n {
-		// Measure the zero run starting here (possibly empty).
-		z := i
-		for z < n && src[z] == 0 {
-			z++
-		}
-		if run := z - i; run >= minZeroRun || (run > 0 && z == n) {
-			for run > 0 {
-				k := run
-				if k > maxRun {
-					k = maxRun
-				}
-				dst = append(dst, byte(tokenZeroBit|(k-1)))
-				run -= k
-			}
-			i = z
-			continue
-		}
-		// Literal run: up to the next compressible zero run (or the end),
-		// including any single isolated zeros on the way.
-		j := z // z == i or i+1 here; singles join the literals
-		for j < n {
-			if src[j] != 0 {
-				j++
-				continue
-			}
-			z = j
-			for z < n && src[z] == 0 {
-				z++
-			}
-			if z-j >= minZeroRun || z == n {
-				break
-			}
-			j = z
-		}
-		for i < j {
-			k := j - i
-			if k > maxRun {
-				k = maxRun
-			}
-			dst = append(dst, byte(k-1))
-			dst = append(dst, src[i:i+k]...)
-			i += k
-		}
-	}
-	return dst
+// refUnit returns the unit of plane that starts at i, its bytes at and past
+// end zero.
+func refUnit(plane []byte, i, end int) []byte {
+	u := make([]byte, unitBytes)
+	copy(u, plane[i:end])
+	return u
 }
 
 // refDecompress is the reference Decoder.Decompress.
 func refDecompress(words []uint64, src []byte) error {
 	n := len(words)
-	plane := make([]byte, n)
+	var planes [8][]byte
+	for b := range planes {
+		planes[b] = make([]byte, n)
+	}
 	off := 0
-	for b := 0; b < 8; b++ {
-		var err error
-		off, err = refZRLEExpand(plane, src, off)
-		if err != nil {
-			return fmt.Errorf("codec: plane %d: %w", b, err)
+	for c := 0; c < n; c += chunkWords {
+		end := min(c+chunkWords, n)
+		units := (end - c + unitBytes - 1) / unitBytes
+		if off >= len(src) {
+			return fmt.Errorf("codec: chunk at word %d: truncated", c)
 		}
-		// Invert the per-plane byte delta (prefix sum) while scattering the
-		// plane back into its word lane.
-		shift := uint(8 * b)
-		acc := byte(0)
-		if b == 0 {
-			for i, v := range plane {
-				acc += v
-				words[i] = uint64(acc)
+		present := src[off]
+		off++
+		var masks [8]uint16
+		for b := range masks {
+			if present>>b&1 == 0 {
+				continue
 			}
-		} else {
-			for i, v := range plane {
-				acc += v
-				words[i] |= uint64(acc) << shift
+			if off >= len(src) {
+				return fmt.Errorf("codec: chunk at word %d: truncated mask", c)
+			}
+			masks[b] = uint16(src[off])
+			off++
+			if units > 8 {
+				if off >= len(src) {
+					return fmt.Errorf("codec: chunk at word %d: truncated mask", c)
+				}
+				masks[b] |= uint16(src[off]) << 8
+				off++
+			}
+			if masks[b] == 0 || masks[b]>>units != 0 {
+				return fmt.Errorf("codec: chunk at word %d: plane %d mask %#x", c, b, masks[b])
+			}
+		}
+		for u := 0; u < units; u += 2 {
+			for b, plane := range planes {
+				for h := u; h < u+2; h++ {
+					if masks[b]>>h&1 == 0 {
+						continue
+					}
+					if off+unitBytes > len(src) {
+						return fmt.Errorf("codec: chunk at word %d: truncated unit", c)
+					}
+					copy(plane[c+h*unitBytes:end], src[off:off+unitBytes])
+					off += unitBytes
+				}
 			}
 		}
 	}
 	if off != len(src) {
 		return fmt.Errorf("codec: %d trailing bytes", len(src)-off)
 	}
-	return nil
-}
-
-// refZRLEExpand decodes one plane's worth of bytes from src[off:] into dst
-// and returns the new source offset.
-func refZRLEExpand(dst []byte, src []byte, off int) (int, error) {
-	out, n := 0, len(dst)
-	for out < n {
-		if off >= len(src) {
-			return 0, fmt.Errorf("truncated token stream")
+	// Invert each plane's XOR delta (a prefix XOR) while scattering the
+	// plane back into its byte of the words.
+	out := make([]uint64, n)
+	for b, plane := range planes {
+		acc := byte(0)
+		for i, v := range plane {
+			acc ^= v
+			out[i] |= uint64(acc) << (8 * b)
 		}
-		t := src[off]
-		off++
-		run := int(t&0x7f) + 1
-		if run > n-out {
-			return 0, fmt.Errorf("run of %d overflows plane", run)
-		}
-		if t&tokenZeroBit != 0 {
-			clear(dst[out : out+run])
-			out += run
-			continue
-		}
-		if off+run > len(src) {
-			return 0, fmt.Errorf("truncated literal run")
-		}
-		copy(dst[out:out+run], src[off:off+run])
-		off += run
-		out += run
 	}
-	return off, nil
+	copy(words, out)
+	return nil
 }

@@ -138,7 +138,7 @@ func (m *bulkMsg) decodeCompressedRange(cc *codecCache, s, f, lo, hi int, dst []
 	}
 }
 
-// codecCache is one fold worker's decompression state: the codec scratch and
+// codecCache is one fold worker's decompression state: the codec decoder and
 // the per-range decompressed words of the message currently in front of the
 // worker. The router enqueues every step of a batch back to back, so keying
 // on (shell, generation) makes each worker decompress its block(s) once per
@@ -173,7 +173,7 @@ func (cc *codecCache) rangeWords(m *bulkMsg, r int) []uint64 {
 		}
 		cc.words[r] = cc.words[r][:need]
 		t0 := time.Now()
-		// Parse token-scanned every block (codec.Validate), so this cannot
+		// Parse validated every block (codec.Validate), so this cannot
 		// fail on a routed message; the check is pure defence in depth.
 		if err := m.comp.DecompressRange(r, &cc.dec, cc.words[r]); err != nil {
 			olog.Errorw("server.codec_decompress_failed", "err", err)

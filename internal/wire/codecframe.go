@@ -32,10 +32,10 @@ import (
 //
 // Like the raw views, the inbox-side Parse touches no float data: it walks
 // the header, checks the range table against the cell range, and runs
-// codec.Validate over each block — a token scan that reads only token bytes
-// (one byte per up-to-128-byte run, literals are skipped, nothing is
-// written), so a frame accepted by Parse can never fail to decompress and
-// the workers' decode stage stays infallible. Malformed frames are rejected
+// codec.Validate over each block — a header walk that reads only the chunk
+// headers (a presence byte and a few unit masks per 512 raw bytes; the
+// units are skipped, nothing is written), so a frame accepted by Parse can
+// never fail to decompress and the workers' decode stage stays infallible. Malformed frames are rejected
 // wholesale with one error, exactly like the raw rectangular validation.
 
 // dataBatchCFixedSize is the frame prefix before the timestep list: tag,
@@ -203,7 +203,7 @@ func (v *DataBatchCView) RangeWords(r int) int {
 
 // Parse validates payload as a TypeDataBatchC message: header shape, a range
 // table that exactly partitions the cell range, block sizes that exactly
-// fill the payload, and a token scan of every block (codec.Validate). No
+// fill the payload, and a header walk of every block (codec.Validate). No
 // float data is decompressed. A payload that parses decompresses cleanly.
 func (v *DataBatchCView) Parse(payload []byte) error {
 	if len(payload) < dataBatchCFixedSize {
@@ -293,7 +293,7 @@ func (v *DataBatchCView) Parse(payload []byte) error {
 
 // DecompressRange expands sub-range r into words, which must hold exactly
 // RangeWords(r) entries, laid out [step][field][cell]. A view that parsed
-// never returns an error here (Parse token-scanned every block).
+// never returns an error here (Parse validated every block).
 func (v *DataBatchCView) DecompressRange(r int, d *codec.Decoder, words []uint64) error {
 	block := v.payload[v.blockOff[r] : v.blockOff[r]+v.blockLen[r]]
 	if err := d.Decompress(words, block); err != nil {

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"melissa/internal/codec"
@@ -187,5 +189,39 @@ func TestDataBatchCViewRejectsBadShapes(t *testing.T) {
 	bad[off] = 63 // 63 cells instead of 64
 	if err := v.Parse(bad); err == nil {
 		t.Fatal("short range coverage accepted")
+	}
+}
+
+// TestDataBatchCViewExpansionGuard pins the guard that bounds a frame's
+// decompressed size by codec.MaxExpansion before anything is sized by it:
+// all-zero blocks expand the most (one byte per chunk), and a frame of them
+// whose cell count sits exactly at the guard parses and decompresses, while
+// the same payload claiming one cell more is rejected there.
+func TestDataBatchCViewExpansionGuard(t *testing.T) {
+	const steps, fields, cells = 2, 512, 3
+	in := testBatch(1, 0, cells, steps, fields)
+	for _, st := range in.Steps {
+		for _, f := range st.Fields {
+			clear(f)
+		}
+	}
+	payload := encodeBatchC(t, in, []int{cells})
+	// The guard's byte count: what follows the field count.
+	remaining := len(payload) - (dataBatchCFixedSize + 8*steps + 4)
+	if guard := codec.MaxExpansion / 8 * remaining / (steps * fields); guard != cells {
+		t.Fatalf("%d cells, guard admits %d: the fixture no longer sits at the guard", cells, guard)
+	}
+	var v DataBatchCView
+	if err := v.Parse(payload); err != nil {
+		t.Fatalf("frame at the guard: %v", err)
+	}
+	words := make([]uint64, v.RangeWords(0))
+	if err := v.DecompressRange(0, &codec.Decoder{}, words); err != nil {
+		t.Fatalf("frame at the guard: %v", err)
+	}
+	over := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint64(over[1+2*8:], cells+1) // cellHi
+	if err := v.Parse(over); err == nil || !strings.Contains(err.Error(), "cells exceed payload") {
+		t.Fatalf("one cell past the guard: %v, want a cells-exceed-payload error", err)
 	}
 }

@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 86
 	pinnedSharedFlags  = 107
-	pinnedSourceLines  = 17058
+	pinnedSourceLines  = 17047
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
