@@ -1,10 +1,15 @@
 // Package checkpoint implements the on-disk format of Melissa Server's
-// periodic state saves (Sec. 4.2.1): each server process independently
-// writes one file containing its statistics accumulator and its group
-// bookkeeping. Files are written atomically (temp file + rename) and carry a
-// magic header, a format version and a CRC so that a crash during
-// checkpointing can never leave a silently corrupt restart point — the
-// previous complete checkpoint always survives.
+// periodic state saves (Sec. 4.2.1). Each server process keeps its own
+// checkpoint: a manifest at Filename plus the segment files it references.
+// A commit streams only the timesteps that changed since the last commit
+// into one new segment, then atomically replaces the manifest (temp file,
+// fsync, rename, directory sync); the manifest names, per timestep, the
+// segment, offset, length and CRC of its section. The image a manifest
+// describes is byte for byte the payload of a single-file Version
+// checkpoint, which older builds wrote and this one still reads. A crash
+// during checkpointing can never leave a silently corrupt restart point:
+// segments a durable manifest references are deleted only after a newer
+// manifest is durable, so the previous complete checkpoint always survives.
 package checkpoint
 
 import (
@@ -37,21 +42,24 @@ const (
 	// group-tracker block V3 introduced (core.LayoutV3). Read accepts every
 	// version from V1 up to Version and reports which one it found, so
 	// servers restart cleanly from checkpoints written by older builds.
+	// The server commits manifests (ManifestVersion) whose assembled image
+	// is a Version payload.
 	Version = 4
 )
 
 // Filename returns the canonical checkpoint path for a server process rank,
-// mirroring the paper's one-file-per-process layout.
+// mirroring the paper's one-checkpoint-per-process layout: the manifest's
+// path, whose segments are named after it (melissa-server-NNNN.seg-<seq>).
 func Filename(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("melissa-server-%04d.ckpt", rank))
 }
 
-// Write serializes a payload produced by fill into path, atomically, in the
-// current format version. It is a one-section StreamWriter, so the whole
+// Write serializes a payload produced by fill into path, atomically, as a
+// single Version file. It is a one-section StreamWriter, so the whole
 // temp+CRC+fsync+rename+dir-sync protocol lives in exactly one place. The
-// server streams its checkpoints through StreamWriter directly; Write is the
-// one-shot reference the tests compare that path against, and the writer of
-// tools/goldengen's fixture.
+// server commits through a Log; Write is the one-shot reference the tests
+// compare its assembled image against, and the writer of tools/goldengen's
+// fixture.
 func Write(path string, fill func(w *enc.Writer)) error {
 	sw, err := NewStreamWriter(path, Version)
 	if err != nil {
@@ -135,6 +143,12 @@ func NewStreamWriter(path string, version int) (*StreamWriter, error) {
 	if version < V1 || version > Version {
 		return nil, fmt.Errorf("checkpoint: cannot write unknown version %d (valid: %d..%d)", version, V1, Version)
 	}
+	return newStreamWriter(path, version)
+}
+
+// newStreamWriter is NewStreamWriter for any header version; Log writes its
+// manifests through it.
+func newStreamWriter(path string, version int) (*StreamWriter, error) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -199,7 +213,8 @@ func (sw *StreamWriter) Commit() error {
 	if sw.written > math.MaxUint32 {
 		// The header stores the payload length (and CRC) in 32 bits; a
 		// larger payload could be renamed over the last good checkpoint but
-		// never read back. Refuse and keep the previous file instead.
+		// never read back. Refuse and keep the previous file instead. (A
+		// Log's segments carry 64-bit offsets and have no such limit.)
 		sw.fail()
 		return fmt.Errorf("checkpoint: payload %d bytes exceeds the format's 4 GiB limit", sw.written)
 	}
@@ -256,11 +271,16 @@ func (sw *StreamWriter) release() {
 	}
 }
 
-// SweepTemps removes stale .ckpt-* temp files left in dir by a writer that
-// crashed mid-checkpoint. The atomic-rename protocol makes them pure garbage
-// — a temp file is only ever renamed into place after a successful fsync, so
-// anything still carrying the temp prefix was abandoned. Returns the removed
-// file names. A missing directory sweeps nothing.
+// SweepTemps removes what crashed writers left in dir: stale .ckpt-* temp
+// files, and segments no manifest references. The atomic-rename protocol
+// makes temps pure garbage — a temp file is only ever renamed into place
+// after a successful fsync, so anything still carrying the temp prefix was
+// abandoned. A segment is garbage when its checkpoint file is missing (a
+// previous study's, once the launcher removed its manifests), is a single
+// file, or is a manifest that does not name it (a crash between the
+// segment's fsync and the manifest's rename). Segments of a manifest that
+// cannot be read are kept. Returns the removed file names. A missing
+// directory sweeps nothing.
 func SweepTemps(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -270,29 +290,84 @@ func SweepTemps(dir string) ([]string, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	var removed []string
+	refs := map[string]map[uint64]bool{} // checkpoint name → its segments; nil: keep all
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), ".ckpt-") {
+		if e.IsDir() {
 			continue
 		}
-		full := filepath.Join(dir, e.Name())
-		if err := os.Remove(full); err != nil {
+		name := e.Name()
+		if !strings.HasPrefix(name, ".ckpt-") {
+			ckpt, seq, ok := parseSegmentName(name)
+			if !ok {
+				continue
+			}
+			live, seen := refs[ckpt]
+			if !seen {
+				live = referenced(filepath.Join(dir, ckpt))
+				refs[ckpt] = live
+			}
+			if live == nil || live[seq] {
+				continue
+			}
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			return removed, fmt.Errorf("checkpoint: %w", err)
 		}
-		removed = append(removed, e.Name())
+		removed = append(removed, name)
 	}
 	return removed, nil
 }
 
-// Read loads and verifies a checkpoint, returning a reader over its payload
-// and the format version found in the header (V1..Version). Callers pass
-// the version to the matching layout decoder (e.g.
-// core.DecodeShardedVersion). Files written by a newer build are
-// rejected with a clean error rather than misread.
-func Read(path string) (*enc.Reader, int, error) {
+// referenced returns the segments the checkpoint at path references: none
+// when it is missing or a single file, nil when it cannot be read.
+func referenced(path string) map[uint64]bool {
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: %w", err)
+	if errors.Is(err, os.ErrNotExist) {
+		return map[uint64]bool{}
 	}
+	if err != nil {
+		return nil
+	}
+	payload, version, err := unframe(path, raw)
+	if err != nil {
+		return nil
+	}
+	refs := map[uint64]bool{}
+	if version == ManifestVersion {
+		m, err := decodeManifest(payload)
+		if err != nil {
+			return nil
+		}
+		for _, e := range m.steps {
+			refs[e.Seg] = true
+		}
+	}
+	return refs
+}
+
+// Read loads and verifies a checkpoint, returning a reader over its payload
+// and the payload's format version (V1..Version). A manifest's image is
+// assembled from its segments, every section's CRC checked, and reads as
+// Version. Callers pass the version to the matching layout decoder (e.g.
+// core.DecodeShardedVersion). Files written by a newer build are rejected
+// with a clean error rather than misread.
+func Read(path string) (*enc.Reader, int, error) {
+	img, version, err := ReadImage(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	return enc.NewReader(img), version, nil
+}
+
+// ReadImage is Read returning the payload bytes themselves.
+func ReadImage(path string) ([]byte, int, error) {
+	img, version, _, _, err := readImage(path)
+	return img, version, err
+}
+
+// unframe checks a checkpoint file's header — magic, a version this build
+// reads, the payload length and CRC — and returns the payload.
+func unframe(path string, raw []byte) ([]byte, int, error) {
 	if len(raw) < 16 {
 		return nil, 0, fmt.Errorf("checkpoint: %s: file too short (%d bytes)", path, len(raw))
 	}
@@ -300,9 +375,9 @@ func Read(path string) (*enc.Reader, int, error) {
 		return nil, 0, fmt.Errorf("checkpoint: %s: bad magic %#x", path, got)
 	}
 	version := int(binary.LittleEndian.Uint32(raw[4:]))
-	if version < V1 || version > Version {
+	if version < V1 || version > ManifestVersion {
 		return nil, 0, fmt.Errorf("checkpoint: %s: unsupported version %d (this build reads %d..%d)",
-			path, version, V1, Version)
+			path, version, V1, ManifestVersion)
 	}
 	wantCRC := binary.LittleEndian.Uint32(raw[8:])
 	wantLen := int(binary.LittleEndian.Uint32(raw[12:]))
@@ -313,7 +388,7 @@ func Read(path string) (*enc.Reader, int, error) {
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, 0, fmt.Errorf("checkpoint: %s: CRC mismatch", path)
 	}
-	return enc.NewReader(payload), version, nil
+	return payload, version, nil
 }
 
 // Exists reports whether a readable checkpoint is present at path.

@@ -150,7 +150,7 @@ func TestReadFutureVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[4] = Version + 1
+	raw[4] = ManifestVersion + 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,16 @@ func allocBytes(runs int, f func()) int {
 // FuzzCheckpointRead feeds arbitrary file contents to Read. No input may
 // panic; a rejected file returns a clean "checkpoint:" error and nothing
 // else; an accepted one has the magic, a version this build reads, a length
-// field matching the payload and a matching CRC, and its reader covers
-// exactly that payload. Read may allocate at most twice the file plus
-// 64 KiB: the header's length field never sizes an allocation.
+// field matching the payload and a matching CRC. A single file's reader
+// covers exactly that payload; a manifest's covers the Version image it
+// assembles, which its segments on disk must hold. Read may allocate at
+// most twice the file and the segments beside it plus 64 KiB: neither the
+// header's length field nor a manifest's counts, offsets and lengths ever
+// size an allocation. The corpus holds a manifest of two commits whose
+// segments stay in the directory, so mutations reach every manifest field.
 func FuzzCheckpointRead(f *testing.F) {
 	dir := f.TempDir()
+	path := filepath.Join(dir, "fuzz.ckpt")
 	seed := func(name string, version int, fill func(w *enc.Writer)) {
 		path := filepath.Join(dir, name)
 		sw, err := NewStreamWriter(path, version)
@@ -66,7 +71,31 @@ func FuzzCheckpointRead(f *testing.F) {
 	binary.LittleEndian.PutUint32(bomb[12:], 1<<31)
 	f.Add(bomb)
 
-	path := filepath.Join(dir, "fuzz.ckpt")
+	// A manifest whose second commit kept one of three steps.
+	l := NewLog(path)
+	for _, counts := range [][]int64{{1, 1, 1}, {2, 1, 2}} {
+		cm := l.Begin(len(counts))
+		for step, n := range counts {
+			cm.Step(n, func(w *enc.Writer) { w.String(strings.Repeat("s", 10*step+int(n))) })
+		}
+		if _, err := cm.Commit([]byte("head"), []byte("tracker")); err != nil {
+			f.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	var segBytes int
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if strings.Contains(e.Name(), segInfix) {
+			info, _ := e.Info()
+			segBytes += int(info.Size())
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -75,7 +104,7 @@ func FuzzCheckpointRead(f *testing.F) {
 		var version int
 		var err error
 		got := allocBytes(1, func() { r, version, err = Read(path) })
-		if limit := 2*len(raw) + 64<<10; got > limit {
+		if limit := 2*(len(raw)+segBytes) + 64<<10; got > limit {
 			// One run can be charged for a span filled before it; confirm
 			// over many.
 			if got = allocBytes(32, func() { Read(path) }); got > limit {
@@ -89,19 +118,24 @@ func FuzzCheckpointRead(f *testing.F) {
 			return
 		}
 		le := binary.LittleEndian
+		manifest := len(raw) >= 16 && le.Uint32(raw[4:]) == ManifestVersion
 		switch {
 		case len(raw) < 16:
 			t.Fatalf("accepted a %d-byte file", len(raw))
 		case le.Uint32(raw) != magic:
 			t.Fatalf("accepted magic %#x", le.Uint32(raw))
-		case version != int(le.Uint32(raw[4:])) || version < V1 || version > Version:
+		case !manifest && (version != int(le.Uint32(raw[4:])) || version < V1 || version > Version):
 			t.Fatalf("accepted version %d (header %d)", version, le.Uint32(raw[4:]))
+		case manifest && version != Version:
+			t.Fatalf("a manifest read as version %d", version)
 		case int(le.Uint32(raw[12:])) != len(raw)-16:
 			t.Fatalf("accepted length field %d for a %d-byte payload", le.Uint32(raw[12:]), len(raw)-16)
 		case crc32.ChecksumIEEE(raw[16:]) != le.Uint32(raw[8:]):
 			t.Fatal("accepted a CRC mismatch")
-		case r.Remaining() != len(raw)-16:
+		case !manifest && r.Remaining() != len(raw)-16:
 			t.Fatalf("reader covers %d bytes of a %d-byte payload", r.Remaining(), len(raw)-16)
+		case manifest && r.Remaining() > len(raw)-16+segBytes:
+			t.Fatalf("a %d-byte manifest assembled %d bytes from %d segment bytes", len(raw), r.Remaining(), segBytes)
 		}
 	})
 }

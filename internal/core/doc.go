@@ -157,4 +157,12 @@
 // holds under a ceiling, and core.snapshot_ms in `bash bench/run.sh`).
 // CompactQuantiles keeps the eager compaction, which is no longer on the
 // checkpoint path: the snapshot tests compare the frozen bytes against it.
+//
+// A snapshot copies only the timesteps that changed since a base (SetBase):
+// the per-step group counts of the last committed checkpoint. Every fold
+// increments its step's count and production never compacts a live sketch,
+// so an equal count means the step still encodes to the committed bytes;
+// SnapshotShard copies and freezes only the other steps, Copied names them,
+// and the server's checkpoint writes just their sections, pointing its
+// manifest at the committed sections of the rest.
 package core

@@ -27,6 +27,14 @@ import (
 // path: the fold pipeline stalls only for the memmove + freeze, never for
 // compaction or the file.
 //
+// A snapshot copies only what changed since a base: SetBase names the
+// per-timestep group counts of the last committed checkpoint, and
+// SnapshotShard copies (and freezes) only the timesteps whose count differs
+// — every fold increments its step's count, so an equal count means the
+// step still encodes to the committed bytes. Copied reports which steps
+// were taken; the writer encodes those and keeps the committed sections of
+// the rest.
+//
 // Snapshots are pooled: NewSnapshot allocates the buffers once and
 // SnapshotShard refreshes them in place, so steady-state checkpointing
 // allocates approximately nothing.
@@ -49,6 +57,9 @@ type Snapshot struct {
 	qscratch *quantiles.Sketch
 	// fzParts is the reusable per-step stitch argument.
 	fzParts []*quantiles.FrozenField
+	// base holds the per-step group counts SetBase named; nil copies every
+	// step.
+	base []int64
 }
 
 // NewSnapshot returns an empty snapshot shaped like s, ready to be filled by
@@ -77,11 +88,34 @@ func (s *ShardedAccumulator) NewSnapshot() *Snapshot {
 	return snap
 }
 
-// SnapshotShard captures shard i into snap, reusing snap's storage: one
-// memmove for the records (trackers included) plus an O(sketches) freeze of
-// the quantile state. Only the goroutine owning shard i may call it (the
-// same contract as UpdateGroupShard); distinct shards may snapshot
-// concurrently.
+// SetBase names the per-timestep group counts the next SnapshotShard calls
+// compare against: a step whose count equals its base count is not copied.
+// nil copies every step. Call it before the shards snapshot, not during;
+// base must not change afterwards.
+func (snap *Snapshot) SetBase(base []int64) {
+	if base != nil && len(base) != snap.timesteps {
+		panic(fmt.Sprintf("core: snapshot base of %d steps for %d timesteps", len(base), snap.timesteps))
+	}
+	snap.base = base
+}
+
+// Copied reports whether timestep t was copied by the last SnapshotShard
+// calls: its group count differs from the base, or there is no base.
+func (snap *Snapshot) Copied(t int) bool { return changed(snap.base, t, snap.Count(t)) }
+
+// changed reports whether step t, at group count n, differs from base: a
+// nil base differs everywhere.
+func changed(base []int64, t int, n int64) bool { return base == nil || n != base[t] }
+
+// Count returns timestep t's group count at the snapshot's fold state.
+func (snap *Snapshot) Count(t int) int64 { return snap.shards[0].steps[t].n }
+
+// SnapshotShard captures shard i into snap, reusing snap's storage: a
+// memmove for the records (trackers included) of the steps whose group
+// count differs from the base, plus an O(sketches) freeze of their quantile
+// state. Every step's counts are captured. Only the goroutine owning shard
+// i may call it (the same contract as UpdateGroupShard); distinct shards
+// may snapshot concurrently.
 func (s *ShardedAccumulator) SnapshotShard(i int, snap *Snapshot) {
 	if len(snap.shards) != len(s.shards) || snap.cells != s.cells ||
 		snap.timesteps != s.timesteps || snap.p != s.p {
@@ -90,27 +124,32 @@ func (s *ShardedAccumulator) SnapshotShard(i int, snap *Snapshot) {
 			len(s.shards), s.cells, s.timesteps, s.p))
 	}
 	sh := s.shards[i]
-	sh.copyInto(snap.shards[i])
+	sh.copyInto(snap.shards[i], snap.base)
 	if snap.frozen != nil {
 		fz := snap.frozen[i]
 		for t := range sh.steps {
-			fz[t] = sh.steps[t].quant.FreezeInto(fz[t])
+			if changed(snap.base, t, sh.steps[t].n) {
+				fz[t] = sh.steps[t].quant.FreezeInto(fz[t])
+			}
 		}
 	}
 }
 
 // copyInto deep-copies a's float state into dst, which must have the same
-// shape and record layout. Every timestep's records — Sobol' co-moments and
-// tracker slots alike — move with one contiguous copy of the flat backing
-// buffer. Quantile sketches are NOT copied here (snapshot shards don't have
-// them; see SnapshotShard's freeze path).
-func (a *Accumulator) copyInto(dst *Accumulator) {
+// shape and record layout: every step's counts, and the records — Sobol'
+// co-moments and tracker slots alike — of the steps whose count differs
+// from base (all of them for a nil base), one memmove per step window.
+// Quantile sketches are NOT copied here (snapshot shards don't have them;
+// see SnapshotShard's freeze path).
+func (a *Accumulator) copyInto(dst *Accumulator, base []int64) {
 	if dst.cells != a.cells || dst.timesteps != a.timesteps || dst.p != a.p {
 		panic(fmt.Sprintf("core: copyInto between shapes %dx%dx%d and %dx%dx%d",
 			a.cells, a.timesteps, a.p, dst.cells, dst.timesteps, dst.p))
 	}
-	copy(dst.buf, a.buf)
 	for t := range a.steps {
+		if changed(base, t, a.steps[t].n) {
+			copy(dst.steps[t].rec, a.steps[t].rec)
+		}
 		dst.steps[t].setCounts(&a.steps[t])
 	}
 }

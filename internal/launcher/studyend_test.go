@@ -3,6 +3,7 @@ package launcher
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -38,7 +39,8 @@ func TestCompletedStudyWritesNoCheckpoint(t *testing.T) {
 // TestFreshRunClearsStaleCheckpoint: a study owns its checkpoint directory. A
 // server crash in study B must restart from B's own (here: no) checkpoint,
 // not from the one study A left in the same directory — restoring A's
-// trackers would discard B's data as replays and report A's statistics.
+// trackers would discard B's data as replays and report A's statistics. A's
+// manifest goes, and with it its segments and an orphaned one.
 func TestFreshRunClearsStaleCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	slow := func(cfg Config) client.SimFunc {
@@ -70,6 +72,19 @@ func TestFreshRunClearsStaleCheckpoint(t *testing.T) {
 	if !checkpoint.Exists(checkpoint.Filename(dir, 0)) {
 		t.Fatal("study A left no checkpoint to be stale")
 	}
+	// A's manifest names its segments; a crash between a segment's fsync
+	// and its manifest's rename would leave one more nobody names.
+	segs, _ := filepath.Glob(filepath.Join(dir, "melissa-server-*.seg-*"))
+	if len(segs) == 0 {
+		t.Fatal("study A's checkpoint has no segments")
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "melissa-server-0000.seg-999"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	studyB := func() Config {
 		cfg := baseConfig(t, 8)
@@ -100,5 +115,8 @@ func TestFreshRunClearsStaleCheckpoint(t *testing.T) {
 	}
 	if _, err := os.Stat(checkpoint.Filename(dir, 0)); err == nil {
 		t.Fatal("study B, which never checkpointed, left a checkpoint file")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "melissa-server-*.seg-*")); len(left) > 0 {
+		t.Fatalf("study A's segments survived study B: %v", left)
 	}
 }

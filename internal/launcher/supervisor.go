@@ -93,9 +93,10 @@ func (l *Launcher) checkServer(now time.Time) {
 	l.restartServer(now)
 }
 
-// clearCheckpoints removes the per-rank checkpoint files an earlier study
-// left in the checkpoint directory — a server restart would restore them as
-// this study's state — and its abandoned temp files.
+// clearCheckpoints removes the per-rank checkpoints an earlier study left
+// in the checkpoint directory — a server restart would restore them as this
+// study's state: the manifests, then (through the sweep, which finds them
+// unreferenced) their segments, with any abandoned temp files.
 func (l *Launcher) clearCheckpoints() error {
 	dir := l.cfg.CheckpointDir
 	if dir == "" {
@@ -109,7 +110,10 @@ func (l *Launcher) clearCheckpoints() error {
 			olog.Warnw("launcher.stale_checkpoint_removed", "file", path)
 		}
 	}
-	_, err := checkpoint.SweepTemps(dir)
+	removed, err := checkpoint.SweepTemps(dir)
+	if len(removed) > 0 {
+		olog.Warnw("launcher.stale_checkpoint_removed", "files", removed)
+	}
 	return err
 }
 

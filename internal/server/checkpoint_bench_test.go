@@ -3,9 +3,11 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"melissa/internal/checkpoint"
 	"melissa/internal/core"
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
@@ -120,14 +122,21 @@ func newBenchProc(b *testing.B, workers int, stats core.Options, dir string) *Pr
 // write overlaps folding; `bash bench/run.sh` reports the same split at study
 // scale as checkpoint.stall_s and checkpoint.write_s. (The sync-vs-pipelined
 // ratio against the deleted quiesced write path is under PR 5 in CHANGES.md.)
+// Every iteration starts a fresh checkpoint, which has no base: it copies
+// and writes every step, the cost of a commit where every step changed.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, oc := range benchCkptOptions() {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s-fold%d-pipelined", oc.name, workers), func(b *testing.B) {
-				pr := newBenchProc(b, workers, oc.stats, b.TempDir())
+				dir := b.TempDir()
+				pr := newBenchProc(b, workers, oc.stats, dir)
 				before := pr.Checkpoints()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					pr.ckpt.mu.Lock()
+					pr.ckpt.log = checkpoint.NewLog(checkpoint.Filename(filepath.Join(dir, fmt.Sprint(i)), 0))
+					pr.ckpt.base = nil
+					pr.ckpt.mu.Unlock()
 					pr.ckpt.begin(true, pr.route)
 					for pr.Checkpoints().Writes <= before.Writes+i {
 						time.Sleep(10 * time.Microsecond) // durable before the next iteration

@@ -35,17 +35,38 @@ func runCheckpointedStudy(t *testing.T, dir string, procs, cells, timesteps, p i
 	return s
 }
 
+// readCheckpointFiles returns each process's checkpoint image — the
+// manifest's sections assembled from the segments — framed as the single
+// Version file holding it, the form quiescedCheckpoint returns.
 func readCheckpointFiles(t *testing.T, dir string, procs int) [][]byte {
 	t.Helper()
 	out := make([][]byte, procs)
 	for rank := 0; rank < procs; rank++ {
-		raw, err := os.ReadFile(checkpoint.Filename(dir, rank))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[rank] = raw
+		out[rank] = readImageFile(t, checkpoint.Filename(dir, rank))
 	}
 	return out
+}
+
+// readImageFile reads the checkpoint at path and frames its image as a
+// single Version file.
+func readImageFile(t *testing.T, path string) []byte {
+	t.Helper()
+	img, version, err := checkpoint.ReadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != checkpoint.Version {
+		t.Fatalf("%s: image version %d, want %d", path, version, checkpoint.Version)
+	}
+	single := filepath.Join(t.TempDir(), "image.ckpt")
+	if err := checkpoint.Write(single, func(w *enc.Writer) { w.Raw(img) }); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // quiescedCheckpoint is the byte-identity reference for the checkpoint

@@ -30,6 +30,7 @@ type ckptJob struct {
 	snap     *core.Snapshot
 	messages int64
 	tracker  *enc.Writer // tracker state serialized at initiation
+	head     *enc.Writer // the image's head, encoded by the writer
 	// frontiers is the per-group contiguous fold frontier at initiation —
 	// the same state the tracker bytes encode. Once this job's file commits
 	// (fsync + rename), the copy is published as the process's durable
@@ -75,8 +76,9 @@ type CheckpointStats struct {
 	StallDuration time.Duration
 	Reads         int
 	ReadDuration  time.Duration
-	// LastBytes is the size of the most recent checkpoint file;
-	// BytesWritten totals all checkpoint bytes made durable.
+	// LastBytes is the size of the most recent checkpoint image (the single
+	// file holding it: what a restore reads); BytesWritten totals the
+	// segment and manifest bytes made durable — only the steps that changed.
 	LastBytes    int64
 	BytesWritten int64
 }
@@ -87,6 +89,12 @@ type CheckpointStats struct {
 type checkpointer struct {
 	cfg  *procConfig
 	fold *foldPool
+	// log is the process's checkpoint (manifest plus segments); restore and
+	// then the writer goroutine own it. base is its dirty base as of the
+	// last commit, under mu: the per-step group counts a snapshot compares
+	// against, nil to copy every step.
+	log  *checkpoint.Log
+	base []int64
 
 	// stats is guarded by mu (the background writer and the run loop both
 	// update it). jobs feeds completed snapshots to the writer goroutine;
@@ -123,12 +131,16 @@ type checkpointer struct {
 }
 
 func newCheckpointer(cfg *procConfig, fold *foldPool) *checkpointer {
-	return &checkpointer{
+	c := &checkpointer{
 		cfg:  cfg,
 		fold: fold,
 		jobs: make(chan *ckptJob, ckptJobBuffers),
 		free: make(chan *ckptJob, ckptJobBuffers),
 	}
+	if c.enabled() {
+		c.log = checkpoint.NewLog(checkpoint.Filename(cfg.CheckpointDir, cfg.Rank))
+	}
+	return c
 }
 
 func (c *checkpointer) enabled() bool { return c.cfg.CheckpointDir != "" }
@@ -207,11 +219,15 @@ func (c *checkpointer) due(now time.Time) bool {
 // barrier after exactly the folds enqueued before it, so the assembled
 // snapshot equals the accumulator state a quiesced process would hold at the
 // identical fold state (the test-side reference encodes exactly that and
-// compares bytes): one contiguous memmove of the shard's interleaved records
-// (tracker slots ride inside them) plus an O(sketches) copy-on-write freeze
-// of the quantile state; the shard resumes folding the moment the freeze
-// completes. Phase 2: the background writer encodes and fsyncs the frozen
-// image overlapped with ongoing ingest. When both job buffers are still busy
+// compares bytes). Each shard copies only the timesteps folded since the
+// last committed checkpoint (the base): a memmove of their interleaved
+// records (tracker slots ride inside them) plus an O(sketches)
+// copy-on-write freeze of their quantile state; the shard resumes folding
+// the moment the freeze completes. The base is the last *committed* image,
+// not the last snapshot, so a write that fails or is abandoned loses no
+// dirtiness: the next job copies a superset of what it needs. Phase 2: the
+// background writer encodes and fsyncs those steps overlapped with ongoing
+// ingest. When both job buffers are still busy
 // and block is false, the interval is skipped and logged, never queued. The
 // stop path passes block — it must not drop its checkpoint.
 func (c *checkpointer) begin(block bool, src *router) {
@@ -229,6 +245,9 @@ func (c *checkpointer) begin(block bool, src *router) {
 	job.stallNs.Store(0)
 	job.tracker.Reset()
 	job.messages, job.frontiers = src.capture(job.tracker)
+	c.mu.Lock()
+	job.snap.SetBase(c.base)
+	c.mu.Unlock()
 	acc := c.fold.accumulator()
 	c.fold.barrier(func(shard int) {
 		t0 := time.Now()
@@ -260,7 +279,7 @@ func (c *checkpointer) takeJob(block bool) *ckptJob {
 		}
 	}
 	if job.snap == nil {
-		job.snap, job.tracker = c.fold.accumulator().NewSnapshot(), enc.NewWriter(1<<10)
+		job.snap, job.tracker, job.head = c.fold.accumulator().NewSnapshot(), enc.NewWriter(1<<10), enc.NewWriter(256)
 	}
 	return job
 }
@@ -276,40 +295,41 @@ func (c *checkpointer) writer() {
 	}
 }
 
-// write encodes one frozen snapshot as the checkpoint's record image
-// (core.LayoutV4: each shard's record window copied as it is) — section by
-// section through the streaming writer, so the full payload never
-// materializes in memory — computes the CRC, fsyncs and atomically renames.
-// The bytes are identical to a quiesced one-shot encode of the same fold
-// state, whatever the FoldWorkers setting. Between steps, and before the
-// last section, it checks abandoned.
+// write commits one frozen snapshot through the log: the sections of the
+// timesteps whose group count moved since the last commit (core.LayoutV4:
+// each shard's record window copied as it is) go to a new fsynced segment,
+// the others reuse their committed sections — also the ones this snapshot
+// copied against an older base, when the other job's write committed them
+// meanwhile — and a manifest naming all of them, with the head (partition,
+// message count, accumulator header) and the tracker bytes, replaces the
+// last one atomically. The image it describes is byte-identical to a quiesced
+// one-shot encode of the same fold state, whatever the FoldWorkers setting.
+// A commit where nothing changed writes nothing and still counts: the state
+// it would save is already durable. Between steps it checks abandoned.
 func (c *checkpointer) write(job *ckptJob) {
-	path := checkpoint.Filename(c.cfg.CheckpointDir, c.cfg.Rank)
-	sw, err := checkpoint.NewStreamWriter(path, checkpoint.Version)
-	if err != nil {
-		olog.Errorw("server.checkpoint_failed", "rank", c.cfg.Rank, "err", err)
-		return
-	}
-	err = sw.Section(func(w *enc.Writer) {
-		w.Int(c.cfg.Partition.Lo)
-		w.Int(c.cfg.Partition.Hi)
-		w.I64(job.messages)
-		job.snap.EncodeHeader(w, core.LayoutCurrent)
-	})
-	for t := 0; t < job.snap.Timesteps() && err == nil && !c.abandoned.Load(); t++ {
-		err = sw.Section(func(w *enc.Writer) { job.snap.EncodeStep(w, core.LayoutCurrent, t) })
+	snap := job.snap
+	job.head.Reset()
+	job.head.Int(c.cfg.Partition.Lo)
+	job.head.Int(c.cfg.Partition.Hi)
+	job.head.I64(job.messages)
+	snap.EncodeHeader(job.head, core.LayoutCurrent)
+	cm := c.log.Begin(snap.Timesteps())
+	var err error
+	for t := 0; t < snap.Timesteps() && err == nil && !c.abandoned.Load(); t++ {
+		var fill func(*enc.Writer)
+		if snap.Copied(t) {
+			fill = func(w *enc.Writer) { snap.EncodeStep(w, core.LayoutCurrent, t) }
+		}
+		err = cm.Step(snap.Count(t), fill)
 	}
 	if err == nil && c.abandoned.Load() {
 		err = errAbandoned
 	}
+	var res checkpoint.Committed
 	if err == nil {
-		err = sw.Section(func(w *enc.Writer) { w.Raw(job.tracker.Bytes()) })
-	}
-	written := sw.Written() + 16 // payload + header
-	if err == nil {
-		err = sw.Commit()
+		res, err = cm.Commit(job.head.Bytes(), job.tracker.Bytes())
 	} else {
-		sw.Abort()
+		cm.Abort()
 	}
 	elapsed := time.Since(job.start)
 	stall := time.Duration(job.stallNs.Load())
@@ -321,8 +341,9 @@ func (c *checkpointer) write(job *ckptJob) {
 	if err == nil {
 		c.stats.Writes++
 		c.stats.WriteDuration += elapsed
-		c.stats.LastBytes = written
-		c.stats.BytesWritten += written
+		c.stats.LastBytes = res.ImageBytes
+		c.stats.BytesWritten += res.Bytes
+		c.base = c.log.Base()
 	}
 	c.mu.Unlock()
 	if errors.Is(err, errAbandoned) {
@@ -333,15 +354,16 @@ func (c *checkpointer) write(job *ckptJob) {
 		olog.Errorw("server.checkpoint_failed", "rank", c.cfg.Rank, "err", err)
 		return
 	}
-	// The file is durable: the frontier captured at initiation is now the
-	// process's durable frontier (the job keeps no reference — the map is
-	// handed over, not reused).
+	// The manifest is durable: the frontier captured at initiation is now
+	// the process's durable frontier (the job keeps no reference — the map
+	// is handed over, not reused).
 	c.publishDurable(job.frontiers)
 	job.frontiers = nil
 	mCkptWrites.Inc()
-	mCkptBytes.Add(written)
+	mCkptBytes.Add(res.Bytes)
 	mCkptWriteSeconds.Observe(elapsed.Seconds())
-	olog.Infow("server.checkpoint_commit", "rank", c.cfg.Rank, "bytes", written,
+	olog.Infow("server.checkpoint_commit", "rank", c.cfg.Rank, "bytes", res.Bytes,
+		"steps", fmt.Sprintf("%d/%d", res.Steps, snap.Timesteps()), "segment_bytes", res.SegmentBytes,
 		"elapsed", elapsed, "stall", stall)
 }
 
@@ -404,9 +426,10 @@ func (c *checkpointer) measureGap(frontiers map[int]int) {
 
 // restore loads the last checkpoint, if any (Sec. 4.2.3 server restart),
 // into the fold pool and the router; it must run before start. Process zero
-// also sweeps stale .ckpt-* temp files left by a writer that crashed
-// mid-checkpoint — pure garbage under the atomic-rename protocol, but garbage
-// that would otherwise accumulate across restarts.
+// first sweeps the directory of stale .ckpt-* temp files and of segments no
+// manifest references (a crash between a segment's fsync and its manifest's
+// rename leaves one) — garbage under the atomic-rename protocol, but
+// garbage that would otherwise accumulate across restarts.
 func (c *checkpointer) restore(dst *router) error {
 	if !c.enabled() {
 		return nil
@@ -419,14 +442,10 @@ func (c *checkpointer) restore(dst *router) error {
 			olog.Infow("server.temp_sweep", "rank", rank, "count", len(removed), "files", removed)
 		}
 	}
-	path := checkpoint.Filename(c.cfg.CheckpointDir, rank)
-	if !checkpoint.Exists(path) {
-		return nil // cold start
-	}
 	start := time.Now()
-	r, version, err := checkpoint.Read(path)
-	if err != nil {
-		return err
+	r, version, err := c.log.Load()
+	if err != nil || r == nil {
+		return err // r == nil: cold start
 	}
 	lo, hi := r.Int(), r.Int()
 	if part := c.cfg.Partition; lo != part.Lo || hi != part.Hi {
@@ -437,6 +456,18 @@ func (c *checkpointer) restore(dst *router) error {
 	acc, err := core.DecodeShardedVersion(r, version, c.fold.workers())
 	if err != nil {
 		return fmt.Errorf("server: process %d: %w", rank, err)
+	}
+	if counts := c.log.Counts(); counts != nil {
+		// A manifest records each step's group count beside its section;
+		// the decoded steps must carry exactly those.
+		if len(counts) != acc.Timesteps() {
+			return fmt.Errorf("server: process %d: manifest names %d steps, the image holds %d", rank, len(counts), acc.Timesteps())
+		}
+		for t, n := range counts {
+			if acc.N(t) != n {
+				return fmt.Errorf("server: process %d: step %d holds %d groups, its manifest entry %d", rank, t, acc.N(t), n)
+			}
+		}
 	}
 	if version < checkpoint.V2 && len(c.cfg.Stats.Quantiles) > 0 {
 		// The restored accumulator adopts the checkpoint's statistics set;
@@ -450,9 +481,12 @@ func (c *checkpointer) restore(dst *router) error {
 	c.fold.adopt(acc)
 	dst.adopt(tracker, messages)
 	// After a restore the fold frontier *is* the durable frontier: the whole
-	// restored state came from the committed file. Reconnecting groups get it
-	// as both the resend point and the retention floor.
+	// restored state came from the committed checkpoint. Reconnecting groups
+	// get it as both the resend point and the retention floor. The next
+	// commit copies only what changes from here — unless the checkpoint was
+	// a single file, which the first commit replaces with a full one.
 	c.publishDurable(tracker.Frontiers())
+	c.base = c.log.Base()
 	c.stats.Reads++
 	c.stats.ReadDuration += time.Since(start)
 	return nil

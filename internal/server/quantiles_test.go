@@ -233,7 +233,7 @@ func TestRestoreUnknownVersionFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[4] = checkpoint.Version + 1
+	raw[4] = checkpoint.ManifestVersion + 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
