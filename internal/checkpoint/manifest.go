@@ -470,6 +470,12 @@ func (c *Commit) Commit(head, tail []byte) (Committed, error) {
 			sizes[e.Seg] = l.sizes[e.Seg]
 		}
 	}
+	if l.last == nil {
+		// The first manifest of this log replaces whatever the path held —
+		// a checkpoint never loaded, or a single file — and with it every
+		// segment of this checkpoint it does not name.
+		removeUnnamed(l.path, sizes)
+	}
 	for seq := range l.sizes {
 		if _, live := sizes[seq]; !live {
 			os.Remove(segmentPath(l.path, seq))
@@ -479,6 +485,20 @@ func (c *Commit) Commit(head, tail []byte) (Committed, error) {
 	c.release()
 	res.Bytes = res.SegmentBytes + manifestBytes
 	return res, nil
+}
+
+// removeUnnamed removes the segments of the checkpoint at path that live
+// does not hold.
+func removeUnnamed(path string, live map[uint64]int64) {
+	dir, base := filepath.Split(path)
+	entries, _ := os.ReadDir(filepath.Clean(dir))
+	for _, e := range entries {
+		if ckpt, seq, ok := parseSegmentName(e.Name()); ok && ckpt == base {
+			if _, keep := live[seq]; !keep {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
+	}
 }
 
 // Abort discards the commit and its segment; the last committed checkpoint

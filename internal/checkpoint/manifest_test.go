@@ -227,6 +227,30 @@ func TestLogLoadKeepsForeignSegments(t *testing.T) {
 	mustImage(t, path, logImage(head, tail, counts))
 }
 
+// TestLogFirstCommitReplacesUnloadedCheckpoint: a log that never loaded
+// the checkpoint at its path (a server started without restore) replaces
+// it with its first commit, segments included; other checkpoints' segments
+// stay.
+func TestLogFirstCommitReplacesUnloadedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	counts := []int64{1, 1}
+	for rank := 0; rank < 2; rank++ {
+		l := NewLog(Filename(dir, rank))
+		commitCounts(t, l, nil, counts, []byte("old"), nil)
+		commitCounts(t, l, l.Base(), []int64{1, 2}, []byte("old"), nil)
+	}
+	if got := len(segments(t, dir)); got != 4 {
+		t.Fatalf("%d segments before the fresh log, want 4", got)
+	}
+	path := Filename(dir, 0)
+	commitCounts(t, NewLog(path), nil, counts, []byte("new"), nil)
+	mustImage(t, path, logImage([]byte("new"), nil, counts))
+	want := []string{"melissa-server-0000.seg-3", "melissa-server-0001.seg-1", "melissa-server-0001.seg-2"}
+	if got := segments(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("segments %v, want %v", got, want)
+	}
+}
+
 // TestLogLegacyFileCommitsFull: a single-file checkpoint loads with no base,
 // so the first commit after it writes every step.
 func TestLogLegacyFileCommitsFull(t *testing.T) {

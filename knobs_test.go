@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 86
 	pinnedSharedFlags  = 107
-	pinnedSourceLines  = 17741
+	pinnedSourceLines  = 17761
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
