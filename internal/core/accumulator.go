@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"melissa/internal/quantiles"
 	"melissa/internal/sobol"
@@ -216,39 +217,48 @@ func (a *Accumulator) P() int { return a.p }
 // N returns the number of groups folded into timestep t.
 func (a *Accumulator) N(t int) int64 { return a.steps[t].n }
 
+// maxStackFields is how many C-field base pointers UpdateGroup keeps on the
+// stack; a wider p allocates them.
+const maxStackFields = 16
+
 // UpdateGroup folds the results of one simulation group at output step t:
 // yA and yB are the fields of f(A_i) and f(B_i) restricted to this
 // partition, yC[k] the field of f(C^k_i). All slices must have length
-// Cells(). This is the O(cells·p) inner loop of Melissa Server, fused into a
-// single sweep over the interleaved records: each cell's record — Sobol'
-// co-moments and any enabled tracker slots — is loaded and stored exactly
-// once per group. The parameter blocks are hand-unrolled two at a time
-// (pairs of blocks are independent, so their FP chains interleave for
-// instruction-level parallelism; gc does not auto-vectorize this loop) and
-// every record access goes through a full slice expression with constant
-// indices so the bounds checks hoist to one per cell and one per block
-// pair — spot-check with `go build -gcflags=-S`. An eight-cell-block
-// variant with k-major inner loops and per-block hoisted yC headers
-// measured ~15% slower than this form on amd64 (the extra passes over the
-// block cost more than the header reloads they save), so the sweep stays
-// cell-major.
+// Cells(). This is the O(cells·p) inner loop of Melissa Server, one sweep
+// over the interleaved records that loads and stores each cell's record —
+// Sobol' co-moments and any enabled tracker slots — exactly once.
 //
-// The per-cell arithmetic order is the one of the original multi-pass
-// kernel (all C blocks read the pre-update A/B means; the A/B moments
-// update next; the trackers see yA then yB last; slots only ever combine
-// with their own block's values), so results are bitwise identical to it.
+// The sweep is shaped for instruction count (see "The kernel" in the
+// package comment). Every length is checked once, up front: len(yA) =
+// len(yB) = len(yC[k]) = cells and len(rec) = cells·stride. Under that
+// invariant the sweep reads without bounds checks: field k's cell i is
+// its base pointer plus 8i bytes, cell i's record base is rec plus
+// 8i·stride bytes, and every parameter block and tracker slot group is a
+// fixed-size array at an offset below stride from that base, so no pointer
+// is ever formed past the end of an allocation. The per-cell arithmetic is
+// the original multi-pass kernel's (all C blocks read the pre-update A/B
+// means; the A/B moments update next; the trackers see yA then yB last; no
+// fused multiply-add, no reciprocal of n), so results are bitwise its.
 func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 	if t < 0 || t >= a.timesteps {
 		panic(fmt.Sprintf("core: timestep %d out of range [0,%d)", t, a.timesteps))
 	}
-	if len(yA) != a.cells || len(yB) != a.cells || len(yC) != a.p {
+	cells := a.cells
+	if len(yA) != cells || len(yB) != cells || len(yC) != a.p {
 		panic(fmt.Sprintf("core: update shape mismatch: |yA|=%d |yB|=%d |yC|=%d, want cells=%d p=%d",
-			len(yA), len(yB), len(yC), a.cells, a.p))
+			len(yA), len(yB), len(yC), cells, a.p))
 	}
-	for k := range yC {
-		if len(yC[k]) != a.cells {
-			panic(fmt.Sprintf("core: yC[%d] has %d cells, want %d", k, len(yC[k]), a.cells))
+	var stackCols [maxStackFields]unsafe.Pointer
+	cols := stackCols[:]
+	if a.p > maxStackFields {
+		cols = make([]unsafe.Pointer, a.p)
+	}
+	cols = cols[:a.p]
+	for k, f := range yC {
+		if len(f) != cells {
+			panic(fmt.Sprintf("core: yC[%d] has %d cells, want %d", k, len(f), cells))
 		}
+		cols[k] = unsafe.Pointer(unsafe.SliceData(f))
 	}
 	s := &a.steps[t]
 	s.n++
@@ -256,17 +266,20 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 	n := float64(s.n)
 	lay := a.lay
 	stride := lay.stride
-	rec := s.rec
-	th := a.threshold
-	// Higher-moment factors for this group's A-then-B pair, hoisted out of
-	// the sweep: they depend only on the tracker sample count (2 per group).
-	var nA1, nA, nB, nnA, nnB float64
+	rec := unsafe.Pointer(unsafe.SliceData(s.rec[:cells*stride]))
+	// The tracker constants: the threshold and the higher-moment factors of
+	// this group's A-then-B pair (they depend only on the tracker sample
+	// count, 2 per group). gc keeps an array in memory, so they take no
+	// float register from the Sobol' chains across the sweep.
+	var tc [6]float64 // th, nA1, nA, nB, nnA, nnB
+	tc[0] = a.threshold
 	if lay.hig >= 0 {
-		nA1 = float64(s.higherN)
-		nA = nA1 + 1
-		nB = nA + 1
-		nnA = nA*nA - 3*nA + 3
-		nnB = nB*nB - 3*nB + 3
+		nA1 := float64(s.higherN)
+		nA := nA1 + 1
+		nB := nA + 1
+		tc[1], tc[2], tc[3] = nA1, nA, nB
+		tc[4] = nA*nA - 3*nA + 3
+		tc[5] = nB*nB - 3*nB + 3
 		s.higherN += 2
 	}
 	if lay.min >= 0 {
@@ -275,60 +288,42 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 	if lay.exc >= 0 {
 		s.exceedN += 2
 	}
-	kPairs := a.p / 2 // unrolled-by-two parameter blocks; odd p leaves a tail
-	for i, ri := 0, 0; i < a.cells; i, ri = i+1, ri+stride {
-		r := rec[ri : ri+stride : ri+stride]
+	// The sketches are state of their own, so they go first: then nothing
+	// after the sweep needs yA and yB, and gc keeps them out of its loop.
+	if s.quant != nil {
+		s.quant.UpdatePair(yA, yB)
+	}
+	for i := 0; i < cells; i++ {
+		r := unsafe.Add(rec, 8*i*stride)
+		ab := (*[recHeader]float64)(r)
 		ya, yb := yA[i], yB[i]
-		dA := ya - r[offMeanA] // deviations from the *old* A/B means
-		dB := yb - r[offMeanB]
-		// Parameter blocks, unrolled two at a time: each pair shares one
-		// 8-slot bounds check and the two blocks' FP chains interleave
-		// (they are independent, so the unroll buys instruction-level
-		// parallelism the serial chain can't).
-		off := recHeader
-		for k := 0; k < kPairs; k++ {
-			y0 := yC[2*k][i]
-			y1 := yC[2*k+1][i]
-			c := r[off : off+8 : off+8]
-			mC0 := c[blkMeanC]
-			mC1 := c[recPerParam+blkMeanC]
-			dC0 := y0 - mC0
-			dC1 := y1 - mC1
-			mC0 += dC0 / n
-			mC1 += dC1 / n
-			e0 := y0 - mC0 // deviations from the *new* C means
-			e1 := y1 - mC1
-			c[blkMeanC] = mC0
-			c[recPerParam+blkMeanC] = mC1
-			c[blkM2C] += dC0 * e0
-			c[recPerParam+blkM2C] += dC1 * e1
-			c[blkC2BC] += dB * e0
-			c[recPerParam+blkC2BC] += dB * e1
-			c[blkC2AC] += dA * e0
-			c[recPerParam+blkC2AC] += dA * e1
-			off += 2 * recPerParam
-		}
-		if off < lay.sob { // odd p: the last parameter block
-			y := yC[a.p-1][i]
-			c := r[off : off+4 : off+4]
+		dA := ya - ab[offMeanA] // deviations from the *old* A/B means
+		dB := yb - ab[offMeanB]
+		at := 8 * i          // cell i's byte offset into every C field
+		off := 8 * recHeader // parameter block k's byte offset into the record
+		for _, col := range cols {
+			y := *(*float64)(unsafe.Add(col, at))
+			c := (*[recPerParam]float64)(unsafe.Add(r, off))
+			off += 8 * recPerParam
 			mC := c[blkMeanC]
 			dC := y - mC
 			mC += dC / n
-			e := y - mC
+			e := y - mC // deviation from the *new* C mean
 			c[blkMeanC] = mC
 			c[blkM2C] += dC * e
 			c[blkC2BC] += dB * e
 			c[blkC2AC] += dA * e
 		}
-		r[offMeanA] += dA / n
-		r[offM2A] += dA * (ya - r[offMeanA])
-		r[offMeanB] += dB / n
-		r[offM2B] += dB * (yb - r[offMeanB])
+		ab[offMeanA] += dA / n
+		ab[offM2A] += dA * (ya - ab[offMeanA])
+		ab[offMeanB] += dB / n
+		ab[offM2B] += dB * (yb - ab[offMeanB])
 		// Tracker slots ride the same record while it is register/cache-warm.
 		// Each tracker sees yA then yB: the arithmetic of stats.Field*
 		// Update(yA) then Update(yB), replicated bitwise.
-		if mo := lay.min; mo >= 0 {
-			lo, hi := r[mo], r[mo+1]
+		if lay.min >= 0 {
+			m := (*[2]float64)(unsafe.Add(r, 8*lay.min))
+			lo, hi := m[0], m[1]
 			if ya < lo {
 				lo = ya
 			}
@@ -341,21 +336,23 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 			if yb > hi {
 				hi = yb
 			}
-			r[mo], r[mo+1] = lo, hi
+			m[0], m[1] = lo, hi
 		}
-		if eo := lay.exc; eo >= 0 {
-			c := r[eo]
+		if lay.exc >= 0 {
+			x := (*float64)(unsafe.Add(r, 8*lay.exc))
+			c, th := *x, tc[0]
 			if ya > th {
 				c++
 			}
 			if yb > th {
 				c++
 			}
-			r[eo] = c
+			*x = c
 		}
-		if ho := lay.hig; ho >= 0 {
-			m := r[ho : ho+4 : ho+4]
+		if lay.hig >= 0 {
+			m := (*[4]float64)(unsafe.Add(r, 8*lay.hig))
 			mean, m2, m3, m4 := m[0], m[1], m[2], m[3]
+			nA1, nA, nB, nnA, nnB := tc[1], tc[2], tc[3], tc[4], tc[5]
 			delta := ya - mean
 			deltaN := delta / nA
 			deltaN2 := deltaN * deltaN
@@ -374,9 +371,6 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 			m2 += term1
 			m[0], m[1], m[2], m[3] = mean, m2, m3, m4
 		}
-	}
-	if s.quant != nil {
-		s.quant.UpdatePair(yA, yB)
 	}
 }
 

@@ -31,10 +31,38 @@ func BenchmarkUpdateGroup10kCellsP6(b *testing.B) {
 		yC[k] = field()
 	}
 	b.SetBytes(8 * cells * (p + 2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.UpdateGroup(0, yA, yB, yC)
 	}
+}
+
+// BenchmarkUpdateGroupFlood8kCells32StepsP4 folds at the shape of one
+// flood_mem server process — 8192 cells × 32 steps × p = 4, 42 MB of
+// records — cycling the step, so every fold finds its records out of L2.
+// BenchmarkUpdateGroupFlood4kCells1StepP4 is its cache-resident twin: the
+// same kernel on 4096 cells of one step, whose records stay in L2. The gap
+// between their ns/cell is what the fold pays for bytes; the L2 figure is
+// what it pays for instructions.
+func BenchmarkUpdateGroupFlood8kCells32StepsP4(b *testing.B) { benchmarkFlood(b, 8192, 32) }
+
+func BenchmarkUpdateGroupFlood4kCells1StepP4(b *testing.B) { benchmarkFlood(b, 4096, 1) }
+
+func benchmarkFlood(b *testing.B, cells, steps int) {
+	const p = 4
+	a := NewAccumulator(cells, steps, p, Options{})
+	g := randomGroups(rand.New(rand.NewSource(1)), 1, cells, p)[0]
+	for t := 0; t < steps; t++ { // fault the record pages in
+		a.UpdateGroup(t, g.yA, g.yB, g.yC)
+	}
+	b.SetBytes(8 * int64(cells) * (p + 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.UpdateGroup(i%steps, g.yA, g.yB, g.yC)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
 // BenchmarkUpdateGroupSharded10kCellsP6 measures the same fold split into
@@ -61,6 +89,7 @@ func BenchmarkUpdateGroupSharded10kCellsP6(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			sacc := NewSharded(cells, 1, p, Options{}, workers)
 			b.SetBytes(8 * cells * (p + 2))
+			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for w := 0; w < sacc.NumShards(); w++ {
@@ -98,6 +127,7 @@ func BenchmarkUpdateGroup10kCellsP16(b *testing.B) {
 		yC[k] = field()
 	}
 	b.SetBytes(8 * cells * (p + 2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.UpdateGroup(0, yA, yB, yC)
@@ -227,6 +257,7 @@ func BenchmarkUpdateGroupQuantiles10kCellsP6(b *testing.B) {
 		yC[k] = field()
 	}
 	b.SetBytes(8 * cells * (p + 2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Perturb deterministically so the sketches keep absorbing fresh
@@ -267,6 +298,7 @@ func BenchmarkUpdateGroupTrackers10kCellsP6(b *testing.B) {
 		yC[k] = field()
 	}
 	b.SetBytes(8 * cells * (p + 2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.UpdateGroup(0, yA, yB, yC)

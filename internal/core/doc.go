@@ -9,10 +9,8 @@
 //
 // # Memory layout: interleaved per-cell records, trackers included
 //
-// The fold is memory-bandwidth bound, not FLOP bound: the arithmetic per
-// state float is a handful of multiply-adds, so what dominates is how many
-// times the state streams through the cache hierarchy. The accumulator
-// therefore stores all per-cell state as one contiguous record per cell,
+// The accumulator stores all per-cell state as one contiguous record per
+// cell,
 //
 //	[meanA, m2A, meanB, m2B,
 //	 {meanC_k, m2C_k, c2BC_k, c2AC_k} k=0..p-1,
@@ -23,56 +21,53 @@
 // all timesteps backed by a single flat allocation. UpdateGroup is a single
 // fused sweep: cell i's record is loaded once, all p parameter blocks, the
 // shared A/B moments *and* the enabled tracker slots are updated while it
-// sits in cache, and it is never touched again that fold.
+// sits in cache, and it is never touched again that fold. The seed kept
+// 4+4p parallel per-statistic arrays updated in p+1 passes, and the
+// trackers in internal/stats arrays swept by passes of their own; the
+// records stream each byte once per group instead. They are the trackers'
+// only representation: MinField/MaxField/ExceedanceField/SkewnessField/
+// KurtosisField read them like MeanField reads the mean (nil when the
+// tracker is off), and internal/stats keeps the standalone per-cell
+// trackers only as the reference the equivalence tests fold beside the
+// kernel.
 //
-// Two historical layouts motivated this. The seed kept 4+4p parallel
-// per-statistic arrays updated in p+1 separate passes, moving the same bytes
-// through DRAM p+1 times per group; interleaving the Sobol' state into
-// records fixed that (PR 3 in CHANGES.md). But the optional trackers stayed in
-// separate internal/stats field arrays swept by their own passes after the
-// main fold, so enabling them reintroduced exactly the strided
-// multi-pass traffic the records removed. Folding the tracker words into the
-// record ends that: trackers now cost a few extra slots in the already-resident
-// cache line instead of extra passes (BenchmarkUpdateGroupTrackers; the
-// multi-pass numbers are under PR 10 in CHANGES.md, and `bash bench/run.sh`
-// prices the kernel inside a whole study as core.fold_s). The records are
-// the trackers' only representation: MinField/MaxField/ExceedanceField/
-// SkewnessField/KurtosisField read them like MeanField reads the mean (nil
-// when the tracker is off), and internal/stats keeps the standalone
-// per-cell trackers only as the reference the equivalence tests fold
-// beside the kernel. (Ribés et al. make the same
-// observation for in-transit quantiles: per-cell state layout, not
-// arithmetic, sets the throughput ceiling at scale.)
-//
-// The memory total is unchanged: 8·(4+4p+trackers) bytes per cell per
-// timestep — the "order of the size of the results of one simulation for
-// each computed statistic" model of Sec. 4.1.1, independent of the number of
-// simulation groups. Sharing the A/B means across all p parameters (instead
-// of composing p independent covariance accumulators) still halves memory,
-// and tests verify cell-by-cell equality with the scalar accumulators of
-// internal/stats.
+// The memory total is 8·(4+4p+trackers) bytes per cell per timestep — the
+// "order of the size of the results of one simulation for each computed
+// statistic" model of Sec. 4.1.1, independent of the number of simulation
+// groups. Sharing the A/B means across all p parameters (instead of
+// composing p independent covariance accumulators) halves memory.
 //
 // # The kernel
 //
-// UpdateGroup's inner loop is shaped for the compiler rather than the
-// reader: the per-cell record is rebound through full slice expressions
-// (r[off : off+8 : off+8]) so gc proves the bounds once per block instead of
-// per element, the parameter loop is hand-unrolled two blocks per iteration
-// with independent floating-point chains interleaved for instruction-level
-// parallelism, and the group values yA[i]/yB[i] are read into locals once.
-// gc (1.24) does not auto-vectorize this loop; the unroll plus hoisted
-// checks is what a `go build -gcflags=-S` spot check rewards. A wider
-// restructuring — fixed 8-cell blocks walked parameter-major — measured
-// ~15% *slower* than the fused per-cell sweep on amd64 (it breaks the
-// one-load-per-record property); the kernel comment records that dead end.
+// With every record streamed once, the fold costs instructions more than
+// bytes. At p = 4 the pair-unrolled kernel this one replaced took 23.1
+// ns/cell on records that stay in L2 (4,096 cells × 1 step) and 34.7
+// ns/cell on one flood_mem process's 42 MB (8,192 cells × 32 steps, the
+// step cycling; medians of 12 alternating rounds on a shared 2-CPU Xeon):
+// two thirds of the cost is there with the data already in cache (BenchmarkUpdateGroupFlood4kCells1StepP4
+// and BenchmarkUpdateGroupFlood8kCells32StepsP4 keep both sides of that
+// comparison). UpdateGroup is therefore shaped for instruction count:
+// every length is checked once before the sweep, the p C-field base
+// pointers sit in a stack array, and records, inputs and tracker slots are
+// addressed as base plus offset with no per-element bounds check; the
+// parameter blocks are walked one at a time, so dA, dB and the block's
+// chain stay in registers; the tracker constants stay in memory so they do
+// not take those registers. That brought the two shapes to 16.7 and
+// 29.4 ns/cell. gc (1.24) does not auto-vectorize the loop, and the p+2
+// divisions by n per cell (no reciprocal and no fused multiply-add, for
+// bitwise results) bound it from below. Two forms measured slower: fixed
+// 8-cell blocks walked parameter-major (~15 %: they break the
+// one-load-per-record property), and the same single-block loop with
+// bounds-checked slices (1.3–1.7× the pointer form's time at p = 4 and 6).
 //
-// Per-cell arithmetic order in the fused sweep is exactly the order of the
-// historical multi-pass kernel (every parameter block reads the pre-update
-// A/B means; the A/B moments update next; trackers observe yA then yB last;
-// the unrolled blocks touch disjoint slots), so results are **bitwise
-// identical** to it — internal/core's equivalence tests drive both kernels
-// with the same streams over all 16 Options combinations and compare every
-// statistic bit for bit.
+// Per-cell arithmetic order is exactly the order of the historical
+// multi-pass kernel (every parameter block reads the pre-update A/B means;
+// the A/B moments update next; trackers observe yA then yB last), so
+// results are **bitwise identical** to it. The equivalence tests drive both
+// kernels with the same streams over all 16 Options combinations, with
+// parameter counts on both sides of the stack array and NaN, ±Inf, −0 and
+// subnormal inputs, and compare every statistic bit for bit; only a NaN's
+// payload, which Go leaves unspecified, is exempt.
 //
 // Checkpoints store the record image (LayoutV4): per timestep the counts and
 // the records exactly as they sit in memory, so writing is a copy of each

@@ -35,6 +35,7 @@ func BenchmarkUpdateGroupTrackers256kCellsP6(b *testing.B) {
 		yC[k] = field()
 	}
 	b.SetBytes(8 * cells * (p + 2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.UpdateGroup(0, yA, yB, yC)

@@ -448,3 +448,114 @@ func TestShardedTrackerEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateGroupBitwiseEdgeValues holds UpdateGroup to the seed replica bit
+// for bit (math.Float64bits, so −0 must stay −0) on every Options
+// combination and on parameter counts even and odd and on both sides of the
+// kernel's stack array of field pointers, with each group's fields salted
+// with NaN, ±Inf, −0, subnormals and ±1e300. A NaN must come out as NaN,
+// but its payload is not compared: Go does not specify it, and gc may swap
+// the operands of a commutative add or multiply, which picks which of two
+// NaN operands' payloads the result carries.
+func TestUpdateGroupBitwiseEdgeValues(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		5e-324, -3e-310, 1e300, -1e300}
+	rng := rand.New(rand.NewSource(2718))
+	for _, opts := range optionCombos() {
+		for _, p := range []int{1, 2, 3, 4, 5, 15, 16, 17, 33} {
+			t.Run(fmt.Sprintf("%s/p=%d", optionName(opts), p), func(t *testing.T) {
+				const cells, steps, rounds, groups = 37, 2, 3, 3
+				a := core.NewAccumulator(cells, steps, p, opts)
+				refs := make([]*refAccum, steps)
+				for ts := range refs {
+					refs[ts] = newRefAccum(cells, p, opts)
+				}
+				for round := 0; round < rounds; round++ {
+					for ts := 0; ts < steps; ts++ {
+						for _, s := range refSamples(rng, groups, cells, p) {
+							// Two specials per group, each in a random field
+							// and cell: a NaN or an overflow poisons its
+							// cell's record, so most cells stay finite.
+							for j := 0; j < 2; j++ {
+								v := specials[rng.Intn(len(specials))]
+								switch f, i := rng.Intn(p+2), rng.Intn(cells); f {
+								case p:
+									s.yA[i] = v
+								case p + 1:
+									s.yB[i] = v
+								default:
+									s.yC[f][i] = v
+								}
+							}
+							a.UpdateGroup(ts, s.yA, s.yB, s.yC)
+							refs[ts].update(s.yA, s.yB, s.yC)
+						}
+					}
+				}
+				for ts := 0; ts < steps; ts++ {
+					checkBits(t, a, ts, refs[ts])
+				}
+			})
+		}
+	}
+}
+
+// checkBits compares every statistic of one timestep by its bits.
+func checkBits(t *testing.T, a *core.Accumulator, ts int, ref *refAccum) {
+	t.Helper()
+	bits := func(x float64) uint64 {
+		if x != x {
+			return math.Float64bits(math.NaN())
+		}
+		return math.Float64bits(x)
+	}
+	same := func(what string, i int, got, want float64) {
+		t.Helper()
+		if bits(got) != bits(want) {
+			t.Fatalf("step %d %s cell %d: %v (%#x) != %v (%#x)", ts, what, i,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if a.N(ts) != ref.n {
+		t.Fatalf("step %d: n=%d want %d", ts, a.N(ts), ref.n)
+	}
+	for k := 0; k < ref.p; k++ {
+		for i := 0; i < ref.cells; i++ {
+			same(fmt.Sprintf("S%d", k), i, a.FirstAt(ts, k, i), ref.first(k, i))
+			same(fmt.Sprintf("ST%d", k), i, a.TotalAt(ts, k, i), ref.total(k, i))
+		}
+	}
+	mean, variance := a.MeanField(ts, nil), a.VarianceField(ts, nil)
+	for i := 0; i < ref.cells; i++ {
+		same("mean", i, mean[i], ref.meanB[i])
+		same("variance", i, variance[i], ref.m2B[i]/float64(ref.n-1))
+	}
+	if ref.minmax != nil {
+		lo, hi := a.MinField(ts, nil), a.MaxField(ts, nil)
+		for i := 0; i < ref.cells; i++ {
+			same("min", i, lo[i], ref.minmax.Min(i))
+			same("max", i, hi[i], ref.minmax.Max(i))
+		}
+	}
+	if ref.exceed != nil {
+		ex := a.ExceedanceField(ts, nil)
+		for i := 0; i < ref.cells; i++ {
+			same("exceedance", i, ex[i], ref.exceed.Probability(i))
+		}
+	}
+	if ref.higher != nil {
+		skew, kurt := a.SkewnessField(ts, nil), a.KurtosisField(ts, nil)
+		for i := 0; i < ref.cells; i++ {
+			same("skewness", i, skew[i], ref.higher.Skewness(i))
+			same("kurtosis", i, kurt[i], ref.higher.Kurtosis(i))
+		}
+	}
+	if ref.quant != nil {
+		for _, q := range []float64{0.1, 0.5, 0.9} {
+			got := a.QuantileField(ts, q, nil)
+			for i := 0; i < ref.cells; i++ {
+				same(fmt.Sprintf("quantile %v", q), i, got[i], ref.quant.Query(i, q))
+			}
+		}
+	}
+}

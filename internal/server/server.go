@@ -233,19 +233,27 @@ func New(cfg Config) (*Server, error) {
 	// The Welcome advertises every process's resolved fold-shard count so
 	// codec-enabled clients cut compressed payloads on the shard boundaries
 	// of whichever process they feed; the processes share the one vector.
+	// They are built concurrently: with min/max on, each one's accumulator
+	// writes the identity into every record, a pass over all its state.
 	foldShards := make([]int, cfg.Procs)
-	for rank := 0; rank < cfg.Procs; rank++ {
-		p := newProc(procConfig{
-			Config:     cfg,
-			Rank:       rank,
-			Partition:  s.partitions[rank],
-			AllAddrs:   addrs,
-			Partitions: s.partitions,
-			FoldShards: foldShards,
-		}, recvs[rank])
-		foldShards[rank] = p.FoldWorkers()
-		s.procs = append(s.procs, p)
+	s.procs = make([]*Proc, cfg.Procs)
+	var wg sync.WaitGroup
+	for rank := range s.procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.procs[rank] = newProc(procConfig{
+				Config:     cfg,
+				Rank:       rank,
+				Partition:  s.partitions[rank],
+				AllAddrs:   addrs,
+				Partitions: s.partitions,
+				FoldShards: foldShards,
+			}, recvs[rank])
+			foldShards[rank] = s.procs[rank].FoldWorkers()
+		}()
 	}
+	wg.Wait()
 	return s, nil
 }
 

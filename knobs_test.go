@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 86
 	pinnedSharedFlags  = 107
-	pinnedSourceLines  = 17761
+	pinnedSourceLines  = 17758
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
