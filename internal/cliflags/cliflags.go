@@ -13,7 +13,6 @@ package cliflags
 import (
 	"flag"
 	"fmt"
-	"log"
 	"strconv"
 	"time"
 
@@ -38,10 +37,10 @@ type Flags struct {
 	ckptEvery    time.Duration
 
 	// Optional statistics (read through StatsOptions): -minmax, -threshold,
-	// -higher-moments, -quantiles, -quantile-eps, -quantile-memory-budget.
-	minMax, higherMoments       bool
-	threshold, quantiles        string
-	quantileEps, quantileBudget float64
+	// -higher-moments, -quantiles, -quantile-eps.
+	minMax, higherMoments bool
+	threshold, quantiles  string
+	quantileEps           float64
 
 	// Telemetry: -metrics-addr, -log-level, -log-json.
 	MetricsAddr, LogLevel string
@@ -140,9 +139,8 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 		fs.BoolVar(&f.higherMoments, "higher-moments", false,
 			"track per-cell skewness/kurtosis of the pooled A/B samples (melissa-study: fig7/skewness.pgm, fig7/kurtosis.pgm)")
 		fs.StringVar(&f.quantiles, "quantiles", "", "comma-separated quantile probes, e.g. 0.05,0.5,0.95 (empty = off)")
-		fs.Float64Var(&f.quantileEps, "quantile-eps", quantiles.DefaultEpsilon, "quantile sketch rank error ε")
-		fs.Float64Var(&f.quantileBudget, "quantile-memory-budget", 0,
-			"per-cell-per-timestep sketch memory budget in bytes; derives ε (overrides -quantile-eps)")
+		fs.Float64Var(&f.quantileEps, "quantile-eps", quantiles.DefaultEpsilon,
+			"quantile sketch rank error ε; a compacted sketch keeps about 1/ε tuples of 24 bytes per cell per step")
 	}
 	if b.mesh {
 		fs.IntVar(&f.Cells, "cells", 1024, "mesh cells per field (synthetic study)")
@@ -179,16 +177,10 @@ func (f *Flags) Checkpoints() (dir string, every time.Duration) {
 	return f.ckptDir, f.ckptEvery
 }
 
-// StatsOptions assembles the parsed statistics selection; a positive memory
-// budget derives ε (and logs the derivation). The error names the flag whose
-// value did not parse.
+// StatsOptions assembles the parsed statistics selection. The error names
+// the flag whose value did not parse.
 func (f *Flags) StatsOptions() (core.Options, error) {
 	opts := core.Options{MinMax: f.minMax, HigherMoments: f.higherMoments, QuantileEps: f.quantileEps}
-	if f.quantileBudget > 0 {
-		opts.QuantileEps = quantiles.EpsForBudget(f.quantileBudget)
-		log.Printf("quantile budget %.0f B/cell/step -> eps %.4g (~%.0f tuples/cell/step)",
-			f.quantileBudget, opts.QuantileEps, quantiles.TuplesPerCell(opts.QuantileEps))
-	}
 	if f.threshold != "" {
 		th, err := strconv.ParseFloat(f.threshold, 64)
 		if err != nil {

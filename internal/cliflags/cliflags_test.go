@@ -67,7 +67,7 @@ func TestBinaryFlagSets(t *testing.T) {
 	}
 }
 
-// TestStatsOptions covers the one copy of the threshold / quantile / ε-budget
+// TestStatsOptions covers the one copy of the threshold / quantile / ε
 // parsing the server and study binaries share.
 func TestStatsOptions(t *testing.T) {
 	parse := func(args ...string) (*Flags, error) {
@@ -87,10 +87,6 @@ func TestStatsOptions(t *testing.T) {
 	if !opts.MinMax || opts.HigherMoments || opts.Threshold == nil || *opts.Threshold != 2.5 ||
 		len(opts.Quantiles) != 2 || opts.Quantiles[1] != 0.9 || opts.QuantileEps != 0.02 {
 		t.Fatalf("options %+v", opts)
-	}
-	s, _ = parse("-quantile-memory-budget", "4096", "-quantile-eps", "0.3")
-	if opts, err = s.StatsOptions(); err != nil || opts.QuantileEps == 0.3 || opts.QuantileEps <= 0 {
-		t.Fatalf("budget did not override eps: %+v, %v", opts, err)
 	}
 	for _, bad := range [][]string{{"-threshold", "x"}, {"-quantiles", "0.5,nope"}} {
 		s, _ = parse(bad...)

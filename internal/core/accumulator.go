@@ -113,11 +113,12 @@ func layoutFor(p int, opts Options) recLayout {
 	return l
 }
 
-// Accumulator holds the ubiquitous Sobol' state for one spatial partition
-// across all timesteps. It is not safe for concurrent use; each server
-// process owns one and updates it from its own message loop ("updating the
-// statistics is a local operation", Sec. 4.1.1).
-type Accumulator struct {
+// shard holds the ubiquitous Sobol' state of one contiguous cell range
+// across all timesteps: the records, the per-step counts and sketches, and
+// the kernel that folds a group into them. It is not safe for concurrent
+// use; an Accumulator is one or more shards, each updated by one goroutine
+// at a time.
+type shard struct {
 	cells     int
 	timesteps int
 	p         int
@@ -155,9 +156,9 @@ type stepAccum struct {
 	quant   *quantiles.Field
 }
 
-// NewAccumulator returns an accumulator for a partition of `cells` cells,
-// `timesteps` output steps and p input parameters.
-func NewAccumulator(cells, timesteps, p int, opts Options) *Accumulator {
+// newShard returns the state of a range of `cells` cells, `timesteps` output
+// steps and p input parameters.
+func newShard(cells, timesteps, p int, opts Options) *shard {
 	if cells < 0 || timesteps < 1 || p < 1 {
 		panic(fmt.Sprintf("core: invalid accumulator shape cells=%d timesteps=%d p=%d", cells, timesteps, p))
 	}
@@ -167,7 +168,7 @@ func NewAccumulator(cells, timesteps, p int, opts Options) *Accumulator {
 		}
 	}
 	lay := layoutFor(p, opts)
-	a := &Accumulator{cells: cells, timesteps: timesteps, p: p, stride: lay.stride, lay: lay, opts: opts}
+	a := &shard{cells: cells, timesteps: timesteps, p: p, stride: lay.stride, lay: lay, opts: opts}
 	if opts.Threshold != nil {
 		a.threshold = *opts.Threshold
 	}
@@ -205,28 +206,17 @@ func newStepAccum(cells int, opts Options) stepAccum {
 	return s
 }
 
-// Cells returns the partition size.
-func (a *Accumulator) Cells() int { return a.cells }
-
-// Timesteps returns the number of output steps tracked.
-func (a *Accumulator) Timesteps() int { return a.timesteps }
-
-// P returns the number of input parameters.
-func (a *Accumulator) P() int { return a.p }
-
-// N returns the number of groups folded into timestep t.
-func (a *Accumulator) N(t int) int64 { return a.steps[t].n }
-
 // maxStackFields is how many C-field base pointers UpdateGroup keeps on the
 // stack; a wider p allocates them.
 const maxStackFields = 16
 
 // UpdateGroup folds the results of one simulation group at output step t:
 // yA and yB are the fields of f(A_i) and f(B_i) restricted to this
-// partition, yC[k] the field of f(C^k_i). All slices must have length
-// Cells(). This is the O(cells·p) inner loop of Melissa Server, one sweep
-// over the interleaved records that loads and stores each cell's record —
-// Sobol' co-moments and any enabled tracker slots — exactly once.
+// shard's cell range, yC[k] the field of f(C^k_i). All slices must hold
+// exactly the shard's cells. This is the O(cells·p) inner loop of Melissa
+// Server, one sweep over the interleaved records that loads and stores each
+// cell's record — Sobol' co-moments and any enabled tracker slots — exactly
+// once.
 //
 // The sweep is shaped for instruction count (see "The kernel" in the
 // package comment). Every length is checked once, up front: len(yA) =
@@ -239,7 +229,7 @@ const maxStackFields = 16
 // the original multi-pass kernel's (all C blocks read the pre-update A/B
 // means; the A/B moments update next; the trackers see yA then yB last; no
 // fused multiply-add, no reciprocal of n), so results are bitwise its.
-func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
+func (a *shard) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 	if t < 0 || t >= a.timesteps {
 		panic(fmt.Sprintf("core: timestep %d out of range [0,%d)", t, a.timesteps))
 	}
@@ -375,32 +365,21 @@ func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 }
 
 // rec returns cell i's interleaved record at step t.
-func (a *Accumulator) rec(t, i int) []float64 {
+func (a *shard) rec(t, i int) []float64 {
 	ri := i * a.stride
 	return a.steps[t].rec[ri : ri+a.stride : ri+a.stride]
 }
 
 // FirstAt returns the Martinez first-order index S_k(x, t) for local cell i.
-func (a *Accumulator) FirstAt(t, k, i int) float64 {
+func (a *shard) FirstAt(t, k, i int) float64 {
 	r := a.rec(t, i)
 	off := recHeader + recPerParam*k
 	return correlation(r[off+blkC2BC], r[offM2B], r[off+blkM2C])
 }
 
-// TotalAt returns the total index ST_k(x, t) for local cell i. It reports 0
-// before two groups have arrived.
-func (a *Accumulator) TotalAt(t, k, i int) float64 {
-	if a.steps[t].n < 2 {
-		return 0
-	}
-	r := a.rec(t, i)
-	off := recHeader + recPerParam*k
-	return 1 - correlation(r[off+blkC2AC], r[offM2A], r[off+blkM2C])
-}
-
 // FirstField writes the per-cell first-order index field S_k(·, t) into dst
 // (allocating when nil or too small) and returns it.
-func (a *Accumulator) FirstField(t, k int, dst []float64) []float64 {
+func (a *shard) FirstField(t, k int, dst []float64) []float64 {
 	dst = ensureLen(dst, a.cells)
 	rec := a.steps[t].rec
 	off := recHeader + recPerParam*k
@@ -411,7 +390,7 @@ func (a *Accumulator) FirstField(t, k int, dst []float64) []float64 {
 }
 
 // TotalField writes the per-cell total index field ST_k(·, t) into dst.
-func (a *Accumulator) TotalField(t, k int, dst []float64) []float64 {
+func (a *shard) TotalField(t, k int, dst []float64) []float64 {
 	dst = ensureLen(dst, a.cells)
 	if a.steps[t].n < 2 {
 		for i := range dst {
@@ -428,14 +407,13 @@ func (a *Accumulator) TotalField(t, k int, dst []float64) []float64 {
 }
 
 // MeanField writes the per-cell mean of the B sample at step t into dst.
-func (a *Accumulator) MeanField(t int, dst []float64) []float64 {
+func (a *shard) MeanField(t int, dst []float64) []float64 {
 	return a.column(&a.steps[t], offMeanB, dst)
 }
 
 // VarianceField writes the per-cell unbiased variance of the B sample at
-// step t into dst — the Fig. 8 co-visualization map that guards against
-// interpreting Sobol' indices where Var(Y) ≈ 0 (Sec. 5.5).
-func (a *Accumulator) VarianceField(t int, dst []float64) []float64 {
+// step t into dst.
+func (a *shard) VarianceField(t int, dst []float64) []float64 {
 	dst = ensureLen(dst, a.cells)
 	s := &a.steps[t]
 	if s.n < 2 {
@@ -451,11 +429,9 @@ func (a *Accumulator) VarianceField(t int, dst []float64) []float64 {
 	return dst
 }
 
-// InteractionField writes 1 − ΣS_k(·, t) into dst: the share of variance
-// attributable to parameter interactions (Sec. 5.5 uses it to decide the
-// total indices are redundant for this use case). With the interleaved
+// InteractionField writes 1 − ΣS_k(·, t) into dst. With the interleaved
 // layout the per-cell sum over k reads one contiguous record.
-func (a *Accumulator) InteractionField(t int, dst []float64) []float64 {
+func (a *shard) InteractionField(t int, dst []float64) []float64 {
 	dst = ensureLen(dst, a.cells)
 	rec := a.steps[t].rec
 	for i, ri := 0, 0; i < a.cells; i, ri = i+1, ri+a.stride {
@@ -478,7 +454,7 @@ func (a *Accumulator) InteractionField(t int, dst []float64) []float64 {
 
 // MinField writes the per-cell running minimum over the A and B samples at
 // step t into dst (+Inf before any sample).
-func (a *Accumulator) MinField(t int, dst []float64) []float64 {
+func (a *shard) MinField(t int, dst []float64) []float64 {
 	if a.lay.min < 0 {
 		return nil
 	}
@@ -487,7 +463,7 @@ func (a *Accumulator) MinField(t int, dst []float64) []float64 {
 
 // MaxField writes the per-cell running maximum over the A and B samples at
 // step t into dst (-Inf before any sample).
-func (a *Accumulator) MaxField(t int, dst []float64) []float64 {
+func (a *shard) MaxField(t int, dst []float64) []float64 {
 	if a.lay.min < 0 {
 		return nil
 	}
@@ -496,7 +472,7 @@ func (a *Accumulator) MaxField(t int, dst []float64) []float64 {
 
 // ExceedanceField writes, per cell, the fraction of the A and B samples at
 // step t that exceeded Options.Threshold into dst.
-func (a *Accumulator) ExceedanceField(t int, dst []float64) []float64 {
+func (a *shard) ExceedanceField(t int, dst []float64) []float64 {
 	if a.lay.exc < 0 {
 		return nil
 	}
@@ -510,19 +486,19 @@ func (a *Accumulator) ExceedanceField(t int, dst []float64) []float64 {
 
 // SkewnessField writes the per-cell sample skewness of the pooled A and B
 // samples at step t into dst.
-func (a *Accumulator) SkewnessField(t int, dst []float64) []float64 {
+func (a *shard) SkewnessField(t int, dst []float64) []float64 {
 	return a.higherField(t, dst, 2, stats.Skewness)
 }
 
 // KurtosisField writes the per-cell sample excess kurtosis of the pooled A
 // and B samples at step t into dst.
-func (a *Accumulator) KurtosisField(t int, dst []float64) []float64 {
+func (a *shard) KurtosisField(t int, dst []float64) []float64 {
 	return a.higherField(t, dst, 3, stats.Kurtosis)
 }
 
 // higherField writes f(n, m2, m_k) per cell into dst, m_k being slot k of the
 // higher-moment quad [mean, m2, m3, m4].
-func (a *Accumulator) higherField(t int, dst []float64, k int, f func(n int64, m2, mk float64) float64) []float64 {
+func (a *shard) higherField(t int, dst []float64, k int, f func(n int64, m2, mk float64) float64) []float64 {
 	if a.lay.hig < 0 {
 		return nil
 	}
@@ -534,27 +510,9 @@ func (a *Accumulator) higherField(t int, dst []float64, k int, f func(n int64, m
 	return dst
 }
 
-// TrackerSamples returns how many samples the min/max, exceedance and
-// higher-moment trackers have folded at step t: two per group (the A and B
-// members), 0 for a disabled tracker.
-func (a *Accumulator) TrackerSamples(t int) (minmax, exceed, higher int64) {
-	s := &a.steps[t]
-	return s.minmaxN, s.exceedN, s.higherN
-}
-
-// Quantiles returns the optional per-cell quantile sketches for step t (nil
-// when not enabled).
-func (a *Accumulator) Quantiles(t int) *quantiles.Field { return a.steps[t].quant }
-
-// QuantileProbes returns the configured quantile probe list (nil when
-// quantile tracking is disabled).
-func (a *Accumulator) QuantileProbes() []float64 { return a.opts.Quantiles }
-
 // QuantileField writes the per-cell q-quantile estimate of the pooled A/B
-// sample at step t into dst. Any q in [0, 1] may be queried, not only the
-// configured probes; without quantile tracking the field is all zeros
-// (matching the other statistics before data arrives).
-func (a *Accumulator) QuantileField(t int, q float64, dst []float64) []float64 {
+// sample at step t into dst, all zeros without quantile tracking.
+func (a *shard) QuantileField(t int, q float64, dst []float64) []float64 {
 	s := &a.steps[t]
 	if s.quant == nil {
 		dst = ensureLen(dst, a.cells)
@@ -570,7 +528,7 @@ func (a *Accumulator) QuantileField(t int, q float64, dst []float64) []float64 {
 // across all cells and timesteps — the O(cells/ε) memory quantity of the
 // quantile statistic (0 when disabled). Together with MemoryBytes this is
 // the sketch-tuning telemetry surfaced by server results.
-func (a *Accumulator) QuantileTupleCount() int64 {
+func (a *shard) QuantileTupleCount() int64 {
 	var total int64
 	for t := range a.steps {
 		if q := a.steps[t].quant; q != nil {
@@ -583,9 +541,9 @@ func (a *Accumulator) QuantileTupleCount() int64 {
 // QuantileTelemetry returns the retained sketch tuples and their byte
 // estimate across all cells and timesteps in one pass — the live mirror of
 // QuantileTupleCount/MemoryBytes surfaced as gauges while a study runs.
-// Must be called by the goroutine that owns the accumulator (a fold worker
-// for a shard): counting folds buffered inserts first.
-func (a *Accumulator) QuantileTelemetry() (tuples, bytes int64) {
+// Must be called by the goroutine that owns the shard: counting folds
+// buffered inserts first.
+func (a *shard) QuantileTelemetry() (tuples, bytes int64) {
 	for t := range a.steps {
 		if q := a.steps[t].quant; q != nil {
 			qt, qb := q.Telemetry()
@@ -594,29 +552,6 @@ func (a *Accumulator) QuantileTelemetry() (tuples, bytes int64) {
 		}
 	}
 	return tuples, bytes
-}
-
-// CompactQuantiles runs the sketch compaction pass on every timestep's
-// quantile field (no-op when quantiles are disabled). With copy-on-write
-// snapshots the checkpoint path no longer calls this — the background writer
-// compacts frozen views instead — but it stays as the eager reference the
-// snapshot bytes are tested against; see quantiles.Field.Compact.
-func (a *Accumulator) CompactQuantiles() {
-	for t := range a.steps {
-		if q := a.steps[t].quant; q != nil {
-			q.Compact()
-		}
-	}
-}
-
-// FirstCI returns the Eq. 8 confidence interval for S_k at (t, cell i).
-func (a *Accumulator) FirstCI(t, k, i int, level float64) sobol.Interval {
-	return sobol.FirstOrderCI(a.FirstAt(t, k, i), a.steps[t].n, level)
-}
-
-// TotalCI returns the Eq. 9 confidence interval for ST_k at (t, cell i).
-func (a *Accumulator) TotalCI(t, k, i int, level float64) sobol.Interval {
-	return sobol.TotalOrderCI(a.TotalAt(t, k, i), a.steps[t].n, level)
 }
 
 // MaxCIWidth returns the widest confidence interval over all timesteps,
@@ -630,7 +565,7 @@ func (a *Accumulator) TotalCI(t, k, i int, level float64) sobol.Interval {
 // the same level, so repeated convergence reports cost O(dirty state), not
 // O(total state). The cache makes this a mutating call: like UpdateGroup it
 // must not race with other accessors.
-func (a *Accumulator) MaxCIWidth(level float64) float64 {
+func (a *shard) MaxCIWidth(level float64) float64 {
 	if level != a.ciLevel {
 		for t := range a.steps {
 			a.steps[t].ciDirty = true
@@ -670,7 +605,7 @@ func (a *Accumulator) MaxCIWidth(level float64) float64 {
 // The estimates are correlation() with a cell's square roots taken once
 // instead of once per parameter and index: the same operations on the same
 // operands, hence the floats FirstAt and TotalAt return.
-func (a *Accumulator) scanStepCIWidth(s *stepAccum, level float64) float64 {
+func (a *shard) scanStepCIWidth(s *stepAccum, level float64) float64 {
 	if a.ciBand == nil {
 		a.ciBand = make([]float64, 2*a.p)
 	}
@@ -775,7 +710,7 @@ func ciKey(rho float64) float64 {
 // the dynamic quantile-sketch state when enabled — O(cells/ε), bounded
 // regardless of the number of groups folded. With the interleaved trackers
 // the record stride *is* the per-cell statistic count.
-func (a *Accumulator) MemoryBytes() int64 {
+func (a *shard) MemoryBytes() int64 {
 	total := 8 * int64(a.stride) * int64(a.cells) * int64(a.timesteps)
 	if a.opts.quantilesEnabled() {
 		for t := range a.steps {
@@ -787,7 +722,7 @@ func (a *Accumulator) MemoryBytes() int64 {
 
 // column writes the strided per-cell statistic at record offset `off` of
 // step s into dst (allocating when nil or too small) and returns it.
-func (a *Accumulator) column(s *stepAccum, off int, dst []float64) []float64 {
+func (a *shard) column(s *stepAccum, off int, dst []float64) []float64 {
 	dst = ensureLen(dst, a.cells)
 	for i, ri := 0, off; i < a.cells; i, ri = i+1, ri+a.stride {
 		dst[i] = s.rec[ri]

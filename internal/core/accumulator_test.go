@@ -272,7 +272,7 @@ func TestAccumulatorEncodeDecodeRoundTrip(t *testing.T) {
 
 	w := enc.NewWriter(4096)
 	a.Encode(w)
-	b, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()), LayoutCurrent)
+	b, err := DecodeShardedVersion(enc.NewReader(w.Bytes()), LayoutCurrent, 1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -307,7 +307,7 @@ func TestAccumulatorEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal("restored accumulator cannot continue")
 	}
 	// Truncated checkpoints are rejected.
-	if _, err := DecodeAccumulatorVersion(enc.NewReader(w.Bytes()[:w.Len()/2]), LayoutCurrent); err == nil {
+	if _, err := DecodeShardedVersion(enc.NewReader(w.Bytes()[:w.Len()/2]), LayoutCurrent, 1); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }

@@ -109,7 +109,7 @@ func decodeHeader(r *enc.Reader, version int) (header, error) {
 // contiguous cell ranges of one partition in cell order: n, the enabled
 // trackers' sample counts, then every cell's record as one length-prefixed
 // run, each shard's window copied as it is.
-func encodeRecords(w *enc.Writer, shards []*Accumulator, t int) {
+func encodeRecords(w *enc.Writer, shards []*shard, t int) {
 	lay := shards[0].lay
 	s := &shards[0].steps[t]
 	w.I64(s.n)
@@ -132,38 +132,49 @@ func encodeRecords(w *enc.Writer, shards []*Accumulator, t int) {
 	}
 }
 
-// Encode appends the full accumulator state to w in the current layout. The
-// bytes equal those of a one-shard Snapshot of a at the same fold state,
-// except that quantile sketches are written as they are, not compacted.
+// Encode appends the full accumulator state to w in the current layout,
+// the shards' records and sketches stitched in cell order, so the bytes do
+// not depend on the shard count. They equal those of a Snapshot of a at the
+// same fold state, except that quantile sketches are written as they are,
+// not compacted.
 func (a *Accumulator) Encode(w *enc.Writer) {
 	header{a.cells, a.timesteps, a.p, a.opts}.encode(w)
-	one := []*Accumulator{a}
-	for t := range a.steps {
-		encodeRecords(w, one, t)
-		if q := a.steps[t].quant; q != nil {
-			q.Encode(w)
+	parts := a.quantileParts()
+	for t := 0; t < a.timesteps; t++ {
+		encodeRecords(w, a.shards, t)
+		if parts != nil {
+			for i, sh := range a.shards {
+				parts[i] = sh.steps[t].quant
+			}
+			quantiles.EncodeStitched(w, parts)
 		}
 	}
 }
 
-// DecodeShardedVersion reconstructs a sharded accumulator of (at most)
-// `shards` cell ranges from a stream encoded in the given layout version —
-// the restore path. Every layout is read straight into the shards, with no
-// dense intermediate: a LayoutV4 record run is split at the shard bounds into
-// the shards' record windows, an older layout's per-statistic arrays are
-// scattered into the records, and each quantile field is split into the
+// quantileParts returns a slot per shard for one step's quantile fields, nil
+// when quantiles are disabled.
+func (a *Accumulator) quantileParts() []*quantiles.Field {
+	if !a.opts.quantilesEnabled() {
+		return nil
+	}
+	return make([]*quantiles.Field, len(a.shards))
+}
+
+// DecodeShardedVersion reconstructs an accumulator of (at most) `shards`
+// cell ranges from a stream encoded in the given layout version — the
+// restore path. Every layout is read straight into the shards, with no
+// one-shard intermediate: a LayoutV4 record run is split at the shard bounds
+// into the shards' record windows, an older layout's per-statistic arrays
+// are scattered into the records, and each quantile field is split into the
 // shards' sketches. A V1 stream restores with quantile tracking disabled —
 // the state simply predates the statistic.
-func DecodeShardedVersion(r *enc.Reader, version, shards int) (*ShardedAccumulator, error) {
+func DecodeShardedVersion(r *enc.Reader, version, shards int) (*Accumulator, error) {
 	h, err := decodeHeader(r, version)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSharded(h.cells, h.timesteps, h.p, h.opts, shards)
-	var parts []*quantiles.Field
-	if h.opts.quantilesEnabled() {
-		parts = make([]*quantiles.Field, len(s.shards))
-	}
+	parts := s.quantileParts()
 	var col []float64
 	if version < LayoutV4 {
 		col = make([]float64, h.cells)
@@ -187,21 +198,11 @@ func DecodeShardedVersion(r *enc.Reader, version, shards int) (*ShardedAccumulat
 	return s, nil
 }
 
-// DecodeAccumulatorVersion reconstructs one dense accumulator encoded in the
-// given layout version: DecodeShardedVersion's single shard.
-func DecodeAccumulatorVersion(r *enc.Reader, version int) (*Accumulator, error) {
-	s, err := DecodeShardedVersion(r, version, 1)
-	if err != nil {
-		return nil, err
-	}
-	return s.shards[0], nil
-}
-
 // decodeRecords reads timestep t of a LayoutV4 image: the counts, then the
 // record run, cut at the shard bounds straight into the shards' record
 // windows.
-func (s *ShardedAccumulator) decodeRecords(r *enc.Reader, t int) {
-	lay := s.shards[0].lay
+func (a *Accumulator) decodeRecords(r *enc.Reader, t int) {
+	lay := a.shards[0].lay
 	var c stepAccum
 	c.n = r.I64()
 	if lay.min >= 0 {
@@ -213,10 +214,10 @@ func (s *ShardedAccumulator) decodeRecords(r *enc.Reader, t int) {
 	if lay.hig >= 0 {
 		c.higherN = r.I64()
 	}
-	if got, want := r.U64(), uint64(s.cells)*uint64(lay.stride); r.Err() == nil && got != want {
+	if got, want := r.U64(), uint64(a.cells)*uint64(lay.stride); r.Err() == nil && got != want {
 		r.Fail(fmt.Errorf("core: step %d holds %d record slots, want %d", t, got, want))
 	}
-	for _, sh := range s.shards {
+	for _, sh := range a.shards {
 		sh.steps[t].setCounts(&c)
 		r.F64RawInto(sh.steps[t].rec)
 	}
@@ -225,14 +226,14 @@ func (s *ShardedAccumulator) decodeRecords(r *enc.Reader, t int) {
 // decodeColumns reads timestep t of a dense LayoutV1–V3 stream — one array
 // per statistic, the exceedance counts as int64 — through col, scattering
 // each array over the shards' records.
-func (s *ShardedAccumulator) decodeColumns(r *enc.Reader, t int, col []float64) {
-	lay := s.shards[0].lay
+func (a *Accumulator) decodeColumns(r *enc.Reader, t int, col []float64) {
+	lay := a.shards[0].lay
 	var c stepAccum
 	c.n = r.I64()
 	read := func(off int) {
 		r.F64SliceInto(col)
 		if r.Err() == nil {
-			s.scatter(t, off, col)
+			a.scatter(t, off, col)
 		}
 	}
 	// The dense arrays come in record-slot order: meanA, m2A, meanB, m2B,
@@ -249,14 +250,14 @@ func (s *ShardedAccumulator) decodeColumns(r *enc.Reader, t int, col []float64) 
 		r.F64() // per-section threshold copy; the header value governs
 		c.exceedN = r.I64()
 		counts := r.I64Slice()
-		if r.Err() == nil && len(counts) != s.cells {
-			r.Fail(fmt.Errorf("core: exceedance section has %d cells, want %d", len(counts), s.cells))
+		if r.Err() == nil && len(counts) != a.cells {
+			r.Fail(fmt.Errorf("core: exceedance section has %d cells, want %d", len(counts), a.cells))
 		}
 		if r.Err() == nil {
 			for i, n := range counts {
 				col[i] = float64(n)
 			}
-			s.scatter(t, lay.exc, col)
+			a.scatter(t, lay.exc, col)
 		}
 	}
 	if lay.hig >= 0 {
@@ -265,17 +266,17 @@ func (s *ShardedAccumulator) decodeColumns(r *enc.Reader, t int, col []float64) 
 			read(off)
 		}
 	}
-	for _, sh := range s.shards {
+	for _, sh := range a.shards {
 		sh.steps[t].setCounts(&c)
 	}
 }
 
 // scatter spreads col, one value per cell of the partition, into record
 // offset off of every shard's step-t records.
-func (s *ShardedAccumulator) scatter(t, off int, col []float64) {
-	for i, sh := range s.shards {
+func (a *Accumulator) scatter(t, off int, col []float64) {
+	for i, sh := range a.shards {
 		rec := sh.steps[t].rec
-		for c, ri := s.bounds[i], off; ri < len(rec); c, ri = c+1, ri+sh.stride {
+		for c, ri := a.bounds[i], off; ri < len(rec); c, ri = c+1, ri+sh.stride {
 			rec[ri] = col[c]
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // scanStepCIWidthExhaustive is the reference scanStepCIWidth is held to: the
 // interval of every cell, parameter and index evaluated through the per-call
 // sobol API, largest width kept.
-func scanStepCIWidthExhaustive(a *Accumulator, s *stepAccum, level float64) float64 {
+func scanStepCIWidthExhaustive(a *shard, s *stepAccum, level float64) float64 {
 	var worst float64
 	for ri := 0; ri < len(s.rec); ri += a.stride {
 		r := s.rec[ri : ri+a.stride]
@@ -141,7 +141,7 @@ func ciScanLayouts() []rhoLayout {
 // and total-order correlations follow independently drawn layouts. Unit
 // second moments make correlation() return the drawn value itself; scaled
 // ones make it a general quotient; zeroMoments sprinkles vanishing variances.
-func fillCIScanStep(rng *rand.Rand, a *Accumulator, s *stepAccum, layouts []rhoLayout, scaled, zeroMoments bool) {
+func fillCIScanStep(rng *rand.Rand, a *shard, s *stepAccum, layouts []rhoLayout, scaled, zeroMoments bool) {
 	cells := a.cells
 	sdA, sdB := make([]float64, cells), make([]float64, cells)
 	for i := 0; i < cells; i++ {
@@ -188,7 +188,7 @@ func TestCIScanMatchesExhaustive(t *testing.T) {
 	counts := []int64{3, 4, 5, 17, 400, 1e6}
 	levels := []float64{0.90, 0.95, 0.99}
 	records := 0
-	check := func(name string, a *Accumulator, s *stepAccum) {
+	check := func(name string, a *shard, s *stepAccum) {
 		t.Helper()
 		for _, level := range levels {
 			want := scanStepCIWidthExhaustive(a, s, level)
@@ -202,7 +202,7 @@ func TestCIScanMatchesExhaustive(t *testing.T) {
 	for _, l := range layouts {
 		for _, n := range counts {
 			for _, scaled := range []bool{false, true} {
-				a := NewAccumulator(257, 1, 2, Options{})
+				a := newShard(257, 1, 2, Options{})
 				s := &a.steps[0]
 				s.n = n
 				fillCIScanStep(rng, a, s, []rhoLayout{l}, scaled, false)
@@ -219,7 +219,7 @@ func TestCIScanMatchesExhaustive(t *testing.T) {
 		if trial%3 == 1 {
 			opts = Options{MinMax: true, Threshold: &th, HigherMoments: true}
 		}
-		a := NewAccumulator(1+rng.Intn(700), 1, 1+rng.Intn(6), opts)
+		a := newShard(1+rng.Intn(700), 1, 1+rng.Intn(6), opts)
 		s := &a.steps[0]
 		s.n = counts[rng.Intn(len(counts))]
 		if rng.Intn(2) == 0 {

@@ -96,8 +96,13 @@ func BenchmarkUpdateGroupSharded10kCellsP6(b *testing.B) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					lo, hi := sacc.ShardRange(w)
+					yc := make([][]float64, p)
+					for k := range yc {
+						yc[k] = yC[k][lo:hi]
+					}
 					for i := 0; i < b.N; i++ {
-						sacc.UpdateGroupShard(w, 0, yA, yB, yC)
+						sacc.UpdateShard(w, 0, yA[lo:hi], yB[lo:hi], yc)
 					}
 				}(w)
 			}
@@ -225,8 +230,8 @@ func BenchmarkMaxCIWidthAllDirty(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for t := range a.steps {
-					a.steps[t].ciDirty = true
+				for t := range a.shards[0].steps {
+					a.shards[0].steps[t].ciDirty = true
 				}
 				benchSink = a.MaxCIWidth(0.95)
 			}

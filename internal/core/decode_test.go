@@ -25,7 +25,7 @@ func goldenPayload(tb testing.TB, version int) []byte {
 
 // encodeImage writes s through a snapshot, section by section, exactly as
 // the background checkpoint writer does.
-func encodeImage(s *ShardedAccumulator) []byte {
+func encodeImage(s *Accumulator) []byte {
 	snap := s.NewSnapshot()
 	for i := range s.shards {
 		s.SnapshotShard(i, snap)
@@ -67,22 +67,22 @@ func TestDecodeRejectsOversizedHeader(t *testing.T) {
 		if _, err := DecodeShardedVersion(enc.NewReader(payload), version, 2); err == nil {
 			t.Fatalf("v%d: sharded decode accepted a 2^40-cell header", version)
 		}
-		if _, err := DecodeAccumulatorVersion(enc.NewReader(payload), version); err == nil {
-			t.Fatalf("v%d: dense decode accepted a 2^40-cell header", version)
+		if _, err := DecodeShardedVersion(enc.NewReader(payload), version, 1); err == nil {
+			t.Fatalf("v%d: one-shard decode accepted a 2^40-cell header", version)
 		}
 	}
 }
 
 // TestRestoreV4AllocatesStateOnce: a record image restores straight into the
-// destination shards — no dense accumulator, no split copy — so the restore
-// allocates about one state's worth of memory, where decoding into a dense
-// accumulator and splitting it would allocate two.
+// destination shards — no one-shard intermediate, no split copy — so the
+// restore allocates about one state's worth of memory, where decoding into
+// one shard and splitting it would allocate two.
 func TestRestoreV4AllocatesStateOnce(t *testing.T) {
 	const cells, timesteps, p, shards = 4096, 4, 3, 3
 	s := NewSharded(cells, timesteps, p, Options{MinMax: true, HigherMoments: true}, shards)
 	rng := rand.New(rand.NewSource(17))
 	for ts := 0; ts < timesteps; ts++ {
-		feedSharded(s, ts, randomGroups(rng, 3, cells, p))
+		feedAll(s, ts, randomGroups(rng, 3, cells, p))
 	}
 	payload := encodeImage(s)
 	state := s.MemoryBytes()
@@ -97,7 +97,7 @@ func TestRestoreV4AllocatesStateOnce(t *testing.T) {
 	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > state+state/4 {
 		t.Fatalf("restore allocated %d bytes for a %d-byte state", alloc, state)
 	}
-	compareShardedToDense(t, back, s.Dense())
+	compareBitwise(t, back, s)
 }
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint restore path —

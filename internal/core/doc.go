@@ -5,7 +5,9 @@
 //
 // An Accumulator owns one spatial partition of the mesh (one Melissa Server
 // process holds exactly one) and, per timestep, the one-pass moments needed
-// by the Martinez estimator.
+// by the Martinez estimator. It is the only accumulator type: a partition
+// held as one or more contiguous cell-range shards, and a study's result is
+// one Accumulator joining its processes' partitions (Join).
 //
 // # Memory layout: interleaved per-cell records, trackers included
 //
@@ -18,10 +20,10 @@
 //
 // — a fixed 4+4p-float64 Sobol' prefix, then one optional slot group per
 // enabled tracker (Options.MinMax, Options.Threshold, Options.HigherMoments),
-// all timesteps backed by a single flat allocation. UpdateGroup is a single
-// fused sweep: cell i's record is loaded once, all p parameter blocks, the
-// shared A/B moments *and* the enabled tracker slots are updated while it
-// sits in cache, and it is never touched again that fold. The seed kept
+// all timesteps of a shard backed by a single flat allocation. The fold is
+// a single fused sweep: cell i's record is loaded once, all p parameter
+// blocks, the shared A/B moments *and* the enabled tracker slots are
+// updated while it sits in cache, and it is never touched again that fold. The seed kept
 // 4+4p parallel per-statistic arrays updated in p+1 passes, and the
 // trackers in internal/stats arrays swept by passes of their own; the
 // records stream each byte once per group instead. They are the trackers'
@@ -84,25 +86,34 @@
 //
 // # Sharded folding
 //
-// ShardedAccumulator splits one partition's accumulator into contiguous
-// cell-range shards so a pool of workers can fold concurrently — the
-// all-cores-per-node fold engine of the server. The concurrency contract is:
+// An Accumulator's cells are split into contiguous ranges, one shard each
+// (NewSharded; NewAccumulator holds one), so a pool of workers can fold
+// concurrently — the all-cores-per-node fold engine of the server. Each
+// shard owns its records, counts and sketches and runs the kernel over its
+// range. The concurrency contract is:
 //
 //   - shard i is only ever updated by one goroutine at a time
-//     (UpdateGroupShard(i, ...)), and
+//     (UpdateShard(i, ...), with fields holding exactly the shard's cells),
+//     and
 //   - every shard sees every (group, timestep) update, all shards in the
 //     same order.
 //
-// Under that contract the per-cell floating-point operation sequence is
-// identical to the single-threaded Accumulator, so sharded results are
-// bitwise equal to dense results for any shard count. A cell range of the
-// interleaved layout is one contiguous block per timestep — tracker slots
-// ride inside the records — so snapshots, restores and the dense stitch move
-// a shard with one memmove per step plus a handful of scalar counts. Read
-// methods present the stitched dense view and must only run while no worker
-// is folding. A checkpoint concatenates the shards' record windows in cell
-// order, which is the same byte stream for every shard count, so files
-// interchange across FoldWorkers settings (Snapshot, DecodeShardedVersion).
+// Under that contract the per-cell floating-point operation sequence does
+// not depend on the shard count, so the statistics are bitwise those of one
+// shard over the whole partition. A cell range of the interleaved layout is
+// one contiguous block per timestep — tracker slots ride inside the records
+// — so snapshots and restores move a shard with one memmove per step plus a
+// handful of scalar counts. The goroutine owning shard i may also scan it
+// (ShardCIWidth, ShardQuantileTelemetry) and snapshot it (SnapshotShard)
+// while the others fold. Everything else reads every shard, stitched in cell
+// order — UpdateGroup, the field getters, MaxCIWidth, Encode — and must only
+// run while no worker is folding. The stitch is the one place that decides
+// how a field is assembled from consecutive cell ranges: Join makes an
+// accumulator of consecutive partitions by sharing their shards, which is
+// how a study's result reads its processes as one. A checkpoint concatenates
+// the shards' record windows in cell order, which is the same byte stream
+// for every shard count, so files interchange across FoldWorkers settings
+// (Encode, Snapshot, DecodeShardedVersion).
 //
 // # Incremental convergence tracking
 //
@@ -132,11 +143,12 @@
 // the first ubiquitous statistic whose per-cell state is a data structure
 // (a Greenwald-Khanna summary) rather than a handful of floats. The sketch
 // is a deterministic function of its update sequence, so it inherits the
-// bitwise FoldWorkers-invariance above unchanged; Extract/Inject and the
-// checkpoint codec treat it like any other field tracker. Sketches are
-// the one part of a checkpoint step outside the record run: each timestep's
-// field follows its records (since LayoutV2), and LayoutV1 files from older
-// builds restore with quantiles disabled.
+// bitwise FoldWorkers-invariance above unchanged, and the shards' sketch
+// fields of a step encode and decode as one field (quantiles.EncodeStitched,
+// DecodeStitched). Sketches are the one part of a checkpoint step outside
+// the record run: each timestep's field follows its records (since
+// LayoutV2), and LayoutV1 files from older builds restore with quantiles
+// disabled.
 //
 // Because sketch state is variable-sized, checkpoint snapshots used to
 // deep-copy and eagerly compact every sketch while the fold pipeline

@@ -335,8 +335,8 @@ func TestInterleavedMatchesSeedKernel(t *testing.T) {
 
 // TestShardedFoldWorkerInvariance folds one update stream through worker
 // pools of width 1 and 4 — one goroutine per shard, as the server pipeline
-// does — and requires results bitwise equal to the dense fold, for every
-// Options combination. Run under -race this also proves the shard ownership
+// does — and requires results bitwise equal to the one-shard fold, for
+// every Options combination. Run under -race this also proves the shard ownership
 // contract is data-race free.
 func TestShardedFoldWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1618))
@@ -348,40 +348,27 @@ func TestShardedFoldWorkerInvariance(t *testing.T) {
 			for ts := range samples {
 				samples[ts] = refSamples(rng, groups, cells, p)
 			}
-			dense := core.NewAccumulator(cells, steps, p, opts)
+			one := core.NewAccumulator(cells, steps, p, opts)
 			for ts := range samples {
 				for _, s := range samples[ts] {
-					dense.UpdateGroup(ts, s.yA, s.yB, s.yC)
+					one.UpdateGroup(ts, s.yA, s.yB, s.yC)
 				}
 			}
 			for _, workers := range []int{1, 4} {
-				sacc := core.NewSharded(cells, steps, p, opts, workers)
-				var wg sync.WaitGroup
-				for w := 0; w < sacc.NumShards(); w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for ts := range samples {
-							for _, s := range samples[ts] {
-								sacc.UpdateGroupShard(w, ts, s.yA, s.yB, s.yC)
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
+				sacc := foldByWorkers(core.NewSharded(cells, steps, p, opts, workers), samples)
 				for ts := 0; ts < steps; ts++ {
 					for k := 0; k < p; k++ {
 						for i := 0; i < cells; i++ {
-							if sacc.FirstAt(ts, k, i) != dense.FirstAt(ts, k, i) {
-								t.Fatalf("workers=%d: S%d(%d,%d) != dense", workers, k, ts, i)
+							if sacc.FirstAt(ts, k, i) != one.FirstAt(ts, k, i) {
+								t.Fatalf("workers=%d: S%d(%d,%d) != one shard", workers, k, ts, i)
 							}
-							if sacc.TotalAt(ts, k, i) != dense.TotalAt(ts, k, i) {
-								t.Fatalf("workers=%d: ST%d(%d,%d) != dense", workers, k, ts, i)
+							if sacc.TotalAt(ts, k, i) != one.TotalAt(ts, k, i) {
+								t.Fatalf("workers=%d: ST%d(%d,%d) != one shard", workers, k, ts, i)
 							}
 						}
 					}
-					if got, want := sacc.MaxCIWidth(0.95), dense.MaxCIWidth(0.95); got != want {
-						t.Fatalf("workers=%d: MaxCIWidth %v != dense %v", workers, got, want)
+					if got, want := sacc.MaxCIWidth(0.95), one.MaxCIWidth(0.95); got != want {
+						t.Fatalf("workers=%d: MaxCIWidth %v != one shard %v", workers, got, want)
 					}
 				}
 			}
@@ -392,10 +379,10 @@ func TestShardedFoldWorkerInvariance(t *testing.T) {
 // TestShardedTrackerEquivalence is the tracker-value counterpart of the
 // fold-worker invariance test: one update stream folded through worker pools
 // of width 1 and 4 (one goroutine per shard, as the server pipeline runs),
-// shards stitched back dense, and every tracker statistic — min/max,
-// exceedance sample counts and probabilities, skewness/kurtosis, quantiles —
-// required bitwise equal to the seed-replica kernel, for every Options
-// combination. Under -race this also proves the interleaved tracker slots
+// and every tracker statistic — min/max, exceedance sample counts and
+// probabilities, skewness/kurtosis, quantiles — read through the stitched
+// getters and required bitwise equal to the seed-replica kernel, for every
+// Options combination. Under -race this also proves the interleaved tracker slots
 // keep the shard ownership contract data-race free.
 func TestShardedTrackerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
@@ -405,48 +392,61 @@ func TestShardedTrackerEquivalence(t *testing.T) {
 			const cells, p, steps, groups = 31, 5, 2, 10
 			samples := make([][]refSample, steps)
 			refs := make([]*refAccum, steps)
+			one := core.NewAccumulator(cells, steps, p, opts)
 			for ts := range samples {
 				samples[ts] = refSamples(rng, groups, cells, p)
 				refs[ts] = newRefAccum(cells, p, opts)
 				for _, s := range samples[ts] {
 					refs[ts].update(s.yA, s.yB, s.yC)
+					one.UpdateGroup(ts, s.yA, s.yB, s.yC)
 				}
 			}
 			for _, workers := range []int{1, 4} {
-				sacc := core.NewSharded(cells, steps, p, opts, workers)
-				var wg sync.WaitGroup
-				for w := 0; w < sacc.NumShards(); w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for ts := range samples {
-							for _, s := range samples[ts] {
-								sacc.UpdateGroupShard(w, ts, s.yA, s.yB, s.yC)
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				dense := sacc.Dense()
+				sacc := foldByWorkers(core.NewSharded(cells, steps, p, opts, workers), samples)
 				for ts := 0; ts < steps; ts++ {
-					checkEqual(t, dense, ts, refs[ts])
-					// The stitched getters read the shards directly; they must
-					// return what the dense copy does, nil for a disabled tracker.
+					checkEqual(t, sacc, ts, refs[ts])
+					// The stitched getters must return what one shard over the
+					// partition does, nil for a disabled tracker.
 					for name, pair := range map[string][2][]float64{
-						"min":        {sacc.MinField(ts, nil), dense.MinField(ts, nil)},
-						"max":        {sacc.MaxField(ts, nil), dense.MaxField(ts, nil)},
-						"exceedance": {sacc.ExceedanceField(ts, nil), dense.ExceedanceField(ts, nil)},
-						"skewness":   {sacc.SkewnessField(ts, nil), dense.SkewnessField(ts, nil)},
-						"kurtosis":   {sacc.KurtosisField(ts, nil), dense.KurtosisField(ts, nil)},
+						"min":        {sacc.MinField(ts, nil), one.MinField(ts, nil)},
+						"max":        {sacc.MaxField(ts, nil), one.MaxField(ts, nil)},
+						"exceedance": {sacc.ExceedanceField(ts, nil), one.ExceedanceField(ts, nil)},
+						"skewness":   {sacc.SkewnessField(ts, nil), one.SkewnessField(ts, nil)},
+						"kurtosis":   {sacc.KurtosisField(ts, nil), one.KurtosisField(ts, nil)},
 					} {
 						if (pair[0] == nil) != (pair[1] == nil) || !slices.Equal(pair[0], pair[1]) {
-							t.Fatalf("workers=%d step %d: stitched %s field != dense", workers, ts, name)
+							t.Fatalf("workers=%d step %d: stitched %s field != one shard", workers, ts, name)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// foldByWorkers folds samples[ts] at every step ts into a with one
+// goroutine per shard, each passing UpdateShard its shard's cells — the
+// server's fold worker pool — and returns a.
+func foldByWorkers(a *core.Accumulator, samples [][]refSample) *core.Accumulator {
+	var wg sync.WaitGroup
+	for w := 0; w < a.NumShards(); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo, hi := a.ShardRange(w)
+			yC := make([][]float64, a.P())
+			for ts := range samples {
+				for _, s := range samples[ts] {
+					for k := range yC {
+						yC[k] = s.yC[k][lo:hi]
+					}
+					a.UpdateShard(w, ts, s.yA[lo:hi], s.yB[lo:hi], yC)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return a
 }
 
 // TestUpdateGroupBitwiseEdgeValues holds UpdateGroup to the seed replica bit

@@ -49,10 +49,8 @@ func buildGoldenAccumulator(t *testing.T, opts core.Options) *core.Accumulator {
 	return a
 }
 
-// foldGolden folds the fixtures' update stream into a (dense or sharded).
-func foldGolden(a interface {
-	UpdateGroup(t int, yA, yB []float64, yC [][]float64)
-}) {
+// foldGolden folds the fixtures' update stream into a.
+func foldGolden(a *core.Accumulator) {
 	g := &goldenLCG{s: 2017}
 	yA := make([]float64, goldenCells)
 	yB := make([]float64, goldenCells)
@@ -115,7 +113,7 @@ func encodeAcc(a *core.Accumulator) []byte {
 // index, every optional statistic, bit for bit.
 func TestGoldenFixtureDecode(t *testing.T) {
 	for _, version := range goldenVersions {
-		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
+		dec, err := core.DecodeShardedVersion(readGolden(t, version), version, 1)
 		if err != nil {
 			t.Fatalf("v%d decode: %v", version, err)
 		}
@@ -171,7 +169,7 @@ func TestGoldenFixtureReencode(t *testing.T) {
 	}
 	v4Payload := v4[16:] // past the checkpoint header
 	for _, version := range goldenVersions {
-		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
+		dec, err := core.DecodeShardedVersion(readGolden(t, version), version, 1)
 		if err != nil {
 			t.Fatalf("v%d decode: %v", version, err)
 		}
@@ -187,8 +185,8 @@ func TestGoldenFixtureReencode(t *testing.T) {
 
 // TestGoldenFixtureFreshEncode pins the current format: an accumulator built
 // from scratch must encode to the v4 fixture's bytes, whether it was folded
-// densely or by any number of shards; and the checkpoint writer's snapshot
-// sections must match the dense encode of the same (compacted) state.
+// by one shard or by any number of them; and the checkpoint writer's
+// snapshot sections must match the encode of the same (compacted) state.
 func TestGoldenFixtureFreshEncode(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath(core.LayoutV4))
 	if err != nil {
@@ -203,7 +201,7 @@ func TestGoldenFixtureFreshEncode(t *testing.T) {
 	for _, shards := range []int{1, 2, 5} {
 		s := core.NewSharded(goldenCells, goldenSteps, goldenP, opts, shards)
 		foldGolden(s)
-		if !bytes.Equal(encodeDense(s), wantPayload) {
+		if !bytes.Equal(encodeAcc(s), wantPayload) {
 			t.Fatalf("%d shards: folded state encodes differently from the v4 fixture", shards)
 		}
 		s.CompactQuantiles()
@@ -211,8 +209,8 @@ func TestGoldenFixtureFreshEncode(t *testing.T) {
 		for i := 0; i < s.NumShards(); i++ {
 			s.SnapshotShard(i, snap)
 		}
-		if !bytes.Equal(encodeSnapshot(snap), encodeDense(s)) {
-			t.Fatalf("%d shards: snapshot sections differ from the dense encode", shards)
+		if !bytes.Equal(encodeSnapshot(snap), encodeAcc(s)) {
+			t.Fatalf("%d shards: snapshot sections differ from the encode", shards)
 		}
 	}
 }
@@ -222,7 +220,7 @@ func TestGoldenFixtureFreshEncode(t *testing.T) {
 // producing the same stream as the rebuilt one — the server-restart path.
 func TestGoldenFixtureRestoredContinues(t *testing.T) {
 	for _, version := range []int{core.LayoutV2, core.LayoutV4} {
-		dec, err := core.DecodeAccumulatorVersion(readGolden(t, version), version)
+		dec, err := core.DecodeShardedVersion(readGolden(t, version), version, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,14 +271,14 @@ func TestGoldenFixtureRestoredContinues(t *testing.T) {
 // re-encoding it carries every V1 statistic across bit-exactly. Unknown
 // layout versions are rejected cleanly.
 func TestAccumulatorLayoutV1RoundTrip(t *testing.T) {
-	b, err := core.DecodeAccumulatorVersion(readGolden(t, core.LayoutV1), core.LayoutV1)
+	b, err := core.DecodeShardedVersion(readGolden(t, core.LayoutV1), core.LayoutV1, 1)
 	if err != nil {
 		t.Fatalf("v1 decode: %v", err)
 	}
-	if b.QuantileProbes() != nil || b.Quantiles(0) != nil {
+	if b.QuantileProbes() != nil || b.QuantileTupleCount() != 0 {
 		t.Fatal("v1 stream restored with quantile state")
 	}
-	again, err := core.DecodeAccumulatorVersion(enc.NewReader(encodeAcc(b)), core.LayoutCurrent)
+	again, err := core.DecodeShardedVersion(enc.NewReader(encodeAcc(b)), core.LayoutCurrent, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +299,7 @@ func TestAccumulatorLayoutV1RoundTrip(t *testing.T) {
 	}
 
 	for _, version := range []int{0, core.LayoutCurrent + 1} {
-		if _, err := core.DecodeAccumulatorVersion(readGolden(t, core.LayoutV1), version); err == nil {
+		if _, err := core.DecodeShardedVersion(readGolden(t, core.LayoutV1), version, 1); err == nil {
 			t.Fatalf("layout version %d accepted", version)
 		}
 		if _, err := core.DecodeShardedVersion(readGolden(t, core.LayoutV1), version, 2); err == nil {

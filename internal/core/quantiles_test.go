@@ -73,7 +73,7 @@ func TestAccumulatorQuantileAccuracy(t *testing.T) {
 	if sketchBytes := a.MemoryBytes() - base; sketchBytes >= raw/10 {
 		t.Fatalf("quantile state uses %d bytes, raw sample would be %d: not O(1/ε)", sketchBytes, raw)
 	}
-	if got := a.Quantiles(0).N(); got != int64(n) {
+	if got := a.shards[0].steps[0].quant.N(); got != int64(n) {
 		t.Fatalf("quantile sample count %d, want %d", got, n)
 	}
 }
@@ -86,20 +86,20 @@ func TestShardedQuantilesFoldWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	groups := randomGroups(rng, nGroups, cells, p)
 
-	dense := NewAccumulator(cells, 1, p, quantileOpts(0.02))
-	feedAll(dense, 0, groups)
+	one := NewAccumulator(cells, 1, p, quantileOpts(0.02))
+	feedAll(one, 0, groups)
 
 	probes := []float64{0.05, 0.25, 0.5, 0.75, 0.95}
 	var want []float64
 	for _, shards := range []int{1, 2, 5, 11} {
 		s := NewSharded(cells, 1, p, quantileOpts(0.02), shards)
-		feedSharded(s, 0, groups)
+		feedAll(s, 0, groups)
 		for _, q := range probes {
-			want = dense.QuantileField(0, q, want)
+			want = one.QuantileField(0, q, want)
 			got := s.QuantileField(0, q, nil)
 			for c := range want {
 				if got[c] != want[c] {
-					t.Fatalf("%d shards: quantile %v cell %d = %v, dense %v",
+					t.Fatalf("%d shards: quantile %v cell %d = %v, one shard %v",
 						shards, q, c, got[c], want[c])
 				}
 			}
@@ -113,7 +113,7 @@ func TestQuantileFieldDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := NewAccumulator(3, 1, 2, Options{})
 	feedAll(a, 0, randomGroups(rng, 5, 3, 2))
-	if a.Quantiles(0) != nil || a.QuantileProbes() != nil {
+	if a.shards[0].steps[0].quant != nil || a.QuantileProbes() != nil {
 		t.Fatal("quantiles enabled by default")
 	}
 	for _, v := range a.QuantileField(0, 0.5, nil) {

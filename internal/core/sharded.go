@@ -1,33 +1,38 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
 
-// ShardedAccumulator is an Accumulator split into contiguous cell-range
-// shards so that independent cell sub-ranges can be folded concurrently by
-// a worker pool: worker i owns shard i and is the only goroutine allowed to
-// call UpdateGroupShard(i, ...). Because every (group, timestep) update
-// covers all shards and each worker applies updates in the order they were
-// enqueued, the per-cell operation sequence is identical to the
-// single-threaded Accumulator — sharded results are bitwise equal to dense
-// results for the same update stream.
+	"melissa/internal/sobol"
+)
+
+// Accumulator holds the ubiquitous Sobol' state of one spatial partition
+// across all timesteps, as one or more contiguous cell-range shards. Each
+// server process owns one and updates it locally ("updating the statistics
+// is a local operation", Sec. 4.1.1); its fold workers update the shards
+// concurrently, worker i alone calling the per-shard methods (UpdateShard,
+// ShardCIWidth, ShardQuantileTelemetry, SnapshotShard) of shard i. Because
+// every (group, timestep) update covers all shards and each worker applies
+// updates in the order they were enqueued, each cell sees the same
+// operation sequence whatever the shard count: the statistics are bitwise
+// those of one shard over the whole partition.
 //
-// Read methods (FirstField, MaxCIWidth, Dense, ...) present the dense
-// single-partition view and must only be called while no worker is folding
-// (the server quiesces its pipeline first). Checkpoints go through a
+// Everything else — UpdateGroup, the field getters, MaxCIWidth, Encode —
+// spans every shard and must only run while no worker is folding (the
+// server quiesces or stops its pipeline first). Checkpoints go through a
 // Snapshot.
-type ShardedAccumulator struct {
+type Accumulator struct {
 	cells     int
 	timesteps int
 	p         int
 	opts      Options
 
 	bounds []int // len(shards)+1 cell offsets; shard i owns [bounds[i], bounds[i+1])
-	shards []*Accumulator
+	shards []*shard
 
-	// ycScratch[i] is worker i's reusable header block for the p sub-sliced
-	// C fields, so a steady-state fold allocates nothing. Only the owning
-	// worker touches ycScratch[i].
-	ycScratch [][][]float64
+	// yc is UpdateGroup's header block for the p sub-sliced C fields, so a
+	// whole-partition fold allocates nothing.
+	yc [][]float64
 }
 
 // shardBounds evenly splits `cells` cells into `n` contiguous ranges (the
@@ -54,199 +59,276 @@ func clampShards(cells, shards int) int {
 	return shards
 }
 
-// NewSharded returns an empty sharded accumulator over `cells` cells,
-// `timesteps` steps and p parameters, split into (at most) `shards`
-// contiguous cell ranges. Shards is clamped to [1, cells].
-func NewSharded(cells, timesteps, p int, opts Options, shards int) *ShardedAccumulator {
-	shards = clampShards(cells, shards)
-	s := &ShardedAccumulator{
-		cells:     cells,
+// NewAccumulator returns an empty accumulator for a partition of `cells`
+// cells, `timesteps` output steps and p input parameters, held as one shard.
+func NewAccumulator(cells, timesteps, p int, opts Options) *Accumulator {
+	return NewSharded(cells, timesteps, p, opts, 1)
+}
+
+// NewSharded returns an empty accumulator like NewAccumulator, split into
+// (at most) `shards` contiguous cell ranges. Shards is clamped to
+// [1, cells].
+func NewSharded(cells, timesteps, p int, opts Options, shards int) *Accumulator {
+	return newAccumulator(timesteps, p, opts, shardBounds(cells, clampShards(cells, shards)))
+}
+
+// newAccumulator returns an empty accumulator with one shard per range of
+// bounds.
+func newAccumulator(timesteps, p int, opts Options, bounds []int) *Accumulator {
+	a := &Accumulator{
+		cells:     bounds[len(bounds)-1],
 		timesteps: timesteps,
 		p:         p,
 		opts:      opts,
-		bounds:    shardBounds(cells, shards),
-		shards:    make([]*Accumulator, shards),
-		ycScratch: make([][][]float64, shards),
+		bounds:    bounds,
+		shards:    make([]*shard, len(bounds)-1),
 	}
-	for i := range s.shards {
-		s.shards[i] = NewAccumulator(s.bounds[i+1]-s.bounds[i], timesteps, p, opts)
-		s.ycScratch[i] = make([][]float64, p)
+	for i := range a.shards {
+		a.shards[i] = newShard(bounds[i+1]-bounds[i], timesteps, p, opts)
 	}
-	return s
+	a.yc = make([][]float64, p)
+	return a
 }
 
-// injectRange copies src (an accumulator over hi-lo cells) into cells
-// [lo, lo+src.cells) of a, adopting src's per-step counts. A cell range of
-// the interleaved layout is one contiguous block per timestep — tracker
-// slots ride inside the records — so everything but the quantile sketches
-// moves with a single copy per step.
-func (a *Accumulator) injectRange(src *Accumulator, lo int) {
-	for t := range a.steps {
-		from, to := &src.steps[t], &a.steps[t]
-		to.setCounts(from)
-		copy(to.rec[lo*a.stride:(lo+src.cells)*a.stride], from.rec)
-		if to.quant != nil && from.quant != nil {
-			to.quant.Inject(from.quant, lo)
+// Join returns the accumulator of consecutive partitions, parts in cell
+// order: its shards are the parts' shards, shared rather than copied, so it
+// reads what the parts hold — the result of a study is its processes'
+// accumulators side by side. The parts, at least one, must have the same
+// timesteps and parameters. Their optional statistics may differ (a process
+// restored from a checkpoint written without one adopts the file's set): a
+// tracker field then reads nil and a quantile field zeros over the parts
+// without it, and the joined accumulator cannot Encode. The joined
+// accumulator and its parts are one state: neither may be read while the
+// other is being updated.
+func Join(parts ...*Accumulator) *Accumulator {
+	j := &Accumulator{timesteps: parts[0].timesteps, p: parts[0].p, opts: parts[0].opts, bounds: []int{0}}
+	for _, part := range parts {
+		if part.timesteps != j.timesteps || part.p != j.p {
+			panic(fmt.Sprintf("core: cannot join accumulators of %d steps × %d parameters and %d × %d",
+				j.timesteps, j.p, part.timesteps, part.p))
 		}
+		for i, sh := range part.shards {
+			j.shards = append(j.shards, sh)
+			j.bounds = append(j.bounds, j.cells+part.bounds[i+1])
+		}
+		j.cells += part.cells
 	}
+	j.yc = make([][]float64, j.p)
+	return j
 }
 
-// Cells returns the total partition size across shards.
-func (s *ShardedAccumulator) Cells() int { return s.cells }
+// Cells returns the partition size.
+func (a *Accumulator) Cells() int { return a.cells }
 
 // Timesteps returns the number of output steps tracked.
-func (s *ShardedAccumulator) Timesteps() int { return s.timesteps }
+func (a *Accumulator) Timesteps() int { return a.timesteps }
 
 // P returns the number of input parameters.
-func (s *ShardedAccumulator) P() int { return s.p }
-
-// NumShards returns the number of cell-range shards.
-func (s *ShardedAccumulator) NumShards() int { return len(s.shards) }
-
-// ShardRange returns the [lo, hi) cell range owned by shard i.
-func (s *ShardedAccumulator) ShardRange(i int) (lo, hi int) {
-	return s.bounds[i], s.bounds[i+1]
-}
-
-// ShardAccum exposes the i-th shard's accumulator (tests and diagnostics).
-func (s *ShardedAccumulator) ShardAccum(i int) *Accumulator { return s.shards[i] }
+func (a *Accumulator) P() int { return a.p }
 
 // N returns the number of groups folded into timestep t.
-func (s *ShardedAccumulator) N(t int) int64 { return s.shards[0].N(t) }
+func (a *Accumulator) N(t int) int64 { return a.shards[0].steps[t].n }
 
-// UpdateGroupShard folds shard i's cell range of one group's results at
-// step t. yA, yB and yC[k] are full-partition fields (length Cells());
-// the shard sub-slices them in place. Concurrency contract: shard i must
-// only ever be updated by one goroutine at a time, and all shards must see
-// every (group, step) update in the same order for bitwise-deterministic
-// results.
-func (s *ShardedAccumulator) UpdateGroupShard(i, t int, yA, yB []float64, yC [][]float64) {
-	lo, hi := s.bounds[i], s.bounds[i+1]
-	yc := s.ycScratch[i]
-	for k := range yc {
-		yc[k] = yC[k][lo:hi]
-	}
-	s.shards[i].UpdateGroup(t, yA[lo:hi], yB[lo:hi], yc)
+// NumShards returns the number of cell-range shards.
+func (a *Accumulator) NumShards() int { return len(a.shards) }
+
+// ShardRange returns the [lo, hi) cell range owned by shard i.
+func (a *Accumulator) ShardRange(i int) (lo, hi int) {
+	return a.bounds[i], a.bounds[i+1]
 }
 
-// UpdateGroup folds one group's results into every shard sequentially —
-// the dense-compatible path used when no worker pool is running.
-func (s *ShardedAccumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
-	for i := range s.shards {
-		s.UpdateGroupShard(i, t, yA, yB, yC)
-	}
+// UpdateShard folds shard i's cell range of one group's results at step t:
+// yA, yB and yC[k] hold exactly the shard's cells (see ShardRange).
+// Concurrency contract: shard i must only ever be updated by one goroutine
+// at a time, and all shards must see every (group, step) update in the same
+// order for bitwise-deterministic results.
+func (a *Accumulator) UpdateShard(i, t int, yA, yB []float64, yC [][]float64) {
+	a.shards[i].UpdateGroup(t, yA, yB, yC)
 }
 
-// shardFor locates the shard owning global cell i.
-func (s *ShardedAccumulator) shardFor(i int) (shard, local int) {
-	for si := 0; si < len(s.shards); si++ {
-		if i < s.bounds[si+1] {
-			return si, i - s.bounds[si]
+// UpdateGroup folds the results of one simulation group at output step t
+// into every shard in turn: yA and yB are the fields of f(A_i) and f(B_i)
+// restricted to this partition, yC[k] the field of f(C^k_i), each of
+// length Cells().
+func (a *Accumulator) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
+	if len(yA) != a.cells || len(yB) != a.cells || len(yC) != a.p {
+		panic(fmt.Sprintf("core: update shape mismatch: |yA|=%d |yB|=%d |yC|=%d, want cells=%d p=%d",
+			len(yA), len(yB), len(yC), a.cells, a.p))
+	}
+	for k, f := range yC {
+		if len(f) != a.cells {
+			panic(fmt.Sprintf("core: yC[%d] has %d cells, want %d", k, len(f), a.cells))
 		}
 	}
-	panic(fmt.Sprintf("core: cell %d out of range [0,%d)", i, s.cells))
+	for i, sh := range a.shards {
+		lo, hi := a.bounds[i], a.bounds[i+1]
+		for k, f := range yC {
+			a.yc[k] = f[lo:hi]
+		}
+		sh.UpdateGroup(t, yA[lo:hi], yB[lo:hi], a.yc)
+	}
+	clear(a.yc)
 }
 
-// FirstAt returns the first-order index S_k(x, t) for global cell i.
-func (s *ShardedAccumulator) FirstAt(t, k, i int) float64 {
-	si, li := s.shardFor(i)
-	return s.shards[si].FirstAt(t, k, li)
+// ShardCIWidth returns shard i's MaxCIWidth: the goroutine folding shard i
+// scans it while the other shards keep folding.
+func (a *Accumulator) ShardCIWidth(i int, level float64) float64 {
+	return a.shards[i].MaxCIWidth(level)
 }
 
-// TotalAt returns the total index ST_k(x, t) for global cell i.
-func (s *ShardedAccumulator) TotalAt(t, k, i int) float64 {
-	si, li := s.shardFor(i)
-	return s.shards[si].TotalAt(t, k, li)
+// ShardQuantileTelemetry returns shard i's retained sketch tuples and their
+// byte estimate, for the goroutine folding shard i: counting folds buffered
+// inserts first.
+func (a *Accumulator) ShardQuantileTelemetry(i int) (tuples, bytes int64) {
+	return a.shards[i].QuantileTelemetry()
+}
+
+// shardFor locates the shard owning cell i.
+func (a *Accumulator) shardFor(i int) (sh *shard, local int) {
+	for si, sh := range a.shards {
+		if i < a.bounds[si+1] {
+			return sh, i - a.bounds[si]
+		}
+	}
+	panic(fmt.Sprintf("core: cell %d out of range [0,%d)", i, a.cells))
+}
+
+// FirstAt returns the Martinez first-order index S_k(x, t) for cell i.
+func (a *Accumulator) FirstAt(t, k, i int) float64 {
+	sh, li := a.shardFor(i)
+	return sh.FirstAt(t, k, li)
+}
+
+// TotalAt returns the total index ST_k(x, t) for cell i. It reports 0
+// before two groups have arrived.
+func (a *Accumulator) TotalAt(t, k, i int) float64 {
+	if a.N(t) < 2 {
+		return 0
+	}
+	sh, li := a.shardFor(i)
+	r := sh.rec(t, li)
+	off := recHeader + recPerParam*k
+	return 1 - correlation(r[off+blkC2AC], r[offM2A], r[off+blkM2C])
+}
+
+// FirstCI returns the Eq. 8 confidence interval for S_k at (t, cell i).
+func (a *Accumulator) FirstCI(t, k, i int, level float64) sobol.Interval {
+	return sobol.FirstOrderCI(a.FirstAt(t, k, i), a.N(t), level)
+}
+
+// TotalCI returns the Eq. 9 confidence interval for ST_k at (t, cell i).
+func (a *Accumulator) TotalCI(t, k, i int, level float64) sobol.Interval {
+	return sobol.TotalOrderCI(a.TotalAt(t, k, i), a.N(t), level)
 }
 
 // stitch runs one shard-level step-t field getter (a method expression such
-// as (*Accumulator).MeanField, or a closure binding the extra argument) per
-// shard into the matching sub-range of dst. A nil from a shard — a tracker
-// that is not enabled, the same on every shard — makes the stitched field nil
-// too.
-func (s *ShardedAccumulator) stitch(t int, dst []float64, get func(sh *Accumulator, t int, sub []float64) []float64) []float64 {
-	dst = ensureLen(dst, s.cells)
-	for i, sh := range s.shards {
-		if get(sh, t, dst[s.bounds[i]:s.bounds[i+1]]) == nil {
+// as (*shard).MeanField, or a closure binding the extra argument) per shard
+// into the matching sub-range of dst (allocated when nil or too small). A
+// nil from any shard — a tracker it does not hold — makes the stitched field
+// nil.
+func (a *Accumulator) stitch(t int, dst []float64, get func(sh *shard, t int, sub []float64) []float64) []float64 {
+	dst = ensureLen(dst, a.cells)
+	for i, sh := range a.shards {
+		if get(sh, t, dst[a.bounds[i]:a.bounds[i+1]]) == nil {
 			return nil
 		}
 	}
 	return dst
 }
 
-// FirstField writes the per-cell first-order index field S_k(·, t) into dst.
-func (s *ShardedAccumulator) FirstField(t, k int, dst []float64) []float64 {
-	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.FirstField(t, k, sub) })
+// FirstField writes the per-cell first-order index field S_k(·, t) into dst
+// (allocating when nil or too small) and returns it.
+func (a *Accumulator) FirstField(t, k int, dst []float64) []float64 {
+	return a.stitch(t, dst, func(sh *shard, t int, sub []float64) []float64 { return sh.FirstField(t, k, sub) })
 }
 
-// TotalField writes the per-cell total-order index field ST_k(·, t) into dst.
-func (s *ShardedAccumulator) TotalField(t, k int, dst []float64) []float64 {
-	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.TotalField(t, k, sub) })
+// TotalField writes the per-cell total index field ST_k(·, t) into dst.
+func (a *Accumulator) TotalField(t, k int, dst []float64) []float64 {
+	return a.stitch(t, dst, func(sh *shard, t int, sub []float64) []float64 { return sh.TotalField(t, k, sub) })
 }
 
 // MeanField writes the per-cell mean of the B sample at step t into dst.
-func (s *ShardedAccumulator) MeanField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).MeanField)
+func (a *Accumulator) MeanField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).MeanField)
 }
 
 // VarianceField writes the per-cell unbiased variance of the B sample at
-// step t into dst.
-func (s *ShardedAccumulator) VarianceField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).VarianceField)
+// step t into dst — the Fig. 8 co-visualization map that guards against
+// interpreting Sobol' indices where Var(Y) ≈ 0 (Sec. 5.5).
+func (a *Accumulator) VarianceField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).VarianceField)
 }
 
-// InteractionField writes 1 − ΣS_k(·, t) into dst.
-func (s *ShardedAccumulator) InteractionField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).InteractionField)
+// InteractionField writes 1 − ΣS_k(·, t) into dst: the share of variance
+// attributable to parameter interactions (Sec. 5.5 uses it to decide the
+// total indices are redundant for this use case).
+func (a *Accumulator) InteractionField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).InteractionField)
 }
 
-// QuantileField writes the per-cell q-quantile estimate at step t into dst
-// (zeros when quantile tracking is disabled).
-func (s *ShardedAccumulator) QuantileField(t int, q float64, dst []float64) []float64 {
-	return s.stitch(t, dst, func(sh *Accumulator, t int, sub []float64) []float64 { return sh.QuantileField(t, q, sub) })
+// QuantileField writes the per-cell q-quantile estimate of the pooled A/B
+// sample at step t into dst. Any q in [0, 1] may be queried, not only the
+// configured probes; without quantile tracking the field is all zeros
+// (matching the other statistics before data arrives).
+func (a *Accumulator) QuantileField(t int, q float64, dst []float64) []float64 {
+	return a.stitch(t, dst, func(sh *shard, t int, sub []float64) []float64 { return sh.QuantileField(t, q, sub) })
 }
 
-// The optional tracker fields at step t, stitched into dst; each is nil when
-// its tracker is not enabled (see the Accumulator methods).
+// The optional trackers at step t read like every other statistic, a
+// per-cell field written into dst; each getter returns nil when its tracker
+// is not enabled.
 
-// MinField writes the per-cell minimum over the A and B samples.
-func (s *ShardedAccumulator) MinField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).MinField)
+// MinField writes the per-cell running minimum over the A and B samples
+// (+Inf before any sample).
+func (a *Accumulator) MinField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).MinField)
 }
 
-// MaxField writes the per-cell maximum over the A and B samples.
-func (s *ShardedAccumulator) MaxField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).MaxField)
+// MaxField writes the per-cell running maximum over the A and B samples
+// (-Inf before any sample).
+func (a *Accumulator) MaxField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).MaxField)
 }
 
-// ExceedanceField writes the per-cell fraction of samples above the threshold.
-func (s *ShardedAccumulator) ExceedanceField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).ExceedanceField)
+// ExceedanceField writes, per cell, the fraction of the A and B samples that
+// exceeded Options.Threshold.
+func (a *Accumulator) ExceedanceField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).ExceedanceField)
 }
 
-// SkewnessField writes the per-cell sample skewness.
-func (s *ShardedAccumulator) SkewnessField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).SkewnessField)
+// SkewnessField writes the per-cell sample skewness of the pooled A and B
+// samples.
+func (a *Accumulator) SkewnessField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).SkewnessField)
 }
 
-// KurtosisField writes the per-cell sample excess kurtosis.
-func (s *ShardedAccumulator) KurtosisField(t int, dst []float64) []float64 {
-	return s.stitch(t, dst, (*Accumulator).KurtosisField)
+// KurtosisField writes the per-cell sample excess kurtosis of the pooled A
+// and B samples.
+func (a *Accumulator) KurtosisField(t int, dst []float64) []float64 {
+	return a.stitch(t, dst, (*shard).KurtosisField)
+}
+
+// TrackerSamples returns how many samples the min/max, exceedance and
+// higher-moment trackers have folded at step t: two per group (the A and B
+// members), 0 for a disabled tracker.
+func (a *Accumulator) TrackerSamples(t int) (minmax, exceed, higher int64) {
+	s := &a.shards[0].steps[t]
+	return s.minmaxN, s.exceedN, s.higherN
 }
 
 // QuantileProbes returns the configured quantile probe list (nil when
 // quantile tracking is disabled).
-func (s *ShardedAccumulator) QuantileProbes() []float64 { return s.opts.Quantiles }
+func (a *Accumulator) QuantileProbes() []float64 { return a.opts.Quantiles }
 
-// MaxCIWidth returns the widest confidence interval over all shards — the
-// same value as Accumulator.MaxCIWidth on the dense state. Each shard's scan
-// is incremental (per-timestep dirty flags and cached widths), so a report
-// only pays for the (shard, timestep) ranges that folded new groups since
-// the previous call; quiescent shards answer from cache. Like the dense
-// scan, this mutates cache state and must not race with shard updates.
-func (s *ShardedAccumulator) MaxCIWidth(level float64) float64 {
+// MaxCIWidth returns the widest confidence interval over all timesteps,
+// cells and parameters — the single convergence scalar of Sec. 4.1.5 ("only
+// keep the largest value over all the mesh and all the timesteps"), the
+// widest of the shards' scans (see shard.MaxCIWidth: each rescans only the
+// timesteps folded since its last scan). It mutates those caches, so it must
+// not race with shard updates.
+func (a *Accumulator) MaxCIWidth(level float64) float64 {
 	var worst float64
-	for _, sh := range s.shards {
+	for _, sh := range a.shards {
 		if w := sh.MaxCIWidth(level); w > worst {
 			worst = w
 		}
@@ -254,41 +336,40 @@ func (s *ShardedAccumulator) MaxCIWidth(level float64) float64 {
 	return worst
 }
 
-// MemoryBytes totals the float64 state across shards (identical to the
-// dense accumulator's memory model).
-func (s *ShardedAccumulator) MemoryBytes() int64 {
+// MemoryBytes returns the size of the statistics state, the quantity of the
+// Sec. 4.1.1 memory model (timesteps × cells × statistics × 8 bytes), plus
+// the quantile sketches when enabled — O(cells/ε), bounded regardless of
+// the number of groups folded.
+func (a *Accumulator) MemoryBytes() int64 {
 	var total int64
-	for _, sh := range s.shards {
+	for _, sh := range a.shards {
 		total += sh.MemoryBytes()
 	}
 	return total
 }
 
-// QuantileTupleCount totals the retained quantile-sketch tuples across
-// shards (0 when quantiles are disabled) — the sketch-memory telemetry.
-func (s *ShardedAccumulator) QuantileTupleCount() int64 {
+// QuantileTupleCount returns the total number of retained sketch tuples
+// across all cells and timesteps (0 when quantiles are disabled) — the
+// sketch-memory telemetry (each tuple is ~24 bytes).
+func (a *Accumulator) QuantileTupleCount() int64 {
 	var total int64
-	for _, sh := range s.shards {
+	for _, sh := range a.shards {
 		total += sh.QuantileTupleCount()
 	}
 	return total
 }
 
-// CompactQuantiles runs the sketch compaction pass on every shard (no-op
-// when quantiles are disabled). Like the other read/maintenance methods it
-// must only run while no worker is folding.
-func (s *ShardedAccumulator) CompactQuantiles() {
-	for _, sh := range s.shards {
-		sh.CompactQuantiles()
+// CompactQuantiles runs the sketch compaction pass on every timestep's
+// quantile field (no-op when quantiles are disabled). The checkpoint path
+// does not call it — the background writer compacts frozen views instead —
+// but it stays as the eager reference the snapshot bytes are tested
+// against; see quantiles.Field.Compact.
+func (a *Accumulator) CompactQuantiles() {
+	for _, sh := range a.shards {
+		for t := range sh.steps {
+			if q := sh.steps[t].quant; q != nil {
+				q.Compact()
+			}
+		}
 	}
-}
-
-// Dense assembles the shards back into one dense Accumulator (a copy; the
-// shards remain usable).
-func (s *ShardedAccumulator) Dense() *Accumulator {
-	out := NewAccumulator(s.cells, s.timesteps, s.p, s.opts)
-	for i, sh := range s.shards {
-		out.injectRange(sh, s.bounds[i])
-	}
-	return out
 }

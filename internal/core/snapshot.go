@@ -7,7 +7,7 @@ import (
 	"melissa/internal/quantiles"
 )
 
-// Snapshot is a reusable frozen image of a ShardedAccumulator's state, taken
+// Snapshot is a reusable frozen image of an Accumulator's state, taken
 // one shard at a time: fold worker i calls SnapshotShard(i, snap) and
 // resumes folding immediately. The float state — interleaved Sobol' records
 // with any tracker slots riding inside them — moves with one contiguous
@@ -39,15 +39,12 @@ import (
 // SnapshotShard refreshes them in place, so steady-state checkpointing
 // allocates approximately nothing.
 type Snapshot struct {
-	cells     int
-	timesteps int
-	p         int
-	opts      Options
-	bounds    []int
-	// shards are quantile-free deep copies (built with opts.withoutQuantiles;
-	// the record layout is identical since sketches never lived in the
-	// records).
-	shards []*Accumulator
+	// acc is a quantile-free deep copy of the source's shards (built with
+	// opts.withoutQuantiles; the record layout is identical since sketches
+	// never lived in the records), and opts the source's statistics, which
+	// the header names.
+	acc  *Accumulator
+	opts Options
 	// frozen[i][t] is shard i's frozen quantile view at timestep t; nil
 	// outer slice when quantiles are disabled.
 	frozen [][]*quantiles.FrozenField
@@ -62,28 +59,17 @@ type Snapshot struct {
 	base []int64
 }
 
-// NewSnapshot returns an empty snapshot shaped like s, ready to be filled by
+// NewSnapshot returns an empty snapshot shaped like a, ready to be filled by
 // SnapshotShard.
-func (s *ShardedAccumulator) NewSnapshot() *Snapshot {
-	snap := &Snapshot{
-		cells:     s.cells,
-		timesteps: s.timesteps,
-		p:         s.p,
-		opts:      s.opts,
-		bounds:    append([]int(nil), s.bounds...),
-		shards:    make([]*Accumulator, len(s.shards)),
-	}
-	shardOpts := s.opts.withoutQuantiles()
-	for i := range snap.shards {
-		snap.shards[i] = NewAccumulator(s.bounds[i+1]-s.bounds[i], s.timesteps, s.p, shardOpts)
-	}
-	if s.opts.quantilesEnabled() {
-		snap.frozen = make([][]*quantiles.FrozenField, len(s.shards))
+func (a *Accumulator) NewSnapshot() *Snapshot {
+	snap := &Snapshot{acc: newAccumulator(a.timesteps, a.p, a.opts.withoutQuantiles(), a.bounds), opts: a.opts}
+	if a.opts.quantilesEnabled() {
+		snap.frozen = make([][]*quantiles.FrozenField, len(a.shards))
 		for i := range snap.frozen {
-			snap.frozen[i] = make([]*quantiles.FrozenField, s.timesteps)
+			snap.frozen[i] = make([]*quantiles.FrozenField, a.timesteps)
 		}
 		snap.qscratch = new(quantiles.Sketch)
-		snap.fzParts = make([]*quantiles.FrozenField, 0, len(s.shards))
+		snap.fzParts = make([]*quantiles.FrozenField, 0, len(a.shards))
 	}
 	return snap
 }
@@ -93,8 +79,8 @@ func (s *ShardedAccumulator) NewSnapshot() *Snapshot {
 // nil copies every step. Call it before the shards snapshot, not during;
 // base must not change afterwards.
 func (snap *Snapshot) SetBase(base []int64) {
-	if base != nil && len(base) != snap.timesteps {
-		panic(fmt.Sprintf("core: snapshot base of %d steps for %d timesteps", len(base), snap.timesteps))
+	if base != nil && len(base) != snap.acc.timesteps {
+		panic(fmt.Sprintf("core: snapshot base of %d steps for %d timesteps", len(base), snap.acc.timesteps))
 	}
 	snap.base = base
 }
@@ -108,23 +94,23 @@ func (snap *Snapshot) Copied(t int) bool { return changed(snap.base, t, snap.Cou
 func changed(base []int64, t int, n int64) bool { return base == nil || n != base[t] }
 
 // Count returns timestep t's group count at the snapshot's fold state.
-func (snap *Snapshot) Count(t int) int64 { return snap.shards[0].steps[t].n }
+func (snap *Snapshot) Count(t int) int64 { return snap.acc.N(t) }
 
 // SnapshotShard captures shard i into snap, reusing snap's storage: a
 // memmove for the records (trackers included) of the steps whose group
 // count differs from the base, plus an O(sketches) freeze of their quantile
 // state. Every step's counts are captured. Only the goroutine owning shard
-// i may call it (the same contract as UpdateGroupShard); distinct shards
-// may snapshot concurrently.
-func (s *ShardedAccumulator) SnapshotShard(i int, snap *Snapshot) {
-	if len(snap.shards) != len(s.shards) || snap.cells != s.cells ||
-		snap.timesteps != s.timesteps || snap.p != s.p {
+// i may call it (the same contract as UpdateShard); distinct shards may
+// snapshot concurrently.
+func (a *Accumulator) SnapshotShard(i int, snap *Snapshot) {
+	c := snap.acc
+	if len(c.shards) != len(a.shards) || c.cells != a.cells || c.timesteps != a.timesteps || c.p != a.p {
 		panic(fmt.Sprintf("core: snapshot shape (%d shards, %dx%dx%d) does not match accumulator (%d shards, %dx%dx%d)",
-			len(snap.shards), snap.cells, snap.timesteps, snap.p,
-			len(s.shards), s.cells, s.timesteps, s.p))
+			len(c.shards), c.cells, c.timesteps, c.p,
+			len(a.shards), a.cells, a.timesteps, a.p))
 	}
-	sh := s.shards[i]
-	sh.copyInto(snap.shards[i], snap.base)
+	sh := a.shards[i]
+	sh.copyInto(snap.acc.shards[i], snap.base)
 	if snap.frozen != nil {
 		fz := snap.frozen[i]
 		for t := range sh.steps {
@@ -141,7 +127,7 @@ func (s *ShardedAccumulator) SnapshotShard(i int, snap *Snapshot) {
 // from base (all of them for a nil base), one memmove per step window.
 // Quantile sketches are NOT copied here (snapshot shards don't have them;
 // see SnapshotShard's freeze path).
-func (a *Accumulator) copyInto(dst *Accumulator, base []int64) {
+func (a *shard) copyInto(dst *shard, base []int64) {
 	if dst.cells != a.cells || dst.timesteps != a.timesteps || dst.p != a.p {
 		panic(fmt.Sprintf("core: copyInto between shapes %dx%dx%d and %dx%dx%d",
 			a.cells, a.timesteps, a.p, dst.cells, dst.timesteps, dst.p))
@@ -155,17 +141,17 @@ func (a *Accumulator) copyInto(dst *Accumulator, base []int64) {
 }
 
 // Timesteps returns the number of per-timestep sections EncodeStep accepts.
-func (snap *Snapshot) Timesteps() int { return snap.timesteps }
+func (snap *Snapshot) Timesteps() int { return snap.acc.timesteps }
 
 // EncodeHeader appends the accumulator header — the first section of the
 // streamed checkpoint encode. EncodeHeader followed by EncodeStep for every
-// timestep produces the bytes of Accumulator.Encode on the source's dense
-// state at the snapshot's fold state (with compacted quantile sketches),
-// whatever the shard count. version must be LayoutCurrent: older layouts
-// are read, never written.
+// timestep produces the bytes of Accumulator.Encode on the source at the
+// snapshot's fold state (with compacted quantile sketches), whatever the
+// shard count. version must be LayoutCurrent: older layouts are read, never
+// written.
 func (snap *Snapshot) EncodeHeader(w *enc.Writer, version int) {
 	mustWriteLayout(version)
-	header{snap.cells, snap.timesteps, snap.p, snap.opts}.encode(w)
+	header{snap.acc.cells, snap.acc.timesteps, snap.acc.p, snap.opts}.encode(w)
 }
 
 // EncodeStep appends timestep t's section: the counts and the record run,
@@ -175,10 +161,10 @@ func (snap *Snapshot) EncodeHeader(w *enc.Writer, version int) {
 // same bytes the eager pre-snapshot Compact pass used to.
 func (snap *Snapshot) EncodeStep(w *enc.Writer, version, t int) {
 	mustWriteLayout(version)
-	encodeRecords(w, snap.shards, t)
+	encodeRecords(w, snap.acc.shards, t)
 	if snap.frozen != nil {
 		parts := snap.fzParts[:0]
-		for i := range snap.shards {
+		for i := range snap.frozen {
 			parts = append(parts, snap.frozen[i][t])
 		}
 		snap.fzParts = parts

@@ -12,7 +12,7 @@ import (
 // foldRandomGroups drives nGroups deterministic pseudo-random group updates
 // into s (the full-partition UpdateGroup path, identical across shard
 // counts).
-func foldRandomGroups(s *core.ShardedAccumulator, cells, timesteps, p, nGroups int, seed int64) {
+func foldRandomGroups(s *core.Accumulator, cells, timesteps, p, nGroups int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	yA := make([]float64, cells)
 	yB := make([]float64, cells)
@@ -45,12 +45,9 @@ func encodeSnapshot(snap *core.Snapshot) []byte {
 	return w.Bytes()
 }
 
-// encodeDense is the one-shot reference encode of s's state.
-func encodeDense(s *core.ShardedAccumulator) []byte { return encodeAcc(s.Dense()) }
-
 // TestSnapshotEncodeMatchesDense: a snapshot filled shard by shard must
 // encode, via the stitched section writers, to exactly the bytes of the
-// dense Accumulator.Encode at the same fold state — the byte-identity
+// one-shot Accumulator.Encode at the same fold state — the byte-identity
 // contract the background checkpoint writer relies on. Swept over every
 // Options combination and several shard counts.
 func TestSnapshotEncodeMatchesDense(t *testing.T) {
@@ -61,7 +58,7 @@ func TestSnapshotEncodeMatchesDense(t *testing.T) {
 			foldRandomGroups(s, cells, timesteps, p, nGroups, int64(1000+ci))
 			s.CompactQuantiles()
 
-			want := encodeDense(s)
+			want := encodeAcc(s)
 
 			snap := s.NewSnapshot()
 			for i := 0; i < s.NumShards(); i++ {
@@ -70,15 +67,37 @@ func TestSnapshotEncodeMatchesDense(t *testing.T) {
 			got := encodeSnapshot(snap)
 
 			if !bytes.Equal(want, got) {
-				t.Fatalf("combo %d shards %d: snapshot encode differs from dense (%d vs %d bytes)",
+				t.Fatalf("combo %d shards %d: snapshot encode differs from Encode (%d vs %d bytes)",
 					ci, shards, len(got), len(want))
 			}
 		}
 	}
 }
 
+// TestEncodeShardCountInvariant: Accumulator.Encode stitches the shards'
+// records and live sketches in cell order, so one update stream encodes to
+// the same bytes at every shard count, for every Options combination —
+// quantiles on and off — without compacting anything first.
+func TestEncodeShardCountInvariant(t *testing.T) {
+	const cells, timesteps, p, nGroups = 29, 2, 3, 7
+	for ci, opts := range optionCombos() {
+		var want []byte
+		for _, shards := range []int{1, 2, 3, 7} {
+			s := core.NewSharded(cells, timesteps, p, opts, shards)
+			foldRandomGroups(s, cells, timesteps, p, nGroups, int64(2000+ci))
+			got := encodeAcc(s)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d shards encode differently from one (%d vs %d bytes)",
+					optionName(opts), shards, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestSnapshotReuse: refreshing a pooled snapshot after further folding must
-// fully overwrite the previous image — and still match the dense encode —
+// fully overwrite the previous image — and still match the one-shot encode —
 // so double-buffered snapshot reuse can never leak stale state into a
 // checkpoint.
 func TestSnapshotReuse(t *testing.T) {
@@ -93,17 +112,17 @@ func TestSnapshotReuse(t *testing.T) {
 		s.SnapshotShard(i, snap)
 	}
 
-	// Fold more, refresh the same snapshot, and compare against a dense
+	// Fold more, refresh the same snapshot, and compare against a one-shot
 	// encode and a fresh snapshot.
 	foldRandomGroups(s, cells, timesteps, p, 6, 8)
 	s.CompactQuantiles()
 	for i := 0; i < s.NumShards(); i++ {
 		s.SnapshotShard(i, snap)
 	}
-	want := encodeDense(s)
+	want := encodeAcc(s)
 	got := encodeSnapshot(snap)
 	if !bytes.Equal(want, got) {
-		t.Fatal("reused snapshot differs from dense encode after refresh")
+		t.Fatal("reused snapshot differs from Encode after refresh")
 	}
 
 	fresh := s.NewSnapshot()
@@ -116,8 +135,8 @@ func TestSnapshotReuse(t *testing.T) {
 }
 
 // TestSnapshotDecodesRoundTrip: the snapshot's streamed encode must be
-// decodable by the dense decoder and by the sharded restore at any shard
-// count, restoring the same statistics.
+// decodable into one shard and by the sharded restore at any shard count,
+// restoring the same statistics.
 func TestSnapshotDecodesRoundTrip(t *testing.T) {
 	const cells, timesteps, p = 23, 2, 2
 	opts := core.Options{MinMax: true, Quantiles: []float64{0.5}}
@@ -130,7 +149,7 @@ func TestSnapshotDecodesRoundTrip(t *testing.T) {
 		s.SnapshotShard(i, snap)
 	}
 	image := encodeSnapshot(snap)
-	dec, err := core.DecodeAccumulatorVersion(enc.NewReader(image), core.LayoutCurrent)
+	dec, err := core.DecodeShardedVersion(enc.NewReader(image), core.LayoutCurrent, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +178,7 @@ func TestSnapshotDecodesRoundTrip(t *testing.T) {
 		if back.NumShards() != shards {
 			t.Fatalf("restored into %d shards, want %d", back.NumShards(), shards)
 		}
-		if !bytes.Equal(encodeDense(back), encodeDense(s)) {
+		if !bytes.Equal(encodeAcc(back), encodeAcc(s)) {
 			t.Fatalf("%d shards: restored state differs from the snapshot's source", shards)
 		}
 	}

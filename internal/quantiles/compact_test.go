@@ -97,11 +97,11 @@ func TestFieldCompactShrinksEncoding(t *testing.T) {
 	preTuples := f.TupleCount()
 
 	wBefore := enc.NewWriter(1 << 16)
-	f.Encode(wBefore)
+	EncodeStitched(wBefore, []*Field{f})
 
 	f.Compact()
 	wAfter := enc.NewWriter(1 << 16)
-	f.Encode(wAfter)
+	EncodeStitched(wAfter, []*Field{f})
 
 	if f.TupleCount() > preTuples {
 		t.Fatalf("field compaction grew tuples: %d -> %d", preTuples, f.TupleCount())
@@ -165,9 +165,9 @@ func TestFieldUpdatePairMatchesTwoUpdates(t *testing.T) {
 		t.Fatalf("n diverged: %d vs %d", f1.N(), f2.N())
 	}
 	w1 := enc.NewWriter(1024)
-	f1.Encode(w1)
+	EncodeStitched(w1, []*Field{f1})
 	w2 := enc.NewWriter(1024)
-	f2.Encode(w2)
+	EncodeStitched(w2, []*Field{f2})
 	if string(w1.Bytes()) != string(w2.Bytes()) {
 		t.Fatal("UpdatePair sketches not bitwise identical to two Updates")
 	}

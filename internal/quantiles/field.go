@@ -12,9 +12,9 @@ import (
 // that cell's value. Memory is O(cells/ε), independent of the number of
 // sample fields folded in.
 //
-// Like the other field trackers it supports Extract/Inject for spatial
-// domain decomposition (the sharded fold engine) and Encode/DecodeStitched
-// for the checkpoint format.
+// Contiguous cell ranges of one partition encode and decode as one field
+// (EncodeStitched/DecodeStitched), the checkpoint format of the sharded fold
+// engine.
 type Field struct {
 	n        int64
 	sketches []Sketch
@@ -140,29 +140,29 @@ func (f *Field) Extract(lo, hi int) *Field {
 	return out
 }
 
-// Inject copies src into cells [lo, lo+src.Cells()) of f and adopts src's
-// sample count (identical across shards of one partition).
-func (f *Field) Inject(src *Field, lo int) {
-	f.n = src.n
-	for i := range src.sketches {
-		f.sketches[lo+i] = src.sketches[i].clone()
+// EncodeStitched appends the concatenation of parts — contiguous cell
+// sub-range fields of one partition, in cell order, sharing one sample
+// count — to w as one field (checkpoint format). One part writes the whole
+// field. parts must be non-empty.
+func EncodeStitched(w *enc.Writer, parts []*Field) {
+	total := 0
+	for _, p := range parts {
+		total += len(p.sketches)
+	}
+	w.I64(parts[0].n)
+	w.Int(total)
+	for _, p := range parts {
+		for i := range p.sketches {
+			p.sketches[i].Encode(w)
+		}
 	}
 }
 
-// Encode appends the field state to w (checkpoint format).
-func (f *Field) Encode(w *enc.Writer) {
-	w.I64(f.n)
-	w.Int(len(f.sketches))
-	for i := range f.sketches {
-		f.sketches[i].Encode(w)
-	}
-}
-
-// DecodeStitched is the decoder of the Field.Encode layout: it restores one
-// field straight into parts — contiguous cell sub-range fields of one
+// DecodeStitched is the decoder of the EncodeStitched layout: it restores
+// one field straight into parts — contiguous cell sub-range fields of one
 // partition, in cell order, whose cell counts must add up to the encoded
-// count (one part takes the whole field). It is the inverse of Encode and
-// EncodeFrozenStitched. Errors are reported through
+// count (one part takes the whole field). It is the inverse of
+// EncodeStitched and EncodeFrozenStitched. Errors are reported through
 // r.Err().
 func DecodeStitched(r *enc.Reader, parts []*Field) {
 	n := r.I64()

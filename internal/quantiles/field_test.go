@@ -52,7 +52,9 @@ func TestFieldMatchesPerCellSketches(t *testing.T) {
 	}
 }
 
-func TestFieldExtractInjectRoundTrip(t *testing.T) {
+// TestFieldExtractStitchRoundTrip: extracted sub-range fields stitch back to
+// the bytes of the field they came from, and are deep copies.
+func TestFieldExtractStitchRoundTrip(t *testing.T) {
 	const cells, n, eps = 12, 300, 0.02
 	rng := rand.New(rand.NewSource(11))
 	f := NewField(cells, eps)
@@ -60,25 +62,25 @@ func TestFieldExtractInjectRoundTrip(t *testing.T) {
 		f.Update(sample)
 	}
 
-	rebuilt := NewField(cells, eps)
+	var parts []*Field
 	for _, r := range [][2]int{{0, 5}, {5, 9}, {9, 12}} {
 		part := f.Extract(r[0], r[1])
 		if part.Cells() != r[1]-r[0] || part.N() != f.N() {
 			t.Fatalf("extract [%d,%d) shape %d/%d", r[0], r[1], part.Cells(), part.N())
 		}
-		rebuilt.Inject(part, r[0])
+		parts = append(parts, part)
 	}
 	var w1, w2 enc.Writer
-	f.Encode(&w1)
-	rebuilt.Encode(&w2)
+	EncodeStitched(&w1, []*Field{f})
+	EncodeStitched(&w2, parts)
 	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-		t.Fatal("extract/inject round trip changed the encoded state")
+		t.Fatal("extracted parts stitch to a different encoded state")
 	}
 	// Extract is a deep copy: updating the part must not disturb the parent.
 	part := f.Extract(0, 3)
 	part.Update([]float64{1, 2, 3})
 	var w3 enc.Writer
-	f.Encode(&w3)
+	EncodeStitched(&w3, []*Field{f})
 	if !bytes.Equal(w1.Bytes(), w3.Bytes()) {
 		t.Fatal("Extract aliases parent state")
 	}
@@ -92,7 +94,7 @@ func TestFieldEncodeDecodeRoundTrip(t *testing.T) {
 		f.Update(sample)
 	}
 	var w enc.Writer
-	f.Encode(&w)
+	EncodeStitched(&w, []*Field{f})
 
 	d := NewField(cells, 0.01)
 	r := enc.NewReader(w.Bytes())

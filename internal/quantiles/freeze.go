@@ -67,7 +67,7 @@ func (f *Field) FreezeInto(dst *FrozenField) *FrozenField {
 func (fz *FrozenField) N() int64 { return fz.n }
 
 // EncodeFrozenStitched writes the concatenation of frozen parts —
-// contiguous cell sub-range views of one partition — in the Field.Encode
+// contiguous cell sub-range views of one partition — in the EncodeStitched
 // layout. Each sketch is canonicalized through the caller-provided scratch
 // sketch first: its frozen state is loaded, buffered inserts are folded and
 // the summary is compressed to the GK-invariant fixpoint, exactly the

@@ -9,7 +9,7 @@ import (
 )
 
 // stitch encodes parts the way a checkpoint does: each part frozen, then
-// the frozen views stitched into one Field.Encode image.
+// the frozen views stitched into one EncodeStitched image.
 func stitch(parts []*Field) []byte {
 	frozen := make([]*FrozenField, len(parts))
 	for i, p := range parts {
@@ -43,7 +43,7 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 			parts = append(parts, f.Extract(bounds[i], bounds[i+1]))
 		}
 		want := enc.NewWriter(1 << 14)
-		f.Encode(want)
+		EncodeStitched(want, []*Field{f})
 		if !bytes.Equal(want.Bytes(), stitch(parts)) {
 			t.Fatalf("%d parts: stitched encode differs from dense", len(parts))
 		}
@@ -65,7 +65,7 @@ func TestEncodeStitchedMatchesDense(t *testing.T) {
 	}
 	// Parts that do not add up to the encoded cell count are rejected.
 	w := enc.NewWriter(1 << 14)
-	f.Encode(w)
+	EncodeStitched(w, []*Field{f})
 	r := enc.NewReader(w.Bytes())
 	DecodeStitched(r, []*Field{NewField(cells-1, 0.05)})
 	if r.Err() == nil {

@@ -38,7 +38,7 @@ func benchCkptOptions() []struct {
 }
 
 // fillBenchAccumulator folds deterministic pseudo-random groups into s.
-func fillBenchAccumulator(s *core.ShardedAccumulator) {
+func fillBenchAccumulator(s *core.Accumulator) {
 	rng := rand.New(rand.NewSource(1))
 	yA := make([]float64, benchCkptCells)
 	yB := make([]float64, benchCkptCells)

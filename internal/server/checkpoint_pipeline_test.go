@@ -71,20 +71,20 @@ func readImageFile(t *testing.T, path string) []byte {
 
 // quiescedCheckpoint is the byte-identity reference for the checkpoint
 // pipeline: the image of a stopped (hence quiesced) process encoded in one
-// shot — partition header, the dense accumulator with its quantile sketches
-// compacted, the tracker — through checkpoint.Write and Accumulator.Encode
-// (the current layout, the record image), i.e. through neither the snapshot
-// copy nor the streaming section writer the server uses.
+// shot — partition header, the accumulator with its quantile sketches
+// compacted (on a copy), the tracker — through checkpoint.Write and
+// Accumulator.Encode (the current layout, the record image), i.e. through
+// neither the snapshot copy nor the streaming section writer the server
+// uses.
 func quiescedCheckpoint(t *testing.T, p *Proc) []byte {
 	t.Helper()
-	dense := p.Accumulator().Dense()
-	dense.CompactQuantiles()
+	acc := compactedCopy(t, p.Accumulator())
 	path := checkpoint.Filename(t.TempDir(), p.cfg.Rank)
 	err := checkpoint.Write(path, func(w *enc.Writer) {
 		w.Int(p.cfg.Partition.Lo)
 		w.Int(p.cfg.Partition.Hi)
 		w.I64(p.Messages())
-		dense.Encode(w)
+		acc.Encode(w)
 		p.route.tracker.Encode(w)
 	})
 	if err != nil {
@@ -164,9 +164,7 @@ func TestCheckpointBytesFoldWorkerInvariant(t *testing.T) {
 				workers, len(files[workers-1]), len(files[0]))
 		}
 		if want == nil {
-			dense := s.Procs()[0].Accumulator().Dense()
-			dense.CompactQuantiles()
-			want = encodeAccumulator(dense)
+			want = encodeAccumulator(compactedCopy(t, s.Procs()[0].Accumulator()))
 		}
 	}
 	for from, dir := range dirs {
@@ -186,9 +184,7 @@ func TestCheckpointBytesFoldWorkerInvariant(t *testing.T) {
 			if acc.NumShards() != workers {
 				t.Fatalf("restored into %d shards, want %d", acc.NumShards(), workers)
 			}
-			dense := acc.Dense()
-			dense.CompactQuantiles()
-			if !bytes.Equal(encodeAccumulator(dense), want) {
+			if !bytes.Equal(encodeAccumulator(compactedCopy(t, acc)), want) {
 				t.Fatalf("file of FoldWorkers %d restored into FoldWorkers %d differs from the written state", from+1, workers)
 			}
 		}
@@ -405,7 +401,7 @@ func TestFinalCheckpointQuantilesCompacted(t *testing.T) {
 	r.Int() // partition lo
 	r.Int() // partition hi
 	r.I64() // messages
-	acc, err := core.DecodeAccumulatorVersion(r, version)
+	acc, err := core.DecodeShardedVersion(r, version, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestCodecIngestEquivalenceAllOptions(t *testing.T) {
 				if ws.Messages == 0 || ws.WireBytes >= ws.RawBytes {
 					t.Fatalf("%s: codec negotiated but wire bytes not reduced: %+v", name, ws)
 				}
-				got := encodeAccumulator(s.Procs()[0].Accumulator().Dense())
+				got := encodeAccumulator(s.Procs()[0].Accumulator())
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: compressed ingest diverged from direct accumulation", name)
 				}
@@ -250,7 +250,7 @@ func TestCodecOutOfOrderPieces(t *testing.T) {
 		fs := fields(0, cells, float64(step+1))
 		ref.UpdateGroup(step, fs[0], fs[1], fs[2:])
 	}
-	if !bytes.Equal(encodeAccumulator(s.Procs()[0].Accumulator().Dense()), encodeAccumulator(ref)) {
+	if !bytes.Equal(encodeAccumulator(s.Procs()[0].Accumulator()), encodeAccumulator(ref)) {
 		t.Fatal("compressed piece routing diverged from reference")
 	}
 }
@@ -348,7 +348,7 @@ func TestCodecCorruptFramesDroppedPoolBalances(t *testing.T) {
 	wg.Wait()
 	s.Stop(false)
 
-	got := encodeAccumulator(s.Procs()[0].Accumulator().Dense())
+	got := encodeAccumulator(s.Procs()[0].Accumulator())
 	if !bytes.Equal(got, want) {
 		t.Fatal("corrupted compressed traffic altered the real groups' statistics")
 	}

@@ -71,7 +71,7 @@ type foldTask struct {
 // sketchMark and scansStarted; ask and the telemetry getters are safe from
 // any goroutine.
 type foldPool struct {
-	acc  *core.ShardedAccumulator
+	acc  *core.Accumulator
 	part mesh.Partition
 
 	workCh   []chan foldTask
@@ -105,7 +105,7 @@ type foldPool struct {
 
 // newFoldPool wraps an accumulator owning partition part. Workers start with
 // start(); until then adopt may swap the accumulator (checkpoint restore).
-func newFoldPool(acc *core.ShardedAccumulator, part mesh.Partition) *foldPool {
+func newFoldPool(acc *core.Accumulator, part mesh.Partition) *foldPool {
 	f := &foldPool{acc: acc, part: part, pending: make(map[groupStep]*assembly)}
 	f.asmPool.New = func() any {
 		asm := &assembly{fields: make([][]float64, f.acc.P()+2), covered: make([]bool, part.Len())}
@@ -117,12 +117,12 @@ func newFoldPool(acc *core.ShardedAccumulator, part mesh.Partition) *foldPool {
 	return f
 }
 
-func (f *foldPool) adopt(acc *core.ShardedAccumulator) { f.acc = acc }
+func (f *foldPool) adopt(acc *core.Accumulator) { f.acc = acc }
 
 // accumulator exposes the statistics state: shard i inside a barrier's
 // each(i), the whole of it after stop — or after a barrier's last() when
 // nothing was enqueued behind that barrier.
-func (f *foldPool) accumulator() *core.ShardedAccumulator { return f.acc }
+func (f *foldPool) accumulator() *core.Accumulator { return f.acc }
 
 func (f *foldPool) workers() int { return f.acc.NumShards() }
 
@@ -217,12 +217,11 @@ func (f *foldPool) scan(wantCI, idle bool) {
 		f.sketchMark = f.routed
 	}
 	f.barrier(func(i int) {
-		a := f.acc.ShardAccum(i)
 		if ci {
-			f.ciWidths[i].Store(math.Float64bits(a.MaxCIWidth(ciLevel)))
+			f.ciWidths[i].Store(math.Float64bits(f.acc.ShardCIWidth(i, ciLevel)))
 		}
 		if sketches {
-			qt, qb := a.QuantileTelemetry()
+			qt, qb := f.acc.ShardQuantileTelemetry(i)
 			f.qtelTuples[i].Store(qt)
 			f.qtelBytes[i].Store(qb)
 		}
@@ -334,8 +333,9 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 	defer f.workerWG.Done()
 	lo, hi := f.acc.ShardRange(i)
 	var cc codecCache // this worker's compressed-payload decode state
-	// in holds the direct path's per-field inputs; scratch backs the ones a
-	// message cannot lend in place and is made on first need.
+	// in holds the shard's per-field inputs to the fold; on the direct path,
+	// scratch backs the ones a message cannot lend in place and is made on
+	// first need.
 	in := make([][]float64, f.acc.P()+2)
 	var scratch [][]float64
 	for task := range ch {
@@ -362,7 +362,11 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 			}
 			if task.fold {
 				t0 := time.Now()
-				f.acc.UpdateGroupShard(i, asm.step, asm.fields[0], asm.fields[1], asm.fields[2:])
+				for k := range in {
+					in[k] = asm.fields[k][lo:hi]
+				}
+				f.acc.UpdateShard(i, asm.step, in[0], in[1], in[2:])
+				clear(in)
 				mFoldSeconds.ObserveSince(t0)
 				if asm.remaining.Add(-1) == 0 {
 					f.folds.Add(1)
@@ -390,7 +394,7 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 				}
 			}
 			t1 := time.Now()
-			f.acc.ShardAccum(i).UpdateGroup(m.stepTimestep(task.step), in[0], in[1], in[2:])
+			f.acc.UpdateShard(i, m.stepTimestep(task.step), in[0], in[1], in[2:])
 			clear(in)
 			mDecodeSeconds.Observe(t1.Sub(t0).Seconds())
 			mFoldSeconds.ObserveSince(t1)

@@ -20,10 +20,11 @@ import (
 // shapes: Data, DataBatch and DataBatchC, each once as whole-partition
 // pieces (direct path) and once split into cell sub-ranges (assembled path).
 // After every group a barrier rides the queues behind the routed steps: its
-// each() must see exactly the folds routed so far on every shard. Once the
-// last barrier passed, the state must be bitwise equal to folding the same
-// fields into a dense accumulator in order, and every payload reference must
-// have been released.
+// each() must see exactly the folds routed so far on every shard, so the
+// snapshot it takes shard by shard equals folding the same fields into one
+// accumulator in order. Once the last barrier passed, the live state must
+// be bitwise equal to that too, and every payload reference must have been
+// released.
 func TestFoldPoolStandalone(t *testing.T) {
 	const cells, timesteps, p, shards, batch = 23, 6, 2, 3, 3
 	part := mesh.Partition{Lo: 100, Hi: 100 + cells}
@@ -33,6 +34,7 @@ func TestFoldPoolStandalone(t *testing.T) {
 		pool.start()
 		t.Cleanup(pool.stop)
 		ref := core.NewAccumulator(cells, timesteps, p, opts)
+		snap, refSnap := pool.accumulator().NewSnapshot(), ref.NewSnapshot()
 		refsBefore := transport.ReadPoolStats().RefsActive()
 
 		fields := func(group, step, lo, hi int) [][]float64 {
@@ -100,18 +102,14 @@ func TestFoldPoolStandalone(t *testing.T) {
 				if want := (group + 1) * timesteps; folds != want {
 					t.Fatalf("%s: %d steps completed, want %d", name, folds, want)
 				}
-				seen := make([]int64, shards)
 				done := make(chan struct{})
 				pool.barrier(func(shard int) {
-					for s := 0; s < timesteps; s++ {
-						seen[shard] += pool.accumulator().ShardAccum(shard).N(s)
-					}
+					pool.accumulator().SnapshotShard(shard, snap)
 				}, func() { close(done) })
 				<-done
-				for shard, n := range seen {
-					if n != int64(folds) {
-						t.Fatalf("%s: barrier saw %d folds on shard %d, want %d", name, n, shard, folds)
-					}
+				ref.SnapshotShard(0, refSnap) // a snapshot, not an encode: it leaves ref's sketches unflushed
+				if !bytes.Equal(encodeSnapshot(snap), encodeSnapshot(refSnap)) {
+					t.Fatalf("%s: the barrier's snapshot differs from %d folds applied in order", name, folds)
 				}
 				group++
 			}
@@ -123,7 +121,7 @@ func TestFoldPoolStandalone(t *testing.T) {
 		if got := pool.foldCount(); got != int64(folds) {
 			t.Fatalf("fold counter %d, want %d", got, folds)
 		}
-		if !bytes.Equal(encodeAccumulator(pool.accumulator().Dense()), encodeAccumulator(ref)) {
+		if !bytes.Equal(encodeAccumulator(pool.accumulator()), encodeAccumulator(ref)) {
 			t.Fatal("standalone pool state diverged from direct accumulation")
 		}
 	}
@@ -221,7 +219,7 @@ func TestInPlaceFoldHoldsPayloadUntilRelease(t *testing.T) {
 	done := make(chan struct{})
 	pool.barrier(func(int) {}, func() { close(done) })
 	<-done
-	if !bytes.Equal(encodeAccumulator(pool.accumulator().Dense()), encodeAccumulator(ref)) {
+	if !bytes.Equal(encodeAccumulator(pool.accumulator()), encodeAccumulator(ref)) {
 		t.Fatal("in-place fold diverged from folding decoded copies")
 	}
 }

@@ -76,6 +76,29 @@ func encodeAccumulator(a *core.Accumulator) []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
+// compactedCopy returns a copy of a with its quantile sketches compacted —
+// the state a checkpoint image holds — leaving a itself as it was.
+func compactedCopy(t testing.TB, a *core.Accumulator) *core.Accumulator {
+	t.Helper()
+	c, err := core.DecodeShardedVersion(enc.NewReader(encodeAccumulator(a)), core.LayoutCurrent, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CompactQuantiles()
+	return c
+}
+
+// encodeSnapshot writes snap the way the background checkpoint writer does:
+// the header, then one section per timestep.
+func encodeSnapshot(snap *core.Snapshot) []byte {
+	w := enc.NewWriter(1 << 16)
+	snap.EncodeHeader(w, core.LayoutCurrent)
+	for t := 0; t < snap.Timesteps(); t++ {
+		snap.EncodeStep(w, core.LayoutCurrent, t)
+	}
+	return w.Bytes()
+}
+
 // TestIngestEquivalenceAllOptions: the shard-parallel zero-copy ingest must
 // be bitwise identical to direct accumulation for every Options combination,
 // FoldWorkers ∈ {1, 4}, both wire forms (Data and 3-step DataBatch with a
@@ -105,7 +128,7 @@ func TestIngestEquivalenceAllOptions(t *testing.T) {
 					waitFolds(t, s, int64((g+1)*timesteps), 10*time.Second)
 				}
 				s.Stop(false)
-				got := encodeAccumulator(s.Procs()[0].Accumulator().Dense())
+				got := encodeAccumulator(s.Procs()[0].Accumulator())
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: accumulator state diverged from direct accumulation", name)
 				}
@@ -144,7 +167,7 @@ func TestIngestDirectPathMatchesAssembled(t *testing.T) {
 					waitFolds(t, s, int64((g+1)*timesteps), 10*time.Second)
 				}
 				s.Stop(false)
-				got := encodeAccumulator(s.Procs()[0].Accumulator().Dense())
+				got := encodeAccumulator(s.Procs()[0].Accumulator())
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: accumulator state diverged", name)
 				}
@@ -203,7 +226,7 @@ func TestIngestReplayBatchedWithOptions(t *testing.T) {
 			waitFolds(t, s, expected, 10*time.Second)
 		}
 		s.Stop(false)
-		return encodeAccumulator(s.Procs()[0].Accumulator().Dense())
+		return encodeAccumulator(s.Procs()[0].Accumulator())
 	}
 
 	clean := run(nil)
@@ -284,7 +307,7 @@ func TestRawPieceRouting(t *testing.T) {
 		fs := fields(0, cells, float64(step+1))
 		ref.UpdateGroup(step, fs[0], fs[1], fs[2:])
 	}
-	if !bytes.Equal(encodeAccumulator(s.Procs()[0].Accumulator().Dense()), encodeAccumulator(ref)) {
+	if !bytes.Equal(encodeAccumulator(s.Procs()[0].Accumulator()), encodeAccumulator(ref)) {
 		t.Fatal("raw piece routing diverged from reference")
 	}
 }

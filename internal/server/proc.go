@@ -61,7 +61,7 @@ func newProc(cfg procConfig, recv transport.Receiver) *Proc {
 
 // Accumulator exposes the statistics state (read after the server stopped,
 // or while the fold pipeline is quiescent).
-func (p *Proc) Accumulator() *core.ShardedAccumulator { return p.fold.accumulator() }
+func (p *Proc) Accumulator() *core.Accumulator { return p.fold.accumulator() }
 
 // FoldWorkers returns the resolved fold worker-pool width of this process.
 func (p *Proc) FoldWorkers() int { return p.fold.workers() }

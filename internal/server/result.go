@@ -4,80 +4,40 @@ import (
 	"melissa/internal/core"
 )
 
-// Result is the assembled global view of a finished study: per-timestep,
-// per-cell Sobol' index fields stitched together from every server process's
-// partition. This is the Melissa equivalent of the statistic field files the
-// launcher collects at the end of a run (artifact appendix A.4).
+// Result is the global view of a finished study: per-timestep, per-cell
+// Sobol' index fields over the whole mesh, read from one accumulator that
+// joins every server process's partition in cell order. This is the Melissa
+// equivalent of the statistic field files the launcher collects at the end
+// of a run (artifact appendix A.4). Like the accumulator accessors, the
+// field getters are single-goroutine.
 type Result struct {
 	Cells     int
 	Timesteps int
 	P         int
 
 	procs []*Proc
-
-	// scratch is the per-partition staging slice assemble reuses across
-	// field scans — FirstField/TotalField/etc. allocate only the returned
-	// global field, not a fresh partition buffer per call. Like the
-	// accumulator accessors, the field getters are single-goroutine.
-	scratch []float64
+	acc   *core.Accumulator
 }
 
 // GroupsFolded returns the number of groups folded into timestep t (equal
 // across processes once the study has drained).
-func (r *Result) GroupsFolded(t int) int64 {
-	if len(r.procs) == 0 {
-		return 0
-	}
-	return r.procs[0].Accumulator().N(t)
-}
-
-// assemble stitches one step-t accumulator field getter (a method expression
-// such as (*core.ShardedAccumulator).MeanField, or a closure binding the
-// extra argument) across the partitions into one global field; nil when the
-// partitions return nil (an optional tracker that is not enabled).
-func (r *Result) assemble(t int, get func(a *core.ShardedAccumulator, t int, dst []float64) []float64) []float64 {
-	out := make([]float64, r.Cells)
-	for _, p := range r.procs {
-		part := p.cfg.Partition
-		field := get(p.Accumulator(), t, r.scratch)
-		if field == nil {
-			return nil
-		}
-		r.scratch = field
-		copy(out[part.Lo:part.Hi], field[:part.Len()])
-	}
-	return out
-}
+func (r *Result) GroupsFolded(t int) int64 { return r.acc.N(t) }
 
 // FirstField returns the global first-order Sobol' field S_k(·, t).
-func (r *Result) FirstField(t, k int) []float64 {
-	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
-		return a.FirstField(t, k, dst)
-	})
-}
+func (r *Result) FirstField(t, k int) []float64 { return r.acc.FirstField(t, k, nil) }
 
 // TotalField returns the global total-order Sobol' field ST_k(·, t).
-func (r *Result) TotalField(t, k int) []float64 {
-	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
-		return a.TotalField(t, k, dst)
-	})
-}
+func (r *Result) TotalField(t, k int) []float64 { return r.acc.TotalField(t, k, nil) }
 
 // MeanField returns the global output-mean field at timestep t.
-func (r *Result) MeanField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).MeanField)
-}
+func (r *Result) MeanField(t int) []float64 { return r.acc.MeanField(t, nil) }
 
 // VarianceField returns the global output-variance field at timestep t
 // (the Fig. 8 map).
-func (r *Result) VarianceField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).VarianceField)
-}
+func (r *Result) VarianceField(t int) []float64 { return r.acc.VarianceField(t, nil) }
 
 // InteractionField returns the global 1−ΣS_k field at timestep t.
-func (r *Result) InteractionField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).InteractionField)
-}
+func (r *Result) InteractionField(t int) []float64 { return r.acc.InteractionField(t, nil) }
 
 // The optional trackers over the A and B samples at timestep t. Each field
 // is nil unless its tracker was enabled (core.Options.MinMax / Threshold /
@@ -85,85 +45,46 @@ func (r *Result) InteractionField(t int) []float64 {
 // checkpoint written without it reads as disabled too.
 
 // MinField returns the global per-cell minimum.
-func (r *Result) MinField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).MinField)
-}
+func (r *Result) MinField(t int) []float64 { return r.acc.MinField(t, nil) }
 
 // MaxField returns the global per-cell maximum.
-func (r *Result) MaxField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).MaxField)
-}
+func (r *Result) MaxField(t int) []float64 { return r.acc.MaxField(t, nil) }
 
 // ExceedanceField returns the global per-cell fraction of samples above the
 // threshold.
-func (r *Result) ExceedanceField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).ExceedanceField)
-}
+func (r *Result) ExceedanceField(t int) []float64 { return r.acc.ExceedanceField(t, nil) }
 
 // SkewnessField returns the global per-cell sample skewness.
-func (r *Result) SkewnessField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).SkewnessField)
-}
+func (r *Result) SkewnessField(t int) []float64 { return r.acc.SkewnessField(t, nil) }
 
 // KurtosisField returns the global per-cell sample excess kurtosis.
-func (r *Result) KurtosisField(t int) []float64 {
-	return r.assemble(t, (*core.ShardedAccumulator).KurtosisField)
-}
+func (r *Result) KurtosisField(t int) []float64 { return r.acc.KurtosisField(t, nil) }
 
 // QuantileField returns the global per-cell q-quantile estimate of the
 // pooled A/B sample at timestep t. Any q in [0, 1] can be queried from the
 // per-cell sketches, not only the configured probes; without quantile
 // tracking the field is all zeros.
-func (r *Result) QuantileField(t int, q float64) []float64 {
-	return r.assemble(t, func(a *core.ShardedAccumulator, t int, dst []float64) []float64 {
-		return a.QuantileField(t, q, dst)
-	})
-}
+func (r *Result) QuantileField(t int, q float64) []float64 { return r.acc.QuantileField(t, q, nil) }
 
 // QuantileProbes returns the quantile probe list the accumulators actually
 // track — nil when quantiles were not enabled, and also nil after a restore
 // from a pre-quantile (v1) checkpoint, which disables the statistic even if
 // the configuration requested it. Probes and QuantileField are therefore
 // always consistent: non-nil probes imply real sketch state behind them.
-func (r *Result) QuantileProbes() []float64 {
-	if len(r.procs) == 0 {
-		return nil
-	}
-	return r.procs[0].Accumulator().QuantileProbes()
-}
+func (r *Result) QuantileProbes() []float64 { return r.acc.QuantileProbes() }
 
 // QuantileTupleCount totals the retained quantile-sketch tuples across all
 // processes — the sketch-memory telemetry of the ROADMAP ε-tuning item
 // (each tuple is ~24 bytes; divide by Cells×Timesteps for the per-cell
 // average the ε guidance works in). Zero when quantiles are disabled.
-func (r *Result) QuantileTupleCount() int64 {
-	var total int64
-	for _, p := range r.procs {
-		total += p.Accumulator().QuantileTupleCount()
-	}
-	return total
-}
+func (r *Result) QuantileTupleCount() int64 { return r.acc.QuantileTupleCount() }
 
 // MaxCIWidth returns the widest 95% confidence interval over every process.
-func (r *Result) MaxCIWidth() float64 {
-	var worst float64
-	for _, p := range r.procs {
-		if w := p.Accumulator().MaxCIWidth(ciLevel); w > worst {
-			worst = w
-		}
-	}
-	return worst
-}
+func (r *Result) MaxCIWidth() float64 { return r.acc.MaxCIWidth(ciLevel) }
 
 // MemoryBytes totals the accumulator memory across processes — the Sec. 4.1.1
 // server memory model.
-func (r *Result) MemoryBytes() int64 {
-	var total int64
-	for _, p := range r.procs {
-		total += p.Accumulator().MemoryBytes()
-	}
-	return total
-}
+func (r *Result) MemoryBytes() int64 { return r.acc.MemoryBytes() }
 
 // Checkpoints sums the checkpoint statistics across processes: writes,
 // skipped intervals, total and stall (fold-pipeline blockage) wall time,

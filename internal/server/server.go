@@ -36,7 +36,7 @@
 // checkpoint if Stop asked for one (else abandon a write still in flight),
 // join the workers and the writer, send the final report.
 //
-// A foldPool needs only a core.ShardedAccumulator and its partition: it can
+// A foldPool needs only a core.Accumulator and its partition: it can
 // be built and fed encoded frames with no network, tracker or Server.
 //
 // # Ingest
@@ -345,8 +345,20 @@ func (s *Server) TotalFolds() int64 {
 	return total
 }
 
-// Result assembles the global study result from all process partitions.
-// Call only after the server stopped.
+// Result returns the global study result: one accumulator joining every
+// process's partition, in rank order, which mesh.BlockPartition makes cell
+// order. Call only after the server stopped.
 func (s *Server) Result() *Result {
-	return &Result{Cells: s.cfg.Cells, Timesteps: s.cfg.Timesteps, P: s.cfg.P, procs: s.procs}
+	parts := make([]*core.Accumulator, len(s.procs))
+	next := 0
+	for rank, p := range s.procs {
+		part := p.cfg.Partition
+		parts[rank] = p.Accumulator()
+		if part.Lo != next || parts[rank].Cells() != part.Len() {
+			panic(fmt.Sprintf("server: process %d holds cells [%d,%d) in %d cells, want them to start at %d",
+				rank, part.Lo, part.Hi, parts[rank].Cells(), next))
+		}
+		next = part.Hi
+	}
+	return &Result{Cells: s.cfg.Cells, Timesteps: s.cfg.Timesteps, P: s.cfg.P, procs: s.procs, acc: core.Join(parts...)}
 }

@@ -25,8 +25,8 @@ import (
 // working, and every line one someone has to read.
 const (
 	pinnedConfigFields = 86
-	pinnedSharedFlags  = 107
-	pinnedSourceLines  = 17758
+	pinnedSharedFlags  = 105
+	pinnedSourceLines  = 17649
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
