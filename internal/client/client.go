@@ -14,7 +14,6 @@ package client
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -59,7 +58,7 @@ type Connection struct {
 	// Resilience state: budget consumed, the backoff/jitter stream, the
 	// per-route retention rings and one record per server process.
 	reconnects int
-	rng        *rand.Rand
+	rng        backoffRNG
 	retain     []retainRing
 	ranks      []rankState
 
@@ -165,7 +164,7 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 			if attempt > retry.MaxReconnects {
 				return nil, lastErr
 			}
-			time.Sleep(retry.delay(attempt-1, rng))
+			time.Sleep(retry.delay(attempt-1, &rng))
 			cReconnects.Inc()
 			if o.OnReconnect != nil {
 				o.OnReconnect(-1, attempt)
@@ -183,7 +182,7 @@ func ConnectWith(net transport.Network, mainAddr string, o ConnectOpts) (*Connec
 	}
 }
 
-func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng *rand.Rand, resume bool) (*Connection, error) {
+func connectOnce(net transport.Network, mainAddr string, o ConnectOpts, rng backoffRNG, resume bool) (*Connection, error) {
 	groupID, simRanks, timeout := o.GroupID, o.SimRanks, o.Timeout
 	reply, err := net.Listen("")
 	if err != nil {

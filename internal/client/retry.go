@@ -66,9 +66,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// delay returns the jittered backoff before retry number attempt (0-based).
-func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	return jitter(p.backoff(attempt), rng)
+// delay returns the backoff before retry number attempt (0-based), spread
+// uniformly within ±backoffJitter of itself. The first draw seeds rng.
+func (p RetryPolicy) delay(attempt int, rng *backoffRNG) time.Duration {
+	if rng.src == nil {
+		rng.src = rand.New(rand.NewSource(rng.seed))
+	}
+	return time.Duration(float64(p.backoff(attempt)) * (1 + backoffJitter*(2*rng.src.Float64()-1)))
 }
 
 // backoff returns the exact backoff before retry number attempt (0-based):
@@ -81,18 +85,22 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	return min(d, p.MaxDelay)
 }
 
-// jitter spreads d uniformly within ±backoffJitter of itself.
-func jitter(d time.Duration, rng *rand.Rand) time.Duration {
-	return time.Duration(float64(d) * (1 + backoffJitter*(2*rng.Float64()-1)))
+// backoffRNG is a group's jitter stream. delay seeds its source on the first
+// draw, so a group that never retries never builds one. A copy taken after
+// the first draw shares the source and continues the stream.
+type backoffRNG struct {
+	seed int64
+	src  *rand.Rand
 }
 
-func retryRNG(p RetryPolicy, groupID int) *rand.Rand {
-	return rand.New(rand.NewSource(p.Seed ^ int64(uint64(groupID)*0x9e3779b97f4a7c15)))
+// retryRNG returns group groupID's jitter stream, unseeded.
+func retryRNG(p RetryPolicy, groupID int) backoffRNG {
+	return backoffRNG{seed: p.Seed ^ int64(uint64(groupID)*0x9e3779b97f4a7c15)}
 }
 
 // resendWindow is the per-route retention depth in timesteps backing
 // post-reconnect resends: deep enough to cover the frames a broken connection
-// can have in flight (send queue + receive inbox) at default transport
+// can have in flight (TCP send queue + receive inbox) at default transport
 // buffering.
 const resendWindow = 128
 
@@ -184,7 +192,7 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 				c.opts.GroupID, rank, budget, cause)
 		}
 		c.reconnects++
-		time.Sleep(c.opts.Retry.delay(attempt, c.rng))
+		time.Sleep(c.opts.Retry.delay(attempt, &c.rng))
 		cReconnects.Inc()
 		if ok, suppressed := reconnLim.Allow(limKey(c.opts.GroupID, rank)); ok {
 			kv := []any{"group", c.opts.GroupID, "server", rank,

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func TestRetryDelayBackoffAndCap(t *testing.T) {
 		}
 		// The jittered delay stays within ±20% of the exact backoff.
 		lo, hi := time.Duration(0.8*float64(w)), time.Duration(1.2*float64(w))
-		if got := p.delay(attempt, rng); got < lo || got > hi {
+		if got := p.delay(attempt, &rng); got < lo || got > hi {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, lo, hi)
 		}
 	}
@@ -40,7 +41,7 @@ func TestRetryDelayDeterministicPerGroup(t *testing.T) {
 		rng := retryRNG(p, group)
 		out := make([]time.Duration, 6)
 		for i := range out {
-			out[i] = p.delay(i, rng)
+			out[i] = p.delay(i, &rng)
 		}
 		return out
 	}
@@ -60,6 +61,32 @@ func TestRetryDelayDeterministicPerGroup(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different groups drew identical jitter sequences")
+	}
+}
+
+// TestRetryRNGSeededLazily: a connection that never retried holds an
+// unseeded jitter stream, and once it draws, the stream is exactly the one a
+// source seeded eagerly with the same policy and group gives.
+func TestRetryRNGSeededLazily(t *testing.T) {
+	f := newFakeServer(t, 2, 16, 2, 2)
+	defer f.close()
+	p := RetryPolicy{MaxReconnects: 3, Seed: 42}
+	conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 7, SimRanks: 1, Timeout: 2 * time.Second, Retry: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if conn.rng.src != nil {
+		t.Fatal("a connection that never retried seeded its jitter source")
+	}
+	p = p.withDefaults()
+	group := uint64(7)
+	eager := rand.New(rand.NewSource(p.Seed ^ int64(group*0x9e3779b97f4a7c15)))
+	for attempt := 0; attempt < 8; attempt++ {
+		want := time.Duration(float64(p.backoff(attempt)) * (1 + backoffJitter*(2*eager.Float64()-1)))
+		if got := p.delay(attempt, &conn.rng); got != want {
+			t.Fatalf("attempt %d: lazily seeded delay %v, eagerly seeded %v", attempt, got, want)
+		}
 	}
 }
 

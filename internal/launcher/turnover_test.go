@@ -95,7 +95,8 @@ func TestLauncherTurnoverNotTickBound(t *testing.T) {
 // steps, in memory) through 2 slots at the default tick: per-group fixed
 // cost and turnover latency, nothing else. A loop that started groups only
 // on ticks would need ≥ 200 / 2 × 5 ms = 500 ms per study. Reports the
-// loop's wakeups per study by cause.
+// loop's wakeups per study by cause and the bytes a study allocates per
+// group.
 func BenchmarkLauncherChurn(b *testing.B) {
 	const nGroups, cells, timesteps = 200, 64, 2
 	if olog.Default.Enabled(olog.Info) {
@@ -108,6 +109,8 @@ func BenchmarkLauncherChurn(b *testing.B) {
 	b.Cleanup(func() { passCheck = check })
 
 	w0 := wakeups()
+	var allocated uint64
+	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		design := sampling.NewDesign([]sampling.Distribution{
@@ -127,8 +130,13 @@ func BenchmarkLauncherChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&ms)
+		allocated -= ms.TotalAlloc
 		b.StartTimer()
 		_, stats, err := l.Run()
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocated += ms.TotalAlloc
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,4 +148,5 @@ func BenchmarkLauncherChurn(b *testing.B) {
 	for _, cause := range []string{"done", "report", "reconnect", "tick"} {
 		b.ReportMetric(float64(w1[cause]-w0[cause])/float64(b.N), cause+"-wakes/op")
 	}
+	b.ReportMetric(float64(allocated)/float64(b.N*nGroups), "B/group")
 }

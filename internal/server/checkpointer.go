@@ -457,6 +457,10 @@ func (c *checkpointer) restore(dst *router) error {
 	if err != nil {
 		return fmt.Errorf("server: process %d: %w", rank, err)
 	}
+	if acc.Timesteps() != c.cfg.Timesteps || acc.P() != c.cfg.P {
+		return fmt.Errorf("server: process %d: checkpoint holds %d timesteps and %d parameters, the study %d and %d",
+			rank, acc.Timesteps(), acc.P(), c.cfg.Timesteps, c.cfg.P)
+	}
 	if counts := c.log.Counts(); counts != nil {
 		// A manifest records each step's group count beside its section;
 		// the decoded steps must carry exactly those.

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -435,6 +436,32 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 	if reads != 2 {
 		t.Fatalf("expected 2 checkpoint reads, got %d", reads)
+	}
+}
+
+// TestRestoreRejectsOtherStudyShape: a checkpoint written for one study
+// shape does not restore into a server configured for another. A longer
+// study would otherwise start from the shorter checkpoint and fail in a fold
+// worker on the first step past its end; the error names both shapes.
+func TestRestoreRejectsOtherStudyShape(t *testing.T) {
+	const cells, timesteps, p = 20, 3, 2
+	dir := t.TempDir()
+	design := testDesign(p, 2)
+	net := transport.NewMemNetwork(transport.Options{})
+	s := startServer(t, net, 1, cells, timesteps, p, func(c *Config) { c.CheckpointDir = dir })
+	runGroupsSequential(t, net, s, design, cells, timesteps, 1, []int{0, 1})
+	s.Stop(true)
+
+	for _, shape := range []struct{ timesteps, p int }{{timesteps + 2, p}, {timesteps, p + 1}} {
+		s2 := New2(t, transport.NewMemNetwork(transport.Options{}), 1, cells, shape.timesteps, shape.p, func(c *Config) { c.CheckpointDir = dir })
+		err := s2.Restore()
+		if err == nil {
+			t.Fatalf("a %d-step, p=%d checkpoint restored into a %d-step, p=%d study", timesteps, p, shape.timesteps, shape.p)
+		}
+		want := fmt.Sprintf("%d timesteps and %d parameters, the study %d and %d", timesteps, p, shape.timesteps, shape.p)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore error %q does not name both shapes (%q)", err, want)
+		}
 	}
 }
 

@@ -159,9 +159,9 @@ func TestPoolStatsBalanceAfterPipe(t *testing.T) {
 }
 
 // TestPoolBalancesWhenReceiverCloses: closing a receiver with payloads
-// queued everywhere — in its inbox, in a sender's pump and send queue, and
-// in Sends blocked on the full queue — leaves no buffer outstanding once
-// the receiver is drained: the transport recycles every payload it refuses.
+// queued in its inbox and in Sends blocked on the full inbox leaves no
+// buffer outstanding once the receiver is drained: the transport recycles
+// every payload it refuses.
 func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 	before := ReadPoolStats()
 	net := NewMemNetwork(Options{SendBuffer: 4, RecvBuffer: 2})
@@ -177,7 +177,7 @@ func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		go func() { sent <- snd.Send(make([]byte, 512)) }()
 	}
-	time.Sleep(20 * time.Millisecond) // inbox, pump and queue fill; 3 Sends block
+	time.Sleep(20 * time.Millisecond) // the inbox fills; 8 Sends block
 	recv.Close()
 	for i := 0; i < 10; i++ {
 		<-sent

@@ -46,12 +46,8 @@ func (n *TCPNetwork) Listen(hint string) (Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", hint, err)
 	}
-	r := &tcpReceiver{
-		ln:    ln,
-		opts:  n.opts,
-		inbox: make(chan Message, n.opts.RecvBuffer),
-		done:  make(chan struct{}),
-	}
+	r := &tcpReceiver{ln: ln, opts: n.opts}
+	r.in.init(n.opts.RecvBuffer)
 	go r.acceptLoop()
 	return r, nil
 }
@@ -73,11 +69,10 @@ func (n *TCPNetwork) Dial(addr string) (Sender, error) {
 }
 
 type tcpReceiver struct {
-	ln    net.Listener
-	opts  Options
-	inbox chan Message
-	done  chan struct{}
-	once  sync.Once
+	ln   net.Listener
+	opts Options
+	in   inbox
+	once sync.Once
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -125,48 +120,18 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 			Recycle(payload)
 			return
 		}
-		select {
-		case r.inbox <- Message{Payload: payload}:
-		case <-r.done:
+		if err := r.in.put(Message{Payload: payload}, nil); err != nil {
 			Recycle(payload)
 			return
 		}
 	}
 }
 
-func (r *tcpReceiver) Recv(timeout time.Duration) (Message, error) {
-	if timeout <= 0 {
-		select {
-		case m := <-r.inbox:
-			return m, nil
-		case <-r.done:
-			return r.drainOrClosed()
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case m := <-r.inbox:
-		return m, nil
-	case <-r.done:
-		return r.drainOrClosed()
-	case <-timer.C:
-		return Message{}, ErrTimeout
-	}
-}
-
-func (r *tcpReceiver) drainOrClosed() (Message, error) {
-	select {
-	case m := <-r.inbox:
-		return m, nil
-	default:
-		return Message{}, ErrClosed
-	}
-}
+func (r *tcpReceiver) Recv(timeout time.Duration) (Message, error) { return r.in.recv(timeout) }
 
 func (r *tcpReceiver) Close() error {
 	r.once.Do(func() {
-		close(r.done)
+		r.in.close()
 		r.ln.Close()
 		r.mu.Lock()
 		for _, c := range r.conns {

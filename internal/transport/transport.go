@@ -2,11 +2,13 @@
 // standing in for ZeroMQ (Sec. 4.1.3). Its semantics mirror the properties
 // the paper relies on:
 //
-//   - messages are queued on the sender side and delivered by a background
-//     pump, so Send is normally non-blocking;
-//   - both sides hold bounded buffers; Send blocks only when *both* the
-//     send-side and receive-side buffers are full — the backpressure that
-//     suspended the simulations in the 15-node experiment (Sec. 5.3);
+//   - Send returns once the message is buffered, so it is normally
+//     non-blocking: in memory it goes straight into the receiver's inbox,
+//     over TCP into a send queue a background pump writes to the socket;
+//   - buffers are bounded, and Send blocks only while all of them towards
+//     the receiver are full — the backpressure that suspended the
+//     simulations in the 15-node experiment (Sec. 5.3);
+//   - an inbox's storage grows with what it holds, up to its bound;
 //   - per-connection ordering is FIFO (TCP/ZeroMQ guarantee), while
 //     messages from different connections interleave arbitrarily;
 //   - receivers drain a single inbox regardless of how many clients are
@@ -49,8 +51,8 @@ type Message struct {
 type Sender interface {
 	// Send enqueues one payload and takes ownership of it, whether it
 	// succeeds or fails: the caller never touches the slice again. It
-	// blocks only when both the local queue and the remote inbox are full,
-	// and returns ErrClosed once either end is closed.
+	// blocks only while the buffers towards the receiver are full, and
+	// returns ErrClosed once either end is closed.
 	Send(payload []byte) error
 	// Close flushes queued messages and releases the connection.
 	Close() error
@@ -88,9 +90,12 @@ type Network interface {
 // Options sizes the bounded buffers ("buffer sizes can be user controlled",
 // Sec. 4.1.3) and bounds TCP frames.
 type Options struct {
-	// SendBuffer is the per-sender queue capacity in messages.
+	// SendBuffer is a TCP sender's queue capacity in messages, between Send
+	// and the pump that writes the socket. An in-memory sender has no queue
+	// (Send puts into the receiver's inbox), so it sizes nothing there.
 	SendBuffer int
-	// RecvBuffer is the per-receiver inbox capacity in messages.
+	// RecvBuffer bounds a receiver's inbox in messages, on both networks.
+	// The inbox's storage grows with what it holds, up to this bound.
 	RecvBuffer int
 	// maxFrame is the largest frame a TCP receiver accepts (0 means
 	// defaultMaxFrame); ForStudyCodec derives it from the study shape.

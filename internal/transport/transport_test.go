@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -146,14 +147,17 @@ func TestPerSenderFIFO(t *testing.T) {
 	}
 }
 
+// TestFanInFromManySenders: eight senders share one small inbox, so they
+// block and are woken in turn; every message arrives, and each sender's in
+// the order it sent them.
 func TestFanInFromManySenders(t *testing.T) {
 	for name, mk := range networks() {
 		t.Run(name, func(t *testing.T) {
-			n := mk(Options{})
+			n := mk(Options{RecvBuffer: 4})
 			r, _ := n.Listen("")
 			defer r.Close()
 
-			const senders, per = 8, 50
+			const senders, per = 8, 200
 			var wg sync.WaitGroup
 			for id := 0; id < senders; id++ {
 				wg.Add(1)
@@ -166,27 +170,26 @@ func TestFanInFromManySenders(t *testing.T) {
 					}
 					defer s.Close()
 					for i := 0; i < per; i++ {
-						if err := s.Send([]byte{byte(id)}); err != nil {
+						if err := s.Send([]byte{byte(id), byte(i)}); err != nil {
 							t.Errorf("send: %v", err)
 							return
 						}
 					}
 				}(id)
 			}
-			counts := make(map[byte]int)
+			next := make([]int, senders)
 			for i := 0; i < senders*per; i++ {
 				m, err := r.Recv(5 * time.Second)
 				if err != nil {
 					t.Fatalf("recv %d: %v", i, err)
 				}
-				counts[m.Payload[0]]++
+				id, seq := m.Payload[0], int(m.Payload[1])
+				if seq != next[id] {
+					t.Fatalf("sender %d: message %d arrived when %d was due", id, seq, next[id])
+				}
+				next[id]++
 			}
 			wg.Wait()
-			for id := 0; id < senders; id++ {
-				if counts[byte(id)] != per {
-					t.Fatalf("sender %d delivered %d of %d", id, counts[byte(id)], per)
-				}
-			}
 		})
 	}
 }
@@ -421,6 +424,136 @@ func TestConcurrentSendsSingleSender(t *testing.T) {
 				}
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// TestRecvQueuedAllocatesNothing: Recv with a deadline takes a message that
+// is already waiting without arming a timer, on both networks. The server
+// run loop calls it once per frame.
+func TestRecvQueuedAllocatesNothing(t *testing.T) {
+	for name, mk := range networks() {
+		t.Run(name, func(t *testing.T) {
+			n := mk(Options{})
+			r, _ := n.Listen("")
+			defer r.Close()
+			s, _ := n.Dial(r.Addr())
+			defer s.Close()
+			const runs = 50
+			for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+				if err := s.Send([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := inboxOf(r)
+			for deadline := time.Now().Add(5 * time.Second); held(in) < runs+1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d messages arrived", held(in), runs+1)
+				}
+			}
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := r.Recv(time.Second); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Recv of a queued message allocated %.1f times", allocs)
+			}
+		})
+	}
+}
+
+func inboxOf(r Receiver) *inbox {
+	switch r := r.(type) {
+	case *memReceiver:
+		return &r.in
+	case *tcpReceiver:
+		return &r.in
+	}
+	panic(fmt.Sprintf("no inbox in %T", r))
+}
+
+func held(in *inbox) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.n
+}
+
+// TestInboxBytesIndependentOfRecvBuffer: an inbox's storage grows with what
+// it holds, so a reply inbox that receives one message costs the same bytes
+// at RecvBuffer 1 and 1,024.
+func TestInboxBytesIndependentOfRecvBuffer(t *testing.T) {
+	cycleBytes := func(recvBuffer int) uint64 {
+		n := NewMemNetwork(Options{RecvBuffer: recvBuffer})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			r, _ := n.Listen("")
+			s, _ := n.Dial(r.Addr())
+			if err := s.Send(nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Recv(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			r.Close()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := cycleBytes(1), cycleBytes(1024)
+	if large > small+100*256 {
+		t.Fatalf("100 inbox cycles allocated %d bytes at RecvBuffer 1024, %d at RecvBuffer 1", large, small)
+	}
+}
+
+// TestBlockedSendReleasedByClose: a Send waiting on a full in-memory inbox
+// fails once the receiver, or its own sender, closes, and the transport
+// recycles the payload it refused.
+func TestBlockedSendReleasedByClose(t *testing.T) {
+	for _, closer := range []string{"receiver", "sender"} {
+		t.Run(closer, func(t *testing.T) {
+			before := ReadPoolStats()
+			n := NewMemNetwork(Options{RecvBuffer: 1})
+			r, _ := n.Listen("")
+			s, _ := n.Dial(r.Addr())
+			if err := s.Send(GetPayload(64)); err != nil {
+				t.Fatal(err)
+			}
+			blocked := GetPayload(64)
+			id := unsafe.SliceData(blocked)
+			done := make(chan error, 1)
+			go func() { done <- s.Send(blocked) }()
+			select {
+			case err := <-done:
+				t.Fatalf("Send into a full inbox returned %v", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			if closer == "receiver" {
+				r.Close()
+			} else {
+				s.Close()
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("released Send returned %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Send still blocked 5 s after the %s closed", closer)
+			}
+			waitRecycled(t, id)
+			m, err := r.Recv(time.Second)
+			if err != nil {
+				t.Fatalf("the message held before the close: %v", err)
+			}
+			Recycle(m.Payload)
+			s.Close()
+			r.Close()
+			if d := ReadPoolStats().Outstanding() - before.Outstanding(); d != 0 {
+				t.Fatalf("%d payload buffers outstanding", d)
+			}
 		})
 	}
 }

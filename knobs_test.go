@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 86
 	pinnedSharedFlags  = 105
-	pinnedSourceLines  = 17649
+	pinnedSourceLines  = 17646
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
