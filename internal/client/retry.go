@@ -100,8 +100,8 @@ func retryRNG(p RetryPolicy, groupID int) backoffRNG {
 
 // resendWindow is the per-route retention depth in timesteps backing
 // post-reconnect resends: deep enough to cover the frames a broken connection
-// can have in flight (TCP send queue + receive inbox) at default transport
-// buffering.
+// can have in flight (kernel socket buffers + receive inbox) at default
+// transport buffering.
 const resendWindow = 128
 
 // resumePingEvery is how many skipped pieces a resumed attempt sends per

@@ -8,7 +8,7 @@ import (
 // inbox is a receiver's bounded FIFO of delivered messages, shared by the
 // in-memory and TCP receivers. Its ring grows by doubling with what it holds,
 // up to limit messages, so an inbox that only ever receives one reply costs
-// one slot, not RecvBuffer of them. Receivers wait on ready, senders on room;
+// one slot, not inboxLimit of them. Receivers wait on ready, senders on room;
 // close wakes both.
 type inbox struct {
 	mu          sync.Mutex
@@ -19,9 +19,13 @@ type inbox struct {
 	closed      bool
 }
 
-// init readies an inbox in place (its conditions point at its own lock).
+// init readies an inbox in place (its conditions point at its own lock). A
+// limit ≤ 0 means inboxLimit.
 func (in *inbox) init(limit int) {
 	in.limit = limit
+	if limit <= 0 {
+		in.limit = inboxLimit
+	}
 	in.ready.L, in.room.L = &in.mu, &in.mu
 }
 

@@ -40,13 +40,13 @@ func (n *MemNetwork) Listen(hint string) (Receiver, error) {
 		return nil, fmt.Errorf("transport: address %q already in use", addr)
 	}
 	r := &memReceiver{net: n, addr: addr}
-	r.in.init(n.opts.RecvBuffer)
+	r.in.init(n.opts.recvBuffer)
 	n.receivers[addr] = r
 	return r, nil
 }
 
 // Dial implements Network. The connection is a handle on the receiver's
-// inbox: no goroutine, no queue of its own.
+// inbox: no goroutine, no buffer of its own.
 func (n *MemNetwork) Dial(addr string) (Sender, error) {
 	n.mu.Lock()
 	r, ok := n.receivers[addr]

@@ -15,15 +15,13 @@ import (
 	"melissa/internal/wire"
 )
 
-// ForStudyCodec sizes only the frame bound: the message-count buffers keep
-// their defaults, and degenerate shapes fall back rather than size anything
-// by zero or a negative count.
+// ForStudyCodec sizes only the frame bound, and degenerate shapes fall back
+// rather than size anything by zero or a negative count.
 func TestForStudySizing(t *testing.T) {
-	mid := ForStudyCodec(10000, 6, 4, false)
-	if mid.SendBuffer != DefaultOptions().SendBuffer || mid.RecvBuffer != DefaultOptions().RecvBuffer {
-		t.Fatalf("ForStudyCodec changed message-count buffers: %+v", mid)
+	if mid := ForStudyCodec(10000, 6, 4, false); mid != (Options{maxFrame: mid.maxFrame}) {
+		t.Fatalf("ForStudyCodec set more than the frame bound: %+v", mid)
 	}
-	if d := ForStudyCodec(0, 0, 0, false); d != DefaultOptions() {
+	if d := ForStudyCodec(0, 0, 0, false); d != (Options{}) {
 		t.Fatalf("degenerate study produced %+v", d)
 	}
 	if d, one := ForStudyCodec(100, -1, -5, false), ForStudyCodec(100, 1, 1, false); d != one {

@@ -164,7 +164,7 @@ func TestPoolStatsBalanceAfterPipe(t *testing.T) {
 // every payload it refuses.
 func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 	before := ReadPoolStats()
-	net := NewMemNetwork(Options{SendBuffer: 4, RecvBuffer: 2})
+	net := NewMemNetwork(Options{recvBuffer: 2})
 	recv, err := net.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -197,14 +197,12 @@ func TestPoolBalancesWhenReceiverCloses(t *testing.T) {
 
 // TestTCPPoolBalancesWhenReceiverCloses is the TCP twin of
 // TestPoolBalancesWhenReceiverCloses: closing the receiver breaks the
-// connection under a partly read frame and a pump with frames still queued,
-// and every payload on either end must come back to the pool. The queue
-// holds every Send, so none blocks (TestTCPSendFailsAfterPeerGone covers
-// that).
+// connection under a partly read frame and Sends blocked on the full socket,
+// and every payload on either end must come back to the pool.
 func TestTCPPoolBalancesWhenReceiverCloses(t *testing.T) {
 	before := ReadPoolStats()
 	const sends = 16
-	net := NewTCPNetwork(Options{SendBuffer: sends, RecvBuffer: 2})
+	net := NewTCPNetwork(Options{recvBuffer: 2})
 	recv, err := net.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func TestTCPPoolBalancesWhenReceiverCloses(t *testing.T) {
 	for i := 0; i < sends; i++ {
 		go func() { sent <- snd.Send(make([]byte, 1<<20)) }()
 	}
-	time.Sleep(50 * time.Millisecond) // inbox, reader, sockets and pump fill; the rest queues
+	time.Sleep(50 * time.Millisecond) // inbox, reader and sockets fill; the rest of the Sends block
 	recv.Close()
 	for i := 0; i < sends; i++ {
 		select {

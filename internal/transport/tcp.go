@@ -15,8 +15,9 @@ import (
 // TCPNetwork is the real-socket Network used for distributed deployments:
 // every message is a length-prefixed frame over TCP. It reproduces ZeroMQ's
 // deployment model from the paper — dynamic connections from simulation
-// groups to server processes over ordinary sockets, with kernel + user-space
-// buffering and blocking only when buffers fill up.
+// groups to server processes over ordinary sockets, buffered by the kernel
+// socket buffers and the receiver's inbox, and blocking only when they fill
+// up.
 type TCPNetwork struct {
 	opts Options
 }
@@ -30,11 +31,11 @@ func NewTCPNetwork(opts Options) *TCPNetwork {
 // bound: a misconfigured peer reconnects and repeats it.
 var oversizeLim = olog.Limiter{Interval: 5 * time.Second}
 
-// frameBufSize is the user-space bufio buffer on both ends of a connection.
-// It coalesces small frames into one syscall. A frame larger than the buffer
-// passes bufio by: once the buffer is empty, bufio moves the rest straight
-// between the socket and the payload, so at most one buffer's worth of a
-// bulk data frame is copied through it.
+// frameBufSize is the receiver's user-space bufio buffer. It reads small
+// frames in bulk, one syscall for many. A frame larger than the buffer
+// passes bufio by: once the buffer is empty, bufio reads the rest straight
+// from the socket into the payload, so at most one buffer's worth of a bulk
+// data frame is copied through it.
 const frameBufSize = 64 << 10
 
 // Listen implements Network. An empty hint listens on 127.0.0.1:0.
@@ -46,36 +47,30 @@ func (n *TCPNetwork) Listen(hint string) (Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", hint, err)
 	}
-	r := &tcpReceiver{ln: ln, opts: n.opts}
-	r.in.init(n.opts.RecvBuffer)
+	r := &tcpReceiver{ln: ln, opts: n.opts, conns: make(map[net.Conn]struct{})}
+	r.in.init(n.opts.recvBuffer)
 	go r.acceptLoop()
 	return r, nil
 }
 
-// Dial implements Network.
+// Dial implements Network. The sender is the connection itself: Send writes
+// the socket, and no goroutine runs behind it.
 func (n *TCPNetwork) Dial(addr string) (Sender, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	s := &tcpSender{
-		conn:     conn,
-		queue:    make(chan []byte, n.opts.SendBuffer),
-		done:     make(chan struct{}),
-		pumpDone: make(chan struct{}),
-	}
-	go s.pump()
-	return s, nil
+	return &tcpSender{conn: conn}, nil
 }
 
 type tcpReceiver struct {
 	ln   net.Listener
 	opts Options
 	in   inbox
-	once sync.Once
 
-	mu    sync.Mutex
-	conns []net.Conn
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // connections whose read loop runs
+	closed bool
 }
 
 func (r *tcpReceiver) Addr() string { return r.ln.Addr().String() }
@@ -87,10 +82,21 @@ func (r *tcpReceiver) acceptLoop() {
 			return // listener closed
 		}
 		r.mu.Lock()
-		r.conns = append(r.conns, conn)
+		r.conns[conn] = struct{}{}
+		if r.closed { // accepted as Close ran: the read loop ends at once
+			conn.Close()
+		}
 		r.mu.Unlock()
 		go r.readLoop(conn)
 	}
+}
+
+// forget closes conn and drops it from the set Close closes.
+func (r *tcpReceiver) forget(conn net.Conn) {
+	conn.Close()
+	r.mu.Lock()
+	delete(r.conns, conn)
+	r.mu.Unlock()
 }
 
 // readLoop turns one connection's frames into inbox messages. When the
@@ -98,7 +104,7 @@ func (r *tcpReceiver) acceptLoop() {
 // the sender eventually blocks too: end-to-end backpressure, as with
 // ZeroMQ's high-water marks.
 func (r *tcpReceiver) readLoop(conn net.Conn) {
-	defer conn.Close()
+	defer r.forget(conn)
 	br := bufio.NewReaderSize(conn, frameBufSize)
 	var lenBuf [4]byte
 	for {
@@ -130,125 +136,60 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 func (r *tcpReceiver) Recv(timeout time.Duration) (Message, error) { return r.in.recv(timeout) }
 
 func (r *tcpReceiver) Close() error {
-	r.once.Do(func() {
-		r.in.close()
-		r.ln.Close()
-		r.mu.Lock()
-		for _, c := range r.conns {
-			c.Close()
-		}
-		r.mu.Unlock()
-	})
+	r.in.close()
+	r.ln.Close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	for c := range r.conns {
+		c.Close()
+	}
 	return nil
 }
 
+// tcpSender writes each frame to the socket inside Send. The kernel socket
+// buffer is its only buffer: Send blocks while it is full, which is the
+// backpressure from a receiver whose inbox is full.
 type tcpSender struct {
-	conn     net.Conn
-	queue    chan []byte
-	done     chan struct{} // closed by Close
-	pumpDone chan struct{} // closed when the pump exits
-	err      error         // the write error that ended the pump; read after pumpDone
-	once     sync.Once
+	conn net.Conn
+	once sync.Once // closes conn
+
+	mu  sync.Mutex
+	hdr [4]byte     // the length prefix being written
+	vec [2][]byte   // prefix and payload
+	iov net.Buffers // over vec; a sender field because WriteTo would move a local one to the heap
+	err error       // the first write error, wrapping ErrClosed; every later Send returns it
 }
 
-// pump is the writer goroutine: it frames queued payloads into the
-// connection and flushes whenever the queue runs empty, so a burst shares
-// syscalls and a lone message is not delayed. It exits after Close once the
-// queue is drained, or on the first write error.
-func (s *tcpSender) pump() {
-	bw := bufio.NewWriterSize(s.conn, frameBufSize)
-	var lenBuf [4]byte
-	var err error
-	for err == nil {
-		var payload []byte
-		select {
-		case payload = <-s.queue:
-		default:
-			if err = bw.Flush(); err != nil {
-				continue
-			}
-			select {
-			case payload = <-s.queue:
-			case <-s.done:
-				select {
-				case payload = <-s.queue:
-				default:
-					s.exit(nil)
-					return
-				}
-			}
-		}
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-		if _, err = bw.Write(lenBuf[:]); err == nil {
-			_, err = bw.Write(payload)
-		}
-		Recycle(payload)
-	}
-	s.exit(err)
-}
-
-// exit ends the pump: it records the error, releases the connection, marks
-// the sender dead for Send and recycles whatever is still queued.
-func (s *tcpSender) exit(err error) {
-	s.err = err
-	s.conn.Close()
-	close(s.pumpDone)
-	s.drain()
-}
-
-// drain recycles every queued payload. It runs once nothing pumps the queue
-// any more; concurrent drains are safe.
-func (s *tcpSender) drain() {
-	for {
-		select {
-		case payload := <-s.queue:
-			Recycle(payload)
-		default:
-			return
-		}
-	}
-}
-
-// deadErr is what Send returns once the pump has exited.
-func (s *tcpSender) deadErr() error {
-	if s.err != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, s.err)
-	}
-	return ErrClosed
-}
-
-// Send queues the payload itself for the pump, which writes it and then
-// recycles it. Send fails once the pump has exited (a write error or Close):
-// nothing would drain the queue any more. A payload queued just as the pump
-// exits is recycled here, so it neither leaks nor counts as sent.
+// Send writes the length prefix and the payload in one vectored write, then
+// recycles the payload; it recycles it on failure too. The first write
+// error, Close included, closes the connection and fails this and every
+// later Send.
 func (s *tcpSender) Send(payload []byte) error {
 	take(payload)
-	select {
-	case s.queue <- payload:
-		select {
-		case <-s.pumpDone:
-			s.drain()
-			return s.deadErr()
-		default:
-			return nil
-		}
-	case <-s.pumpDone:
-		Recycle(payload)
-		return s.deadErr()
-	case <-s.done:
-		Recycle(payload)
-		return ErrClosed
+	defer Recycle(payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
 	}
-}
-
-// Close flushes the queued messages onto the socket (the interface
-// contract) and releases the connection: it waits for the pump, so a
-// process that exits right after Close has actually handed its frames to
-// the kernel. A dead peer ends the wait via a write error; whatever the
-// pump could not write is recycled.
-func (s *tcpSender) Close() error {
-	s.once.Do(func() { close(s.done) })
-	<-s.pumpDone
-	s.drain()
+	binary.LittleEndian.PutUint32(s.hdr[:], uint32(len(payload)))
+	s.vec = [2][]byte{s.hdr[:], payload}
+	s.iov = s.vec[:]
+	if _, err := s.iov.WriteTo(s.conn); err != nil {
+		s.err = fmt.Errorf("%w: %v", ErrClosed, err)
+		s.close()
+		return s.err
+	}
 	return nil
 }
+
+// Close closes the connection. It does not take the Send lock, so it
+// releases a Send blocked on a full socket; that Send fails. Frames Send
+// returned for are in the kernel, which still delivers them.
+func (s *tcpSender) Close() error {
+	s.close()
+	return nil
+}
+
+func (s *tcpSender) close() { s.once.Do(func() { s.conn.Close() }) }

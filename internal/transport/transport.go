@@ -4,10 +4,11 @@
 //
 //   - Send returns once the message is buffered, so it is normally
 //     non-blocking: in memory it goes straight into the receiver's inbox,
-//     over TCP into a send queue a background pump writes to the socket;
+//     over TCP into the kernel socket buffer;
 //   - buffers are bounded, and Send blocks only while all of them towards
-//     the receiver are full — the backpressure that suspended the
-//     simulations in the 15-node experiment (Sec. 5.3);
+//     the receiver are full — the inbox, plus the kernel socket buffers over
+//     TCP. That is the backpressure that suspended the simulations in the
+//     15-node experiment (Sec. 5.3);
 //   - an inbox's storage grows with what it holds, up to its bound;
 //   - per-connection ordering is FIFO (TCP/ZeroMQ guarantee), while
 //     messages from different connections interleave arbitrarily;
@@ -49,12 +50,16 @@ type Message struct {
 // Sender is the client end of a one-way channel (ZeroMQ PUSH-like).
 // Implementations are safe for concurrent use.
 type Sender interface {
-	// Send enqueues one payload and takes ownership of it, whether it
+	// Send hands one payload over and takes ownership of it, whether it
 	// succeeds or fails: the caller never touches the slice again. It
-	// blocks only while the buffers towards the receiver are full, and
-	// returns ErrClosed once either end is closed.
+	// returns once the frame is in the receiver's inbox (memory) or in the
+	// kernel socket buffer (TCP), so it blocks only while the buffers
+	// towards the receiver are full. It returns an error wrapping ErrClosed
+	// once either end is closed.
 	Send(payload []byte) error
-	// Close flushes queued messages and releases the connection.
+	// Close releases the connection. Every frame Send returned for is
+	// already buffered, so there is nothing left to flush; a Send still
+	// blocked fails.
 	Close() error
 }
 
@@ -87,25 +92,18 @@ type Network interface {
 	Dial(addr string) (Sender, error)
 }
 
-// Options sizes the bounded buffers ("buffer sizes can be user controlled",
-// Sec. 4.1.3) and bounds TCP frames.
+// Options bounds TCP frames. The inbox bound is inboxLimit on both networks.
 type Options struct {
-	// SendBuffer is a TCP sender's queue capacity in messages, between Send
-	// and the pump that writes the socket. An in-memory sender has no queue
-	// (Send puts into the receiver's inbox), so it sizes nothing there.
-	SendBuffer int
-	// RecvBuffer bounds a receiver's inbox in messages, on both networks.
-	// The inbox's storage grows with what it holds, up to this bound.
-	RecvBuffer int
 	// maxFrame is the largest frame a TCP receiver accepts (0 means
 	// defaultMaxFrame); ForStudyCodec derives it from the study shape.
 	maxFrame int
+	// recvBuffer overrides inboxLimit when positive; tests use it for tiny
+	// inboxes.
+	recvBuffer int
 }
 
-// DefaultOptions returns the buffer sizes used when an Options field is 0.
-func DefaultOptions() Options {
-	return Options{SendBuffer: 64, RecvBuffer: 1024}
-}
+// inboxLimit bounds a receiver's inbox in messages.
+const inboxLimit = 1024
 
 // ForStudyCodec returns Options with the TCP frame bound derived from the
 // study shape instead of the fixed 64 MiB bound: one data frame carries
@@ -118,13 +116,11 @@ func DefaultOptions() Options {
 // non-positive inputs fall back to 1 (p, batchSteps) or the defaults
 // (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
-	opts := DefaultOptions()
 	if cells <= 0 {
-		return opts
+		return Options{}
 	}
 	p, batchSteps = max(p, 1), max(batchSteps, 1)
-	opts.maxFrame = int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), defaultMaxFrame))
-	return opts
+	return Options{maxFrame: int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), defaultMaxFrame))}
 }
 
 // defaultMaxFrame bounds TCP frames when no study shape is given, and is the
@@ -134,15 +130,8 @@ func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 const defaultMaxFrame = 64 << 20
 
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
 	if o.maxFrame <= 0 {
 		o.maxFrame = defaultMaxFrame
-	}
-	if o.SendBuffer <= 0 {
-		o.SendBuffer = d.SendBuffer
-	}
-	if o.RecvBuffer <= 0 {
-		o.RecvBuffer = d.RecvBuffer
 	}
 	return o
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -50,7 +51,7 @@ func TestSendRecvBasic(t *testing.T) {
 
 // TestSendTakesOwnership: Send moves the caller's buffer instead of copying
 // it. In memory the receiver gets the sender's very backing array; over TCP
-// the pump recycles the sent buffer once written. On both, the pool counters
+// Send recycles the sent buffer once written. On both, the pool counters
 // balance whether the buffer came from the pool or is a plain heap slice,
 // and whether the receiver recycles it directly or through a Ref.
 func TestSendTakesOwnership(t *testing.T) {
@@ -153,7 +154,7 @@ func TestPerSenderFIFO(t *testing.T) {
 func TestFanInFromManySenders(t *testing.T) {
 	for name, mk := range networks() {
 		t.Run(name, func(t *testing.T) {
-			n := mk(Options{RecvBuffer: 4})
+			n := mk(Options{recvBuffer: 4})
 			r, _ := n.Listen("")
 			defer r.Close()
 
@@ -214,13 +215,14 @@ func TestRecvTimeout(t *testing.T) {
 
 func TestBackpressureBlocksOnlyWhenBothBuffersFull(t *testing.T) {
 	// The Sec. 5.3 saturation mechanism: sends succeed while buffer space
-	// remains (send queue + inbox), then block; draining the inbox unblocks.
+	// remains (the inbox; over TCP the kernel socket buffers too), then
+	// block; draining the inbox unblocks.
 	for name, mk := range networks() {
 		if name == "tcp" {
 			continue // kernel socket buffers make the exact threshold fuzzy
 		}
 		t.Run(name, func(t *testing.T) {
-			n := mk(Options{SendBuffer: 2, RecvBuffer: 2})
+			n := mk(Options{recvBuffer: 2})
 			r, _ := n.Listen("")
 			defer r.Close()
 			s, _ := n.Dial(r.Addr())
@@ -264,7 +266,7 @@ func TestBackpressureBlocksOnlyWhenBothBuffersFull(t *testing.T) {
 func TestTCPBackpressureEventuallyBlocks(t *testing.T) {
 	// With TCP the threshold includes kernel buffers, but a sender pushing
 	// large messages at a non-reading receiver must still block eventually.
-	n := NewTCPNetwork(Options{SendBuffer: 2, RecvBuffer: 2})
+	n := NewTCPNetwork(Options{recvBuffer: 2})
 	r, err := n.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -302,12 +304,12 @@ func TestTCPBackpressureEventuallyBlocks(t *testing.T) {
 	}
 }
 
-// TestTCPSendFailsAfterPeerGone: once the peer is gone the pump dies on a
-// write error, and Send — one blocked on the full queue included — must fail
-// promptly instead of waiting on a queue nothing drains any more. A group
+// TestTCPSendFailsAfterPeerGone: once the peer is gone the socket write
+// fails, and Send — one blocked on the full socket included — must fail
+// promptly instead of waiting on a socket nothing drains any more. A group
 // under backpressure whose server dies reconnects on that error.
 func TestTCPSendFailsAfterPeerGone(t *testing.T) {
-	n := NewTCPNetwork(Options{SendBuffer: 2})
+	n := NewTCPNetwork(Options{})
 	for round := 0; round < 20; round++ {
 		r, err := n.Listen("")
 		if err != nil {
@@ -481,10 +483,10 @@ func held(in *inbox) int {
 
 // TestInboxBytesIndependentOfRecvBuffer: an inbox's storage grows with what
 // it holds, so a reply inbox that receives one message costs the same bytes
-// at RecvBuffer 1 and 1,024.
+// at an inbox bound of 1 and 1,024.
 func TestInboxBytesIndependentOfRecvBuffer(t *testing.T) {
 	cycleBytes := func(recvBuffer int) uint64 {
-		n := NewMemNetwork(Options{RecvBuffer: recvBuffer})
+		n := NewMemNetwork(Options{recvBuffer: recvBuffer})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 100; i++ {
@@ -504,7 +506,7 @@ func TestInboxBytesIndependentOfRecvBuffer(t *testing.T) {
 	}
 	small, large := cycleBytes(1), cycleBytes(1024)
 	if large > small+100*256 {
-		t.Fatalf("100 inbox cycles allocated %d bytes at RecvBuffer 1024, %d at RecvBuffer 1", large, small)
+		t.Fatalf("100 inbox cycles allocated %d bytes at bound 1024, %d at bound 1", large, small)
 	}
 }
 
@@ -515,7 +517,7 @@ func TestBlockedSendReleasedByClose(t *testing.T) {
 	for _, closer := range []string{"receiver", "sender"} {
 		t.Run(closer, func(t *testing.T) {
 			before := ReadPoolStats()
-			n := NewMemNetwork(Options{RecvBuffer: 1})
+			n := NewMemNetwork(Options{recvBuffer: 1})
 			r, _ := n.Listen("")
 			s, _ := n.Dial(r.Addr())
 			if err := s.Send(GetPayload(64)); err != nil {
@@ -555,5 +557,155 @@ func TestBlockedSendReleasedByClose(t *testing.T) {
 				t.Fatalf("%d payload buffers outstanding", d)
 			}
 		})
+	}
+}
+
+// TestTCPBlockedSendReleasedByClose is the TCP twin of
+// TestBlockedSendReleasedByClose: behind an inbox of 1 that is never read, a
+// sender pushes 4 MiB frames until Send blocks on the full socket. Its Close
+// returns at once, the blocked Send fails, and every payload comes back to
+// the pool once the receiver closes and is drained.
+func TestTCPBlockedSendReleasedByClose(t *testing.T) {
+	before := ReadPoolStats()
+	n := NewTCPNetwork(Options{recvBuffer: 1})
+	r, err := n.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := n.Dial(r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if err := s.Send(GetPayload(4 << 20)); err != nil {
+				done <- err
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	// The sender is blocked once no Send has returned for 100 ms.
+	for last := int64(-1); last != sent.Load(); time.Sleep(100 * time.Millisecond) {
+		last = sent.Load()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Send towards a full inbox returned %v", err)
+	default:
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still waiting 2 s after it was called, behind a Send blocked on a full socket")
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("released Send returned %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send still blocked 5 s after its sender closed")
+	}
+	r.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		for {
+			m, err := r.Recv(0)
+			if err != nil {
+				break
+			}
+			Recycle(m.Payload)
+		}
+		d := ReadPoolStats().Outstanding() - before.Outstanding()
+		if d == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d payload buffers outstanding", d)
+		}
+	}
+}
+
+// TestTCPReceiverForgetsClosedConns: a TCP receiver tracks a connection only
+// while its read loop runs, so a long-lived receiver that many short
+// connections came and went through holds none of them.
+func TestTCPReceiverForgetsClosedConns(t *testing.T) {
+	n := NewTCPNetwork(Options{})
+	r, err := n.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const cycles = 50
+	for i := 0; i < cycles; i++ {
+		s, err := n.Dial(r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		m, err := r.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Recycle(m.Payload)
+	}
+	rcv := r.(*tcpReceiver)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rcv.mu.Lock()
+		left := len(rcv.conns)
+		rcv.mu.Unlock()
+		if left == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d closed connections still tracked 5 s after their read loops ended", left, cycles)
+		}
+	}
+}
+
+// TestTCPCycleAllocations: a Dial + Send + Close + Recv cycle allocates under
+// 100 KiB on average. The receiver's 64 KiB bufio.Reader is most of what it
+// allocates; a per-connection buffer on the sending side would push it over.
+func TestTCPCycleAllocations(t *testing.T) {
+	n := NewTCPNetwork(Options{})
+	r, err := n.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cycle := func() {
+		s, err := n.Dial(r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(GetPayload(64)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		m, err := r.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Recycle(m.Payload)
+	}
+	cycle() // warm the pool and the receiver's inbox
+	const cycles = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / cycles
+	t.Logf("%d bytes per cycle", per)
+	if per >= 100<<10 {
+		t.Fatalf("a TCP dial/send/close/recv cycle allocates %d bytes, want under %d", per, 100<<10)
 	}
 }
