@@ -14,11 +14,11 @@ import (
 // compressed DataBatchC): the transport buffer with its embedded refcount,
 // the parsed lazy view — raw (a Data frame reads as a one-step batch) or
 // compressed — and the header fields every stage reads (copied out of the
-// view once, at parse). The router parses and routes it; the shard workers
-// share it read-only, each reading exactly its shard's cell sub-range in
-// place in the payload bytes (decompressing its own shard-aligned block
-// first on the codec path, cached per worker across the batch's steps). The
-// final Release recycles the buffer and retires the message.
+// view once, at parse). The router routes each step as a piece holding one
+// reference; the shard workers share it read-only, each reading its shard's
+// overlap in place in the payload bytes (decompressing its own shard-aligned
+// block first on the codec path, cached per worker across the batch's
+// steps). The final Release recycles the buffer and retires the message.
 // Shells are pooled; gen counts the payloads parsed into one shell, so
 // worker-side decode caches can key on (shell, gen).
 type bulkMsg struct {
@@ -30,9 +30,6 @@ type bulkMsg struct {
 
 	group, cellLo, cellHi int
 	steps, fields         int
-
-	// Set by the fold pool while the router still holds its own reference:
-	applied int32 // (group, timestep) updates committed via the direct path
 }
 
 // bulkShells recycles message shells across payloads (and processes: a
@@ -62,7 +59,6 @@ func parseBulk(payload []byte) (*bulkMsg, error) {
 		return nil, err
 	}
 	m.Init(payload, 1)
-	m.applied = 0
 	m.gen++
 	return m, nil
 }
@@ -138,12 +134,12 @@ func (m *bulkMsg) decodeCompressedRange(cc *codecCache, s, f, lo, hi int, dst []
 	}
 }
 
-// codecCache is one fold worker's decompression state: the codec decoder and
-// the per-range decompressed words of the message currently in front of the
-// worker. The router enqueues every step of a batch back to back, so keying
-// on (shell, generation) makes each worker decompress its block(s) once per
-// message, not once per step. Storage grows to the largest (ranges × block)
-// shape seen and is reused — steady-state decoding allocates nothing.
+// codecCache is one fold worker's decompression state at one piece index:
+// the codec decoder and the per-range decompressed words of the message last
+// read there. A batch's steps hold their message at the same index of
+// consecutive assemblies, so keying on (shell, generation) decompresses each
+// block once per message, not once per step. Storage grows to the largest
+// (ranges × block) shape seen and is reused: decoding allocates nothing.
 type codecCache struct {
 	dec   codec.Decoder
 	msg   *bulkMsg

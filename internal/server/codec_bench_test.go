@@ -38,26 +38,30 @@ func benchSimCorrelated(cells, timesteps int) client.SimFunc {
 // group actually put on the wire — CI asserts it undercuts the raw framing, and
 // `bash bench/run.sh -workload codec_tcp` reports it at study scale as
 // wire.ratio; the rawB/group metric is what the same content costs
-// uncompressed.
+// uncompressed. The ranks3 variants send from three sim ranks, so both
+// processes assemble every (group, timestep) from two pieces.
 func BenchmarkServerIngestCodec(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
 		codec       bool
 		foldWorkers int
 		batchSteps  int
+		simRanks    int
 	}{
-		{"raw-fold4-batch1", false, 4, 1},
-		{"codec-fold4-batch1", true, 4, 1},
-		{"raw-fold4-batch8", false, 4, 8},
-		{"codec-fold4-batch8", true, 4, 8},
+		{"raw-fold4-batch1", false, 4, 1, 2},
+		{"codec-fold4-batch1", true, 4, 1, 2},
+		{"raw-fold4-batch8", false, 4, 8, 2},
+		{"codec-fold4-batch8", true, 4, 8, 2},
+		{"raw-ranks3-fold4-batch8", false, 4, 8, 3},
+		{"codec-ranks3-fold4-batch8", true, 4, 8, 3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			benchServerIngestCodec(b, bc.codec, bc.foldWorkers, bc.batchSteps)
+			benchServerIngestCodec(b, bc.codec, bc.foldWorkers, bc.batchSteps, bc.simRanks)
 		})
 	}
 }
 
-func benchServerIngestCodec(b *testing.B, codecOn bool, foldWorkers, batchSteps int) {
+func benchServerIngestCodec(b *testing.B, codecOn bool, foldWorkers, batchSteps, simRanks int) {
 	const cells, timesteps, p = 4096, 8, 6
 	net := transport.NewMemNetwork(transport.Options{})
 	design := testDesign(p, 1<<20)
@@ -77,7 +81,7 @@ func benchServerIngestCodec(b *testing.B, codecOn bool, foldWorkers, batchSteps 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: 2, BatchSteps: batchSteps, WireCodec: codecOn},
+			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: simRanks, BatchSteps: batchSteps, WireCodec: codecOn},
 			Rows:        design.GroupRows(i % design.N()),
 			Sim:         sim,
 		}); err != nil {

@@ -361,3 +361,35 @@ func TestCodecCorruptFramesDroppedPoolBalances(t *testing.T) {
 		t.Fatalf("payload pool leaked %d buffers", d)
 	}
 }
+
+// TestCodecNxMDecompressions: with 3 sim ranks feeding 2 processes, every
+// process assembles each (group, timestep) from two pieces, and a fold
+// worker whose shard straddles the cut reads a block of each. Each worker
+// keeps one decode cache per piece index, so a batch-8 codec study
+// decompresses every block a worker reads once per message, not once per
+// step: 40 ranges, as many as decoding each piece into a partition-sized
+// copy took. A cache shared across piece indices thrashes between the two
+// messages and decompresses several times that.
+func TestCodecNxMDecompressions(t *testing.T) {
+	const cells, timesteps, p, groups = 96, 16, 2, 2
+	design := testDesign(p, groups)
+	net := transport.NewMemNetwork(transport.Options{})
+	s := startServer(t, net, 2, cells, timesteps, p, func(c *Config) {
+		c.FoldWorkers = 4
+		c.WireCodec = true
+	})
+	before := mCodecSeconds.Count()
+	for g := 0; g < groups; g++ {
+		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
+			ConnectOpts: client.ConnectOpts{GroupID: g, SimRanks: 3, BatchSteps: 8, WireCodec: true},
+			Rows:        design.GroupRows(g), Sim: testSim(cells, timesteps),
+		}); err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+	}
+	waitFolds(t, s, 2*groups*timesteps, 10*time.Second)
+	s.Stop(false)
+	if got := mCodecSeconds.Count() - before; got != 40 {
+		t.Fatalf("the N×M codec study decompressed %d ranges, want 40", got)
+	}
+}

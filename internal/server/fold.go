@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,23 +20,34 @@ type groupStep struct {
 	group, step int
 }
 
-// assembly collects the pieces of one (group, timestep) until the pool's
-// whole partition is covered. The enqueuing goroutine owns only the coverage
-// bookkeeping (covered/missing, from piece headers); the float content of
-// fields is written by the shard workers, each decoding its own disjoint
-// cell range straight out of the retained payloads. Assemblies are pooled:
-// the last fold worker to finish returns the assembly for reuse, so
-// steady-state folding allocates nothing.
+// piece is one routed step of a bulk message: batch entry s of m over the
+// partition-local cells [lo, hi), holding one payload reference.
+type piece struct {
+	m         *bulkMsg
+	s, lo, hi int
+}
+
+// span is a run [lo, hi) of partition-local cells some piece covers.
+type span struct{ lo, hi int }
+
+// assembly is one (group, timestep)'s pieces, held by reference in arrival
+// order until their sorted, merged spans cover the pool's partition; then
+// every shard worker folds its cells straight out of them, a later piece
+// overwriting an earlier one where they overlap. Nothing in it scales with
+// the partition, and assemblies are pooled: steady-state folding allocates
+// nothing.
 type assembly struct {
-	step    int
-	fields  [][]float64 // p+2 fields over the local partition
-	covered []bool
-	missing int
-	// remaining counts the fold workers that have not yet applied this
-	// assembly to their shard; the worker that decrements it to zero
+	step   int
+	pieces []piece
+	spans  []span
+	// remaining counts the fold workers that have not yet folded this
+	// assembly into their shard; the worker that decrements it to zero
 	// retires the assembly.
 	remaining atomic.Int32
 }
+
+// assemblies recycles assembly shells across steps and processes.
+var assemblies = sync.Pool{New: func() any { return new(assembly) }}
 
 // barrier is a control task riding the ordered work channels: each(shard)
 // runs on every worker after exactly the tasks enqueued before it — no
@@ -47,29 +59,21 @@ type barrier struct {
 	remaining atomic.Int32
 }
 
-// foldTask is one unit on a worker channel: a barrier, or work on a retained
-// payload — the worker decodes its shard's overlap of step `step`'s fields
-// into asm (assembled path) or, when asm is nil, folds its shard's cells
-// where they lie in the payload (direct path, the piece covers the whole
-// partition). fold marks the task that completes the (group, timestep): the
-// worker folds its shard after decoding.
+// foldTask is one unit on a worker channel: a barrier, or a completed
+// assembly for the worker to fold into its shard.
 type foldTask struct {
 	ctl *barrier
-
-	bulk *bulkMsg
-	step int
-	asm  *assembly
-	fold bool
+	asm *assembly
 }
 
 // foldPool is the shard-decode and fold stage: one worker per accumulator
-// shard, fed by one channel each. Every task is enqueued on every channel in
-// arrival order, which makes the per-cell update sequence — and therefore
-// the statistics — bitwise identical to a single-threaded fold, whatever the
-// pool width. Exactly one goroutine may enqueue (route, release, barrier,
-// scan) and it alone touches the pacing fields routed, ciMark,
-// sketchMark and scansStarted; ask and the telemetry getters are safe from
-// any goroutine.
+// shard, fed by one channel each. Every task (an assembly once it completes)
+// is enqueued on every channel in the same order, which makes the per-cell
+// update sequence — and therefore the statistics — bitwise identical to a
+// single-threaded fold, whatever the pool width. Exactly one goroutine may
+// enqueue (route, barrier, scan, stop) and it alone touches pending and the
+// pacing fields routed, ciMark, sketchMark and scansStarted; release, ask
+// and the telemetry getters are safe from any goroutine.
 type foldPool struct {
 	acc  *core.Accumulator
 	part mesh.Partition
@@ -77,8 +81,7 @@ type foldPool struct {
 	workCh   []chan foldTask
 	workerWG sync.WaitGroup
 	pending  map[groupStep]*assembly // enqueuer-owned
-	asmPool  sync.Pool
-	folds    atomic.Int64 // completed (group, timestep) updates
+	folds    atomic.Int64            // completed (group, timestep) updates
 
 	// Convergence and quantile-sketch telemetry published by the worker
 	// scans: ciWidths[i] is shard i's last scanned worst CI width (as
@@ -106,15 +109,7 @@ type foldPool struct {
 // newFoldPool wraps an accumulator owning partition part. Workers start with
 // start(); until then adopt may swap the accumulator (checkpoint restore).
 func newFoldPool(acc *core.Accumulator, part mesh.Partition) *foldPool {
-	f := &foldPool{acc: acc, part: part, pending: make(map[groupStep]*assembly)}
-	f.asmPool.New = func() any {
-		asm := &assembly{fields: make([][]float64, f.acc.P()+2), covered: make([]bool, part.Len())}
-		for k := range asm.fields {
-			asm.fields[k] = make([]float64, part.Len())
-		}
-		return asm
-	}
-	return f
+	return &foldPool{acc: acc, part: part, pending: make(map[groupStep]*assembly)}
 }
 
 func (f *foldPool) adopt(acc *core.Accumulator) { f.acc = acc }
@@ -147,12 +142,17 @@ func (f *foldPool) start() {
 }
 
 // stop closes the work channels and joins the pool; workers drain what is
-// queued first, barriers included.
+// queued first, barriers included. Assemblies still short of a piece never
+// fold: their payloads are released.
 func (f *foldPool) stop() {
 	for _, ch := range f.workCh {
 		close(ch)
 	}
 	f.workerWG.Wait()
+	for key, asm := range f.pending {
+		delete(f.pending, key)
+		f.retire(asm)
+	}
 }
 
 // backpressure returns the occupancy fraction [0, 1] of the work queues.
@@ -259,85 +259,85 @@ func (f *foldPool) sketchTelemetry() (tuples, bytes int64) {
 	return tuples, bytes
 }
 
-// route enqueues step s of a retained, shape-checked bulk message and
-// reports whether it completed its (group, timestep). A piece covering the
-// whole partition with no partial assembly pending takes the direct path
-// (workers decode-and-fold from the payload, no assembly copy); otherwise
-// coverage is tracked from the headers, the workers decode into the shared
-// assembly, and the task that completes it carries the fold. Replayed pieces
-// of a partial assembly overwrite.
+// route adds step s of a retained, shape-checked bulk message to the
+// assembly of its (group, timestep) and reports whether that completed it:
+// only a completed assembly is enqueued, as one task on every worker, in
+// completion order. The piece takes a payload reference, and every earlier
+// piece whose range it contains is released — a replay overwrites, and the
+// piece count stays bounded.
 func (f *foldPool) route(m *bulkMsg, s int) bool {
-	step := m.stepTimestep(s)
-	lo, hi := m.cellLo-f.part.Lo, m.cellHi-f.part.Lo // partition-local
-	key := groupStep{m.group, step}
+	key := groupStep{m.group, m.stepTimestep(s)}
 	asm, pending := f.pending[key]
-	if !pending && lo == 0 && hi == f.part.Len() {
-		m.applied++
-		f.routed++
-		f.enqueue(m, foldTask{bulk: m, step: s, fold: true})
-		return true
-	}
 	if !pending {
-		asm = f.asmPool.Get().(*assembly) // retired by the last worker to fold it
-		clear(asm.covered)
-		asm.step, asm.missing = step, len(asm.covered)
-		f.pending[key] = asm
+		asm = assemblies.Get().(*assembly) // retired by the last worker to fold it
+		asm.step = key.step
 	}
-	for c := lo; c < hi; c++ {
-		if !asm.covered[c] {
-			asm.covered[c] = true
-			asm.missing--
+	lo, hi := m.cellLo-f.part.Lo, m.cellHi-f.part.Lo // partition-local
+	asm.pieces = append(slices.DeleteFunc(asm.pieces, func(pc piece) bool {
+		if lo <= pc.lo && pc.hi <= hi {
+			f.release(pc.m)
+			return true
 		}
+		return false
+	}), piece{m, s, lo, hi})
+	m.Retain(1)
+	i, j := 0, 0 // merge [lo, hi) with the spans it touches, spans[i:j]
+	for i < len(asm.spans) && asm.spans[i].hi < lo {
+		i++
 	}
-	task := foldTask{bulk: m, step: s, asm: asm}
-	if asm.missing == 0 {
-		delete(f.pending, key)
-		task.fold = true
-		f.routed++
-		asm.remaining.Store(int32(len(f.workCh)))
+	for j = i; j < len(asm.spans) && asm.spans[j].lo <= hi; j++ {
+		lo, hi = min(lo, asm.spans[j].lo), max(hi, asm.spans[j].hi)
 	}
-	f.enqueue(m, task)
-	return task.fold
-}
-
-// enqueue sends one bulk task to every worker, charging the payload refcount
-// (one reference per worker).
-func (f *foldPool) enqueue(m *bulkMsg, task foldTask) {
-	m.Retain(int32(len(f.workCh)))
+	asm.spans = slices.Replace(asm.spans, i, j, span{lo, hi})
+	if asm.spans[0] != (span{0, f.part.Len()}) {
+		f.pending[key] = asm
+		return false
+	}
+	delete(f.pending, key)
+	f.routed++
+	asm.remaining.Store(int32(len(f.workCh)))
 	for _, ch := range f.workCh {
-		ch <- task
+		ch <- foldTask{asm: asm}
 	}
+	return true
 }
 
-// release drops one payload reference. Whichever goroutine drops the last
-// one retires the message: publish its direct-path folds and recycle the
-// buffer and the shell.
+// release drops one payload reference; whichever goroutine drops the last
+// one recycles the buffer and the shell.
 func (f *foldPool) release(m *bulkMsg) {
-	if !m.Release() {
-		return
+	if m.Release() {
+		bulkShells.Put(m)
 	}
-	if m.applied > 0 {
-		f.folds.Add(int64(m.applied))
-		mFolds.Add(int64(m.applied))
-	}
-	bulkShells.Put(m)
 }
 
-// worker owns shard i and applies every task, in enqueue order, to its cell
-// range [lo, hi) of the partition. Bulk tasks read only the shard's overlap
-// of the payload's cell range, straight out of the shared bytes, and the
-// task that completes a (group, timestep) folds it into the shard. The
-// worker that retires an assembly (last shard folded) publishes the fold and
-// recycles its buffers.
+// retire releases an assembly's pieces and returns it to the pool.
+func (f *foldPool) retire(asm *assembly) {
+	for _, pc := range asm.pieces {
+		f.release(pc.m)
+	}
+	clear(asm.pieces)
+	asm.pieces, asm.spans = asm.pieces[:0], asm.spans[:0]
+	assemblies.Put(asm)
+}
+
+// worker owns shard i and folds every completed assembly, in enqueue order,
+// into its cell range [lo, hi). It reads from the last piece covering the
+// shard: that piece lends its cells where they lie (in the payload, alive
+// until the last worker retires the assembly, or in the worker's
+// decompressed words) when no later piece touches the shard; otherwise the
+// worker copies it and each later overlapping piece into scratch in order.
 func (f *foldPool) worker(i int, ch chan foldTask) {
 	defer f.workerWG.Done()
 	lo, hi := f.acc.ShardRange(i)
-	var cc codecCache // this worker's compressed-payload decode state
-	// in holds the shard's per-field inputs to the fold; on the direct path,
-	// scratch backs the ones a message cannot lend in place and is made on
-	// first need.
+	// caches[j] decodes piece j: consecutive assemblies hold the steps of
+	// the same messages at the same piece index, so each message's blocks
+	// are decompressed once, not once per step.
+	var caches []*codecCache
+	// in holds the shard's per-field inputs to the fold; scratch backs the
+	// ones no piece can lend, field k at [k*n, (k+1)*n), made on first need.
 	in := make([][]float64, f.acc.P()+2)
-	var scratch [][]float64
+	var scratch []float64
+	n := hi - lo
 	for task := range ch {
 		if b := task.ctl; b != nil {
 			b.each(i)
@@ -346,59 +346,46 @@ func (f *foldPool) worker(i int, ch chan foldTask) {
 			}
 			continue
 		}
-		m := task.bulk
-		plo, phi := m.cellLo-f.part.Lo, m.cellHi-f.part.Lo // piece range, partition-local
-		if asm := task.asm; asm != nil {
-			// Assembled path: decode the (piece ∩ shard) cells into the shared
-			// assembly. Workers write disjoint ranges, so no synchronization
-			// beyond the task channels is needed.
-			olo, ohi := max(plo, lo), min(phi, hi)
-			if olo < ohi {
-				t0 := time.Now()
-				for k := 0; k < m.fields; k++ {
-					m.decodeFieldRange(&cc, task.step, k, olo-plo, ohi-plo, asm.fields[k][olo:ohi])
-				}
-				mDecodeSeconds.ObserveSince(t0)
-			}
-			if task.fold {
-				t0 := time.Now()
-				for k := range in {
-					in[k] = asm.fields[k][lo:hi]
-				}
-				f.acc.UpdateShard(i, asm.step, in[0], in[1], in[2:])
-				clear(in)
-				mFoldSeconds.ObserveSince(t0)
-				if asm.remaining.Add(-1) == 0 {
-					f.folds.Add(1)
-					mFolds.Inc()
-					f.asmPool.Put(asm)
-				}
-			}
-		} else {
-			// Direct path: the piece covers the whole partition, so the shard
-			// folds its cells where they lie — in the payload, which this
-			// task's reference keeps alive until the release below, or in
-			// the worker's decompressed words. Only cells a message cannot
-			// lend are copied, into scratch.
-			t0 := time.Now()
-			for k := range in {
-				if in[k] = m.fieldRange(&cc, task.step, k, lo-plo, hi-plo); in[k] == nil {
-					if scratch == nil {
-						scratch = make([][]float64, len(in))
-						for j := range scratch {
-							scratch[j] = make([]float64, hi-lo)
-						}
-					}
-					m.decodeFieldRange(&cc, task.step, k, lo-plo, hi-plo, scratch[k])
-					in[k] = scratch[k]
-				}
-			}
-			t1 := time.Now()
-			f.acc.UpdateShard(i, m.stepTimestep(task.step), in[0], in[1], in[2:])
-			clear(in)
-			mDecodeSeconds.Observe(t1.Sub(t0).Seconds())
-			mFoldSeconds.ObserveSince(t1)
+		asm := task.asm
+		for len(caches) < len(asm.pieces) {
+			caches = append(caches, new(codecCache))
 		}
-		f.release(m)
+		// from: the last piece covering the shard (0, and no lending, if none)
+		from, lend := 0, true
+		for j := len(asm.pieces) - 1; j >= 0; j-- {
+			if pc := asm.pieces[j]; pc.lo <= lo && hi <= pc.hi {
+				from = j
+				break
+			} else if pc.lo < hi && lo < pc.hi || j == 0 {
+				lend = false
+			}
+		}
+		t0 := time.Now()
+		for k := range in {
+			if pc := asm.pieces[from]; lend {
+				in[k] = pc.m.fieldRange(caches[from], pc.s, k, lo-pc.lo, hi-pc.lo)
+			}
+			if in[k] == nil {
+				if scratch == nil {
+					scratch = make([]float64, len(in)*n)
+				}
+				in[k] = scratch[k*n : (k+1)*n]
+				for j, pc := range asm.pieces[from:] {
+					if olo, ohi := max(pc.lo, lo), min(pc.hi, hi); olo < ohi {
+						pc.m.decodeFieldRange(caches[from+j], pc.s, k, olo-pc.lo, ohi-pc.lo, in[k][olo-lo:ohi-lo])
+					}
+				}
+			}
+		}
+		t1 := time.Now()
+		f.acc.UpdateShard(i, asm.step, in[0], in[1], in[2:])
+		clear(in)
+		mDecodeSeconds.Observe(t1.Sub(t0).Seconds())
+		mFoldSeconds.ObserveSince(t1)
+		if asm.remaining.Add(-1) == 0 {
+			f.folds.Add(1)
+			mFolds.Inc()
+			f.retire(asm)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"melissa/internal/core"
@@ -127,14 +128,14 @@ func TestFoldPoolStandalone(t *testing.T) {
 	}
 }
 
-// TestInPlaceFoldHoldsPayloadUntilRelease: the direct path folds fields
-// where they lie in the payload (or in a worker's decompressed words), so
-// the payload must be read only while a reference to it is held. Frames are
-// fed one at a time through one buffer; as soon as the last reference to a
-// frame is dropped, the test fills the buffer with NaN bytes. A worker that
-// read the payload after its release would fold NaNs, and -race reports
-// the write against its read. The state must be bitwise equal to folding
-// the same frames decoded into fresh slices.
+// TestInPlaceFoldHoldsPayloadUntilRelease: shards fold fields where they
+// lie in the payload (or in a worker's decompressed words), so the payload
+// must be read only while a reference to it is held. Each input — one frame,
+// or the two pieces a step is split into — is fed through its own buffers;
+// as soon as the last reference to it is dropped, the test fills the
+// buffers with NaN bytes. A worker that read a payload after its release
+// would fold NaNs, and -race reports the write against its read. The state
+// must be bitwise equal to folding the same fields from fresh slices.
 func TestInPlaceFoldHoldsPayloadUntilRelease(t *testing.T) {
 	const cells, timesteps, p, shards = 29, 4, 3, 3
 	part := mesh.Partition{Lo: 7, Hi: 7 + cells}
@@ -144,75 +145,82 @@ func TestInPlaceFoldHoldsPayloadUntilRelease(t *testing.T) {
 	t.Cleanup(pool.stop)
 	ref := core.NewAccumulator(cells, timesteps, p, opts)
 
-	var shardCuts []int // the codec sub-ranges a client cuts on shard bounds
-	for i := 0; i < shards; i++ {
-		lo, hi := pool.accumulator().ShardRange(i)
-		shardCuts = append(shardCuts, hi-lo)
+	// shardCuts are the codec sub-ranges a client cuts over local cells
+	// [lo, hi) on shard bounds.
+	shardCuts := func(lo, hi int) []int {
+		var cuts []int
+		for i := 0; i < shards; i++ {
+			slo, shi := pool.accumulator().ShardRange(i)
+			if n := min(hi, shi) - max(lo, slo); n > 0 {
+				cuts = append(cuts, n)
+			}
+		}
+		return cuts
 	}
-	batch := func(group int) *wire.DataBatch {
-		b := &wire.DataBatch{GroupID: group, CellLo: part.Lo, CellHi: part.Hi}
+	batch := func(group, lo, hi int) *wire.DataBatch {
+		b := &wire.DataBatch{GroupID: group, CellLo: part.Lo + lo, CellHi: part.Lo + hi}
 		for s := 0; s < timesteps; s++ {
 			fs := make([][]float64, p+2)
 			for f := range fs {
-				fs[f] = make([]float64, cells)
+				fs[f] = make([]float64, hi-lo)
 				for c := range fs[f] {
-					fs[f][c] = math.Sin(float64(group*977+s*131+f*37+c)) * float64(group+1)
+					fs[f][c] = math.Sin(float64(group*977+s*131+f*37+lo+c)) * float64(group+1)
 				}
 			}
 			b.Steps = append(b.Steps, wire.DataStep{Timestep: s, Fields: fs})
 		}
 		return b
 	}
-	var frames [][]byte
-	for g := 0; g < 4; g++ {
-		b := batch(g)
+	const cut = cells / 2 // inside shard 1, which then reads both pieces
+	var inputs [][][]byte
+	for g := 0; g < 6; g++ {
+		b := batch(g, 0, cells)
+		for _, st := range b.Steps {
+			ref.UpdateGroup(st.Timestep, st.Fields[0], st.Fields[1], st.Fields[2:])
+		}
 		switch g {
 		case 0:
 			for _, st := range b.Steps {
-				frames = append(frames, wire.Encode(&wire.Data{GroupID: g, Timestep: st.Timestep,
-					CellLo: b.CellLo, CellHi: b.CellHi, Fields: st.Fields}))
+				inputs = append(inputs, [][]byte{wire.Encode(&wire.Data{GroupID: g, Timestep: st.Timestep,
+					CellLo: b.CellLo, CellHi: b.CellHi, Fields: st.Fields})})
 			}
 		case 1:
-			frames = append(frames, wire.Encode(b))
+			inputs = append(inputs, [][]byte{wire.Encode(b)})
 		case 2:
-			frames = append(frames, encodeBatchC(b, shardCuts)) // folded from the decode cache
+			inputs = append(inputs, [][]byte{encodeBatchC(b, shardCuts(0, cells))}) // folded from the decode cache
 		case 3:
-			frames = append(frames, encodeBatchC(b, []int{cells / 2, cells - cells/2})) // copied
+			inputs = append(inputs, [][]byte{encodeBatchC(b, []int{cells / 2, cells - cells/2})}) // copied
+		case 4:
+			inputs = append(inputs, [][]byte{wire.Encode(batch(g, 0, cut)), wire.Encode(batch(g, cut, cells))})
+		case 5:
+			inputs = append(inputs, [][]byte{encodeBatchC(batch(g, 0, cut), shardCuts(0, cut)),
+				encodeBatchC(batch(g, cut, cells), shardCuts(cut, cells))})
 		}
 	}
 
-	// Above the transport pool's buffer cap, so the final release drops the
+	// Above the transport pool's buffer cap, so the final release drops a
 	// buffer instead of pooling it and only this test ever writes it.
-	buf := make([]byte, 0, 8<<20)
+	bufs := [][]byte{make([]byte, 0, 8<<20), make([]byte, 0, 8<<20)}
 	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
 	base := transport.ReadPoolStats().RefsActive()
-	for _, frame := range frames {
-		buf = append(buf[:0], frame...)
-		m, err := parseBulk(buf)
-		if err != nil {
-			t.Fatal(err)
+	for _, frames := range inputs {
+		for i, frame := range frames {
+			bufs[i] = append(bufs[i][:0], frame...)
+			m, err := parseBulk(bufs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < m.steps; s++ {
+				pool.route(m, s)
+			}
+			pool.release(m)
 		}
-		for s := 0; s < m.steps; s++ {
-			pool.route(m, s)
-		}
-		pool.release(m)
 		for transport.ReadPoolStats().RefsActive() != base {
 			runtime.Gosched()
 		}
-		for i := 0; i+8 <= len(buf); i += 8 {
-			copy(buf[i:], nan)
-		}
-
-		msg, err := wire.Decode(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch d := msg.(type) {
-		case *wire.Data:
-			ref.UpdateGroup(d.Timestep, d.Fields[0], d.Fields[1], d.Fields[2:])
-		case *wire.DataBatch:
-			for _, st := range d.Steps {
-				ref.UpdateGroup(st.Timestep, st.Fields[0], st.Fields[1], st.Fields[2:])
+		for _, buf := range bufs[:len(frames)] {
+			for i := 0; i+8 <= len(buf); i += 8 {
+				copy(buf[i:], nan)
 			}
 		}
 	}
@@ -222,4 +230,231 @@ func TestInPlaceFoldHoldsPayloadUntilRelease(t *testing.T) {
 	if !bytes.Equal(encodeAccumulator(pool.accumulator()), encodeAccumulator(ref)) {
 		t.Fatal("in-place fold diverged from folding decoded copies")
 	}
+}
+
+// TestPartialPiecesCostWhatTheyCarry: a piece that leaves its (group,
+// timestep) incomplete costs the pool what it carries, not a partition's
+// worth of fields. 256 one-cell pieces for distinct (group, timestep) keys
+// into a 4,096-cell, p = 2 pool must grow the heap by under 1 MB; a copy of
+// the p+2 fields per key would take 32 MiB.
+func TestPartialPiecesCostWhatTheyCarry(t *testing.T) {
+	const cells, timesteps, p, groups = 4096, 4, 2, 64
+	pool := newFoldPool(core.NewSharded(cells, timesteps, p, core.Options{}, 2), mesh.Partition{Lo: 0, Hi: cells})
+	pool.start()
+	t.Cleanup(pool.stop)
+	one := make([][]float64, p+2)
+	for f := range one {
+		one[f] = []float64{float64(f)}
+	}
+	var msgs []*bulkMsg
+	for g := 0; g < groups; g++ {
+		for s := 0; s < timesteps; s++ {
+			m, err := parseBulk(wire.Encode(&wire.Data{GroupID: g, Timestep: s, CellLo: g, CellHi: g + 1, Fields: one}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs = append(msgs, m)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, m := range msgs {
+		if pool.route(m, 0) {
+			t.Fatal("a one-cell piece completed its (group, timestep)")
+		}
+		pool.release(m)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d pending one-cell pieces: heap grew %d bytes", len(msgs), grew)
+	if grew >= 1e6 {
+		t.Fatalf("%d pending one-cell pieces grew the heap by %d bytes, want under 1 MB", len(msgs), grew)
+	}
+}
+
+// TestPendingPiecesReleasedAtStop: pieces whose (group, timestep) never
+// completes hold their payloads until the pool stops, and the stop releases
+// them — raw and codec batch pieces, through a bare pool and through
+// Server.Stop(false).
+func TestPendingPiecesReleasedAtStop(t *testing.T) {
+	const cells, timesteps, p = 20, 3, 2
+	frames := func() [][]byte {
+		var out [][]byte
+		for g, lo := range []int{0, 9} {
+			b := &wire.DataBatch{GroupID: g, CellLo: lo, CellHi: lo + 7}
+			for s := 0; s < timesteps; s++ {
+				fs := make([][]float64, p+2)
+				for f := range fs {
+					fs[f] = make([]float64, 7)
+				}
+				b.Steps = append(b.Steps, wire.DataStep{Timestep: s, Fields: fs})
+			}
+			out = append(out, wire.Encode(b), encodeBatchC(b, []int{3, 4}))
+		}
+		return out
+	}
+	base := transport.ReadPoolStats().RefsActive()
+
+	pool := newFoldPool(core.NewSharded(cells, timesteps, p, core.Options{}, 3), mesh.Partition{Lo: 0, Hi: cells})
+	pool.start()
+	held := base
+	for replay := 0; replay < 2; replay++ { // a replayed piece releases the one it overwrites
+		for _, frame := range frames() {
+			m, err := parseBulk(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < m.steps; s++ {
+				if pool.route(m, s) {
+					t.Fatal("a partial piece completed its (group, timestep)")
+				}
+			}
+			pool.release(m)
+		}
+		got := transport.ReadPoolStats().RefsActive()
+		if got == base || replay > 0 && got != held {
+			t.Fatalf("pending pieces hold %d payload references after %d feeds, want %d", got-base, replay+1, held-base)
+		}
+		held = got
+	}
+	pool.stop()
+	if got := transport.ReadPoolStats().RefsActive(); got != base {
+		t.Fatalf("payload refs active %d after the pool stopped, want %d", got, base)
+	}
+
+	net := transport.NewMemNetwork(transport.Options{})
+	s := startServer(t, net, 1, cells, timesteps, p, func(c *Config) { c.FoldWorkers = 3 })
+	snd, err := net.Dial(s.MainAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := frames()
+	for _, frame := range sent {
+		if err := snd.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snd.Close()
+	s.Stop(false)
+	if ws := s.Result().WireStats(); ws.Messages != int64(len(sent)) || s.TotalFolds() != 0 {
+		t.Fatalf("server routed %d of %d frames and folded %d steps, want all routed and none folded",
+			ws.Messages, len(sent), s.TotalFolds())
+	}
+	if got := transport.ReadPoolStats().RefsActive(); got != base {
+		t.Fatalf("payload refs active %d after Server.Stop(false), want %d", got, base)
+	}
+}
+
+// TestLaterPieceOverwritesEarlier: pieces of one (group, timestep) that
+// overlap without containing each other fold in arrival order, so a later
+// piece's cells win. A garbage piece over [0, 6) is overwritten by real
+// pieces over [0, 3) and then [3, 10); every shard of three must fold the
+// real values, whichever pieces it reads.
+func TestLaterPieceOverwritesEarlier(t *testing.T) {
+	const cells, timesteps, p = 10, 1, 1
+	pool := newFoldPool(core.NewSharded(cells, timesteps, p, core.Options{}, 3), mesh.Partition{Lo: 0, Hi: cells})
+	pool.start()
+	t.Cleanup(pool.stop)
+	fields := func(lo, hi int, seed float64) [][]float64 {
+		out := make([][]float64, p+2)
+		for f := range out {
+			out[f] = make([]float64, hi-lo)
+			for c := range out[f] {
+				out[f][c] = seed + float64(10*f+lo+c)
+			}
+		}
+		return out
+	}
+	for i, pc := range []struct {
+		lo, hi int
+		seed   float64
+	}{{0, 6, 999}, {0, 3, 1}, {3, 10, 1}} {
+		m, err := parseBulk(wire.Encode(&wire.Data{Timestep: 0, CellLo: pc.lo, CellHi: pc.hi, Fields: fields(pc.lo, pc.hi, pc.seed)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := pool.route(m, 0); done != (i == 2) {
+			t.Fatalf("piece %d completed the step: %v", i, done)
+		}
+		pool.release(m)
+	}
+	done := make(chan struct{})
+	pool.barrier(func(int) {}, func() { close(done) })
+	<-done
+	ref := core.NewAccumulator(cells, timesteps, p, core.Options{})
+	fs := fields(0, cells, 1)
+	ref.UpdateGroup(0, fs[0], fs[1], fs[2:])
+	if !bytes.Equal(encodeAccumulator(pool.accumulator()), encodeAccumulator(ref)) {
+		t.Fatal("overlapping pieces did not fold in arrival order")
+	}
+}
+
+// TestFoldAllocatesNothing: once warm, routing and folding a (group,
+// timestep) allocates nothing, whether it arrives in one piece or two, raw
+// or compressed: shells, assemblies, piece lists, spans and decode caches
+// are all reused.
+func TestFoldAllocatesNothing(t *testing.T) {
+	if !poolsReuse() {
+		t.Skip("sync.Pool drops a share of its items in this build (the race detector's)")
+	}
+	const cells, timesteps, p = 64, 2, 2
+	pool := newFoldPool(core.NewSharded(cells, timesteps, p, core.Options{}, 2), mesh.Partition{Lo: 0, Hi: cells})
+	pool.start()
+	t.Cleanup(pool.stop)
+	batch := func(lo, hi int) *wire.DataBatch {
+		b := &wire.DataBatch{CellLo: lo, CellHi: hi}
+		for s := 0; s < timesteps; s++ {
+			fs := make([][]float64, p+2)
+			for f := range fs {
+				fs[f] = make([]float64, hi-lo)
+			}
+			b.Steps = append(b.Steps, wire.DataStep{Timestep: s, Fields: fs})
+		}
+		return b
+	}
+	for name, frames := range map[string][][]byte{
+		"raw":         {wire.Encode(batch(0, cells))},
+		"raw-split":   {wire.Encode(batch(0, 20)), wire.Encode(batch(20, cells))},
+		"codec":       {encodeBatchC(batch(0, cells), []int{32, 32})},
+		"codec-split": {encodeBatchC(batch(0, 20), []int{20}), encodeBatchC(batch(20, cells), []int{12, 32})},
+	} {
+		base := transport.ReadPoolStats().RefsActive()
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, frame := range frames {
+				payload := transport.GetPayload(len(frame)) // recycled by the last release
+				copy(payload, frame)
+				m, err := parseBulk(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < m.steps; s++ {
+					pool.route(m, s)
+				}
+				pool.release(m)
+			}
+			for transport.ReadPoolStats().RefsActive() != base {
+				runtime.Gosched()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm fold allocated %.1f times per (group, timestep)", name, allocs)
+		}
+	}
+}
+
+// poolsReuse reports whether a sync.Pool hands back what was put in it. The
+// race detector's build drops a random quarter of the Puts, so allocation
+// counts that rest on pooling hold only without it.
+func poolsReuse() bool {
+	var pool sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		pool.Put(x)
+		if pool.Get() != x {
+			return false
+		}
+	}
+	return true
 }

@@ -243,8 +243,8 @@ func (r *router) handleResume(m *wire.Resume) {
 // parse the header view, validate the message shape once (field count,
 // cell-range bounds — a malformed message is rejected with a single log
 // line, not one per step), then route each applicable step to the fold pool,
-// which does all float decoding. The payload is retained until every routed
-// task has run.
+// which does all float decoding. Each routed step holds a payload reference
+// until its (group, timestep) has folded or the pool stops.
 func (r *router) handleBulk(payload []byte) {
 	t0 := time.Now()
 	m, err := parseBulk(payload)
@@ -285,9 +285,9 @@ func (r *router) handleBulk(payload []byte) {
 // group whose frontier is stalled on a lost frame keeps streaming ahead-steps
 // that fold fine, but those must not count as progress — the stall has to
 // trip the group timeout so the launcher replays and the hole is filled.
-// Well-formed traffic refreshes as before: in-order frames always carry the
-// next frontier step, and a sim rank whose pieces feed a pending assembly
-// carries steps at the frontier until the assembly completes.
+// Well-formed traffic always refreshes it: in-order frames carry the next
+// frontier step, and so does each piece of a (group, timestep) whose
+// assembly still waits for the other sim ranks' pieces.
 func (r *router) refreshClock(m *bulkMsg, t0 time.Time) {
 	next := 0
 	if last, ok := r.tracker.LastStep(m.group); ok {

@@ -13,20 +13,25 @@ import (
 // group at a time streaming through the real client/server path (handshake,
 // two-stage transfer, assembly, fold) on the in-memory transport. Variants
 // sweep the fold worker-pool width and the client-side timestep batching:
-// fold1/batch1 is the pre-pipeline single-threaded baseline.
+// fold1/batch1 is the pre-pipeline single-threaded baseline. Two sim ranks
+// feed the two processes one whole-partition piece each; the ranks3 variants
+// split every (group, timestep) of both processes into two pieces.
 func BenchmarkServerIngest(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
 		foldWorkers int
 		batchSteps  int
+		simRanks    int
 	}{
-		{"fold1-batch1", 1, 1},
-		{"fold2-batch1", 2, 1},
-		{"fold4-batch1", 4, 1},
-		{"fold4-batch8", 4, 8},
+		{"fold1-batch1", 1, 1, 2},
+		{"fold2-batch1", 2, 1, 2},
+		{"fold4-batch1", 4, 1, 2},
+		{"fold4-batch8", 4, 8, 2},
+		{"ranks3-fold4-batch1", 4, 1, 3},
+		{"ranks3-fold4-batch8", 4, 8, 3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			benchServerIngest(b, bc.foldWorkers, bc.batchSteps, core.Options{})
+			benchServerIngest(b, bc.foldWorkers, bc.batchSteps, bc.simRanks, core.Options{})
 		})
 	}
 }
@@ -47,12 +52,12 @@ func BenchmarkServerIngestQuantiles(b *testing.B) {
 		{"fold4-batch8", 4, 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			benchServerIngest(b, bc.foldWorkers, bc.batchSteps, stats)
+			benchServerIngest(b, bc.foldWorkers, bc.batchSteps, 2, stats)
 		})
 	}
 }
 
-func benchServerIngest(b *testing.B, foldWorkers, batchSteps int, stats core.Options) {
+func benchServerIngest(b *testing.B, foldWorkers, batchSteps, simRanks int, stats core.Options) {
 	const cells, timesteps, p = 4096, 8, 6
 	net := transport.NewMemNetwork(transport.Options{})
 	design := testDesign(p, 1<<20)
@@ -73,7 +78,7 @@ func benchServerIngest(b *testing.B, foldWorkers, batchSteps int, stats core.Opt
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.RunGroup(net, s.MainAddr(), client.RunConfig{
-			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: 2, BatchSteps: batchSteps},
+			ConnectOpts: client.ConnectOpts{GroupID: i, SimRanks: simRanks, BatchSteps: batchSteps},
 			Rows:        design.GroupRows(i % design.N()),
 			Sim:         sim,
 		}); err != nil {

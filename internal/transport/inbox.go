@@ -17,6 +17,12 @@ type inbox struct {
 	head, n     int // index of the oldest message, messages held
 	limit       int
 	closed      bool
+	// timer expires the waits of the one receiving goroutine; each wait with
+	// a timeout re-arms it. armed counts the arms and spent those whose fire
+	// ran or was stopped, so a wait expires when spent reaches armed, and a
+	// late fire of an earlier wait cannot expire it.
+	timer        *time.Timer
+	armed, spent uint64
 }
 
 // init readies an inbox in place (its conditions point at its own lock). A
@@ -27,6 +33,8 @@ func (in *inbox) init(limit int) {
 		in.limit = inboxLimit
 	}
 	in.ready.L, in.room.L = &in.mu, &in.mu
+	in.timer = time.AfterFunc(time.Hour, in.expire)
+	in.timer.Stop()
 }
 
 // put appends m, waiting while the inbox is full. It fails with ErrClosed
@@ -79,25 +87,30 @@ func (in *inbox) recv(timeout time.Duration) (Message, error) {
 }
 
 // wait sleeps, holding mu between wakes, until the inbox holds a message or
-// closes, or timeout (when > 0) passes. Only an empty inbox arms a timer.
+// closes, or timeout (when > 0) passes. Only an empty inbox arms the timer.
 func (in *inbox) wait(timeout time.Duration) error {
-	expired := false
 	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			in.mu.Lock()
-			expired = true
-			in.ready.Broadcast()
-			in.mu.Unlock()
-		})
-		defer t.Stop()
+		in.armed++
+		in.timer.Reset(timeout)
 	}
 	for in.n == 0 && !in.closed {
-		if expired {
+		if timeout > 0 && in.spent == in.armed {
 			return ErrTimeout
 		}
 		in.ready.Wait()
 	}
+	if timeout > 0 && in.timer.Stop() {
+		in.spent++
+	}
 	return nil
+}
+
+// expire is the timer's fire: it spends one arm and wakes the waiters.
+func (in *inbox) expire() {
+	in.mu.Lock()
+	in.spent++
+	in.ready.Broadcast()
+	in.mu.Unlock()
 }
 
 // close refuses further messages and wakes every waiter. Messages already

@@ -74,7 +74,8 @@ type QueueProber interface {
 // any number of senders.
 type Receiver interface {
 	// Recv waits up to timeout for one message. A timeout ≤ 0 waits
-	// indefinitely. It returns ErrTimeout or ErrClosed.
+	// indefinitely. It returns ErrTimeout or ErrClosed. One goroutine
+	// receives at a time.
 	Recv(timeout time.Duration) (Message, error)
 	// Addr returns the address peers dial to reach this receiver.
 	Addr() string

@@ -431,8 +431,9 @@ func TestConcurrentSendsSingleSender(t *testing.T) {
 }
 
 // TestRecvQueuedAllocatesNothing: Recv with a deadline takes a message that
-// is already waiting without arming a timer, on both networks. The server
-// run loop calls it once per frame.
+// is already waiting without arming a timer, on both networks, and on an
+// empty inbox re-arms the inbox's one timer. The server run loop calls it
+// once per frame and again whenever it waits.
 func TestRecvQueuedAllocatesNothing(t *testing.T) {
 	for name, mk := range networks() {
 		t.Run(name, func(t *testing.T) {
@@ -461,7 +462,55 @@ func TestRecvQueuedAllocatesNothing(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("Recv of a queued message allocated %.1f times", allocs)
 			}
+			allocs = testing.AllocsPerRun(runs, func() {
+				if _, err := r.Recv(time.Microsecond); err != ErrTimeout {
+					t.Fatalf("Recv on an empty inbox returned %v, want ErrTimeout", err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Recv timing out on an empty inbox allocated %.1f times", allocs)
+			}
 		})
+	}
+}
+
+// TestLateTimerFireKeepsLaterWait: the inbox's timer can fire for a wait
+// that a message already ended, after that wait failed to stop it; the fire
+// must not expire the next wait.
+func TestLateTimerFireKeepsLaterWait(t *testing.T) {
+	n := NewMemNetwork(Options{})
+	r, _ := n.Listen("")
+	defer r.Close()
+	in := inboxOf(r)
+	armed := func() uint64 {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return in.armed
+	}
+	in.mu.Lock()
+	in.armed++ // an earlier wait whose fire is still on its way
+	in.mu.Unlock()
+	got := make(chan error, 1)
+	go func() {
+		_, err := r.Recv(time.Hour)
+		got <- err
+	}()
+	for armed() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	in.expire() // the earlier wait's late fire
+	select {
+	case err := <-got:
+		t.Fatalf("a late fire ended the next wait: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s, _ := n.Dial(r.Addr())
+	defer s.Close()
+	if err := s.Send([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatalf("the wait ended with %v, want the message", err)
 	}
 }
 
