@@ -348,15 +348,19 @@ func (c *Connection) WireStats() (wireBytes, rawBytes int64) {
 	return c.wireBytes, c.rawBytes
 }
 
-// Close releases all server connections — the Finalize call. Buffered
-// batches are flushed best-effort first.
+// Close releases all server connections and retained frames — the Finalize
+// call. Buffered batches are flushed best-effort first.
 func (c *Connection) Close() {
 	c.Flush()
 	c.closeSenders()
 }
 
-// closeSenders releases the server connections without flushing.
+// closeSenders releases the server connections and the retained frames
+// without flushing: every way a connection ends goes through it.
 func (c *Connection) closeSenders() {
+	for ri := range c.retain {
+		c.retain[ri].release()
+	}
 	for _, s := range c.senders {
 		if s != nil {
 			s.Close()

@@ -23,6 +23,8 @@ type fakeServer struct {
 	data     chan *wire.Data
 	frames   chan []byte // every payload the data receivers got
 	sink     atomic.Bool // recycle payloads unread instead
+	// acked is the fold frontier a data receiver answers a Resume query with.
+	acked atomic.Int64
 }
 
 func newFakeServer(t testing.TB, procs, cells, timesteps, p int) *fakeServer {
@@ -56,6 +58,10 @@ func newFakeServer(t testing.TB, procs, cells, timesteps, p int) *fakeServer {
 				m, err := r.Recv(0)
 				if err != nil {
 					return
+				}
+				if wire.PayloadType(m.Payload) == wire.TypeResume {
+					f.answerResume(m.Payload)
+					continue
 				}
 				if f.sink.Load() {
 					transport.Recycle(m.Payload)
@@ -93,6 +99,23 @@ func newFakeServer(t testing.TB, procs, cells, timesteps, p int) *fakeServer {
 		}
 	}()
 	return f
+}
+
+// answerResume replies to a Resume query with the frontier in acked and no
+// durability.
+func (f *fakeServer) answerResume(payload []byte) {
+	d, err := wire.Decode(payload)
+	transport.Recycle(payload)
+	r, ok := d.(*wire.Resume)
+	if err != nil || !ok || r.ReplyAddr == "" {
+		return
+	}
+	s, err := f.net.Dial(r.ReplyAddr)
+	if err != nil {
+		return
+	}
+	s.Send(wire.Encode(&wire.ResumeAck{GroupID: r.GroupID, LastStep: int(f.acked.Load()), DurableStep: wire.NoDurability}))
+	s.Close()
 }
 
 func (f *fakeServer) close() {
@@ -493,15 +516,18 @@ func TestSendTimestepAfterRouteFailure(t *testing.T) {
 
 // BenchmarkSendTimestep times one SendTimestep of p+2 fields into a mem
 // sink that recycles every frame: raw Data frames, four-step DataBatch
-// frames and codec frames. Steady state allocates nothing (CI gates 0
-// allocs/op on all three).
+// frames, codec frames, and raw Data frames with a retry budget, which the
+// retention ring holds. Steady state allocates nothing (CI gates 0
+// allocs/op on all four).
 func BenchmarkSendTimestep(b *testing.B) {
 	const cells, p = 4096, 4
 	for _, bc := range []struct {
 		name  string
 		batch int
 		codec bool
-	}{{"data", 1, false}, {"batch4", 4, false}, {"codec", 4, true}} {
+		retry RetryPolicy
+	}{{"data", 1, false, RetryPolicy{}}, {"batch4", 4, false, RetryPolicy{}}, {"codec", 4, true, RetryPolicy{}},
+		{"retained", 1, false, RetryPolicy{MaxReconnects: 1}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			f := newFakeServer(b, 2, cells, 1, p)
 			defer f.close()
@@ -511,7 +537,7 @@ func BenchmarkSendTimestep(b *testing.B) {
 				f.welcome.FoldShards = []int{2, 2}
 			}
 			conn, err := ConnectWith(f.net, f.mainRecv.Addr(), ConnectOpts{GroupID: 0, SimRanks: 1,
-				Timeout: 2 * time.Second, BatchSteps: bc.batch, WireCodec: bc.codec})
+				Timeout: 2 * time.Second, BatchSteps: bc.batch, WireCodec: bc.codec, Retry: bc.retry})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -523,7 +549,7 @@ func BenchmarkSendTimestep(b *testing.B) {
 					fields[i][c] = math.Sin(float64(c)/64 + float64(i))
 				}
 			}
-			for step := 0; step < 4*bc.batch; step++ { // warm the pools and scratch
+			for step := 0; step < 4*bc.batch+resendWindow; step++ { // warm the pools, scratch and ring
 				if err := conn.SendTimestep(step, fields); err != nil {
 					b.Fatal(err)
 				}

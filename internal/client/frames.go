@@ -118,7 +118,7 @@ func (c *Connection) shipFrames(atLeast int) error {
 }
 
 // ship closes route ri's frame and sends it: a raw frame is laid out
-// already, a codec batch is compressed now. The retention ring copies the
+// already, a codec batch is compressed now. The retention ring holds the
 // frame before Send takes it; a failed send goes through reconnect and
 // resend.
 func (c *Connection) ship(ri int) error {

@@ -115,22 +115,24 @@ const resumePingEvery = 64
 // cannot be resent and only a full group replay can heal the study.
 var errResumeGap = errors.New("client: resume gap exceeds retention window")
 
-// retainRing keeps its own copies of the most recent frames sent on one
-// route (a fixed-size ring whose slot storage is reused across pushes).
+// retainRing keeps the most recent frames sent on one route: the sent
+// buffers themselves, each under a transport hold, in a fixed-size ring.
 type retainRing struct {
 	buf  []retained
 	head int // index of the oldest entry
 	n    int
 }
 
-// retained is one frame of a retention ring: a copy of the bytes handed to
-// Send, the first and last timestep they carry and their raw-format size.
+// retained is one frame of a retention ring: the buffer handed to Send, the
+// first and last timestep it carries and its raw-format size.
 type retained struct {
 	frame       []byte
 	first, last int
 	raw         int64
 }
 
+// push holds frame, which is about to be sent, evicting the oldest frame
+// when the ring is full.
 func (r *retainRing) push(window int, frame []byte, first, last int, raw int64) {
 	if r.buf == nil {
 		r.buf = make([]retained, max(window, 1))
@@ -139,12 +141,12 @@ func (r *retainRing) push(window int, frame []byte, first, last int, raw int64) 
 	if r.n == len(r.buf) {
 		idx = r.head
 		r.head = (r.head + 1) % len(r.buf)
+		transport.Unhold(r.buf[idx].frame)
 	} else {
 		r.n++
 	}
-	e := &r.buf[idx]
-	e.frame = append(e.frame[:0], frame...)
-	e.first, e.last, e.raw = first, last, raw
+	transport.Hold(frame)
+	r.buf[idx] = retained{frame, first, last, raw}
 }
 
 // at returns the i-th oldest retained frame.
@@ -152,12 +154,21 @@ func (r *retainRing) at(i int) *retained {
 	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
-// retainFrame copies a frame of route ri into its retention ring before
-// Send takes it; a later reconnect resends the retained frames the server
-// has not folded. The ring spans resendWindow timesteps.
+// release lets go of every retained frame.
+func (r *retainRing) release() {
+	for i := range r.n {
+		transport.Unhold(r.at(i).frame)
+	}
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
+// retainFrame holds a frame of route ri in its retention ring before Send
+// takes it; a later reconnect resends the retained frames the server has not
+// folded. The ring spans resendWindow timesteps.
 func (c *Connection) retainFrame(ri int, frame []byte, first, last int, raw int64) {
 	// Cost gate: retain only with a budget. Without one nothing is ever
-	// resent, and the ring would copy every frame for nothing.
+	// resent, and the ring would keep every frame from the pool for nothing.
 	if c.opts.Retry.MaxReconnects <= 0 {
 		return
 	}
@@ -265,8 +276,9 @@ func (c *Connection) resumeQueryOn(s transport.Sender, rank int) (*wire.ResumeAc
 }
 
 // resendRank replays the retained frames that carry a step beyond the
-// server's acknowledged frontier on the (re-established) connection to rank,
-// each as a fresh copy of the frame as it was sent. A batch frame may carry
+// server's acknowledged frontier on the (re-established) connection to rank:
+// each resend is the retained buffer itself, under one more hold that the
+// Send takes. A batch frame may carry
 // steps the server already folded; replay-discard drops those, as it does
 // any overlap with frames that were still in flight.
 func (c *Connection) resendRank(rank, ack int) error {
@@ -287,9 +299,9 @@ func (c *Connection) resendRank(rank, ack int) error {
 			if e.last <= ack {
 				continue
 			}
-			frame := append(transport.GetPayload(len(e.frame))[:0], e.frame...)
-			c.count(frame, e.raw)
-			if err := c.senders[rank].Send(frame); err != nil {
+			transport.Hold(e.frame)
+			c.count(e.frame, e.raw)
+			if err := c.senders[rank].Send(e.frame); err != nil {
 				return err
 			}
 			cResentFrames.Inc()

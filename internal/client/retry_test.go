@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
@@ -132,10 +134,11 @@ func TestRetainRingEvictsOldest(t *testing.T) {
 	}
 }
 
-// The retention ring holds its own copy of every frame it keeps: no view of
-// the caller's fields and none of the buffer Send took. Overwriting both
-// after SendTimestep returns leaves the retained frames intact.
-func TestRetainRingCopiesFrames(t *testing.T) {
+// The retention ring holds the frame it sent, not a copy: its entry is the
+// backing array the receiver got. The caller overwriting its fields, the
+// receiver recycling its reference and the pool handing out and scribbling
+// over buffers of the same size leave the retained bytes unchanged.
+func TestRetainRingHoldsSentFrames(t *testing.T) {
 	const cells, p = 8, 1
 	f := newFakeServer(t, 1, cells, 4, p)
 	defer f.close()
@@ -161,15 +164,19 @@ func TestRetainRingCopiesFrames(t *testing.T) {
 		}
 		if step%2 == 1 {
 			sent := <-f.frames
+			if e := conn.retain[0].at(len(want)); unsafe.SliceData(e.frame) != unsafe.SliceData(sent) {
+				t.Fatalf("frame %d: the ring holds a different buffer than the receiver got", len(want))
+			}
 			want = append(want, bytes.Clone(sent))
-			clear(sent) // the receiver's buffer is the one Send took
+			transport.Recycle(sent)
 		}
-		for _, fl := range fields {
+		for _, fl := range fields { // no view of the caller's fields either
 			for c := range fl {
 				fl[c] = -1
 			}
 		}
 	}
+	churnPool(t, len(want[0]), 64)
 	r := &conn.retain[0]
 	if r.n != len(want) {
 		t.Fatalf("ring holds %d frames, want %d", r.n, len(want))
@@ -178,6 +185,88 @@ func TestRetainRingCopiesFrames(t *testing.T) {
 		if e := r.at(i); !bytes.Equal(e.frame, want[i]) || e.first != 2*i || e.last != 2*i+1 {
 			t.Fatalf("frame %d (steps %d..%d) differs from what was sent", i, e.first, e.last)
 		}
+	}
+}
+
+// churnPool sends n pooled buffers of size bytes, each filled with garbage,
+// through a mem pipe whose receiver recycles them: a buffer that went back
+// to the pool while someone still held it would come out scribbled over.
+func churnPool(t *testing.T, size, n int) {
+	t.Helper()
+	net := transport.NewMemNetwork(transport.Options{})
+	recv, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	s, err := net.Dial(recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		b := transport.GetPayload(size)
+		for j := range b {
+			b[j] = 0xEE
+		}
+		if err := s.Send(b); err != nil {
+			t.Fatal(err)
+		}
+		m, err := recv.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transport.Recycle(m.Payload)
+	}
+}
+
+// A group's retention holds are released however its connection ends: a
+// clean finish, a retry budget used up on refused redials, and a resume gap
+// (the server's frontier is behind the oldest retained step). The fake
+// server keeps every frame it got unrecycled, so each frame the ring still
+// held would count in the pool's Held level.
+func TestRetainedFramesReleasedOnEveryExit(t *testing.T) {
+	const cells, p = 8, 1
+	for _, tc := range []struct {
+		name      string
+		timesteps int
+		rules     func(dataAddr string) []transport.ChaosRule
+		wantErr   string // "" for success
+	}{
+		{"success", 6, func(string) []transport.ChaosRule { return nil }, ""},
+		{"budget", 6, func(a string) []transport.ChaosRule {
+			return []transport.ChaosRule{{Addr: a, Dial: 0, CutAfterFrames: 2}, {Addr: a, Dial: -1, Refuse: true}}
+		}, "retry budget (2) exhausted"},
+		{"resume-gap", resendWindow + 8, func(a string) []transport.ChaosRule {
+			return []transport.ChaosRule{{Addr: a, Dial: 0, CutAfterFrames: resendWindow + 4}}
+		}, errResumeGap.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeServer(t, 1, cells, tc.timesteps, p)
+			defer f.close()
+			f.acked.Store(-1) // a server that lost everything
+			before := transport.ReadPoolStats()
+			chaos := transport.NewChaosNetwork(f.net, transport.ChaosPlan{Rules: tc.rules(f.welcome.ServerAddr[0])})
+			sim := SimFunc(func(row []float64, emit func(step int, field []float64) bool) {
+				field := make([]float64, cells)
+				for s := 0; s < tc.timesteps && emit(s, field); s++ {
+				}
+			})
+			err := RunGroup(chaos, f.mainRecv.Addr(), RunConfig{
+				ConnectOpts: ConnectOpts{GroupID: 1, SimRanks: 1,
+					Retry: RetryPolicy{MaxReconnects: 2, BaseDelay: time.Millisecond, AckTimeout: time.Second}},
+				Rows: [][]float64{{0}, {1}, {2}}, Sim: sim,
+			})
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("group ended with %v, want %q", err, tc.wantErr)
+			}
+			if got := transport.ReadPoolStats().Held - before.Held; got != 0 {
+				t.Fatalf("the ring still holds %d frames after the group ended (%v)", got, err)
+			}
+			for len(f.frames) > 0 {
+				transport.Recycle(<-f.frames)
+			}
+		})
 	}
 }
 

@@ -139,12 +139,16 @@ func TestLauncherChaosSoakBitwise(t *testing.T) {
 	}
 
 	// The recovery paths must not leak refcounted payloads. Active references
-	// must balance exactly; outstanding buffers tolerate the small fault-free
-	// shutdown residue (final server reports queued in the launcher inbox when
-	// Run returns — at most a couple per server process, chaos or not).
+	// and the retention rings' holds must balance exactly; outstanding
+	// buffers tolerate the small fault-free shutdown residue (final server
+	// reports queued in the launcher inbox when Run returns — at most a
+	// couple per server process, chaos or not).
 	after := transport.ReadPoolStats()
 	if d := after.RefsActive() - before.RefsActive(); d != 0 {
 		t.Fatalf("chaos recovery leaked %d payload references", d)
+	}
+	if d := after.Held - before.Held; d != 0 {
+		t.Fatalf("chaos recovery left %d retained frames held", d)
 	}
 	if d := after.Outstanding() - before.Outstanding(); d > 4 {
 		t.Fatalf("chaos recovery leaked %d pooled buffers", d)

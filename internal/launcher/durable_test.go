@@ -87,7 +87,17 @@ func TestLauncherServerKillDurableResume(t *testing.T) {
 			return emit(step, field)
 		})
 	})
+	before := transport.ReadPoolStats()
 	faulty, stats := run(cfg)
+	// The crash and the resends must not leak refcounted payloads or leave
+	// retained frames held.
+	after := transport.ReadPoolStats()
+	if d := after.RefsActive() - before.RefsActive(); d != 0 {
+		t.Fatalf("server kill leaked %d payload references", d)
+	}
+	if d := after.Held - before.Held; d != 0 {
+		t.Fatalf("server kill left %d retained frames held", d)
+	}
 
 	const nGroups, timesteps, p = 6, 6, 2
 	if stats.ServerRestarts < 1 {

@@ -155,6 +155,19 @@ func (f *foldPool) stop() {
 	}
 }
 
+// dropGroups releases the pending assemblies of groups the router reports
+// timed out. Such a group is replayed, or resumes and resends every step
+// past its fold frontier, so the pieces waiting here would only pin their
+// payloads until stop.
+func (f *foldPool) dropGroups(groups []int) {
+	for key, asm := range f.pending {
+		if slices.Contains(groups, key.group) {
+			delete(f.pending, key)
+			f.retire(asm)
+		}
+	}
+}
+
 // backpressure returns the occupancy fraction [0, 1] of the work queues.
 // Reading channel lengths is a racy snapshot, which is all a gauge needs.
 func (f *foldPool) backpressure() float64 {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"melissa/internal/core"
 	"melissa/internal/mesh"
@@ -457,4 +459,71 @@ func poolsReuse() bool {
 		}
 	}
 	return true
+}
+
+// TestTimedOutGroupReleasesPendingPieces: a group whose step 0 folds but
+// whose steps 1 and 2 never get their second piece times out, and the
+// report that says so releases the pieces its pending assemblies hold. The
+// payload references return to their baseline while the server still runs.
+func TestTimedOutGroupReleasesPendingPieces(t *testing.T) {
+	const cells, timesteps, p = 20, 3, 2
+	batch := func(lo, hi int, steps ...int) []byte {
+		b := &wire.DataBatch{GroupID: 0, CellLo: lo, CellHi: hi}
+		for _, s := range steps {
+			fs := make([][]float64, p+2)
+			for f := range fs {
+				fs[f] = make([]float64, hi-lo)
+			}
+			b.Steps = append(b.Steps, wire.DataStep{Timestep: s, Fields: fs})
+		}
+		return wire.Encode(b)
+	}
+	net := transport.NewMemNetwork(transport.Options{})
+	launcher, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer launcher.Close()
+	base := transport.ReadPoolStats().RefsActive()
+	s := startServer(t, net, 1, cells, timesteps, p, func(c *Config) {
+		c.GroupTimeout = 200 * time.Millisecond
+		c.LauncherAddr = launcher.Addr()
+		c.ReportInterval = 10 * time.Millisecond
+	})
+	defer s.Stop(false)
+	snd, err := net.Dial(s.MainAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{batch(0, cells, 0), batch(0, 7, 1, 2)} {
+		if err := snd.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snd.Close()
+	waitFolds(t, s, 1, 5*time.Second)
+	for deadline := time.Now().Add(5 * time.Second); transport.ReadPoolStats().RefsActive()-base != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending pieces hold %d payload references, want 2", transport.ReadPoolStats().RefsActive()-base)
+		}
+	}
+	timedOut := false
+	for deadline := time.Now().Add(5 * time.Second); !timedOut && time.Now().Before(deadline); {
+		msg, err := launcher.Recv(time.Second)
+		if err != nil {
+			continue
+		}
+		if d, err := wire.Decode(msg.Payload); err == nil {
+			if rep, ok := d.(*wire.Report); ok {
+				timedOut = slices.Contains(rep.TimedOut, 0)
+			}
+		}
+		transport.Recycle(msg.Payload)
+	}
+	if !timedOut {
+		t.Fatal("the stalled group was never reported timed out")
+	}
+	if got := transport.ReadPoolStats().RefsActive() - base; got != 0 {
+		t.Fatalf("%d payload references active after the timeout report, want 0", got)
+	}
 }

@@ -94,7 +94,8 @@ func (r *router) wireStats() WireStats {
 
 // fillReport writes the bookkeeping lists of Sec. 4.2.2 into rep, reusing
 // its slices: running and finished groups, plus any running group whose
-// message gap exceeded the timeout.
+// message gap exceeded the timeout. The pending pieces of a timed-out group
+// are released.
 func (r *router) fillReport(rep *wire.Report) {
 	rep.Messages = r.messages.Load()
 	rep.Running = r.tracker.AppendRunning(rep.Running)
@@ -107,6 +108,7 @@ func (r *router) fillReport(rep *wire.Report) {
 				rep.TimedOut = append(rep.TimedOut, g)
 			}
 		}
+		r.fold.dropGroups(rep.TimedOut)
 	}
 }
 

@@ -24,11 +24,13 @@ import (
 // third connection ever made to server process 1" can be cut while every
 // other connection stays clean.
 //
-// Corruption clobbers the frame's type tag (plus a few seeded body bytes):
-// the receiving side's strict decoder then rejects the whole frame, modelling
-// a checksummed transport that discards a damaged segment. A corrupted frame
-// therefore never folds garbage into the statistics — it creates a *hole*,
-// which the contiguous replay-discard tracker refuses to skip over.
+// Corruption delivers a copy of the frame with its type tag (plus a few
+// seeded body bytes) clobbered; the frame it was handed, which a retention
+// ring may share, stays intact. The receiving side's strict decoder rejects
+// the whole copy, modelling a checksummed transport that discards a damaged
+// segment. A corrupted frame therefore never folds garbage into the
+// statistics — it creates a *hole*, which the contiguous replay-discard
+// tracker refuses to skip over.
 type ChaosNetwork struct {
 	inner Network
 	plan  ChaosPlan
@@ -64,7 +66,8 @@ type ChaosRule struct {
 	// Latency is added to every frame delivered on the connection, with up
 	// to 25% seeded jitter on top.
 	Latency time.Duration
-	// CorruptFrame clobbers the n-th frame so the receiver rejects it.
+	// CorruptFrame delivers a clobbered copy of the n-th frame so the
+	// receiver rejects it.
 	CorruptFrame int
 	// TruncateFrame delivers only a prefix of the n-th frame (a partial
 	// write), which the strict decoder likewise rejects.
@@ -206,12 +209,15 @@ type chaosSender struct {
 	cut    bool
 }
 
-// Send passes the payload's ownership on to the wrapped sender; a dropped
-// frame, or one sent on a cut connection, is left to the garbage collector.
+// Send passes the payload's reference on to the wrapped sender. It never
+// writes into the payload — a held frame is shared with its holder, who may
+// resend it — and a frame it swallows, or refuses on a cut connection, it
+// recycles.
 func (s *chaosSender) Send(payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cut {
+		discard(payload)
 		return fmt.Errorf("chaos: connection already cut: %w", ErrClosed)
 	}
 	r := &s.rule
@@ -219,6 +225,7 @@ func (s *chaosSender) Send(payload []byte) error {
 		s.cut = true
 		s.net.stats.cuts.Add(1)
 		mChaosCuts.Inc()
+		discard(payload)
 		return fmt.Errorf("chaos: connection cut after %d frames: %w", r.CutAfterFrames, ErrClosed)
 	}
 	s.frames++
@@ -234,17 +241,20 @@ func (s *chaosSender) Send(payload []byte) error {
 		// Within the doomed tail: accept the frame, deliver nothing.
 		s.net.stats.dropped.Add(1)
 		mChaosDropped.Inc()
+		discard(payload)
 		return nil
 	}
 	if n == r.CorruptFrame && len(payload) > 0 {
-		// Send owns the payload, so the frame is clobbered in place.
-		payload[0] ^= 0x5A // type tag → unknown type, strict decode rejects
-		for i := 0; i < 3 && len(payload) > 1; i++ {
-			payload[1+s.rng.Intn(len(payload)-1)] ^= byte(1 + s.rng.Intn(255))
+		// The damage goes into a private copy; the frame itself stays intact.
+		bad := append(GetPayload(len(payload))[:0], payload...)
+		discard(payload)
+		bad[0] ^= 0x5A // type tag → unknown type, strict decode rejects
+		for i := 0; i < 3 && len(bad) > 1; i++ {
+			bad[1+s.rng.Intn(len(bad)-1)] ^= byte(1 + s.rng.Intn(255))
 		}
 		s.net.stats.corrupted.Add(1)
 		mChaosCorrupted.Inc()
-		return s.inner.Send(payload)
+		return s.inner.Send(bad)
 	}
 	if n == r.TruncateFrame {
 		s.net.stats.truncated.Add(1)
@@ -252,7 +262,7 @@ func (s *chaosSender) Send(payload []byte) error {
 		return s.inner.Send(payload[:len(payload)/2])
 	}
 	if n == r.DuplicateFrame {
-		dup := append(GetPayload(len(payload))[:0], payload...) // the one copy chaos makes
+		dup := append(GetPayload(len(payload))[:0], payload...)
 		if err := s.inner.Send(payload); err != nil {
 			return err
 		}
@@ -262,5 +272,8 @@ func (s *chaosSender) Send(payload []byte) error {
 	}
 	return s.inner.Send(payload)
 }
+
+// discard ends the reference a Send was handed without delivering it.
+func discard(payload []byte) { Recycle(take(payload)) }
 
 func (s *chaosSender) Close() error { return s.inner.Close() }

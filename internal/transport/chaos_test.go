@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -290,5 +291,45 @@ func TestChaosFaultsKeepPoolBalanced(t *testing.T) {
 				t.Fatalf("%d payload references active", d)
 			}
 		})
+	}
+}
+
+// TestChaosCorruptLeavesHeldFrameIntact: a frame a retention ring holds
+// goes through a connection that corrupts it. The receiver gets a damaged
+// copy; the held frame keeps its bytes, so resending it on a clean
+// connection delivers the original, and every reference comes back.
+func TestChaosCorruptLeavesHeldFrameIntact(t *testing.T) {
+	before := ReadPoolStats()
+	net, recv := chaosPair(t, ChaosPlan{Seed: 9, Rules: []ChaosRule{{Dial: 0, CorruptFrame: 1}}})
+	frame := GetPayload(64)
+	for i := range frame {
+		frame[i] = byte(i)
+	}
+	want := append([]byte(nil), frame...)
+	for dial := 0; dial < 2; dial++ {
+		s, err := net.Dial(recv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		Hold(frame) // the ring's reference (dial 0), then the resend's (dial 1)
+		if err := s.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		got := recvOne(t, recv)
+		if corrupt := dial == 0; bytes.Equal(got, want) == corrupt {
+			t.Fatalf("dial %d delivered %x, want the original %x corrupted=%v", dial, got, want, corrupt)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("dial %d: the held frame changed to %x", dial, frame)
+		}
+	}
+	Unhold(frame) // the ring lets go
+	after := ReadPoolStats()
+	if after.Held != before.Held {
+		t.Fatalf("%d holds left", after.Held-before.Held)
+	}
+	if d := after.Outstanding() - before.Outstanding(); d != 0 {
+		t.Fatalf("%d payload references outstanding", d)
 	}
 }

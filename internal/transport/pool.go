@@ -27,24 +27,27 @@ func poolClass(c int) int { return bits.Len(uint(c)) - 1 }
 // Pool telemetry (PoolStats). All counters are monotonic; consumers diff
 // snapshots. Outstanding() is the balance the stress tests drive to zero.
 var (
-	poolGets     atomic.Int64 // buffers the transport took custody of (take)
+	poolGets     atomic.Int64 // references the transport took custody of (take)
 	poolMakes    atomic.Int64 // GetPayload calls that allocated fresh
-	poolPuts     atomic.Int64 // buffers returned to the pool by Recycle
+	poolPuts     atomic.Int64 // references Recycle ended, the buffer's last one returning it to the pool
 	poolDrops    atomic.Int64 // Recycle calls on unpoolable (empty or oversized) buffers
 	poolRetains  atomic.Int64 // references added via Ref (initial + Retain)
 	poolReleases atomic.Int64 // references dropped via Ref.Release
 )
 
-// PoolStats is a snapshot of the payload-pool counters: how many buffers the
-// transport took custody of (a Send, or a TCP frame read) — whoever
-// allocated them — how many the pool's getter allocated fresh, how many came
-// back, and the reference traffic of the refcounted payload path.
+// PoolStats is a snapshot of the payload-pool counters: how many references
+// the transport took custody of (a Send, or a TCP frame read) — whoever
+// allocated the buffers — how many buffers the pool's getter allocated
+// fresh, how many of those references Recycle ended, and the reference
+// traffic of the refcounted payload path. Held is a level, not a counter:
+// the references held buffers have beyond their last one.
 type PoolStats struct {
 	Gets, Makes, Puts, Drops int64
 	Retains, Releases        int64
+	Held                     int64
 }
 
-// Outstanding returns the number of live payload buffers: taken into
+// Outstanding returns the number of live payload references: taken into
 // custody but neither recycled nor dropped. A drained, shut-down system
 // balances to the number deliberately retained forever (normally zero).
 func (s PoolStats) Outstanding() int64 { return s.Gets - s.Puts - s.Drops }
@@ -61,14 +64,72 @@ func ReadPoolStats() PoolStats {
 		Drops:    poolDrops.Load(),
 		Retains:  poolRetains.Load(),
 		Releases: poolReleases.Load(),
+		Held:     holdRefs.Load(),
 	}
+}
+
+// Holds let a sent frame have holders besides the receivers its Sends
+// handed it to (a client's retention ring keeps each frame it sent, to
+// resend it after a reconnect). The table, keyed by backing array, counts a
+// buffer's references beyond one; Recycle and Unhold end one of those while
+// there are any, else the last, which returns the buffer to the pool. A
+// reference never ended (a frame lost in a dead receiver's inbox) leaves no
+// entry once the others are gone. With nothing held, Recycle pays one
+// atomic load.
+var (
+	holdMu   sync.Mutex
+	holdTab  = make(map[*byte]int32) // references beyond one, per buffer identity
+	holdRefs atomic.Int64            // the sum of holdTab
+)
+
+// Hold adds a reference to b for a holder that keeps it past a Send; the
+// holder ends it with Unhold, or hands it to another Send (a resend). Hold
+// before the Send, as the receiver may recycle at once. b's bytes are
+// read-only from then on.
+func Hold(b []byte) {
+	if id := bufID(b); id != nil {
+		holdMu.Lock()
+		holdTab[id]++
+		holdRefs.Add(1)
+		holdMu.Unlock()
+	}
+}
+
+// Unhold ends a reference Hold added, returning b to the pool when it was
+// the last one.
+func Unhold(b []byte) {
+	if !unref(b) {
+		put(b)
+	}
+}
+
+// unref ends one of b's references beyond one and reports whether there
+// was one; false leaves the caller with b's last reference.
+func unref(b []byte) bool {
+	if holdRefs.Load() == 0 {
+		return false
+	}
+	id := bufID(b)
+	holdMu.Lock()
+	defer holdMu.Unlock()
+	if holdTab[id] == 0 {
+		return false
+	}
+	if holdTab[id]--; holdTab[id] == 0 {
+		delete(holdTab, id)
+	}
+	holdRefs.Add(-1)
+	return true
 }
 
 // Pool debugging: when enabled, the pool tracks the identity of every buffer
 // in custody and panics on a Recycle of a buffer that is not currently live,
-// or on a second hand-off of one that is — the double-recycle or double-Send
-// that would otherwise surface as two goroutines scribbling over one
-// "pooled" buffer far from the culprit.
+// or on a second hand-off of one that is and has no hold — the double-recycle
+// or double-Send that would otherwise surface as two goroutines scribbling
+// over one "pooled" buffer far from the culprit. A held buffer may be handed
+// off while live (a resend while the first copy is still undelivered), and a
+// Recycle that leaves it a reference leaves it live; the Recycle past its
+// last reference still panics.
 // Debug mode takes a mutex per take/recycle; tests only. The disabled path
 // costs one atomic load, never the lock.
 var (
@@ -111,7 +172,10 @@ func debugTrack(b []byte, live bool) {
 	if debugLive == nil || id == nil {
 		return
 	}
-	if was, known := debugLive[id]; known && was == live {
+	holdMu.Lock()
+	held := holdTab[id] > 0
+	holdMu.Unlock()
+	if was, known := debugLive[id]; known && was == live && !(live && held) {
 		panic(fmt.Sprintf("transport: payload buffer %p (%d bytes) recycled or handed off twice", id, cap(b)))
 	}
 	debugLive[id] = live
@@ -145,26 +209,37 @@ func take(b []byte) []byte {
 	return b
 }
 
-// Recycle returns a payload buffer to the transport pool. It is optional:
-// a consumer that holds references into the payload must simply not call
-// it, and unrecycled buffers are reclaimed by the garbage collector. After
-// Recycle the caller must not touch the slice again. Consumers that need
-// one payload to outlive several concurrent readers use Ref instead of
-// recycling directly. Recycle only what the transport delivered or took: a
-// GetPayload buffer that never reached Send is dropped, not recycled.
+// Recycle ends one reference the transport delivered or took; a buffer's
+// last reference, held (Hold) or not, returns it to the transport pool. It
+// is optional: a consumer that holds references into the payload must
+// simply not call it, and unrecycled buffers are reclaimed by the garbage
+// collector. After Recycle the caller must not touch the slice again.
+// Consumers that need one payload to outlive several concurrent readers use
+// Ref instead of recycling directly. Recycle only what the transport
+// delivered or took: a GetPayload buffer that never reached Send is dropped,
+// not recycled.
 func Recycle(payload []byte) {
 	if payload == nil {
 		return
 	}
-	debugTrack(payload, false)
-	if c := cap(payload); c == 0 || c > maxPooledPayload {
+	if unref(payload) || put(payload) {
+		poolPuts.Add(1)
+	} else {
 		poolDrops.Add(1)
-		return
 	}
-	poolPuts.Add(1)
+}
+
+// put ends b's last reference: it returns b to its pool, unless it is empty
+// or oversized, and reports whether it did.
+func put(b []byte) bool {
+	debugTrack(b, false)
+	if c := cap(b); c == 0 || c > maxPooledPayload {
+		return false
+	}
 	h := holders.Get().(*[]byte)
-	*h = payload[:0]
-	payloadPools[poolClass(cap(payload))].Put(h)
+	*h = b[:0]
+	payloadPools[poolClass(cap(b))].Put(h)
+	return true
 }
 
 // Ref is a refcounted handle on one received payload buffer, letting a

@@ -113,6 +113,47 @@ func TestPoolDebugDoubleSendPanics(t *testing.T) {
 	snd.Send(buf)
 }
 
+// TestPoolDebugHeldHandOffTwice: with debug tracking on, a held buffer may
+// be handed off again while an earlier hand-off of it is still live — a
+// resend while the dead connection's inbox still holds the first copy. Each
+// reference ends once: two receivers recycle, the holder unholds, and the
+// buffer is back in the pool with every counter balanced.
+func TestPoolDebugHeldHandOffTwice(t *testing.T) {
+	before := ReadPoolStats()
+	b := GetPayload(64)
+	Hold(b)
+	take(b) // the first Send
+	Hold(b)
+	take(b) // the resend
+	Recycle(b)
+	Recycle(b)
+	Unhold(b)
+	after := ReadPoolStats()
+	if after.Held != before.Held {
+		t.Fatalf("%d holds left", after.Held-before.Held)
+	}
+	if d := after.Outstanding() - before.Outstanding(); d != 0 {
+		t.Fatalf("%d references outstanding", d)
+	}
+}
+
+// TestPoolDebugRecyclePastLastReferencePanics: with debug tracking on, a
+// held buffer's references end one by one, and a Recycle after the last of
+// them must panic as a double recycle does.
+func TestPoolDebugRecyclePastLastReferencePanics(t *testing.T) {
+	b := GetPayload(64)
+	Hold(b)
+	take(b)
+	Recycle(b) // the receiver: drops the hold
+	Unhold(b)  // the holder: the last reference, back to the pool
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recycle past the last reference did not panic")
+		}
+	}()
+	Recycle(b)
+}
+
 // TestPoolDebugTracksReuse: get → take → recycle → get of the same buffer
 // must stay legal under debug tracking (the live state flips back on reuse).
 func TestPoolDebugTracksReuse(t *testing.T) {

@@ -14,8 +14,10 @@
 //     messages from different connections interleave arbitrarily;
 //   - receivers drain a single inbox regardless of how many clients are
 //     connected (PUSH/PULL fan-in);
-//   - Send takes its payload, as ZeroMQ's zero-copy send does: the transport
-//     moves the caller's buffer, never a copy of it, and recycles it.
+//   - Send takes one reference to its payload, as ZeroMQ's zero-copy send
+//     does: the transport moves the caller's buffer, never a copy of it, and
+//     recycles it. A caller that keeps the frame (a retention ring) holds a
+//     reference of its own (Hold), and the bytes are read-only to everyone.
 //
 // Two implementations share the Network interface: an in-memory network for
 // tests, benchmarks and single-process studies, and a TCP network (package
@@ -40,8 +42,9 @@ var (
 // Message is one delivered payload.
 type Message struct {
 	// Payload is the message body: the buffer the sender handed to Send
-	// (in memory) or one the TCP reader filled. It is the receiver's;
-	// consumers that copy everything out of it (wire.Decode and the
+	// (in memory) or one the TCP reader filled. The receiver holds one
+	// reference to it and reads it only (the sender may hold another, to
+	// resend it); consumers that copy everything out of it (wire.Decode and the
 	// DecodeInto variants do) may hand the buffer back with Recycle, and
 	// consumers that share it across workers wrap it in a Ref (pool.go).
 	Payload []byte
@@ -50,8 +53,10 @@ type Message struct {
 // Sender is the client end of a one-way channel (ZeroMQ PUSH-like).
 // Implementations are safe for concurrent use.
 type Sender interface {
-	// Send hands one payload over and takes ownership of it, whether it
-	// succeeds or fails: the caller never touches the slice again. It
+	// Send hands one payload over and takes one reference to it, whether it
+	// succeeds or fails: the caller never touches the slice again, unless it
+	// took a Hold first, and then only to read it. The payload's bytes are
+	// read-only from the call on, for the sender and the receiver. It
 	// returns once the frame is in the receiver's inbox (memory) or in the
 	// kernel socket buffer (TCP), so it blocks only while the buffers
 	// towards the receiver are full. It returns an error wrapping ErrClosed
