@@ -94,10 +94,9 @@ func main() {
 	log.Printf("melissa-server: stopping (final checkpoint: %v)", cfg.CheckpointDir != "")
 	srv.Stop(cfg.CheckpointDir != "")
 
-	res := srv.Result()
-	tracker := res.Tracker()
+	res, st := srv.Result(), srv.Status()
 	log.Printf("melissa-server: done — %d messages, %d finished groups, %d running",
-		res.Messages(), len(tracker.Finished()), len(tracker.Running()))
+		res.Messages(), st.GroupsFinished, st.GroupsRunning)
 	if ws := res.WireStats(); ws.Messages > 0 {
 		log.Printf("melissa-server: field traffic — %.1f MB on the wire vs %.1f MB raw (%.2fx, %.1f MB saved)",
 			float64(ws.WireBytes)/1e6, float64(ws.RawBytes)/1e6, ws.Ratio(), float64(ws.Saved())/1e6)

@@ -67,6 +67,9 @@ type Connection struct {
 	// timestep handed to SendTimestep — the durable-drain target.
 	durability bool
 	maxStep    int
+	// stop, when closed, ends the attempt: the drain and reconnect waits
+	// return errStopped instead of waiting on (RunConfig.Stop).
+	stop <-chan struct{}
 
 	// Framing state (frames.go): out[ri] is route ri's frame under
 	// construction, frameSteps the steps a frame carries (BatchSteps, at

@@ -98,6 +98,9 @@ func (c *Connection) WaitDurable() error {
 			continue
 		}
 		for c.durability && c.ranks[rank].durable < c.maxStep {
+			if c.stopped() {
+				return errStopped
+			}
 			ack, err := c.resumeQueryOn(c.senders[rank], rank)
 			if err != nil {
 				if rerr := c.recoverRank(rank, err); rerr != nil {
@@ -115,7 +118,7 @@ func (c *Connection) WaitDurable() error {
 			}
 			_ = c.senders[rank].Send(wire.Encode(&wire.CheckpointReq{GroupID: c.opts.GroupID}))
 			cCkptReqs.Inc()
-			time.Sleep(poll)
+			c.sleep(poll)
 			if poll < durablePollCap {
 				poll *= 2
 			}

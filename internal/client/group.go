@@ -31,6 +31,34 @@ type RunConfig struct {
 	// StepDelay inserts an artificial pause per timestep (straggler
 	// injection for the timeout-detection tests).
 	StepDelay time.Duration
+	// Stop, when non-nil and closed, ends the run at its next step, drain
+	// poll or reconnect with errStopped: the job was killed, or the study it
+	// served is over.
+	Stop <-chan struct{}
+}
+
+// errStopped is what a run returns when RunConfig.Stop closed.
+var errStopped = errors.New("client: attempt stopped")
+
+// stopped reports whether the attempt's Stop channel has closed.
+func (c *Connection) stopped() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// sleep waits d, or until the attempt is stopped; it reports whether it
+// slept the whole d.
+func (c *Connection) sleep(d time.Duration) bool {
+	select {
+	case <-time.After(d):
+		return true
+	case <-c.stop:
+		return false
+	}
 }
 
 // RunGroup executes one simulation group end to end: handshake, p+2
@@ -61,6 +89,7 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	if err != nil {
 		return err
 	}
+	conn.stop = rc.Stop
 	// A failed group ships nothing more: a step may be half written.
 	defer conn.closeSenders()
 
@@ -70,11 +99,17 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 
 	// Launch the p+2 member simulations. turns[s] hands member s the open
 	// step; dones[s] carries back the outcome of its emit and closes when
-	// its Run returns.
+	// its Run returns. The run returns only after every member has.
 	quit := make(chan struct{})
-	defer close(quit)
 	turns := make([]chan int, len(rc.Rows))
 	dones := make([]chan error, len(rc.Rows))
+	defer func() {
+		close(quit)
+		for _, done := range dones {
+			for range done {
+			}
+		}
+	}()
 	for s, row := range rc.Rows {
 		turn, done := make(chan int, 1), make(chan error, 1)
 		turns[s], dones[s] = turn, done
@@ -102,6 +137,9 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 	}
 
 	for step := 0; step < conn.Layout.Timesteps; step++ {
+		if conn.stopped() {
+			return errStopped
+		}
 		if err := conn.openStep(step); err != nil {
 			return err
 		}

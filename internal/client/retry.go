@@ -202,8 +202,10 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 			return fmt.Errorf("client: group %d server %d: retry budget (%d) exhausted: %w",
 				c.opts.GroupID, rank, budget, cause)
 		}
+		if !c.sleep(c.opts.Retry.delay(attempt, &c.rng)) {
+			return errStopped
+		}
 		c.reconnects++
-		time.Sleep(c.opts.Retry.delay(attempt, &c.rng))
 		cReconnects.Inc()
 		if ok, suppressed := reconnLim.Allow(limKey(c.opts.GroupID, rank)); ok {
 			kv := []any{"group", c.opts.GroupID, "server", rank,

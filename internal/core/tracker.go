@@ -149,48 +149,15 @@ func (g *GroupTracker) Frontiers() map[int]int {
 	return out
 }
 
-// Running returns the sorted ids of started-but-unfinished groups — the list
-// every server process periodically reports to the launcher (Sec. 4.2.2).
-func (g *GroupTracker) Running() []int { return g.byState(nil, GroupRunning) }
-
-// Finished returns the sorted ids of finished groups.
-func (g *GroupTracker) Finished() []int { return g.byState(nil, GroupFinished) }
-
-// AppendRunning is Running with caller-owned storage: the ids are appended
-// to dst[:0] so a periodic report loop reuses one slice instead of
-// allocating per scan.
-func (g *GroupTracker) AppendRunning(dst []int) []int { return g.byState(dst, GroupRunning) }
-
-// AppendFinished is Finished with caller-owned storage (see AppendRunning).
-func (g *GroupTracker) AppendFinished(dst []int) []int { return g.byState(dst, GroupFinished) }
-
-func (g *GroupTracker) byState(dst []int, want GroupState) []int {
-	out := dst[:0]
+// Each calls fn with every group the tracker holds a state for (running or
+// finished), in no particular order. A server walks it once, on restore.
+func (g *GroupTracker) Each(fn func(id int, st GroupState)) {
 	for id := range g.last {
-		if g.State(id) == want {
-			out = append(out, id)
-		}
+		fn(id, g.State(id))
 	}
 	for id := range g.ahead {
-		if _, seen := g.last[id]; !seen && g.State(id) == want {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Merge folds another tracker (e.g. from a peer server process) keeping the
-// union of folded steps per group.
-func (g *GroupTracker) Merge(other *GroupTracker) {
-	for id, last := range other.last {
-		for s := 0; s <= last; s++ {
-			g.Commit(id, s)
-		}
-	}
-	for id, set := range other.ahead {
-		for s := range set {
-			g.Commit(id, s)
+		if _, seen := g.last[id]; !seen {
+			fn(id, GroupRunning)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"melissa/internal/enc"
@@ -88,7 +89,7 @@ func TestTrackerAheadOnlyGroup(t *testing.T) {
 	if tr.State(2) != GroupRunning {
 		t.Fatal("ahead-only group should be running")
 	}
-	if got := tr.Running(); len(got) != 1 || got[0] != 2 {
+	if got := groupsIn(tr, GroupRunning); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("running = %v", got)
 	}
 }
@@ -128,34 +129,13 @@ func TestTrackerRunningFinishedLists(t *testing.T) {
 		tr.Commit(1, s) // running
 	}
 	tr.Commit(5, 0) // running
-	running := tr.Running()
-	finished := tr.Finished()
+	running := groupsIn(tr, GroupRunning)
+	finished := groupsIn(tr, GroupFinished)
 	if len(running) != 2 || running[0] != 1 || running[1] != 5 {
 		t.Fatalf("running = %v", running)
 	}
 	if len(finished) != 1 || finished[0] != 3 {
 		t.Fatalf("finished = %v", finished)
-	}
-}
-
-func TestTrackerMerge(t *testing.T) {
-	a := NewGroupTracker(9)
-	b := NewGroupTracker(9)
-	for s := 0; s <= 3; s++ {
-		a.Commit(1, s)
-	}
-	for s := 0; s <= 7; s++ {
-		b.Commit(1, s)
-	}
-	for s := 0; s <= 9; s++ {
-		b.Commit(2, s)
-	}
-	a.Merge(b)
-	if last, _ := a.LastStep(1); last != 7 {
-		t.Fatalf("merge kept stale step %d", last)
-	}
-	if a.State(2) != GroupFinished {
-		t.Fatal("merge lost group 2")
 	}
 }
 
@@ -308,4 +288,16 @@ func TestDiscardOnReplayExactness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// groupsIn returns the sorted ids of the tracker's groups in state st.
+func groupsIn(tr *GroupTracker, st GroupState) []int {
+	var ids []int
+	tr.Each(func(id int, s GroupState) {
+		if s == st {
+			ids = append(ids, id)
+		}
+	})
+	slices.Sort(ids)
+	return ids
 }

@@ -46,8 +46,8 @@ type groupState struct {
 	// kept alive across, and its last reconnect: the group is alive, and
 	// timeout reports hold off until GroupTimeout has passed since.
 	grace time.Time
-	// stop cancels the current attempt's injected hang (closed when the
-	// attempt is killed or done, so hung hook goroutines unwind promptly).
+	// stop ends the current attempt: closed when the attempt is killed or
+	// done, it unwinds an injected hang and stops the run itself.
 	stop chan struct{}
 }
 
@@ -229,7 +229,10 @@ func (l *Launcher) launchGroup(g *groupState, job scheduler.JobID, attempt int) 
 		default:
 		}
 	}
+	stop := g.stop
+	l.attempts.Add(1)
 	go func() {
+		defer l.attempts.Done()
 		err := client.RunGroup(l.cfg.Network, mainAddr, client.RunConfig{
 			ConnectOpts: client.ConnectOpts{
 				GroupID:  id,
@@ -246,6 +249,7 @@ func (l *Launcher) launchGroup(g *groupState, job scheduler.JobID, attempt int) 
 			Rows:       rows,
 			Sim:        l.cfg.Sim,
 			BeforeStep: hook,
+			Stop:       stop,
 		})
 		select {
 		case l.events <- event{kind: evDone, group: id, job: job, err: err}:
@@ -328,10 +332,12 @@ func (l *Launcher) handleTimeout(id int, now time.Time) {
 }
 
 // checkZombies kills jobs the scheduler sees as running but that never
-// contacted any server process (Sec. 4.2.2, case 2). A retry's new job may
-// join jobIndex mid-range; it is pending, so the loop skips it.
+// contacted any server process (Sec. 4.2.2, case 2). It waits while a
+// process's reports are stale: a lost report may have held a group's first
+// sighting. A retry's new job may join jobIndex mid-range; it is pending, so
+// the loop skips it.
 func (l *Launcher) checkZombies(now time.Time) {
-	if l.cfg.ZombieTimeout <= 0 {
+	if l.cfg.ZombieTimeout <= 0 || l.stale > 0 {
 		return
 	}
 	for _, g := range l.jobIndex {

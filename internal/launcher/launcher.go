@@ -23,6 +23,7 @@ package launcher
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -174,9 +175,12 @@ type Stats struct {
 	// final report, or one still queued when its replacement started), and
 	// those whose process rank is outside [0, ServerProcs), which no process
 	// of this study can have sent.
-	StaleReportsDropped int  `json:"-"`
-	Converged           bool `json:"converged"`
-	PeakNodes           int  `json:"-"`
+	StaleReportsDropped int `json:"-"`
+	// ReportGaps counts the times a server process's report stream was
+	// found to have lost reports (see reportLink).
+	ReportGaps int  `json:"-"`
+	Converged  bool `json:"converged"`
+	PeakNodes  int  `json:"-"`
 }
 
 // event is one change the supervision loop applies, queued by the goroutine
@@ -213,12 +217,15 @@ type Launcher struct {
 	// events is the loop's one queue. Its buffer lets attempt exits and
 	// reports pile up while a pass runs without stalling their senders.
 	events chan event
-	// stopped is closed when Run returns: a sender with no reader left
-	// gives up its event.
+	// stopped is closed when the study is over, or Run returns early: a
+	// sender with no reader left gives up its event.
 	stopped chan struct{}
-	stats   Stats
-	start   time.Time
-	status  atomic.Pointer[StudyStatus]
+	// attempts counts the group goroutines still running; Run returns only
+	// once it is zero.
+	attempts sync.WaitGroup
+	stats    Stats
+	start    time.Time
+	status   atomic.Pointer[StudyStatus]
 
 	groupBook  // groups.go
 	serverSup  // supervisor.go
@@ -246,6 +253,8 @@ func New(cfg Config) (*Launcher, error) {
 	l.reporters = min(cfg.ServerProcs, cfg.Cells)
 	l.maxCI = make([]float64, cfg.ServerProcs)
 	l.qtel = make([][2]int64, cfg.ServerProcs)
+	l.links = make([]reportLink, cfg.ServerProcs)
+	l.resetLinks()
 	for g := 0; g < cfg.Design.N(); g++ {
 		l.addGroup(g)
 	}
@@ -315,7 +324,15 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 	}
 
 	// Every process reported every group finished, so all their data was
-	// routed. A completed study is never restored: no last checkpoint.
+	// routed. A completed study is never restored: no last checkpoint. The
+	// attempts still running stop first, while the server still answers
+	// them, so none is left retrying against a stopped one.
+	close(l.stopped) // exits and server messages are dropped from here on
+	for _, g := range l.jobIndex {
+		l.cancelJob(g, now) // the attempt's stop channel ends its run
+		l.refresh(g)
+	}
+	l.attempts.Wait()
 	l.srv.Stop(false)
 	l.discardEvents()
 	l.stats.WallClock = time.Since(l.start)
@@ -349,7 +366,11 @@ func (l *Launcher) receive() func() {
 		}
 	}()
 	return func() {
-		close(l.stopped)
+		select {
+		case <-l.stopped:
+		default:
+			close(l.stopped) // Run returned before the study ran
+		}
 		l.recv.Close()
 		<-exited
 		l.discardEvents()

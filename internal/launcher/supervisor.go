@@ -52,7 +52,7 @@ func (l *Launcher) startServer(restore bool) error {
 		CheckpointDir:      l.cfg.CheckpointDir,
 		WireCodec:          l.cfg.WireCodec,
 		LauncherAddr:       l.recv.Addr(),
-		ReportInterval:     max(l.cfg.TickInterval*4, 20*time.Millisecond),
+		ReportInterval:     l.cfg.TickInterval,
 		ConvergenceReports: l.cfg.ConvergenceTarget > 0,
 	})
 	if err != nil {
@@ -69,6 +69,7 @@ func (l *Launcher) startServer(restore bool) error {
 	}
 	l.srv = srv
 	l.srvJob = job.ID
+	l.resetLinks()
 	l.srvAddrs = srv.Addrs()
 	// Not the pass's clock: stopping the old incarnation and restoring the
 	// checkpoint can outlast HeartbeatTimeout, and the new incarnation's

@@ -408,18 +408,11 @@ func (c *checkpointer) durability(now time.Time) (age float64, groups int, gap i
 	return age, groups, c.gap.Load()
 }
 
-// measureGap refreshes the worst per-group gap between the given fold
+// measureGap refreshes the worst per-group gap between the router's fold
 // frontiers and the durable frontier. Runs on the run loop at report cadence.
-func (c *checkpointer) measureGap(frontiers map[int]int) {
-	gap := 0
+func (c *checkpointer) measureGap(r *router) {
 	c.durMu.Lock()
-	for g, last := range frontiers {
-		d, ok := c.durable[g]
-		if !ok {
-			d = -1
-		}
-		gap = max(gap, last-d)
-	}
+	gap := r.worstGap(c.durable)
 	c.durMu.Unlock()
 	c.gap.Store(int64(gap))
 }

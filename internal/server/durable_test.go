@@ -216,3 +216,56 @@ func TestDurableStepWithoutCheckpointing(t *testing.T) {
 		t.Fatalf("durableStep without checkpointing = %d, want %d", got, wire.NoDurability)
 	}
 }
+
+// TestDurabilityGapCostsLiveGroups: the report-cadence gap measurement walks
+// the live groups and the finished ones no checkpoint covers yet, so it
+// allocates nothing however many groups finished, and it still sees the gap
+// of a finished group until a checkpoint covers it.
+func TestDurabilityGapCostsLiveGroups(t *testing.T) {
+	const timesteps = 4
+	s, err := New(Config{
+		Procs: 1, Cells: 8, Timesteps: timesteps, P: 2,
+		Network:       transport.NewMemNetwork(transport.Options{}),
+		CheckpointDir: t.TempDir(), CheckpointInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Procs()[0]
+	r := p.route
+	finish := func(g int) {
+		for step := 0; step < timesteps; step++ {
+			r.tracker.Commit(g, step)
+		}
+		r.finishedLog = append(r.finishedLog, g)
+		r.undurable = append(r.undurable, g)
+	}
+	allocs := func(finished int) float64 {
+		for g := len(r.finishedLog); g < finished; g++ {
+			finish(g)
+		}
+		p.ckpt.publishDurable(r.tracker.Frontiers()) // all durable so far
+		r.tracker.Commit(-1, 0)                      // one live group
+		r.lastMsg[-1] = time.Now()
+		return testing.AllocsPerRun(20, func() { p.publishDurability(time.Now()) })
+	}
+	small, large := allocs(10), allocs(10_000)
+	if small != 0 || large != 0 {
+		t.Fatalf("a gap measurement allocates %v times at 10 finished groups, %v at 10000", small, large)
+	}
+	r.tracker.Commit(-1, 1) // the live group folds past its durable step 0
+	p.publishDurability(time.Now())
+	if _, _, gap := p.ckpt.durability(time.Now()); gap != 1 {
+		t.Fatalf("gap %d, want 1 (the live group's step 1)", gap)
+	}
+	finish(20_000) // finished after the last checkpoint
+	p.publishDurability(time.Now())
+	if _, _, gap := p.ckpt.durability(time.Now()); gap != timesteps {
+		t.Fatalf("gap %d with a finished group not yet durable, want %d", gap, timesteps)
+	}
+	p.ckpt.publishDurable(r.tracker.Frontiers())
+	p.publishDurability(time.Now())
+	if _, _, gap := p.ckpt.durability(time.Now()); gap != 0 || len(r.undurable) != 0 {
+		t.Fatalf("gap %d and %d groups kept after the checkpoint covered them", gap, len(r.undurable))
+	}
+}

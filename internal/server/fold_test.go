@@ -527,3 +527,58 @@ func TestTimedOutGroupReleasesPendingPieces(t *testing.T) {
 		t.Fatalf("%d payload references active after the timeout report, want 0", got)
 	}
 }
+
+// TestStrayPieceTimesOut: a piece for a group that never commits a step (its
+// other sim rank's piece never comes) holds a payload reference in its
+// assembly. The group's liveness clock still runs out: the report after
+// GroupTimeout lists it once and releases the reference, before any stop.
+func TestStrayPieceTimesOut(t *testing.T) {
+	const cells, timesteps, p, group = 20, 3, 2, 5
+	stray := &wire.DataBatch{GroupID: group, CellLo: 0, CellHi: 7}
+	fs := make([][]float64, p+2)
+	for f := range fs {
+		fs[f] = make([]float64, 7)
+	}
+	stray.Steps = []wire.DataStep{{Timestep: 0, Fields: fs}}
+	net := transport.NewMemNetwork(transport.Options{})
+	launcher, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer launcher.Close()
+	base := transport.ReadPoolStats().RefsActive()
+	s := startServer(t, net, 1, cells, timesteps, p, func(c *Config) {
+		c.GroupTimeout = 100 * time.Millisecond
+		c.LauncherAddr = launcher.Addr()
+		c.ReportInterval = 5 * time.Millisecond
+	})
+	defer s.Stop(false)
+	snd, err := net.Dial(s.MainAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snd.Send(wire.Encode(stray)); err != nil {
+		t.Fatal(err)
+	}
+	snd.Close()
+	listed := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		msg, err := launcher.Recv(100 * time.Millisecond)
+		if err != nil {
+			continue
+		}
+		if d, err := wire.Decode(msg.Payload); err == nil {
+			if rep, ok := d.(*wire.Report); ok && slices.Contains(rep.TimedOut, group) {
+				listed++
+				deadline = time.Now().Add(100 * time.Millisecond) // a few more reports
+			}
+		}
+		transport.Recycle(msg.Payload)
+	}
+	if listed != 1 {
+		t.Fatalf("the stray group was listed timed out in %d reports, want 1", listed)
+	}
+	if got := transport.ReadPoolStats().RefsActive() - base; got != 0 {
+		t.Fatalf("%d payload references active after the timeout, want 0", got)
+	}
+}

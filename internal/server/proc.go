@@ -184,7 +184,7 @@ func (p *Proc) publishDurability(now time.Time) {
 	if !p.ckpt.enabled() {
 		return
 	}
-	p.ckpt.measureGap(p.route.frontiers())
+	p.ckpt.measureGap(p.route)
 	age, _, gap := p.ckpt.durability(now)
 	p.met.ckptAge.Set(age)
 	p.met.durableGap.SetInt(gap)

@@ -142,7 +142,7 @@ func TestReconnectHealsCutBitwise(t *testing.T) {
 			}
 		}
 	}
-	if fin := faulty.Tracker().Finished(); len(fin) != len(groups) {
+	if fin := finishedIDs(trackers(faulty)...); len(fin) != len(groups) {
 		t.Fatalf("finished groups %v, want %d", fin, len(groups))
 	}
 }
@@ -358,7 +358,7 @@ func TestCorruptFrameHealsViaResume(t *testing.T) {
 	s.Stop(false)
 	res := s.Result()
 
-	if fin := res.Tracker().Finished(); len(fin) != 1 || fin[0] != 0 {
+	if fin := finishedIDs(trackers(res)...); len(fin) != 1 || fin[0] != 0 {
 		t.Fatalf("group not finished after resume: %v", fin)
 	}
 	for tr := 0; tr < timesteps; tr++ {

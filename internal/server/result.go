@@ -149,12 +149,3 @@ func (r *Result) WireStats() WireStats {
 	}
 	return total
 }
-
-// Tracker returns a merged view of group states across all processes.
-func (r *Result) Tracker() *core.GroupTracker {
-	merged := core.NewGroupTracker(r.Timesteps - 1)
-	for _, p := range r.procs {
-		p.route.mergeInto(merged)
-	}
-	return merged
-}

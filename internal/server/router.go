@@ -23,9 +23,20 @@ type router struct {
 	ckpt *checkpointer
 
 	tracker *core.GroupTracker
-	// lastMsg is each group's liveness clock: the last frame that could
-	// advance its contiguous fold frontier.
+	// lastMsg is each live group's liveness clock: the last frame that could
+	// advance its contiguous fold frontier. A group gets one at its first
+	// frame or committed step and loses it when it finishes; the timeout
+	// scan walks it.
 	lastMsg map[int]time.Time
+	// finishedLog lists, in finish order, every group this process has
+	// finished (the restored ones first): a launcher resync sends all of it,
+	// a report the part after what the launcher was sent. started holds the
+	// groups whose first step was committed since the last report.
+	finishedLog []int
+	started     []int
+	// undurable holds the finished groups no committed checkpoint covered
+	// yet (checkpointing processes only); worstGap prunes it.
+	undurable []int
 
 	messages atomic.Int64 // bulk messages folded or discarded
 	// Bytes of bulk payloads as received vs what the same content costs in
@@ -57,13 +68,16 @@ func newRouter(cfg *procConfig, fold *foldPool, ckpt *checkpointer) *router {
 func (r *router) adopt(tracker *core.GroupTracker, messages int64) {
 	r.tracker = tracker
 	r.messages.Store(messages)
-	running := tracker.Running()
-	r.running.Store(int64(len(running)))
-	r.finished.Store(int64(len(tracker.Finished())))
 	now := time.Now()
-	for _, g := range running {
-		r.lastMsg[g] = now
-	}
+	tracker.Each(func(g int, st core.GroupState) {
+		if st == core.GroupFinished {
+			r.finishedLog = append(r.finishedLog, g)
+		} else {
+			r.lastMsg[g] = now
+		}
+	})
+	r.running.Store(int64(len(r.lastMsg)))
+	r.finished.Store(int64(len(r.finishedLog)))
 }
 
 // capture serializes the tracker into w and returns the message count and
@@ -74,11 +88,34 @@ func (r *router) capture(w *enc.Writer) (messages int64, frontiers map[int]int) 
 	return r.messages.Load(), r.tracker.Frontiers()
 }
 
-func (r *router) frontiers() map[int]int { return r.tracker.Frontiers() }
-
-// mergeInto folds this process's group states into dst (after the server
-// stopped).
-func (r *router) mergeInto(dst *core.GroupTracker) { dst.Merge(r.tracker) }
+// worstGap returns the widest gap between a group's fold frontier and its
+// frontier in durable, over the groups that can have one: the live groups,
+// and the finished groups no checkpoint covered yet, which it forgets once
+// one does. Its cost follows the groups in flight, not the study.
+func (r *router) worstGap(durable map[int]int) int {
+	gap := 0
+	durableStep := func(g int) int {
+		if d, ok := durable[g]; ok {
+			return d
+		}
+		return -1
+	}
+	for g := range r.lastMsg {
+		if last, ok := r.tracker.LastStep(g); ok {
+			gap = max(gap, last-durableStep(g))
+		}
+	}
+	final := r.tracker.FinalStep()
+	keep := r.undurable[:0]
+	for _, g := range r.undurable {
+		if d := durableStep(g); d < final {
+			keep = append(keep, g)
+			gap = max(gap, final-d)
+		}
+	}
+	r.undurable = keep
+	return gap
+}
 
 // groupCounts returns the running and finished group counts. Safe from any
 // goroutine.
@@ -92,23 +129,38 @@ func (r *router) wireStats() WireStats {
 	return WireStats{Messages: r.messages.Load(), WireBytes: r.wireBytes.Load(), RawBytes: r.rawBytes.Load()}
 }
 
-// fillReport writes the bookkeeping lists of Sec. 4.2.2 into rep, reusing
-// its slices: running and finished groups, plus any running group whose
-// message gap exceeded the timeout. The pending pieces of a timed-out group
-// are released.
-func (r *router) fillReport(rep *wire.Report) {
-	rep.Messages = r.messages.Load()
-	rep.Running = r.tracker.AppendRunning(rep.Running)
-	rep.Finished = r.tracker.AppendFinished(rep.Finished)
-	rep.TimedOut = rep.TimedOut[:0]
-	if r.cfg.GroupTimeout > 0 {
-		cutoff := time.Now().Add(-r.cfg.GroupTimeout)
-		for _, g := range rep.Running {
-			if last, ok := r.lastMsg[g]; ok && last.Before(cutoff) {
-				rep.TimedOut = append(rep.TimedOut, g)
+// timedOut appends to dst[:0], up to limit ids, the live groups whose
+// message gap exceeds the group timeout (Sec. 4.2.2), and releases their
+// pending pieces. A group that has committed nothing here (a stray piece)
+// is listed once and forgotten; a running one stays listed while it stays
+// silent.
+func (r *router) timedOut(dst []int, limit int) []int {
+	dst = dst[:0]
+	if r.cfg.GroupTimeout <= 0 {
+		return dst
+	}
+	cutoff := time.Now().Add(-r.cfg.GroupTimeout)
+	for g, last := range r.lastMsg {
+		if len(dst) == limit {
+			break
+		}
+		if last.Before(cutoff) {
+			dst = append(dst, g)
+			if r.tracker.State(g) == core.GroupUnknown {
+				delete(r.lastMsg, g)
 			}
 		}
-		r.fold.dropGroups(rep.TimedOut)
+	}
+	if len(dst) > 0 {
+		r.fold.dropGroups(dst)
+	}
+	return dst
+}
+
+// touch refreshes a group's liveness clock; a finished group has none.
+func (r *router) touch(group int, now time.Time) {
+	if r.tracker.State(group) != core.GroupFinished {
+		r.lastMsg[group] = now
 	}
 }
 
@@ -154,7 +206,7 @@ func (r *router) dispatch(payload []byte) {
 		// The group's retention ring crossed the durable high-water mark. A
 		// group throttled by its own ring is alive and waiting on us.
 		mCkptReqs.Inc()
-		r.lastMsg[m.GroupID] = time.Now()
+		r.touch(m.GroupID, time.Now())
 		r.ckpt.request()
 	default:
 		r.dropFrame("unexpected_type", dropKeyNoGroup, "type", fmt.Sprintf("%T", msg))
@@ -225,7 +277,7 @@ func (r *router) handleHello(m *wire.Hello) {
 // produces no data traffic) and gets no reply.
 func (r *router) handleResume(m *wire.Resume) {
 	mResumes.Inc()
-	r.lastMsg[m.GroupID] = time.Now()
+	r.touch(m.GroupID, time.Now())
 	if m.ReplyAddr == "" {
 		return
 	}
@@ -289,10 +341,14 @@ func (r *router) handleBulk(payload []byte) {
 // trip the group timeout so the launcher replays and the hole is filled.
 // Well-formed traffic always refreshes it: in-order frames carry the next
 // frontier step, and so does each piece of a (group, timestep) whose
-// assembly still waits for the other sim ranks' pieces.
+// assembly still waits for the other sim ranks' pieces. A finished group's
+// replayed frames refresh nothing: it has no clock.
 func (r *router) refreshClock(m *bulkMsg, t0 time.Time) {
 	next := 0
 	if last, ok := r.tracker.LastStep(m.group); ok {
+		if last >= r.tracker.FinalStep() {
+			return
+		}
 		next = last + 1
 	}
 	for s := 0; s < m.steps; s++ {
@@ -334,10 +390,21 @@ func (r *router) routeStep(m *bulkMsg, s int) {
 	}
 	if before == core.GroupUnknown {
 		r.running.Add(1)
+		r.started = append(r.started, group)
+		if _, ok := r.lastMsg[group]; !ok {
+			// Its first frames were all ahead of step 0: the clock starts
+			// now, so a lost step 0 still trips the timeout.
+			r.lastMsg[group] = time.Now()
+		}
 	}
 	if after == core.GroupFinished {
 		r.running.Add(-1)
 		r.finished.Add(1)
+		r.finishedLog = append(r.finishedLog, group)
+		delete(r.lastMsg, group)
+		if r.ckpt.enabled() {
+			r.undurable = append(r.undurable, group)
+		}
 		if olog.Default.Enabled(olog.Debug) {
 			olog.Debugw("server.group_complete", "rank", r.cfg.Rank, "group", group)
 		}

@@ -69,7 +69,7 @@ func TestRetiredTagsAreUndecodable(t *testing.T) {
 	if got := mDrops.With("undecodable").Value() - drops; got != 2 {
 		t.Fatalf("%d undecodable drops, want 2", got)
 	}
-	if got := len(s.Result().Tracker().Finished()); got != 2 {
+	if got := len(finishedIDs(trackers(s.Result())...)); got != 2 {
 		t.Fatalf("%d groups finished, want 2", got)
 	}
 	if d := transport.ReadPoolStats().Outstanding() - pool.Outstanding(); d != 0 {

@@ -29,6 +29,17 @@ func TestForStudySizing(t *testing.T) {
 	}
 }
 
+// Every control frame fits under the floor of a study-shaped bound, and the
+// floor is all a tiny study's bound is.
+func TestForStudyControlFloor(t *testing.T) {
+	if wire.MaxReportBytes > controlFrameBound {
+		t.Fatalf("a report may take %d bytes, the control floor is %d", wire.MaxReportBytes, controlFrameBound)
+	}
+	if got := ForStudyCodec(16, 2, 1, false).maxFrame; got != controlFrameBound {
+		t.Fatalf("a 16-cell study's frame bound is %d, want the control floor %d", got, controlFrameBound)
+	}
+}
+
 // The codec flag no longer changes the options: the frame bound covers both
 // framings, and no socket buffer is sized by an expected compression ratio.
 func TestForStudyCodecSizing(t *testing.T) {
@@ -80,8 +91,8 @@ func TestTCPWithStudySizedBuffers(t *testing.T) {
 
 // The TCP frame bound ForStudyCodec derives admits every frame the study's
 // clients may send: the largest raw DataBatch and the codec's worst case,
-// every range incompressible. Without a shape the 64 MiB default holds, and
-// it stays the floor for control frames; a large shape lifts the bound.
+// every range incompressible, and every control frame (controlFrameBound).
+// Without a shape the 64 MiB default holds; a large shape lifts the bound.
 func TestFrameBoundAdmitsStudyFrames(t *testing.T) {
 	if got := NewTCPNetwork(Options{}).opts.maxFrame; got != defaultMaxFrame {
 		t.Fatalf("no shape: bound %d, want %d", got, defaultMaxFrame)
@@ -96,8 +107,8 @@ func TestFrameBoundAdmitsStudyFrames(t *testing.T) {
 		// Codec worst case with one range: the header, the step list, one
 		// range entry, and the block at codec.MaxCompressedLen.
 		comp := int64(1+3*8+4+8*sh.batch+4+4+8) + int64(codec.MaxCompressedLen(8*sh.batch*nf*sh.cells))
-		if raw > bound || comp > bound || defaultMaxFrame > bound {
-			t.Fatalf("%+v: bound %d below raw %d, codec %d or control %d", sh, bound, raw, comp, defaultMaxFrame)
+		if raw > bound || comp > bound || controlFrameBound > bound {
+			t.Fatalf("%+v: bound %d below raw %d, codec %d or control %d", sh, bound, raw, comp, controlFrameBound)
 		}
 		if sh.cells > 1000 {
 			continue

@@ -116,7 +116,7 @@ const inboxLimit = 1024
 // cells × (p+2) float64 fields per timestep and clients batch batchSteps
 // timesteps per frame (wire.DataBatch). The bound admits a full batch in
 // either framing, since receivers decode both, so codec does not change
-// the result; it is never less than defaultMaxFrame. The kernel socket
+// the result; it is never less than controlFrameBound. The kernel socket
 // buffers keep the OS defaults and its autotuning. cells should be the
 // largest per-server-process partition a connection will carry;
 // non-positive inputs fall back to 1 (p, batchSteps) or the defaults
@@ -126,14 +126,16 @@ func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 		return Options{}
 	}
 	p, batchSteps = max(p, 1), max(batchSteps, 1)
-	return Options{maxFrame: int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), defaultMaxFrame))}
+	return Options{maxFrame: int(max(wire.MaxBulkFrameBytes(batchSteps, p+2, cells), controlFrameBound))}
 }
 
-// defaultMaxFrame bounds TCP frames when no study shape is given, and is the
-// floor for every shape: control frames grow with what the shape does not
-// carry (a Report lists every running and finished group at 8 bytes each,
-// so 64 MiB holds about 8M groups).
+// defaultMaxFrame bounds TCP frames when no study shape is given.
 const defaultMaxFrame = 64 << 20
+
+// controlFrameBound is the floor under a study-shaped frame bound: it admits
+// every control frame. A report is at most wire.MaxReportBytes (about
+// 8 KiB); a Welcome grows by about 50 bytes per server process.
+const controlFrameBound = max(1<<20, wire.MaxReportBytes)
 
 func (o Options) withDefaults() Options {
 	if o.maxFrame <= 0 {

@@ -36,12 +36,20 @@ func countBomb(typ MsgType, nFixed int, count uint32, pad int) []byte {
 	return append(b, make([]byte, pad)...)
 }
 
+// reportBomb is a Report head (rank, epoch, seq, sync) whose Started count
+// the payload cannot hold.
+func reportBomb() []byte {
+	b := countBomb(TypeReport, 3, 0, 0)[:1+3*8]
+	b = append(b, 0) // sync
+	return binary.LittleEndian.AppendUint32(b, 1<<24-1)
+}
+
 // countBombs are tiny control frames whose counts once sized allocations of
 // up to 134 MB before the decoder noticed the payload was 13 bytes long.
 // The batch bomb carries its header pad, so the batch view reaches its
 // count check too.
 var countBombs = map[string][]byte{
-	"report":  countBomb(TypeReport, 1, 1<<24-1, 0),          // 13 bytes
+	"report":  reportBomb(),                                  // 30 bytes
 	"batch":   countBomb(TypeDataBatch, 3, 1<<20-1, dataPad), // 32 bytes
 	"welcome": countBomb(TypeWelcome, 3, 1<<20-1, 0),         // 29 bytes
 }
@@ -102,7 +110,7 @@ func fuzzSeeds() [][]byte {
 		raw,
 		w.Bytes(),
 		{4, 's', 0, 0, 0}, // the retired heartbeat tag
-		Encode(&Report{ProcRank: 1, Running: []int{3}, Finished: []int{1, 2}, TimedOut: []int{3}, MaxCIWidth: 0.5, Messages: 7}),
+		Encode(&Report{ProcRank: 1, Seq: 4, Sync: SyncFirst, Started: []int{3}, Finished: []int{1, 2}, FinishedCount: 2, TimedOut: []int{3}, MaxCIWidth: 0.5, Messages: 7}),
 		{6, 1}, // the retired stop tag
 		Encode(&Resume{GroupID: 3, ReplyAddr: "mem://2"}),
 		Encode(&ResumeAck{ProcRank: 1, GroupID: 3, LastStep: 2, DurableStep: 1}),

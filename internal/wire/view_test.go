@@ -260,7 +260,7 @@ func TestViewRejectsAllocationBomb(t *testing.T) {
 // TestReportBackpressureRoundTrip: the backpressure gauge must survive the
 // wire (it rides the existing report plumbing to the launcher).
 func TestReportBackpressureRoundTrip(t *testing.T) {
-	in := &Report{ProcRank: 2, Running: []int{1}, MaxCIWidth: 0.5, Messages: 9, Backpressure: 0.625}
+	in := &Report{ProcRank: 2, Started: []int{1}, MaxCIWidth: 0.5, Messages: 9, Backpressure: 0.625}
 	out, err := Decode(Encode(in))
 	if err != nil {
 		t.Fatal(err)

@@ -157,17 +157,44 @@ type DataBatch struct {
 	Steps   []DataStep
 }
 
-// Report is the periodic server→launcher status message: which groups this
-// server process believes are running or finished, and how converged the
-// statistics are.
+// Report is the periodic server→launcher status message. It carries what
+// changed on one server process since its previous report — the groups it
+// saw start, finish or time out — plus how converged the statistics are and
+// the pipeline telemetry. After each (re)dial of the launcher and at the
+// start of an epoch, the process first sends its whole finished set, split
+// into Sync-marked chunks, and then only deltas. No report lists more than
+// MaxReportIDs group ids, so every report is under MaxReportBytes.
 type Report struct {
 	ProcRank int
-	// Running and Finished are group ids as tracked by core.GroupTracker.
-	Running  []int
+	// Epoch is the server incarnation that produced this report. After a
+	// crash+restart, the dead incarnation's final report and any of its
+	// reports still queued at the launcher can claim groups finished whose
+	// folds were rolled back to the durable frontier. The launcher only
+	// applies reports whose epoch matches the current incarnation, and
+	// counts each one it applies as a heartbeat.
+	Epoch int
+	// Seq numbers the reports of one (Epoch, ProcRank) from 0. A gap means
+	// reports were lost with a broken connection; the redial resends the
+	// full set.
+	Seq int64
+	// Sync marks the chunks of a full set: SyncFirst on the first, SyncLast
+	// on the last (both on a set of one chunk), 0 on a delta.
+	Sync uint8
+	// Started lists groups whose first step this process committed since
+	// its previous report; in a full set, the groups it has running.
+	Started []int
+	// Finished lists groups this process finished since its previous report
+	// (their final timestep committed, Sec. 4.2.2); in a full set, a chunk
+	// of every group it has finished.
 	Finished []int
-	// TimedOut lists running groups whose inter-message gap exceeded the
-	// server's group timeout (Sec. 4.2.2, unfinished-group detection); the
-	// launcher kills and restarts them.
+	// FinishedCount is how many groups this process had finished through
+	// the last id in Finished: the launcher checks that each report's
+	// continues the one before.
+	FinishedCount int64
+	// TimedOut lists groups whose inter-message gap exceeds the server's
+	// group timeout right now (Sec. 4.2.2, unfinished-group detection); the
+	// launcher kills and restarts them. A group stays listed while it stays
+	// silent.
 	TimedOut []int
 	// MaxCIWidth is the widest 95% confidence interval across all indices
 	// (+Inf encoded as math.Inf). Used for convergence control.
@@ -179,13 +206,6 @@ type Report struct {
 	// launcher republishes on /status. Flow control does not read it; the
 	// transport's bounded buffers suspend the simulations on their own.
 	Backpressure float64
-	// Epoch is the server incarnation that produced this report. After a
-	// crash+restart, the dead incarnation's final report and any of its
-	// reports still queued at the launcher can claim groups finished whose
-	// folds were rolled back to the durable frontier. The launcher only
-	// applies reports whose epoch matches the current incarnation, and
-	// counts each one it applies as a heartbeat.
-	Epoch int
 	// TupleCount and SketchBytes are the sender's live quantile-sketch
 	// telemetry (retained GK tuples and their byte estimate, summed over
 	// cells and timesteps, from the last completed worker scan) — the memory
@@ -194,6 +214,20 @@ type Report struct {
 	TupleCount  int64
 	SketchBytes int64
 }
+
+// Report.Sync flags.
+const (
+	SyncFirst uint8 = 1 << iota // the first chunk of a full set
+	SyncLast                    // the last chunk of a full set
+)
+
+// MaxReportIDs bounds the group ids one Report carries, over its three
+// lists; a sender splits what does not fit across several reports.
+const MaxReportIDs = 1024
+
+// MaxReportBytes bounds an encoded Report: the tag and Sync bytes, nine
+// 8-byte fields, three list counts and MaxReportIDs 8-byte ids.
+const MaxReportBytes = 2 + 9*8 + 3*4 + MaxReportIDs*8
 
 // Resume asks one server process for its fold frontier of a group (see
 // TypeResume). With an empty ReplyAddr it is a liveness ping only.
@@ -283,24 +317,18 @@ func EncodeTo(w *enc.Writer, msg any) {
 	case *Report:
 		w.U8(uint8(TypeReport))
 		w.Int(m.ProcRank)
-		w.U32(uint32(len(m.Running)))
-		for _, g := range m.Running {
-			w.Int(g)
-		}
-		w.U32(uint32(len(m.Finished)))
-		for _, g := range m.Finished {
-			w.Int(g)
-		}
-		w.U32(uint32(len(m.TimedOut)))
-		for _, g := range m.TimedOut {
-			w.Int(g)
-		}
+		w.Int(m.Epoch)
+		w.I64(m.Seq)
+		w.U8(m.Sync)
+		putIDs(w, m.Started)
+		putIDs(w, m.Finished)
+		w.I64(m.FinishedCount)
+		putIDs(w, m.TimedOut)
 		w.F64(m.MaxCIWidth)
 		w.I64(m.Messages)
 		w.F64(m.Backpressure)
 		w.I64(m.TupleCount)
 		w.I64(m.SketchBytes)
-		w.Int(m.Epoch)
 	case *Resume:
 		w.U8(uint8(TypeResume))
 		w.Int(m.GroupID)
@@ -424,30 +452,21 @@ func Decode(payload []byte) (any, error) {
 	case TypeReport:
 		m := &Report{}
 		m.ProcRank = r.Int()
-		if nr := count(r, 8); nr > 0 {
-			m.Running = make([]int, nr)
-			for i := range m.Running {
-				m.Running[i] = r.Int()
-			}
-		}
-		if nf := count(r, 8); nf > 0 {
-			m.Finished = make([]int, nf)
-			for i := range m.Finished {
-				m.Finished[i] = r.Int()
-			}
-		}
-		if nt := count(r, 8); nt > 0 {
-			m.TimedOut = make([]int, nt)
-			for i := range m.TimedOut {
-				m.TimedOut[i] = r.Int()
-			}
-		}
+		m.Epoch = r.Int()
+		m.Seq = r.I64()
+		m.Sync = r.U8()
+		m.Started = getIDs(r)
+		m.Finished = getIDs(r)
+		m.FinishedCount = r.I64()
+		m.TimedOut = getIDs(r)
 		m.MaxCIWidth = r.F64()
 		m.Messages = r.I64()
 		m.Backpressure = r.F64()
 		m.TupleCount = r.I64()
 		m.SketchBytes = r.I64()
-		m.Epoch = r.Int()
+		if n := len(m.Started) + len(m.Finished) + len(m.TimedOut); n > MaxReportIDs && r.Err() == nil {
+			r.Fail(fmt.Errorf("wire: report lists %d group ids, the bound is %d", n, MaxReportIDs))
+		}
 		msg = m
 	case TypeResume:
 		m := &Resume{}
@@ -490,6 +509,27 @@ func count(r *enc.Reader, minSize int) int {
 		return 0
 	}
 	return n
+}
+
+// putIDs appends a counted list of group ids.
+func putIDs(w *enc.Writer, ids []int) {
+	w.U32(uint32(len(ids)))
+	for _, g := range ids {
+		w.Int(g)
+	}
+}
+
+// getIDs reads a list putIDs wrote (nil when empty).
+func getIDs(r *enc.Reader) []int {
+	n := count(r, 8)
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = r.Int()
+	}
+	return ids
 }
 
 // PayloadType peeks at the type tag of an encoded message without decoding

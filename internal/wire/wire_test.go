@@ -120,12 +120,16 @@ func TestDataSizeMatchesEncoding(t *testing.T) {
 // stop requests were messages of their own; the Report is the one left.
 func TestHeartbeatReportStopRoundTrip(t *testing.T) {
 	rep := &Report{
-		ProcRank:   2,
-		Running:    []int{1, 5, 9},
-		Finished:   []int{0, 2},
-		TimedOut:   []int{5},
-		MaxCIWidth: 0.125,
-		Messages:   4242,
+		ProcRank:      2,
+		Epoch:         3,
+		Seq:           17,
+		Sync:          SyncFirst | SyncLast,
+		Started:       []int{1, 5, 9},
+		Finished:      []int{0, 2},
+		FinishedCount: 2,
+		TimedOut:      []int{5},
+		MaxCIWidth:    0.125,
+		Messages:      4242,
 	}
 	if got := roundTrip(t, rep); !reflect.DeepEqual(got, rep) {
 		t.Fatalf("report: %+v", got)
@@ -133,8 +137,26 @@ func TestHeartbeatReportStopRoundTrip(t *testing.T) {
 	// Empty lists survive (decoded as nil or empty — compare fields).
 	rep2 := &Report{ProcRank: 0, MaxCIWidth: math.Inf(1)}
 	got := roundTrip(t, rep2).(*Report)
-	if got.ProcRank != 0 || got.Running != nil || got.Finished != nil || got.TimedOut != nil || !math.IsInf(got.MaxCIWidth, 1) {
+	if got.ProcRank != 0 || got.Started != nil || got.Finished != nil || got.TimedOut != nil || !math.IsInf(got.MaxCIWidth, 1) {
 		t.Fatalf("empty report: %+v", got)
+	}
+}
+
+// A report at the id bound encodes to exactly MaxReportBytes, and one id
+// more is rejected.
+func TestReportBound(t *testing.T) {
+	ids := make([]int, MaxReportIDs)
+	rep := &Report{Started: ids[:1], Finished: ids[1 : MaxReportIDs-1], TimedOut: ids[MaxReportIDs-1:]}
+	b := Encode(rep)
+	if len(b) != MaxReportBytes {
+		t.Fatalf("a full report encodes to %d bytes, MaxReportBytes is %d", len(b), MaxReportBytes)
+	}
+	if _, err := Decode(b); err != nil {
+		t.Fatal(err)
+	}
+	rep.Finished = append(rep.Finished, 0)
+	if _, err := Decode(Encode(rep)); err == nil {
+		t.Fatalf("a report of %d ids decoded", MaxReportIDs+1)
 	}
 }
 

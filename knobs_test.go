@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 84
 	pinnedSharedFlags  = 105
-	pinnedSourceLines  = 17701
+	pinnedSourceLines  = 17958
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
