@@ -177,6 +177,18 @@ func (l *Launcher) clearJob(g *groupState) {
 	}
 }
 
+// release ends the running job of a group every reporting process has
+// confirmed finished: its data is all folded, so the scheduler completes the
+// job and its MaxInFlight slot is free. The attempt may still be waiting for
+// durability; it stays in the job index, so its exit is applied as usual and
+// the study's end stops it.
+func (l *Launcher) release(g *groupState, now time.Time) {
+	if g.jobRunning {
+		l.cfg.Cluster.Complete(g.job, now)
+		g.jobRunning = false
+	}
+}
+
 // cancelJob cancels the group's job if the scheduler still runs or queues
 // it, and detaches the group from it.
 func (l *Launcher) cancelJob(g *groupState, now time.Time) {

@@ -440,4 +440,3 @@ func TestLauncherSubmissionPacing(t *testing.T) {
 		t.Fatalf("finished %d of %d", stats.GroupsFinished, nGroups)
 	}
 }
-

@@ -129,10 +129,13 @@ func (l *Launcher) handleMessage(payload []byte, now time.Time) {
 			continue
 		}
 		g.finishedBy[rank] = true
-		// Debug: per-group cadence is too chatty for Info at paper scale
-		// (thousands of groups per study).
-		if g.finished(l.reporters) && olog.Default.Enabled(olog.Debug) {
-			olog.Debugw("launcher.group_complete", "group", g.id, "attempts", g.attempts)
+		if g.finished(l.reporters) {
+			l.release(g, now)
+			// Debug: per-group cadence is too chatty for Info at paper scale
+			// (thousands of groups per study).
+			if olog.Default.Enabled(olog.Debug) {
+				olog.Debugw("launcher.group_complete", "group", g.id, "attempts", g.attempts)
+			}
 		}
 		l.refresh(g)
 	}

@@ -142,9 +142,10 @@ func (l *Launcher) restartServer(now time.Time) {
 	for _, g := range l.groups {
 		if g.job != 0 && !resume {
 			l.cancelJob(g, now)
-		} else if g.job != 0 && g.jobRunning {
-			// The group is mid-backoff against the dead server: stale timeout
-			// reports must not kill it while it reconnects.
+		} else if g.job != 0 && (g.jobRunning || g.finished(l.reporters)) {
+			// The group is mid-backoff against the dead server (a released
+			// one mid-drain included): stale timeout reports must not kill it
+			// while it reconnects.
 			g.holdTimeouts(now)
 			resumed++
 		}

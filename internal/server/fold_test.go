@@ -532,8 +532,19 @@ func TestTimedOutGroupReleasesPendingPieces(t *testing.T) {
 // other sim rank's piece never comes) holds a payload reference in its
 // assembly. The group's liveness clock still runs out: the report after
 // GroupTimeout lists it once and releases the reference, before any stop.
-func TestStrayPieceTimesOut(t *testing.T) {
+func TestStrayPieceTimesOut(t *testing.T) { strayPieceTimesOut(t, false) }
+
+// TestStrayTimeoutWaitsForLauncher: a stray timeout found while the launcher
+// is unreachable is not lost; the first report that reaches it lists it.
+func TestStrayTimeoutWaitsForLauncher(t *testing.T) { strayPieceTimesOut(t, true) }
+
+// strayPieceTimesOut sends one piece of a group that never commits a step
+// and checks that it is listed timed out in exactly one report and its
+// payload reference released. late keeps the launcher address unreachable
+// until well after the timeout.
+func strayPieceTimesOut(t *testing.T, late bool) {
 	const cells, timesteps, p, group = 20, 3, 2, 5
+	const launcherAddr = "mem://launcher"
 	stray := &wire.DataBatch{GroupID: group, CellLo: 0, CellHi: 7}
 	fs := make([][]float64, p+2)
 	for f := range fs {
@@ -541,15 +552,22 @@ func TestStrayPieceTimesOut(t *testing.T) {
 	}
 	stray.Steps = []wire.DataStep{{Timestep: 0, Fields: fs}}
 	net := transport.NewMemNetwork(transport.Options{})
-	launcher, err := net.Listen("")
-	if err != nil {
-		t.Fatal(err)
+	listen := func() transport.Receiver {
+		r, err := net.Listen(launcherAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
 	}
-	defer launcher.Close()
+	var launcher transport.Receiver
+	if !late {
+		launcher = listen()
+	}
 	base := transport.ReadPoolStats().RefsActive()
 	s := startServer(t, net, 1, cells, timesteps, p, func(c *Config) {
 		c.GroupTimeout = 100 * time.Millisecond
-		c.LauncherAddr = launcher.Addr()
+		c.LauncherAddr = launcherAddr
 		c.ReportInterval = 5 * time.Millisecond
 	})
 	defer s.Stop(false)
@@ -561,6 +579,10 @@ func TestStrayPieceTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	snd.Close()
+	if late {
+		time.Sleep(300 * time.Millisecond) // the timeout passes; every dial fails
+		launcher = listen()
+	}
 	listed := 0
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
 		msg, err := launcher.Recv(100 * time.Millisecond)

@@ -108,6 +108,7 @@ func (l *liaison) report(final bool) {
 	}
 	l.sent = len(r.finishedLog)
 	r.started = r.started[:0]
+	r.forget(l.timedOut)
 }
 
 // cut splits off the first min(len(ids), room) ids and returns them, the

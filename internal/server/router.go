@@ -131,9 +131,8 @@ func (r *router) wireStats() WireStats {
 
 // timedOut appends to dst[:0], up to limit ids, the live groups whose
 // message gap exceeds the group timeout (Sec. 4.2.2), and releases their
-// pending pieces. A group that has committed nothing here (a stray piece)
-// is listed once and forgotten; a running one stays listed while it stays
-// silent.
+// pending pieces. Each stays listed while it stays silent, until forget
+// drops the strays among them.
 func (r *router) timedOut(dst []int, limit int) []int {
 	dst = dst[:0]
 	if r.cfg.GroupTimeout <= 0 {
@@ -146,15 +145,23 @@ func (r *router) timedOut(dst []int, limit int) []int {
 		}
 		if last.Before(cutoff) {
 			dst = append(dst, g)
-			if r.tracker.State(g) == core.GroupUnknown {
-				delete(r.lastMsg, g)
-			}
 		}
 	}
 	if len(dst) > 0 {
 		r.fold.dropGroups(dst)
 	}
 	return dst
+}
+
+// forget drops the liveness clock of the groups among ids that committed
+// nothing here (stray pieces): once a report carried their timeout, they
+// need no further one. A running group keeps its clock.
+func (r *router) forget(ids []int) {
+	for _, g := range ids {
+		if r.tracker.State(g) == core.GroupUnknown {
+			delete(r.lastMsg, g)
+		}
+	}
 }
 
 // touch refreshes a group's liveness clock; a finished group has none.

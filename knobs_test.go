@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 84
 	pinnedSharedFlags  = 105
-	pinnedSourceLines  = 17958
+	pinnedSourceLines  = 17982
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
