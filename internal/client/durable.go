@@ -124,6 +124,6 @@ func (c *Connection) WaitDurable() error {
 			}
 		}
 	}
-	olog.Debugw("client.durable_drain", "group", c.opts.GroupID, "last_step", c.maxStep)
+	olog.Default.Debug("client.durable_drain", "group", c.opts.GroupID, "last_step", c.maxStep)
 	return nil
 }

@@ -178,7 +178,7 @@ func RunGroup(netw transport.Network, mainAddr string, rc RunConfig) error {
 		if !errors.Is(err, errDurableDrain) {
 			return err
 		}
-		olog.Warnw("client.durable_drain_timeout", "group", rc.GroupID, "err", err)
+		olog.Default.Warn("client.durable_drain_timeout", "group", rc.GroupID, "err", err)
 	}
 	return nil
 }

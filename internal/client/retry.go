@@ -207,14 +207,8 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 		}
 		c.reconnects++
 		cReconnects.Inc()
-		if ok, suppressed := reconnLim.Allow(limKey(c.opts.GroupID, rank)); ok {
-			kv := []any{"group", c.opts.GroupID, "server", rank,
-				"used", c.reconnects, "budget", budget, "cause", cause}
-			if suppressed > 0 {
-				kv = append(kv, "suppressed", suppressed)
-			}
-			olog.Infow("client.reconnect", kv...)
-		}
+		reconnLim.Log(limKey(c.opts.GroupID, rank), olog.Info, "client.reconnect", "group", c.opts.GroupID,
+			"server", rank, "used", c.reconnects, "budget", budget, "cause", cause)
 		if c.opts.OnReconnect != nil {
 			c.opts.OnReconnect(rank, c.reconnects)
 		}
@@ -236,7 +230,7 @@ func (c *Connection) recoverRank(rank int, cause error) error {
 		c.noteDurable(rank, ack.DurableStep)
 		err = c.resendRank(rank, ack.LastStep)
 		if err == nil {
-			olog.Debugw("client.reconnected", "group", c.opts.GroupID, "server", rank,
+			olog.Default.Debug("client.reconnected", "group", c.opts.GroupID, "server", rank,
 				"acked_step", ack.LastStep, "durable_step", ack.DurableStep, "used", c.reconnects)
 			return nil
 		}
@@ -325,13 +319,8 @@ func (c *Connection) skipResumed(rank, step int) (bool, error) {
 	cSkippedPieces.Inc()
 	r.skipped++
 	if r.skipped%resumePingEvery == 1 && c.senders[rank] != nil {
-		if ok, suppressed := pingLim.Allow(limKey(c.opts.GroupID, rank)); ok {
-			kv := []any{"group", c.opts.GroupID, "server", rank, "skipped", r.skipped}
-			if suppressed > 0 {
-				kv = append(kv, "suppressed", suppressed)
-			}
-			olog.Debugw("client.resume_ping", kv...)
-		}
+		pingLim.Log(limKey(c.opts.GroupID, rank), olog.Debug, "client.resume_ping",
+			"group", c.opts.GroupID, "server", rank, "skipped", r.skipped)
 		if err := c.sendFrame(rank, wire.Encode(&wire.Resume{GroupID: c.opts.GroupID})); err != nil {
 			return true, fmt.Errorf("client: group %d liveness ping to server %d: %w", c.opts.GroupID, rank, err)
 		}

@@ -180,8 +180,8 @@ func newShard(cells, timesteps, p int, opts Options) *shard {
 		a.steps[t].rec = a.buf[t*window : (t+1)*window : (t+1)*window]
 	}
 	if lay.min >= 0 {
-		// Min/max slots start at the identity of the running min/max, like
-		// stats.NewFieldMinMax; every other slot starts at zero.
+		// Min/max slots start at the identity of the running min/max (+Inf,
+		// -Inf); every other slot starts at zero.
 		for ri := lay.min; ri < len(a.buf); ri += lay.stride {
 			a.buf[ri] = math.Inf(1)
 			a.buf[ri+1] = math.Inf(-1)
@@ -309,8 +309,8 @@ func (a *shard) UpdateGroup(t int, yA, yB []float64, yC [][]float64) {
 		ab[offMeanB] += dB / n
 		ab[offM2B] += dB * (yb - ab[offMeanB])
 		// Tracker slots ride the same record while it is register/cache-warm.
-		// Each tracker sees yA then yB: the arithmetic of stats.Field*
-		// Update(yA) then Update(yB), replicated bitwise.
+		// Each tracker sees yA then yB: the arithmetic of the reference
+		// trackers' Update(yA) then Update(yB), replicated bitwise.
 		if lay.min >= 0 {
 			m := (*[2]float64)(unsafe.Add(r, 8*lay.min))
 			lo, hi := m[0], m[1]
@@ -449,7 +449,7 @@ func (a *shard) InteractionField(t int, dst []float64) []float64 {
 // written into dst — straight out of the interleaved records; each getter
 // returns nil when its tracker is not enabled. The derived values
 // (probability, skewness, kurtosis) go through the internal/stats functions
-// the stats.Field* reference trackers also read through, so the equivalence
+// the equivalence tests' reference trackers also read through, so those
 // tests can hold the two sides to ==.
 
 // MinField writes the per-cell running minimum over the A and B samples at

@@ -18,7 +18,6 @@ import (
 	"melissa/internal/core"
 	"melissa/internal/quantiles"
 	"melissa/internal/sobol"
-	"melissa/internal/stats"
 )
 
 // refAccum is the seed kernel: parallel arrays, one pass per parameter plus
@@ -34,9 +33,9 @@ type refAccum struct {
 	m2C      [][]float64
 	c2BC     [][]float64
 	c2AC     [][]float64
-	minmax   *stats.FieldMinMax
-	exceed   *stats.FieldExceedance
-	higher   *stats.FieldMoments
+	minmax   *fieldMinMax
+	exceed   *fieldExceedance
+	higher   *fieldMoments
 	quant    *quantiles.Field
 }
 
@@ -57,13 +56,13 @@ func newRefAccum(cells, p int, opts core.Options) *refAccum {
 		meanC: make2D(), m2C: make2D(), c2BC: make2D(), c2AC: make2D(),
 	}
 	if opts.MinMax {
-		r.minmax = stats.NewFieldMinMax(cells)
+		r.minmax = newFieldMinMax(cells)
 	}
 	if opts.Threshold != nil {
-		r.exceed = stats.NewFieldExceedance(cells, *opts.Threshold)
+		r.exceed = newFieldExceedance(cells, *opts.Threshold)
 	}
 	if opts.HigherMoments {
-		r.higher = stats.NewFieldMoments(cells)
+		r.higher = newFieldMoments(cells)
 	}
 	if len(opts.Quantiles) > 0 {
 		r.quant = quantiles.NewField(cells, opts.QuantileEps)

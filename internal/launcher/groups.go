@@ -132,7 +132,7 @@ func (l *Launcher) submitEligible(now time.Time) {
 			return
 		}
 		if err := l.submitGroup(g, now); err != nil {
-			olog.Errorw("launcher.submit_failed", "group", g.id, "err", err)
+			olog.Default.Error("launcher.submit_failed", "group", g.id, "err", err)
 			g.givenUp = true
 			l.stats.GroupsGivenUp++
 		}
@@ -298,7 +298,7 @@ func (l *Launcher) retryOrGiveUp(g *groupState, now time.Time, cause error) {
 	if g.attempts > l.cfg.MaxRetries {
 		g.givenUp = true
 		l.stats.GroupsGivenUp++
-		olog.Warnw("launcher.group_giveup",
+		olog.Default.Warn("launcher.group_giveup",
 			"group", g.id, "attempts", g.attempts, "cause", cause)
 		return
 	}

@@ -276,13 +276,13 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 			return nil, l.stats, fmt.Errorf("launcher: telemetry endpoint: %w", err)
 		}
 		defer ep.Close()
-		olog.Infow("launcher.telemetry", "addr", ep.Addr())
+		olog.Default.Info("launcher.telemetry", "addr", ep.Addr())
 	}
 
 	l.start = time.Now()
 	l.publishStatus(l.start)
 	obs.SetStatus("study", func() any { return *l.status.Load() })
-	olog.Infow("launcher.study_start",
+	olog.Default.Info("launcher.study_start",
 		"groups", l.cfg.Design.N(), "parameters", l.cfg.Design.P(),
 		"cells", l.cfg.Cells, "timesteps", l.cfg.Timesteps,
 		"server_procs", l.cfg.ServerProcs)
@@ -338,7 +338,7 @@ func (l *Launcher) Run() (*server.Result, Stats, error) {
 	l.stats.WallClock = time.Since(l.start)
 	l.stats.PeakNodes = l.cfg.Cluster.PeakUsedNodes()
 	l.publishStatus(time.Now())
-	olog.Infow("launcher.study_complete", "wall_clock", l.stats.WallClock,
+	olog.Default.Info("launcher.study_complete", "wall_clock", l.stats.WallClock,
 		"groups_finished", l.stats.GroupsFinished, "groups_given_up", l.stats.GroupsGivenUp,
 		"restarts", l.stats.Restarts, "server_restarts", l.stats.ServerRestarts,
 		"converged", l.stats.Converged)

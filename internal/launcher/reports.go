@@ -67,7 +67,7 @@ func (l *Launcher) follow(rank int, rep *wire.Report) {
 		k.syncing = false
 		if !k.stale {
 			l.stats.ReportGaps++
-			olog.Warnw("launcher.report_gap", "rank", rank, "seq", rep.Seq, "expected", k.next)
+			olog.Default.Warn("launcher.report_gap", "rank", rank, "seq", rep.Seq, "expected", k.next)
 			k.stale = true
 			l.stale++
 		}
@@ -134,7 +134,7 @@ func (l *Launcher) handleMessage(payload []byte, now time.Time) {
 			// Debug: per-group cadence is too chatty for Info at paper scale
 			// (thousands of groups per study).
 			if olog.Default.Enabled(olog.Debug) {
-				olog.Debugw("launcher.group_complete", "group", g.id, "attempts", g.attempts)
+				olog.Default.Debug("launcher.group_complete", "group", g.id, "attempts", g.attempts)
 			}
 		}
 		l.refresh(g)

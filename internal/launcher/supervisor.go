@@ -84,9 +84,9 @@ func (l *Launcher) startServer(restore bool) error {
 func (l *Launcher) checkServer(now time.Time) {
 	switch {
 	case l.cfg.Faults.ShouldCrashServer(now.Sub(l.start)):
-		olog.Infow("launcher.fault_server_crash", "elapsed", now.Sub(l.start))
+		olog.Default.Info("launcher.fault_server_crash", "elapsed", now.Sub(l.start))
 	case l.cfg.HeartbeatTimeout > 0 && now.Sub(l.lastHeartbeat) >= l.cfg.HeartbeatTimeout:
-		olog.Warnw("launcher.server_heartbeat_lost",
+		olog.Default.Warn("launcher.server_heartbeat_lost",
 			"silent_for", now.Sub(l.lastHeartbeat), "action", "restart from checkpoint")
 	default:
 		return
@@ -108,12 +108,12 @@ func (l *Launcher) clearCheckpoints() error {
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("launcher: %w", err)
 			}
-			olog.Warnw("launcher.stale_checkpoint_removed", "file", path)
+			olog.Default.Warn("launcher.stale_checkpoint_removed", "file", path)
 		}
 	}
 	removed, err := checkpoint.SweepTemps(dir)
 	if len(removed) > 0 {
-		olog.Warnw("launcher.stale_checkpoint_removed", "files", removed)
+		olog.Default.Warn("launcher.stale_checkpoint_removed", "files", removed)
 	}
 	return err
 }
@@ -166,11 +166,11 @@ func (l *Launcher) restartServer(now time.Time) {
 	}
 	l.stats.ResumesAfterServerRestart += resumed
 	if err := l.startServer(true); err != nil {
-		olog.Errorw("launcher.server_restart_failed", "err", err)
+		olog.Default.Error("launcher.server_restart_failed", "err", err)
 		return
 	}
 	if resume {
-		olog.Infow("launcher.server_resumed",
+		olog.Default.Info("launcher.server_resumed",
 			"groups_kept", resumed, "addrs", len(l.srvAddrs))
 	}
 }

@@ -1,19 +1,17 @@
-// Package log is the framework's leveled structured logger. Call sites emit
-// an event name plus key/value fields; the output is either human-readable
-// text (default) or JSON lines (-log-json), and a level threshold
-// (-log-level) silences the chatty tiers.
-//
-// It replaces the scattered stdlib log.Printf calls so study lifecycle
-// events — group connect/complete, checkpoint commit/skip, malformed-frame
-// drop — are machine-parseable and individually rate-limitable. The package
-// is intended to be imported with an alias (olog) to avoid shadowing the
-// stdlib.
+// Package log is the framework's process-wide structured logger on log/slog:
+// an event name as the message plus key/value fields, written as slog text
+// lines (default) or JSON lines (-log-json) above a level threshold
+// (-log-level). It adds what slog lacks: an Off level, the flags' level
+// names, a logger whose level, format and output can change while other
+// goroutines log, and a per-key rate Limiter. Import it as olog, beside the
+// stdlib log the binaries print their console lines with.
 package log
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -22,30 +20,16 @@ import (
 )
 
 // Level orders log severities.
-type Level int32
+type Level = slog.Level
 
 // Levels, least to most severe. Off disables everything.
 const (
-	Debug Level = iota
-	Info
-	Warn
-	Error
-	Off
+	Debug = slog.LevelDebug
+	Info  = slog.LevelInfo
+	Warn  = slog.LevelWarn
+	Error = slog.LevelError
+	Off   = slog.LevelError + 4
 )
-
-func (l Level) String() string {
-	switch l {
-	case Debug:
-		return "debug"
-	case Info:
-		return "info"
-	case Warn:
-		return "warn"
-	case Error:
-		return "error"
-	}
-	return "off"
-}
 
 // ParseLevel reads a level name ("debug", "info", "warn", "error", "off").
 func ParseLevel(s string) (Level, error) {
@@ -64,122 +48,84 @@ func ParseLevel(s string) (Level, error) {
 	return Info, fmt.Errorf("unknown log level %q", s)
 }
 
-// Logger writes leveled events. The zero value is unusable; use New or the
-// package-level Default.
+// Logger is a *slog.Logger whose records go to a slog.TextHandler or a
+// slog.JSONHandler over one slog.LevelVar. SetLevel, SetJSON, SetOutput and
+// Enabled are safe to call while other goroutines log.
 type Logger struct {
-	level atomic.Int32
-	json  atomic.Bool
+	*slog.Logger
+	level slog.LevelVar
+	cur   atomic.Pointer[slog.Handler] // the handler records go to now
 
-	mu  sync.Mutex
-	out io.Writer
-	now func() time.Time // test hook
+	mu   sync.Mutex // serializes handler swaps
+	out  io.Writer
+	json bool
 }
 
 // New returns a text-format logger at Info writing to w.
 func New(w io.Writer) *Logger {
-	l := &Logger{out: w, now: time.Now}
-	l.level.Store(int32(Info))
+	l := &Logger{out: w}
+	l.Logger = slog.New(swapHandler{l})
+	l.swap()
 	return l
 }
 
-// Default is the process-wide logger (stderr, text, Info).
+// Default is the process-wide logger (stderr, text, Info). It is not
+// installed as slog's default: the binaries' console lines go through the
+// stdlib log unfiltered.
 var Default = New(os.Stderr)
 
 // SetLevel sets the minimum severity that is emitted.
-func (l *Logger) SetLevel(v Level) { l.level.Store(int32(v)) }
+func (l *Logger) SetLevel(v Level) { l.level.Set(v) }
 
-// SetJSON switches between JSON-lines (true) and text output.
-func (l *Logger) SetJSON(v bool) { l.json.Store(v) }
+// SetJSON switches between JSON lines (true) and text output.
+func (l *Logger) SetJSON(v bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.json = v
+	l.swap()
+}
 
 // SetOutput redirects the logger (tests, log files).
 func (l *Logger) SetOutput(w io.Writer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.out = w
+	l.swap()
+}
+
+// swap installs a handler for the current format and output; l.mu is held
+// or l is not yet shared.
+func (l *Logger) swap() {
+	opts := &slog.HandlerOptions{Level: &l.level}
+	var h slog.Handler = slog.NewTextHandler(l.out, opts)
+	if l.json {
+		h = slog.NewJSONHandler(l.out, opts)
+	}
+	l.cur.Store(&h)
 }
 
 // Enabled reports whether events at v would be emitted — guard expensive
-// field construction with it.
-func (l *Logger) Enabled(v Level) bool { return v >= Level(l.level.Load()) }
+// field construction with it. It costs one atomic load.
+func (l *Logger) Enabled(v Level) bool { return v >= l.level.Level() }
 
-// Event emits one event: a short dotted name ("server.group_complete") and
-// alternating key, value field pairs. Values are formatted with %v in text
-// mode and JSON-marshaled in JSON mode (falling back to the %v string for
-// unmarshalable values).
-func (l *Logger) Event(v Level, event string, kv ...any) {
-	if !l.Enabled(v) {
-		return
-	}
-	ts := l.now()
-	var b strings.Builder
-	if l.json.Load() {
-		writeJSONLine(&b, ts, v, event, kv)
-	} else {
-		writeTextLine(&b, ts, v, event, kv)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = io.WriteString(l.out, b.String())
+// swapHandler is the handler of a Logger's slog.Logger: it filters on the
+// level itself and hands each record to the handler the Logger holds now. A
+// logger derived through With or WithGroup keeps the format and output
+// current at that call.
+type swapHandler struct{ l *Logger }
+
+func (h swapHandler) Enabled(_ context.Context, v slog.Level) bool { return h.l.Enabled(v) }
+
+func (h swapHandler) Handle(ctx context.Context, r slog.Record) error {
+	return (*h.l.cur.Load()).Handle(ctx, r)
 }
 
-// Package-level helpers on Default.
-
-// Debugw emits a Debug event on Default.
-func Debugw(event string, kv ...any) { Default.Event(Debug, event, kv...) }
-
-// Infow emits an Info event on Default.
-func Infow(event string, kv ...any) { Default.Event(Info, event, kv...) }
-
-// Warnw emits a Warn event on Default.
-func Warnw(event string, kv ...any) { Default.Event(Warn, event, kv...) }
-
-// Errorw emits an Error event on Default.
-func Errorw(event string, kv ...any) { Default.Event(Error, event, kv...) }
-
-func writeTextLine(b *strings.Builder, ts time.Time, v Level, event string, kv []any) {
-	b.WriteString(ts.Format("2006-01-02T15:04:05.000"))
-	b.WriteByte(' ')
-	b.WriteString(strings.ToUpper(v.String()))
-	b.WriteByte(' ')
-	b.WriteString(event)
-	for i := 0; i+1 < len(kv); i += 2 {
-		fmt.Fprintf(b, " %v=%v", kv[i], kv[i+1])
-	}
-	if len(kv)%2 == 1 {
-		fmt.Fprintf(b, " !MISSING_VALUE=%v", kv[len(kv)-1])
-	}
-	b.WriteByte('\n')
+func (h swapHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return (*h.l.cur.Load()).WithAttrs(as)
 }
 
-func writeJSONLine(b *strings.Builder, ts time.Time, v Level, event string, kv []any) {
-	b.WriteString(`{"ts":`)
-	b.WriteString(fmt.Sprintf("%q", ts.Format(time.RFC3339Nano)))
-	b.WriteString(`,"level":`)
-	b.WriteString(fmt.Sprintf("%q", v.String()))
-	b.WriteString(`,"event":`)
-	b.WriteString(jsonValue(event))
-	for i := 0; i+1 < len(kv); i += 2 {
-		b.WriteByte(',')
-		b.WriteString(jsonValue(fmt.Sprintf("%v", kv[i])))
-		b.WriteByte(':')
-		b.WriteString(jsonValue(kv[i+1]))
-	}
-	if len(kv)%2 == 1 {
-		b.WriteString(`,"!MISSING_VALUE":`)
-		b.WriteString(jsonValue(kv[len(kv)-1]))
-	}
-	b.WriteString("}\n")
-}
-
-func jsonValue(v any) string {
-	if d, ok := v.(time.Duration); ok {
-		v = d.String()
-	}
-	out, err := json.Marshal(v)
-	if err != nil {
-		out, _ = json.Marshal(fmt.Sprintf("%v", v))
-	}
-	return string(out)
+func (h swapHandler) WithGroup(name string) slog.Handler {
+	return (*h.l.cur.Load()).WithGroup(name)
 }
 
 // Limiter rate-limits per-key log emission: Allow returns true at most once
@@ -211,11 +157,10 @@ const limiterMaxKeys = 4096
 func (r *Limiter) Allow(key uint64) (ok bool, suppressed int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	nowFn := r.now
-	if nowFn == nil {
-		nowFn = time.Now
+	now := time.Now()
+	if r.now != nil {
+		now = r.now()
 	}
-	now := nowFn()
 	if r.entries == nil || len(r.entries) > limiterMaxKeys {
 		r.entries = make(map[uint64]*limitEntry)
 	}
@@ -232,4 +177,19 @@ func (r *Limiter) Allow(key uint64) (ok bool, suppressed int64) {
 	}
 	e.suppressed++
 	return false, 0
+}
+
+// Log emits event at level v on Default when Default is at v or below and
+// Allow passes key, with the suppressed count appended as "suppressed" when
+// it is nonzero.
+func (r *Limiter) Log(key uint64, v Level, event string, args ...any) {
+	if !Default.Enabled(v) {
+		return
+	}
+	if ok, suppressed := r.Allow(key); ok {
+		if suppressed > 0 {
+			args = append(args, "suppressed", suppressed)
+		}
+		Default.Log(context.Background(), v, event, args...)
+	}
 }

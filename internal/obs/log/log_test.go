@@ -2,52 +2,49 @@ package log
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func fixedNow() time.Time {
-	return time.Date(2017, 11, 13, 9, 30, 0, 0, time.UTC) // SC'17 week
-}
-
-func TestTextFormat(t *testing.T) {
+// TestFieldsSurviveEitherFormat: an error field carries its text in JSON
+// lines, and a text value holding a space, an '=' and a newline stays on
+// its event's one line.
+func TestFieldsSurviveEitherFormat(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
-	l.now = fixedNow
-	l.Event(Info, "server.group_complete", "group", 7, "folds", 1234)
-	got := b.String()
-	want := "2017-11-13T09:30:00.000 INFO server.group_complete group=7 folds=1234\n"
-	if got != want {
-		t.Fatalf("text line = %q, want %q", got, want)
-	}
-}
-
-func TestJSONFormat(t *testing.T) {
-	var b strings.Builder
-	l := New(&b)
-	l.now = fixedNow
 	l.SetJSON(true)
-	l.Event(Warn, "server.drop", "reason", "decode", "bytes", 42, "stall", 3*time.Millisecond)
+	cause := fmt.Errorf("checkpoint: commit: %w", errors.New("disk full"))
+	l.Error("server.checkpoint_failed", "rank", 1, "err", cause, "stall", 3*time.Millisecond)
 	var doc map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("not a JSON line: %v\n%s", err, b.String())
 	}
-	if doc["level"] != "warn" || doc["event"] != "server.drop" ||
-		doc["reason"] != "decode" || doc["bytes"] != float64(42) || doc["stall"] != "3ms" {
-		t.Fatalf("bad JSON doc: %v", doc)
+	if doc["msg"] != "server.checkpoint_failed" || doc["err"] != cause.Error() ||
+		doc["rank"] != float64(1) || doc["stall"] != float64(3*time.Millisecond) {
+		t.Fatalf("JSON record %v; want msg, the error's text, rank 1 and stall in ns", doc)
+	}
+
+	b.Reset()
+	l.SetJSON(false)
+	l.Warn("client.reconnect", "cause", "a b=c\nd", "group", 3)
+	out := b.String()
+	if n := strings.Count(out, "\n"); n != 1 || !strings.HasSuffix(out, " group=3\n") {
+		t.Fatalf("text event spans %d lines, want 1:\n%s", n, out)
 	}
 }
 
 func TestLevelThreshold(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
-	l.Event(Debug, "hidden")
+	l.Debug("hidden")
 	l.SetLevel(Error)
-	l.Event(Info, "hidden")
-	l.Event(Warn, "hidden")
-	l.Event(Error, "shown")
+	l.Info("hidden")
+	l.Warn("hidden")
+	l.Error("shown")
 	if n := strings.Count(b.String(), "\n"); n != 1 {
 		t.Fatalf("emitted %d lines, want 1:\n%s", n, b.String())
 	}
@@ -57,12 +54,17 @@ func TestLevelThreshold(t *testing.T) {
 	if l.Enabled(Warn) || !l.Enabled(Error) {
 		t.Fatal("Enabled disagrees with SetLevel(Error)")
 	}
+	l.SetLevel(Off)
+	l.Error("hidden")
+	if l.Enabled(Error) || strings.Count(b.String(), "\n") != 1 {
+		t.Fatalf("Off let an error through:\n%s", b.String())
+	}
 }
 
 func TestParseLevel(t *testing.T) {
 	for s, want := range map[string]Level{
 		"debug": Debug, "info": Info, "": Info, "Warn": Warn,
-		"warning": Warn, "ERROR": Error, "off": Off,
+		"warning": Warn, "ERROR": Error, "off": Off, "none": Off,
 	} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
@@ -71,15 +73,6 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Fatal("ParseLevel accepted junk")
-	}
-}
-
-func TestOddFieldCount(t *testing.T) {
-	var b strings.Builder
-	l := New(&b)
-	l.Event(Info, "odd", "danglingkey")
-	if !strings.Contains(b.String(), "!MISSING_VALUE=danglingkey") {
-		t.Fatalf("dangling key not flagged:\n%s", b.String())
 	}
 }
 
@@ -122,29 +115,44 @@ func TestLimiterKeyBound(t *testing.T) {
 	}
 }
 
+// TestConcurrentLogging logs from several goroutines while the format,
+// output and level switch under them: every event stays one whole line.
 func TestConcurrentLogging(t *testing.T) {
 	var b strings.Builder
 	var mu sync.Mutex
-	l := New(writerFunc(func(p []byte) (int, error) {
+	w := writerFunc(func(p []byte) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		return b.Write(p)
-	}))
+	})
+	l := New(w)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.Event(Info, "tick", "worker", i, "j", j)
+				l.Info("tick", "worker", i, "j", j)
 			}
 		}(i)
+	}
+	for j := 0; j < 50; j++ {
+		l.SetJSON(j%2 == 0)
+		l.SetOutput(w)
+		l.SetLevel(Info)
+		_ = l.Enabled(Debug)
 	}
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	if n := strings.Count(b.String(), "\n"); n != 400 {
-		t.Fatalf("lines = %d, want 400", n)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 400 {
+		t.Fatalf("lines = %d, want 400", len(lines))
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, "tick") || !strings.Contains(line, "worker") {
+			t.Fatalf("torn line %q", line)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func (cc *codecCache) rangeWords(m *bulkMsg, r int) []uint64 {
 		// Parse validated every block (codec.Validate), so this cannot
 		// fail on a routed message; the check is pure defence in depth.
 		if err := m.comp.DecompressRange(r, &cc.dec, cc.words[r]); err != nil {
-			olog.Errorw("server.codec_decompress_failed", "err", err)
+			olog.Default.Error("server.codec_decompress_failed", "err", err)
 			clear(cc.words[r])
 		}
 		mCodecSeconds.ObserveSince(t0)

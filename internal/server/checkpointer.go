@@ -237,7 +237,7 @@ func (c *checkpointer) begin(block bool, src *router) {
 		c.stats.Skipped++
 		c.mu.Unlock()
 		mCkptSkips.Inc()
-		olog.Warnw("server.checkpoint_skip", "rank", c.cfg.Rank,
+		olog.Default.Warn("server.checkpoint_skip", "rank", c.cfg.Rank,
 			"reason", "previous write still in flight")
 		return
 	}
@@ -347,11 +347,11 @@ func (c *checkpointer) write(job *ckptJob) {
 	}
 	c.mu.Unlock()
 	if errors.Is(err, errAbandoned) {
-		olog.Infow("server.checkpoint_abandoned", "rank", c.cfg.Rank, "elapsed", elapsed)
+		olog.Default.Info("server.checkpoint_abandoned", "rank", c.cfg.Rank, "elapsed", elapsed)
 		return
 	}
 	if err != nil {
-		olog.Errorw("server.checkpoint_failed", "rank", c.cfg.Rank, "err", err)
+		olog.Default.Error("server.checkpoint_failed", "rank", c.cfg.Rank, "err", err)
 		return
 	}
 	// The manifest is durable: the frontier captured at initiation is now
@@ -362,7 +362,7 @@ func (c *checkpointer) write(job *ckptJob) {
 	mCkptWrites.Inc()
 	mCkptBytes.Add(res.Bytes)
 	mCkptWriteSeconds.Observe(elapsed.Seconds())
-	olog.Infow("server.checkpoint_commit", "rank", c.cfg.Rank, "bytes", res.Bytes,
+	olog.Default.Info("server.checkpoint_commit", "rank", c.cfg.Rank, "bytes", res.Bytes,
 		"steps", fmt.Sprintf("%d/%d", res.Steps, snap.Timesteps()), "segment_bytes", res.SegmentBytes,
 		"elapsed", elapsed, "stall", stall)
 }
@@ -430,9 +430,9 @@ func (c *checkpointer) restore(dst *router) error {
 	rank := c.cfg.Rank
 	if rank == 0 {
 		if removed, err := checkpoint.SweepTemps(c.cfg.CheckpointDir); err != nil {
-			olog.Warnw("server.temp_sweep_failed", "rank", rank, "err", err)
+			olog.Default.Warn("server.temp_sweep_failed", "rank", rank, "err", err)
 		} else if len(removed) > 0 {
-			olog.Infow("server.temp_sweep", "rank", rank, "count", len(removed), "files", removed)
+			olog.Default.Info("server.temp_sweep", "rank", rank, "count", len(removed), "files", removed)
 		}
 	}
 	start := time.Now()
@@ -469,7 +469,7 @@ func (c *checkpointer) restore(dst *router) error {
 	if version < checkpoint.V2 && len(c.cfg.Stats.Quantiles) > 0 {
 		// The restored accumulator adopts the checkpoint's statistics set;
 		// a pre-quantile file cannot resurrect sketch state mid-study.
-		olog.Warnw("server.restore_no_quantiles", "rank", rank, "version", version)
+		olog.Default.Warn("server.restore_no_quantiles", "rank", rank, "version", version)
 	}
 	tracker, err := core.DecodeGroupTrackerVersion(r, version)
 	if err != nil {

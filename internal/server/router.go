@@ -171,19 +171,12 @@ func (r *router) touch(group int, now time.Time) {
 	}
 }
 
-// dropFrame records one dropped frame: the counter is exact, the log line is
-// rate-limited per offending group so a corruption flood cannot spam the log.
-// kv carries the event-specific fields; the suppressed count since the last
-// emitted line is appended when nonzero.
+// dropFrame records one dropped frame: the counter is exact, the log line
+// (kv: the event-specific fields) is rate-limited per offending group so a
+// corruption flood cannot spam the log.
 func (r *router) dropFrame(reason string, key uint64, kv ...any) {
 	mDrops.With(reason).Inc()
-	if ok, suppressed := r.dropLim.Allow(key); ok {
-		kv = append(kv, "rank", r.cfg.Rank, "reason", reason)
-		if suppressed > 0 {
-			kv = append(kv, "suppressed", suppressed)
-		}
-		olog.Warnw("server.frame_drop", kv...)
-	}
+	r.dropLim.Log(key, olog.Warn, "server.frame_drop", append(kv, "rank", r.cfg.Rank, "reason", reason)...)
 }
 
 // dispatch routes one inbox payload. The bulk data types take the lazy-view
@@ -226,12 +219,12 @@ func (r *router) dispatch(payload []byte) {
 func (r *router) reply(addr string, group int, msg any, unreachableEvent, failedEvent string) {
 	s, err := r.cfg.Network.Dial(addr)
 	if err != nil {
-		olog.Warnw(unreachableEvent, "rank", r.cfg.Rank, "group", group, "addr", addr, "err", err)
+		olog.Default.Warn(unreachableEvent, "rank", r.cfg.Rank, "group", group, "addr", addr, "err", err)
 		return
 	}
 	defer s.Close()
 	if err := s.Send(wire.Encode(msg)); err != nil {
-		olog.Warnw(failedEvent, "rank", r.cfg.Rank, "group", group, "err", err)
+		olog.Default.Warn(failedEvent, "rank", r.cfg.Rank, "group", group, "err", err)
 	}
 }
 
@@ -241,11 +234,11 @@ func (r *router) reply(addr string, group int, msg any, unreachableEvent, failed
 func (r *router) handleHello(m *wire.Hello) {
 	cfg := r.cfg
 	if cfg.Rank != 0 {
-		olog.Warnw("server.hello_misrouted", "rank", cfg.Rank, "group", m.GroupID)
+		olog.Default.Warn("server.hello_misrouted", "rank", cfg.Rank, "group", m.GroupID)
 		return
 	}
 	if olog.Default.Enabled(olog.Debug) {
-		olog.Debugw("server.group_connect", "group", m.GroupID, "addr", m.ReplyAddr, "caps", m.Caps)
+		olog.Default.Debug("server.group_connect", "group", m.GroupID, "addr", m.ReplyAddr, "caps", m.Caps)
 	}
 	w := &wire.Welcome{
 		Timesteps:  cfg.Timesteps,
@@ -293,7 +286,7 @@ func (r *router) handleResume(m *wire.Resume) {
 		last = -1
 	}
 	if olog.Default.Enabled(olog.Debug) {
-		olog.Debugw("server.group_resume", "rank", r.cfg.Rank, "group", m.GroupID, "last_step", last)
+		olog.Default.Debug("server.group_resume", "rank", r.cfg.Rank, "group", m.GroupID, "last_step", last)
 	}
 	ack := &wire.ResumeAck{ProcRank: r.cfg.Rank, GroupID: m.GroupID,
 		LastStep: last, DurableStep: r.ckpt.durableStep(m.GroupID)}
@@ -413,7 +406,7 @@ func (r *router) routeStep(m *bulkMsg, s int) {
 			r.undurable = append(r.undurable, group)
 		}
 		if olog.Default.Enabled(olog.Debug) {
-			olog.Debugw("server.group_complete", "rank", r.cfg.Rank, "group", group)
+			olog.Default.Debug("server.group_complete", "rank", r.cfg.Rank, "group", group)
 		}
 	}
 }

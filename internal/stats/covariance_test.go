@@ -104,35 +104,3 @@ func TestCovarianceVariancesMatchMoments(t *testing.T) {
 	almostEqual(t, "meanX", c.MeanX(), mx.Mean(), 1e-12)
 	almostEqual(t, "meanY", c.MeanY(), my.Mean(), 1e-12)
 }
-
-// One-cell FieldMinMax/FieldExceedance contracts: ±Inf identity when empty,
-// merge with an empty side, strictly-greater exceedance, threshold agreement
-// on merge.
-
-func TestMinMax(t *testing.T) {
-	m := NewFieldMinMax(1)
-	if !math.IsInf(m.Min(0), 1) || !math.IsInf(m.Max(0), -1) {
-		t.Fatalf("empty FieldMinMax not ±Inf")
-	}
-	for _, v := range []float64{3, -1, 7, 2} {
-		m.Update([]float64{v})
-	}
-	if m.Min(0) != -1 || m.Max(0) != 7 || m.N() != 4 {
-		t.Fatalf("got min=%v max=%v n=%d", m.Min(0), m.Max(0), m.N())
-	}
-}
-
-func TestExceedance(t *testing.T) {
-	e := NewFieldExceedance(1, 0.5)
-	for _, v := range []float64{0.1, 0.6, 0.5, 0.9, 0.2} {
-		e.Update([]float64{v})
-	}
-	// Strictly greater: 0.5 itself does not exceed.
-	almostEqual(t, "probability", e.Probability(0), 0.4, 1e-15)
-	if e.N() != 5 || e.Probability(0) != ExceedanceProbability(2, 5) {
-		t.Fatalf("n=%d probability=%v", e.N(), e.Probability(0))
-	}
-	if ExceedanceProbability(0, 0) != 0 {
-		t.Fatalf("empty stream probability not 0")
-	}
-}

@@ -18,15 +18,9 @@
 // same value (up to floating-point round-off) as the corresponding two-pass
 // textbook formula over the same n samples, in any order.
 //
-// The scalar accumulators (Moments, Covariance) track one quantity and are
-// what the scalar Sobol' estimators of internal/sobol are built from. The
-// Field* variants (FieldMoments, FieldMinMax, FieldExceedance) track one
-// quantity per mesh cell with a single shared sample count. The server does
-// not fold through them: internal/core keeps the same per-cell state as
-// slots of its interleaved records and updates it inside its one fused
-// sweep. They are the plain, one-array-per-statistic form of that
-// arithmetic, and core's equivalence tests fold them beside the kernel and
-// require bitwise-equal results. The read-out formulas both sides share —
-// Skewness, Kurtosis, ExceedanceProbability — are exported functions so
-// there is one copy of each.
+// The accumulators (Moments, Covariance) track one quantity and are what the
+// scalar Sobol' estimators of internal/sobol are built from. Per-cell field
+// statistics live in internal/core's interleaved records; the read-out
+// formulas core shares with its test reference — Skewness, Kurtosis,
+// ExceedanceProbability — are exported here so there is one copy of each.
 package stats

@@ -54,8 +54,9 @@ func (m *Moments) Kurtosis() float64 { return Kurtosis(m.n, m.m2, m.m4) }
 
 // Skewness is the sample skewness g1 = sqrt(n) * m3 / m2^(3/2) of n samples
 // with central-moment sums m2 and m3, 0 when undefined (n < 2 or zero
-// variance). Moments, FieldMoments and internal/core's per-cell tracker
-// slots all read through this one form, so they agree bitwise.
+// variance). Moments, internal/core's per-cell tracker slots and the
+// reference tracker core's equivalence tests fold beside them all read
+// through this one form, so they agree bitwise.
 func Skewness(n int64, m2, m3 float64) float64 {
 	if n < 2 || m2 == 0 {
 		return 0
@@ -70,6 +71,18 @@ func Kurtosis(n int64, m2, m4 float64) float64 {
 		return 0
 	}
 	return float64(n)*m4/(m2*m2) - 3
+}
+
+// ExceedanceProbability is the fraction count/n of n samples that exceeded
+// the threshold (0 for an empty stream). The count is a float64 because
+// internal/core keeps it in a float64 record slot (integral, exact below
+// 2^53); core's ExceedanceField and the reference tracker its equivalence
+// tests fold beside it both read through this, so they agree bitwise.
+func ExceedanceProbability(count float64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return count / float64(n)
 }
 
 // Reset returns the accumulator to its empty state.

@@ -106,34 +106,3 @@ func TestQuickCovarianceProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: field accumulators agree with independent scalar accumulators
-// for each cell, for arbitrary field streams.
-func TestQuickFieldMatchesScalar(t *testing.T) {
-	type sample struct{ A, B, C float64 }
-	f := func(samples []sample) bool {
-		fm := NewFieldMoments(3)
-		var sc [3]Moments
-		for _, s := range samples {
-			vals := []float64{boundedSample(s.A), boundedSample(s.B), boundedSample(s.C)}
-			fm.Update(vals)
-			for i, v := range vals {
-				sc[i].Update(v)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			mscale := math.Max(1, math.Abs(sc[i].Mean()))
-			if math.Abs(fm.Mean(i)-sc[i].Mean()) > 1e-9*mscale {
-				return false
-			}
-			vscale := math.Max(1, sc[i].Variance())
-			if math.Abs(fm.Variance(i)-sc[i].Variance()) > 1e-7*vscale {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

@@ -115,10 +115,8 @@ func (r *tcpReceiver) readLoop(conn net.Conn) {
 		if int64(size) > int64(r.opts.maxFrame) {
 			// Corrupt, hostile, or a peer configured for larger batches:
 			// fail before sizing a buffer by it.
-			if ok, suppressed := oversizeLim.Allow(0); ok {
-				olog.Warnw("transport.oversize_frame", "from", conn.RemoteAddr().String(),
-					"bytes", size, "bound", r.opts.maxFrame, "suppressed", suppressed)
-			}
+			oversizeLim.Log(0, olog.Warn, "transport.oversize_frame", "from", conn.RemoteAddr().String(),
+				"bytes", size, "bound", r.opts.maxFrame)
 			return
 		}
 		payload := take(GetPayload(int(size)))

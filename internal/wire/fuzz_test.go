@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -16,15 +16,18 @@ import (
 
 // allocBytes returns the heap bytes one call of f allocates, averaged over
 // runs calls. Small allocations are accounted a span at a time, so a single
-// run may be off by tens of KiB; large ones are exact.
+// run may be off by tens of KiB; large ones are exact. It reads the
+// runtime's cumulative allocation metric, which, unlike ReadMemStats, does
+// not stop the world, so every fuzz exec can afford it.
 func allocBytes(runs int, f func()) int {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
 	for i := 0; i < runs; i++ {
 		f()
 	}
-	runtime.ReadMemStats(&after)
-	return int((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+	metrics.Read(sample)
+	return int((sample[0].Value.Uint64() - before) / uint64(runs))
 }
 
 // countBomb is a header whose element count the payload cannot hold: the

@@ -26,7 +26,7 @@ import (
 const (
 	pinnedConfigFields = 84
 	pinnedSharedFlags  = 105
-	pinnedSourceLines  = 17982
+	pinnedSourceLines  = 17732
 )
 
 // TestKnobCensus counts the exported fields of the configuration structs a
