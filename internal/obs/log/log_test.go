@@ -37,6 +37,67 @@ func TestFieldsSurviveEitherFormat(t *testing.T) {
 	}
 }
 
+// TestTextFormat: a text event is one slog line — time, level, the event
+// name as msg, then its fields in order, durations in Go's notation.
+func TestTextFormat(t *testing.T) {
+	var b strings.Builder
+	l := New(&b)
+	l.Info("server.group_complete", "group", 7, "folds", 1234, "stall", 1500*time.Millisecond)
+	line, ok := strings.CutSuffix(b.String(), "\n")
+	if !ok || strings.Contains(line, "\n") {
+		t.Fatalf("want one line, got %q", b.String())
+	}
+	ts, rest, _ := strings.Cut(line, " ")
+	stamp, found := strings.CutPrefix(ts, "time=")
+	if !found {
+		t.Fatalf("line does not start with time=: %q", line)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, stamp); err != nil {
+		t.Fatalf("time %q: %v", stamp, err)
+	}
+	want := "level=INFO msg=server.group_complete group=7 folds=1234 stall=1.5s"
+	if rest != want {
+		t.Fatalf("text line after time = %q, want %q", rest, want)
+	}
+}
+
+// TestJSONFormat: a JSON event is one object with time, level and the
+// event name as msg beside its fields; durations are integer nanoseconds.
+func TestJSONFormat(t *testing.T) {
+	var b strings.Builder
+	l := New(&b)
+	l.SetJSON(true)
+	l.Warn("server.drop", "reason", "decode", "bytes", 42, "stall", 3*time.Millisecond)
+	if n := strings.Count(b.String(), "\n"); n != 1 {
+		t.Fatalf("emitted %d lines, want 1:\n%s", n, b.String())
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatalf("not a JSON line: %v\n%s", err, b.String())
+	}
+	stamp, _ := doc["time"].(string)
+	if _, err := time.Parse(time.RFC3339Nano, stamp); err != nil {
+		t.Fatalf("time %q: %v", doc["time"], err)
+	}
+	if len(doc) != 6 || doc["level"] != "WARN" || doc["msg"] != "server.drop" ||
+		doc["reason"] != "decode" || doc["bytes"] != float64(42) ||
+		doc["stall"] != float64(3*time.Millisecond) {
+		t.Fatalf("bad JSON doc: %v", doc)
+	}
+}
+
+// TestOddFieldCount: a key with no value, in fields built at run time, is
+// not dropped; slog prints it as the value of a !BADKEY field.
+func TestOddFieldCount(t *testing.T) {
+	var b strings.Builder
+	l := New(&b)
+	fields := []any{"group", 3, "danglingkey"}
+	l.Info("odd", fields...)
+	if !strings.HasSuffix(b.String(), " msg=odd group=3 !BADKEY=danglingkey\n") {
+		t.Fatalf("dangling key not flagged:\n%s", b.String())
+	}
+}
+
 func TestLevelThreshold(t *testing.T) {
 	var b strings.Builder
 	l := New(&b)
